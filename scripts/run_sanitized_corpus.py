@@ -1,9 +1,17 @@
 """Run the 208-case equivalence corpus under the transport sanitizer.
 
 The same 0xFA57 corpus recipe the scheduler/pool/service equivalence
-suites share, executed through a :class:`~repro.host.CallScheduler`
-with every sanitizer domain armed, on one worker configuration.  Two
-gates, both required:
+suites share, in two sanitized passes with every sanitizer domain
+armed:
+
+* through a :class:`~repro.host.CallScheduler` on one worker
+  configuration;
+* through an :class:`~repro.api.EngineService` over a two-board
+  :class:`~repro.api.EnginePool`, each call submitted several times in
+  a row so that same-configuration requests coalesce into waves and
+  run as batched passes.
+
+Two gates per pass, both required:
 
 * every result stays bit-exact against the serial
   :class:`~repro.addresslib.VectorExecutor` reference (the sanitizer
@@ -11,9 +19,10 @@ gates, both required:
 * the sanitizer emits zero error-severity diagnostics (the healthy
   stack is clean under instrumentation).
 
-Writes a JSON report (``--out``) with per-shard accounting and every
-finding, for CI artifact upload.  Exit status is non-zero on any
-mismatch or error-severity finding.
+Writes a JSON report (``--out``) with per-shard accounting, the pool
+pass's wave count and mean wave size (a pass that never coalesced
+shows), and every finding, for CI artifact upload.  Exit status is
+non-zero on any mismatch or error-severity finding.
 
     PYTHONPATH=src python scripts/run_sanitized_corpus.py \
         --out sanitized_corpus.json
@@ -28,6 +37,8 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.addresslib import (AddressLib, BatchCall, INTER_OPS, INTRA_OPS,
                               SoftwareBackend, VectorExecutor)
+from repro.analysis.sanitize import install_sanitizer, uninstall_sanitizer
+from repro.api import EnginePool, EngineService, ServicePolicy
 from repro.host import CallScheduler
 from repro.image import Frame, ImageFormat, noise_frame
 
@@ -37,6 +48,9 @@ _INTER = sorted(INTER_OPS.values(), key=lambda op: op.name)
 SHARDS = 8
 CASES_PER_SHARD = 26
 SEED = 0xFA57
+#: Back-to-back submissions of each corpus call in the pool pass.
+POOL_REPEATS = 3
+POOL_BOARDS = 2
 
 
 def _random_batch_call(rng: random.Random) -> BatchCall:
@@ -70,9 +84,83 @@ def _same(got: Union[Frame, int], want: Union[Frame, int]) -> bool:
     return bool(got.equals(want))  # type: ignore[union-attr]
 
 
-def _finding_dict(diag: Any, shard: int) -> Dict[str, Any]:
-    return {"shard": shard, "rule_id": diag.rule_id,
+def _finding_dict(diag: Any, shard: int, stage: str) -> Dict[str, Any]:
+    return {"pass": stage, "shard": shard, "rule_id": diag.rule_id,
             "severity": diag.severity.name, "message": diag.message}
+
+
+def _shard_calls(shard: int) -> List[BatchCall]:
+    rng = random.Random(SEED + shard)
+    return [_random_batch_call(rng) for _ in range(CASES_PER_SHARD)]
+
+
+def _scheduler_pass(workers: int, findings: List[Dict[str, Any]]
+                    ) -> Dict[str, Any]:
+    """The corpus through a sanitizer-armed scheduler."""
+    shards: List[Dict[str, Any]] = []
+    with CallScheduler(max_workers=workers,
+                       sanitize=("all",)) as scheduler:
+        for shard in range(SHARDS):
+            calls = _shard_calls(shard)
+            before = len(scheduler.sanitizer_findings)
+            lib = AddressLib(SoftwareBackend())
+            results = lib.run_batch(calls, scheduler=scheduler)
+            shard_mismatches = sum(
+                0 if _same(got, _serial_reference(call)) else 1
+                for call, got in zip(calls, results))
+            new = scheduler.sanitizer_findings[before:]
+            findings.extend(_finding_dict(d, shard, "scheduler")
+                            for d in new)
+            shards.append({"shard": shard, "cases": len(calls),
+                           "mismatches": shard_mismatches,
+                           "findings": len(new)})
+            print(f"scheduler shard {shard}: {len(calls)} cases, "
+                  f"{shard_mismatches} mismatch(es), "
+                  f"{len(new)} finding(s)")
+    return {"workers": workers,
+            "mismatches": sum(s["mismatches"] for s in shards),
+            "per_shard": shards}
+
+
+def _pool_pass(findings: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """The corpus through a sanitized service over a two-board pool,
+    each call submitted ``POOL_REPEATS`` times in a row so that waves
+    coalesce."""
+    shards: List[Dict[str, Any]] = []
+    waves = completed = 0
+    sanitizer = install_sanitizer(("all",))
+    try:
+        for shard in range(SHARDS):
+            calls = [call for call in _shard_calls(shard)
+                     for _ in range(POOL_REPEATS)]
+            service = EngineService(
+                pool=EnginePool.of_engines(POOL_BOARDS),
+                policy=ServicePolicy(queue_depth=len(calls)))
+            tickets = [service.submit(call) for call in calls]
+            report = service.drain()
+            shard_mismatches = sum(
+                0 if ticket.done and ticket.accepted
+                and _same(ticket.result(), _serial_reference(call))
+                else 1
+                for call, ticket in zip(calls, tickets))
+            new = sanitizer.drain()
+            findings.extend(_finding_dict(d, shard, "pool") for d in new)
+            waves += report.waves
+            completed += report.completed
+            shards.append({"shard": shard, "requests": len(calls),
+                           "waves": report.waves,
+                           "mismatches": shard_mismatches,
+                           "findings": len(new)})
+            print(f"pool shard {shard}: {len(calls)} requests in "
+                  f"{report.waves} waves, {shard_mismatches} "
+                  f"mismatch(es), {len(new)} finding(s)")
+    finally:
+        uninstall_sanitizer()
+    return {"boards": POOL_BOARDS, "repeats": POOL_REPEATS,
+            "waves": waves,
+            "mean_wave_size": completed / waves if waves else 0.0,
+            "mismatches": sum(s["mismatches"] for s in shards),
+            "per_shard": shards}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -85,44 +173,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="scheduler worker count (default 2)")
     args = parser.parse_args(argv)
 
-    shards: List[Dict[str, Any]] = []
     findings: List[Dict[str, Any]] = []
-    mismatches = 0
-    with CallScheduler(max_workers=args.workers,
-                       sanitize=("all",)) as scheduler:
-        for shard in range(SHARDS):
-            rng = random.Random(SEED + shard)
-            calls = [_random_batch_call(rng)
-                     for _ in range(CASES_PER_SHARD)]
-            before = len(scheduler.sanitizer_findings)
-            lib = AddressLib(SoftwareBackend())
-            results = lib.run_batch(calls, scheduler=scheduler)
-            shard_mismatches = sum(
-                0 if _same(got, _serial_reference(call)) else 1
-                for call, got in zip(calls, results))
-            mismatches += shard_mismatches
-            new = scheduler.sanitizer_findings[before:]
-            findings.extend(_finding_dict(d, shard) for d in new)
-            shards.append({"shard": shard, "cases": len(calls),
-                           "mismatches": shard_mismatches,
-                           "findings": len(new)})
-            print(f"shard {shard}: {len(calls)} cases, "
-                  f"{shard_mismatches} mismatch(es), "
-                  f"{len(new)} finding(s)")
-
+    scheduler = _scheduler_pass(args.workers, findings)
+    pool = _pool_pass(findings)
+    mismatches = scheduler["mismatches"] + pool["mismatches"]
     errors = [f for f in findings if f["severity"] == "ERROR"]
     payload = {
         "seed": SEED, "shards": SHARDS,
         "cases": SHARDS * CASES_PER_SHARD, "workers": args.workers,
         "sanitize": ["all"], "mismatches": mismatches,
         "error_findings": len(errors), "findings": findings,
-        "per_shard": shards,
+        "per_shard": scheduler["per_shard"],
+        "pool": pool,
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
     print(f"wrote {args.out}: {payload['cases']} cases, "
           f"{mismatches} mismatch(es), {len(findings)} finding(s) "
-          f"({len(errors)} error-severity)")
+          f"({len(errors)} error-severity); pool pass ran "
+          f"{pool['waves']} waves of {pool['mean_wave_size']:.2f} "
+          f"requests on average")
     if mismatches or errors:
         print("sanitized corpus: FAILED (results drifted or the "
               "sanitizer flagged errors)")

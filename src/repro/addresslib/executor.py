@@ -27,12 +27,12 @@ Pentium-M timing model behind Table 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..image.formats import STRIP_LINES, ImageFormat
-from ..image.frame import Frame
+from ..image.frame import PLANE_DTYPES, Frame
 from ..image.pixel import ALL_CHANNELS, Channel
 from ..image.planar import (SUBSAMPLED_CHANNELS, AccessCounter,
                             PlanarFrame420)
@@ -115,16 +115,21 @@ def _edge_pad(plane: np.ndarray, top: int, bottom: int, left: int,
               right: int) -> np.ndarray:
     """``plane`` with its border rows and columns replicated outward by
     the given margins (the AddressLib clamp policy), built by slice
-    assignment into one preallocated buffer."""
-    height, width = plane.shape
-    padded = np.empty((top + height + bottom, left + width + right),
-                      plane.dtype)
+    assignment into one preallocated buffer.
+
+    The last two axes are rows and columns; leading axes (a batch of
+    planes) are carried through untouched.
+    """
+    *batch, height, width = plane.shape
+    padded = np.empty((*batch, top + height + bottom,
+                       left + width + right), plane.dtype)
     rows = slice(top, top + height)
-    padded[rows, left:left + width] = plane
-    padded[rows, :left] = plane[:, :1]
-    padded[rows, left + width:] = plane[:, -1:]
-    padded[:top] = padded[top]
-    padded[top + height:] = padded[top + height - 1]
+    padded[..., rows, left:left + width] = plane
+    padded[..., rows, :left] = plane[..., :1]
+    padded[..., rows, left + width:] = plane[..., -1:]
+    padded[..., :top, :] = padded[..., top:top + 1, :]
+    padded[..., top + height:, :] = padded[..., top + height - 1:
+                                           top + height, :]
     return padded
 
 
@@ -135,11 +140,13 @@ def _window_stack(padded: np.ndarray, offsets: Tuple[Tuple[int, int], ...],
     plane ``i`` starts at ``(origin_y + dy_i, origin_x + dx_i)``.
 
     Each window is copied straight into one preallocated stack: no
-    per-offset temporaries and no final ``np.stack`` copy.
+    per-offset temporaries and no final ``np.stack`` copy.  Leading
+    batch axes of ``padded`` follow the offset axis.
     """
-    stack = np.empty((len(offsets), height, width), padded.dtype)
+    stack = np.empty((len(offsets), *padded.shape[:-2], height, width),
+                     padded.dtype)
     for plane, (dx, dy) in zip(stack, offsets):
-        plane[...] = padded[origin_y + dy:origin_y + dy + height,
+        plane[...] = padded[..., origin_y + dy:origin_y + dy + height,
                             origin_x + dx:origin_x + dx + width]
     return stack
 
@@ -152,13 +159,14 @@ def neighbourhood_stack(plane: np.ndarray,
     (edge-replicated, the AddressLib clamp policy) and copies each
     offset's window into the stack -- bit-identical to
     :func:`neighbourhood_stack_shifted` without its per-offset padded
-    copies.  For CON_0 the stack is a view of ``plane`` itself, so
-    kernels must never write into a stack.
+    copies.  ``plane`` may carry leading batch axes: a ``(B, H, W)``
+    batch gives a ``(K, B, H, W)`` stack.  For CON_0 the stack is a
+    view of ``plane`` itself, so kernels must never write into a stack.
     """
     offsets = neighbourhood.offsets
     if offsets == ((0, 0),):
         return plane[np.newaxis]
-    height, width = plane.shape
+    height, width = plane.shape[-2:]
     min_dx, min_dy, max_dx, max_dy = neighbourhood.bounding_box()
     pad_top = max(0, -min_dy)
     pad_left = max(0, -min_dx)
@@ -167,45 +175,113 @@ def neighbourhood_stack(plane: np.ndarray,
     return _window_stack(padded, offsets, pad_top, pad_left, height, width)
 
 
+def _plane_batch(frames: Sequence[Frame], channel: Channel) -> np.ndarray:
+    """One channel of ``frames`` as a ``(B, H, W)`` batch: a view for a
+    single frame, a stacked copy for several."""
+    if len(frames) == 1:
+        return frames[0].plane(channel)[np.newaxis]
+    return np.array([frame.plane(channel) for frame in frames])
+
+
+def _owned(values: np.ndarray, batch: np.ndarray,
+           dtype: type) -> np.ndarray:
+    """A kernel's output as a fresh array of ``batch``'s shape and the
+    plane ``dtype``.
+
+    Kernels may return a view of their input (a CON_0 identity) or a
+    wider integer type; either is copied here, so no result shares
+    memory with an input.
+    """
+    if (values.dtype != dtype or values.shape != batch.shape
+            or np.may_share_memory(values, batch)):
+        owned = np.empty(batch.shape, dtype)
+        owned[...] = values
+        return owned
+    return values
+
+
 class VectorExecutor:
     """Bulk numpy execution of inter/intra calls on packed frames."""
+
+    @staticmethod
+    def wave(op: Union[InterOp, IntraOp],
+             inputs: Sequence[Sequence[Frame]],
+             channels: ChannelSet = ChannelSet.Y,
+             reduce_to_scalar: bool = False) -> List[Union[Frame, int]]:
+        """Run same-configuration calls as one batched numpy pass.
+
+        ``inputs`` holds each call's input frames: ``(frame,)`` for an
+        intra ``op``, ``(frame_a, frame_b)`` for an inter one; every
+        frame has the same geometry.  Per channel, the op's vector face
+        runs once over the whole wave -- a ``(K, B, H, W)``
+        neighbourhood stack for intra calls, ``(B, H, W)`` plane pairs
+        for inter calls.  The faces reduce over axis 0 only, so each
+        call's values equal a one-call run's.
+
+        Returns one result per call, in order: a frame built from the
+        kernel output plus copies of the untouched planes of the call's
+        first input, or the summed values when ``reduce_to_scalar``.
+        No result shares memory with an input or another result.
+        """
+        sources = [frames[0] for frames in inputs]
+        fmt = sources[0].format
+        for frames in inputs:
+            for frame in frames:
+                if frame.width != fmt.width or frame.height != fmt.height:
+                    raise ValueError(
+                        f"a wave needs one frame geometry, got "
+                        f"{frame.format} vs {fmt}")
+        batches: Dict[Channel, np.ndarray] = {}
+        totals = [0] * len(inputs)
+        for channel in channels_of(channels):
+            batch = _plane_batch(sources, channel)
+            if isinstance(op, IntraOp):
+                values = op.apply_vector(
+                    neighbourhood_stack(batch, op.neighbourhood))
+            else:
+                values = op.apply_vector(
+                    batch, _plane_batch([frames[1] for frames in inputs],
+                                        channel))
+            if reduce_to_scalar:
+                sums = values.reshape(len(inputs), -1).sum(
+                    axis=1, dtype=np.int64)
+                totals = [total + int(s) for total, s in zip(totals, sums)]
+            else:
+                batches[channel] = _owned(values, batch,
+                                          PLANE_DTYPES[channel])
+        if reduce_to_scalar:
+            return list(totals)
+        for channel in ALL_CHANNELS:
+            if channel not in batches:
+                batches[channel] = np.array([frame.plane(channel)
+                                             for frame in sources])
+        return list(Frame.from_plane_batches(
+            [frame.format for frame in sources], batches))
 
     @staticmethod
     def inter(op: InterOp, frame_a: Frame, frame_b: Frame,
               channels: ChannelSet = ChannelSet.Y) -> Frame:
         """Elementwise ``op`` over two equal-format frames."""
-        if frame_a.format.pixels != frame_b.format.pixels or \
-                frame_a.width != frame_b.width:
-            raise ValueError(
-                f"inter call needs equal formats, got {frame_a.format} "
-                f"vs {frame_b.format}")
-        result = frame_a.copy()
-        for channel in channels_of(channels):
-            result.plane(channel)[:] = op.apply_vector(
-                frame_a.plane(channel), frame_b.plane(channel))
+        result = VectorExecutor.wave(op, [(frame_a, frame_b)], channels)[0]
+        assert isinstance(result, Frame)
         return result
 
     @staticmethod
     def intra(op: IntraOp, frame: Frame,
               channels: ChannelSet = ChannelSet.Y) -> Frame:
         """Neighbourhood ``op`` over one frame, borders clamped."""
-        result = frame.copy()
-        for channel in channels_of(channels):
-            stack = neighbourhood_stack(frame.plane(channel),
-                                        op.neighbourhood)
-            result.plane(channel)[:] = op.apply_vector(stack)
+        result = VectorExecutor.wave(op, [(frame,)], channels)[0]
+        assert isinstance(result, Frame)
         return result
 
     @staticmethod
     def inter_reduce(op: InterOp, frame_a: Frame, frame_b: Frame,
                      channels: ChannelSet = ChannelSet.Y) -> int:
         """Sum of the elementwise results (e.g. SAD with ``INTER_ABSDIFF``)."""
-        total = 0
-        for channel in channels_of(channels):
-            values = op.apply_vector(frame_a.plane(channel),
-                                     frame_b.plane(channel))
-            total += int(values.sum(dtype=np.int64))
-        return total
+        result = VectorExecutor.wave(op, [(frame_a, frame_b)], channels,
+                                     reduce_to_scalar=True)[0]
+        assert isinstance(result, int)
+        return result
 
     @staticmethod
     def histogram(frame: Frame, channel: Channel = Channel.Y) -> np.ndarray:

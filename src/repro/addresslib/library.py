@@ -52,6 +52,11 @@ class CallRecord:
     extra: Dict[str, float] = field(default_factory=dict)
 
 
+#: One executed call: its result (a frame, or a scalar for reduces) and
+#: its record.
+RecordedResult = Tuple[Union[Frame, int], CallRecord]
+
+
 class CallLog:
     """An append-only log of AddressLib calls with per-mode tallies."""
 
@@ -162,6 +167,23 @@ class BatchCall:
         return self.frames[0].format
 
 
+def _config_runs(calls: Sequence[BatchCall]) -> List[List[BatchCall]]:
+    """``calls`` cut into maximal consecutive runs that would configure
+    the engine identically (same mode, op object, format, channel set
+    and reduction), in order."""
+    runs: List[List[BatchCall]] = []
+    for call in calls:
+        head = runs[-1][0] if runs else None
+        if (head is not None and head.mode is call.mode
+                and head.op is call.op and head.channels is call.channels
+                and head.reduce_to_scalar == call.reduce_to_scalar
+                and head.fmt == call.fmt):
+            runs[-1].append(call)
+        else:
+            runs.append([call])
+    return runs
+
+
 @dataclass
 class BatchOutcome:
     """The functional result of one batched call."""
@@ -215,6 +237,15 @@ class Backend(abc.ABC):
 
     def begin_parallel_wave(self) -> None:
         """Hook before a concurrent wave of calls (default: no-op)."""
+
+    @abc.abstractmethod
+    def run_wave(self, calls: Sequence[BatchCall]) -> List[RecordedResult]:
+        """Execute consecutive calls of one configuration, in order.
+
+        Returns each call's result and record, exactly as issuing the
+        calls one by one through :meth:`inter`/:meth:`intra`/
+        :meth:`inter_reduce` would.
+        """
 
     @abc.abstractmethod
     def inter(self, op: InterOp, frame_a: Frame, frame_b: Frame,
@@ -292,6 +323,14 @@ class SoftwareBackend(Backend):
 
     # -- call execution ------------------------------------------------------
 
+    def run_wave(self, calls: Sequence[BatchCall]) -> List[RecordedResult]:
+        head = calls[0]
+        results = VectorExecutor.wave(head.op,
+                                      [call.frames for call in calls],
+                                      head.channels, head.reduce_to_scalar)
+        return [(result, self.batch_record(call))
+                for call, result in zip(calls, results)]
+
     def inter(self, op: InterOp, frame_a: Frame, frame_b: Frame,
               channels: ChannelSet) -> Tuple[Frame, CallRecord]:
         result = VectorExecutor.inter(op, frame_a, frame_b, channels)
@@ -360,15 +399,17 @@ class AddressLib:
                   ) -> List[Union[Frame, int]]:
         """Submit a batch of *independent* inter/intra calls.
 
-        Without a scheduler this is sugar: each call is issued through
-        the normal single-call path in order, so the results *and* the
-        log records are identical to hand-written serial code.  With a
-        scheduler, the functional results come from the scheduler's
-        engine workers (bit-exact: the workers run the same vector
-        executor) while each call is recorded with the backend's
+        Without a scheduler, each consecutive run of calls that share
+        one configuration goes to the backend in one piece
+        (:meth:`Backend.run_wave`): it computes the run as one batched
+        pass and books its calls one by one in order, so the results
+        *and* the log records are identical to hand-written serial
+        code.  With a scheduler, the functional results come from the
+        scheduler's engine workers (bit-exact: the workers run the same
+        vector executor) while each call is recorded with the backend's
         analytic accounting -- one record per call, same counts, no
         re-execution.  If any dispatched backend cannot record batched
-        calls, the whole batch silently takes the serial path.
+        calls, the whole batch silently takes the unscheduled path.
 
         ``scheduler`` and ``options`` are keyword-only; ``options``
         (a :class:`~repro.api.SubmitOptions`) currently contributes the
@@ -397,21 +438,10 @@ class AddressLib:
                 return self._run_batch_scheduled(calls, backends,
                                                  scheduler)
         results: List[Union[Frame, int]] = []
-        for call in calls:
-            if call.mode is AddressingMode.INTRA:
-                assert isinstance(call.op, IntraOp)
-                results.append(self.intra(call.op, call.frames[0],
-                                          call.channels))
-            else:
-                assert isinstance(call.op, InterOp)
-                if call.reduce_to_scalar:
-                    results.append(self.inter_reduce(
-                        call.op, call.frames[0], call.frames[1],
-                        call.channels))
-                else:
-                    results.append(self.inter(
-                        call.op, call.frames[0], call.frames[1],
-                        call.channels))
+        for run in _config_runs(calls):
+            for result, record in self._dispatch(run[0].mode).run_wave(run):
+                self.log.append(record)
+                results.append(result)
         return results
 
     def _run_batch_scheduled(self, calls: List[BatchCall],

@@ -29,7 +29,8 @@ from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
 from ..image.formats import ImageFormat
 from ..image.frame import Frame
 from .addressing import AddressingMode
-from .library import Backend, CallRecord, SoftwareBackend
+from .library import (Backend, BatchCall, CallRecord, RecordedResult,
+                      SoftwareBackend)
 from .ops import ChannelSet, InterOp, IntraOp
 
 #: Module basenames whose stack frames are library plumbing, not the
@@ -284,6 +285,16 @@ class ProgramRecorder(Backend):
 
     def supports(self, mode: AddressingMode) -> bool:
         return mode in (AddressingMode.INTER, AddressingMode.INTRA)
+
+    def run_wave(self, calls: Sequence[BatchCall]) -> List[RecordedResult]:
+        outcomes = self._delegate.run_wave(calls)
+        for call, (result, _) in zip(calls, outcomes):
+            names = tuple(self._name_of(frame) for frame in call.frames)
+            self._record(call.mode, call.op, call.fmt, call.channels,
+                         names,
+                         None if call.reduce_to_scalar else result,
+                         reduce_to_scalar=call.reduce_to_scalar)
+        return outcomes
 
     def inter(self, op: InterOp, frame_a: Frame, frame_b: Frame,
               channels: ChannelSet) -> Tuple[Frame, CallRecord]:

@@ -10,10 +10,12 @@ routes those to its software fallback automatically.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..addresslib.addressing import AddressingMode
-from ..addresslib.library import Backend, BatchCall, CallRecord
+from ..addresslib.executor import VectorExecutor
+from ..addresslib.library import (Backend, BatchCall, CallRecord,
+                                  RecordedResult)
 from ..addresslib.ops import ChannelSet, InterOp, IntraOp
 from ..core.config import EngineConfig, inter_config, intra_config
 from ..image.frame import Frame
@@ -30,6 +32,14 @@ class EngineBackend(Backend):
     of a round trip through the host.  (The paper keeps the images on
     the board per call only; chaining is the natural extension its
     "replace the PCI with an on-chip bus" outlook gestures at.)
+
+    Calls run in waves of one configuration (a single call is a wave of
+    one): the functional results come from one batched
+    :meth:`~repro.addresslib.executor.VectorExecutor.wave` pass, then
+    each call is booked in order -- residency plan, driver books,
+    residency update, record -- exactly as serial submission books it.
+    A simulating driver runs each call through the cycle-level model
+    instead.
     """
 
     name = "address_engine"
@@ -52,57 +62,90 @@ class EngineBackend(Backend):
 
     # -- residency tracking ---------------------------------------------------
 
-    def _residency(self, config, frames):
+    def _residency(self, config: EngineConfig, frames: Sequence[Frame]
+                   ) -> Tuple[List[bool], int]:
         """Which inputs are already on the board, and the copy cost of
-        reusing the previous result as an input."""
+        reusing the previous result as an input (the cycle model has no
+        result-to-input mover, so a simulating driver ships instead)."""
         if not self.chain_frames:
             return [False] * len(frames), 0
-        return self.residency.plan(config, frames)
+        return self.residency.plan(config, frames,
+                                   result_reuse=not self.driver.simulate)
 
-    def _after_call(self, config, frames, result_frame) -> None:
+    def _after_call(self, config: EngineConfig, frames: Sequence[Frame],
+                    result_frame: Optional[Frame]) -> None:
         if not self.chain_frames:
             return
         self.residency.record_call(config, frames, result_frame)
 
-    def _submit(self, config, frames):
-        resident, copy_cycles = self._residency(config, frames)
-        can_simulate_residency = copy_cycles == 0
-        if self.driver.simulate and not can_simulate_residency:
-            # The cycle model has no result-to-input mover; ship instead.
-            resident = [False] * len(frames)
-        result = self.driver.submit(config, *frames, resident=resident,
-                                    onboard_copy_cycles=copy_cycles)
-        self._after_call(config, frames, result.frame)
-        record = self._record(config, result)
-        record.extra["resident_inputs"] = float(sum(resident))
-        return result, record
-
     # -- call execution -------------------------------------------------------
+
+    def run_wave(self, calls: Sequence[BatchCall]) -> List[RecordedResult]:
+        return self._run(self._config_for(calls[0]),
+                         [call.frames for call in calls])
 
     def inter(self, op: InterOp, frame_a: Frame, frame_b: Frame,
               channels: ChannelSet) -> Tuple[Frame, CallRecord]:
         config = inter_config(
             op, frame_a.format, channels,
             requires_full_frames=op.name in self.special_inter_ops)
-        result, record = self._submit(config, [frame_a, frame_b])
-        assert result.frame is not None
-        return result.frame, record
+        result, record = self._run(config, [(frame_a, frame_b)])[0]
+        assert isinstance(result, Frame)
+        return result, record
 
     def intra(self, op: IntraOp, frame: Frame,
               channels: ChannelSet) -> Tuple[Frame, CallRecord]:
         config = intra_config(op, frame.format, channels)
-        result, record = self._submit(config, [frame])
-        assert result.frame is not None
-        return result.frame, record
+        result, record = self._run(config, [(frame,)])[0]
+        assert isinstance(result, Frame)
+        return result, record
 
     def inter_reduce(self, op: InterOp, frame_a: Frame, frame_b: Frame,
                      channels: ChannelSet) -> Tuple[int, CallRecord]:
         config = inter_config(
             op, frame_a.format, channels, reduce_to_scalar=True,
             requires_full_frames=op.name in self.special_inter_ops)
-        result, record = self._submit(config, [frame_a, frame_b])
-        assert result.scalar is not None
-        return result.scalar, record
+        result, record = self._run(config, [(frame_a, frame_b)])[0]
+        assert isinstance(result, int)
+        return result, record
+
+    def _run(self, config: EngineConfig,
+             inputs: Sequence[Sequence[Frame]]) -> List[RecordedResult]:
+        """Execute calls of one configuration and book each in order."""
+        if self.driver.simulate:
+            return [self._simulate(config, frames) for frames in inputs]
+        results = VectorExecutor.wave(config.op, inputs, config.channels,
+                                      config.reduce_to_scalar)
+        outcomes: List[RecordedResult] = []
+        for frames, result in zip(inputs, results):
+            resident, copy_cycles = self._residency(config, frames)
+            price = self.driver.book_call(config, sum(resident),
+                                          copy_cycles)
+            self._after_call(config, frames,
+                             result if isinstance(result, Frame) else None)
+            record = self._base_record(config, price.call_seconds,
+                                       price.board_seconds,
+                                       price.pci_words)
+            record.extra["resident_inputs"] = float(sum(resident))
+            outcomes.append((result, record))
+        return outcomes
+
+    def _simulate(self, config: EngineConfig,
+                  frames: Sequence[Frame]) -> RecordedResult:
+        """One call through the driver's cycle-level model."""
+        resident, copy_cycles = self._residency(config, frames)
+        result = self.driver.submit(config, *frames, resident=resident,
+                                    onboard_copy_cycles=copy_cycles)
+        self._after_call(config, frames, result.frame)
+        record = self._base_record(config, result.call_seconds,
+                                   result.board_seconds, result.pci_words)
+        assert result.run is not None
+        record.extra["cycles"] = float(result.run.cycles)
+        record.extra["zbt_pixel_ops"] = float(result.run.zbt_pixel_ops)
+        record.extra["resident_inputs"] = float(sum(resident))
+        value = result.frame if result.frame is not None else result.scalar
+        assert value is not None
+        return value, record
 
     # -- batched (scheduler-executed) calls -----------------------------------
 
@@ -156,13 +199,3 @@ class EngineBackend(Backend):
             + ("+reduce" if config.reduce_to_scalar else ""),
             channels=config.channels, format_name=config.fmt.name,
             pixels=config.fmt.pixels, profile=None, extra=extra)
-
-    @staticmethod
-    def _record(config: EngineConfig, result) -> CallRecord:
-        record = EngineBackend._base_record(
-            config, result.call_seconds, result.board_seconds,
-            result.pci_words)
-        if result.run is not None:
-            record.extra["cycles"] = float(result.run.cycles)
-            record.extra["zbt_pixel_ops"] = float(result.run.zbt_pixel_ops)
-        return record

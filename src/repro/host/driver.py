@@ -15,6 +15,7 @@ back to the application.  Two execution strategies:
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -83,8 +84,8 @@ class FrameResidencyCache:
         held = sum(1 for f in self._inputs if f is not None)
         return held + (1 if self._result is not None else 0)
 
-    def plan(self, config: EngineConfig,
-             frames: List[Frame]) -> Tuple[List[bool], int]:
+    def plan(self, config: EngineConfig, frames: Sequence[Frame],
+             result_reuse: bool = True) -> Tuple[List[bool], int]:
         """Residency flags for ``frames`` plus the cycle cost of on-board
         result reuse.
 
@@ -93,34 +94,39 @@ class FrameResidencyCache:
         bank pairs) and inter (one pair per image), and between slots.
         Reusing the previous call's result costs a result-bank to
         input-bank move: the transmission units stream one pixel per
-        cycle in each direction, two in flight.
+        cycle in each direction, two in flight.  A board without that
+        mover (``result_reuse=False``, the cycle-level model) ships
+        every input of a call that would reuse the result, and the
+        counters book each of them as a miss.
         """
         self._expire_stale()
         flags: List[bool] = []
-        copy_cycles = 0
+        hits = reuses = 0
         same_layout = self._layout_kind == config.images_in
-        observer = shm.get_transport_observer()
         for slot, frame in enumerate(frames):
             if (same_layout and slot < len(self._inputs)
                     and self._inputs[slot] is frame):
                 flags.append(True)
-                self.hits += 1
-                if observer is not None:
-                    observer.cache_attach("driver", id(frame), 0, 0)
+                hits += 1
             elif self._result is frame:
-                copy_cycles += -(-config.fmt.pixels // 2)
                 flags.append(True)
-                self.result_reuses += 1
-                if observer is not None:
-                    observer.cache_attach("driver", id(frame), 0, 0)
+                reuses += 1
             else:
                 flags.append(False)
-                self.misses += 1
-                if observer is not None:
-                    observer.cache_attach("driver", id(frame), 0, None)
-        return flags, copy_cycles
+        if reuses and not result_reuse:
+            flags = [False] * len(frames)
+            hits = reuses = 0
+        self.hits += hits
+        self.result_reuses += reuses
+        self.misses += len(frames) - hits - reuses
+        observer = shm.get_transport_observer()
+        if observer is not None:
+            for frame, resident in zip(frames, flags):
+                observer.cache_attach("driver", id(frame), 0,
+                                      0 if resident else None)
+        return flags, reuses * -(-config.fmt.pixels // 2)
 
-    def record_call(self, config: EngineConfig, frames: List[Frame],
+    def record_call(self, config: EngineConfig, frames: Sequence[Frame],
                     result_frame: Optional[Frame]) -> None:
         """Remember what the call just left in the banks."""
         self._layout_kind = config.images_in
@@ -210,6 +216,28 @@ class CallPrice:
         return self.board_seconds + self.host_overhead_seconds
 
 
+@functools.lru_cache(maxsize=1024)
+def _geometry_price(timing: EngineTimingModel, pixels: int, strips: int,
+                    images_in: int, produces_image: bool,
+                    requires_full_frames: bool, resident_count: int,
+                    onboard_copy_cycles: int) -> CallPrice:
+    """The closed-form :class:`CallPrice` of one call geometry (cached:
+    the timing model is frozen and the price is immutable)."""
+    pci_words = (timing.input_words_raw(pixels, images_in, resident_count)
+                 + timing.readback_words_raw(pixels, produces_image))
+    host_overhead = timing.host_overhead_seconds_raw(strips, images_in,
+                                                     resident_count)
+    board_cycles = (timing.call_cycles_raw(
+        pixels, strips, images_in, produces_image, requires_full_frames,
+        resident_count) + onboard_copy_cycles)
+    interrupts = timing.dma_jobs_raw(strips, images_in,
+                                     resident_count) + 1
+    return CallPrice(
+        board_seconds=board_cycles / timing.clock_hz,
+        host_overhead_seconds=host_overhead,
+        pci_words=pci_words, interrupts=interrupts)
+
+
 @dataclass
 class DriverResult:
     """What one driver submission returns to the application."""
@@ -275,22 +303,45 @@ class AddressEngineDriver:
         The call scheduler uses this to price batched calls it has
         already executed in worker processes; :meth:`submit` uses the
         same arithmetic so priced and submitted calls account alike.
+        The price depends only on the timing model and the call
+        geometry, so each distinct one is computed once.
         """
-        pci_words = (self.timing.input_words_raw(
-            config.fmt.pixels, config.images_in, resident_count)
-            + self.timing.readback_words(config))
-        host_overhead = self.timing.host_overhead_seconds_raw(
-            config.fmt.strips, config.images_in, resident_count)
-        board_cycles = (self.timing.call_cycles_raw(
-            config.fmt.pixels, config.fmt.strips, config.images_in,
+        fmt = config.fmt
+        return _geometry_price(
+            self.timing, fmt.pixels, fmt.strips, config.images_in,
             config.produces_image, config.requires_full_frames,
-            resident_count) + onboard_copy_cycles)
-        interrupts = self.timing.dma_jobs_raw(
-            config.fmt.strips, config.images_in, resident_count) + 1
-        return CallPrice(
-            board_seconds=board_cycles / self.timing.clock_hz,
-            host_overhead_seconds=host_overhead,
-            pci_words=pci_words, interrupts=interrupts)
+            resident_count, onboard_copy_cycles)
+
+    def book_call(self, config: EngineConfig, resident_count: int = 0,
+                  onboard_copy_cycles: int = 0,
+                  options: Optional["SubmitOptions"] = None) -> CallPrice:
+        """Book one functionally executed call; returns its price.
+
+        Tallies the tenant, runs the pre-flight check, and counts the
+        submission and its interrupts -- the books of the functional
+        branch of :meth:`submit`, which
+        :class:`~repro.host.backend.EngineBackend` also books each call
+        of a batched wave through.
+        """
+        price = self._accept(config, resident_count, onboard_copy_cycles,
+                             options)
+        self.interrupts_serviced += price.interrupts
+        return price
+
+    def _accept(self, config: EngineConfig, resident_count: int,
+                onboard_copy_cycles: int,
+                options: Optional["SubmitOptions"]) -> CallPrice:
+        """Tenant tally, pre-flight check and submission count of one
+        call; returns its price."""
+        tenant = getattr(options, "tenant", None)
+        if tenant is not None:
+            self.calls_by_tenant[tenant] = (
+                self.calls_by_tenant.get(tenant, 0) + 1)
+        if self.preflight:
+            self.check(config)
+        self.calls_submitted += 1
+        return self.price_call(config, resident_count,
+                               onboard_copy_cycles)
 
     def account_scheduled(self, price: CallPrice) -> None:
         """Book one scheduler-executed call into the driver counters."""
@@ -346,18 +397,11 @@ class AddressEngineDriver:
                 legacy_copy = legacy[1]
                 assert isinstance(legacy_copy, int)
                 onboard_copy_cycles = legacy_copy
-        tenant = getattr(options, "tenant", None)
-        if tenant is not None:
-            self.calls_by_tenant[tenant] = (
-                self.calls_by_tenant.get(tenant, 0) + 1)
-        if self.preflight:
-            self.check(config)
-        self.calls_submitted += 1
         resident = list(resident or [False] * config.images_in)
         resident_count = sum(resident)
-        price = self.price_call(config, resident_count,
-                                onboard_copy_cycles)
         if self.simulate:
+            price = self._accept(config, resident_count,
+                                 onboard_copy_cycles, options)
             run = self.engine.run_call(config, frame_a, frame_b,
                                        resident=resident)
             # Interrupts: one per DMA job plus the completion interrupt.
@@ -369,8 +413,9 @@ class AddressEngineDriver:
                 call_seconds=board + price.host_overhead_seconds,
                 board_seconds=board,
                 pci_words=price.pci_words, run=run)
+        price = self.book_call(config, resident_count, onboard_copy_cycles,
+                               options)
         result = AddressEngine.run_functional(config, frame_a, frame_b)
-        self.interrupts_serviced += price.interrupts
         frame: Optional[Frame]
         scalar: Optional[int]
         if isinstance(result, Frame):

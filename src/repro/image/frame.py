@@ -12,7 +12,7 @@ the paper's scan terminology; the backing numpy arrays are indexed
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Tuple
+from typing import Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -146,6 +146,47 @@ class Frame:
             views[channel] = plane
         frame._planes = views
         return frame
+
+    @classmethod
+    def from_plane_batches(cls, formats: Sequence[ImageFormat],
+                           batches: Mapping[Channel, np.ndarray]
+                           ) -> List["Frame"]:
+        """Wrap plane batches as frames without copying.
+
+        ``batches`` holds one ``(B, height, width)`` array per channel,
+        in the channel's canonical dtype; frame ``i`` takes item ``i``
+        of every batch and ``formats[i]``.  All formats share one
+        geometry.  The frames share no memory with each other.  Shapes
+        and dtypes are checked once per batch, not per frame.
+        """
+        if not formats:
+            return []
+        geometry = (formats[0].height, formats[0].width)
+        expected = (len(formats),) + geometry
+        arrays = []
+        for channel, dtype in PLANE_DTYPES.items():
+            batch = batches[channel]
+            if batch.shape != expected:
+                raise ValueError(
+                    f"{channel.name} batch must be {expected}, "
+                    f"got {batch.shape}")
+            if batch.dtype != dtype:
+                raise ValueError(
+                    f"{channel.name} batch must be "
+                    f"{np.dtype(dtype).name}, got {batch.dtype}")
+            arrays.append(batch)
+        frames = []
+        for fmt, planes in zip(formats, zip(*arrays)):
+            if (fmt.height, fmt.width) != geometry:
+                raise ValueError(
+                    f"batched frames need one geometry, got "
+                    f"{fmt.width}x{fmt.height} beside "
+                    f"{geometry[1]}x{geometry[0]}")
+            frame = cls.__new__(cls)
+            frame.format = fmt
+            frame._planes = dict(zip(PLANE_DTYPES, planes))
+            frames.append(frame)
+        return frames
 
     @classmethod
     def from_words(cls, fmt: ImageFormat, lower: np.ndarray,

@@ -12,6 +12,7 @@ below the service layer without an import cycle.
 
 from __future__ import annotations
 
+import functools
 from typing import FrozenSet, Tuple
 
 from ..addresslib.addressing import AddressingMode
@@ -27,15 +28,24 @@ def call_cost_seconds(call: BatchCall, timing: EngineTimingModel,
     The same arithmetic :class:`~repro.host.scheduler.CallScheduler`
     prices batches with, so service admission, scheduler makespans,
     pool placement and driver submission all account one call
-    identically.
+    identically.  The cost depends only on the timing model and the
+    geometry, so each distinct one is computed once.
     """
     fmt = call.fmt
-    images_in = 2 if call.mode is AddressingMode.INTER else 1
-    produces_image = not call.reduce_to_scalar
-    full_frames = (call.mode is AddressingMode.INTER
-                   and call.op.name in special_inter_ops)
+    inter = call.mode is AddressingMode.INTER
+    return _geometry_cost(timing, fmt.pixels, fmt.strips,
+                          2 if inter else 1, not call.reduce_to_scalar,
+                          inter and call.op.name in special_inter_ops)
+
+
+@functools.lru_cache(maxsize=1024)
+def _geometry_cost(timing: EngineTimingModel, pixels: int, strips: int,
+                   images_in: int, produces_image: bool,
+                   full_frames: bool) -> Tuple[float, float]:
+    """(serial, overlapped) seconds of one call geometry (cached: the
+    timing model is frozen and the costs are plain floats)."""
     serial = timing.serial_call_seconds_raw(
-        fmt.pixels, fmt.strips, images_in, produces_image, full_frames)
+        pixels, strips, images_in, produces_image, full_frames)
     overlapped = timing.overlapped_call_seconds_raw(
-        fmt.pixels, fmt.strips, images_in, produces_image, full_frames)
+        pixels, strips, images_in, produces_image, full_frames)
     return serial, overlapped

@@ -276,6 +276,7 @@ class EngineService:
             deadline_seconds=options.deadline_seconds,
             max_retries=options.max_retries,
             estimated_cost_seconds=overlapped_cost,
+            serial_cost_seconds=serial_cost,
             tenant=options.tenant, placement=options.placement)
         self._next_request_id += 1
         ticket = ServiceTicket(request_id=request.request_id,
@@ -424,8 +425,8 @@ class EngineService:
             [r.call for r in survivors], not_before=not_before,
             hint=survivors[0].placement)
         for request in survivors:
-            serial, overlapped = self.admission.price(request.call)
-            self.report_data.modeled_serial_seconds += serial
+            self.report_data.modeled_serial_seconds += (
+                request.serial_cost_seconds)
         wave_end = dispatch.end_seconds
         self.clock = max(self.clock, wave_end)
         self.report_data.busy_seconds += (wave_end

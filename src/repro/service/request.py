@@ -83,6 +83,9 @@ class ServiceRequest:
     attempts: int = 0
     #: Admission-time cost estimate (overlap timing model seconds).
     estimated_cost_seconds: float = 0.0
+    #: The same call priced under the no-overlap (sum) model: what it
+    #: adds to the report's ``modeled_serial_seconds`` once executed.
+    serial_cost_seconds: float = 0.0
     #: The deadline is re-based here on retry (client re-issues).
     effective_arrival_seconds: float = 0.0
     #: Tenant label the books attribute this call to (``None``: untagged).

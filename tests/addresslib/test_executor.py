@@ -94,6 +94,19 @@ class TestWindowedVsShiftedStack:
         assert fast.shape == reference.shape
         assert np.array_equal(fast, reference)
 
+    @pytest.mark.parametrize("nb", NEIGHBOURHOODS, ids=lambda nb: nb.name)
+    def test_batched_stack_matches_per_plane_reference(self, nb):
+        """A ``(B, H, W)`` batch stacks to ``(K, B, H, W)``: item ``b``
+        is plane ``b``'s reference stack (no value crosses items)."""
+        fmt = ImageFormat("W5x33", 5, 33)
+        planes = np.stack([noise_frame(fmt, seed=seed).y
+                           for seed in (1, 2, 3)])
+        batched = neighbourhood_stack(planes, nb)
+        assert batched.shape == (nb.size,) + planes.shape
+        for index, plane in enumerate(planes):
+            assert np.array_equal(batched[:, index],
+                                  neighbourhood_stack_shifted(plane, nb))
+
     def test_intra_ops_unchanged_by_fast_path(self):
         frame = noise_frame(ImageFormat("W24x33", 24, 33), seed=77)
         for op in sorted(INTRA_OPS.values(), key=lambda op: op.name):

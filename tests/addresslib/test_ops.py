@@ -267,6 +267,47 @@ class TestAccumulatorWidth:
             assert_vector_matches_scalar(op, stack)
 
 
+class TestBatchAxis:
+    """Every vector face reduces over axis 0 only, so extra axes after
+    it are batch axes: a face applied to a ``(K, B, H, W)`` stack, or to
+    ``(B, H, W)`` plane pairs, equals the per-item results stacked.
+    ``VectorExecutor.wave`` runs a whole wave through one face call on
+    this rule."""
+
+    INTRA = list(INTRA_OPS.values()) + [
+        threshold_op(7, low=-3, high=300), scale_offset_op(-5, 3, 300),
+        fir_op("fir_con24", CON_24, list(range(-12, 13)), shift=2)]
+
+    @staticmethod
+    def _planes(rng, shape):
+        """Random items, then an all-0 and an all-255 item."""
+        planes = rng.integers(0, 256, size=(3,) + shape).astype(np.uint8)
+        planes[1] = 0
+        planes[2] = 255
+        return planes
+
+    @pytest.mark.parametrize("op", INTRA, ids=lambda op: op.name)
+    def test_intra_face(self, op):
+        rng = np.random.default_rng(21)
+        stack = np.moveaxis(
+            self._planes(rng, (op.neighbourhood.size, 4, 5)), 0, 1)
+        batched = op.apply_vector(stack)
+        items = [op.apply_vector(stack[:, b]) for b in range(3)]
+        assert batched.dtype == items[0].dtype, op.name
+        assert np.array_equal(batched, np.stack(items)), op.name
+
+    @pytest.mark.parametrize("op", list(INTER_OPS.values()),
+                             ids=lambda op: op.name)
+    def test_inter_face(self, op):
+        rng = np.random.default_rng(22)
+        a = self._planes(rng, (4, 5))
+        b = self._planes(rng, (4, 5))[::-1]
+        batched = op.apply_vector(a, b)
+        items = [op.apply_vector(a[i], b[i]) for i in range(3)]
+        assert batched.dtype == items[0].dtype, op.name
+        assert np.array_equal(batched, np.stack(items)), op.name
+
+
 class TestCosts:
     @pytest.mark.parametrize("op", list(INTRA_OPS.values()),
                              ids=lambda op: op.name)

@@ -165,9 +165,26 @@ class TestChainedCorrectness:
 
     def test_simulated_result_reuse_falls_back_to_shipping(self, frames):
         """The cycle model has no result-bank mover: reusing a result as
-        input under simulation re-ships it (correctness preserved)."""
+        input under simulation re-ships it (correctness preserved), and
+        the residency counters book the shipped input as a miss."""
         lib = chained_lib(simulate=True)
         frame, _ = frames
         edges = lib.intra(INTRA_GRAD, frame)
         lib.intra(INTRA_BOX3, edges)
+        record = lib.log.records[-1]
+        assert record.extra["resident_inputs"] == 0
+        assert record.extra["pci_words"] == 4 * FMT.pixels
+        cache = lib.backend.residency
+        assert (cache.hits, cache.result_reuses, cache.misses) == (0, 0, 2)
+
+    def test_simulated_fallback_ships_every_input(self, frames):
+        """An inter call reusing the result in one slot re-ships its
+        other, still-resident slot too, and counts both as misses."""
+        lib = chained_lib(simulate=True)
+        a, b = frames
+        lib.inter(INTER_ABSDIFF, a, b)              # two misses
+        diff = lib.inter(INTER_ABSDIFF, a, b)       # two hits
+        lib.inter(INTER_ABSDIFF, a, diff)           # slot 1 is the result
         assert lib.log.records[-1].extra["resident_inputs"] == 0
+        cache = lib.backend.residency
+        assert (cache.hits, cache.result_reuses, cache.misses) == (2, 0, 4)
