@@ -10,7 +10,7 @@ on any machine.
 
     PYTHONPATH=src python scripts/serve_demo.py
     PYTHONPATH=src python scripts/serve_demo.py --load 1.5 --seed 7
-    PYTHONPATH=src python scripts/serve_demo.py --engines 4 --pool --async
+    PYTHONPATH=src python scripts/serve_demo.py --engines 4 --async
     PYTHONPATH=src python scripts/serve_demo.py --trace mytrace.json
     PYTHONPATH=src python scripts/serve_demo.py --save-trace mytrace.json
 """
@@ -21,10 +21,8 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.addresslib import AddressLib
 from repro.api import (AdmissionPolicy, EnginePool, EngineService,
                        ServicePolicy)
-from repro.host import EngineBackend
 from repro.image import ImageFormat
 from repro.load import (ArrivalTrace, CallFactory, TenantSpec, TraceSpec,
                         replay_async, replay_serial)
@@ -56,12 +54,8 @@ def _build_service(args: argparse.Namespace) -> EngineService:
         queue_depth=args.queue_depth, max_batch=args.max_batch,
         admission=AdmissionPolicy(
             deadline_budget_seconds=args.budget_ms * 1e-3))
-    if args.pool:
-        return EngineService(
-            pool=EnginePool.of_engines(args.engines), policy=policy)
-    lib = AddressLib(EngineBackend()) if args.engine_backend else None
     return EngineService(
-        lib=lib, virtual_engines=args.engines, policy=policy)
+        pool=EnginePool.of_engines(args.engines), policy=policy)
 
 
 def _build_trace(args: argparse.Namespace) -> ArrivalTrace:
@@ -96,7 +90,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="offered load as a fraction of modeled "
                              "capacity (default 0.9; >1 overloads)")
     parser.add_argument("--engines", type=int, default=1,
-                        help="modeled virtual engines (default 1)")
+                        help="boards in the engine pool (default 1)")
     parser.add_argument("--max-batch", type=int, default=8,
                         help="micro-batch bound per wave (default 8)")
     parser.add_argument("--queue-depth", type=int, default=64,
@@ -111,13 +105,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="deadline-miss retries per request")
     parser.add_argument("--seed", type=int, default=0x5E2F,
                         help="arrival/workload seed")
-    parser.add_argument("--engine-backend", action="store_true",
-                        help="serve through the cycle-model engine "
-                             "backend instead of the software library")
-    parser.add_argument("--pool", action="store_true",
-                        help="shard across --engines real boards via "
-                             "EnginePool instead of modeling overlap "
-                             "on one board")
     parser.add_argument("--async", dest="use_async",
                         action="store_true",
                         help="replay through the asyncio facade "
@@ -145,7 +132,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         result = replay_serial(trace, service, load_factor=args.load)
     report = result.service
-    assert report is not None
+    assert report is not None and report.pool is not None
 
     def _ms(seconds):
         return "--" if seconds is None else f"{seconds * 1e3:.2f} ms"
@@ -186,14 +173,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         rows.append(("wall latency p50 / p95",
                      f"{_ms(result.wall_latency.p50)} / "
                      f"{_ms(result.wall_latency.p95)}"))
-    if report.pool is not None and args.pool:
-        routed = " / ".join(str(w.calls_routed)
-                            for w in report.pool.workers)
-        hit_rate = report.pool.residency_hit_rate
-        rows.append(("pool calls routed per board", routed))
-        rows.append(("pool residency hit rate",
-                     "--" if hit_rate is None
-                     else f"{100 * hit_rate:.1f}%"))
+    routed = " / ".join(str(w.calls_routed) for w in report.pool.workers)
+    hit_rate = report.pool.residency_hit_rate
+    rows.append(("pool calls routed per board", routed))
+    rows.append(("pool residency hit rate",
+                 "--" if hit_rate is None else f"{100 * hit_rate:.1f}%"))
     print(format_table(
         ["signal", "value"], rows,
         title=f"EngineService, {len(trace)} open-loop requests "

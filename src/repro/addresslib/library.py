@@ -14,7 +14,6 @@ call to the AddressLib").
 from __future__ import annotations
 
 import abc
-import warnings
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
                     Union)
@@ -392,8 +391,7 @@ class AddressLib:
         self.log.append(record)
         return value
 
-    def run_batch(self, calls: Sequence[BatchCall],
-                  *legacy: "BatchExecutor",
+    def run_batch(self, calls: Sequence[BatchCall], *,
                   scheduler: Optional[BatchExecutor] = None,
                   options: Optional["SubmitOptions"] = None
                   ) -> List[Union[Frame, int]]:
@@ -411,23 +409,10 @@ class AddressLib:
         re-execution.  If any dispatched backend cannot record batched
         calls, the whole batch silently takes the unscheduled path.
 
-        ``scheduler`` and ``options`` are keyword-only; ``options``
-        (a :class:`~repro.api.SubmitOptions`) currently contributes the
-        tenant label the call log tallies executed calls under.
-        Passing the scheduler positionally still works but is
-        deprecated.
+        ``options`` (a :class:`~repro.api.SubmitOptions`) currently
+        contributes the tenant label the call log tallies executed
+        calls under.
         """
-        if legacy:
-            if len(legacy) > 1 or scheduler is not None:
-                raise TypeError(
-                    "run_batch takes at most one scheduler; pass it "
-                    "as run_batch(calls, scheduler=...)")
-            warnings.warn(
-                "passing the scheduler positionally to "
-                "AddressLib.run_batch is deprecated; use "
-                "run_batch(calls, scheduler=...)",
-                DeprecationWarning, stacklevel=2)
-            scheduler = legacy[0]
         calls = list(calls)
         tenant = getattr(options, "tenant", None)
         if tenant is not None and calls:

@@ -471,7 +471,6 @@ def _selftest_pool001() -> Optional[List[Diagnostic]]:
 
         pool.workers[0].run_wave = boom  # type: ignore[method-assign]
         pool.dispatch([make_call(7), make_call(8)])
-        pool.close()
         return None
 
     return _with_observer(("pool",), scenario)
@@ -491,7 +490,6 @@ def _selftest_pool002() -> Optional[List[Diagnostic]]:
         op = INTRA_OPS[sorted(INTRA_OPS)[0]]
         assert not isinstance(result, int)
         pool.dispatch([BatchCall.intra(op, result)])
-        pool.close()
         return None
 
     return _with_observer(("pool",), scenario)

@@ -14,8 +14,7 @@ keyword-only, by all three submission APIs:
 
 Each layer reads the fields it understands and ignores the rest (a
 driver has no priority queue; a library has no placement policy), so
-one options object can ride a request all the way down.  The pre-pool
-signatures still work but warn with :class:`DeprecationWarning`.
+one options object can ride a request all the way down.
 
 Typical serving setup::
 
@@ -65,7 +64,7 @@ class SubmitOptions:
     """Everything a caller may say about one submission, in one place.
 
     All fields default to "no preference", so ``SubmitOptions()`` is
-    the neutral submission every legacy default maps onto.  The object
+    the neutral submission ``options=None`` stands for.  The object
     is frozen: build one per request (or share one across requests with
     identical metadata -- it carries no per-request state).
     """

@@ -16,7 +16,6 @@ back to the application.  Two execution strategies:
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -361,8 +360,7 @@ class AddressEngineDriver:
         self.calls_shed += calls
 
     def submit(self, config: EngineConfig, frame_a: Frame,
-               frame_b: Optional[Frame] = None,
-               *legacy: object,
+               frame_b: Optional[Frame] = None, *,
                options: Optional["SubmitOptions"] = None,
                resident: Optional[Sequence[bool]] = None,
                onboard_copy_cycles: int = 0
@@ -371,32 +369,11 @@ class AddressEngineDriver:
 
         ``resident`` flags inputs already on the board (call chaining);
         ``onboard_copy_cycles`` charges a result-bank-to-input-bank move
-        when the previous call's *result* is reused as an input.  Both
-        are keyword-only; ``options`` (a
-        :class:`~repro.api.SubmitOptions`) contributes the tenant label
-        the per-tenant books tally this submission under.  The old
-        positional ``resident``/``onboard_copy_cycles`` still work but
-        warn with :class:`DeprecationWarning`.
+        when the previous call's *result* is reused as an input.
+        ``options`` (a :class:`~repro.api.SubmitOptions`) contributes
+        the tenant label the per-tenant books tally this submission
+        under.
         """
-        if legacy:
-            if (len(legacy) > 2 or resident is not None
-                    or onboard_copy_cycles):
-                raise TypeError(
-                    "AddressEngineDriver.submit takes resident/"
-                    "onboard_copy_cycles keyword-only")
-            warnings.warn(
-                "positional resident/onboard_copy_cycles to "
-                "AddressEngineDriver.submit are deprecated; pass them "
-                "as keywords",
-                DeprecationWarning, stacklevel=2)
-            legacy_resident = legacy[0]
-            assert legacy_resident is None or isinstance(
-                legacy_resident, (list, tuple))
-            resident = legacy_resident
-            if len(legacy) == 2:
-                legacy_copy = legacy[1]
-                assert isinstance(legacy_copy, int)
-                onboard_copy_cycles = legacy_copy
         resident = list(resident or [False] * config.images_in)
         resident_count = sum(resident)
         if self.simulate:

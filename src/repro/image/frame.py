@@ -28,9 +28,6 @@ PLANE_DTYPES = {
     Channel.AUX: np.uint16,
 }
 
-#: Backwards-compatible private alias.
-_DTYPES = PLANE_DTYPES
-
 
 class Frame:
     """A full-resolution five-channel frame in the engine's packed layout."""
@@ -38,7 +35,8 @@ class Frame:
     def __init__(self, fmt: ImageFormat) -> None:
         self.format = fmt
         self._planes = {
-            channel: np.zeros((fmt.height, fmt.width), dtype=_DTYPES[channel])
+            channel: np.zeros((fmt.height, fmt.width),
+                              dtype=PLANE_DTYPES[channel])
             for channel in ALL_CHANNELS
         }
 

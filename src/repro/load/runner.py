@@ -4,8 +4,8 @@ Two replay paths, one accounting discipline:
 
 * :func:`replay_serial` -- the *blessed* synchronous open-loop pump
   (``run_until`` to the arrival, then ``submit``).  Hand-rolled copies
-  of this loop are deprecated (``scripts/lint_no_deprecated.py`` rule
-  R4 flags them); this function is the one allowlisted instance.
+  of this loop are flagged by ``scripts/lint_replay_pump.py`` (rule
+  R4); this function is the one allowlisted instance.
 * :func:`replay_async` -- the same trace through
   :class:`~repro.aio.AsyncEngineClient`: a producer coroutine submits
   under backpressure while a consumer drains the completion stream.

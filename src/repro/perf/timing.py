@@ -31,12 +31,11 @@ from ..core.pci import DEFAULT_JOB_OVERHEAD_CYCLES, PCI_CLOCK_HZ
 def list_scheduled_makespan(costs: Sequence[float], engines: int) -> float:
     """LPT list-scheduled makespan of ``costs`` across ``engines``.
 
-    The one modelled-dispatch rule every layer prices multi-engine
-    execution with: the call scheduler's per-wave makespan, an
-    :class:`~repro.pool.EngineWorker`'s wave cost across its modelled
-    boards, and the legacy ``virtual_engines`` accounting of
-    :class:`~repro.service.EngineService`.  Longest-processing-time
-    ordering, each cost on the least-loaded engine.
+    The one modelled-dispatch rule every layer prices execution with:
+    the call scheduler's per-wave makespan across its workers, and an
+    :class:`~repro.pool.EngineWorker`'s wave cost on its one board.
+    Longest-processing-time ordering, each cost on the least-loaded
+    engine.
     """
     loads = [0.0] * max(1, engines)
     for cost in sorted(costs, reverse=True):

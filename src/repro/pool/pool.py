@@ -32,7 +32,6 @@ from ..core.errors import EngineDeadlock
 from ..host import shm
 from ..host.backend import EngineBackend
 from ..host.driver import AddressEngineDriver
-from ..host.scheduler import CallScheduler
 from ..image.frame import Frame
 from ..perf.report import base_report_dict
 from ..perf.timing import EngineTimingModel
@@ -98,21 +97,6 @@ class PoolReport:
             return None
         return hits / total
 
-    @property
-    def transport(self) -> Dict[str, int]:
-        """Scheduler transport call counters summed across every board
-        (boards without a scheduler contribute nothing)."""
-        keys = ("round_trips", "pool_calls", "inline_calls",
-                "bypass_calls", "shm_calls", "pickle_calls",
-                "worker_cache_hits", "worker_cache_attaches")
-        total = {key: 0 for key in keys}
-        for worker in self.workers:
-            for key in keys:
-                value = worker.transport.get(key)
-                if isinstance(value, int):
-                    total[key] += value
-        return total
-
     def to_dict(self) -> Dict[str, object]:
         """Schema-conforming books (see ``perf.report``)."""
         return base_report_dict(
@@ -127,19 +111,13 @@ class PoolReport:
             failovers=self.failovers,
             calls_requeued=self.calls_requeued,
             residency_hit_rate=self.residency_hit_rate,
-            transport=self.transport,
             workers=[w.to_dict(self.clock_hz) for w in self.workers],
         )
 
 
 class EnginePool:
-    """Owns N engine workers and routes waves onto them.
-
-    Construct with :meth:`of_engines` for a real N-board pool, or
-    :meth:`adopt` to wrap one existing library as a single worker (the
-    compatibility shape :class:`~repro.service.EngineService` uses when
-    it is handed a bare ``lib``).
-    """
+    """Owns N engine workers and routes waves onto them; build one
+    with :meth:`of_engines`."""
 
     def __init__(self, workers: Sequence[EngineWorker],
                  placement: Optional[PlacementPolicy] = None) -> None:
@@ -183,23 +161,6 @@ class EnginePool:
                 worker_id, lib=AddressLib(backend), timing=timing))
         return cls(workers, placement=placement)
 
-    @classmethod
-    def adopt(cls, lib: AddressLib,
-              scheduler: Optional[CallScheduler] = None,
-              modeled_engines: int = 1,
-              timing: Optional[EngineTimingModel] = None) -> "EnginePool":
-        """Wrap one caller-owned library as a single-worker pool.
-
-        ``modeled_engines`` keeps the legacy ``virtual_engines``
-        accounting: the one worker prices each wave as an LPT makespan
-        across that many modelled boards, so a service built on a bare
-        ``lib`` books exactly what it did before pools existed.
-        """
-        worker = EngineWorker(0, lib=lib, scheduler=scheduler,
-                              modeled_engines=modeled_engines,
-                              timing=timing)
-        return cls([worker], placement=LeastLoadedPlacement())
-
     # -- pool state -----------------------------------------------------------
 
     @property
@@ -220,10 +181,6 @@ class EnginePool:
         if not alive:
             return max(w.busy_until for w in self.workers)
         return min(w.busy_until for w in alive)
-
-    @property
-    def total_modeled_engines(self) -> int:
-        return sum(w.modeled_engines for w in self.alive())
 
     @property
     def special_inter_ops(self) -> FrozenSet[str]:
@@ -259,8 +216,8 @@ class EnginePool:
         """Route one wave to a board, run it, and book the clock.
 
         The wave starts at ``max(board free time, not_before)`` and
-        costs the LPT makespan of its calls across the board's modelled
-        engines.  On :class:`EngineDeadlock` the board is failed out and
+        costs its calls' overlap-model prices run back to back on that
+        board.  On :class:`EngineDeadlock` the board is failed out and
         the whole wave re-places among survivors (results never mix
         boards); with no survivors the deadlock propagates.
         """
@@ -322,7 +279,7 @@ class EnginePool:
         if driver is not None:
             driver.account_shed(calls)
 
-    # -- books and lifecycle --------------------------------------------------
+    # -- books ----------------------------------------------------------------
 
     def report(self, clock_seconds: float = 0.0) -> PoolReport:
         """Every board's books plus the pool-level routing counters."""
@@ -336,13 +293,3 @@ class EnginePool:
             calls_shed=self.calls_shed,
             clock_hz=self.timing.clock_hz,
         )
-
-    def close(self) -> None:
-        for worker in self.workers:
-            worker.close()
-
-    def __enter__(self) -> "EnginePool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

@@ -4,8 +4,8 @@ A worker is the pool's unit of replication -- the modelled equivalent of
 one ADM-XRC-II board in its own PCI slot.  Each worker owns a *private*
 :class:`~repro.addresslib.library.AddressLib` (and therefore its own
 driver books and :class:`~repro.host.driver.FrameResidencyCache` bank
-state), an optional :class:`~repro.host.scheduler.CallScheduler`, and a
-modeled ``busy_until`` horizon the placement policies load-balance on.
+state) and a modeled ``busy_until`` horizon the placement policies
+load-balance on.
 
 Execution is the same vector executor every other path runs, so results
 are bit-exact with serial submission whichever worker a wave lands on;
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..addresslib.library import AddressLib, BatchCall
-from ..host.scheduler import CallScheduler
 from ..image.frame import Frame
 from ..perf.report import base_report_dict
 from ..perf.timing import EngineTimingModel, list_scheduled_makespan
@@ -46,9 +45,6 @@ class WorkerReport:
     #: Calls this worker abandoned mid-wave to a surviving worker.
     calls_requeued: int = 0
     failed: bool = False
-    #: Scheduler transport books (empty for workers with no scheduler):
-    #: shm/pickle/bypass call counts, round trips, and plane-store state.
-    transport: Dict[str, object] = field(default_factory=dict)
 
     @property
     def residency_hit_rate(self) -> Optional[float]:
@@ -77,32 +73,22 @@ class WorkerReport:
             calls_submitted=self.calls_submitted,
             calls_requeued=self.calls_requeued,
             failed=self.failed,
-            transport=self.transport,
         )
 
 
 class EngineWorker:
     """One engine-backed library with its own books and modeled clock.
 
-    ``modeled_engines`` exists for the degenerate single-worker pool
-    that preserves the legacy ``virtual_engines`` accounting of
-    :class:`~repro.service.EngineService`: a real pool runs N workers
-    that each model one board, the adapter runs one worker that models
-    N boards.  Either way the wave cost is the LPT makespan of the
-    per-call overlap-model costs across the worker's modelled boards.
+    The worker models one board, which runs a wave's calls back to
+    back.
     """
 
     def __init__(self, worker_id: int,
                  lib: Optional[AddressLib] = None,
-                 scheduler: Optional[CallScheduler] = None,
-                 modeled_engines: int = 1,
                  timing: Optional[EngineTimingModel] = None) -> None:
         self.worker_id = worker_id
         self.lib = lib if lib is not None else AddressLib()
-        self.scheduler = scheduler
-        self.modeled_engines = max(1, modeled_engines)
-        self.timing = timing or (scheduler.timing if scheduler
-                                 else EngineTimingModel())
+        self.timing = timing or EngineTimingModel()
         self.special_inter_ops = frozenset(
             getattr(self.lib.backend, "special_inter_ops", frozenset()))
         #: Modeled time this board is busy until.
@@ -136,9 +122,13 @@ class EngineWorker:
                                  self.special_inter_ops)
 
     def wave_cost_seconds(self, calls: Sequence[BatchCall]) -> float:
-        """Modeled makespan of one wave across this worker's boards."""
+        """Modeled makespan of one wave on this board.
+
+        The one-engine makespan sums the costs largest first; a plain
+        ``sum()`` in call order can differ in the last bit.
+        """
         costs = [self.price(call)[1] for call in calls]
-        return list_scheduled_makespan(costs, self.modeled_engines)
+        return list_scheduled_makespan(costs, 1)
 
     def affinity_score(self, calls: Sequence[BatchCall]) -> int:
         """How many of the wave's input frames are already resident in
@@ -158,7 +148,7 @@ class EngineWorker:
     def run_wave(self, calls: Sequence[BatchCall]
                  ) -> List[Union[Frame, int]]:
         """Execute one wave through this worker's own library."""
-        return self.lib.run_batch(calls, scheduler=self.scheduler)
+        return self.lib.run_batch(calls)
 
     def book_wave(self, calls: Sequence[BatchCall], start: float,
                   end: float) -> None:
@@ -189,11 +179,4 @@ class EngineWorker:
             calls_shed=(driver.calls_shed if driver else 0),
             calls_requeued=self.calls_requeued,
             failed=self.failed,
-            transport=(self.scheduler.transport_stats()
-                       if self.scheduler is not None else {}),
         )
-
-    def close(self) -> None:
-        """Shut down this worker's scheduler pool, if any."""
-        if self.scheduler is not None:
-            self.scheduler.close()

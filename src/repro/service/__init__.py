@@ -9,8 +9,7 @@ serving health -- all on the deterministic modeled clock of the overlap
 timing model.  See ``docs/SERVICE.md``.
 """
 
-from .admission import (AdmissionController, AdmissionPolicy,
-                        call_cost_seconds)
+from .admission import AdmissionController, AdmissionPolicy
 from .batcher import BatchKey, MicroBatcher
 from .engine_service import EngineService, ServiceReport
 from .policy import ServicePolicy, TenantPolicy
@@ -34,5 +33,4 @@ __all__ = [
     "ServiceRequest",
     "ServiceTicket",
     "TenantPolicy",
-    "call_cost_seconds",
 ]

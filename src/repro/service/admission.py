@@ -41,18 +41,13 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..addresslib.library import BatchCall
 from ..perf.timing import EngineTimingModel
-# The canonical pricing arithmetic lives with the pool (the lowest
-# layer that needs it); re-exported here because admission is where
-# service code historically imported it from.
 from ..pool.pricing import call_cost_seconds
-from .policy import (AdmissionPolicy, ServicePolicy,
-                     coerce_service_policy)
+from .policy import AdmissionPolicy, ServicePolicy
 from .request import Priority, RejectReason, ServiceRequest
 
 __all__ = [
     "AdmissionController",
     "AdmissionPolicy",
-    "call_cost_seconds",
 ]
 
 
@@ -72,21 +67,13 @@ class _RateEstimate:
 
 
 class AdmissionController:
-    """Prices requests and sheds the ones the backlog would drown.
-
-    Configure with ``policy=ServicePolicy(...)``; the pre-tenancy
-    ``policy=AdmissionPolicy(...)`` spelling still works but warns
-    with :class:`DeprecationWarning`.
-    """
+    """Prices requests and sheds the ones the backlog would drown."""
 
     def __init__(self, timing: Optional[EngineTimingModel] = None,
-                 policy: object = None,
+                 policy: Optional[ServicePolicy] = None,
                  special_inter_ops: FrozenSet[str] = frozenset()) -> None:
         self.timing = timing or EngineTimingModel()
-        self.service_policy: ServicePolicy = coerce_service_policy(
-            policy, owner="AdmissionController", legacy={})
-        #: Legacy alias: the load-shedding budget knobs.
-        self.policy: AdmissionPolicy = self.service_policy.admission
+        self.policy = policy if policy is not None else ServicePolicy()
         self.special_inter_ops = special_inter_ops
         #: Requests shed, by reason value (for the service report).
         self.shed_by_reason: Dict[str, int] = {}
@@ -103,7 +90,7 @@ class AdmissionController:
         """Fold one arrival of ``tenant`` at modeled time ``now`` into
         the decayed per-tenant rate estimate (every submission counts,
         accepted or shed -- it is the *offered* stream being sized)."""
-        tau = self.service_policy.rate_tau_seconds
+        tau = self.policy.rate_tau_seconds
         estimate = self._rates.get(tenant)
         if estimate is None:
             estimate = self._rates[tenant] = _RateEstimate()
@@ -116,7 +103,7 @@ class AdmissionController:
         estimate = self._rates.get(tenant)
         if estimate is None:
             return 0.0
-        tau = self.service_policy.rate_tau_seconds
+        tau = self.policy.rate_tau_seconds
         return estimate.decayed(now, tau) / tau
 
     def _share_shade(self, tenant: Optional[str], now: float) -> float:
@@ -125,7 +112,7 @@ class AdmissionController:
         1.0 for tenants inside their weighted fair share of the
         observed arrival stream; < 1.0 for the ones flooding past it.
         """
-        tau = self.service_policy.rate_tau_seconds
+        tau = self.policy.rate_tau_seconds
         own = 0.0
         total_rate = 0.0
         total_weight = 0.0
@@ -134,12 +121,12 @@ class AdmissionController:
             if rate <= 1e-9:
                 continue
             total_rate += rate
-            total_weight += self.service_policy.weight(name)
+            total_weight += self.policy.weight(name)
             if name == tenant:
                 own = rate
         if own <= 1e-9 or total_rate <= 1e-9 or total_weight <= 0.0:
             return 1.0
-        fair = self.service_policy.weight(tenant) / total_weight
+        fair = self.policy.weight(tenant) / total_weight
         observed = own / total_rate
         if observed <= fair:
             return 1.0
@@ -154,8 +141,8 @@ class AdmissionController:
         the graduated class budget, capped at the tenant's p95 target,
         shaded by the tenant's arrival overshare.  ``None`` disables
         shedding (no budget, no target)."""
-        budget = self.service_policy.admission.budget_for(priority)
-        target = self.service_policy.tenant(tenant).p95_target_seconds
+        budget = self.policy.admission.budget_for(priority)
+        target = self.policy.tenant(tenant).p95_target_seconds
         if target is not None:
             budget = target if budget is None else min(budget, target)
         if budget is not None and now is not None:

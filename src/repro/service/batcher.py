@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..addresslib.library import BatchCall
-from .policy import ServicePolicy, coerce_service_policy
+from .policy import ServicePolicy
 from .queue import RequestQueue
 from .request import ServiceRequest
 
@@ -58,17 +58,10 @@ def _deadline_rank(request: ServiceRequest) -> float:
 
 
 class MicroBatcher:
-    """Forms dispatch waves from the head of the request queue.
+    """Forms dispatch waves from the head of the request queue."""
 
-    Configure with ``policy=ServicePolicy(...)``; the pre-tenancy
-    ``max_batch=`` keyword still works but warns with
-    :class:`DeprecationWarning`.
-    """
-
-    def __init__(self, max_batch: Optional[int] = None,
-                 policy: Optional[ServicePolicy] = None) -> None:
-        self.policy = coerce_service_policy(
-            policy, owner="MicroBatcher", legacy={"max_batch": max_batch})
+    def __init__(self, policy: Optional[ServicePolicy] = None) -> None:
+        self.policy = policy if policy is not None else ServicePolicy()
         self.max_batch = self.policy.max_batch
         #: Waves formed so far.
         self.waves = 0

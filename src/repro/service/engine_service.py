@@ -37,22 +37,19 @@ The flow::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Union
 
-from ..addresslib.library import AddressLib, BatchCall, SoftwareBackend
-from ..host.scheduler import CallScheduler
+from ..addresslib.library import BatchCall
 from ..image.frame import Frame
 from ..perf.latency import LatencyTracker
 from ..perf.report import base_report_dict
-from ..perf.timing import EngineTimingModel
 from ..pool import EnginePool, PoolReport
 from .admission import AdmissionController
 from .batcher import MicroBatcher
-from .policy import ServicePolicy, coerce_service_policy
+from .policy import ServicePolicy
 from .queue import RequestQueue
-from .request import (Priority, RejectReason, RequestState, ServiceError,
+from .request import (RejectReason, RequestState, ServiceError,
                       ServiceRequest, ServiceTicket)
 
 if TYPE_CHECKING:
@@ -160,55 +157,28 @@ class EngineService:
     """Synchronous submit/drain front end over an engine pool.
 
     Hand it a :class:`~repro.pool.EnginePool` (``pool=``) to serve N
-    modelled boards behind the one submission API.  The legacy shape --
-    a bare ``lib`` (plus optional ``scheduler``) -- still works: the
-    service wraps it as a single-worker pool whose worker models
-    ``virtual_engines`` boards, so the books are bit-identical to what
-    the pre-pool service produced.  Execution is bit-exact in every
-    shape; only the modelled timing and per-board accounting change --
-    the same machine-independence contract as the scheduler's
+    modelled boards behind the one submission API; with no pool it
+    serves on ``EnginePool.of_engines(1)``.  Execution is bit-exact for
+    any pool; only the modelled timing and per-board accounting change
+    -- the same machine-independence contract as the scheduler's
     ``BatchReport``.
     """
 
-    def __init__(self, lib: Optional[AddressLib] = None,
-                 scheduler: Optional[CallScheduler] = None,
-                 queue_depth: Optional[int] = None,
-                 max_batch: Optional[int] = None,
-                 policy: object = None,
-                 admission: Optional[AdmissionController] = None,
-                 virtual_engines: Optional[int] = None,
-                 timing: Optional[EngineTimingModel] = None,
-                 pool: Optional[EnginePool] = None) -> None:
-        #: Every serving knob, in one frozen record.  The legacy
-        #: ``queue_depth=``/``max_batch=``/``policy=AdmissionPolicy``
-        #: spellings are folded in with a :class:`DeprecationWarning`.
-        self.policy: ServicePolicy = coerce_service_policy(
-            policy, owner="EngineService",
-            legacy={"queue_depth": queue_depth, "max_batch": max_batch})
-        if pool is not None:
-            if lib is not None or scheduler is not None:
-                raise ValueError(
-                    "pass either pool= or lib=/scheduler=, not both")
-            self.pool = pool
-            self.scheduler = None
-            self.lib = pool.workers[0].lib
-            self.timing = timing or pool.timing
-            self.virtual_engines = pool.total_modeled_engines
-        else:
-            self.lib = lib or AddressLib(SoftwareBackend())
-            self.scheduler = scheduler
-            self.timing = timing or (scheduler.timing if scheduler
-                                     else EngineTimingModel())
-            self.virtual_engines = max(1, virtual_engines
-                                       or (scheduler.max_workers
-                                           if scheduler else 1))
-            self.pool = EnginePool.adopt(
-                self.lib, scheduler=scheduler,
-                modeled_engines=self.virtual_engines, timing=self.timing)
-        special = self.pool.special_inter_ops
-        self.admission = admission or AdmissionController(
+    def __init__(self, pool: Optional[EnginePool] = None,
+                 policy: Optional[ServicePolicy] = None) -> None:
+        if policy is None:
+            policy = ServicePolicy()
+        elif not isinstance(policy, ServicePolicy):
+            raise TypeError(
+                f"EngineService policy must be a ServicePolicy, got "
+                f"{type(policy).__name__}")
+        #: Every serving knob, in one frozen record.
+        self.policy = policy
+        self.pool = pool if pool is not None else EnginePool.of_engines(1)
+        self.timing = self.pool.timing
+        self.admission = AdmissionController(
             timing=self.timing, policy=self.policy,
-            special_inter_ops=special)
+            special_inter_ops=self.pool.special_inter_ops)
         self.queue = RequestQueue(policy=self.policy)
         self.batcher = MicroBatcher(policy=self.policy)
         #: The service's modeled "now": advanced by arrivals and waves.
@@ -234,29 +204,21 @@ class EngineService:
     # -- submission -----------------------------------------------------------
 
     def submit(self, call: BatchCall,
-               options: Optional["SubmitOptions"] = None,
-               *legacy_args: object,
-               priority: Optional[Priority] = None,
-               deadline_seconds: Optional[float] = None,
-               max_retries: Optional[int] = None,
-               arrival_seconds: Optional[float] = None) -> ServiceTicket:
+               options: Optional["SubmitOptions"] = None) -> ServiceTicket:
         """Offer one call; returns a ticket that is either queued or
         already rejected (explicit backpressure, never an exception).
 
         All serving metadata arrives through ``options`` (a
-        :class:`~repro.api.SubmitOptions`): priority class, relative
-        deadline, retry budget, tenant label, placement hint, and
-        ``arrival_seconds`` to place the request on the modeled clock
-        (an open-loop load generator submits a whole trace this way --
-        arrivals default to "now" and never move the clock backwards).
-        The pre-pool keyword and positional signature
-        (``priority=, deadline_seconds=, max_retries=,
-        arrival_seconds=``) still works but warns with
-        :class:`DeprecationWarning`.
+        :class:`~repro.api.SubmitOptions`; ``None`` means its
+        defaults): priority class, relative deadline, retry budget,
+        tenant label, placement hint, and ``arrival_seconds`` to place
+        the request on the modeled clock (an open-loop load generator
+        submits a whole trace this way -- arrivals default to "now"
+        and never move the clock backwards).
         """
-        options = self._coerce_options(
-            options, legacy_args, priority, deadline_seconds,
-            max_retries, arrival_seconds)
+        if options is None:
+            from ..api import SubmitOptions
+            options = SubmitOptions()
         if options.sanitize:
             # Arm (or widen) the process-wide transport sanitizer for
             # the requested domains; findings surface through whichever
@@ -306,50 +268,6 @@ class EngineService:
             self._in_flight_by_tenant.get(request.tenant, 0) + 1)
         self.report_data.accepted += 1
         return ticket
-
-    def _coerce_options(self, options, legacy_args, priority,
-                        deadline_seconds, max_retries,
-                        arrival_seconds) -> "SubmitOptions":
-        """One SubmitOptions from whichever signature the caller used."""
-        from ..api import SubmitOptions
-        if options is not None and not isinstance(options, SubmitOptions):
-            # Old positional signature: submit(call, priority, ...).
-            legacy_args = (options,) + legacy_args
-            options = None
-        if legacy_args:
-            if len(legacy_args) > 4:
-                raise TypeError(
-                    f"submit takes at most a call and SubmitOptions; "
-                    f"got {len(legacy_args) + 1} positional arguments")
-            names = ("priority", "deadline_seconds", "max_retries",
-                     "arrival_seconds")
-            legacy_kw = dict(zip(names, legacy_args))
-            priority = legacy_kw.get("priority", priority)
-            deadline_seconds = legacy_kw.get("deadline_seconds",
-                                             deadline_seconds)
-            max_retries = legacy_kw.get("max_retries", max_retries)
-            arrival_seconds = legacy_kw.get("arrival_seconds",
-                                            arrival_seconds)
-        legacy_used = any(v is not None for v in (
-            priority, deadline_seconds, max_retries, arrival_seconds))
-        if options is not None:
-            if legacy_used:
-                raise TypeError(
-                    "pass serving metadata through options= OR the "
-                    "deprecated keywords, not both")
-            return options
-        if legacy_used:
-            warnings.warn(
-                "EngineService.submit(priority=, deadline_seconds=, "
-                "max_retries=, arrival_seconds=) is deprecated; pass "
-                "submit(call, options=SubmitOptions(...))",
-                DeprecationWarning, stacklevel=3)
-        return SubmitOptions(
-            priority=(priority if priority is not None
-                      else Priority.STANDARD),
-            deadline_seconds=deadline_seconds,
-            max_retries=max_retries or 0,
-            arrival_seconds=arrival_seconds)
 
     def _admit(self, request: ServiceRequest) -> Optional[RejectReason]:
         alive = len(self.pool.alive()) or 1

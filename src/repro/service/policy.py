@@ -1,18 +1,12 @@
 """ServicePolicy: every serving knob of the front end, in one record.
 
-The service layer grew knob by knob -- ``queue_depth=`` on the service,
-``max_depth=`` on the queue, ``max_batch=`` on the batcher,
-``policy=AdmissionPolicy(...)`` on the controller -- four constructors,
-four loose keyword sets.  This module is the redesign that stops that,
-the same move :class:`~repro.api.SubmitOptions` made for per-request
-metadata: one frozen :class:`ServicePolicy` carries the queue bound,
-the wave width, the admission budget, and the per-tenant SLO contract
+One frozen :class:`ServicePolicy` carries the queue bound, the wave
+width, the admission budget, and the per-tenant SLO contract
 (:class:`TenantPolicy`: fair-queueing weight, queued/in-flight quotas,
-p95 deadline target), and is accepted by ``EngineService``,
-``RequestQueue``, ``MicroBatcher`` and ``AdmissionController`` alike.
-The legacy keyword spellings still work but warn with
-:class:`DeprecationWarning`; mixing a policy object with loose
-keywords in one constructor call is a :class:`TypeError`.
+p95 deadline target) -- the same move :class:`~repro.api.SubmitOptions`
+made for per-request metadata.  ``EngineService``, ``RequestQueue``,
+``MicroBatcher`` and ``AdmissionController`` each take it as their one
+``policy=`` argument.
 
 Deliberately light: this module imports nothing beyond
 :mod:`repro.service.request`, so the static analyzer
@@ -22,7 +16,6 @@ dragging in the pool or the timing model.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
@@ -155,42 +148,3 @@ class ServicePolicy:
     def weight(self, name: Optional[str]) -> float:
         return self.tenant(name).weight
 
-
-def coerce_service_policy(policy: object, *, owner: str,
-                          legacy: Mapping[str, object],
-                          stacklevel: int = 3) -> ServicePolicy:
-    """One ServicePolicy from whichever constructor shape was used.
-
-    ``legacy`` maps deprecated keyword names to the values the caller
-    passed (``None`` meaning "not passed").  A :class:`ServicePolicy`
-    wins outright -- mixing it with loose keywords is a
-    :class:`TypeError`, exactly like mixing ``options=`` with the
-    deprecated ``submit`` keywords.  A bare :class:`AdmissionPolicy`
-    or any loose keyword warns and is folded into a policy object.
-    """
-    passed = {name: value for name, value in legacy.items()
-              if value is not None}
-    if isinstance(policy, ServicePolicy):
-        if passed:
-            raise TypeError(
-                f"pass {owner} configuration through "
-                f"policy=ServicePolicy(...) OR the deprecated "
-                f"keywords ({', '.join(sorted(passed))}), not both")
-        return policy
-    # Legacy spellings that differ from the ServicePolicy field name.
-    rename = {"max_depth": "queue_depth"}
-    fields: Dict[str, object] = {rename.get(name, name): value
-                                 for name, value in passed.items()}
-    if isinstance(policy, AdmissionPolicy):
-        fields["admission"] = policy
-        passed["policy=AdmissionPolicy(...)"] = policy
-    elif policy is not None:
-        raise TypeError(
-            f"{owner} policy must be a ServicePolicy (or a deprecated "
-            f"AdmissionPolicy), got {type(policy).__name__}")
-    if passed:
-        warnings.warn(
-            f"{owner}({', '.join(sorted(passed))}) is deprecated; "
-            f"pass {owner}(policy=ServicePolicy(...))",
-            DeprecationWarning, stacklevel=stacklevel)
-    return ServicePolicy(**fields)  # type: ignore[arg-type]

@@ -39,7 +39,7 @@ from collections import deque
 from typing import (Callable, Deque, Dict, Iterator, List, Optional,
                     Tuple)
 
-from .policy import ServicePolicy, coerce_service_policy
+from .policy import ServicePolicy
 from .request import Priority, RejectReason, ServiceRequest
 
 #: One queued entry: (virtual finish tag, offer sequence, request).
@@ -49,10 +49,8 @@ _Entry = Tuple[float, int, ServiceRequest]
 class RequestQueue:
     """Weighted-fair within a class, strict priority across classes."""
 
-    def __init__(self, max_depth: Optional[int] = None,
-                 policy: Optional[ServicePolicy] = None) -> None:
-        self.policy = coerce_service_policy(
-            policy, owner="RequestQueue", legacy={"max_depth": max_depth})
+    def __init__(self, policy: Optional[ServicePolicy] = None) -> None:
+        self.policy = policy if policy is not None else ServicePolicy()
         self.max_depth = self.policy.queue_depth
         #: priority -> tenant bucket -> FIFO of stamped entries.
         self._classes: Dict[Priority,

@@ -106,7 +106,8 @@ def health_section() -> str:
     """
     from .addresslib import (BatchCall, AddressLib, INTER_ABSDIFF,
                              INTRA_BOX3, INTRA_GRAD)
-    from .api import AdmissionPolicy, EngineService, ServicePolicy
+    from .api import (AdmissionPolicy, EnginePool, EngineService,
+                      ServicePolicy)
     from .host import EngineBackend
 
     frame = blob_frame(QCIF, [(30, 30), (100, 80)], radius=16)
@@ -119,13 +120,14 @@ def health_section() -> str:
     cache = backend.residency
 
     service = EngineService(
-        lib=lib, virtual_engines=4,
+        pool=EnginePool.of_engines(4),
         policy=ServicePolicy(
             max_batch=4,
             admission=AdmissionPolicy(deadline_budget_seconds=0.02)))
     for _ in range(12):
         service.submit(BatchCall.intra(INTRA_GRAD, frame))
     report = service.drain()
+    pool = report.pool
 
     return format_table(
         ["signal", "value"],
@@ -141,13 +143,13 @@ def health_section() -> str:
           f"{report.queue_high_water} / {service.queue.max_depth}"),
          ("dispatch waves / coalesced requests",
           f"{report.waves} / {report.coalesced_requests}"),
-         ("overlap efficiency (4 modeled engines)",
+         ("overlap efficiency (4 boards)",
           f"{100 * report.overlap_efficiency:.1f}%"),
          ("modeled latency p50 / p95",
           f"{_ms(report.latency.p50)} / {_ms(report.latency.p95)}"),
          ("driver calls submitted / shed",
-          f"{backend.driver.calls_submitted} / "
-          f"{backend.driver.calls_shed}")],
+          f"{sum(w.calls_submitted for w in pool.workers)} / "
+          f"{pool.calls_shed}")],
         title="Engine / cache / service health (modeled)")
 
 

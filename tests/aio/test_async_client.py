@@ -16,7 +16,7 @@ import pytest
 from repro.addresslib import BatchCall, INTER_OPS, INTRA_OPS, VectorExecutor
 from repro.aio import AsyncEngineClient
 from repro.api import (EnginePool, EngineService, Priority, RequestState,
-                       ServiceError, SubmitOptions)
+                       ServiceError, ServicePolicy, SubmitOptions)
 from repro.image import ImageFormat, noise_frame
 
 _INTRA = sorted(INTRA_OPS.values(), key=lambda op: op.name)
@@ -69,7 +69,8 @@ class TestCorpusEquivalence:
                    for _ in calls]
 
         async def run():
-            service = EngineService(queue_depth=len(calls))
+            service = EngineService(
+                policy=ServicePolicy(queue_depth=len(calls)))
             async with AsyncEngineClient(service) as client:
                 tickets = [await client.submit(call, opts)
                            for call, opts in zip(calls, options)]
@@ -89,8 +90,9 @@ class TestCorpusEquivalence:
         calls = [_random_batch_call(rng) for _ in range(CASES_PER_SHARD)]
 
         async def run():
-            service = EngineService(pool=EnginePool.of_engines(4),
-                                    queue_depth=len(calls))
+            service = EngineService(
+                pool=EnginePool.of_engines(4),
+                policy=ServicePolicy(queue_depth=len(calls)))
             async with AsyncEngineClient(service) as client:
                 tickets = [await client.submit(call) for call in calls]
                 return [await ticket for ticket in tickets]
@@ -107,7 +109,8 @@ class TestStreaming:
                  for s in range(12)]
 
         async def run():
-            service = EngineService(queue_depth=4, max_batch=2)
+            service = EngineService(
+                policy=ServicePolicy(queue_depth=4, max_batch=2))
             streamed = []
             async with AsyncEngineClient(service) as client:
                 stream = client.completions()
@@ -141,7 +144,7 @@ class TestStreaming:
         fmt = ImageFormat("T16", 16, 16)
 
         async def run():
-            service = EngineService(queue_depth=8)
+            service = EngineService(policy=ServicePolicy(queue_depth=8))
             async with AsyncEngineClient(service) as client:
                 stream = client.completions()
                 ticket = await client.submit(
@@ -160,7 +163,7 @@ class TestStreaming:
         fmt = ImageFormat("T16", 16, 16)
 
         async def run():
-            service = EngineService(queue_depth=8)
+            service = EngineService(policy=ServicePolicy(queue_depth=8))
             client = AsyncEngineClient(service)
             async with client:
                 stream = client.completions()
@@ -183,7 +186,8 @@ class TestBackpressure:
         total = 24
 
         async def run():
-            service = EngineService(queue_depth=4, max_batch=2)
+            service = EngineService(
+                policy=ServicePolicy(queue_depth=4, max_batch=2))
             async with AsyncEngineClient(service) as client:
                 tickets = [await client.submit(
                     BatchCall.intra(_INTRA[0], noise_frame(fmt, seed=s)))
@@ -207,7 +211,7 @@ class TestBackpressure:
         fmt = ImageFormat("T16", 16, 16)
 
         async def run():
-            service = EngineService(queue_depth=2)
+            service = EngineService(policy=ServicePolicy(queue_depth=2))
             async with AsyncEngineClient(service,
                                          backpressure=False) as client:
                 tickets = [await client.submit(
@@ -232,7 +236,7 @@ class TestTicketLifecycle:
         fmt = ImageFormat("T16", 16, 16)
 
         async def run():
-            service = EngineService(queue_depth=8)
+            service = EngineService(policy=ServicePolicy(queue_depth=8))
             async with AsyncEngineClient(service) as client:
                 for s in range(32):
                     ticket = await client.submit(BatchCall.intra(
@@ -250,7 +254,7 @@ class TestTicketLifecycle:
         fmt = ImageFormat("T16", 16, 16)
 
         async def run():
-            service = EngineService(queue_depth=8)
+            service = EngineService(policy=ServicePolicy(queue_depth=8))
             async with AsyncEngineClient(service) as client:
                 ticket = await client.submit(BatchCall.intra(
                     _INTRA[0], noise_frame(fmt, seed=9)))
@@ -274,8 +278,9 @@ class TestModeledDeterminism:
         arrivals = sorted(plan, key=lambda row: row[1])
 
         async def run_once():
-            service = EngineService(pool=EnginePool.of_engines(2),
-                                    queue_depth=8, max_batch=4)
+            service = EngineService(
+                pool=EnginePool.of_engines(2),
+                policy=ServicePolicy(queue_depth=8, max_batch=4))
             async with AsyncEngineClient(service) as client:
                 for seed, arrival, priority in arrivals:
                     await client.submit(

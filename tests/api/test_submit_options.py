@@ -1,12 +1,11 @@
-"""The unified submission surface: SubmitOptions and its legacy shims.
+"""The unified submission surface: SubmitOptions at every layer.
 
 One frozen options record carries every piece of serving metadata
 (priority, deadline, retries, tenant, placement, arrival) across all
 three submission layers -- ``EngineService.submit``,
-``AddressLib.run_batch`` and ``AddressEngineDriver.submit``.  The old
-per-layer signatures still run bit-identically, but each warns with
-:class:`DeprecationWarning`; mixing old and new in one call is a
-:class:`TypeError`.
+``AddressLib.run_batch`` and ``AddressEngineDriver.submit``.  Each entry
+point has one shape: the old per-layer spellings and the loose-kwarg
+service constructors raise :class:`TypeError`.
 """
 
 import dataclasses
@@ -15,11 +14,12 @@ import warnings
 import pytest
 
 from repro.addresslib import AddressLib, BatchCall, INTRA_GRAD
-from repro.api import (EnginePool, EngineService, Priority,
-                       SubmitOptions)
+from repro.api import (AdmissionPolicy, EnginePool, EngineService,
+                       Priority, SubmitOptions)
 from repro.core import intra_config
-from repro.host import AddressEngineDriver, CallScheduler, EngineBackend
+from repro.host import AddressEngineDriver, EngineBackend
 from repro.image import ImageFormat, noise_frame
+from repro.service import MicroBatcher, RequestQueue
 
 QCIF = ImageFormat("QCIF", 176, 144)
 SMALL = ImageFormat("P16x16", 16, 16)
@@ -29,8 +29,8 @@ def _call(seed=0):
     return BatchCall.intra(INTRA_GRAD, noise_frame(QCIF, seed=seed))
 
 
-def _drain_one(service, *args, **kwargs):
-    ticket = service.submit(_call(), *args, **kwargs)
+def _drain_one(service, options=None):
+    ticket = service.submit(_call(), options)
     service.drain()
     return ticket
 
@@ -73,33 +73,6 @@ class TestServiceShim:
             warnings.simplefilter("error")
             _drain_one(service)
 
-    def test_legacy_keywords_warn_once_per_call(self):
-        service = EngineService()
-        with pytest.warns(DeprecationWarning) as caught:
-            _drain_one(service, priority=Priority.BULK,
-                       deadline_seconds=1.0)
-        assert len(caught) == 1
-
-    def test_legacy_positional_priority_warns(self):
-        service = EngineService()
-        with pytest.warns(DeprecationWarning):
-            ticket = _drain_one(service, Priority.INTERACTIVE)
-        assert ticket.priority is Priority.INTERACTIVE
-
-    def test_legacy_and_new_results_agree(self):
-        old_service, new_service = EngineService(), EngineService()
-        with pytest.warns(DeprecationWarning):
-            old = _drain_one(old_service, priority=Priority.BULK)
-        new = _drain_one(new_service,
-                         SubmitOptions(priority=Priority.BULK))
-        assert old.result().equals(new.result())
-
-    def test_mixing_options_and_legacy_is_a_type_error(self):
-        service = EngineService()
-        with pytest.raises(TypeError):
-            service.submit(_call(), SubmitOptions(),
-                           priority=Priority.BULK)
-
     def test_tenant_lands_in_the_service_books(self):
         service = EngineService(pool=EnginePool.of_engines(2))
         for seed in range(3):
@@ -120,23 +93,6 @@ class TestServiceShim:
 
 
 class TestRunBatchShim:
-    def test_positional_scheduler_warns_and_still_runs(self):
-        calls = [_call(seed) for seed in range(3)]
-        with CallScheduler(max_workers=2) as scheduler:
-            keyword_lib = AddressLib()
-            want = keyword_lib.run_batch(calls, scheduler=scheduler)
-            legacy_lib = AddressLib()
-            with pytest.warns(DeprecationWarning):
-                got = legacy_lib.run_batch(calls, scheduler)
-        for got_frame, want_frame in zip(got, want):
-            assert got_frame.equals(want_frame)
-
-    def test_positional_scheduler_plus_keyword_is_a_type_error(self):
-        with CallScheduler(max_workers=2) as scheduler:
-            with pytest.raises(TypeError):
-                AddressLib().run_batch([_call()], scheduler,
-                                       scheduler=scheduler)
-
     def test_tenant_tallied_in_the_call_log(self):
         lib = AddressLib()
         lib.run_batch([_call(0), _call(1)],
@@ -148,23 +104,6 @@ class TestRunBatchShim:
 
 
 class TestDriverShim:
-    def test_positional_resident_warns_and_matches_keyword(self):
-        config = intra_config(INTRA_GRAD, SMALL)
-        frame = noise_frame(SMALL, seed=3)
-        keyword = AddressEngineDriver().submit(config, frame,
-                                               resident=(False,))
-        with pytest.warns(DeprecationWarning):
-            legacy = AddressEngineDriver().submit(config, frame, None,
-                                                  (False,))
-        assert legacy.call_seconds == keyword.call_seconds
-
-    def test_positional_plus_keyword_is_a_type_error(self):
-        config = intra_config(INTRA_GRAD, SMALL)
-        frame = noise_frame(SMALL, seed=4)
-        with pytest.raises(TypeError):
-            AddressEngineDriver().submit(config, frame, None, (False,),
-                                         resident=(False,))
-
     def test_tenant_tallied_per_driver(self):
         config = intra_config(INTRA_GRAD, SMALL)
         frame = noise_frame(SMALL, seed=5)
@@ -187,3 +126,28 @@ class TestFacadeExports:
         lib = AddressLib(EngineBackend())
         lib.run_batch([_call(6)], options=SubmitOptions(tenant="t0"))
         assert lib.log.by_tenant == {"t0": 1}
+
+
+class TestOldSpellingsRemoved:
+    """Every retired spelling fails loudly instead of being folded in."""
+
+    @pytest.mark.parametrize("spelling", [
+        lambda: EngineService(queue_depth=4),
+        lambda: EngineService(lib=AddressLib()),
+        lambda: EngineService(virtual_engines=4),
+        lambda: EngineService(policy=AdmissionPolicy(0.05)),
+        lambda: RequestQueue(max_depth=2),
+        lambda: MicroBatcher(max_batch=2),
+        lambda: EngineService().submit(_call(),
+                                       priority=Priority.BULK),
+        lambda: AddressLib().run_batch([_call()], None),
+        lambda: AddressEngineDriver().submit(
+            intra_config(INTRA_GRAD, SMALL), noise_frame(SMALL, seed=1),
+            None, [True]),
+    ], ids=["service-queue_depth", "service-lib",
+            "service-virtual_engines", "service-AdmissionPolicy",
+            "queue-max_depth", "batcher-max_batch", "submit-priority",
+            "run_batch-positional", "driver-positional"])
+    def test_old_spelling_raises_type_error(self, spelling):
+        with pytest.raises(TypeError):
+            spelling()

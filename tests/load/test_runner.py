@@ -12,7 +12,8 @@ import json
 
 import pytest
 
-from repro.api import AdmissionPolicy, EnginePool, EngineService
+from repro.api import (AdmissionPolicy, EnginePool, EngineService,
+                       ServicePolicy)
 from repro.load import (ArrivalTrace, TenantSpec, TraceSpec, replay_async,
                         replay_serial)
 from repro.perf.report import REPORT_SCHEMA_KEYS
@@ -23,10 +24,11 @@ def _trace(requests=400, rate_per_s=300.0, seed=0x0AD5):
         requests=requests, rate_per_s=rate_per_s, seed=seed))
 
 
-def _service(queue_depth=64, boards=2, policy=None):
-    return EngineService(pool=EnginePool.of_engines(boards),
-                        queue_depth=queue_depth, max_batch=8,
-                        policy=policy)
+def _service(queue_depth=64, boards=2, admission=None):
+    return EngineService(
+        pool=EnginePool.of_engines(boards),
+        policy=ServicePolicy(queue_depth=queue_depth, max_batch=8,
+                             admission=admission or AdmissionPolicy()))
 
 
 def _modeled_books(report):
@@ -107,7 +109,7 @@ class TestShedding:
             tenants=(TenantSpec("t", deadline_seconds=0.01),)))
         report = replay_serial(
             trace, _service(queue_depth=16,
-                            policy=AdmissionPolicy(0.010)))
+                            admission=AdmissionPolicy(0.010)))
         assert report.rejected > 0
         assert report.accounted == len(trace)
         per_reason = report.rejected_by_reason

@@ -1,9 +1,9 @@
-"""Transport books vs the shared report schema.
+"""Transport and pool books vs the shared report schema.
 
-``CallScheduler.transport_stats()`` and the
-``WorkerReport``/``PoolReport`` transport entries are the figures the
-BENCH emitters and ``repro.summary`` read; this suite pins their key
-sets and the ``base_report_dict`` schema contract -- including the
+``CallScheduler.transport_stats()`` and the ``WorkerReport``/
+``PoolReport`` books are the figures the BENCH emitters and
+``repro.summary`` read; this suite pins the scheduler's counter keys
+and the ``base_report_dict`` schema contract -- including the
 degenerate books nobody exercises by hand: a scheduler that never
 completed a call, and one that only ever bypassed inline.
 """
@@ -19,9 +19,8 @@ from repro.pool.worker import WorkerReport
 
 QCIF = ImageFormat("QCIF", 176, 144)
 
-#: The counter keys ``PoolReport.transport`` aggregates; every one must
-#: exist (as an int) in ``CallScheduler.transport_stats()`` or the pool
-#: books silently sum zeros.
+#: The scheduler's transport counters; every one must exist (as an int)
+#: in ``CallScheduler.transport_stats()``.
 TRANSPORT_COUNTER_KEYS = (
     "round_trips", "pool_calls", "inline_calls", "bypass_calls",
     "shm_calls", "pickle_calls", "worker_cache_hits",
@@ -78,15 +77,6 @@ class TestWorkerReportBooks:
         assert payload["cycles"] == 0.0
         assert payload["cache"] == {}
         assert payload["residency_hit_rate"] is None
-        assert payload["transport"] == {}
-
-    def test_transport_books_pass_through(self):
-        report = WorkerReport(worker_id=1, calls_routed=4,
-                              transport={"shm_calls": 4,
-                                         "round_trips": 2})
-        payload = report.to_dict(clock_hz=33e6)
-        assert payload["transport"] == {"shm_calls": 4,
-                                        "round_trips": 2}
 
 
 class TestPoolReportBooks:
@@ -96,32 +86,13 @@ class TestPoolReportBooks:
         assert payload["kind"] == "pool"
         assert payload["calls"] == 0
         assert payload["workers"] == []
-        assert payload["transport"] == {key: 0 for key in
-                                        TRANSPORT_COUNTER_KEYS}
-
-    def test_transport_sums_across_boards(self):
-        report = PoolReport(placement="affinity", workers=[
-            WorkerReport(worker_id=0,
-                         transport={"shm_calls": 3, "round_trips": 1,
-                                    "store": {"segments": 2}}),
-            WorkerReport(worker_id=1,
-                         transport={"shm_calls": 2, "round_trips": 1,
-                                    "round_trip_s": 0.001}),
-        ])
-        totals = report.transport
-        assert totals["shm_calls"] == 5
-        assert totals["round_trips"] == 2
-        # Non-counter entries (nested store stats, float round trips)
-        # never leak into the summed books.
-        assert set(totals) == set(TRANSPORT_COUNTER_KEYS)
 
     def test_live_pool_report_conforms(self):
         calls = [BatchCall.intra(INTRA_GRAD, noise_frame(QCIF, seed=i))
                  for i in range(4)]
-        with EnginePool.of_engines(2) as pool:
-            pool.dispatch(calls)
-            report = pool.report()
-        payload = report.to_dict()
+        pool = EnginePool.of_engines(2)
+        pool.dispatch(calls)
+        payload = pool.report().to_dict()
         _assert_schema(payload)
         assert payload["calls"] == len(calls)
         workers = payload["workers"]
@@ -129,25 +100,9 @@ class TestPoolReportBooks:
         for worker_payload in workers:
             _assert_schema(worker_payload)
             assert worker_payload["kind"] == "pool_worker"
-        summed = {key: 0 for key in TRANSPORT_COUNTER_KEYS}
-        for worker in report.workers:
-            for key in TRANSPORT_COUNTER_KEYS:
-                value = worker.transport.get(key)
-                if isinstance(value, int):
-                    summed[key] += value
-        assert report.transport == summed
 
 
 class TestSchemaContract:
-    def test_scheduler_stats_cover_pool_counter_keys(self):
-        with CallScheduler(max_workers=1) as scheduler:
-            stats = scheduler.transport_stats()
-        missing = [key for key in TRANSPORT_COUNTER_KEYS
-                   if key not in stats]
-        assert not missing, (
-            f"PoolReport.transport sums keys transport_stats() no "
-            f"longer emits: {missing}")
-
     def test_base_report_dict_normalises_types(self):
         payload = base_report_dict("x", calls=3, cycles=7,
                                    cache=None, transport={"a": 1})

@@ -12,7 +12,7 @@ import pytest
 
 from repro.addresslib import (INTER_OPS, INTRA_OPS, BatchCall,
                               VectorExecutor)
-from repro.api import EnginePool, EngineService
+from repro.api import EnginePool, EngineService, ServicePolicy
 from repro.core import EngineDeadlock
 from repro.image import ImageFormat, noise_frame
 
@@ -111,7 +111,8 @@ class TestFailover:
         calls = [_random_batch_call(rng) for _ in range(10)]
         pool = EnginePool.of_engines(2)
         _fail_always(pool.workers[0])
-        service = EngineService(pool=pool, queue_depth=len(calls))
+        service = EngineService(pool=pool,
+                                policy=ServicePolicy(queue_depth=len(calls)))
         tickets = [service.submit(call) for call in calls]
         report = service.drain()
         assert report.completed == len(calls)
@@ -128,14 +129,14 @@ class TestFailover:
         calls = [_random_batch_call(rng) for _ in range(8)]
 
         healthy = EngineService(pool=EnginePool.of_engines(2),
-                                queue_depth=len(calls))
+                                policy=ServicePolicy(queue_depth=len(calls)))
         healthy_tickets = [healthy.submit(call) for call in calls]
         healthy.drain()
 
         degraded_pool = EnginePool.of_engines(2)
         _fail_always(degraded_pool.workers[1])
         degraded = EngineService(pool=degraded_pool,
-                                 queue_depth=len(calls))
+                                 policy=ServicePolicy(queue_depth=len(calls)))
         degraded_tickets = [degraded.submit(call) for call in calls]
         degraded.drain()
 

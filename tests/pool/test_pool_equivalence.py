@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.addresslib import INTER_OPS, INTRA_OPS, BatchCall, VectorExecutor
-from repro.api import EnginePool, EngineService
+from repro.api import EnginePool, EngineService, ServicePolicy
 from repro.image import ImageFormat, noise_frame
 
 _INTRA = sorted(INTRA_OPS.values(), key=lambda op: op.name)
@@ -64,7 +64,7 @@ class TestPooledCorpusEquivalence:
         rng = random.Random(0xFA57 + shard)
         calls = [_random_batch_call(rng) for _ in range(CASES_PER_SHARD)]
         service = EngineService(pool=EnginePool.of_engines(pool_size),
-                                queue_depth=len(calls))
+                                policy=ServicePolicy(queue_depth=len(calls)))
         tickets = [service.submit(call) for call in calls]
         report = service.drain()
         assert report.completed == len(calls)
@@ -77,14 +77,13 @@ class TestPooledCorpusEquivalence:
         """Raw pool dispatch (no service): same bit-exactness."""
         rng = random.Random(0xFA57)
         calls = [_random_batch_call(rng) for _ in range(CASES_PER_SHARD)]
-        with EnginePool.of_engines(pool_size) as pool:
-            clock = 0.0
-            for call in calls:
-                dispatch = pool.dispatch([call], not_before=clock)
-                clock = dispatch.end_seconds
-                _assert_same(dispatch.results[0],
-                             _serial_reference(call))
-            assert pool.waves_dispatched == len(calls)
+        pool = EnginePool.of_engines(pool_size)
+        clock = 0.0
+        for call in calls:
+            dispatch = pool.dispatch([call], not_before=clock)
+            clock = dispatch.end_seconds
+            _assert_same(dispatch.results[0], _serial_reference(call))
+        assert pool.waves_dispatched == len(calls)
 
     def test_pool_sizes_agree_with_each_other(self):
         """The same batch drained at every size: identical tickets."""
@@ -94,7 +93,7 @@ class TestPooledCorpusEquivalence:
         for pool_size in POOL_SIZES:
             service = EngineService(
                 pool=EnginePool.of_engines(pool_size),
-                queue_depth=len(calls))
+                policy=ServicePolicy(queue_depth=len(calls)))
             tickets = [service.submit(call) for call in calls]
             service.drain()
             outcomes.append([t.result() for t in tickets])
@@ -110,7 +109,7 @@ class TestPooledCorpusEquivalence:
         for pool_size in (1, 2, 4):
             service = EngineService(
                 pool=EnginePool.of_engines(pool_size),
-                queue_depth=len(calls), max_batch=4)
+                policy=ServicePolicy(queue_depth=len(calls), max_batch=4))
             for call in calls:
                 service.submit(call)
             report = service.drain()

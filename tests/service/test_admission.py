@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.addresslib import (AddressLib, BatchCall, INTRA_BOX3,
-                              INTRA_GRAD)
-from repro.host import EngineBackend
+from repro.addresslib import BatchCall, INTRA_BOX3, INTRA_GRAD
+from repro.api import SubmitOptions
 from repro.image import ImageFormat, noise_frame
 from repro.service import (AdmissionPolicy, EngineService, Priority,
-                           RejectReason, RequestState, ServiceError)
+                           RejectReason, RequestState, ServiceError,
+                           ServicePolicy)
 
 QCIF = ImageFormat("QCIF", 176, 144)
 
@@ -20,9 +20,21 @@ def _call(op=INTRA_GRAD, seed=1):
     return BatchCall.intra(op, _frame(seed))
 
 
+def _service(budget_seconds=None, **knobs):
+    """A service shedding above ``budget_seconds`` of modeled backlog
+    (``None``: never)."""
+    return EngineService(policy=ServicePolicy(
+        admission=AdmissionPolicy(deadline_budget_seconds=budget_seconds),
+        **knobs))
+
+
+def _as(priority):
+    return SubmitOptions(priority=priority)
+
+
 class TestQueueFull:
     def test_depth_bound_rejects_with_reason(self):
-        service = EngineService(queue_depth=2)
+        service = _service(queue_depth=2)
         accepted = [service.submit(_call()) for _ in range(2)]
         spilled = service.submit(_call())
         assert all(t.accepted for t in accepted)
@@ -34,14 +46,14 @@ class TestQueueFull:
         assert report.completed == 2
 
     def test_rejection_is_explicit_not_an_exception(self):
-        service = EngineService(queue_depth=1)
+        service = _service(queue_depth=1)
         service.submit(_call())
         ticket = service.submit(_call())  # must not raise
         with pytest.raises(ServiceError):
             ticket.result()
 
     def test_draining_frees_depth(self):
-        service = EngineService(queue_depth=1)
+        service = _service(queue_depth=1)
         first = service.submit(_call(seed=2))
         service.drain()
         second = service.submit(_call(seed=3))
@@ -53,8 +65,7 @@ class TestQueueFull:
 class TestOverloadShedding:
     def test_backlog_over_budget_sheds(self):
         cost = EngineService().admission.price(_call())[1]
-        service = EngineService(
-            policy=AdmissionPolicy(deadline_budget_seconds=cost * 1.5))
+        service = _service(cost * 1.5)
         tickets = [service.submit(_call()) for _ in range(4)]
         # Backlogs at admission: 0, c, 2c, ... -- budget 1.5c admits two.
         assert [t.accepted for t in tickets] == [True, True, False,
@@ -66,14 +77,13 @@ class TestOverloadShedding:
         assert report.reject_rate == pytest.approx(0.5)
 
     def test_no_policy_never_sheds(self):
-        service = EngineService(queue_depth=256)
+        service = _service(queue_depth=256)
         tickets = [service.submit(_call()) for _ in range(64)]
         assert all(t.accepted for t in tickets)
 
     def test_draining_restores_admission(self):
         cost = EngineService().admission.price(_call())[1]
-        service = EngineService(
-            policy=AdmissionPolicy(deadline_budget_seconds=cost / 2))
+        service = _service(cost / 2)
         assert service.submit(_call()).accepted
         assert not service.submit(_call()).accepted
         service.drain()
@@ -82,16 +92,14 @@ class TestOverloadShedding:
         assert service.submit(_call()).accepted
 
     def test_shed_requests_never_execute(self):
-        lib = AddressLib(EngineBackend())
         cost = EngineService().admission.price(_call())[1]
-        service = EngineService(
-            lib=lib,
-            policy=AdmissionPolicy(deadline_budget_seconds=cost / 2))
+        service = _service(cost / 2)
         service.submit(_call())
         service.submit(_call())
         service.drain()
-        assert lib.backend.driver.calls_submitted == 1
-        assert lib.backend.driver.calls_shed == 1
+        driver = service.pool.workers[0].driver
+        assert driver.calls_submitted == 1
+        assert driver.calls_shed == 1
 
 
 class TestGraduatedBudgets:
@@ -99,12 +107,11 @@ class TestGraduatedBudgets:
         """At the same backlog, BULK is over its (half) budget while
         INTERACTIVE still fits its full one."""
         cost = EngineService().admission.price(_call())[1]
-        service = EngineService(
-            policy=AdmissionPolicy(deadline_budget_seconds=cost * 1.4))
+        service = _service(cost * 1.4)
         service.submit(_call())  # backlog now ~1c for both below
-        bulk = service.submit(_call(), priority=Priority.BULK)
+        bulk = service.submit(_call(), _as(Priority.BULK))
         interactive = service.submit(_call(seed=4),
-                                     priority=Priority.INTERACTIVE)
+                                     _as(Priority.INTERACTIVE))
         assert bulk.reject_reason is RejectReason.OVERLOAD
         assert interactive.accepted
 
@@ -113,10 +120,9 @@ class TestGraduatedBudgets:
         policy = AdmissionPolicy(
             deadline_budget_seconds=cost * 1.4,
             budget_fractions={Priority.BULK: 1.0})
-        service = EngineService(policy=policy)
+        service = EngineService(policy=ServicePolicy(admission=policy))
         service.submit(_call())
-        assert service.submit(_call(),
-                              priority=Priority.BULK).accepted
+        assert service.submit(_call(), _as(Priority.BULK)).accepted
 
 
 class TestPriorityDispatch:
@@ -124,16 +130,15 @@ class TestPriorityDispatch:
         """Strict priority: a later INTERACTIVE request completes at an
         earlier modeled time than an earlier BULK one."""
         service = EngineService()
-        bulk = service.submit(_call(op=INTRA_BOX3),
-                              priority=Priority.BULK)
+        bulk = service.submit(_call(op=INTRA_BOX3), _as(Priority.BULK))
         interactive = service.submit(_call(op=INTRA_GRAD),
-                                     priority=Priority.INTERACTIVE)
+                                     _as(Priority.INTERACTIVE))
         service.drain()
         assert (interactive.completion_seconds
                 < bulk.completion_seconds)
 
     def test_fifo_within_class(self):
-        service = EngineService(max_batch=1)
+        service = _service(max_batch=1)
         first = service.submit(_call(seed=5))
         second = service.submit(_call(seed=6))
         service.drain()
@@ -143,9 +148,7 @@ class TestPriorityDispatch:
 class TestReportBooks:
     def test_counters_balance(self):
         cost = EngineService().admission.price(_call())[1]
-        service = EngineService(
-            queue_depth=3,
-            policy=AdmissionPolicy(deadline_budget_seconds=cost * 2.5))
+        service = _service(cost * 2.5, queue_depth=3)
         tickets = [service.submit(_call()) for _ in range(6)]
         report = service.drain()
         assert report.submitted == 6
@@ -158,7 +161,7 @@ class TestReportBooks:
         assert states.count(RequestState.REJECTED) == report.rejected
 
     def test_latency_books_only_completed(self):
-        service = EngineService(queue_depth=1)
+        service = _service(queue_depth=1)
         service.submit(_call())
         service.submit(_call())  # rejected
         report = service.drain()

@@ -7,7 +7,7 @@ from repro.addresslib import (BatchCall, INTER_ABSDIFF, INTRA_BOX3,
 from repro.image import ImageFormat, noise_frame
 from repro.service import (BatchKey, EngineService, MicroBatcher,
                            Priority, RejectReason, RequestQueue,
-                           ServiceRequest)
+                           ServicePolicy, ServiceRequest)
 
 QCIF = ImageFormat("QCIF", 176, 144)
 CIF = ImageFormat("CIF", 352, 288)
@@ -61,7 +61,7 @@ class TestRequestQueue:
         assert order == [2, 3, 1, 0]
 
     def test_depth_bound_and_high_water(self):
-        queue = RequestQueue(max_depth=2)
+        queue = RequestQueue(policy=ServicePolicy(queue_depth=2))
         assert queue.offer(_request(0, _grad())) is None
         assert queue.offer(_request(1, _grad())) is None
         assert (queue.offer(_request(2, _grad()))
@@ -88,7 +88,7 @@ class TestRequestQueue:
 
     def test_invalid_depth_rejected(self):
         with pytest.raises(ValueError):
-            RequestQueue(max_depth=0)
+            RequestQueue(policy=ServicePolicy(queue_depth=0))
 
 
 class TestMicroBatcher:
@@ -98,7 +98,7 @@ class TestMicroBatcher:
             queue.offer(_request(i, _grad(seed=i)))
         queue.offer(_request(3, BatchCall.intra(
             INTRA_BOX3, noise_frame(QCIF, seed=9))))
-        batcher = MicroBatcher(max_batch=8)
+        batcher = MicroBatcher(policy=ServicePolicy(max_batch=8))
         wave = batcher.form_wave(queue)
         assert [r.request_id for r in wave] == [0, 1, 2]
         assert batcher.coalesced_requests == 3
@@ -109,7 +109,7 @@ class TestMicroBatcher:
         queue = RequestQueue()
         for i in range(5):
             queue.offer(_request(i, _grad(seed=i)))
-        batcher = MicroBatcher(max_batch=2)
+        batcher = MicroBatcher(policy=ServicePolicy(max_batch=2))
         assert len(batcher.form_wave(queue)) == 2
         assert len(queue) == 3
 
@@ -117,7 +117,7 @@ class TestMicroBatcher:
         queue = RequestQueue()
         for i in range(3):
             queue.offer(_request(i, _grad(seed=i)))
-        batcher = MicroBatcher(max_batch=1)
+        batcher = MicroBatcher(policy=ServicePolicy(max_batch=1))
         while queue:
             assert len(batcher.form_wave(queue)) == 1
         assert batcher.coalesced_requests == 0
@@ -133,7 +133,7 @@ class TestMicroBatcher:
         queue.offer(_request(2, BatchCall.intra(
             INTRA_BOX3, noise_frame(QCIF, seed=2)),
             Priority.STANDARD))
-        batcher = MicroBatcher(max_batch=8)
+        batcher = MicroBatcher(policy=ServicePolicy(max_batch=8))
         wave = batcher.form_wave(queue)
         # Head is the INTERACTIVE box call; the compatible STANDARD box
         # call joins it, overtaking the incompatible earlier grad.
@@ -142,12 +142,12 @@ class TestMicroBatcher:
 
     def test_invalid_max_batch_rejected(self):
         with pytest.raises(ValueError):
-            MicroBatcher(max_batch=0)
+            MicroBatcher(policy=ServicePolicy(max_batch=0))
 
 
 class TestServiceWiring:
     def test_report_mirrors_batcher_counters(self):
-        service = EngineService(max_batch=4)
+        service = EngineService(policy=ServicePolicy(max_batch=4))
         for seed in range(6):
             service.submit(_grad(seed=seed))
         report = service.drain()

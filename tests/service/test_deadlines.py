@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.addresslib import (AddressLib, BatchCall, INTRA_BOX3,
-                              INTRA_GRAD, VectorExecutor)
-from repro.host import EngineBackend
+from repro.addresslib import (BatchCall, INTRA_BOX3, INTRA_GRAD,
+                              VectorExecutor)
+from repro.api import SubmitOptions
 from repro.image import ImageFormat, noise_frame
 from repro.service import EngineService, RequestState, ServiceError
 
@@ -21,7 +21,7 @@ class TestTimeout:
         cost = service.admission.price(
             BatchCall.intra(INTRA_GRAD, _frame()))[1]
         ticket = service.submit(BatchCall.intra(INTRA_GRAD, _frame()),
-                                deadline_seconds=cost / 2)
+                                SubmitOptions(deadline_seconds=cost / 2))
         report = service.drain()
         assert ticket.state is RequestState.TIMED_OUT
         assert ticket.attempts == 1
@@ -30,22 +30,22 @@ class TestTimeout:
             ticket.result()
 
     def test_timed_out_work_is_never_executed(self):
-        lib = AddressLib(EngineBackend())
-        service = EngineService(lib=lib)
+        service = EngineService()
         cost = service.admission.price(
             BatchCall.intra(INTRA_GRAD, _frame()))[1]
         service.submit(BatchCall.intra(INTRA_GRAD, _frame()),
-                       deadline_seconds=cost / 2)
+                       SubmitOptions(deadline_seconds=cost / 2))
         service.drain()
-        assert lib.backend.driver.calls_submitted == 0
-        assert lib.backend.driver.calls_shed == 1
+        driver = service.pool.workers[0].driver
+        assert driver.calls_submitted == 0
+        assert driver.calls_shed == 1
 
     def test_generous_deadline_completes(self):
         service = EngineService()
         cost = service.admission.price(
             BatchCall.intra(INTRA_GRAD, _frame()))[1]
         ticket = service.submit(BatchCall.intra(INTRA_GRAD, _frame()),
-                                deadline_seconds=cost * 2)
+                                SubmitOptions(deadline_seconds=cost * 2))
         service.drain()
         assert ticket.state is RequestState.COMPLETED
         assert ticket.attempts == 1
@@ -67,8 +67,8 @@ class TestBoundedRetry:
         cost = service.admission.price(
             BatchCall.intra(INTRA_GRAD, _frame()))[1]
         ticket = service.submit(BatchCall.intra(INTRA_GRAD, _frame()),
-                                deadline_seconds=cost / 2,
-                                max_retries=2)
+                                SubmitOptions(deadline_seconds=cost / 2,
+                                              max_retries=2))
         report = service.drain()
         assert ticket.state is RequestState.TIMED_OUT
         assert ticket.attempts == 3          # initial + 2 retries
@@ -85,8 +85,8 @@ class TestBoundedRetry:
             BatchCall.intra(INTRA_GRAD, victim_frame))[1]
         service.submit(BatchCall.intra(INTRA_BOX3, blocker_frame))
         ticket = service.submit(BatchCall.intra(INTRA_GRAD, victim_frame),
-                                deadline_seconds=cost * 1.5,
-                                max_retries=1)
+                                SubmitOptions(deadline_seconds=cost * 1.5,
+                                              max_retries=1))
         report = service.drain()
         assert ticket.state is RequestState.COMPLETED
         assert ticket.attempts == 2
@@ -100,8 +100,8 @@ class TestBoundedRetry:
             BatchCall.intra(INTRA_GRAD, _frame()))[1]
         service.submit(BatchCall.intra(INTRA_BOX3, _frame(seed=2)))
         ticket = service.submit(BatchCall.intra(INTRA_GRAD, _frame()),
-                                deadline_seconds=cost * 1.5,
-                                max_retries=1)
+                                SubmitOptions(deadline_seconds=cost * 1.5,
+                                              max_retries=1))
         service.drain()
         # Completed after the blocker's wave plus its own: the modeled
         # latency includes the time spent queued and retried.
@@ -114,9 +114,9 @@ class TestOpenLoopArrivals:
     def test_arrival_seconds_places_requests_on_the_clock(self):
         service = EngineService()
         early = service.submit(BatchCall.intra(INTRA_GRAD, _frame()),
-                               arrival_seconds=0.0)
+                               SubmitOptions(arrival_seconds=0.0))
         late = service.submit(BatchCall.intra(INTRA_BOX3, _frame()),
-                              arrival_seconds=1.0)
+                              SubmitOptions(arrival_seconds=1.0))
         service.drain()
         assert early.arrival_seconds == 0.0
         assert late.arrival_seconds == 1.0
@@ -126,15 +126,15 @@ class TestOpenLoopArrivals:
     def test_clock_never_runs_backwards(self):
         service = EngineService()
         service.submit(BatchCall.intra(INTRA_GRAD, _frame()),
-                       arrival_seconds=2.0)
+                       SubmitOptions(arrival_seconds=2.0))
         ticket = service.submit(BatchCall.intra(INTRA_GRAD, _frame()),
-                                arrival_seconds=1.0)
+                                SubmitOptions(arrival_seconds=1.0))
         assert ticket.arrival_seconds == 2.0
 
     def test_run_until_serves_only_due_work(self):
         service = EngineService()
         first = service.submit(BatchCall.intra(INTRA_GRAD, _frame()),
-                               arrival_seconds=0.0)
+                               SubmitOptions(arrival_seconds=0.0))
         service.run_until(0.5)
         assert first.state is RequestState.COMPLETED
         assert service.clock >= 0.5

@@ -9,7 +9,7 @@ zero.
 """
 
 from repro.addresslib import BatchCall, INTRA_OPS
-from repro.api import EngineService, SubmitOptions
+from repro.api import EngineService, ServicePolicy, SubmitOptions
 from repro.image import ImageFormat, noise_frame
 
 FMT = ImageFormat("T16", 16, 16)
@@ -24,7 +24,7 @@ class TestDrainZeroCompletions:
     def test_all_timeouts_leave_no_tenant_tallies(self):
         """A drain that completes nothing reports empty per-tenant
         books -- zero completions, zero tenant completions."""
-        service = EngineService(queue_depth=8)
+        service = EngineService(policy=ServicePolicy(queue_depth=8))
         for seed in range(4):
             # Zero deadline: every request expires at dispatch time.
             service.submit(_call(seed), SubmitOptions(
@@ -37,14 +37,14 @@ class TestDrainZeroCompletions:
     def test_poked_stale_tallies_are_cleared(self):
         """Even tallies left behind by a meddling caller (or an old
         accounting bug) are wiped on a zero-completion drain."""
-        service = EngineService(queue_depth=8)
+        service = EngineService(policy=ServicePolicy(queue_depth=8))
         service.report_data.calls_by_tenant["ghost"] = 7
         report = service.drain()
         assert report.completed == 0
         assert report.calls_by_tenant == {}
 
     def test_rejects_never_tally_tenants(self):
-        service = EngineService(queue_depth=1)
+        service = EngineService(policy=ServicePolicy(queue_depth=1))
         service.submit(_call(0), SubmitOptions(tenant="a",
                                                deadline_seconds=0.0))
         # Queue full: rejected at offer, must not touch tenant books.
@@ -59,7 +59,7 @@ class TestTenantTalliesTrackCompletions:
     def test_tallies_sum_to_completed(self):
         """Mixed outcomes: the tenant books sum exactly to the
         completion count, with expired work absent."""
-        service = EngineService(queue_depth=16)
+        service = EngineService(policy=ServicePolicy(queue_depth=16))
         for seed in range(3):
             service.submit(_call(seed), SubmitOptions(tenant="ok"))
         for seed in range(2):
@@ -74,7 +74,7 @@ class TestTenantTalliesTrackCompletions:
     def test_tallies_survive_a_later_empty_drain(self):
         """A second drain with nothing queued must not wipe the books
         of the completions the first drain recorded."""
-        service = EngineService(queue_depth=8)
+        service = EngineService(policy=ServicePolicy(queue_depth=8))
         service.submit(_call(5), SubmitOptions(tenant="kept"))
         first = service.drain()
         assert first.calls_by_tenant == {"kept": 1}

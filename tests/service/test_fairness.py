@@ -1,13 +1,12 @@
-"""Tenant fairness: WFQ drain order, quotas, SLO books, policy shims.
+"""Tenant fairness: WFQ drain order, quotas, SLO books, policy object.
 
 The tenancy redesign must change *scheduling*, never *results*: the
 weighted-fair queue interleaves tenants by policy weight inside each
 priority class (collapsing to exact FIFO for untagged work), quotas
 shed with an explicit ``TENANT_QUOTA`` reason, the shedding books
 balance per tenant, and the whole 0xFA57 corpus stays bit-exact with
-fairness enabled.  The ``ServicePolicy`` object is the one legal
-spelling of the knobs; every legacy constructor keyword still works
-but warns exactly once.
+fairness enabled.  The ``ServicePolicy`` object is the one spelling
+of the knobs.
 """
 
 import asyncio
@@ -19,9 +18,9 @@ import pytest
 from repro.addresslib import (BatchCall, INTER_OPS, INTRA_OPS,
                               VectorExecutor)
 from repro.aio import AsyncEngineClient
-from repro.api import (AdmissionPolicy, EngineService, Priority,
-                       RequestState, ServiceError, ServicePolicy,
-                       SubmitOptions, TenantPolicy)
+from repro.api import (EngineService, Priority, RequestState,
+                       ServiceError, ServicePolicy, SubmitOptions,
+                       TenantPolicy)
 from repro.image import ImageFormat, noise_frame
 from repro.service import (AdmissionController, MicroBatcher,
                            RejectReason, RequestQueue)
@@ -366,43 +365,6 @@ class TestPolicyObject:
             RequestQueue(policy=ServicePolicy(queue_depth=8))
             MicroBatcher(policy=ServicePolicy(max_batch=2))
             AdmissionController(policy=ServicePolicy())
-
-    @pytest.mark.parametrize("build", [
-        lambda: EngineService(queue_depth=8),
-        lambda: EngineService(max_batch=2),
-        lambda: EngineService(policy=AdmissionPolicy(0.05)),
-        lambda: RequestQueue(max_depth=8),
-        lambda: MicroBatcher(max_batch=2),
-        lambda: AdmissionController(policy=AdmissionPolicy(0.05)),
-    ])
-    def test_legacy_spellings_warn_once(self, build):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            build()
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "ServicePolicy" in str(deprecations[0].message)
-
-    def test_mixing_policy_and_legacy_kwargs_raises(self):
-        with pytest.raises(TypeError):
-            EngineService(policy=ServicePolicy(), queue_depth=8)
-        with pytest.raises(TypeError):
-            RequestQueue(max_depth=4, policy=ServicePolicy())
-        with pytest.raises(TypeError):
-            MicroBatcher(max_batch=4, policy=ServicePolicy())
-
-    def test_legacy_values_fold_into_the_policy(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            service = EngineService(queue_depth=5, max_batch=3,
-                                    policy=AdmissionPolicy(0.07))
-        assert service.policy.queue_depth == 5
-        assert service.policy.max_batch == 3
-        assert (service.policy.admission.deadline_budget_seconds
-                == 0.07)
-        assert service.queue.max_depth == 5
-        assert service.batcher.max_batch == 3
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,8 @@ import asyncio
 
 from repro.addresslib import BatchCall, INTRA_OPS
 from repro.aio import AsyncEngineClient
-from repro.api import EngineService, Priority, RejectReason, SubmitOptions
+from repro.api import (EngineService, Priority, RejectReason,
+                       ServicePolicy, SubmitOptions)
 from repro.image import ImageFormat, noise_frame
 from repro.service.queue import RequestQueue
 from repro.service.request import ServiceRequest
@@ -33,7 +34,7 @@ class TestRejectStability:
         """The marginal offer's reason is stable across repeated hits
         and across fill/drain cycles -- clients key retry policy on
         it."""
-        queue = RequestQueue(max_depth=2)
+        queue = RequestQueue(policy=ServicePolicy(queue_depth=2))
         assert queue.offer(_request(0)) is None
         assert queue.offer(_request(1)) is None
         for attempt in range(5):
@@ -44,7 +45,7 @@ class TestRejectStability:
         assert queue.offer(_request(21)) is RejectReason.QUEUE_FULL
 
     def test_has_space_tracks_depth(self):
-        queue = RequestQueue(max_depth=2)
+        queue = RequestQueue(policy=ServicePolicy(queue_depth=2))
         assert queue.has_space
         queue.offer(_request(0))
         assert queue.has_space
@@ -58,7 +59,7 @@ class TestSpaceListeners:
     def test_fires_only_on_full_to_space_transition(self):
         """Pops below the bound are silent; the pop that reopens a
         full queue wakes every registered listener once."""
-        queue = RequestQueue(max_depth=2)
+        queue = RequestQueue(policy=ServicePolicy(queue_depth=2))
         fired = []
         queue.add_space_listener(lambda: fired.append("a"))
         queue.add_space_listener(lambda: fired.append("b"))
@@ -73,7 +74,7 @@ class TestSpaceListeners:
         assert fired == ["a", "b"]  # already had space: silent
 
     def test_pop_compatible_fires_once_for_a_batch(self):
-        queue = RequestQueue(max_depth=3)
+        queue = RequestQueue(policy=ServicePolicy(queue_depth=3))
         fired = []
         queue.add_space_listener(lambda: fired.append(1))
         for request_id in range(3):
@@ -83,7 +84,7 @@ class TestSpaceListeners:
         assert fired == [1]
 
     def test_remove_listener_and_unknown_removal(self):
-        queue = RequestQueue(max_depth=1)
+        queue = RequestQueue(policy=ServicePolicy(queue_depth=1))
         fired = []
         listener = lambda: fired.append(1)  # noqa: E731
         queue.add_space_listener(listener)
@@ -102,7 +103,8 @@ class TestFifoUnderConcurrentProducers:
         per_producer = 10
 
         async def run():
-            service = EngineService(queue_depth=2, max_batch=1)
+            service = EngineService(
+                policy=ServicePolicy(queue_depth=2, max_batch=1))
             completion_order = {"hi": [], "lo": []}
             notes = []
             async with AsyncEngineClient(service) as client:

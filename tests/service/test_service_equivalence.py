@@ -11,19 +11,17 @@ import random
 
 import pytest
 
-from repro.addresslib import (AddressLib, BatchCall, INTER_OPS, INTRA_OPS,
-                              SoftwareBackend, VectorExecutor)
-from repro.host import CallScheduler, EngineBackend
+from repro.addresslib import (BatchCall, INTER_OPS, INTRA_OPS,
+                              VectorExecutor)
+from repro.api import (EnginePool, EngineService, EngineWorker, Priority,
+                       ServicePolicy, SubmitOptions)
 from repro.image import ImageFormat, noise_frame
-from repro.service import EngineService, Priority
 
 _INTRA = sorted(INTRA_OPS.values(), key=lambda op: op.name)
 _INTER = sorted(INTER_OPS.values(), key=lambda op: op.name)
 
 SHARDS = 8
 CASES_PER_SHARD = 26
-
-QCIF = ImageFormat("QCIF", 176, 144)
 
 
 def _random_batch_call(rng):
@@ -65,8 +63,9 @@ class TestCorpusEquivalence:
         rng = random.Random(0xFA57 + shard)
         calls = [_random_batch_call(rng) for _ in range(CASES_PER_SHARD)]
         priorities = [rng.choice(list(Priority)) for _ in calls]
-        service = EngineService(queue_depth=len(calls))
-        tickets = [service.submit(call, priority=priority)
+        service = EngineService(
+            policy=ServicePolicy(queue_depth=len(calls)))
+        tickets = [service.submit(call, SubmitOptions(priority=priority))
                    for call, priority in zip(calls, priorities)]
         report = service.drain()
         assert report.completed == len(calls)
@@ -75,14 +74,14 @@ class TestCorpusEquivalence:
             _assert_same(ticket.result(), _serial_reference(call))
 
     def test_sharded_service_matches_serial_executor(self):
-        """One shard again, waves sharded across scheduler workers."""
+        """One shard again, waves sharded across two pool boards."""
         rng = random.Random(0xFA57)
         calls = [_random_batch_call(rng) for _ in range(CASES_PER_SHARD)]
-        with CallScheduler(max_workers=2) as sched:
-            service = EngineService(scheduler=sched,
-                                    queue_depth=len(calls))
-            tickets = [service.submit(call) for call in calls]
-            service.drain()
+        service = EngineService(
+            pool=EnginePool.of_engines(2),
+            policy=ServicePolicy(queue_depth=len(calls)))
+        tickets = [service.submit(call) for call in calls]
+        service.drain()
         for call, ticket in zip(calls, tickets):
             _assert_same(ticket.result(), _serial_reference(call))
 
@@ -90,14 +89,15 @@ class TestCorpusEquivalence:
         """Engine-backed serving: same frames, driver books kept."""
         rng = random.Random(0xFA57 + 3)
         calls = [_random_batch_call(rng) for _ in range(12)]
-        lib = AddressLib(EngineBackend())
-        service = EngineService(lib=lib, queue_depth=len(calls))
+        service = EngineService(
+            policy=ServicePolicy(queue_depth=len(calls)))
         tickets = [service.submit(call) for call in calls]
         service.drain()
         for call, ticket in zip(calls, tickets):
             _assert_same(ticket.result(), _serial_reference(call))
-        assert lib.backend.driver.calls_submitted == len(calls)
-        assert lib.backend.driver.calls_shed == 0
+        driver = service.pool.workers[0].driver
+        assert driver.calls_submitted == len(calls)
+        assert driver.calls_shed == 0
 
     def test_priority_shuffle_is_result_invariant(self):
         """The same calls under two different priority assignments
@@ -107,9 +107,10 @@ class TestCorpusEquivalence:
         outcomes = []
         for seed in (1, 2):
             prio_rng = random.Random(seed)
-            service = EngineService(queue_depth=len(calls))
-            tickets = [service.submit(
-                call, priority=prio_rng.choice(list(Priority)))
+            service = EngineService(
+                policy=ServicePolicy(queue_depth=len(calls)))
+            tickets = [service.submit(call, SubmitOptions(
+                priority=prio_rng.choice(list(Priority))))
                 for call in calls]
             service.drain()
             outcomes.append([t.result() for t in tickets])
@@ -122,24 +123,8 @@ class TestModeledAccounting:
         """Admission prices from geometry alone: backend-independent."""
         rng = random.Random(0xFA57 + 11)
         calls = [_random_batch_call(rng) for _ in range(8)]
-        soft = EngineService()
-        hard = EngineService(lib=AddressLib(EngineBackend()))
+        soft = EngineService(pool=EnginePool([EngineWorker(0)]))
+        hard = EngineService()
         for call in calls:
             assert soft.admission.price(call)[1] == pytest.approx(
                 hard.admission.price(call)[1], abs=0.0)
-
-    def test_coalesced_wave_shares_modeled_engines(self):
-        """Four identical calls on four modeled engines cost one call's
-        makespan, and the books show the 4x overlap."""
-        frame = noise_frame(QCIF, seed=21)
-        op = _INTRA[0]
-        service = EngineService(virtual_engines=4, max_batch=4)
-        for _ in range(4):
-            service.submit(BatchCall.intra(op, frame))
-        report = service.drain()
-        _, overlapped = service.admission.price(
-            BatchCall.intra(op, frame))
-        assert report.waves == 1
-        assert report.coalesced_requests == 4
-        assert report.busy_seconds == pytest.approx(overlapped)
-        assert report.overlap_efficiency == pytest.approx(0.75, abs=0.02)
