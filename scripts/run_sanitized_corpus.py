@@ -5,7 +5,8 @@ suites share, in two sanitized passes with every sanitizer domain
 armed:
 
 * through a :class:`~repro.host.CallScheduler` on one worker
-  configuration;
+  configuration, with the inline bypass off so that every call ships
+  to the workers and returns through a result slab;
 * through an :class:`~repro.api.EngineService` over a two-board
   :class:`~repro.api.EnginePool`, each call submitted several times in
   a row so that same-configuration requests coalesce into waves and
@@ -19,10 +20,15 @@ Two gates per pass, both required:
 * the sanitizer emits zero error-severity diagnostics (the healthy
   stack is clean under instrumentation).
 
-Writes a JSON report (``--out``) with per-shard accounting, the pool
-pass's wave count and mean wave size (a pass that never coalesced
-shows), and every finding, for CI artifact upload.  Exit status is
-non-zero on any mismatch or error-severity finding.
+Where shared memory is available, the scheduler pass must also have
+moved calls over it (``shm_calls > 0``): a pass that ran everything
+inline would leave the live transport unwatched.
+
+Writes a JSON report (``--out``) with per-shard accounting, the
+scheduler pass's pool/shm/bypass call counts, the pool pass's wave
+count and mean wave size (a pass that never coalesced shows), and
+every finding, for CI artifact upload.  Exit status is non-zero on any
+mismatch, error-severity finding, or unwatched transport.
 
     PYTHONPATH=src python scripts/run_sanitized_corpus.py \
         --out sanitized_corpus.json
@@ -39,7 +45,7 @@ from repro.addresslib import (AddressLib, BatchCall, INTER_OPS, INTRA_OPS,
                               SoftwareBackend, VectorExecutor)
 from repro.analysis.sanitize import install_sanitizer, uninstall_sanitizer
 from repro.api import EnginePool, EngineService, ServicePolicy
-from repro.host import CallScheduler
+from repro.host import SHARED_MEMORY_AVAILABLE, CallScheduler
 from repro.image import Frame, ImageFormat, noise_frame
 
 _INTRA = sorted(INTRA_OPS.values(), key=lambda op: op.name)
@@ -96,9 +102,10 @@ def _shard_calls(shard: int) -> List[BatchCall]:
 
 def _scheduler_pass(workers: int, findings: List[Dict[str, Any]]
                     ) -> Dict[str, Any]:
-    """The corpus through a sanitizer-armed scheduler."""
+    """The corpus through a sanitizer-armed scheduler that ships every
+    call it can."""
     shards: List[Dict[str, Any]] = []
-    with CallScheduler(max_workers=workers,
+    with CallScheduler(max_workers=workers, bypass="never",
                        sanitize=("all",)) as scheduler:
         for shard in range(SHARDS):
             calls = _shard_calls(shard)
@@ -117,8 +124,12 @@ def _scheduler_pass(workers: int, findings: List[Dict[str, Any]]
             print(f"scheduler shard {shard}: {len(calls)} cases, "
                   f"{shard_mismatches} mismatch(es), "
                   f"{len(new)} finding(s)")
+        total = scheduler.total
     return {"workers": workers,
             "mismatches": sum(s["mismatches"] for s in shards),
+            "pool_calls": total.pool_calls,
+            "shm_calls": total.shm_calls,
+            "bypass_calls": total.bypass_calls,
             "per_shard": shards}
 
 
@@ -178,11 +189,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     pool = _pool_pass(findings)
     mismatches = scheduler["mismatches"] + pool["mismatches"]
     errors = [f for f in findings if f["severity"] == "ERROR"]
+    unwatched = SHARED_MEMORY_AVAILABLE and scheduler["shm_calls"] == 0
     payload = {
         "seed": SEED, "shards": SHARDS,
         "cases": SHARDS * CASES_PER_SHARD, "workers": args.workers,
         "sanitize": ["all"], "mismatches": mismatches,
         "error_findings": len(errors), "findings": findings,
+        "pool_calls": scheduler["pool_calls"],
+        "shm_calls": scheduler["shm_calls"],
+        "bypass_calls": scheduler["bypass_calls"],
         "per_shard": scheduler["per_shard"],
         "pool": pool,
     }
@@ -190,12 +205,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         json.dump(payload, handle, indent=2)
     print(f"wrote {args.out}: {payload['cases']} cases, "
           f"{mismatches} mismatch(es), {len(findings)} finding(s) "
-          f"({len(errors)} error-severity); pool pass ran "
-          f"{pool['waves']} waves of {pool['mean_wave_size']:.2f} "
-          f"requests on average")
+          f"({len(errors)} error-severity); scheduler pass shipped "
+          f"{scheduler['pool_calls']} calls ({scheduler['shm_calls']} "
+          f"over shared memory, {scheduler['bypass_calls']} bypassed); "
+          f"pool pass ran {pool['waves']} waves of "
+          f"{pool['mean_wave_size']:.2f} requests on average")
     if mismatches or errors:
         print("sanitized corpus: FAILED (results drifted or the "
               "sanitizer flagged errors)")
+        return 1
+    if unwatched:
+        print("sanitized corpus: FAILED (shared memory is available but "
+              "no call crossed it, so the sanitizer watched no live "
+              "transport)")
         return 1
     print("sanitized corpus: OK (bit-exact, zero error-severity "
           "findings)")

@@ -324,8 +324,9 @@ def lower_program(program: CallProgram,
                                   rr_counter)
         events.append(PlanEvent(kind="wave", wave=wave_index,
                                 board=board.board_id))
-        # Adoption is always attempted -- the real adopt_result() does
-        # not check store state, which is exactly what SHM002 audits.
+        # Adoption is always attempted -- the live adopt_slab() reports
+        # every adoption before it checks the store, and an adoption
+        # after close is exactly what SHM002 audits.
         run_wave(wave_index, step_indices, board, adopt_results=True)
         final_waves.append(tuple(step_indices))
         if (params.close_after_wave is not None and not store_closed

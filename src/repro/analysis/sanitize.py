@@ -144,9 +144,10 @@ class TransportSanitizer:
         if store_closed:
             self._emit(
                 "SHM002",
-                f"result segment '{name}' adopted after the plane "
-                f"store closed: the adopted frame outlives the "
-                f"store's teardown guarantees")
+                f"result slab '{name}' adopted after the plane store "
+                f"closed: the store already released it, so the "
+                f"adopted frame would outlive the store's teardown "
+                f"guarantees")
 
     # -- worker-cache residency --------------------------------------------
 
@@ -339,19 +340,15 @@ def _selftest_shm001() -> Optional[List[Diagnostic]]:
 
 
 def _selftest_shm002() -> Optional[List[Diagnostic]]:
-    """Adopt a worker-shipped result after the store closed."""
-    from ..image.synth import noise_frame
+    """Adopt a leased result slab after the store closed."""
 
     def scenario(_sanitizer: TransportSanitizer) -> Optional[bool]:
         store = shm.PlaneStore()
-        result_handle = shm.ship_result(noise_frame(_small_fmt(),
-                                                    seed=2))
-        if result_handle is None:
-            store.close()
+        slab = store.lease_slab(_small_fmt())
+        store.close()  # releases the slab while it is still leased
+        if slab is None:
             return True
-        store.close()
-        adopted = store.adopt_result(result_handle)
-        del adopted  # the finalizer unlinks the segment
+        store.adopt_slab(slab, _small_fmt())  # the seeded bug
         return None
 
     return _with_observer(("transport",), scenario)

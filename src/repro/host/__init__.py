@@ -9,7 +9,7 @@ from .runtime import (RunReport, Runtime, engine_platform,
                       software_platform)
 from .scheduler import (BatchReport, CallScheduler, ProgramOutcome)
 from .shm import (SHARED_MEMORY_AVAILABLE, FrameHandle, PlaneStore,
-                  ResultHandle, frame_payload_bytes)
+                  frame_payload_bytes)
 
 __all__ = [
     "AddressEngineDriver",
@@ -24,7 +24,6 @@ __all__ = [
     "PlaneStore",
     "ProgramCheckError",
     "ProgramOutcome",
-    "ResultHandle",
     "SHARED_MEMORY_AVAILABLE",
     "frame_payload_bytes",
     "RunReport",

@@ -12,10 +12,13 @@ module supplies that second axis:
   :func:`~repro.addresslib.program.dependency_edges`;
 * frames move to workers *zero-copy and at most once*: each distinct
   input frame is registered in a shared-memory
-  :class:`~repro.host.shm.PlaneStore` and shipped as a small handle,
-  workers keep attached segments in a resident cache across waves, and
-  a wave is dispatched as one grouped submission per worker (one round
-  trip per worker per wave, not one future per call);
+  :class:`~repro.host.shm.PlaneStore` once per wave and shipped as a
+  small handle, workers keep attached segments in a resident cache
+  across waves, and a wave is dispatched as one grouped submission per
+  worker (one round trip per worker per wave, not one future per call);
+* results come back the same way: each job that produces a frame is
+  leased a recycled result slab from the store, the worker writes into
+  it, and the parent adopts it in place;
 * a cost-model-driven *inline bypass* keeps cheap calls in the parent:
   when the modeled compute saving of shipping a call (its
   :class:`~repro.addresslib.executor.SoftwareCostModel` estimate times
@@ -78,9 +81,11 @@ from . import shm
 _KERNEL_PREFIX = "kernel_"
 
 #: One call as shipped to a worker: mode, op token, reduce flag,
-#: channel set, and per-frame transport specs (``("shm", FrameHandle)``
-#: or ``("pickle", Frame)``).
-_Job = Tuple[str, str, bool, ChannelSet, Tuple[Tuple[str, object], ...]]
+#: channel set, per-frame transport specs (``("shm", FrameHandle)`` or
+#: ``("pickle", Frame)``), and the result slab leased to a call that
+#: produces a frame (``None``: return the result by pickle).
+_Job = Tuple[str, str, bool, ChannelSet, Tuple[Tuple[str, object], ...],
+             Optional[shm.SlabHandle]]
 
 
 def _resolve_op(mode_value: str, op_name: str) -> Union[InterOp, IntraOp]:
@@ -113,12 +118,6 @@ def _noop() -> bool:
     return True
 
 
-#: Per-wave worker options: (ship results via shm, sanitize domains).
-#: Bundled into one tuple so a wave submission stays one function and
-#: two positional arguments however the options grow.
-_WaveOptions = Tuple[bool, Tuple[str, ...]]
-
-
 def _worker_init(sanitize_domains: Tuple[str, ...] = ()) -> None:
     """Pool-worker initializer: fork hygiene plus optional sanitizing.
 
@@ -138,21 +137,22 @@ def _worker_init(sanitize_domains: Tuple[str, ...] = ()) -> None:
             pass
 
 
-def _execute_wave(jobs: Sequence[_Job], wave_options: _WaveOptions
+def _execute_wave(jobs: Sequence[_Job], sanitize_domains: Tuple[str, ...]
                   ) -> Tuple[List[Tuple[str, object]], Dict[str, object]]:
     """Worker-side execution of one worker's share of a wave.
 
     Runs in an engine worker process.  Input frames arrive as
     shared-memory handles (attached through the worker-resident cache)
-    or as pickled frames; result frames leave as shared-memory handles
-    when possible, falling back to pickling them.  Returns the per-call
-    results in job order plus the cache counters (and, when sanitized,
-    the worker's drained findings) of this trip.
+    or as pickled frames; a result frame is written into the job's
+    leased slab (``("slab", None)``) when it has one, and pickled
+    otherwise.  Returns the per-call results in job order plus the
+    cache counters (and, when sanitized, the worker's drained findings)
+    of this trip.
     """
-    ship_results_shm, sanitize_domains = wave_options
     results: List[Tuple[str, object]] = []
     stats: Dict[str, object] = {"cache_hits": 0, "attaches": 0}
-    for mode_value, op_name, reduce_to_scalar, channels, specs in jobs:
+    for (mode_value, op_name, reduce_to_scalar, channels, specs,
+         slab) in jobs:
         frames: List[Frame] = []
         for spec_kind, payload in specs:
             if spec_kind == "shm":
@@ -166,11 +166,10 @@ def _execute_wave(jobs: Sequence[_Job], wave_options: _WaveOptions
         kind, value = _execute_call(mode_value, op_name,
                                     reduce_to_scalar, channels,
                                     tuple(frames))
-        if kind == "frame" and ship_results_shm:
+        if slab is not None and kind == "frame":
             assert isinstance(value, Frame)
-            handle = shm.ship_result(value)
-            if handle is not None:
-                results.append(("shm", handle))
+            if shm.worker_write_slab(slab, value):
+                results.append(("slab", None))
                 continue
         results.append((kind, value))
     if sanitize_domains:
@@ -209,7 +208,7 @@ class BatchReport:
     ship_seconds: float = 0.0
     #: Wall seconds executing (inline calls plus waiting on workers).
     compute_seconds: float = 0.0
-    #: Wall seconds adopting result segments in the parent.
+    #: Wall seconds adopting result slabs in the parent.
     gather_seconds: float = 0.0
     #: Worker-resident cache hits / fresh segment attaches.
     worker_cache_hits: int = 0
@@ -265,6 +264,17 @@ class ProgramOutcome:
     def results(self, program: CallProgram) -> Tuple[Frame, ...]:
         """The program's declared result planes, in order."""
         return tuple(self.planes[name] for name in program.results)
+
+
+@dataclass
+class _Group:
+    """One worker's share of a wave: call indices, input transport per
+    call, the slab leased to each call, and the pending submission."""
+
+    indices: List[int]
+    transports: List[str]
+    slabs: List[Optional[shm.SlabHandle]]
+    future: Optional[Future]
 
 
 class _PoolResources:
@@ -562,10 +572,10 @@ class CallScheduler(BatchExecutor):
         """Execute one wave of independent calls; outcomes in order.
 
         Four phases, each timed into the report: *plan* (op tokens and
-        bypass decisions), *ship* (register frames, one grouped
-        submission per worker), *compute* (inline calls plus waiting on
-        workers, with whole-group inline fallback on any pool failure),
-        *gather* (adopt shared-memory results).
+        bypass decisions), *ship* (register frames, lease result slabs,
+        one grouped submission per worker), *compute* (inline calls plus
+        waiting on workers, with whole-group inline fallback on any pool
+        failure), *gather* (adopt the result slabs).
         """
         calls = list(calls)
         outcomes: List[Optional[BatchOutcome]] = [None] * len(calls)
@@ -580,9 +590,9 @@ class CallScheduler(BatchExecutor):
         shipped, bypassed = self._plan(calls, tokens, pool, report)
         shipped_set: Set[int] = set(shipped)
 
-        # Ship: register every distinct frame once, submit one grouped
-        # job list per worker.
-        groups: List[Tuple[List[int], List[str], Optional[Future]]] = []
+        # Ship: register every distinct frame once, lease result slabs,
+        # submit one grouped job list per worker.
+        groups: List[_Group] = []
         if shipped:
             start = time.perf_counter()
             groups = self._ship(calls, tokens, shipped, pool, report)
@@ -599,28 +609,28 @@ class CallScheduler(BatchExecutor):
                 report.bypass_calls += 1
             else:
                 report.inline_calls += 1
+        store = self._resources.store
         collected = []
-        for indices, transports, future in groups:
-            items = self._collect(future, report)
-            if items is None or len(items) != len(indices):
+        for group in groups:
+            items = self._collect(group.future, report)
+            if items is None or len(items) != len(group.indices):
                 self._pool_broken = True
-                for index in indices:
+                self._recycle(store, group.slabs)
+                for index in group.indices:
                     outcomes[index] = self._execute_inline(calls[index])
                     report.inline_calls += 1
                 continue
-            collected.append((indices, transports, items))
+            collected.append((group, items))
         report.compute_seconds = time.perf_counter() - start
 
-        # Gather: adopt shared-memory results as zero-copy frames.
+        # Gather: adopt the result slabs as zero-copy frames.
         start = time.perf_counter()
-        store = self._resources.store
-        for indices, transports, items in collected:
-            for index, transport, (kind, value) in zip(
-                    indices, transports, items):
-                if kind == "shm":
-                    assert isinstance(value, shm.ResultHandle)
-                    frame = (store.adopt_result(value)
-                             if store is not None else None)
+        for group, items in collected:
+            for index, transport, slab, (kind, value) in zip(
+                    group.indices, group.transports, group.slabs, items):
+                if kind == "slab":
+                    assert store is not None and slab is not None
+                    frame = store.adopt_slab(slab, calls[index].fmt)
                     if frame is None:
                         outcomes[index] = self._execute_inline(
                             calls[index])
@@ -628,6 +638,7 @@ class CallScheduler(BatchExecutor):
                         continue
                     outcomes[index] = BatchOutcome(frame=frame)
                 else:
+                    self._recycle(store, (slab,))
                     outcomes[index] = self._outcome(kind, value)
                 report.pool_calls += 1
                 if transport == "shm":
@@ -687,46 +698,72 @@ class CallScheduler(BatchExecutor):
     def _ship(self, calls: Sequence[BatchCall],
               tokens: Sequence[Optional[str]], shipped: List[int],
               pool: Optional[ProcessPoolExecutor], report: BatchReport
-              ) -> List[Tuple[List[int], List[str], Optional[Future]]]:
-        """Register input frames and submit one job group per worker."""
+              ) -> List[_Group]:
+        """Register each distinct input frame once, lease a result slab
+        to each job that produces a frame, and submit one job group per
+        worker."""
         store = self._ensure_store()
         observer = shm.get_transport_observer()
+        # Every frame of the wave is alive (the calls hold them), so
+        # id() names one frame for the whole pass.
+        specs_by_frame: Dict[int, Tuple[str, object]] = {}
         groups = []
         for indices in self._group_by_worker(shipped, calls):
             jobs: List[_Job] = []
             transports: List[str] = []
+            slabs: List[Optional[shm.SlabHandle]] = []
             for index in indices:
                 call = calls[index]
                 specs = []
                 for frame in call.frames:
-                    handle = (store.register(frame)
-                              if store is not None else None)
-                    if handle is not None:
-                        if observer is not None:
-                            observer.handle_shipped(handle)
-                        specs.append(("shm", handle))
-                    else:
-                        specs.append(("pickle", frame))
+                    spec = specs_by_frame.get(id(frame))
+                    if spec is None:
+                        spec = self._frame_spec(store, frame, observer)
+                        specs_by_frame[id(frame)] = spec
+                    specs.append(spec)
                 transports.append(
                     "shm" if all(k == "shm" for k, _ in specs)
                     else "pickle")
+                slab = (store.lease_slab(call.fmt)
+                        if store is not None and not call.reduce_to_scalar
+                        else None)
+                slabs.append(slab)
                 token = tokens[index]
                 assert token is not None
                 jobs.append((call.mode.value, token,
                              call.reduce_to_scalar, call.channels,
-                             tuple(specs)))
-            ship_results = store is not None and not store.broken
-            wave_options: _WaveOptions = (ship_results,
-                                          self.sanitize_domains)
+                             tuple(specs), slab))
             future: Optional[Future] = None
             try:
                 assert pool is not None
-                future = pool.submit(_execute_wave, jobs, wave_options)
+                future = pool.submit(_execute_wave, jobs,
+                                     self.sanitize_domains)
                 report.round_trips += 1
             except Exception:
                 self._pool_broken = True
-            groups.append((list(indices), transports, future))
+            groups.append(_Group(list(indices), transports, slabs, future))
         return groups
+
+    @staticmethod
+    def _frame_spec(store: Optional[shm.PlaneStore], frame: Frame,
+                    observer: Optional[shm.TransportObserver]
+                    ) -> Tuple[str, object]:
+        """How ``frame`` travels: its store handle, or the frame itself
+        when shared memory is off or broke."""
+        handle = store.register(frame) if store is not None else None
+        if handle is None:
+            return ("pickle", frame)
+        if observer is not None:
+            observer.handle_shipped(handle)
+        return ("shm", handle)
+
+    @staticmethod
+    def _recycle(store: Optional[shm.PlaneStore],
+                 slabs: Sequence[Optional[shm.SlabHandle]]) -> None:
+        """Return slabs whose jobs delivered nothing into them."""
+        for slab in slabs:
+            if slab is not None and store is not None:
+                store.recycle_slab(slab)
 
     def _group_by_worker(self, indices: List[int],
                          calls: Sequence[BatchCall]) -> List[List[int]]:

@@ -24,10 +24,16 @@ Three cooperating pieces:
   attached segments keyed by ``(store token, frame id)``, so the N
   calls of a wave that touch the same frame map it once; a generation
   bump invalidates the cached entry.
-* :func:`ship_result` -- the worker-to-parent return path: a result
-  frame is written into a fresh segment whose handle the parent adopts
-  (:meth:`PlaneStore.adopt_result`) as a zero-copy frame, unlinked when
-  that frame dies.
+* result *slabs* -- the worker-to-parent return path, this model's
+  reused output memory (the engine's block_A/block_B OIM).  The store
+  owns every slab: :meth:`PlaneStore.lease_slab` hands each job that
+  produces a frame a frame-sized segment from a bounded idle list per
+  size, the worker writes its result into it through a mapping it
+  keeps (:func:`worker_write_slab`), and :meth:`PlaneStore.adopt_slab`
+  wraps it as a zero-copy frame.  The slab goes back on the idle list
+  once no plane view of that frame is left, and the store unlinks
+  every slab when it closes -- a worker that dies mid-wave orphans
+  nothing.
 
 Everything degrades to pickle transport: when the platform has no
 ``multiprocessing.shared_memory`` (:data:`SHARED_MEMORY_AVAILABLE` is
@@ -86,31 +92,45 @@ def frame_payload_bytes(fmt: ImageFormat) -> int:
                             for c in ALL_CHANNELS)
 
 
-def write_frame(buf: Any, frame: Frame) -> None:
-    """Copy every plane of ``frame`` into ``buf`` at the layout offsets."""
-    fmt = frame.format
+def _plane_views(base: np.ndarray,
+                 fmt: ImageFormat) -> Dict[Channel, np.ndarray]:
+    """Zero-copy views of each plane in the segment bytes ``base``.
+
+    Slices of ``base`` (a uint8 array), so every view -- and every
+    view a caller derives from one -- has ``base`` as its ``.base``.
+    """
+    views: Dict[Channel, np.ndarray] = {}
     for channel, offset, dtype in _plane_layout(fmt):
-        view = np.frombuffer(buf, dtype=dtype, count=fmt.pixels,
-                             offset=offset).reshape(fmt.height, fmt.width)
+        end = offset + fmt.pixels * dtype.itemsize
+        views[channel] = base[offset:end].view(dtype).reshape(
+            fmt.height, fmt.width)
+    return views
+
+
+def write_frame(base: np.ndarray, frame: Frame) -> None:
+    """Copy every plane of ``frame`` into ``base`` at the layout offsets."""
+    for channel, view in _plane_views(base, frame.format).items():
         view[:] = frame.plane(channel)
 
 
-def read_frame(fmt: ImageFormat, buf: Any,
+def read_frame(fmt: ImageFormat, base: np.ndarray,
                writeable: bool = False) -> Frame:
-    """Wrap ``buf`` as a frame of zero-copy plane views.
+    """Wrap ``base`` as a frame of zero-copy plane views.
 
     Input frames attach read-only (workers never mutate their inputs);
     adopted results attach writeable so callers can keep using them as
     ordinary frames.
     """
-    planes: Dict[Channel, np.ndarray] = {}
-    for channel, offset, dtype in _plane_layout(fmt):
-        view = np.frombuffer(buf, dtype=dtype, count=fmt.pixels,
-                             offset=offset).reshape(fmt.height, fmt.width)
-        if not writeable:
+    planes = _plane_views(base, fmt)
+    if not writeable:
+        for view in planes.values():
             view.flags.writeable = False
-        planes[channel] = view
     return Frame.from_plane_views(fmt, planes)
+
+
+def _segment_bytes(segment: Any, nbytes: int) -> np.ndarray:
+    """The first ``nbytes`` of ``segment`` as a uint8 array."""
+    return np.frombuffer(segment.buf, dtype=np.uint8, count=nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +264,21 @@ class FrameHandle:
 
 
 @dataclass(frozen=True)
-class ResultHandle:
-    """A worker-produced result frame awaiting adoption by the parent."""
+class SlabHandle:
+    """A parent-owned result slab, leased to one job of a wave.
 
+    The worker writes the job's result frame (``nbytes`` of payload)
+    into the segment; the parent then adopts it in place.  ``token``
+    names the owning store, as on :class:`FrameHandle`, and ``slab_id``
+    is never reused within it -- unlike a segment name, which the OS
+    may hand out again once unlinked, so a worker's cached mapping of
+    a dead slab can never stand in for a new one.
+    """
+
+    token: str
+    slab_id: int
     segment_name: str
-    format_name: str
-    width: int
-    height: int
-
-    @property
-    def fmt(self) -> ImageFormat:
-        return ImageFormat(self.format_name, self.width, self.height)
+    nbytes: int
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +367,15 @@ class _StoreEntry:
         self.views = views
 
 
+#: Idle result slabs the store keeps per payload size; a slab returned
+#: to a full idle list is unlinked instead.  Covers a CIF wave of the
+#: GME slice (47 frame results) with room to spare.
+_SLAB_IDLE_CAP: int = 64
+
+
 class PlaneStore:
-    """Parent-side registry mapping live frames to shared segments.
+    """Parent-side registry mapping live frames to shared segments, and
+    owner of the result slabs the workers write into.
 
     Frames are keyed by object identity; a weakref callback drops the
     segment as soon as the frame is collected, so an input that falls
@@ -363,8 +394,14 @@ class PlaneStore:
         self.generation_bumps = 0
         self.bytes_registered = 0
         self.results_adopted = 0
+        self.slabs_created = 0
+        self.slabs_reused = 0
         self._entries: Dict[int, _StoreEntry] = {}
         self._next_frame_id = 0
+        #: Every slab the store owns, leased or idle, by slab id.
+        self._slabs: Dict[int, Any] = {}
+        #: Idle slabs per payload size, most recently returned last.
+        self._idle_slabs: Dict[int, List[SlabHandle]] = {}
 
     # -- registration ------------------------------------------------------
 
@@ -404,21 +441,18 @@ class PlaneStore:
                                   entry.views[channel])
                    for channel in ALL_CHANNELS)
 
-    def _views(self, segment: Any,
+    @staticmethod
+    def _views(segment: Any,
                fmt: ImageFormat) -> Dict[Channel, np.ndarray]:
-        views: Dict[Channel, np.ndarray] = {}
-        for channel, offset, dtype in _plane_layout(fmt):
-            view = np.frombuffer(segment.buf, dtype=dtype,
-                                 count=fmt.pixels, offset=offset)
-            views[channel] = view.reshape(fmt.height, fmt.width)
-        return views
+        return _plane_views(
+            _segment_bytes(segment, frame_payload_bytes(fmt)), fmt)
 
     def _write_segment(self, frame: Frame) -> Any:
         """A fresh segment holding ``frame``'s planes, or ``None``."""
         nbytes = frame_payload_bytes(frame.format)
         try:
             segment = _new_segment(nbytes)
-            write_frame(segment.buf, frame)
+            write_frame(_segment_bytes(segment, nbytes), frame)
         except Exception:
             self.broken = True
             return None
@@ -472,28 +506,72 @@ class PlaneStore:
         entry.views = {}
         _release_segment(entry.segment)
 
-    # -- result adoption ---------------------------------------------------
+    # -- result slabs ------------------------------------------------------
 
-    def adopt_result(self, handle: ResultHandle) -> Optional[Frame]:
-        """Wrap a worker-shipped result as a zero-copy frame.
+    def lease_slab(self, fmt: ImageFormat) -> Optional[SlabHandle]:
+        """A slab for one ``fmt`` result frame, leased to one job.
 
-        The segment is unlinked when the adopted frame is collected, so
-        results have ordinary frame lifetimes.  ``None`` (attach
-        failure) tells the caller to recompute the call inline.
+        Reuses an idle slab of the same payload size when there is one
+        and creates a segment otherwise.  ``None`` means shared memory
+        is unavailable or broke: the worker returns its result by
+        pickle instead.
+        """
+        if self.broken or self.closed:
+            return None
+        nbytes = frame_payload_bytes(fmt)
+        idle = self._idle_slabs.get(nbytes)
+        if idle:
+            self.slabs_reused += 1
+            return idle.pop()
+        try:
+            segment = _new_segment(nbytes)
+        except OSError:
+            self.broken = True
+            return None
+        slab_id = self.slabs_created  # counts creations: never repeats
+        self._slabs[slab_id] = segment
+        self.slabs_created += 1
+        observer = _OBSERVER
+        if observer is not None:
+            observer.segment_created(segment.name)
+        return SlabHandle(self.token, slab_id, segment.name, nbytes)
+
+    def adopt_slab(self, slab: SlabHandle,
+                   fmt: ImageFormat) -> Optional[Frame]:
+        """Wrap the result a worker wrote into ``slab`` as a zero-copy
+        frame.
+
+        Each adoption gets its own base array over the slab, and numpy
+        makes that array the ``.base`` of every view derived from the
+        frame's planes; the slab goes back on the idle list when the
+        base array dies, i.e. once no such view is left.  ``None`` (the
+        store has closed and released the slab) tells the caller to
+        recompute the call inline.
         """
         observer = _OBSERVER
         if observer is not None:
-            observer.result_adopted(handle.segment_name, self.closed)
-        try:
-            segment = _attach_segment(handle.segment_name)
-        except Exception:
-            self.broken = True
+            observer.result_adopted(slab.segment_name, self.closed)
+        segment = self._slabs.get(slab.slab_id)
+        if segment is None:
             return None
-        frame = read_frame(handle.fmt, segment.buf, writeable=True)
-        _disarm(segment)
-        weakref.finalize(frame, _release_segment, segment)
+        base = _segment_bytes(segment, slab.nbytes)
+        frame = read_frame(fmt, base, writeable=True)
+        weakref.finalize(base, self.recycle_slab, slab)
         self.results_adopted += 1
         return frame
+
+    def recycle_slab(self, slab: SlabHandle) -> None:
+        """Return a leased slab: onto its idle list, or -- when that
+        list is full -- unlinked.  A no-op once the store has closed."""
+        if slab.slab_id not in self._slabs:
+            return
+        idle = self._idle_slabs.setdefault(slab.nbytes, [])
+        if len(idle) < _SLAB_IDLE_CAP:
+            idle.append(slab)
+            return
+        segment = self._slabs.pop(slab.slab_id, None)
+        if segment is not None:
+            _release_segment(segment)
 
     # -- books and lifecycle -----------------------------------------------
 
@@ -502,8 +580,10 @@ class PlaneStore:
         return len(self._entries)
 
     def active_segment_names(self) -> List[str]:
-        return [entry.handle.segment_name
-                for entry in self._entries.values()]
+        """Every segment the store owns: registered frames and slabs."""
+        return ([entry.handle.segment_name
+                 for entry in self._entries.values()]
+                + [segment.name for segment in self._slabs.values()])
 
     def stats(self) -> Dict[str, object]:
         return {
@@ -512,18 +592,26 @@ class PlaneStore:
             "generation_bumps": self.generation_bumps,
             "bytes_registered": self.bytes_registered,
             "results_adopted": self.results_adopted,
+            "slabs_created": self.slabs_created,
+            "slabs_reused": self.slabs_reused,
             "broken": self.broken,
         }
 
     def close(self) -> None:
-        """Release every live segment (idempotent, safe at exit)."""
+        """Release every live segment and slab (idempotent, safe at
+        exit).  Adopted frames keep their bytes: a slab still viewed
+        is unlinked now and unmapped with its last view."""
         if self.closed:
             return
         self.closed = True
         entries, self._entries = self._entries, {}
+        slabs, self._slabs = self._slabs, {}
+        self._idle_slabs = {}
         for entry in entries.values():
             entry.views = {}
             _release_segment(entry.segment)
+        for segment in slabs.values():
+            _release_segment(segment)
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +624,14 @@ class PlaneStore:
 _WORKER_CACHE: "OrderedDict[Tuple[str, int], Tuple[int, Frame]]" \
     = OrderedDict()
 _WORKER_CACHE_CAP: int = 128
+
+#: Mapped result slabs, keyed by ``(store token, slab id)``: the uint8
+#: bytes of each, which own the mapping as the input frames' views do.
+#: Which worker a group lands on is up to the pool, so each worker ends
+#: up mapping every slab in circulation; the cap matches the store's
+#: idle list (:data:`_SLAB_IDLE_CAP`).
+_WORKER_SLABS: "OrderedDict[Tuple[str, int], np.ndarray]" = OrderedDict()
+_WORKER_SLAB_CAP: int = 64
 
 
 def worker_cache_capacity() -> int:
@@ -574,6 +670,7 @@ def reset_worker_cache() -> None:
     forked too, and shared pages cost nothing until written).
     """
     _WORKER_CACHE.clear()
+    _WORKER_SLABS.clear()
 
 
 def worker_attach(handle: FrameHandle) -> Tuple[Frame, bool]:
@@ -601,7 +698,9 @@ def worker_attach(handle: FrameHandle) -> Tuple[Frame, bool]:
             return frame, True
         del _WORKER_CACHE[key]
     segment = _attach_segment(handle.segment_name)
-    frame = read_frame(handle.fmt, segment.buf, writeable=False)
+    fmt = handle.fmt
+    frame = read_frame(fmt, _segment_bytes(segment,
+                                           frame_payload_bytes(fmt)))
     _disarm(segment)
     _WORKER_CACHE[key] = (handle.generation, frame)
     _trim_worker_cache()
@@ -612,28 +711,29 @@ def worker_cache_size() -> int:
     return len(_WORKER_CACHE)
 
 
-def ship_result(frame: Frame) -> Optional[ResultHandle]:
-    """Write a result frame into a fresh segment for the parent.
+def worker_write_slab(slab: SlabHandle, frame: Frame) -> bool:
+    """Write a result frame into its leased slab; ``False`` means the
+    slab cannot take it (a payload of another size, or a slab the
+    parent already unlinked): return the frame by pickle instead.
 
-    The worker closes its mapping immediately (the name keeps the
-    segment alive until the parent adopts and eventually unlinks it).
-    ``None`` means shared memory failed here: return the frame by
-    pickle instead.
+    The slab is mapped once per worker and kept in an LRU, so a
+    recycled slab costs one copy of the planes and nothing else.
     """
-    if not SHARED_MEMORY_AVAILABLE:
-        return None
-    fmt = frame.format
-    try:
-        segment = _new_segment(frame_payload_bytes(fmt))
-        write_frame(segment.buf, frame)
-    except Exception:
-        return None
-    handle = ResultHandle(segment.name, fmt.name, fmt.width, fmt.height)
-    observer = _OBSERVER
-    if observer is not None:
-        observer.segment_created(segment.name)
-    try:
-        segment.close()
-    except Exception:
-        pass
-    return handle
+    if frame_payload_bytes(frame.format) != slab.nbytes:
+        return False
+    key = (slab.token, slab.slab_id)
+    base = _WORKER_SLABS.get(key)
+    if base is None:
+        try:
+            segment = _attach_segment(slab.segment_name)
+        except OSError:
+            return False
+        base = _segment_bytes(segment, slab.nbytes)
+        _disarm(segment)
+        _WORKER_SLABS[key] = base
+        while len(_WORKER_SLABS) > _WORKER_SLAB_CAP:
+            _WORKER_SLABS.popitem(last=False)
+    else:
+        _WORKER_SLABS.move_to_end(key)
+    write_frame(base, frame)
+    return True

@@ -5,20 +5,26 @@ the bytes travelled: shared-memory handles, whole-frame pickles, the
 cost-model inline bypass, or the inline fallback after a worker death.
 This harness drives the 0xFA57 corpus recipe through every transport
 mode and pins down the segment lifecycle -- registration dedupe,
-generation bumps on mutation, weakref release, and leak-free teardown.
+generation bumps on mutation, weakref release, result-slab recycling,
+and leak-free teardown.
 """
 
 import gc
+import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.addresslib import (AddressLib, BatchCall, INTER_OPS, INTRA_BOX3,
                               INTRA_GRAD, INTRA_OPS, SoftwareBackend,
                               VectorExecutor)
 from repro.host import CallScheduler, SHARED_MEMORY_AVAILABLE
+from repro.host import scheduler as scheduler_module
 from repro.host import shm
 from repro.image import ImageFormat, noise_frame
+from repro.image.pixel import ALL_CHANNELS
 
 _INTRA = sorted(INTRA_OPS.values(), key=lambda op: op.name)
 _INTER = sorted(INTER_OPS.values(), key=lambda op: op.name)
@@ -62,6 +68,15 @@ def _assert_same(got, want):
         assert got == want
     else:
         assert got.equals(want)
+
+
+def _psm_names():
+    """POSIX shared-memory names ``multiprocessing`` created."""
+    try:
+        return {name for name in os.listdir("/dev/shm")
+                if name.startswith("psm_")}
+    except FileNotFoundError:
+        return set()
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +148,67 @@ class TestPlaneStore:
         store = shm.PlaneStore()
         store.broken = True
         assert store.register(noise_frame(QCIF, seed=8)) is None
+
+
+# ---------------------------------------------------------------------------
+# Result slabs (exercised in-process)
+# ---------------------------------------------------------------------------
+
+@needs_shm
+class TestResultSlabs:
+    def teardown_method(self):
+        shm.reset_worker_cache()
+
+    @staticmethod
+    def _deliver(store, frame):
+        """Lease a slab, write ``frame`` into it as a worker would, and
+        adopt it; returns ``(slab, adopted frame)``."""
+        slab = store.lease_slab(frame.format)
+        assert shm.worker_write_slab(slab, frame)
+        return slab, store.adopt_slab(slab, frame.format)
+
+    def test_slab_recycles_only_after_last_view_dies(self):
+        store = shm.PlaneStore()
+        source = noise_frame(QCIF, seed=30)
+        try:
+            slab, adopted = self._deliver(store, source)
+            assert adopted.equals(source)
+            corner = adopted.aux[1:, ::2]  # a view of a plane view
+            del adopted
+            assert store.lease_slab(QCIF) != slab  # still viewed
+            del corner
+            assert store.lease_slab(QCIF) == slab
+            assert store.stats()["slabs_reused"] == 1
+        finally:
+            store.close()
+
+    def test_close_unlinks_every_slab_and_keeps_adopted_bytes(self):
+        store = shm.PlaneStore()
+        source = noise_frame(QCIF, seed=31)
+        _, adopted = self._deliver(store, source)
+        store.recycle_slab(store.lease_slab(QCIF))  # an idle one
+        names = store.active_segment_names()
+        assert len(names) == 2
+        store.close()
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shm._attach_segment(name)
+        assert adopted.equals(source)  # mapped until its last view
+        assert store.lease_slab(QCIF) is None
+
+    def test_idle_list_is_bounded_per_size(self):
+        store = shm.PlaneStore()
+        fmt = ImageFormat("S8x8", 8, 8)
+        try:
+            slabs = [store.lease_slab(fmt)
+                     for _ in range(shm._SLAB_IDLE_CAP + 1)]
+            for slab in slabs:
+                store.recycle_slab(slab)
+            assert len(store.active_segment_names()) == shm._SLAB_IDLE_CAP
+            with pytest.raises(FileNotFoundError):
+                shm._attach_segment(slabs[-1].segment_name)
+        finally:
+            store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +329,88 @@ class TestCorpusAcrossTransports:
 
 
 # ---------------------------------------------------------------------------
+# Slab lifetime and reuse under live waves
+# ---------------------------------------------------------------------------
+
+#: Two geometries of one payload size (so slabs cross between them)
+#: and one of another.
+_SLAB_FORMATS = (ImageFormat("A8x24", 8, 24), ImageFormat("B12x16", 12, 16),
+                 ImageFormat("C16x24", 16, 24))
+_SLAB_FRAMES = {fmt: [noise_frame(fmt, seed=40 + 3 * i + k)
+                      for k in range(3)]
+                for i, fmt in enumerate(_SLAB_FORMATS)}
+
+_slab_call = st.tuples(
+    st.sampled_from(("intra", "inter", "reduce")),
+    st.integers(0, 10_000),                      # op pick
+    st.sampled_from(_SLAB_FORMATS),
+    st.integers(0, 2), st.integers(0, 2),        # frame picks
+    st.sampled_from(("drop", "frame", "plane")),  # what to keep
+    st.sampled_from(ALL_CHANNELS))
+
+
+def _slab_batch_call(spec):
+    kind, op_pick, fmt, pick_a, pick_b = spec[:5]
+    frame_a, frame_b = _SLAB_FRAMES[fmt][pick_a], _SLAB_FRAMES[fmt][pick_b]
+    if kind == "intra":
+        return BatchCall.intra(_INTRA[op_pick % len(_INTRA)], frame_a)
+    op = _INTER[op_pick % len(_INTER)]
+    if kind == "reduce":
+        return BatchCall.inter_reduce(op, frame_a, frame_b)
+    return BatchCall.inter(op, frame_a, frame_b)
+
+
+def _run_wave(sched, wave, kept):
+    """Run one wave; append the results ``wave`` says to keep (a whole
+    frame, or one plane with its frame dropped) to ``kept`` beside the
+    serial reference."""
+    calls = [_slab_batch_call(spec) for spec in wave]
+    results = AddressLib(SoftwareBackend()).run_batch(calls, scheduler=sched)
+    assert sched.last_report.pool_calls == len(calls)
+    for spec, call, got in zip(wave, calls, results):
+        want = _serial_reference(call)
+        keep, channel = spec[5], spec[6]
+        if keep == "frame":
+            kept.append((got, want))
+        elif keep == "plane" and not isinstance(want, int):
+            kept.append((got.plane(channel), want.plane(channel)))
+
+
+@pytest.fixture(scope="module")
+def slab_scheduler():
+    with CallScheduler(max_workers=2, bypass="never") as sched:
+        yield sched
+
+
+@needs_shm
+@settings(max_examples=15, deadline=None)
+@given(waves=st.lists(st.lists(_slab_call, min_size=2, max_size=6),
+                      min_size=1, max_size=3))
+def test_slabs_outlive_their_views_and_recycle_in_steady_state(
+        slab_scheduler, waves):
+    kept = []
+    for wave in waves:
+        _run_wave(slab_scheduler, wave, kept)
+        for got, want in kept:
+            if isinstance(want, int):
+                assert got == want
+            elif hasattr(want, "equals"):
+                assert got.equals(want)
+            else:
+                assert (got == want).all()
+    # Steady state: once a wave's results are dropped, running it again
+    # leases only recycled slabs and registers nothing new.
+    _run_wave(slab_scheduler, waves[-1], [])
+    before = slab_scheduler.transport_stats()["store"]
+    _run_wave(slab_scheduler, waves[-1], [])
+    after = slab_scheduler.transport_stats()["store"]
+    frame_jobs = sum(spec[0] != "reduce" for spec in waves[-1])
+    assert after["slabs_created"] == before["slabs_created"]
+    assert after["segments_created"] == before["segments_created"]
+    assert after["slabs_reused"] - before["slabs_reused"] == frame_jobs
+
+
+# ---------------------------------------------------------------------------
 # Failure paths
 # ---------------------------------------------------------------------------
 
@@ -282,6 +440,9 @@ class TestWorkerDeath:
             results = lib.run_batch(calls, scheduler=sched)
             assert sched._pool_broken
             assert sched.last_report.inline_calls == 2
+            # The fallen-back wave's slabs went back to the idle list.
+            idle = sum(len(slabs) for slabs in store._idle_slabs.values())
+            assert idle == store.slabs_created == 2
             assert results[0].equals(
                 VectorExecutor.intra(INTRA_BOX3, frame_a))
             assert results[1].equals(
@@ -292,6 +453,38 @@ class TestWorkerDeath:
         for name in names:
             with pytest.raises(Exception):
                 shm._attach_segment(name)
+
+    def test_death_after_first_result_leaks_no_segments(self,
+                                                        monkeypatch):
+        """Each worker writes one result, then dies on its second job;
+        the results it wrote live in the parent's slabs, so closing the
+        scheduler leaves nothing behind in /dev/shm."""
+        before = _psm_names()
+        execute_call = scheduler_module._execute_call
+        jobs_run = [0]
+
+        def dies_on_second_job(*args):
+            jobs_run[0] += 1
+            if jobs_run[0] == 2:
+                os._exit(1)
+            return execute_call(*args)
+
+        # The pool forks on the first wave, so the workers inherit this.
+        monkeypatch.setattr(scheduler_module, "_execute_call",
+                            dies_on_second_job)
+        frames = [noise_frame(QCIF, seed=s) for s in (25, 26, 27, 28)]
+        calls = [BatchCall.intra(INTRA_BOX3, frame) for frame in frames]
+        lib = AddressLib(SoftwareBackend())
+        sched = CallScheduler(max_workers=2, bypass="never")
+        try:
+            results = lib.run_batch(calls, scheduler=sched)
+            assert sched._pool_broken
+            assert sched.last_report.inline_calls == len(calls)
+            for frame, got in zip(frames, results):
+                assert got.equals(VectorExecutor.intra(INTRA_BOX3, frame))
+        finally:
+            sched.close()
+        assert _psm_names() - before == set()
 
     def test_generation_bump_reaches_real_workers(self):
         frame = noise_frame(QCIF, seed=22)
