@@ -118,8 +118,6 @@ def test_scheduler_wallclock(save_report):
         "pool_calls": report.pool_calls,
         "inline_calls": report.inline_calls,
         "bypass_calls": report.bypass_calls,
-        "shm_calls": report.shm_calls,
-        "pickle_calls": report.pickle_calls,
         "wall": {
             "serial_seconds": serial_seconds,
             "scheduled_seconds": scheduled_seconds,

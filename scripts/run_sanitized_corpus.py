@@ -21,11 +21,12 @@ Two gates per pass, both required:
   stack is clean under instrumentation).
 
 Where shared memory is available, the scheduler pass must also have
-moved calls over it (``shm_calls > 0``): a pass that ran everything
-inline would leave the live transport unwatched.
+shipped calls to its workers (``pool_calls > 0``; every pool call
+crosses shared memory): a pass that ran everything inline would leave
+the live transport unwatched.
 
 Writes a JSON report (``--out``) with per-shard accounting, the
-scheduler pass's pool/shm/bypass call counts, the pool pass's wave
+scheduler pass's pool/bypass call counts, the pool pass's wave
 count and mean wave size (a pass that never coalesced shows), and
 every finding, for CI artifact upload.  Exit status is non-zero on any
 mismatch, error-severity finding, or unwatched transport.
@@ -128,7 +129,6 @@ def _scheduler_pass(workers: int, findings: List[Dict[str, Any]]
     return {"workers": workers,
             "mismatches": sum(s["mismatches"] for s in shards),
             "pool_calls": total.pool_calls,
-            "shm_calls": total.shm_calls,
             "bypass_calls": total.bypass_calls,
             "per_shard": shards}
 
@@ -189,14 +189,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     pool = _pool_pass(findings)
     mismatches = scheduler["mismatches"] + pool["mismatches"]
     errors = [f for f in findings if f["severity"] == "ERROR"]
-    unwatched = SHARED_MEMORY_AVAILABLE and scheduler["shm_calls"] == 0
+    unwatched = SHARED_MEMORY_AVAILABLE and scheduler["pool_calls"] == 0
     payload = {
         "seed": SEED, "shards": SHARDS,
         "cases": SHARDS * CASES_PER_SHARD, "workers": args.workers,
         "sanitize": ["all"], "mismatches": mismatches,
         "error_findings": len(errors), "findings": findings,
         "pool_calls": scheduler["pool_calls"],
-        "shm_calls": scheduler["shm_calls"],
         "bypass_calls": scheduler["bypass_calls"],
         "per_shard": scheduler["per_shard"],
         "pool": pool,
@@ -206,8 +205,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"wrote {args.out}: {payload['cases']} cases, "
           f"{mismatches} mismatch(es), {len(findings)} finding(s) "
           f"({len(errors)} error-severity); scheduler pass shipped "
-          f"{scheduler['pool_calls']} calls ({scheduler['shm_calls']} "
-          f"over shared memory, {scheduler['bypass_calls']} bypassed); "
+          f"{scheduler['pool_calls']} calls over shared memory "
+          f"({scheduler['bypass_calls']} bypassed); "
           f"pool pass ran {pool['waves']} waves of "
           f"{pool['mean_wave_size']:.2f} requests on average")
     if mismatches or errors:

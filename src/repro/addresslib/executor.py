@@ -770,25 +770,6 @@ class SoftwareCostModel:
 
     # -- exact counted-walk predictions -------------------------------------
 
-    def inter_counts_exact(self, fmt: ImageFormat,
-                           channels: ChannelSet = ChannelSet.Y
-                           ) -> Dict[str, int]:
-        """Exact per-channel tallies of one counted inter call.
-
-        Snapshot-shaped (the format of
-        :meth:`~repro.image.planar.AccessCounter.snapshot`), assuming
-        the two inputs and the output share one counter -- the way the
-        counted experiments wire their stores.  Both counted executors
-        must match this exactly; :func:`diff_access_snapshots` is the
-        comparison hook.
-        """
-        snapshot = _zero_snapshot()
-        for channel in channels_of(channels):
-            pixels = plane_pixels_420(fmt, channel)
-            _credit_snapshot(snapshot, channel,
-                             reads=2 * pixels, writes=pixels)
-        return snapshot
-
     def intra_counts_exact(self, op: IntraOp, fmt: ImageFormat,
                            channels: ChannelSet = ChannelSet.Y,
                            scan: ScanOrder = ScanOrder.HORIZONTAL

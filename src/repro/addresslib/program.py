@@ -124,10 +124,6 @@ class CallProgram:
         return cls(name=name, fmt=step.fmt, inputs=inputs, steps=(step,),
                    results=(output,) if output else ())
 
-    @property
-    def written_planes(self) -> Tuple[str, ...]:
-        return tuple(s.output for s in self.steps if s.output is not None)
-
 
 # ---------------------------------------------------------------------------
 # Dependency structure (what the pipelined scheduler is allowed to reorder)

@@ -138,9 +138,6 @@ class TransportPlan:
     waves: Tuple[Tuple[int, ...], ...]
     events: Tuple[PlanEvent, ...]
 
-    def by_kind(self, kind: str) -> List[PlanEvent]:
-        return [e for e in self.events if e.kind == kind]
-
 
 @dataclass
 class _Board:

@@ -29,12 +29,6 @@ from .diagnostics import Diagnostic
 from .rules import _diag
 
 
-def _step_label(plan: TransportPlan, event: PlanEvent) -> str:
-    return (f"wave {event.wave}"
-            + (f", step {event.step_index}"
-               if event.step_index is not None else ""))
-
-
 def shm_rules(plan: TransportPlan) -> List[Diagnostic]:
     """SHM001-SHM003: handle and segment lifecycle over the plan."""
     findings: List[Diagnostic] = []

@@ -75,10 +75,6 @@ class EngineRunResult:
         return self.cycles / self.clock_hz
 
     @property
-    def pci_busy_cycles(self) -> int:
-        return self.pci.busy_cycles
-
-    @property
     def non_pci_cycles(self) -> int:
         """Cycles not covered by PCI word movement: the paper's "time
         wasted not due to the PCI transferences"."""

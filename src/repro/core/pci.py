@@ -32,9 +32,6 @@ PCI_PEAK_BYTES_PER_SECOND = PCI_CLOCK_HZ * (PCI_WORD_BITS // 8)
 #: Calibrated so whole-call times land near Table 3 (see DESIGN.md).
 DEFAULT_JOB_OVERHEAD_CYCLES = 64
 
-#: "No event ahead" sentinel for the fast-path horizon queries.
-_INFINITE_HORIZON = 1 << 60
-
 
 @dataclass
 class DMAJob:
@@ -161,24 +158,6 @@ class PCIBus:
         if self._active is None and self._queue:
             self._active = self._queue.popleft()
         return self._active
-
-    def fast_event_horizon(self) -> int:
-        """Cycles until the bus can next change behaviour on its own.
-
-        This is the PCI component's "how many cycles until your next
-        event" answer: within the returned horizon the bus keeps doing
-        whatever it is doing this cycle (idling, paying job overhead, or
-        streaming words), and the *last* word of a job is excluded so it
-        always runs through :meth:`tick` (interrupts, completion
-        callbacks).  A return of 0 means the next cycle must be simulated
-        for real.
-        """
-        job = self.activate_next_job()
-        if job is None:
-            return _INFINITE_HORIZON
-        if job.overhead_remaining > 0:
-            return job.overhead_remaining
-        return job.total_words - job.words_done - 1
 
     def fast_advance_idle(self, cycles: int) -> None:
         self.idle_cycles += cycles

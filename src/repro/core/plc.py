@@ -89,11 +89,6 @@ class PlcStats:
     loads: int = 0
     shifts: int = 0
 
-    @property
-    def total_stalls(self) -> int:
-        return (self.stall_iim_wait + self.stall_oim_full
-                + self.stall_op_busy + self.stall_disabled)
-
 
 class PixelLevelController:
     """Drives the four-stage Process Unit, one clock per :meth:`tick`."""

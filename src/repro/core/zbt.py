@@ -203,12 +203,6 @@ class ZBTMemory:
         """Uncounted word write, for test setup."""
         self._banks[bank][address] = value & 0xFFFFFFFF
 
-    def reset_counters(self) -> None:
-        self.word_accesses = 0
-        self.access_cycles = 0
-        self.pixel_ops = 0
-        self.stats = [BankStats() for _ in range(BANK_COUNT)]
-
 
 @dataclass(frozen=True)
 class ZBTLayout:
@@ -241,10 +235,6 @@ class ZBTLayout:
     def __post_init__(self) -> None:
         if self.images_in not in (1, 2):
             raise ValueError("layout supports one or two input images")
-
-    @property
-    def words_per_line(self) -> int:
-        return self.fmt.width
 
     @property
     def strip_words(self) -> int:

@@ -7,7 +7,7 @@ from .driver import (AddressEngineDriver, CallPrice, DriverResult,
                      FrameResidencyCache)
 from .runtime import (RunReport, Runtime, engine_platform,
                       software_platform)
-from .scheduler import (BatchReport, CallScheduler, ProgramOutcome)
+from .scheduler import BatchReport, CallScheduler
 from .shm import (SHARED_MEMORY_AVAILABLE, FrameHandle, PlaneStore,
                   frame_payload_bytes)
 
@@ -23,7 +23,6 @@ __all__ = [
     "EngineBackendV2",
     "PlaneStore",
     "ProgramCheckError",
-    "ProgramOutcome",
     "SHARED_MEMORY_AVAILABLE",
     "frame_payload_bytes",
     "RunReport",

@@ -6,10 +6,7 @@ is overlapping *whole calls* that do not depend on each other.  This
 module supplies that second axis:
 
 * :class:`CallScheduler` executes batches of independent AddressLib
-  calls concurrently across a pool of engine worker processes, and
-  executes whole :class:`~repro.addresslib.program.CallProgram` traces
-  wavefront by wavefront using the dependency edges derived by
-  :func:`~repro.addresslib.program.dependency_edges`;
+  calls concurrently across a pool of engine worker processes;
 * frames move to workers *zero-copy and at most once*: each distinct
   input frame is registered in a shared-memory
   :class:`~repro.host.shm.PlaneStore` once per wave and shipped as a
@@ -34,12 +31,16 @@ module supplies that second axis:
   makespan speedup a multi-board deployment would see, independent of
   how many CPUs this host happens to have.
 
+Shared memory is the only transport.  A call that cannot take it -- no
+shared memory on the platform, a store that fails while its wave
+ships, a slab its worker cannot write, a worker that dies -- runs
+inline in the parent instead.
+
 Bit-exactness is by construction: workers run the *same*
 :class:`~repro.addresslib.executor.VectorExecutor` the serial path
 runs, and outcomes are collected by submission index, so results are
-identical to serial execution whatever the transport (shared memory,
-pickle fallback, inline bypass, or inline recovery after a worker
-death).
+identical to serial execution wherever a call ran (a worker, the
+inline bypass, or the inline fallback after a failure).
 
 Ops carry lambdas and do not pickle, so the parent never ships an op
 object: it ships the op *name* and the worker re-resolves it from the
@@ -56,7 +57,7 @@ import os
 import time
 import weakref
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Set,
                     Tuple, Union)
 
@@ -69,8 +70,6 @@ from ..addresslib.kernels import KERNEL_FACTORIES, kernel_by_name
 from ..addresslib.library import BatchCall, BatchExecutor, BatchOutcome
 from ..addresslib.ops import (ChannelSet, InterOp, INTER_OPS, INTRA_OPS,
                               IntraOp)
-from ..addresslib.program import (CallProgram, ProgramStep,
-                                  dependency_levels)
 from ..core.pci import PCI_CLOCK_HZ
 from ..image.frame import Frame
 from ..perf.report import base_report_dict
@@ -81,10 +80,9 @@ from . import shm
 _KERNEL_PREFIX = "kernel_"
 
 #: One call as shipped to a worker: mode, op token, reduce flag,
-#: channel set, per-frame transport specs (``("shm", FrameHandle)`` or
-#: ``("pickle", Frame)``), and the result slab leased to a call that
-#: produces a frame (``None``: return the result by pickle).
-_Job = Tuple[str, str, bool, ChannelSet, Tuple[Tuple[str, object], ...],
+#: channel set, the input frames' store handles, and the result slab
+#: leased to a call that produces a frame (``None`` for a reduce).
+_Job = Tuple[str, str, bool, ChannelSet, Tuple[shm.FrameHandle, ...],
              Optional[shm.SlabHandle]]
 
 
@@ -99,18 +97,17 @@ def _resolve_op(mode_value: str, op_name: str) -> Union[InterOp, IntraOp]:
 
 def _execute_call(mode_value: str, op_name: str, reduce_to_scalar: bool,
                   channels: ChannelSet, frames: Tuple[Frame, ...]
-                  ) -> Tuple[str, Union[Frame, int]]:
+                  ) -> Union[Frame, int]:
     """Execute one resolved call with the shared vector executor."""
     op = _resolve_op(mode_value, op_name)
     if mode_value == AddressingMode.INTER.value:
         assert isinstance(op, InterOp)
         if reduce_to_scalar:
-            return "scalar", VectorExecutor.inter_reduce(
+            return VectorExecutor.inter_reduce(
                 op, frames[0], frames[1], channels)
-        return "frame", VectorExecutor.inter(
-            op, frames[0], frames[1], channels)
+        return VectorExecutor.inter(op, frames[0], frames[1], channels)
     assert isinstance(op, IntraOp)
-    return "frame", VectorExecutor.intra(op, frames[0], channels)
+    return VectorExecutor.intra(op, frames[0], channels)
 
 
 def _noop() -> bool:
@@ -138,40 +135,34 @@ def _worker_init(sanitize_domains: Tuple[str, ...] = ()) -> None:
 
 
 def _execute_wave(jobs: Sequence[_Job], sanitize_domains: Tuple[str, ...]
-                  ) -> Tuple[List[Tuple[str, object]], Dict[str, object]]:
+                  ) -> Tuple[List[Union[int, bool]], Dict[str, object]]:
     """Worker-side execution of one worker's share of a wave.
 
     Runs in an engine worker process.  Input frames arrive as
-    shared-memory handles (attached through the worker-resident cache)
-    or as pickled frames; a result frame is written into the job's
-    leased slab (``("slab", None)``) when it has one, and pickled
-    otherwise.  Returns the per-call results in job order plus the
-    cache counters (and, when sanitized, the worker's drained findings)
-    of this trip.
+    shared-memory handles, attached through the worker-resident cache.
+    Returns one value per job, in job order -- a reduce's scalar, or
+    whether the result frame went into the job's leased slab (``False``
+    sends that call back to the parent to run inline) -- plus the cache
+    counters (and, when sanitized, the worker's drained findings) of
+    this trip.
     """
-    results: List[Tuple[str, object]] = []
+    results: List[Union[int, bool]] = []
     stats: Dict[str, object] = {"cache_hits": 0, "attaches": 0}
-    for (mode_value, op_name, reduce_to_scalar, channels, specs,
+    for (mode_value, op_name, reduce_to_scalar, channels, handles,
          slab) in jobs:
         frames: List[Frame] = []
-        for spec_kind, payload in specs:
-            if spec_kind == "shm":
-                assert isinstance(payload, shm.FrameHandle)
-                frame, hit = shm.worker_attach(payload)
-                stats["cache_hits" if hit else "attaches"] += 1
-                frames.append(frame)
-            else:
-                assert isinstance(payload, Frame)
-                frames.append(payload)
-        kind, value = _execute_call(mode_value, op_name,
-                                    reduce_to_scalar, channels,
-                                    tuple(frames))
-        if slab is not None and kind == "frame":
+        for handle in handles:
+            frame, hit = shm.worker_attach(handle)
+            stats["cache_hits" if hit else "attaches"] += 1
+            frames.append(frame)
+        value = _execute_call(mode_value, op_name, reduce_to_scalar,
+                              channels, tuple(frames))
+        if slab is None:
+            assert isinstance(value, int)
+            results.append(value)
+        else:
             assert isinstance(value, Frame)
-            if shm.worker_write_slab(slab, value):
-                results.append(("slab", None))
-                continue
-        results.append((kind, value))
+            results.append(shm.worker_write_slab(slab, value))
     if sanitize_domains:
         try:
             from ..analysis import sanitize as _sanitize
@@ -190,18 +181,14 @@ class BatchReport:
     calls: int = 0
     waves: int = 0
     workers: int = 1
-    #: Calls executed in worker processes.
+    #: Calls executed in worker processes (over shared memory).
     pool_calls: int = 0
-    #: Calls executed inline (unresolvable op, a broken pool, or a
-    #: failed transport).
+    #: Calls executed inline (unresolvable op, no shared memory, or a
+    #: failed pool, store or slab).
     inline_calls: int = 0
     #: Calls the cost model kept in the parent: modeled compute saving
     #: below modeled shipping cost.
     bypass_calls: int = 0
-    #: Pool calls whose inputs moved as shared-memory handles.
-    shm_calls: int = 0
-    #: Pool calls whose inputs were pickled (shm unavailable/broken).
-    pickle_calls: int = 0
     #: Grouped submissions (one per worker per wave).
     round_trips: int = 0
     #: Wall seconds registering frames and submitting groups.
@@ -240,8 +227,6 @@ class BatchReport:
             pool_calls=self.pool_calls,
             inline_calls=self.inline_calls,
             bypass_calls=self.bypass_calls,
-            shm_calls=self.shm_calls,
-            pickle_calls=self.pickle_calls,
             round_trips=self.round_trips,
             ship_seconds=self.ship_seconds,
             compute_seconds=self.compute_seconds,
@@ -253,28 +238,13 @@ class BatchReport:
 
 
 @dataclass
-class ProgramOutcome:
-    """Everything a scheduled program run produced."""
-
-    #: Every named plane: the program inputs plus each step's output.
-    planes: Dict[str, Frame] = field(default_factory=dict)
-    #: Scalar results of reduce steps, keyed by step index.
-    scalars: Dict[int, int] = field(default_factory=dict)
-
-    def results(self, program: CallProgram) -> Tuple[Frame, ...]:
-        """The program's declared result planes, in order."""
-        return tuple(self.planes[name] for name in program.results)
-
-
-@dataclass
 class _Group:
-    """One worker's share of a wave: call indices, input transport per
-    call, the slab leased to each call, and the pending submission."""
+    """One worker's share of a wave: call indices, the slab leased to
+    each call, and the pending submission."""
 
     indices: List[int]
-    transports: List[str]
     slabs: List[Optional[shm.SlabHandle]]
-    future: Optional[Future]
+    future: Optional[Future] = None
 
 
 class _PoolResources:
@@ -294,49 +264,49 @@ class _PoolResources:
         self.pool: Optional[ProcessPoolExecutor] = None
         self.store: Optional[shm.PlaneStore] = None
 
-    def release(self) -> None:
+    def drop_pool(self) -> None:
         pool, self.pool = self.pool, None
         if pool is not None:
             try:
                 pool.shutdown(wait=False, cancel_futures=True)
             except Exception:
                 pass
+
+    def drop_store(self) -> None:
         store, self.store = self.store, None
         if store is not None:
             store.close()
+
+    def release(self) -> None:
+        self.drop_pool()
+        self.drop_store()
 
 
 class CallScheduler(BatchExecutor):
     """Shards independent AddressLib calls across engine workers.
 
     The pool is created lazily on the first batched call and survives
-    across batches (worker warm-up is paid once).  Any pool failure --
-    a worker that cannot start, dies, or cannot unpickle -- flips the
-    scheduler into inline mode for the rest of its life: results are
-    then computed serially in the parent, still bit-exact, never lost.
+    across batches (worker warm-up is paid once).  Frames reach the
+    workers as plane-store handles and results return through slabs.
+    A call that cannot go that way -- no shared memory, a store that
+    fails while its wave ships, a slab its worker cannot write, a
+    worker that cannot start or dies -- runs inline in the parent,
+    still bit-exact, never lost.  A failed pool or store is shut down
+    and dropped; the next batch builds a fresh one.
 
-    ``transport`` selects the input data path: ``"auto"`` (shared
-    memory when available, pickle otherwise), ``"shm"`` (require shared
-    memory), ``"pickle"`` (never use shared memory).  ``bypass``
-    selects the inline-bypass policy: ``"auto"`` (cost model decides
-    per call), ``"never"`` (ship every shippable call), ``"always"``
-    (run everything inline in the parent).
+    ``bypass`` selects the inline-bypass policy: ``"auto"`` (cost model
+    decides per call), ``"never"`` (ship every shippable call),
+    ``"always"`` (run everything inline in the parent).
     """
 
     def __init__(self, max_workers: Optional[int] = None,
                  timing: Optional[EngineTimingModel] = None,
                  special_inter_ops: Sequence[str] = (), *,
-                 transport: str = "auto", bypass: str = "auto",
-                 transport_model: Optional[TransportCostModel] = None,
+                 bypass: str = "auto",
                  sanitize: Optional[Sequence[str]] = None
                  ) -> None:
-        if transport not in ("auto", "shm", "pickle"):
-            raise ValueError(f"unknown transport {transport!r}")
         if bypass not in ("auto", "never", "always"):
             raise ValueError(f"unknown bypass policy {bypass!r}")
-        if transport == "shm" and not shm.SHARED_MEMORY_AVAILABLE:
-            raise ValueError("transport='shm' requires "
-                             "multiprocessing.shared_memory")
         if sanitize is None:
             env = os.environ.get("REPRO_SANITIZE", "")
             sanitize = [part.strip() for part in env.split(",")
@@ -357,17 +327,15 @@ class CallScheduler(BatchExecutor):
         #: Inter ops priced with ``requires_full_frames`` (the modelled
         #: overlap gives them no credit; see section 4.1).
         self.special_inter_ops = frozenset(special_inter_ops)
-        self.transport = transport
         self.bypass = bypass
-        self.transport_model = transport_model or TransportCostModel()
+        self._transport_costs = TransportCostModel()
         self._resources = _PoolResources()
         self._finalizer = weakref.finalize(self, _PoolResources.release,
                                            self._resources)
-        self._pool_broken = False
         self._closed = False
         self._cost_model = SoftwareCostModel()
         self._inline_cache: Dict[Tuple, float] = {}
-        #: Measured pool round trip (None until the pool is probed).
+        #: Measured round trip of the current pool (None until probed).
         self._round_trip_s: Optional[float] = None
         #: Books of the most recent batch.
         self.last_report: Optional[BatchReport] = None
@@ -395,7 +363,9 @@ class CallScheduler(BatchExecutor):
         self.close()
 
     def _ensure_pool(self) -> Optional[ProcessPoolExecutor]:
-        if self._closed or self._pool_broken or self.max_workers < 2:
+        """The worker pool, or ``None``: the wave runs inline."""
+        if (self._closed or self.max_workers < 2
+                or not shm.SHARED_MEMORY_AVAILABLE):
             return None
         if self._resources.pool is None:
             try:
@@ -406,17 +376,19 @@ class CallScheduler(BatchExecutor):
                     initializer=_worker_init,
                     initargs=(self.sanitize_domains,))
             except Exception:
-                self._pool_broken = True
                 return None
         return self._resources.pool
 
-    def _ensure_store(self) -> Optional[shm.PlaneStore]:
-        if self.transport == "pickle" or self._closed:
-            return None
-        store = self._resources.store
-        if store is None:
-            store = self._resources.store = shm.PlaneStore()
-        return None if store.broken else store
+    def _pool_failed(self) -> None:
+        """Shut a failed pool down and forget its round trip: the next
+        batch forks a fresh pool and probes it again."""
+        self._resources.drop_pool()
+        self._round_trip_s = None
+
+    def _ensure_store(self) -> shm.PlaneStore:
+        if self._resources.store is None:
+            self._resources.store = shm.PlaneStore()
+        return self._resources.store
 
     # -- op shipping ----------------------------------------------------------
 
@@ -453,14 +425,6 @@ class CallScheduler(BatchExecutor):
         return BatchOutcome(frame=VectorExecutor.intra(
             call.op, call.frames[0], call.channels))
 
-    @staticmethod
-    def _outcome(kind: str, value: object) -> BatchOutcome:
-        if kind == "scalar":
-            assert isinstance(value, int)
-            return BatchOutcome(scalar=value)
-        assert isinstance(value, Frame)
-        return BatchOutcome(frame=value)
-
     # -- modelled timing ------------------------------------------------------
 
     def _call_costs(self, call: BatchCall) -> Tuple[float, float]:
@@ -493,12 +457,13 @@ class CallScheduler(BatchExecutor):
         """Workers that can actually run concurrently on this host."""
         return min(self.max_workers, os.cpu_count() or 1)
 
-    def _measured_round_trip(self, pool: ProcessPoolExecutor) -> float:
-        """The pool's fixed submission cost, measured once.
+    def _measured_round_trip(self, pool: ProcessPoolExecutor
+                             ) -> Optional[float]:
+        """The pool's fixed submission cost, measured once per pool.
 
         The first probe absorbs worker process start-up; only the
-        second is timed.  A failed probe marks the pool broken and
-        answers the model default.
+        second is timed.  A failed probe drops the pool and answers
+        ``None``.
         """
         if self._round_trip_s is None:
             try:
@@ -508,8 +473,7 @@ class CallScheduler(BatchExecutor):
                 self._round_trip_s = max(
                     time.perf_counter() - start, 1e-5)
             except Exception:
-                self._pool_broken = True
-                self._round_trip_s = self.transport_model.round_trip_s
+                self._pool_failed()
         return self._round_trip_s
 
     def _inline_seconds(self, call: BatchCall) -> float:
@@ -529,7 +493,7 @@ class CallScheduler(BatchExecutor):
                 assert isinstance(call.op, IntraOp)
                 profile = self._cost_model.intra_profile(
                     call.op, fmt, call.channels)
-            cached = self.transport_model.inline_seconds(
+            cached = self._transport_costs.inline_seconds(
                 profile.total_instructions)
             self._inline_cache[key] = cached
         return cached
@@ -537,17 +501,10 @@ class CallScheduler(BatchExecutor):
     def _ship_seconds(self, call: BatchCall, amortized_calls: int,
                       round_trip_s: float) -> float:
         """Modeled cost of shipping ``call`` to a worker and back."""
-        store = self._resources.store
-        zero_copy = (self.transport != "pickle"
-                     and shm.SHARED_MEMORY_AVAILABLE
-                     and (store is None or not store.broken))
-        moved_frames = len(call.frames) + (0 if call.reduce_to_scalar
-                                           else 1)
-        payload = (0 if zero_copy
-                   else shm.frame_payload_bytes(call.fmt) * moved_frames)
-        return self.transport_model.ship_seconds(
-            payload, moved_frames, zero_copy,
-            amortized_calls=amortized_calls, round_trip_s=round_trip_s)
+        handles = len(call.frames) + (0 if call.reduce_to_scalar else 1)
+        return self._transport_costs.ship_seconds(
+            handles, amortized_calls=amortized_calls,
+            round_trip_s=round_trip_s)
 
     def _should_bypass(self, call: BatchCall, amortized_calls: int,
                        round_trip_s: float) -> bool:
@@ -575,7 +532,8 @@ class CallScheduler(BatchExecutor):
         bypass decisions), *ship* (register frames, lease result slabs,
         one grouped submission per worker), *compute* (inline calls plus
         waiting on workers, with whole-group inline fallback on any pool
-        failure), *gather* (adopt the result slabs).
+        failure), *gather* (adopt the result slabs; a slab the worker
+        could not write runs its call inline).
         """
         calls = list(calls)
         outcomes: List[Optional[BatchOutcome]] = [None] * len(calls)
@@ -588,7 +546,6 @@ class CallScheduler(BatchExecutor):
         tokens = [self._op_token(call) for call in calls]
         pool = self._ensure_pool() if len(calls) > 1 else None
         shipped, bypassed = self._plan(calls, tokens, pool, report)
-        shipped_set: Set[int] = set(shipped)
 
         # Ship: register every distinct frame once, lease result slabs,
         # submit one grouped job list per worker.
@@ -597,12 +554,13 @@ class CallScheduler(BatchExecutor):
             start = time.perf_counter()
             groups = self._ship(calls, tokens, shipped, pool, report)
             report.ship_seconds = time.perf_counter() - start
+        in_groups = {index for group in groups for index in group.indices}
 
         # Compute: inline work runs while the workers chew on theirs;
         # then collect each group, falling back inline group-wise.
         start = time.perf_counter()
         for index, call in enumerate(calls):
-            if index in shipped_set:
+            if index in in_groups:
                 continue
             outcomes[index] = self._execute_inline(call)
             if index in bypassed:
@@ -611,40 +569,41 @@ class CallScheduler(BatchExecutor):
                 report.inline_calls += 1
         store = self._resources.store
         collected = []
+        pool_failed = False
         for group in groups:
+            assert store is not None
             items = self._collect(group.future, report)
             if items is None or len(items) != len(group.indices):
-                self._pool_broken = True
+                pool_failed = True
                 self._recycle(store, group.slabs)
                 for index in group.indices:
                     outcomes[index] = self._execute_inline(calls[index])
                     report.inline_calls += 1
                 continue
             collected.append((group, items))
+        if pool_failed:
+            self._pool_failed()
         report.compute_seconds = time.perf_counter() - start
 
         # Gather: adopt the result slabs as zero-copy frames.
         start = time.perf_counter()
         for group, items in collected:
-            for index, transport, slab, (kind, value) in zip(
-                    group.indices, group.transports, group.slabs, items):
-                if kind == "slab":
-                    assert store is not None and slab is not None
-                    frame = store.adopt_slab(slab, calls[index].fmt)
+            assert store is not None
+            for index, slab, value in zip(group.indices, group.slabs,
+                                          items):
+                call = calls[index]
+                if slab is None:  # a reduce: the value is its scalar
+                    outcomes[index] = BatchOutcome(scalar=value)
+                else:
+                    frame = (store.adopt_slab(slab, call.fmt) if value
+                             else None)
                     if frame is None:
-                        outcomes[index] = self._execute_inline(
-                            calls[index])
+                        store.recycle_slab(slab)
+                        outcomes[index] = self._execute_inline(call)
                         report.inline_calls += 1
                         continue
                     outcomes[index] = BatchOutcome(frame=frame)
-                else:
-                    self._recycle(store, (slab,))
-                    outcomes[index] = self._outcome(kind, value)
                 report.pool_calls += 1
-                if transport == "shm":
-                    report.shm_calls += 1
-                else:
-                    report.pickle_calls += 1
         report.gather_seconds = time.perf_counter() - start
 
         serial, pipelined = self._modeled_wave(calls)
@@ -683,8 +642,8 @@ class CallScheduler(BatchExecutor):
             return [], set(candidates)
         assert pool is not None
         round_trip = self._measured_round_trip(pool)
-        if self._pool_broken:
-            return [], set(candidates)
+        if round_trip is None:
+            return [], set()
         groups = min(self.max_workers, len(candidates))
         amortized = max(1, -(-len(candidates) // groups))
         shipped, bypassed = [], set()
@@ -701,68 +660,58 @@ class CallScheduler(BatchExecutor):
               ) -> List[_Group]:
         """Register each distinct input frame once, lease a result slab
         to each job that produces a frame, and submit one job group per
-        worker."""
+        worker.
+
+        Nothing is submitted until the whole wave is in the store.  A
+        store that fails on the way is closed and dropped, and no group
+        ships: every call of the wave runs inline.  A group whose
+        submission fails has no future and runs inline when collected.
+        """
         store = self._ensure_store()
         observer = shm.get_transport_observer()
         # Every frame of the wave is alive (the calls hold them), so
         # id() names one frame for the whole pass.
-        specs_by_frame: Dict[int, Tuple[str, object]] = {}
-        groups = []
-        for indices in self._group_by_worker(shipped, calls):
+        handles: Dict[int, shm.FrameHandle] = {}
+        for frame in {id(frame): frame for index in shipped
+                      for frame in calls[index].frames}.values():
+            handle = store.register(frame)
+            if handle is None:
+                self._resources.drop_store()
+                return []
+            if observer is not None:
+                observer.handle_shipped(handle)
+            handles[id(frame)] = handle
+        groups = [_Group(indices, [None if calls[index].reduce_to_scalar
+                                   else store.lease_slab(calls[index].fmt)
+                                   for index in indices])
+                  for indices in self._group_by_worker(shipped, calls)]
+        if store.broken:
+            self._resources.drop_store()  # unlinks the leased slabs
+            return []
+        for group in groups:
             jobs: List[_Job] = []
-            transports: List[str] = []
-            slabs: List[Optional[shm.SlabHandle]] = []
-            for index in indices:
-                call = calls[index]
-                specs = []
-                for frame in call.frames:
-                    spec = specs_by_frame.get(id(frame))
-                    if spec is None:
-                        spec = self._frame_spec(store, frame, observer)
-                        specs_by_frame[id(frame)] = spec
-                    specs.append(spec)
-                transports.append(
-                    "shm" if all(k == "shm" for k, _ in specs)
-                    else "pickle")
-                slab = (store.lease_slab(call.fmt)
-                        if store is not None and not call.reduce_to_scalar
-                        else None)
-                slabs.append(slab)
-                token = tokens[index]
+            for index, slab in zip(group.indices, group.slabs):
+                call, token = calls[index], tokens[index]
                 assert token is not None
                 jobs.append((call.mode.value, token,
                              call.reduce_to_scalar, call.channels,
-                             tuple(specs), slab))
-            future: Optional[Future] = None
+                             tuple(handles[id(frame)]
+                                   for frame in call.frames), slab))
             try:
                 assert pool is not None
-                future = pool.submit(_execute_wave, jobs,
-                                     self.sanitize_domains)
+                group.future = pool.submit(_execute_wave, jobs,
+                                           self.sanitize_domains)
                 report.round_trips += 1
             except Exception:
-                self._pool_broken = True
-            groups.append(_Group(list(indices), transports, slabs, future))
+                pass  # no future: the group runs inline when collected
         return groups
 
     @staticmethod
-    def _frame_spec(store: Optional[shm.PlaneStore], frame: Frame,
-                    observer: Optional[shm.TransportObserver]
-                    ) -> Tuple[str, object]:
-        """How ``frame`` travels: its store handle, or the frame itself
-        when shared memory is off or broke."""
-        handle = store.register(frame) if store is not None else None
-        if handle is None:
-            return ("pickle", frame)
-        if observer is not None:
-            observer.handle_shipped(handle)
-        return ("shm", handle)
-
-    @staticmethod
-    def _recycle(store: Optional[shm.PlaneStore],
+    def _recycle(store: shm.PlaneStore,
                  slabs: Sequence[Optional[shm.SlabHandle]]) -> None:
         """Return slabs whose jobs delivered nothing into them."""
         for slab in slabs:
-            if slab is not None and store is not None:
+            if slab is not None:
                 store.recycle_slab(slab)
 
     def _group_by_worker(self, indices: List[int],
@@ -791,16 +740,15 @@ class CallScheduler(BatchExecutor):
         return [group for group in groups if group]
 
     def _collect(self, future: Optional[Future], report: BatchReport
-                 ) -> Optional[List[Tuple[str, object]]]:
+                 ) -> Optional[List[Union[int, bool]]]:
         """One group's results, or ``None`` after any pool failure."""
         if future is None:
             return None
         try:
             items, stats = future.result()
         except Exception:
-            # Worker died or the payload would not round-trip:
-            # recompute inline, flag the pool, keep the batch whole.
-            self._pool_broken = True
+            # A worker died or the trip failed: the caller recomputes
+            # the group inline and replaces the pool.
             return None
         hits = stats.get("cache_hits", 0)
         attaches = stats.get("attaches", 0)
@@ -820,8 +768,6 @@ class CallScheduler(BatchExecutor):
         self.total.pool_calls += report.pool_calls
         self.total.inline_calls += report.inline_calls
         self.total.bypass_calls += report.bypass_calls
-        self.total.shm_calls += report.shm_calls
-        self.total.pickle_calls += report.pickle_calls
         self.total.round_trips += report.round_trips
         self.total.ship_seconds += report.ship_seconds
         self.total.compute_seconds += report.compute_seconds
@@ -836,62 +782,13 @@ class CallScheduler(BatchExecutor):
         """The transport books: scheduler counters plus store state."""
         store = self._resources.store
         return {
-            "transport": self.transport,
             "bypass": self.bypass,
             "round_trip_s": self._round_trip_s,
             "round_trips": self.total.round_trips,
             "pool_calls": self.total.pool_calls,
             "inline_calls": self.total.inline_calls,
             "bypass_calls": self.total.bypass_calls,
-            "shm_calls": self.total.shm_calls,
-            "pickle_calls": self.total.pickle_calls,
             "worker_cache_hits": self.total.worker_cache_hits,
             "worker_cache_attaches": self.total.worker_cache_attaches,
             "store": store.stats() if store is not None else {},
         }
-
-    # -- whole-program execution ----------------------------------------------
-
-    @staticmethod
-    def _step_call(step: ProgramStep,
-                   planes: Dict[str, Frame]) -> BatchCall:
-        try:
-            frames = tuple(planes[name] for name in step.inputs)
-        except KeyError as missing:
-            raise ValueError(
-                f"program step {step.index} reads undefined plane "
-                f"{missing.args[0]!r}") from None
-        return BatchCall(mode=step.mode, op=step.op, frames=frames,
-                         channels=step.channels,
-                         reduce_to_scalar=step.reduce_to_scalar)
-
-    def run_program(self, program: CallProgram,
-                    inputs: Sequence[Frame]) -> ProgramOutcome:
-        """Execute a whole call program, wavefront by wavefront.
-
-        Steps inside one dependency level are mutually independent (the
-        RAW/WAW/WAR edges of
-        :func:`~repro.addresslib.program.dependency_edges` all cross
-        levels), so each level is one :meth:`compute_batch` wave.
-        Results are bit-exact with executing the steps in program order.
-        """
-        if len(inputs) != len(program.inputs):
-            raise ValueError(
-                f"program {program.name!r} takes {len(program.inputs)} "
-                f"inputs, got {len(inputs)}")
-        outcome = ProgramOutcome(
-            planes=dict(zip(program.inputs, inputs)))
-        for level in dependency_levels(program):
-            steps = [program.steps[index] for index in level]
-            batch = [self._step_call(step, outcome.planes)
-                     for step in steps]
-            results = self.compute_batch(batch)
-            for step, result in zip(steps, results):
-                if step.reduce_to_scalar:
-                    assert result.scalar is not None
-                    outcome.scalars[step.index] = result.scalar
-                else:
-                    assert result.frame is not None
-                    if step.output is not None:
-                        outcome.planes[step.output] = result.frame
-        return outcome

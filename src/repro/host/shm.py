@@ -35,10 +35,11 @@ Three cooperating pieces:
   every slab when it closes -- a worker that dies mid-wave orphans
   nothing.
 
-Everything degrades to pickle transport: when the platform has no
-``multiprocessing.shared_memory`` (:data:`SHARED_MEMORY_AVAILABLE` is
-False) or a segment operation fails at runtime, the store flips
-``broken`` and the scheduler falls back to shipping whole frames.
+Shared memory is the scheduler's only transport.  When the platform
+has no ``multiprocessing.shared_memory`` (:data:`SHARED_MEMORY_AVAILABLE`
+is False) nothing ships; when a segment operation fails at runtime, the
+store flips ``broken`` and the scheduler runs that wave inline in the
+parent, then replaces the store with a fresh one.
 """
 
 from __future__ import annotations
@@ -381,7 +382,7 @@ class PlaneStore:
     segment as soon as the frame is collected, so an input that falls
     out of use never pins its bytes.  Any segment failure flips
     ``broken`` and the store answers ``None`` from then on -- the
-    caller's signal to fall back to pickle transport.
+    caller's signal to run the wave inline and replace the store.
     """
 
     def __init__(self) -> None:
@@ -410,8 +411,8 @@ class PlaneStore:
 
         Re-registering an unchanged frame returns the existing handle;
         a mutated frame gets a new segment under a bumped generation.
-        ``None`` means shared memory is unavailable or broke: ship the
-        frame by pickle instead.
+        ``None`` means shared memory is unavailable or broke: the frame
+        cannot ship.
         """
         if self.broken or self.closed:
             return None
@@ -513,8 +514,7 @@ class PlaneStore:
 
         Reuses an idle slab of the same payload size when there is one
         and creates a segment otherwise.  ``None`` means shared memory
-        is unavailable or broke: the worker returns its result by
-        pickle instead.
+        is unavailable or broke: the call cannot ship.
         """
         if self.broken or self.closed:
             return None
@@ -714,7 +714,7 @@ def worker_cache_size() -> int:
 def worker_write_slab(slab: SlabHandle, frame: Frame) -> bool:
     """Write a result frame into its leased slab; ``False`` means the
     slab cannot take it (a payload of another size, or a slab the
-    parent already unlinked): return the frame by pickle instead.
+    parent already unlinked): the parent runs the call inline instead.
 
     The slab is mapped once per worker and kept in an LRU, so a
     recycled slab costs one copy of the planes and nothing else.

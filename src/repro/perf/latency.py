@@ -88,17 +88,6 @@ class LatencyTracker:
     def p99(self) -> Optional[float]:
         return self.quantile(99.0)
 
-    def fraction_within(self, bound_seconds: float) -> float:
-        """Fraction of recorded samples at or under ``bound_seconds``;
-        0.0 with no samples (like the percentiles, an SLO figure over
-        nothing is the caller's accounting problem -- check ``count``
-        before gating on this)."""
-        if not self._samples:
-            return 0.0
-        within = sum(1 for sample in self._samples
-                     if sample <= bound_seconds)
-        return within / len(self._samples)
-
     def to_dict(self) -> dict:
         """The percentile book every latency-reporting layer nests:
         count/mean/p50/p95/p99/max, percentiles ``None`` when empty."""

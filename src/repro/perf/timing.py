@@ -67,30 +67,22 @@ class TransportCostModel:
     #: Per shared-memory handle: pickle of the tiny handle plus the
     #: (amortised) worker-side attach.
     handle_s: float = 2e-5
-    #: Throughput of pickling numpy payloads through the executor's
-    #: pipes -- the fallback transport's per-byte cost.
-    pickle_bytes_per_s: float = 400e6
     #: Seconds per modeled software instruction when estimating inline
     #: (parent-side) execution from a ``SoftwareCostModel`` profile.
     #: Calibrated against the vector executor's measured throughput on
     #: CIF intra calls, not against the paper's scalar CPUs.
     instruction_s: float = 0.5e-9
 
-    def ship_seconds(self, payload_bytes: int, handles: int,
-                     zero_copy: bool, amortized_calls: int = 1,
+    def ship_seconds(self, handles: int, amortized_calls: int = 1,
                      round_trip_s: Optional[float] = None) -> float:
         """Modeled cost of shipping one call to a worker and back.
 
+        ``handles`` counts the call's input frames and result slab;
         ``amortized_calls`` is how many calls share the round trip
-        (grouped dispatch sends one submission per worker per wave);
-        ``payload_bytes`` only counts under pickle transport
-        (``zero_copy`` false).
+        (grouped dispatch sends one submission per worker per wave).
         """
         fixed = self.round_trip_s if round_trip_s is None else round_trip_s
-        cost = fixed / max(1, amortized_calls) + handles * self.handle_s
-        if not zero_copy:
-            cost += payload_bytes / self.pickle_bytes_per_s
-        return cost
+        return fixed / max(1, amortized_calls) + handles * self.handle_s
 
     def inline_seconds(self, instructions: float) -> float:
         """Estimated parent-side execution time of one call."""

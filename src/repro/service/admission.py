@@ -97,15 +97,6 @@ class AdmissionController:
         estimate.count = estimate.decayed(now, tau) + 1.0
         estimate.last_seconds = max(estimate.last_seconds, now)
 
-    def observed_rate(self, tenant: Optional[str],
-                      now: float) -> float:
-        """``tenant``'s decayed arrival rate (requests per modeled s)."""
-        estimate = self._rates.get(tenant)
-        if estimate is None:
-            return 0.0
-        tau = self.policy.rate_tau_seconds
-        return estimate.decayed(now, tau) / tau
-
     def _share_shade(self, tenant: Optional[str], now: float) -> float:
         """``min(1, fair share / observed share)`` of ``tenant``.
 

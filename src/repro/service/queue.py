@@ -79,14 +79,6 @@ class RequestQueue:
     def __bool__(self) -> bool:
         return self._size > 0
 
-    def depth_of(self, priority: Priority) -> int:
-        return sum(len(bucket)
-                   for bucket in self._classes[priority].values())
-
-    def queued_of(self, tenant: Optional[str]) -> int:
-        """Requests ``tenant`` currently holds queued."""
-        return self._queued_by_tenant.get(tenant, 0)
-
     @property
     def has_space(self) -> bool:
         """Whether :meth:`offer` would currently accept a request."""

@@ -2,10 +2,10 @@
 
 Every ```` ```python ```` block in ``README.md`` and ``docs/*.md`` is
 parsed (not run: snippets lean on frames and calls the prose around
-them defines), and each call to a serving constructor or options
-record is bound against the callee's real signature with
-``inspect.signature(...).bind_partial`` -- a keyword the code does not
-take fails here instead of in a reader's terminal.
+them defines), and each call to a serving constructor, options record
+or the call scheduler is bound against the callee's real signature
+with ``inspect.signature(...).bind_partial`` -- a keyword the code
+does not take fails here instead of in a reader's terminal.
 """
 
 import ast
@@ -18,6 +18,7 @@ import pytest
 
 from repro.api import (AdmissionPolicy, EnginePool, EngineService,
                        ServicePolicy, SubmitOptions, TenantPolicy)
+from repro.host import CallScheduler
 from repro.service import AdmissionController, MicroBatcher, RequestQueue
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -34,6 +35,7 @@ CALLEES = {
     "RequestQueue": RequestQueue,
     "MicroBatcher": MicroBatcher,
     "AdmissionController": AdmissionController,
+    "CallScheduler": CallScheduler,
 }
 
 _BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)

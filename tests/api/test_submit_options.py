@@ -17,8 +17,9 @@ from repro.addresslib import AddressLib, BatchCall, INTRA_GRAD
 from repro.api import (AdmissionPolicy, EnginePool, EngineService,
                        Priority, SubmitOptions)
 from repro.core import intra_config
-from repro.host import AddressEngineDriver, EngineBackend
+from repro.host import AddressEngineDriver, CallScheduler, EngineBackend
 from repro.image import ImageFormat, noise_frame
+from repro.perf import TransportCostModel
 from repro.service import MicroBatcher, RequestQueue
 
 QCIF = ImageFormat("QCIF", 176, 144)
@@ -144,10 +145,13 @@ class TestOldSpellingsRemoved:
         lambda: AddressEngineDriver().submit(
             intra_config(INTRA_GRAD, SMALL), noise_frame(SMALL, seed=1),
             None, [True]),
+        lambda: CallScheduler(transport="shm"),
+        lambda: CallScheduler(transport_model=TransportCostModel()),
     ], ids=["service-queue_depth", "service-lib",
             "service-virtual_engines", "service-AdmissionPolicy",
             "queue-max_depth", "batcher-max_batch", "submit-priority",
-            "run_batch-positional", "driver-positional"])
+            "run_batch-positional", "driver-positional",
+            "scheduler-transport", "scheduler-cost-model"])
     def test_old_spelling_raises_type_error(self, spelling):
         with pytest.raises(TypeError):
             spelling()

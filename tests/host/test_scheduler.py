@@ -19,6 +19,7 @@ from repro.addresslib import (AddressLib, BatchCall, INTER_ABSDIFF,
                               dependency_edges, dependency_levels,
                               kernel_by_name, threshold_op, trace_program)
 from repro.host import CallScheduler, EngineBackend
+from repro.host import scheduler as scheduler_module
 from repro.image import ImageFormat, noise_frame
 
 _INTRA = sorted(INTRA_OPS.values(), key=lambda op: op.name)
@@ -199,9 +200,7 @@ class TestOpShipping:
 
 
 class TestProgramExecution:
-    def _program_and_reference(self):
-        src = noise_frame(QCIF, seed=8)
-
+    def test_dependency_structure(self):
         def body(lib, frame):
             gx = lib.intra(INTRA_SOBEL_X, frame)
             gy = lib.intra(INTRA_SOBEL_Y, frame)
@@ -210,30 +209,11 @@ class TestProgramExecution:
             lib.inter_reduce(INTER_ABSDIFF, smooth, frame)
             return smooth
 
-        program = trace_program("edge_energy", body, src)
-        gx = VectorExecutor.intra(INTRA_SOBEL_X, src)
-        gy = VectorExecutor.intra(INTRA_SOBEL_Y, src)
-        mag = VectorExecutor.inter(INTER_ADD, gx, gy)
-        smooth = VectorExecutor.intra(INTRA_BOX3, mag)
-        sad = VectorExecutor.inter_reduce(INTER_ABSDIFF, smooth, src)
-        return program, src, smooth, sad
-
-    def test_dependency_structure(self):
-        program, _, _, _ = self._program_and_reference()
+        program = trace_program("edge_energy", body,
+                                noise_frame(QCIF, seed=8))
         assert dependency_edges(program) == [(0, 2), (1, 2), (2, 3),
                                              (3, 4)]
         assert dependency_levels(program) == [[0, 1], [2], [3], [4]]
-
-    def test_run_program_bit_exact(self, scheduler):
-        program, src, smooth, sad = self._program_and_reference()
-        outcome = scheduler.run_program(program, [src])
-        assert outcome.results(program)[0].equals(smooth)
-        assert outcome.scalars == {4: sad}
-
-    def test_run_program_rejects_wrong_arity(self, scheduler):
-        program, src, _, _ = self._program_and_reference()
-        with pytest.raises(ValueError):
-            scheduler.run_program(program, [src, src])
 
 
 class TestModeledTiming:
@@ -261,9 +241,13 @@ class TestModeledTiming:
 
 
 class TestInlineFallback:
-    def test_broken_pool_still_returns_exact_results(self):
+    def test_broken_pool_still_returns_exact_results(self, monkeypatch):
+        def cannot_start(*args, **kwargs):
+            raise OSError("no worker processes")
+
+        monkeypatch.setattr(scheduler_module, "ProcessPoolExecutor",
+                            cannot_start)
         sched = CallScheduler(max_workers=2)
-        sched._pool_broken = True  # simulate a dead worker pool
         frame = noise_frame(QCIF, seed=10)
         lib = AddressLib(SoftwareBackend())
         results = lib.run_batch(
@@ -296,8 +280,7 @@ class TestTransportPlanning:
         assert report.gather_seconds >= 0.0
         books = report.to_dict()
         for key in ("ship_seconds", "compute_seconds", "gather_seconds",
-                    "bypass_calls", "shm_calls", "pickle_calls",
-                    "round_trips"):
+                    "bypass_calls", "round_trips"):
             assert key in books
 
     def test_single_cpu_host_bypasses_without_spawning(self, monkeypatch):
@@ -326,14 +309,12 @@ class TestTransportPlanning:
     def test_transport_stats_shape(self):
         with CallScheduler(max_workers=2) as sched:
             stats = sched.transport_stats()
-        for key in ("transport", "bypass", "round_trip_s", "round_trips",
+        for key in ("bypass", "round_trip_s", "round_trips",
                     "pool_calls", "inline_calls", "bypass_calls",
-                    "shm_calls", "pickle_calls", "worker_cache_hits",
-                    "worker_cache_attaches", "store"):
+                    "worker_cache_hits", "worker_cache_attaches",
+                    "store"):
             assert key in stats
 
     def test_invalid_modes_rejected(self):
-        with pytest.raises(ValueError):
-            CallScheduler(transport="carrier-pigeon")
         with pytest.raises(ValueError):
             CallScheduler(bypass="sometimes")

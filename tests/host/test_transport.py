@@ -1,12 +1,12 @@
 """Zero-copy transport: plane store, worker cache, and fallbacks.
 
-The scheduler must hand back *indistinguishable* results whichever way
-the bytes travelled: shared-memory handles, whole-frame pickles, the
-cost-model inline bypass, or the inline fallback after a worker death.
-This harness drives the 0xFA57 corpus recipe through every transport
-mode and pins down the segment lifecycle -- registration dedupe,
-generation bumps on mutation, weakref release, result-slab recycling,
-and leak-free teardown.
+The scheduler must hand back *indistinguishable* results wherever a
+call ran: in a worker over shared memory, in the cost-model inline
+bypass, or in the inline fallback after shared memory, the store or a
+worker failed.  This harness drives the 0xFA57 corpus recipe down each
+of those paths and pins down the segment lifecycle -- registration
+dedupe, generation bumps on mutation, weakref release, result-slab
+recycling, and leak-free teardown.
 """
 
 import gc
@@ -283,7 +283,7 @@ class TestWorkerCache:
 
 
 # ---------------------------------------------------------------------------
-# Corpus bit-exactness under every transport mode
+# Corpus bit-exactness over shared memory and every inline path
 # ---------------------------------------------------------------------------
 
 def _corpus_shard(shard):
@@ -291,14 +291,19 @@ def _corpus_shard(shard):
     return [_random_batch_call(rng) for _ in range(CASES_PER_SHARD)]
 
 
+def _run_shard(scheduler, shard):
+    calls = _corpus_shard(shard)
+    results = AddressLib(SoftwareBackend()).run_batch(calls,
+                                                      scheduler=scheduler)
+    assert len(results) == len(calls)
+    for call, got in zip(calls, results):
+        _assert_same(got, _serial_reference(call))
+    return len(calls)
+
+
 def _run_corpus(scheduler):
-    lib = AddressLib(SoftwareBackend())
     for shard in range(SHARDS):
-        calls = _corpus_shard(shard)
-        results = lib.run_batch(calls, scheduler=scheduler)
-        assert len(results) == len(calls)
-        for call, got in zip(calls, results):
-            _assert_same(got, _serial_reference(call))
+        _run_shard(scheduler, shard)
 
 
 class TestCorpusAcrossTransports:
@@ -308,17 +313,74 @@ class TestCorpusAcrossTransports:
             _run_corpus(sched)
             stats = sched.transport_stats()
         assert stats["pool_calls"] > 0
-        assert stats["shm_calls"] == stats["pool_calls"]
-        assert stats["pickle_calls"] == 0
 
-    def test_pickle_transport(self):
-        with CallScheduler(max_workers=2, transport="pickle",
-                           bypass="never") as sched:
+    def test_without_shared_memory_every_call_runs_inline(self,
+                                                          monkeypatch):
+        before = _psm_names()
+        monkeypatch.setattr(shm, "SHARED_MEMORY_AVAILABLE", False)
+        with CallScheduler(max_workers=2, bypass="never") as sched:
             _run_corpus(sched)
             stats = sched.transport_stats()
-        assert stats["pool_calls"] > 0
-        assert stats["pickle_calls"] == stats["pool_calls"]
-        assert stats["shm_calls"] == 0
+        assert stats["pool_calls"] == 0
+        assert stats["round_trips"] == 0
+        assert stats["inline_calls"] == SHARDS * CASES_PER_SHARD
+        assert stats["store"] == {}  # no store, so no slab was leased
+        assert _psm_names() - before == set()
+
+    @needs_shm
+    @pytest.mark.parametrize("failing", ["register", "lease"])
+    def test_store_failure_mid_ship_runs_the_wave_inline(self, monkeypatch,
+                                                         failing):
+        """A segment creation fails while the first shard ships --
+        registering its third frame, or leasing its first slab (the
+        store registers every distinct frame before leasing).  That
+        wave runs inline, the broken store is closed with every segment
+        it made, and the next shard ships over a fresh store."""
+        before = _psm_names()
+        first = _corpus_shard(0)
+        frames = len({id(f) for call in first for f in call.frames})
+        fail_at = 3 if failing == "register" else frames + 1
+        new_segment = shm._new_segment
+        made = []
+
+        def fails_once(nbytes):
+            if len(made) + 1 == fail_at:
+                made.append(None)
+                raise OSError("injected segment failure")
+            segment = new_segment(nbytes)
+            made.append(segment.name)
+            return segment
+
+        monkeypatch.setattr(shm, "_new_segment", fails_once)
+        with CallScheduler(max_workers=2, bypass="never") as sched:
+            calls = _run_shard(sched, 0)
+            assert sched.last_report.pool_calls == 0
+            assert sched.last_report.inline_calls == calls
+            assert len(made) == fail_at
+            assert sched._resources.store is None
+            assert set(made[:-1]) & _psm_names() == set()
+            for shard in range(1, SHARDS):
+                calls = _run_shard(sched, shard)
+                assert sched.last_report.pool_calls == calls
+        assert _psm_names() - before == set()
+
+    @needs_shm
+    def test_unwritable_slab_runs_its_call_inline(self, monkeypatch):
+        """Workers that cannot write a result slab send those calls
+        back: the parent runs them inline and recycles their slabs,
+        while the reduces' scalars still come back from the pool."""
+        # The pool forks on the first wave, so the workers inherit this.
+        monkeypatch.setattr(shm, "worker_write_slab",
+                            lambda slab, frame: False)
+        frame_jobs = sum(not call.reduce_to_scalar
+                         for call in _corpus_shard(0))
+        with CallScheduler(max_workers=2, bypass="never") as sched:
+            calls = _run_shard(sched, 0)
+            assert sched.last_report.inline_calls == frame_jobs
+            assert sched.last_report.pool_calls == calls - frame_jobs
+            store = sched._resources.store
+            idle = sum(len(slabs) for slabs in store._idle_slabs.values())
+            assert idle == store.slabs_created == frame_jobs
 
     def test_inline_bypass(self):
         with CallScheduler(max_workers=2, bypass="always") as sched:
@@ -422,6 +484,7 @@ class TestWorkerDeath:
         calls = [BatchCall.intra(INTRA_BOX3, frame_a),
                  BatchCall.intra(INTRA_GRAD, frame_b)]
         lib = AddressLib(SoftwareBackend())
+        before = _psm_names()
         sched = CallScheduler(max_workers=2, bypass="never")
         try:
             # One healthy wave to spawn the workers and map segments.
@@ -438,11 +501,20 @@ class TestWorkerDeath:
             for process in pool._processes.values():
                 process.join()
             results = lib.run_batch(calls, scheduler=sched)
-            assert sched._pool_broken
+            assert sched.last_report.pool_calls == 0
             assert sched.last_report.inline_calls == 2
             # The fallen-back wave's slabs went back to the idle list.
             idle = sum(len(slabs) for slabs in store._idle_slabs.values())
             assert idle == store.slabs_created == 2
+            assert results[0].equals(
+                VectorExecutor.intra(INTRA_BOX3, frame_a))
+            assert results[1].equals(
+                VectorExecutor.intra(INTRA_GRAD, frame_b))
+            # The dead pool was dropped: the next batch forks a fresh
+            # one and ships again.
+            results = lib.run_batch(calls, scheduler=sched)
+            assert sched._resources.pool is not pool
+            assert sched.last_report.pool_calls == 2
             assert results[0].equals(
                 VectorExecutor.intra(INTRA_BOX3, frame_a))
             assert results[1].equals(
@@ -453,6 +525,7 @@ class TestWorkerDeath:
         for name in names:
             with pytest.raises(Exception):
                 shm._attach_segment(name)
+        assert _psm_names() - before == set()
 
     def test_death_after_first_result_leaks_no_segments(self,
                                                         monkeypatch):
@@ -478,7 +551,7 @@ class TestWorkerDeath:
         sched = CallScheduler(max_workers=2, bypass="never")
         try:
             results = lib.run_batch(calls, scheduler=sched)
-            assert sched._pool_broken
+            assert sched.last_report.pool_calls == 0
             assert sched.last_report.inline_calls == len(calls)
             for frame, got in zip(frames, results):
                 assert got.equals(VectorExecutor.intra(INTRA_BOX3, frame))

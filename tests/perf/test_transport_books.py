@@ -23,8 +23,7 @@ QCIF = ImageFormat("QCIF", 176, 144)
 #: in ``CallScheduler.transport_stats()``.
 TRANSPORT_COUNTER_KEYS = (
     "round_trips", "pool_calls", "inline_calls", "bypass_calls",
-    "shm_calls", "pickle_calls", "worker_cache_hits",
-    "worker_cache_attaches")
+    "worker_cache_hits", "worker_cache_attaches")
 
 
 def _assert_schema(payload):
@@ -43,7 +42,6 @@ class TestSchedulerTransportStats:
         for key in TRANSPORT_COUNTER_KEYS:
             assert stats[key] == 0
         assert stats["store"] == {}
-        assert stats["transport"] == "auto"
         assert stats["bypass"] == "auto"
         assert stats["round_trip_s"] is None
 
@@ -56,8 +54,6 @@ class TestSchedulerTransportStats:
             stats = scheduler.transport_stats()
         assert stats["bypass_calls"] == len(calls)
         assert stats["pool_calls"] == 0
-        assert stats["shm_calls"] == 0
-        assert stats["pickle_calls"] == 0
         assert stats["round_trips"] == 0
         assert stats["worker_cache_hits"] == 0
 
