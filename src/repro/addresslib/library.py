@@ -51,6 +51,18 @@ class CallRecord:
     extra: Dict[str, float] = field(default_factory=dict)
 
 
+def _copy_record(record: CallRecord) -> CallRecord:
+    """An independent copy of a software call's record: its own profile
+    and ``extra`` dict, so no two logged records share mutable state."""
+    profile = record.profile
+    assert profile is not None
+    return CallRecord(
+        mode=record.mode, op_name=record.op_name, channels=record.channels,
+        format_name=record.format_name, pixels=record.pixels,
+        profile=OpProfile(counts=dict(profile.counts), calls=profile.calls),
+        extra=dict(record.extra))
+
+
 #: One executed call: its result (a frame, or a scalar for reduces) and
 #: its record.
 RecordedResult = Tuple[Union[Frame, int], CallRecord]
@@ -277,6 +289,10 @@ class SoftwareBackend(Backend):
                  scan: ScanOrder = ScanOrder.HORIZONTAL) -> None:
         self.cost_model = cost_model or SoftwareCostModel()
         self.scan = scan
+        #: The record of each call geometry -- cost model, op, format,
+        #: channels, scan order, reduction -- built once; every call of
+        #: that geometry books a copy of it.
+        self._booked: Dict[tuple, CallRecord] = {}
 
     def supports(self, mode: AddressingMode) -> bool:
         return True
@@ -285,32 +301,44 @@ class SoftwareBackend(Backend):
 
     def inter_record(self, op: InterOp, fmt, channels: ChannelSet,
                      reduce_to_scalar: bool = False) -> CallRecord:
-        profile = self.cost_model.inter_profile(op, fmt, channels)
-        op_name = op.name
-        if reduce_to_scalar:
-            # The reduction adds one accumulate per pixel per channel.
-            profile.add_cost(InstructionCost(alu=1),
-                             fmt.pixels * channels.count)
-            op_name = f"{op.name}+reduce"
-        return CallRecord(
-            mode=AddressingMode.INTER, op_name=op_name, channels=channels,
-            format_name=fmt.name, pixels=fmt.pixels, profile=profile,
-            extra={"sw_accesses": float(
-                self.cost_model.inter_accesses(fmt, channels)),
-                   "width": float(fmt.width),
-                   "height": float(fmt.height)})
+        # An inter call's profile does not depend on the scan order.
+        key = (self.cost_model, op, fmt, channels, None, reduce_to_scalar)
+        booked = self._booked.get(key)
+        if booked is None:
+            profile = self.cost_model.inter_profile(op, fmt, channels)
+            op_name = op.name
+            if reduce_to_scalar:
+                # The reduction adds one accumulate per pixel per channel.
+                profile.add_cost(InstructionCost(alu=1),
+                                 fmt.pixels * channels.count)
+                op_name = f"{op.name}+reduce"
+            booked = self._booked[key] = CallRecord(
+                mode=AddressingMode.INTER, op_name=op_name,
+                channels=channels, format_name=fmt.name,
+                pixels=fmt.pixels, profile=profile,
+                extra={"sw_accesses": float(
+                    self.cost_model.inter_accesses(fmt, channels)),
+                       "width": float(fmt.width),
+                       "height": float(fmt.height)})
+        return _copy_record(booked)
 
     def intra_record(self, op: IntraOp, fmt,
                      channels: ChannelSet) -> CallRecord:
-        profile = self.cost_model.intra_profile(op, fmt, channels,
-                                                self.scan)
-        return CallRecord(
-            mode=AddressingMode.INTRA, op_name=op.name, channels=channels,
-            format_name=fmt.name, pixels=fmt.pixels, profile=profile,
-            extra={"sw_accesses": float(self.cost_model.intra_accesses(
-                op, fmt, channels, self.scan)),
-                   "width": float(fmt.width),
-                   "height": float(fmt.height)})
+        key = (self.cost_model, op, fmt, channels, self.scan, False)
+        booked = self._booked.get(key)
+        if booked is None:
+            profile = self.cost_model.intra_profile(op, fmt, channels,
+                                                    self.scan)
+            booked = self._booked[key] = CallRecord(
+                mode=AddressingMode.INTRA, op_name=op.name,
+                channels=channels, format_name=fmt.name,
+                pixels=fmt.pixels, profile=profile,
+                extra={"sw_accesses": float(
+                    self.cost_model.intra_accesses(op, fmt, channels,
+                                                   self.scan)),
+                       "width": float(fmt.width),
+                       "height": float(fmt.height)})
+        return _copy_record(booked)
 
     def batch_record(self, call: BatchCall) -> CallRecord:
         if call.mode is AddressingMode.INTER:

@@ -85,6 +85,20 @@ class PairEstimate:
     blend_mask: Optional[np.ndarray] = None
 
 
+@dataclass(frozen=True)
+class _StepSystem:
+    """One pyramid level's model-independent Gauss-Newton inputs (see
+    :meth:`GlobalMotionEstimator._step_system`)."""
+
+    #: The subsampled reference luma, flattened row-major.
+    reference: np.ndarray
+    #: ``(pixels, parameters)``: one Jacobian row per subsampled pixel,
+    #: row-major.
+    jacobian: np.ndarray
+    #: The coordinate normalisation of the affine columns.
+    scale: int
+
+
 class GlobalMotionEstimator:
     """Coarse-to-fine parametric GME expressed in AddressLib calls."""
 
@@ -100,8 +114,6 @@ class GlobalMotionEstimator:
         self.scheduler = scheduler
         self._charge = charge or (lambda instructions: None)
         self._format_cache: Dict[Tuple[int, int], ImageFormat] = {}
-        self._grid_cache: Dict[Tuple[int, int],
-                               Tuple[np.ndarray, np.ndarray]] = {}
 
     # -- pyramids ----------------------------------------------------------------
 
@@ -131,13 +143,6 @@ class GlobalMotionEstimator:
             self._format_cache[shape] = ImageFormat(
                 f"GME{width}x{height}", width, height)
         return self._format_cache[shape]
-
-    def _grid_for(self, shape: Tuple[int, int]):
-        if shape not in self._grid_cache:
-            height, width = shape
-            ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
-            self._grid_cache[shape] = (xs, ys)
-        return self._grid_cache[shape]
 
     # -- the estimator -------------------------------------------------------------
 
@@ -219,8 +224,10 @@ class GlobalMotionEstimator:
             gy_frame = results[2 * level + 1]
             assert isinstance(gx_frame, Frame)
             assert isinstance(gy_frame, Frame)
-            gradients.append((gx_frame.y.astype(np.float64) - 128.0,
-                              gy_frame.y.astype(np.float64) - 128.0))
+            gradients.append((np.subtract(gx_frame.y, 128.0,
+                                          dtype=np.float64),
+                              np.subtract(gy_frame.y, 128.0,
+                                          dtype=np.float64)))
         mask_frame = results[-1]
         assert isinstance(mask_frame, Frame)
         return gradients, mask_frame
@@ -234,15 +241,15 @@ class GlobalMotionEstimator:
         sad = float("inf")
         iterations = 0
         pixels = ref.luma.size
+        system = self._step_system(ref, gx, gy, use_affine)
 
         for _ in range(settings.max_iterations_per_level):
             iterations += 1
-            warped, valid = warp_luma(cur.luma, model)
-            self._charge(HOST_WARP_INSTRUCTIONS_PER_PIXEL * pixels)
             # Invalid (out-of-frame) samples copy the reference so they
             # contribute zero to the SAD.
-            warped_filled = np.where(valid, warped, ref.luma)
-            warped_frame = self._luma_frame(warped_filled)
+            warped, valid = warp_luma(cur.luma, model, fill=ref.luma)
+            self._charge(HOST_WARP_INSTRUCTIONS_PER_PIXEL * pixels)
+            warped_frame = self._luma_frame(warped)
             sad = float(self.lib.inter_reduce(INTER_ABSDIFF, ref.frame,
                                               warped_frame))
             if best_sad is None or sad < best_sad:
@@ -256,8 +263,8 @@ class GlobalMotionEstimator:
                     break
             previous_sad = sad
 
-            delta = self._gauss_newton_step(ref, warped, valid, gx, gy,
-                                            model, use_affine)
+            delta = self._gauss_newton_step(system, warped, valid,
+                                            use_affine)
             if delta is None:
                 break
             model = model.with_update(delta)
@@ -265,9 +272,44 @@ class GlobalMotionEstimator:
         return best_model, float(best_sad if best_sad is not None else sad), \
             iterations
 
-    def _gauss_newton_step(self, ref: PyramidLevel, warped: np.ndarray,
-                           valid: np.ndarray, gx: np.ndarray,
-                           gy: np.ndarray, model: AffineModel,
+    def _step_system(self, ref: PyramidLevel, gx: np.ndarray,
+                     gy: np.ndarray, use_affine: bool) -> _StepSystem:
+        """The parts of every Gauss-Newton step of one level that do not
+        depend on the current model: the subsampled reference and one
+        Jacobian row per subsampled pixel.
+
+        Each step takes the rows of its valid pixels, in row-major
+        order, so it sees exactly the values -- and the ``(pixels,
+        parameters)`` C-ordered layout -- that subsampling, masking and
+        multiplying afresh would give it.  Affine rows are ``[jx xn,
+        jx yn, jx, jy xn, jy yn, jy]`` with coordinates normalised by
+        the larger side for conditioning; translational rows are
+        ``[jx, jy]``.
+        """
+        step = self.settings.gn_subsample
+        # The Sobel ops already divide the kernel's gain of 8 back out
+        # (``acc >> 3``), so the unbiased planes are luma units per pixel.
+        jx = gx[::step, ::step]
+        jy = gy[::step, ::step]
+        scale = max(ref.luma.shape)
+        if use_affine:
+            height, width = jx.shape
+            xn = np.arange(0, step * width, step, dtype=np.float64) / scale
+            yn = (np.arange(0, step * height, step, dtype=np.float64)
+                  / scale)[:, np.newaxis]
+            coordinates = (xn, yn, 1.0)
+        else:
+            coordinates = (1.0,)
+        jacobian = np.empty(jx.shape + (2 * len(coordinates),))
+        columns = [(g, c) for g in (jx, jy) for c in coordinates]
+        for k, (gradient, coordinate) in enumerate(columns):
+            np.multiply(gradient, coordinate, out=jacobian[..., k])
+        return _StepSystem(
+            reference=ref.luma[::step, ::step].ravel(),
+            jacobian=jacobian.reshape(jx.size, -1), scale=scale)
+
+    def _gauss_newton_step(self, system: _StepSystem, warped: np.ndarray,
+                           valid: np.ndarray,
                            use_affine: bool) -> Optional[np.ndarray]:
         """One forward-additive Gauss-Newton update.
 
@@ -280,18 +322,18 @@ class GlobalMotionEstimator:
         up to orientation -- validated by the convergence tests).
         """
         step = self.settings.gn_subsample
-        sub = (slice(None, None, step), slice(None, None, step))
-        mask = valid[sub]
-        if not mask.any():
+        mask = valid[::step, ::step]
+        rows = np.flatnonzero(mask)
+        if not rows.size:
             return None
-        # The Sobel ops already divide the kernel's gain of 8 back out
-        # (``acc >> 3``), so the unbiased planes are luma units per pixel.
-        r = (ref.luma[sub] - warped[sub])[mask]
-        jx = gx[sub][mask]
-        jy = gy[sub][mask]
+        r = system.reference.take(rows)
+        r -= warped[::step, ::step][mask]
+        jacobian = system.jacobian.take(rows, axis=0)
         self._charge(6.0 * r.size + HOST_SOLVE_INSTRUCTIONS)
 
         if not use_affine:
+            jx = jacobian[:, 0]
+            jy = jacobian[:, 1]
             a11 = float((jx * jx).sum())
             a12 = float((jx * jy).sum())
             a22 = float((jy * jy).sum())
@@ -304,15 +346,6 @@ class GlobalMotionEstimator:
             dty = (a11 * b2 - a12 * b1) / det
             return np.array([0.0, 0.0, dtx, 0.0, 0.0, dty])
 
-        xs, ys = self._grid_for(ref.luma.shape)
-        xs = xs[sub][mask]
-        ys = ys[sub][mask]
-        # Normalise coordinates for conditioning; unscale the deltas after.
-        scale = max(ref.luma.shape)
-        xn = xs / scale
-        yn = ys / scale
-        jacobian = np.stack([jx * xn, jx * yn, jx, jy * xn, jy * yn, jy],
-                            axis=1)
         normal = jacobian.T @ jacobian
         rhs = jacobian.T @ r
         try:
@@ -320,6 +353,7 @@ class GlobalMotionEstimator:
         except np.linalg.LinAlgError:
             return None
         # Undo the coordinate normalisation on the linear-part parameters.
+        scale = system.scale
         delta[0] /= scale
         delta[1] /= scale
         delta[3] /= scale

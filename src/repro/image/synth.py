@@ -93,13 +93,32 @@ def textured_panorama(width: int, height: int,
         x0 = np.clip(xs.astype(int), 0, cells - 1)
         fy = (ys - y0)[:, None]
         fx = (xs - x0)[None, :]
-        c00 = coarse[np.ix_(y0, x0)]
-        c01 = coarse[np.ix_(y0, x0 + 1)]
-        c10 = coarse[np.ix_(y0 + 1, x0)]
-        c11 = coarse[np.ix_(y0 + 1, x0 + 1)]
-        layer = (c00 * (1 - fy) * (1 - fx) + c01 * (1 - fy) * fx
-                 + c10 * fy * (1 - fx) + c11 * fy * fx)
-        canvas += amplitude * layer
+        gy = 1 - fy
+        gx = 1 - fx
+        # Gather the lattice columns first, then whole rows of those:
+        # ``left[y0]`` is ``coarse[np.ix_(y0, x0)]`` at the price of row
+        # copies.  The layer is the four-term bilinear expression
+        # ``c00 gy gx + c01 gy fx + c10 fy gx + c11 fy fx``, each term
+        # rounded left to right and summed in that order, in place.
+        left = coarse[:, x0]
+        right = coarse[:, x0 + 1]
+        layer = left[y0]
+        layer *= gy
+        layer *= gx
+        term = right[y0]
+        term *= gy
+        term *= fx
+        layer += term
+        left.take(y0 + 1, axis=0, out=term)
+        term *= fy
+        term *= gx
+        layer += term
+        right.take(y0 + 1, axis=0, out=term)
+        term *= fy
+        term *= fx
+        layer += term
+        layer *= amplitude
+        canvas += layer
         total_amplitude += amplitude
         amplitude *= 0.55
     canvas /= total_amplitude
@@ -118,7 +137,7 @@ def frame_from_luma(fmt: ImageFormat, luma: np.ndarray) -> Frame:
             f"luma shape {luma.shape} does not match {fmt.name} "
             f"({fmt.height}, {fmt.width})")
     frame = Frame(fmt)
-    frame.y[:] = np.clip(np.round(luma), 0, 255).astype(np.uint8)
+    np.clip(np.round(luma), 0, 255, out=frame.y, casting="unsafe")
     frame.u[:] = 128
     frame.v[:] = 128
     return frame

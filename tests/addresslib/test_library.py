@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.addresslib import (AddressLib, AddressingMode, Backend, CallLog,
-                              CallRecord, ChannelSet, INTER_ABSDIFF,
-                              INTRA_COPY, INTRA_GRAD, SoftwareBackend,
+from repro.addresslib import (COLUMN_9, AddressLib, AddressingMode,
+                              Backend, BatchCall, CallLog, CallRecord,
+                              ChannelSet, INTER_ABSDIFF, INTRA_COPY,
+                              INTRA_GRAD, InstructionCost, ScanOrder,
+                              SoftwareBackend, SoftwareCostModel, erode_op,
                               luma_delta_criterion)
 from repro.image import Channel, ImageFormat, blob_frame, noise_frame
 
@@ -80,6 +82,60 @@ class TestDispatchAndLogging:
         lib.inter(INTER_ABSDIFF, frame, frame)
         merged = lib.log.merged_profile()
         assert merged.calls == 2
+
+
+class TestSoftwareRecords:
+    """The software backend builds each call geometry's record once and
+    books an independent copy of it per call."""
+
+    def test_repeated_calls_book_equal_independent_records(self):
+        lib = AddressLib()
+        frame = noise_frame(FMT, seed=5)
+        lib.intra(INTRA_GRAD, frame)
+        lib.inter_reduce(INTER_ABSDIFF, frame, frame)
+        first_intra, first_inter = lib.log.records
+        # Scribbling on logged records must not reach later ones.
+        first_intra.profile.add_cost(InstructionCost(alu=7), 3.0)
+        first_intra.extra["width"] = -1.0
+        first_inter.profile.add_call()
+        lib.intra(INTRA_GRAD, frame)
+        lib.inter_reduce(INTER_ABSDIFF, frame, frame)
+        lib.run_batch([BatchCall.inter_reduce(INTER_ABSDIFF, frame, frame),
+                       BatchCall.intra(INTRA_GRAD, frame)])
+        intra, inter, batch_inter, batch_intra = lib.log.records[2:]
+
+        model = lib.backend.cost_model
+        assert intra.profile == model.intra_profile(INTRA_GRAD, FMT)
+        reduce_profile = model.inter_profile(INTER_ABSDIFF, FMT)
+        reduce_profile.add_cost(InstructionCost(alu=1), FMT.pixels)
+        assert inter.profile == reduce_profile
+        assert intra.extra["width"] == FMT.width
+        assert batch_intra == intra and batch_inter == inter
+        records = lib.log.records
+        assert len({id(r.profile) for r in records}) == len(records)
+        assert len({id(r.extra) for r in records}) == len(records)
+
+    def test_cost_model_and_scan_select_the_record(self):
+        """Swapping the backend's cost model or scan order books the
+        profile of the new geometry, not the first one seen."""
+        # A column neighbourhood: 9 fresh reads per horizontal step,
+        # 1 per vertical step.
+        op = erode_op(COLUMN_9)
+        backend = SoftwareBackend()
+        lib = AddressLib(backend)
+        frame = noise_frame(FMT, seed=6)
+        heavy = SoftwareCostModel(per_access_overhead=InstructionCost(alu=3))
+        expected = []
+        for model, scan in ((SoftwareCostModel(), ScanOrder.HORIZONTAL),
+                            (heavy, ScanOrder.HORIZONTAL),
+                            (heavy, ScanOrder.VERTICAL),
+                            (SoftwareCostModel(), ScanOrder.HORIZONTAL)):
+            backend.cost_model, backend.scan = model, scan
+            lib.intra(op, frame)
+            expected.append(model.intra_profile(op, FMT, ChannelSet.Y, scan))
+        profiles = [record.profile for record in lib.log.records]
+        assert profiles == expected
+        assert len({p.total_instructions for p in profiles}) == 3
 
 
 class _InterOnlyBackend(SoftwareBackend):

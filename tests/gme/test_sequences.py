@@ -39,6 +39,24 @@ class TestSpecs:
             SINGAPORE.scaled_frames(0.0)
 
 
+class TestCameraPaths:
+    @pytest.mark.parametrize("spec", TABLE3_SEQUENCES,
+                             ids=lambda spec: spec.name)
+    def test_every_view_stays_inside_the_panorama(self, spec):
+        """Rendering ignores the warp's validity mask, so every sample of
+        every frame must have all four bilinear taps inside the scene.
+        An affine pose maps the frame rectangle to a parallelogram: its
+        four corners bound every sample."""
+        width, height = spec.fmt.width, spec.fmt.height
+        xs = np.array([0.0, width - 1.0, 0.0, width - 1.0])
+        ys = np.array([0.0, 0.0, height - 1.0, height - 1.0])
+        for index in range(spec.frames):
+            sx, sy = spec.pose(index).apply(xs, ys)
+            assert (sx >= 0).all() and (sy >= 0).all(), index
+            assert (sx < spec.panorama_width - 1).all(), index
+            assert (sy < spec.panorama_height - 1).all(), index
+
+
 class TestRendering:
     def test_frames_are_cif(self):
         seq = SyntheticSequence(SINGAPORE, frames_override=3)

@@ -124,7 +124,9 @@ class TestWarpMatchesReference:
     """``warp_luma`` against the golden warp: same bits, same dtypes,
     every model class, source dtype and degenerate source shape."""
 
-    @pytest.mark.parametrize("output_shape", [None, (7, 12), (1, 5)],
+    # (40, 57) is larger than every source: the mosaic's case.
+    @pytest.mark.parametrize("output_shape",
+                             [None, (7, 12), (1, 5), (40, 57)],
                              ids=lambda shape: f"out{shape}")
     @pytest.mark.parametrize("source", list(WARP_SOURCES))
     @pytest.mark.parametrize("model", list(WARP_MODELS))
@@ -150,11 +152,44 @@ class TestWarpMatchesReference:
         assert not valid.any()
         assert (warped == 3.0).all()
 
+    @pytest.mark.parametrize("source", ["float64", "uint8", "strided"])
+    @pytest.mark.parametrize("model", list(WARP_MODELS))
+    def test_array_fill_bit_identical(self, model, source):
+        """An array ``fill`` of the output shape (the estimator passes
+        the reference plane) lands exactly where the golden warp is
+        invalid."""
+        luma = WARP_SOURCES[source]
+        fill = _noise(*luma.shape, np.float64) + 1000.0
+        warped, valid = warp_luma(luma, WARP_MODELS[model], fill=fill)
+        ref_warped, ref_valid = reference_warp_luma(luma, WARP_MODELS[model])
+        expected = np.where(ref_valid, ref_warped, fill)
+        assert np.array_equal(valid, ref_valid)
+        assert warped.dtype == expected.dtype
+        assert warped.tobytes() == expected.tobytes()
+
     def test_source_left_untouched(self):
         luma = WARP_SOURCES["float64"].copy()
         luma.flags.writeable = False
         warp_luma(luma, WARP_MODELS["affine_rotated"])
         assert np.array_equal(luma, WARP_SOURCES["float64"])
+
+    def test_fill_plane_left_untouched(self):
+        luma = WARP_SOURCES["float64"]
+        fill = _noise(*luma.shape, np.float64)
+        fill.flags.writeable = False
+        warp_luma(luma, WARP_MODELS["affine_rotated"], fill=fill)
+        assert np.array_equal(fill, _noise(*luma.shape, np.float64))
+
+    @pytest.mark.parametrize("model", ["translation", "affine_rotated",
+                                       "out_of_frame"])
+    def test_results_share_no_memory(self, model):
+        luma = WARP_SOURCES["float64"].copy()
+        fill = _noise(*luma.shape, np.float64)
+        warped, valid = warp_luma(luma, WARP_MODELS[model], fill=fill)
+        for result in (warped, valid):
+            assert not np.shares_memory(result, luma)
+            assert not np.shares_memory(result, fill)
+        assert not np.shares_memory(warped, valid)
 
 
 class TestPyramidHelpers:

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.gme import (GmeApplication, SINGAPORE, SyntheticSequence,
-                       Table3Row, XmCosts, evaluate_sequence_dual,
-                       xm_cost_model)
+from repro.gme import (GmeApplication, SINGAPORE, TABLE3_SEQUENCES,
+                       SyntheticSequence, Table3Row, XmCosts,
+                       evaluate_sequence_dual, xm_cost_model)
 from repro.host import software_platform
 
 
@@ -102,3 +102,127 @@ class TestDualEvaluation:
         the model must land in that neighbourhood."""
         row = evaluate_sequence_dual(SINGAPORE, scale=0.02)
         assert 3.0 < row.speedup < 6.5
+
+
+#: Table 3 at scale 0.01, bit for bit (``float.hex``): per sequence the
+#: row's ``(pm_seconds, fpga_seconds, intra_calls, inter_calls)`` and,
+#: per frame pair, the fitted model's ``(a, b, tx, c, d, ty)`` followed
+#: by its ``final_sad``.
+TABLE3_PIN = {
+    "Singapore": (
+        ("0x1.1dda22d0cb9b4p+1", "0x1.0d1a9daf5ab85p-1", 38, 28),
+        (
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.e62b9dba296f8p+0",
+             "0x0.0p+0", "0x1.0000000000000p+0", "0x1.b32931ecb220bp-4",
+             "0x1.9e40000000000p+12"),
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.e62b9dba296f8p+0",
+             "0x0.0p+0", "0x1.0000000000000p+0", "0x1.b32931ecb220bp-4",
+             "0x1.a100000000000p+12"),
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.e62b9dba296f8p+0",
+             "0x0.0p+0", "0x1.0000000000000p+0", "0x1.b32931ecb220bp-4",
+             "0x1.9e60000000000p+12"),
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.e62b9dba296f8p+0",
+             "0x0.0p+0", "0x1.0000000000000p+0", "0x1.b32931ecb220bp-4",
+             "0x1.aaf0000000000p+12"),
+        ),
+    ),
+    "Dome": (
+        ("0x1.1f38bad075f9bp+1", "0x1.0eb89d4416857p-1", 38, 28),
+        (
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.6de682759ce7cp+0",
+             "0x0.0p+0", "0x1.0000000000000p+0", "0x1.bd9ad0f3cb992p-2",
+             "0x1.8188000000000p+13"),
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.66b201d6d1fc6p+0",
+             "0x0.0p+0", "0x1.0000000000000p+0", "0x1.b145a76b70c0ap-2",
+             "0x1.6fd0000000000p+13"),
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.64b3a27b8abbap+0",
+             "0x0.0p+0", "0x1.0000000000000p+0", "0x1.b38ffedb2a5dfp-2",
+             "0x1.7680000000000p+13"),
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.676efb11608d8p+0",
+             "0x0.0p+0", "0x1.0000000000000p+0", "0x1.ba2648f8e9ae8p-2",
+             "0x1.78d8000000000p+13"),
+        ),
+    ),
+    "Pisa": (
+        ("0x1.386cccfc94ddcp+2", "0x1.223154847e9f6p+0", 83, 56),
+        (
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.c3e8537e58b7ep-1",
+             "0x0.0p+0", "0x1.0000000000000p+0", "0x1.91be044331dd1p-2",
+             "0x1.01dc000000000p+14"),
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.c2b72454c4577p-1",
+             "0x0.0p+0", "0x1.0000000000000p+0", "0x1.a8c63026a0d76p-2",
+             "0x1.fed8000000000p+13"),
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.cffef77618427p-1",
+             "0x0.0p+0", "0x1.0000000000000p+0", "0x1.a57ffb1cf6215p-2",
+             "0x1.00e4000000000p+14"),
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.cffef77618427p-1",
+             "0x0.0p+0", "0x1.0000000000000p+0", "0x1.a57ffb1cf6215p-2",
+             "0x1.008c000000000p+14"),
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.cffef77618427p-1",
+             "0x0.0p+0", "0x1.0000000000000p+0", "0x1.a57ffb1cf6215p-2",
+             "0x1.ff28000000000p+13"),
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.cffef77618427p-1",
+             "0x0.0p+0", "0x1.0000000000000p+0", "0x1.a57ffb1cf6215p-2",
+             "0x1.0110000000000p+14"),
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.cffef77618427p-1",
+             "0x0.0p+0", "0x1.0000000000000p+0", "0x1.a57ffb1cf6215p-2",
+             "0x1.0198000000000p+14"),
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.cffef77618427p-1",
+             "0x0.0p+0", "0x1.0000000000000p+0", "0x1.a57ffb1cf6215p-2",
+             "0x1.fa30000000000p+13"),
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.cffef77618427p-1",
+             "0x0.0p+0", "0x1.0000000000000p+0", "0x1.a57ffb1cf6215p-2",
+             "0x1.024c000000000p+14"),
+        ),
+    ),
+    "Movie": (
+        ("0x1.210cc51494034p+1", "0x1.1654b54f6a272p-1", 38, 32),
+        (
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.43529200563e4p+1",
+             "0x0.0p+0", "0x1.0000000000000p+0", "-0x1.75e131eaf5b8ep-1",
+             "0x1.1350000000000p+13"),
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.0a7bd23d3f14cp+1",
+             "0x0.0p+0", "0x1.0000000000000p+0", "-0x1.2f46b6b408113p-2",
+             "0x1.bbf8000000000p+13"),
+            ("0x1.00042fc2a1dbbp+0", "-0x1.08be814867a1fp-13",
+             "0x1.81dcb9fc1b6afp+1", "-0x1.c7c882d379a31p-15",
+             "0x1.0002f7d911265p+0", "0x1.8f00957f8a1d7p-2",
+             "0x1.1524000000000p+14"),
+            ("0x1.00042fc2a1dbbp+0", "-0x1.08be814867a1fp-13",
+             "0x1.817bbbd32ae4dp-1", "-0x1.c7c882d379a30p-15",
+             "0x1.0002f7d911264p+0", "-0x1.dc545c41fb3e1p-1",
+             "0x1.26c0000000000p+13"),
+        ),
+    ),
+}
+
+
+def _model_hex(estimate):
+    model = estimate.model
+    return tuple(float(value).hex() for value in (
+        model.a, model.b, model.tx, model.c, model.d, model.ty,
+        estimate.final_sad))
+
+
+class TestTable3Pinned:
+    """The Table 3 numbers of a short run of every sequence, to the bit.
+
+    Float drift anywhere on the GME host path -- panorama synthesis,
+    warp, gradients, the Gauss-Newton solve -- moves the fitted models
+    (and through them the SAD-driven iteration counts) long before it
+    moves call counts or modeled seconds, so the models are pinned too.
+    """
+
+    @pytest.mark.parametrize("spec", TABLE3_SEQUENCES,
+                             ids=lambda spec: spec.name)
+    def test_rows_and_models_bit_identical(self, spec):
+        row_pin, pairs_pin = TABLE3_PIN[spec.name]
+        row = evaluate_sequence_dual(spec, scale=0.01)
+        assert (row.pm_seconds.hex(), row.fpga_seconds.hex(),
+                row.intra_calls, row.inter_calls) == row_pin
+
+        sequence = SyntheticSequence(
+            spec, frames_override=spec.scaled_frames(0.01))
+        assert sequence.frames == row.frames_run
+        result = GmeApplication(software_platform()).run_sequence(sequence)
+        assert tuple(_model_hex(e) for e in result.estimates) == pairs_pin

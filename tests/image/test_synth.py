@@ -10,6 +10,45 @@ from repro.image import (ImageFormat, blob_frame, checkerboard_frame,
 FMT = ImageFormat("T24", 24, 16)
 
 
+def reference_textured_panorama(width, height, seed=None, octaves=4):
+    """The golden panorama: four ``np.ix_`` lattice gathers per octave
+    and the four-term bilinear expression evaluated in one statement.
+    ``textured_panorama`` must match it bit for bit."""
+    rng = np.random.default_rng(0xADD2E55 if seed is None else seed)
+    canvas = np.zeros((height, width), dtype=np.float64)
+    amplitude = 1.0
+    total_amplitude = 0.0
+    for octave in range(octaves):
+        cells = 2 ** (octave + 2)
+        coarse = rng.random((cells + 1, cells + 1))
+        ys = np.linspace(0, cells, height)
+        xs = np.linspace(0, cells, width)
+        y0 = np.clip(ys.astype(int), 0, cells - 1)
+        x0 = np.clip(xs.astype(int), 0, cells - 1)
+        fy = (ys - y0)[:, None]
+        fx = (xs - x0)[None, :]
+        c00 = coarse[np.ix_(y0, x0)]
+        c01 = coarse[np.ix_(y0, x0 + 1)]
+        c10 = coarse[np.ix_(y0 + 1, x0)]
+        c11 = coarse[np.ix_(y0 + 1, x0 + 1)]
+        layer = (c00 * (1 - fy) * (1 - fx) + c01 * (1 - fy) * fx
+                 + c10 * fy * (1 - fx) + c11 * fy * fx)
+        canvas += amplitude * layer
+        total_amplitude += amplitude
+        amplitude *= 0.55
+    canvas /= total_amplitude
+    canvas -= canvas.min()
+    peak = canvas.max()
+    if peak > 0:
+        canvas *= 255.0 / peak
+    return canvas
+
+
+def same_bits(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
 class TestGradient:
     def test_horizontal_ramp_is_monotonic(self):
         frame = gradient_frame(FMT, horizontal=True)
@@ -80,6 +119,28 @@ class TestPanorama:
             textured_panorama(64, 64, octaves=0)
 
 
+class TestPanoramaMatchesReference:
+    """``textured_panorama`` against the golden copy, to the bit."""
+
+    @pytest.mark.parametrize("seed", [11, 23, 37, 51])
+    def test_table3_panoramas(self, seed):
+        """The four Table 3 scenes (1536x864, the sequences' seeds)."""
+        assert same_bits(textured_panorama(1536, 864, seed=seed),
+                         reference_textured_panorama(1536, 864, seed=seed))
+
+    @pytest.mark.parametrize("octaves", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("width, height", [
+        (1, 1), (9, 2), (3, 17),
+        # Narrower and shorter than the finest lattice (2 ** (octaves +
+        # 1) + 1 points), so lattice cells get no output row or column.
+        (20, 12), (40, 5), (2, 70)])
+    def test_shapes_and_octaves(self, width, height, octaves):
+        assert same_bits(
+            textured_panorama(width, height, seed=3, octaves=octaves),
+            reference_textured_panorama(width, height, seed=3,
+                                        octaves=octaves))
+
+
 class TestLumaFrame:
     def test_clips_and_rounds(self):
         luma = np.full((FMT.height, FMT.width), -5.0)
@@ -93,6 +154,26 @@ class TestLumaFrame:
     def test_shape_check(self):
         with pytest.raises(ValueError):
             frame_from_luma(FMT, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.float64])
+    def test_matches_round_then_clip(self, dtype):
+        """Exactly ``clip(round(luma), 0, 255)`` as uint8: ties round to
+        even, negatives and values above 255 saturate, for integer and
+        float inputs alike; the input is left untouched."""
+        values = np.array([0.5, 1.5, 2.5, 3.5, -0.5, -1.5, 254.5, 255.5,
+                           -3.0, -200.7, 256.0, 300.2, 1e6, 127.49999,
+                           99.6, 0.0])
+        if np.issubdtype(dtype, np.integer):
+            info = np.iinfo(dtype)
+            values = np.clip(np.round(values), info.min, info.max)
+        luma = np.resize(values, (FMT.height, FMT.width)).astype(dtype)
+        original = luma.copy()
+        frame = frame_from_luma(FMT, luma)
+        expected = np.clip(np.round(luma), 0, 255).astype(np.uint8)
+        assert frame.y.dtype == np.uint8
+        assert np.array_equal(frame.y, expected)
+        assert (frame.u == 128).all() and (frame.v == 128).all()
+        assert np.array_equal(luma, original)
 
 
 class TestBlobs:
