@@ -19,10 +19,15 @@ behaviours real serving needs:
   producers are still submitting.
 * **Backpressure** -- when the bounded
   :class:`~repro.service.RequestQueue` is at depth, ``submit`` suspends
-  the producer on the queue's space-listener wake path instead of
-  rejecting; admission *policy* rejections (``OVERLOAD``) still come
+  the producer until a wave the client dispatches frees a slot, instead
+  of rejecting; admission *policy* rejections (``OVERLOAD``) still come
   back as resolved tickets, because shedding over-budget work is a
   serving decision, not a capacity accident.
+
+The service hands back what each ``step()`` / ``run_until()`` resolved,
+so the client learns of completions from the calls it makes itself --
+the way the paper's driver returns a call's result to its caller after
+the completion interrupt -- and no hook is installed on the service.
 
 Time stays *modeled*: arrivals carried in
 :attr:`~repro.api.SubmitOptions.arrival_seconds` advance the same
@@ -148,24 +153,17 @@ class AsyncEngineClient:
     service/pool context managers as usual); it owns only the dispatch
     task and the ticket futures.  Use as an async context manager, or
     call :meth:`start` / :meth:`close` explicitly.
-
-    ``backpressure=False`` restores the synchronous queue behaviour
-    (full queue -> immediate ``QUEUE_FULL`` rejection) for callers that
-    prefer explicit shedding over producer suspension.
     """
 
-    def __init__(self, service: EngineService, *,
-                 backpressure: bool = True) -> None:
+    def __init__(self, service: EngineService) -> None:
         self.service = service
-        self.backpressure = backpressure
         #: Submits that suspended at least once on a full queue.
         self.backpressure_waits = 0
         #: Wall seconds producers spent suspended on the queue.
         self.backpressure_wall_seconds = 0.0
+        #: Accepted submissions not yet resolved, by request id.
         self._tickets: Dict[int, AsyncTicket] = {}
-        self._resolved_unsettled: List[AsyncTicket] = []
         self._streams: List["asyncio.Queue[object]"] = []
-        self._outstanding = 0
         self._dispatch_task: Optional["asyncio.Task[None]"] = None
         self._work: Optional[asyncio.Event] = None
         self._space: Optional[asyncio.Event] = None
@@ -184,8 +182,6 @@ class AsyncEngineClient:
         self._space = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
-        self.service.queue.add_space_listener(self._on_queue_space)
-        self.service.on_resolved = self._on_resolved
         self._dispatch_task = asyncio.get_running_loop().create_task(
             self._dispatch_loop())
 
@@ -206,8 +202,6 @@ class AsyncEngineClient:
             except asyncio.CancelledError:
                 pass
             self._dispatch_task = None
-            self.service.queue.remove_space_listener(self._on_queue_space)
-            self.service.on_resolved = None
         for ticket in list(self._tickets.values()):
             ticket._fail(ServiceError(
                 f"client closed with request {ticket.request_id} "
@@ -232,9 +226,8 @@ class AsyncEngineClient:
         the event loop.
 
         The returned :class:`AsyncTicket` is already resolved for
-        admission rejections (``OVERLOAD``, ``TENANT_QUOTA``, or
-        ``QUEUE_FULL`` with ``backpressure=False``); otherwise it
-        resolves when the background loop retires the request's wave.
+        admission rejections (``OVERLOAD``, ``TENANT_QUOTA``); otherwise
+        it resolves when the background loop retires the request's wave.
         Backpressure suspension is tied to *queue depth* only: a tenant
         at its own :class:`~repro.service.TenantPolicy` quota is shed
         explicitly (a resolved ``TENANT_QUOTA`` ticket), never parked
@@ -250,10 +243,8 @@ class AsyncEngineClient:
         if options is not None and options.arrival_seconds is not None:
             # Same pacing as the serial path's run_until-then-submit:
             # deterministic, machine-independent admission decisions.
-            self.service.run_until(options.arrival_seconds)
-            self._settle()
-        if self.backpressure:
-            await self._wait_for_space()
+            self._settle(self.service.run_until(options.arrival_seconds))
+        await self._wait_for_space()
         ticket = self.service.submit(call, options)
         future: "asyncio.Future[ServiceTicket]" = (
             asyncio.get_running_loop().create_future())
@@ -265,7 +256,6 @@ class AsyncEngineClient:
             self._push_to_streams(async_ticket)
         else:
             self._tickets[ticket.request_id] = async_ticket
-            self._outstanding += 1
             assert self._idle is not None and self._work is not None
             self._idle.clear()
             self._work.set()
@@ -274,9 +264,10 @@ class AsyncEngineClient:
     async def _wait_for_space(self) -> None:
         """Suspend until the bounded queue has a slot.
 
-        Several producers may be parked here; the queue's space
-        listener wakes them all and each re-checks -- losers go back to
-        waiting, so FIFO-within-priority never depends on wake order.
+        Several producers may be parked here; every wave the client
+        dispatches that leaves room wakes them all and each re-checks --
+        losers go back to waiting, so FIFO-within-priority never depends
+        on wake order.
         """
         assert self._space is not None and self._work is not None
         waited = False
@@ -324,7 +315,7 @@ class AsyncEngineClient:
         the service books (the async analogue of ``drain()``)."""
         self.start()
         assert self._idle is not None and self._work is not None
-        while self.service.queue or self._outstanding:
+        while self.service.queue or self._tickets:
             self._work.set()
             # Yield so the dispatch task runs even when the idle event
             # is already set (work submitted behind the client's back).
@@ -334,30 +325,23 @@ class AsyncEngineClient:
 
     # -- dispatch internals ---------------------------------------------------
 
-    def _on_queue_space(self) -> None:
-        if self._space is not None:
+    def _settle(self, resolved: List[ServiceTicket]) -> None:
+        """Act on what one of the client's own ``step()`` /
+        ``run_until()`` calls returned: wake producers parked on a full
+        queue if it now has room, then resolve futures and feed streams
+        for the retired tickets, in the order the service resolved
+        them."""
+        if self._space is not None and self.service.queue.has_space:
             self._space.set()
-
-    def _on_resolved(self, ticket: ServiceTicket) -> None:
-        """Service hook: one ticket left the QUEUED state."""
-        async_ticket = self._tickets.pop(ticket.request_id, None)
-        if async_ticket is not None:
-            self._outstanding -= 1
-            self._resolved_unsettled.append(async_ticket)
-
-    def _settle(self) -> None:
-        """Resolve futures and feed streams for freshly retired work."""
-        if not self._resolved_unsettled:
-            self._maybe_idle()
-            return
-        batch, self._resolved_unsettled = self._resolved_unsettled, []
-        for async_ticket in batch:
-            async_ticket._resolve()
-            self._push_to_streams(async_ticket)
+        for ticket in resolved:
+            async_ticket = self._tickets.pop(ticket.request_id, None)
+            if async_ticket is not None:
+                async_ticket._resolve()
+                self._push_to_streams(async_ticket)
         self._maybe_idle()
 
     def _maybe_idle(self) -> None:
-        if self._idle is not None and self._outstanding == 0:
+        if self._idle is not None and not self._tickets:
             self._idle.set()
 
     def _push_to_streams(self, async_ticket: AsyncTicket) -> None:
@@ -371,7 +355,9 @@ class AsyncEngineClient:
         completions (and producers awaiting space) run between waves,
         not after a full drain.  On an unrecoverable pool error every
         in-flight future is failed with the exception -- a dead pool
-        must never strand an awaiter.
+        must never strand an awaiter -- except the ones the failing
+        wave had already resolved (a deadline expiry booked before the
+        pool raised), which keep their outcome.
         """
         assert self._work is not None
         while True:
@@ -381,20 +367,22 @@ class AsyncEngineClient:
                 self._maybe_idle()
                 continue
             try:
-                self.service.step()
+                resolved = self.service.step()
             except Exception as exc:
-                for async_ticket in list(self._tickets.values()):
+                self._settle([async_ticket.ticket for async_ticket
+                              in self._tickets.values()
+                              if async_ticket.ticket.done])
+                for async_ticket in self._tickets.values():
                     async_ticket._fail(exc)
                 self._tickets.clear()
-                self._outstanding = 0
-                self._settle()
+                self._maybe_idle()
                 # The loop is dead; further submits must not hang on a
                 # dispatcher that will never step again.
                 self._closed = True
                 for stream in self._streams:
                     stream.put_nowait(_END_OF_STREAM)
                 raise
-            self._settle()
+            self._settle(resolved)
             await asyncio.sleep(0)
 
 

@@ -91,16 +91,20 @@ class LoadReport:
             book = self.tenants[name] = TenantBook(name)
         return book
 
-    def account(self, ticket: ServiceTicket, tenant_name: str,
+    def account(self, ticket: ServiceTicket,
                 wall_latency_seconds: Optional[float] = None) -> None:
-        """Fold one resolved ticket into the books.
+        """Fold one resolved ticket into the books, under the tenant it
+        was submitted as.
 
         Accounting consumes only scalars off the ticket, so the caller
         is free to :meth:`~repro.service.EngineService.release` it (and
         drop its result frame) immediately afterwards -- the discipline
         that keeps a million-request replay at constant memory.
         """
-        book = self.tenant(tenant_name)
+        # An untagged ticket counts in the totals only; its book is not
+        # kept, as the service's own per-tenant tallies skip it too.
+        book = (self.tenant(ticket.tenant) if ticket.tenant is not None
+                else TenantBook("untagged"))
         book.submitted += 1
         if ticket.state is RequestState.COMPLETED:
             self.completed += 1

@@ -10,19 +10,19 @@ Two replay paths, one accounting discipline:
   :class:`~repro.aio.AsyncEngineClient`: a producer coroutine submits
   under backpressure while a consumer drains the completion stream.
 
-Both account every resolved ticket into a :class:`LoadReport` and then
-``release()`` it, so a million-request replay holds O(queue depth)
-tickets and result frames, not O(trace).  Both pace the *modeled*
-clock from the trace's arrival stamps, so the books they cut are
-machine-independent and (for the functional results) bit-exact with
-each other.
+Both account every resolved ticket into a :class:`LoadReport` under
+the tenant it carries and then ``release()`` it, so a million-request
+replay holds O(queue depth) tickets and result frames, not O(trace).
+Both pace the *modeled* clock from the trace's arrival stamps, so the
+books they cut are machine-independent and (for the functional
+results) bit-exact with each other.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, List
+from typing import List
 
 from ..aio import AsyncEngineClient
 from ..service.engine_service import EngineService
@@ -40,58 +40,49 @@ def _new_report(trace: ArrivalTrace, mode: str,
 
 
 def replay_serial(trace: ArrivalTrace, service: EngineService, *,
-                  load_factor: float = 1.0,
-                  release: bool = True) -> LoadReport:
+                  load_factor: float = 1.0) -> LoadReport:
     """Replay ``trace`` synchronously; returns the level's books.
 
     This is the canonical open-loop pump: advance the modeled clock to
     each arrival (dispatching every wave startable before it), submit,
-    and fold freshly resolved tickets into the books as they retire.
+    and fold the tickets those calls resolved into the books.
     """
     factory = CallFactory(trace)
     report = _new_report(trace, "serial", load_factor)
-    tenant_of: Dict[int, str] = {}
-    resolved: List[ServiceTicket] = []
-    previous_hook = service.on_resolved
-    service.on_resolved = resolved.append
 
-    def settle() -> None:
-        while resolved:
-            ticket = resolved.pop()
-            report.account(ticket, tenant_of.pop(ticket.request_id))
-            if release:
-                service.release(ticket)
+    def settle(resolved: List[ServiceTicket]) -> None:
+        # Newest first: the order the latency books have always been
+        # summed in, so their float means stay bit-identical.
+        for ticket in reversed(resolved):
+            report.account(ticket)
+            service.release(ticket)
 
     wall_start = time.perf_counter()
-    try:
-        for entry in trace.entries:
-            call = factory.call(entry)
-            options = factory.options(entry)
-            service.run_until(entry.arrival_seconds)
-            ticket = service.submit(call, options)
-            tenant_of[ticket.request_id] = (
-                trace.tenants[entry.tenant_index].name)
-            settle()
-        report.service = service.drain()
-        settle()
-    finally:
-        service.on_resolved = previous_hook
+    for entry in trace.entries:
+        call = factory.call(entry)
+        options = factory.options(entry)
+        resolved = service.run_until(entry.arrival_seconds)
+        ticket = service.submit(call, options)
+        if ticket.done:
+            settle([ticket])
+        settle(resolved)
+    resolved = []
+    while service.queue:
+        resolved += service.step()
+    report.service = service.drain()
+    settle(resolved)
     report.wall_elapsed_seconds = time.perf_counter() - wall_start
     return report
 
 
 def replay_async(trace: ArrivalTrace, service: EngineService, *,
-                 load_factor: float = 1.0, backpressure: bool = True,
-                 release: bool = True) -> LoadReport:
+                 load_factor: float = 1.0) -> LoadReport:
     """Replay ``trace`` through the asyncio facade (own event loop)."""
-    return asyncio.run(areplay(trace, service, load_factor=load_factor,
-                               backpressure=backpressure,
-                               release=release))
+    return asyncio.run(areplay(trace, service, load_factor=load_factor))
 
 
 async def areplay(trace: ArrivalTrace, service: EngineService, *,
-                  load_factor: float = 1.0, backpressure: bool = True,
-                  release: bool = True) -> LoadReport:
+                  load_factor: float = 1.0) -> LoadReport:
     """:func:`replay_async` for callers already inside an event loop.
 
     A producer task submits the trace in arrival order (suspending on
@@ -101,11 +92,9 @@ async def areplay(trace: ArrivalTrace, service: EngineService, *,
     """
     factory = CallFactory(trace)
     report = _new_report(trace, "async", load_factor)
-    tenant_of: Dict[int, str] = {}
     total = len(trace)
     wall_start = time.perf_counter()
-    async with AsyncEngineClient(service,
-                                 backpressure=backpressure) as client:
+    async with AsyncEngineClient(service) as client:
         # Opened before the first submit: registration is eager, so no
         # ticket can resolve into the void while the consumer task is
         # still waiting for its first slice of the event loop.
@@ -118,12 +107,9 @@ async def areplay(trace: ArrivalTrace, service: EngineService, *,
                 return
             async with stream:
                 async for async_ticket in stream:
-                    report.account(
-                        async_ticket.ticket,
-                        tenant_of.pop(async_ticket.request_id),
-                        async_ticket.wall_latency_seconds)
-                    if release:
-                        client.release(async_ticket)
+                    report.account(async_ticket.ticket,
+                                   async_ticket.wall_latency_seconds)
+                    client.release(async_ticket)
                     accounted += 1
                     if accounted >= total:
                         break
@@ -131,12 +117,8 @@ async def areplay(trace: ArrivalTrace, service: EngineService, *,
         consumer = asyncio.ensure_future(consume())
         try:
             for entry in trace.entries:
-                async_ticket = await client.submit(
-                    factory.call(entry), factory.options(entry))
-                # Recorded before any await, so the consumer (which
-                # only runs at a yield) always finds the mapping.
-                tenant_of[async_ticket.request_id] = (
-                    trace.tenants[entry.tenant_index].name)
+                await client.submit(factory.call(entry),
+                                    factory.options(entry))
             report.service = await client.drain()
             await consumer
         finally:

@@ -75,8 +75,6 @@ class AdmissionController:
         self.timing = timing or EngineTimingModel()
         self.policy = policy if policy is not None else ServicePolicy()
         self.special_inter_ops = special_inter_ops
-        #: Requests shed, by reason value (for the service report).
-        self.shed_by_reason: Dict[str, int] = {}
         self._rates: Dict[Optional[str], _RateEstimate] = {}
 
     def price(self, call: BatchCall) -> Tuple[float, float]:
@@ -166,10 +164,5 @@ class AdmissionController:
                    if tenant_backlog_seconds is not None
                    else backlog_seconds)
         if budget is not None and backlog > budget:
-            self._count(RejectReason.OVERLOAD)
             return RejectReason.OVERLOAD
         return None
-
-    def _count(self, reason: RejectReason) -> None:
-        self.shed_by_reason[reason.value] = (
-            self.shed_by_reason.get(reason.value, 0) + 1)

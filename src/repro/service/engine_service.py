@@ -38,7 +38,7 @@ The flow::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from ..addresslib.library import BatchCall
 from ..image.frame import Frame
@@ -189,12 +189,6 @@ class EngineService:
         self._in_flight_by_tenant: Dict[Optional[str], int] = {}
         self._next_request_id = 0
         self._tickets: Dict[int, ServiceTicket] = {}
-        #: Observer hook: called with every ticket the moment it leaves
-        #: the QUEUED state (completed, rejected, or timed out).  The
-        #: asyncio facade (:mod:`repro.aio`) uses it to resolve
-        #: awaitable tickets without scanning; it must be cheap and
-        #: must not mutate the service reentrantly.
-        self.on_resolved: Optional[Callable[[ServiceTicket], None]] = None
 
     @property
     def busy_until(self) -> float:
@@ -243,7 +237,8 @@ class EngineService:
         self._next_request_id += 1
         ticket = ServiceTicket(request_id=request.request_id,
                                priority=options.priority,
-                               arrival_seconds=arrival)
+                               arrival_seconds=arrival,
+                               tenant=options.tenant)
         self._tickets[request.request_id] = ticket
         self.report_data.submitted += 1
 
@@ -320,25 +315,26 @@ class EngineService:
             sheds = self.report_data.sheds_by_tenant
             sheds[tenant] = sheds.get(tenant, 0) + 1
         self.pool.account_shed()
-        if self.on_resolved is not None:
-            self.on_resolved(ticket)
 
     # -- dispatch -------------------------------------------------------------
 
-    def step(self) -> bool:
-        """Dispatch one micro-batched wave; False when queue is empty."""
+    def step(self) -> List[ServiceTicket]:
+        """Dispatch one micro-batched wave; returns the tickets it
+        resolved -- its timeouts first, then its completions in wave
+        order (``[]`` when the queue is empty)."""
+        resolved: List[ServiceTicket] = []
         wave = self.batcher.form_wave(self.queue)
         if not wave:
-            return False
+            return resolved
         for request in wave:
             self._pending_cost_seconds -= request.estimated_cost_seconds
             self._add_tenant_pending(request, -1)
         not_before = max(r.effective_arrival_seconds for r in wave)
         start_estimate = max(self.busy_until, not_before)
         survivors = [r for r in wave
-                     if not self._expire(r, start_estimate)]
+                     if not self._expire(r, start_estimate, resolved)]
         if not survivors:
-            return True
+            return resolved
         dispatch = self.pool.dispatch(
             [r.call for r in survivors], not_before=not_before,
             hint=survivors[0].placement)
@@ -352,14 +348,16 @@ class EngineService:
         self.report_data.waves += 1
         for request, result in zip(survivors, dispatch.results):
             request.attempts += 1
-            self._complete(request, result, wave_end)
-        return True
+            resolved.append(self._complete(request, result, wave_end))
+        return resolved
 
-    def _expire(self, request: ServiceRequest, start: float) -> bool:
+    def _expire(self, request: ServiceRequest, start: float,
+                resolved: List[ServiceTicket]) -> bool:
         """Deadline check at dispatch: True when the request must not
         run now.  A miss with retry budget re-enqueues at the front with
         the deadline re-based to "now" (the client re-issuing); a miss
-        without budget times out -- the work is shed, never executed."""
+        without budget times out -- the work is shed, never executed,
+        and its ticket is appended to ``resolved``."""
         deadline = request.absolute_deadline
         if deadline is None:
             return False
@@ -382,8 +380,7 @@ class EngineService:
             sheds = self.report_data.sheds_by_tenant
             sheds[request.tenant] = sheds.get(request.tenant, 0) + 1
         self.pool.account_shed()
-        if self.on_resolved is not None:
-            self.on_resolved(ticket)
+        resolved.append(ticket)
         return True
 
     def _release_in_flight(self, request: ServiceRequest) -> None:
@@ -395,7 +392,8 @@ class EngineService:
             self._in_flight_by_tenant.pop(request.tenant, None)
 
     def _complete(self, request: ServiceRequest,
-                  result: Union[Frame, int], wave_end: float) -> None:
+                  result: Union[Frame, int],
+                  wave_end: float) -> ServiceTicket:
         ticket = self._tickets[request.request_id]
         ticket.state = RequestState.COMPLETED
         ticket.outcome = result
@@ -414,17 +412,19 @@ class EngineService:
             by_tenant = self.report_data.calls_by_tenant
             by_tenant[request.tenant] = (
                 by_tenant.get(request.tenant, 0) + 1)
-        if self.on_resolved is not None:
-            self.on_resolved(ticket)
+        return ticket
 
     # -- draining -------------------------------------------------------------
 
-    def run_until(self, seconds: float) -> None:
+    def run_until(self, seconds: float) -> List[ServiceTicket]:
         """Advance the modeled clock to ``seconds``, dispatching every
-        wave the pool can start before then (open-loop serving)."""
+        wave the pool can start before then (open-loop serving);
+        returns what those waves resolved, in :meth:`step` order."""
+        resolved: List[ServiceTicket] = []
         while self.queue and self.busy_until < seconds:
-            self.step()
+            resolved += self.step()
         self.clock = max(self.clock, seconds)
+        return resolved
 
     def drain(self) -> ServiceReport:
         """Dispatch until the queue is empty; returns the books.

@@ -22,15 +22,10 @@ the whole remaining depth.  All knobs come from one
 
 The synchronous front end surfaces a full queue as an immediate
 ``QUEUE_FULL`` rejection; the asyncio facade (:mod:`repro.aio`)
-instead *suspends* the producer until a slot frees.  The wake signal
-lives here: :meth:`RequestQueue.add_space_listener` registers a
-zero-argument callback fired whenever a pop reopens space in a queue
-that was at depth.  Listeners are notification-only -- they must
-re-check :attr:`has_space` themselves (several producers may race for
-one freed slot) and must not mutate the queue reentrantly.  Quota
-rejections deliberately do not ride the listener path: a tenant at its
-own cap is shed explicitly, not suspended against space it may never
-be allowed to take.
+instead *suspends* the producer until a slot frees, re-checking
+:attr:`RequestQueue.has_space` after each wave it dispatches.  Quota
+rejections never suspend: a tenant at its own cap is shed explicitly,
+not parked against space it may never be allowed to take.
 """
 
 from __future__ import annotations
@@ -71,7 +66,6 @@ class RequestQueue:
         self._queued_by_tenant: Dict[Optional[str], int] = {}
         #: Deepest the queue ever got (capacity-planning signal).
         self.high_water = 0
-        self._space_listeners: List[Callable[[], None]] = []
 
     def __len__(self) -> int:
         return self._size
@@ -88,34 +82,6 @@ class RequestQueue:
         if not self.policy.fair_queueing:
             return None
         return request.tenant
-
-    # -- backpressure signaling -----------------------------------------------
-
-    def add_space_listener(self, listener: Callable[[], None]) -> None:
-        """Register a wake callback for the full-to-space transition.
-
-        Fired after any pop that takes a queue *at depth* back below
-        its bound -- the moment a suspended producer could offer again.
-        The callback carries no payload: a woken producer re-checks
-        :attr:`has_space` (another producer may have claimed the slot
-        first) and goes back to waiting if it lost the race.
-        """
-        self._space_listeners.append(listener)
-
-    def remove_space_listener(self,
-                              listener: Callable[[], None]) -> None:
-        """Unregister ``listener``; unknown listeners are a no-op."""
-        try:
-            self._space_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def _notify_space(self, depth_before: int) -> None:
-        """Wake listeners when a pop reopened space at the bound."""
-        if (self._space_listeners and depth_before >= self.max_depth
-                and self._size < self.max_depth):
-            for listener in tuple(self._space_listeners):
-                listener()
 
     # -- offering -------------------------------------------------------------
 
@@ -178,7 +144,6 @@ class RequestQueue:
     def pop_next(self) -> ServiceRequest:
         """Smallest finish tag in the highest non-empty class; raises
         IndexError when empty."""
-        depth_before = self._size
         for priority in Priority:
             buckets = self._classes[priority]
             if not buckets:
@@ -196,7 +161,6 @@ class RequestQueue:
                 del buckets[best]  # type: ignore[arg-type]
             self._vtime[priority] = max(self._vtime[priority], finish)
             self._account_remove(request)
-            self._notify_space(depth_before)
             return request
         raise IndexError("pop from an empty RequestQueue")
 
@@ -227,7 +191,6 @@ class RequestQueue:
         popped: List[ServiceRequest] = []
         if limit <= 0:
             return popped
-        depth_before = self._size
         for priority in Priority:
             if not self._classes[priority]:
                 continue
@@ -242,8 +205,6 @@ class RequestQueue:
                 popped.extend(entry[2] for entry in taken)
             if len(popped) >= limit:
                 break
-        if popped:
-            self._notify_space(depth_before)
         return popped
 
     def _remove_entries(self, priority: Priority,

@@ -114,12 +114,15 @@ class ServiceTicket:
 
     ``submit`` returns the ticket immediately; a rejected request comes
     back already resolved (``state`` REJECTED with a ``reject_reason``),
-    an accepted one resolves during ``drain``/``run_until``.
+    an accepted one resolves during ``step``/``run_until``/``drain``,
+    and ``step`` and ``run_until`` return the tickets they resolved.
     """
 
     request_id: int
     priority: Priority
     arrival_seconds: float
+    #: Tenant label the request was submitted under (``None``: untagged).
+    tenant: Optional[str] = None
     state: RequestState = RequestState.QUEUED
     reject_reason: Optional[RejectReason] = None
     #: Functional result once COMPLETED (frame, or scalar for reduces).

@@ -17,6 +17,7 @@ from repro.addresslib import BatchCall, INTER_OPS, INTRA_OPS, VectorExecutor
 from repro.aio import AsyncEngineClient
 from repro.api import (EnginePool, EngineService, Priority, RequestState,
                        ServiceError, ServicePolicy, SubmitOptions)
+from repro.core import EngineDeadlock
 from repro.image import ImageFormat, noise_frame
 
 _INTRA = sorted(INTRA_OPS.values(), key=lambda op: op.name)
@@ -204,29 +205,33 @@ class TestBackpressure:
         assert all(t.ticket.state is RequestState.COMPLETED
                    for t in tickets)
 
-    def test_backpressure_off_rejects_queue_full(self):
-        """``backpressure=False`` restores the synchronous contract:
-        the marginal submit comes back already rejected and awaiting
-        it raises."""
+
+class TestFailedStep:
+    def test_failing_wave_keeps_the_timeout_it_booked(self):
+        """A step that raises after expiring one request fails only the
+        rest: the expiry it booked stands, the dispatch task dies."""
         fmt = ImageFormat("T16", 16, 16)
 
         async def run():
-            service = EngineService(policy=ServicePolicy(queue_depth=2))
-            async with AsyncEngineClient(service,
-                                         backpressure=False) as client:
-                tickets = [await client.submit(
-                    BatchCall.intra(_INTRA[0], noise_frame(fmt, seed=s)))
-                    for s in range(6)]
-                rejected = [t for t in tickets if t.done]
-                assert rejected, "expected queue-full rejections"
-                with pytest.raises(ServiceError):
-                    await rejected[0]
-                report = await client.drain()
-            return tickets, report
+            service = EngineService(pool=EnginePool.of_engines(1),
+                                    policy=ServicePolicy(queue_depth=8))
+            async with AsyncEngineClient(service) as client:
+                # Neither submit yields, so both queue before the
+                # dispatch task first runs and ride one wave.
+                doomed = await client.submit(
+                    BatchCall.intra(_INTRA[0], noise_frame(fmt, seed=1)),
+                    SubmitOptions(deadline_seconds=1e-9))
+                stranded = await client.submit(
+                    BatchCall.intra(_INTRA[0], noise_frame(fmt, seed=2)))
+                service.pool.workers[0].failed = True
+                expired = await doomed.wait()
+                with pytest.raises(EngineDeadlock):
+                    await stranded
+                with pytest.raises(EngineDeadlock):
+                    await client._dispatch_task
+            return expired
 
-        tickets, report = asyncio.run(run())
-        assert report.rejected_by_reason.get("queue_full", 0) > 0
-        assert report.completed == len(tickets) - report.rejected
+        assert asyncio.run(run()).state is RequestState.TIMED_OUT
 
 
 class TestTicketLifecycle:

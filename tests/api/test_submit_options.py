@@ -14,11 +14,12 @@ import warnings
 import pytest
 
 from repro.addresslib import AddressLib, BatchCall, INTRA_GRAD
-from repro.api import (AdmissionPolicy, EnginePool, EngineService,
-                       Priority, SubmitOptions)
+from repro.api import (AdmissionPolicy, AsyncEngineClient, EnginePool,
+                       EngineService, Priority, SubmitOptions)
 from repro.core import intra_config
 from repro.host import AddressEngineDriver, CallScheduler, EngineBackend
 from repro.image import ImageFormat, noise_frame
+from repro.load import ArrivalTrace, TraceSpec, replay_async, replay_serial
 from repro.perf import TransportCostModel
 from repro.service import MicroBatcher, RequestQueue
 
@@ -28,6 +29,11 @@ SMALL = ImageFormat("P16x16", 16, 16)
 
 def _call(seed=0):
     return BatchCall.intra(INTRA_GRAD, noise_frame(QCIF, seed=seed))
+
+
+def _trace():
+    return ArrivalTrace.synthesize(TraceSpec(requests=4, rate_per_s=10.0,
+                                             seed=1))
 
 
 def _drain_one(service, options=None):
@@ -147,11 +153,24 @@ class TestOldSpellingsRemoved:
             None, [True]),
         lambda: CallScheduler(transport="shm"),
         lambda: CallScheduler(transport_model=TransportCostModel()),
+        lambda: AsyncEngineClient(EngineService(), backpressure=False),
+        lambda: replay_async(_trace(), EngineService(),
+                             backpressure=False),
+        lambda: replay_serial(_trace(), EngineService(), release=False),
     ], ids=["service-queue_depth", "service-lib",
             "service-virtual_engines", "service-AdmissionPolicy",
             "queue-max_depth", "batcher-max_batch", "submit-priority",
             "run_batch-positional", "driver-positional",
-            "scheduler-transport", "scheduler-cost-model"])
+            "scheduler-transport", "scheduler-cost-model",
+            "client-backpressure", "replay_async-backpressure",
+            "replay_serial-release"])
     def test_old_spelling_raises_type_error(self, spelling):
         with pytest.raises(TypeError):
             spelling()
+
+    def test_resolution_hooks_are_gone(self):
+        """Resolved tickets come back from ``step``/``run_until``; no
+        callback slot or listener list is left to install."""
+        assert not hasattr(EngineService(), "on_resolved")
+        assert not hasattr(RequestQueue, "add_space_listener")
+        assert not hasattr(RequestQueue, "remove_space_listener")

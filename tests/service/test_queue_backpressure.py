@@ -1,11 +1,11 @@
-"""RequestQueue at depth: reject stability, FIFO, and the wake path.
+"""RequestQueue at depth: reject stability and FIFO under suspension.
 
 The bounded queue is the backpressure primitive both front ends build
 on: the synchronous path needs the full-queue reject reason to be
 stable (``QUEUE_FULL``, every time, no matter how often it is hit),
-and the asyncio facade needs the space-listener wake path to fire on
-exactly the full-to-space transitions.  FIFO-within-priority must hold
-under concurrent producers racing through backpressure suspensions.
+and the asyncio facade needs :attr:`RequestQueue.has_space` to track
+depth exactly.  FIFO-within-priority must hold under concurrent
+producers racing through backpressure suspensions.
 """
 
 import asyncio
@@ -53,46 +53,6 @@ class TestRejectStability:
         assert not queue.has_space
         queue.pop_next()
         assert queue.has_space
-
-
-class TestSpaceListeners:
-    def test_fires_only_on_full_to_space_transition(self):
-        """Pops below the bound are silent; the pop that reopens a
-        full queue wakes every registered listener once."""
-        queue = RequestQueue(policy=ServicePolicy(queue_depth=2))
-        fired = []
-        queue.add_space_listener(lambda: fired.append("a"))
-        queue.add_space_listener(lambda: fired.append("b"))
-        queue.offer(_request(0))
-        queue.pop_next()
-        assert fired == []  # never was full
-        queue.offer(_request(1))
-        queue.offer(_request(2))
-        queue.pop_next()
-        assert fired == ["a", "b"]  # full -> space: both woken once
-        queue.pop_next()
-        assert fired == ["a", "b"]  # already had space: silent
-
-    def test_pop_compatible_fires_once_for_a_batch(self):
-        queue = RequestQueue(policy=ServicePolicy(queue_depth=3))
-        fired = []
-        queue.add_space_listener(lambda: fired.append(1))
-        for request_id in range(3):
-            queue.offer(_request(request_id))
-        popped = queue.pop_compatible(lambda r: True, limit=3)
-        assert len(popped) == 3
-        assert fired == [1]
-
-    def test_remove_listener_and_unknown_removal(self):
-        queue = RequestQueue(policy=ServicePolicy(queue_depth=1))
-        fired = []
-        listener = lambda: fired.append(1)  # noqa: E731
-        queue.add_space_listener(listener)
-        queue.remove_space_listener(listener)
-        queue.remove_space_listener(listener)  # unknown: no-op
-        queue.offer(_request(0))
-        queue.pop_next()
-        assert fired == []
 
 
 class TestFifoUnderConcurrentProducers:
