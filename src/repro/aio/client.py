@@ -53,8 +53,8 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import (TYPE_CHECKING, Dict, Generator, List, Optional,
-                    Union)
+from typing import (TYPE_CHECKING, Callable, Dict, Generator, List,
+                    Optional, Union)
 
 from ..addresslib.library import BatchCall
 from ..image.frame import Frame
@@ -186,7 +186,8 @@ class AsyncEngineClient:
             self._dispatch_loop())
 
     async def close(self) -> None:
-        """Stop the dispatch loop and end every completion stream.
+        """Stop the dispatch loop, end every completion stream and
+        fail producers parked on a full queue.
 
         Unresolved tickets are failed with :class:`ServiceError` --
         closing a client with work in flight is an abandonment, and a
@@ -207,8 +208,7 @@ class AsyncEngineClient:
                 f"client closed with request {ticket.request_id} "
                 f"unresolved"))
         self._tickets.clear()
-        for stream in self._streams:
-            stream.put_nowait(_END_OF_STREAM)
+        self._release_waiters()
 
     async def __aenter__(self) -> "AsyncEngineClient":
         self.start()
@@ -243,7 +243,8 @@ class AsyncEngineClient:
         if options is not None and options.arrival_seconds is not None:
             # Same pacing as the serial path's run_until-then-submit:
             # deterministic, machine-independent admission decisions.
-            self._settle(self.service.run_until(options.arrival_seconds))
+            arrival = options.arrival_seconds
+            self._call_service(lambda: self.service.run_until(arrival))
         await self._wait_for_space()
         ticket = self.service.submit(call, options)
         future: "asyncio.Future[ServiceTicket]" = (
@@ -281,6 +282,8 @@ class AsyncEngineClient:
             self._work.set()
             self._space.clear()
             await self._space.wait()
+            if self._closed:
+                raise ServiceError("client is closed")
         if waited:
             self.backpressure_wall_seconds += (
                 time.perf_counter() - wall_start)
@@ -312,10 +315,14 @@ class AsyncEngineClient:
 
     async def drain(self) -> ServiceReport:
         """Suspend until every accepted request has resolved; returns
-        the service books (the async analogue of ``drain()``)."""
+        the service books (the async analogue of ``drain()``).  Raises
+        :class:`ServiceError` when the client closes with work still
+        queued: nothing will ever dispatch it."""
         self.start()
         assert self._idle is not None and self._work is not None
         while self.service.queue or self._tickets:
+            if self._closed:
+                raise ServiceError("client is closed")
             self._work.set()
             # Yield so the dispatch task runs even when the idle event
             # is already set (work submitted behind the client's back).
@@ -324,6 +331,48 @@ class AsyncEngineClient:
         return self.service.drain()
 
     # -- dispatch internals ---------------------------------------------------
+
+    def _call_service(
+            self, call: Callable[[], List[ServiceTicket]]) -> None:
+        """Make one of the client's own ``step()`` / ``run_until()``
+        calls and settle the tickets it returns.
+
+        A call that raises has lost the pool.  Every outstanding ticket
+        the call had already resolved before raising -- the waves a
+        ``run_until`` retired first, a deadline expiry booked before the
+        pool failed -- keeps its outcome; every other outstanding future
+        is failed with the exception, because a dead pool must never
+        strand an awaiter.  The client then closes: the dispatch task
+        stops, and producers parked on a full queue, like any further
+        submit, fail fast instead of queueing work for a dispatcher
+        that will never step again.
+        """
+        try:
+            resolved = call()
+        except Exception as exc:
+            self._settle([async_ticket.ticket for async_ticket
+                          in self._tickets.values()
+                          if async_ticket.ticket.done])
+            for async_ticket in self._tickets.values():
+                async_ticket._fail(exc)
+            self._tickets.clear()
+            task = self._dispatch_task
+            if task is not None and task is not asyncio.current_task():
+                task.cancel()
+            self._release_waiters()
+            raise
+        self._settle(resolved)
+
+    def _release_waiters(self) -> None:
+        """Mark the client closed and wake everything parked on it:
+        producers waiting for queue space and ``drain()`` re-check and
+        raise :class:`ServiceError`, completion streams end."""
+        self._closed = True
+        self._maybe_idle()
+        if self._space is not None:
+            self._space.set()
+        for stream in self._streams:
+            stream.put_nowait(_END_OF_STREAM)
 
     def _settle(self, resolved: List[ServiceTicket]) -> None:
         """Act on what one of the client's own ``step()`` /
@@ -353,11 +402,8 @@ class AsyncEngineClient:
 
         The yield is the streaming contract: consumers awaiting
         completions (and producers awaiting space) run between waves,
-        not after a full drain.  On an unrecoverable pool error every
-        in-flight future is failed with the exception -- a dead pool
-        must never strand an awaiter -- except the ones the failing
-        wave had already resolved (a deadline expiry booked before the
-        pool raised), which keep their outcome.
+        not after a full drain.  A wave that raises ends the loop (see
+        :meth:`_call_service`).
         """
         assert self._work is not None
         while True:
@@ -366,23 +412,7 @@ class AsyncEngineClient:
                 self._work.clear()
                 self._maybe_idle()
                 continue
-            try:
-                resolved = self.service.step()
-            except Exception as exc:
-                self._settle([async_ticket.ticket for async_ticket
-                              in self._tickets.values()
-                              if async_ticket.ticket.done])
-                for async_ticket in self._tickets.values():
-                    async_ticket._fail(exc)
-                self._tickets.clear()
-                self._maybe_idle()
-                # The loop is dead; further submits must not hang on a
-                # dispatcher that will never step again.
-                self._closed = True
-                for stream in self._streams:
-                    stream.put_nowait(_END_OF_STREAM)
-                raise
-            self._settle(resolved)
+            self._call_service(self.service.step)
             await asyncio.sleep(0)
 
 

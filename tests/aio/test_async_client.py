@@ -205,6 +205,31 @@ class TestBackpressure:
         assert all(t.ticket.state is RequestState.COMPLETED
                    for t in tickets)
 
+    def test_close_fails_parked_producers(self):
+        """Closing while a producer is parked on a full queue wakes it
+        with ``ServiceError`` -- it must not wait forever on a slot no
+        dispatcher will free."""
+        fmt = ImageFormat("T16", 16, 16)
+
+        async def run():
+            service = EngineService(policy=ServicePolicy(queue_depth=1))
+            async with AsyncEngineClient(service) as client:
+                await asyncio.sleep(0)  # the dispatch task idles
+                # Scheduled before the dispatch task is woken, so the
+                # close lands before any wave frees the slot.
+                closer = asyncio.ensure_future(client.close())
+                queued = await client.submit(
+                    BatchCall.intra(_INTRA[0], noise_frame(fmt, seed=1)))
+                with pytest.raises(ServiceError):
+                    await client.submit(BatchCall.intra(
+                        _INTRA[0], noise_frame(fmt, seed=2)))
+                await closer
+                with pytest.raises(ServiceError):
+                    await queued
+            return client.backpressure_waits
+
+        assert asyncio.run(asyncio.wait_for(run(), 30.0)) == 1
+
 
 class TestFailedStep:
     def test_failing_wave_keeps_the_timeout_it_booked(self):
@@ -232,6 +257,116 @@ class TestFailedStep:
             return expired
 
         assert asyncio.run(run()).state is RequestState.TIMED_OUT
+
+    def test_failing_run_until_keeps_what_it_booked(self):
+        """The only board dies inside an arrival-stamped submit's
+        ``run_until``: the completion and the expiry booked before it
+        raised resolve and stream, the wave it died in fails, and the
+        client closes with work still queued."""
+        fmt = ImageFormat("T16", 16, 16)
+
+        def call(op_index, seed):
+            return BatchCall.intra(_INTRA[op_index],
+                                   noise_frame(fmt, seed=seed))
+
+        async def run():
+            service = EngineService(pool=EnginePool.of_engines(1),
+                                    policy=ServicePolicy(queue_depth=8))
+            board = service.pool.workers[0]
+            run_wave = board.run_wave
+
+            def run_once_then_die(calls):
+                results = run_wave(calls)
+                board.failed = True
+                return results
+
+            board.run_wave = run_once_then_die
+            async with AsyncEngineClient(service) as client:
+                stream = client.completions()
+                # No submit yields, so all four queue before the
+                # dispatch task first runs.  Waves: [first], then
+                # [doomed, stranded] (doomed expires at dispatch,
+                # stranded finds no board), then [left].
+                first = await client.submit(call(1, 1))
+                doomed = await client.submit(
+                    call(0, 2), SubmitOptions(deadline_seconds=1e-9))
+                stranded = await client.submit(call(0, 3))
+                left = await client.submit(call(2, 4))
+                with pytest.raises(EngineDeadlock):
+                    await client.submit(call(1, 5),
+                                        SubmitOptions(arrival_seconds=1.0))
+                # Settled by the failing call itself, not by a later wave.
+                assert all(t.wall_resolve_seconds is not None
+                           for t in (first, doomed, stranded, left))
+                states = [(await t.wait()).state for t in (first, doomed)]
+                for ticket in (stranded, left):
+                    with pytest.raises(EngineDeadlock):
+                        await ticket
+                streamed = [t async for t in stream]
+                # The dispatch task stops rather than step a dead pool.
+                with pytest.raises(asyncio.CancelledError):
+                    await client._dispatch_task
+                with pytest.raises(ServiceError):
+                    await client.submit(call(1, 6))
+                with pytest.raises(ServiceError):
+                    await asyncio.wait_for(client.drain(), timeout=5.0)
+            return states, streamed, first, doomed
+
+        states, streamed, first, doomed = asyncio.run(run())
+        assert states == [RequestState.COMPLETED, RequestState.TIMED_OUT]
+        assert streamed == [first, doomed]
+
+    def test_parked_producer_fails_with_the_pool(self):
+        """A producer parked on a full queue when the wave ahead of it
+        raises gets ``ServiceError``, not a ticket that the dead
+        dispatcher would never resolve."""
+        fmt = ImageFormat("T16", 16, 16)
+
+        async def run():
+            service = EngineService(pool=EnginePool.of_engines(1),
+                                    policy=ServicePolicy(queue_depth=1))
+            service.pool.workers[0].failed = True
+            async with AsyncEngineClient(service) as client:
+                queued = await client.submit(
+                    BatchCall.intra(_INTRA[0], noise_frame(fmt, seed=1)))
+                # Parks on the full queue; the dispatch task's wave of
+                # the queued request then raises and frees the slot.
+                with pytest.raises(ServiceError):
+                    await client.submit(BatchCall.intra(
+                        _INTRA[0], noise_frame(fmt, seed=2)))
+                with pytest.raises(EngineDeadlock):
+                    await queued
+                with pytest.raises(EngineDeadlock):
+                    await client._dispatch_task
+            return client.backpressure_waits, len(service.queue)
+
+        assert asyncio.run(run()) == (1, 0)
+
+    def test_drain_in_flight_fails_with_the_pool(self):
+        """A ``drain()`` waiting on the dispatch task when its wave
+        raises wakes with ``ServiceError`` for the work left queued."""
+        fmt = ImageFormat("T16", 16, 16)
+
+        async def run():
+            service = EngineService(pool=EnginePool.of_engines(1),
+                                    policy=ServicePolicy(queue_depth=8))
+            service.pool.workers[0].failed = True
+            async with AsyncEngineClient(service) as client:
+                # Two incompatible calls: the first wave raises, the
+                # second call stays queued behind it.
+                tickets = [await client.submit(BatchCall.intra(
+                    _INTRA[index], noise_frame(fmt, seed=index)))
+                    for index in range(2)]
+                with pytest.raises(ServiceError):
+                    await client.drain()
+                for ticket in tickets:
+                    with pytest.raises(EngineDeadlock):
+                        await ticket
+                with pytest.raises(EngineDeadlock):
+                    await client._dispatch_task
+            return len(service.queue)
+
+        assert asyncio.run(asyncio.wait_for(run(), 30.0)) == 1
 
 
 class TestTicketLifecycle:

@@ -1,9 +1,10 @@
-"""The repo scripts stay runnable: the serving demo and the CI lint.
+"""The repo scripts stay runnable: the serving demo and the CI checks.
 
 Each script's functions run in-process (loaded with :mod:`runpy`, so
 its ``__main__`` block stays idle) with output captured.
 """
 
+import json
 import runpy
 from pathlib import Path
 
@@ -57,3 +58,36 @@ class TestReplayPumpLint:
     def test_repo_is_clean(self, capsys):
         assert _load("lint_replay_pump.py")["main"]() == 0
         assert "lint_replay_pump: OK" in capsys.readouterr().out
+
+
+class TestBenchDrift:
+    BOOK = {"levels": [{"mean_seconds": 0.25, "wall_latency": 1.0}],
+            "trace": {"requests": 40}}
+
+    def _write(self, tmp_path, name, payload):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return str(path)
+
+    def test_drift_outside_ignored_keys_is_flagged(self, tmp_path, capsys):
+        main = _load("check_bench_drift.py")["main"]
+        regenerated = json.loads(json.dumps(self.BOOK))
+        regenerated["levels"][0]["mean_seconds"] = 0.25000000000000006
+        regenerated["levels"][0]["wall_latency"] = 2.0
+        regenerated["levels"].append({})
+        new = self._write(tmp_path, "new.json", regenerated)
+        old = self._write(tmp_path, "old.json", self.BOOK)
+        assert main([new, old, "--ignore", "wall_latency"]) == 1
+        out = capsys.readouterr().out
+        assert "$.levels: length 1 -> 2" in out
+        assert "$.levels[0].mean_seconds" in out
+        assert "wall_latency" not in out
+
+    def test_wall_only_drift_passes(self, tmp_path, capsys):
+        main = _load("check_bench_drift.py")["main"]
+        regenerated = json.loads(json.dumps(self.BOOK))
+        regenerated["levels"][0]["wall_latency"] = 2.0
+        new = self._write(tmp_path, "new.json", regenerated)
+        old = self._write(tmp_path, "old.json", self.BOOK)
+        assert main([new, old, "--ignore", "wall_latency"]) == 0
+        assert "check_bench_drift: " in capsys.readouterr().out
