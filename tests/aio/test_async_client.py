@@ -178,6 +178,38 @@ class TestStreaming:
 
         assert asyncio.run(run()) == []
 
+    def test_close_during_hand_off_fails_the_submit(self):
+        """A consumer closing the client while a stamped producer hands
+        results off makes that submit raise: its call is never offered
+        to a client that will never resolve it."""
+        fmt = ImageFormat("T16", 16, 16)
+
+        async def run():
+            service = EngineService(
+                policy=ServicePolicy(queue_depth=8, max_batch=1))
+            async with AsyncEngineClient(service) as client:
+                stream = client.completions()
+
+                async def consume():
+                    async for _ in stream:
+                        await client.close()
+
+                consumer = asyncio.ensure_future(consume())
+                await client.submit(
+                    BatchCall.intra(_INTRA[0], noise_frame(fmt, seed=1)),
+                    SubmitOptions(arrival_seconds=0.0))
+                # Its run_until retires the first call, and the hand-off
+                # lets the consumer close the client.
+                with pytest.raises(ServiceError):
+                    await client.submit(
+                        BatchCall.intra(_INTRA[0],
+                                        noise_frame(fmt, seed=2)),
+                        SubmitOptions(arrival_seconds=1.0))
+                await consumer
+            return service.report().submitted
+
+        assert asyncio.run(asyncio.wait_for(run(), 30.0)) == 1
+
 
 class TestBackpressure:
     def test_full_queue_suspends_then_completes_everything(self):
@@ -404,6 +436,23 @@ class TestTicketLifecycle:
 
         asyncio.run(run())
 
+    def test_stamped_ticket_resolves_when_awaited(self):
+        """An awaiter keeps the dispatch task stepping: a stamped
+        submit with no later submit and no ``drain()`` still resolves
+        when its ticket is awaited."""
+        fmt = ImageFormat("T16", 16, 16)
+
+        async def run():
+            service = EngineService(policy=ServicePolicy(queue_depth=8))
+            async with AsyncEngineClient(service) as client:
+                ticket = await client.submit(
+                    BatchCall.intra(_INTRA[0], noise_frame(fmt, seed=3)),
+                    SubmitOptions(arrival_seconds=0.001))
+                resolved = await asyncio.wait_for(ticket.wait(), 5.0)
+            return resolved.state
+
+        assert asyncio.run(run()) is RequestState.COMPLETED
+
 
 class TestModeledDeterminism:
     def test_replayed_arrivals_cut_identical_books(self):
@@ -436,3 +485,54 @@ class TestModeledDeterminism:
         first = asyncio.run(run_once())
         second = asyncio.run(run_once())
         assert first == second
+
+    @pytest.mark.parametrize("queue_depth, parks", [(256, False),
+                                                    (8, True)])
+    def test_producer_yields_do_not_move_the_books(self, queue_depth,
+                                                   parks):
+        """A stamped producer that yields after every submit, while a
+        consumer task releases the stream, cuts the same books as one
+        that never yields: the dispatch task must not step a wave in
+        those yields, ahead of the arrivals that pace the clock --
+        whether the queue never fills or parks the producer."""
+        rng = random.Random(0xF10)
+        fmt = ImageFormat("T16", 16, 16)
+        arrivals = sorted(rng.uniform(0.0, 0.05) for _ in range(300))
+
+        async def run_once(yields):
+            service = EngineService(
+                pool=EnginePool.of_engines(2),
+                policy=ServicePolicy(queue_depth=queue_depth,
+                                     max_batch=4))
+            async with AsyncEngineClient(service) as client:
+                stream = client.completions()
+
+                async def consume():
+                    released = 0
+                    async with stream:
+                        async for ticket in stream:
+                            client.release(ticket)
+                            released += 1
+                            if released == len(arrivals):
+                                break
+
+                consumer = asyncio.ensure_future(consume())
+                for seed, arrival in enumerate(arrivals):
+                    await client.submit(
+                        BatchCall.intra(_INTRA[0],
+                                        noise_frame(fmt, seed=seed)),
+                        SubmitOptions(arrival_seconds=arrival))
+                    if yields:
+                        await asyncio.sleep(0)
+                report = await client.drain()
+                await consumer
+                waits = client.backpressure_waits
+            payload = report.to_dict()
+            payload["pool"] = None  # wall figures live under pool
+            return payload, waits
+
+        steady, steady_waits = asyncio.run(run_once(yields=False))
+        yielding, yielding_waits = asyncio.run(run_once(yields=True))
+        assert yielding == steady
+        assert (steady_waits > 0) is parks
+        assert yielding_waits == steady_waits

@@ -14,8 +14,8 @@ import pytest
 
 from repro.api import (AdmissionPolicy, EnginePool, EngineService,
                        ServicePolicy)
-from repro.load import (ArrivalTrace, TenantSpec, TraceSpec, replay_async,
-                        replay_serial)
+from repro.load import (ArrivalTrace, LoadReport, TenantSpec, TraceSpec,
+                        replay_async, replay_serial)
 from repro.perf.report import REPORT_SCHEMA_KEYS
 
 
@@ -63,6 +63,31 @@ class TestAccounting:
         service = _service()
         replay_async(trace, service)
         assert len(service._tickets) == 0
+
+    def test_async_replay_holds_tickets_to_queue_depth(self, monkeypatch):
+        """Results are released as waves retire, not at ``drain()``:
+        while a replay runs, the service never holds more than a full
+        queue plus one wave of tickets, however long the trace."""
+        queue_depth, max_batch = 8, 2
+        trace = ArrivalTrace.synthesize(TraceSpec(
+            requests=400, rate_per_s=300.0, seed=0x0AD5, width=16,
+            height=16))
+        service = EngineService(
+            pool=EnginePool.of_engines(2),
+            policy=ServicePolicy(queue_depth=queue_depth,
+                                 max_batch=max_batch))
+        held = []
+        account = LoadReport.account
+
+        def spy(report, ticket, *args):
+            held.append(len(service._tickets))
+            account(report, ticket, *args)
+
+        monkeypatch.setattr(LoadReport, "account", spy)
+        report = replay_async(trace, service)
+        assert report.rejected == 0 and report.accounted == len(trace)
+        assert len(held) == len(trace)
+        assert max(held) <= queue_depth + max_batch
 
     def test_report_follows_shared_schema(self):
         report = replay_serial(_trace(requests=50), _service())
