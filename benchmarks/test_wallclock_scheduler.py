@@ -14,9 +14,13 @@ What must hold:
   the serial (sum) model -- this is machine-independent and always
   asserted;
 * the real wall clock never *regresses*: on any host the scheduled run
-  stays within 10% of serial (``>= 0.9x`` -- the cost-model bypass
-  keeps small hosts inline), and on hosts with >= 4 CPUs the
-  shared-memory transport must deliver ``>= 1.5x``.
+  stays within 10% of serial (``>= 0.9x``), and on hosts with >= 4
+  CPUs the shared-memory transport must deliver ``>= 1.5x``.  The
+  scheduler runs at most one worker process per CPU, and a one-CPU
+  host keeps every call in the parent.  On a 2-vCPU host the floor
+  still fails: the timed batch pays the pool's cold state (result
+  slab creation and first touch, worker attaches), which nothing
+  warms or prices yet.
 
 Results land in ``BENCH_wallclock.json`` at the repo root, including a
 ``wall.regression`` flag and the per-phase ship/compute/gather split CI
@@ -42,7 +46,7 @@ FRAMES = 12
 WORKERS = 4
 
 #: The scheduled run must never fall below this fraction of serial
-#: wall time on *any* host: the inline bypass guarantees it.
+#: wall time on *any* host.
 FLOOR_SPEEDUP = 0.9
 #: With >= 4 real CPUs the zero-copy transport must win outright.
 TARGET_SPEEDUP = 1.5
@@ -158,8 +162,8 @@ def test_scheduler_wallclock(save_report):
                f"compute {format_seconds(report.compute_seconds)} / "
                f"gather {format_seconds(report.gather_seconds)}")))
 
-    # Wall-clock gates: the floor holds everywhere (inline bypass),
-    # the 1.5x target holds wherever there are CPUs to shard onto.
+    # Wall-clock gates: the floor on every host, the 1.5x target
+    # wherever there are CPUs to shard onto.
     assert not regression, (
         f"wall-clock regression: {wall_speedup:.2f}x below "
         f"{FLOOR_SPEEDUP}x floor on {cpus} CPUs "

@@ -5,8 +5,8 @@ suites share, in two sanitized passes with every sanitizer domain
 armed:
 
 * through a :class:`~repro.host.CallScheduler` on one worker
-  configuration, with the inline bypass off so that every call ships
-  to the workers and returns through a result slab;
+  configuration, where every call ships to the workers and returns
+  through a result slab;
 * through an :class:`~repro.api.EngineService` over a two-board
   :class:`~repro.api.EnginePool`, each call submitted several times in
   a row so that same-configuration requests coalesce into waves and
@@ -20,10 +20,12 @@ Two gates per pass, both required:
 * the sanitizer emits zero error-severity diagnostics (the healthy
   stack is clean under instrumentation).
 
-Where shared memory is available, the scheduler pass must also have
-shipped calls to its workers (``pool_calls > 0``; every pool call
-crosses shared memory): a pass that ran everything inline would leave
-the live transport unwatched.
+Where shared memory is available and the host has at least two CPUs
+(so the scheduler runs at least two worker processes), the scheduler
+pass must also have shipped every one of its calls to the workers
+(``pool_calls`` equal to the cases; every pool call crosses shared
+memory): a call that ran inline is one the sanitizer did not watch
+cross the live transport.
 
 Writes a JSON report (``--out``) with per-shard accounting, the
 scheduler pass's pool/bypass call counts, the pool pass's wave
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Union
@@ -106,7 +109,7 @@ def _scheduler_pass(workers: int, findings: List[Dict[str, Any]]
     """The corpus through a sanitizer-armed scheduler that ships every
     call it can."""
     shards: List[Dict[str, Any]] = []
-    with CallScheduler(max_workers=workers, bypass="never",
+    with CallScheduler(max_workers=workers,
                        sanitize=("all",)) as scheduler:
         for shard in range(SHARDS):
             calls = _shard_calls(shard)
@@ -189,10 +192,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     pool = _pool_pass(findings)
     mismatches = scheduler["mismatches"] + pool["mismatches"]
     errors = [f for f in findings if f["severity"] == "ERROR"]
-    unwatched = SHARED_MEMORY_AVAILABLE and scheduler["pool_calls"] == 0
+    cases = SHARDS * CASES_PER_SHARD
+    can_ship = (SHARED_MEMORY_AVAILABLE and args.workers >= 2
+                and (os.cpu_count() or 1) >= 2)
+    unwatched = can_ship and scheduler["pool_calls"] != cases
     payload = {
         "seed": SEED, "shards": SHARDS,
-        "cases": SHARDS * CASES_PER_SHARD, "workers": args.workers,
+        "cases": cases, "workers": args.workers,
         "sanitize": ["all"], "mismatches": mismatches,
         "error_findings": len(errors), "findings": findings,
         "pool_calls": scheduler["pool_calls"],
@@ -214,9 +220,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               "sanitizer flagged errors)")
         return 1
     if unwatched:
-        print("sanitized corpus: FAILED (shared memory is available but "
-              "no call crossed it, so the sanitizer watched no live "
-              "transport)")
+        print(f"sanitized corpus: FAILED (shared memory is available "
+              f"but only {scheduler['pool_calls']} of {cases} calls "
+              f"crossed it, so the sanitizer did not watch the rest "
+              f"on the live transport)")
         return 1
     print("sanitized corpus: OK (bit-exact, zero error-severity "
           "findings)")

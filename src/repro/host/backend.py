@@ -46,13 +46,9 @@ class EngineBackend(Backend):
     can_record_batches = True
 
     def __init__(self, driver: Optional[AddressEngineDriver] = None,
-                 special_inter_ops: Tuple[str, ...] = (),
                  chain_frames: bool = False,
                  residency_max_age: Optional[int] = None) -> None:
         self.driver = driver or AddressEngineDriver()
-        #: Names of inter ops that must wait for both frames on the board
-        #: (section 4.1's "special inter operations").
-        self.special_inter_ops = frozenset(special_inter_ops)
         self.chain_frames = chain_frames
         #: On-board state between calls (strong-referenced frames).
         self.residency = FrameResidencyCache(max_age=residency_max_age)
@@ -86,9 +82,7 @@ class EngineBackend(Backend):
 
     def inter(self, op: InterOp, frame_a: Frame, frame_b: Frame,
               channels: ChannelSet) -> Tuple[Frame, CallRecord]:
-        config = inter_config(
-            op, frame_a.format, channels,
-            requires_full_frames=op.name in self.special_inter_ops)
+        config = inter_config(op, frame_a.format, channels)
         result, record = self._run(config, [(frame_a, frame_b)])[0]
         assert isinstance(result, Frame)
         return result, record
@@ -102,9 +96,8 @@ class EngineBackend(Backend):
 
     def inter_reduce(self, op: InterOp, frame_a: Frame, frame_b: Frame,
                      channels: ChannelSet) -> Tuple[int, CallRecord]:
-        config = inter_config(
-            op, frame_a.format, channels, reduce_to_scalar=True,
-            requires_full_frames=op.name in self.special_inter_ops)
+        config = inter_config(op, frame_a.format, channels,
+                              reduce_to_scalar=True)
         result, record = self._run(config, [(frame_a, frame_b)])[0]
         assert isinstance(result, int)
         return result, record
@@ -158,25 +151,21 @@ class EngineBackend(Backend):
         """The engine configuration a serial submission would build."""
         if call.mode is AddressingMode.INTER:
             assert isinstance(call.op, InterOp)
-            return inter_config(
-                call.op, call.fmt, call.channels,
-                reduce_to_scalar=call.reduce_to_scalar,
-                requires_full_frames=(call.op.name
-                                      in self.special_inter_ops))
+            return inter_config(call.op, call.fmt, call.channels,
+                                reduce_to_scalar=call.reduce_to_scalar)
         assert isinstance(call.op, IntraOp)
         return intra_config(call.op, call.fmt, call.channels)
 
     def batch_record(self, call: BatchCall) -> CallRecord:
         """Price and book one scheduler-executed call.
 
-        The functional result was computed in a worker; the board cost
-        comes from the same :meth:`~AddressEngineDriver.price_call`
-        arithmetic a serial :meth:`~AddressEngineDriver.submit` uses.
-        Batched calls never claim residency (the wave invalidated it).
+        The functional result was computed in a worker; the driver books
+        it as a serial :meth:`~AddressEngineDriver.submit` would -- the
+        same pre-flight check, counters and price.  Batched calls never
+        claim residency (the wave invalidated it).
         """
         config = self._config_for(call)
-        price = self.driver.price_call(config)
-        self.driver.account_scheduled(price)
+        price = self.driver.account_scheduled(config)
         record = self._base_record(
             config, price.call_seconds, price.board_seconds,
             price.pci_words)

@@ -27,9 +27,8 @@ class EngineBackendV2(EngineBackend):
     name = "address_engine_v2"
 
     def __init__(self, driver: Optional[AddressEngineDriver] = None,
-                 special_inter_ops: Tuple[str, ...] = (),
                  segment_unit: Optional[SegmentUnit] = None) -> None:
-        super().__init__(driver, special_inter_ops)
+        super().__init__(driver)
         self.segment_unit = segment_unit or SegmentUnit()
         #: Whether the frame of the previous call is still resident in
         #: the ZBT (enables the call-chaining optimisation).

@@ -299,11 +299,11 @@ class AddressEngineDriver:
                    onboard_copy_cycles: int = 0) -> CallPrice:
         """Closed-form cost of one call, without executing it.
 
-        The call scheduler uses this to price batched calls it has
-        already executed in worker processes; :meth:`submit` uses the
-        same arithmetic so priced and submitted calls account alike.
-        The price depends only on the timing model and the call
-        geometry, so each distinct one is computed once.
+        Every booking -- :meth:`submit`, and :meth:`book_call` for
+        calls executed elsewhere (batched waves, scheduler workers) --
+        prices through this, so all of them account alike.  The price
+        depends only on the timing model and the call geometry, so
+        each distinct one is computed once.
         """
         fmt = config.fmt
         return _geometry_price(
@@ -342,10 +342,11 @@ class AddressEngineDriver:
         return self.price_call(config, resident_count,
                                onboard_copy_cycles)
 
-    def account_scheduled(self, price: CallPrice) -> None:
-        """Book one scheduler-executed call into the driver counters."""
-        self.calls_submitted += 1
-        self.interrupts_serviced += price.interrupts
+    def account_scheduled(self, config: EngineConfig) -> CallPrice:
+        """Book one scheduler-executed call: :meth:`book_call` with no
+        input resident (a parallel wave leaves no bank state), so the
+        pre-flight check refuses it as it would a serial submission."""
+        return self.book_call(config)
 
     def account_shed(self, calls: int = 1) -> None:
         """Book calls a service layer dropped before submission.

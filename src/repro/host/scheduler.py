@@ -16,18 +16,18 @@ module supplies that second axis:
 * results come back the same way: each job that produces a frame is
   leased a recycled result slab from the store, the worker writes into
   it, and the parent adopts it in place;
-* a cost-model-driven *inline bypass* keeps cheap calls in the parent:
-  when the modeled compute saving of shipping a call (its
-  :class:`~repro.addresslib.executor.SoftwareCostModel` estimate times
-  the fraction other workers absorb) is below its modeled shipping
-  cost (:class:`~repro.perf.timing.TransportCostModel`, with the round
-  trip measured live), the call executes inline -- small frames never
-  pay IPC at all, and a single-CPU host degrades to serial speed
-  instead of a slowdown;
+* where a call runs follows what the host can observe, not a cost
+  guess: the pool runs ``min(max_workers, os.cpu_count())`` worker
+  processes, and in a multi-call wave every call a worker can
+  re-resolve ships, in at most that many grouped round trips, when
+  there are at least two; with one process those calls stay in the
+  parent (``bypass_calls``) -- nothing forks, and no call pays IPC that
+  overlaps nothing;
 * every batch is also *priced* under both timing models -- the serial
   (sum) model and the double-buffered overlap model of
   :class:`~repro.perf.timing.EngineTimingModel` -- list-scheduled onto
-  ``max_workers`` virtual engines, so a batch reports the modelled
+  ``max_workers`` virtual engines by the same LPT rule that groups the
+  shipped calls onto the processes, so a batch reports the modelled
   makespan speedup a multi-board deployment would see, independent of
   how many CPUs this host happens to have.
 
@@ -40,7 +40,7 @@ Bit-exactness is by construction: workers run the *same*
 :class:`~repro.addresslib.executor.VectorExecutor` the serial path
 runs, and outcomes are collected by submission index, so results are
 identical to serial execution wherever a call ran (a worker, the
-inline bypass, or the inline fallback after a failure).
+parent of a one-process host, or the inline fallback after a failure).
 
 Ops carry lambdas and do not pickle, so the parent never ships an op
 object: it ships the op *name* and the worker re-resolves it from the
@@ -58,14 +58,14 @@ import time
 import weakref
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Set,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 if TYPE_CHECKING:
     from ..analysis.diagnostics import Diagnostic
 
 from ..addresslib.addressing import AddressingMode
-from ..addresslib.executor import SoftwareCostModel, VectorExecutor
+from ..addresslib.executor import VectorExecutor
 from ..addresslib.kernels import KERNEL_FACTORIES, kernel_by_name
 from ..addresslib.library import BatchCall, BatchExecutor, BatchOutcome
 from ..addresslib.ops import (ChannelSet, InterOp, INTER_OPS, INTRA_OPS,
@@ -73,8 +73,8 @@ from ..addresslib.ops import (ChannelSet, InterOp, INTER_OPS, INTRA_OPS,
 from ..core.pci import PCI_CLOCK_HZ
 from ..image.frame import Frame
 from ..perf.report import base_report_dict
-from ..perf.timing import (EngineTimingModel, TransportCostModel,
-                           list_scheduled_makespan)
+from ..perf.timing import (EngineTimingModel, list_scheduled_makespan,
+                           lpt_schedule)
 from . import shm
 
 _KERNEL_PREFIX = "kernel_"
@@ -108,11 +108,6 @@ def _execute_call(mode_value: str, op_name: str, reduce_to_scalar: bool,
         return VectorExecutor.inter(op, frames[0], frames[1], channels)
     assert isinstance(op, IntraOp)
     return VectorExecutor.intra(op, frames[0], channels)
-
-
-def _noop() -> bool:
-    """Round-trip probe: measures the pool's fixed submission cost."""
-    return True
 
 
 def _worker_init(sanitize_domains: Tuple[str, ...] = ()) -> None:
@@ -186,8 +181,8 @@ class BatchReport:
     #: Calls executed inline (unresolvable op, no shared memory, or a
     #: failed pool, store or slab).
     inline_calls: int = 0
-    #: Calls the cost model kept in the parent: modeled compute saving
-    #: below modeled shipping cost.
+    #: Calls a worker could have run, kept in the parent because this
+    #: host runs fewer than two worker processes.
     bypass_calls: int = 0
     #: Grouped submissions (one per worker per wave).
     round_trips: int = 0
@@ -294,19 +289,12 @@ class CallScheduler(BatchExecutor):
     still bit-exact, never lost.  A failed pool or store is shut down
     and dropped; the next batch builds a fresh one.
 
-    ``bypass`` selects the inline-bypass policy: ``"auto"`` (cost model
-    decides per call), ``"never"`` (ship every shippable call),
-    ``"always"`` (run everything inline in the parent).
+    ``max_workers`` engines price each batch's modelled makespan; the
+    pool runs at most one worker process per CPU of them.
     """
 
-    def __init__(self, max_workers: Optional[int] = None,
-                 timing: Optional[EngineTimingModel] = None,
-                 special_inter_ops: Sequence[str] = (), *,
-                 bypass: str = "auto",
-                 sanitize: Optional[Sequence[str]] = None
-                 ) -> None:
-        if bypass not in ("auto", "never", "always"):
-            raise ValueError(f"unknown bypass policy {bypass!r}")
+    def __init__(self, max_workers: Optional[int] = None, *,
+                 sanitize: Optional[Sequence[str]] = None) -> None:
         if sanitize is None:
             env = os.environ.get("REPRO_SANITIZE", "")
             sanitize = [part.strip() for part in env.split(",")
@@ -323,20 +311,13 @@ class CallScheduler(BatchExecutor):
         #: plus every worker's, in collection order.
         self.sanitizer_findings: List["Diagnostic"] = []
         self.max_workers = max(1, max_workers or os.cpu_count() or 1)
-        self.timing = timing or EngineTimingModel()
-        #: Inter ops priced with ``requires_full_frames`` (the modelled
-        #: overlap gives them no credit; see section 4.1).
-        self.special_inter_ops = frozenset(special_inter_ops)
-        self.bypass = bypass
-        self._transport_costs = TransportCostModel()
+        #: Worker processes: more than one per CPU would only contend.
+        self._processes = min(self.max_workers, os.cpu_count() or 1)
+        self.timing = EngineTimingModel()
         self._resources = _PoolResources()
         self._finalizer = weakref.finalize(self, _PoolResources.release,
                                            self._resources)
         self._closed = False
-        self._cost_model = SoftwareCostModel()
-        self._inline_cache: Dict[Tuple, float] = {}
-        #: Measured round trip of the current pool (None until probed).
-        self._round_trip_s: Optional[float] = None
         #: Books of the most recent batch.
         self.last_report: Optional[BatchReport] = None
         #: Cumulative books across every batch this scheduler ran.
@@ -364,26 +345,19 @@ class CallScheduler(BatchExecutor):
 
     def _ensure_pool(self) -> Optional[ProcessPoolExecutor]:
         """The worker pool, or ``None``: the wave runs inline."""
-        if (self._closed or self.max_workers < 2
-                or not shm.SHARED_MEMORY_AVAILABLE):
+        if self._closed or not shm.SHARED_MEMORY_AVAILABLE:
             return None
         if self._resources.pool is None:
             try:
                 # The initializer drops worker-cache entries inherited
                 # over fork(): they belong to the parent's store.
                 self._resources.pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
+                    max_workers=self._processes,
                     initializer=_worker_init,
                     initargs=(self.sanitize_domains,))
             except Exception:
                 return None
         return self._resources.pool
-
-    def _pool_failed(self) -> None:
-        """Shut a failed pool down and forget its round trip: the next
-        batch forks a fresh pool and probes it again."""
-        self._resources.drop_pool()
-        self._round_trip_s = None
 
     def _ensure_store(self) -> shm.PlaneStore:
         if self._resources.store is None:
@@ -435,8 +409,7 @@ class CallScheduler(BatchExecutor):
         because the pool package itself builds on this module.
         """
         from ..pool.pricing import call_cost_seconds
-        return call_cost_seconds(call, self.timing,
-                                 self.special_inter_ops)
+        return call_cost_seconds(call, self.timing)
 
     def _modeled_wave(self, calls: Sequence[BatchCall]
                       ) -> Tuple[float, float]:
@@ -450,86 +423,14 @@ class CallScheduler(BatchExecutor):
             costs.append(call_overlapped)
         return serial, list_scheduled_makespan(costs, self.max_workers)
 
-    # -- transport cost model -------------------------------------------------
-
-    @property
-    def _effective_workers(self) -> int:
-        """Workers that can actually run concurrently on this host."""
-        return min(self.max_workers, os.cpu_count() or 1)
-
-    def _measured_round_trip(self, pool: ProcessPoolExecutor
-                             ) -> Optional[float]:
-        """The pool's fixed submission cost, measured once per pool.
-
-        The first probe absorbs worker process start-up; only the
-        second is timed.  A failed probe drops the pool and answers
-        ``None``.
-        """
-        if self._round_trip_s is None:
-            try:
-                pool.submit(_noop).result(timeout=60)
-                start = time.perf_counter()
-                pool.submit(_noop).result(timeout=60)
-                self._round_trip_s = max(
-                    time.perf_counter() - start, 1e-5)
-            except Exception:
-                self._pool_failed()
-        return self._round_trip_s
-
-    def _inline_seconds(self, call: BatchCall) -> float:
-        """Modeled parent-side execution time of one call (cached by
-        call shape -- only registry ops reach this, so the op name is
-        an exact identity)."""
-        fmt = call.fmt
-        key = (call.mode.value, call.op.name, fmt.name, fmt.width,
-               fmt.height, call.channels, call.reduce_to_scalar)
-        cached = self._inline_cache.get(key)
-        if cached is None:
-            if call.mode is AddressingMode.INTER:
-                assert isinstance(call.op, InterOp)
-                profile = self._cost_model.inter_profile(
-                    call.op, fmt, call.channels)
-            else:
-                assert isinstance(call.op, IntraOp)
-                profile = self._cost_model.intra_profile(
-                    call.op, fmt, call.channels)
-            cached = self._transport_costs.inline_seconds(
-                profile.total_instructions)
-            self._inline_cache[key] = cached
-        return cached
-
-    def _ship_seconds(self, call: BatchCall, amortized_calls: int,
-                      round_trip_s: float) -> float:
-        """Modeled cost of shipping ``call`` to a worker and back."""
-        handles = len(call.frames) + (0 if call.reduce_to_scalar else 1)
-        return self._transport_costs.ship_seconds(
-            handles, amortized_calls=amortized_calls,
-            round_trip_s=round_trip_s)
-
-    def _should_bypass(self, call: BatchCall, amortized_calls: int,
-                       round_trip_s: float) -> bool:
-        """Inline when shipping cannot pay for itself.
-
-        Shipping a call buys at most the fraction of its compute the
-        other workers absorb (``1 - 1/effective_workers``); if that
-        saving is below the modeled shipping cost, keep the call in
-        the parent.
-        """
-        effective = self._effective_workers
-        if effective < 2:
-            return True
-        saving = self._inline_seconds(call) * (1.0 - 1.0 / effective)
-        return saving <= self._ship_seconds(call, amortized_calls,
-                                            round_trip_s)
-
     # -- batch execution ------------------------------------------------------
 
     def compute_batch(self,
                       calls: Sequence[BatchCall]) -> List[BatchOutcome]:
         """Execute one wave of independent calls; outcomes in order.
 
-        Four phases, each timed into the report: *plan* (op tokens and
-        bypass decisions), *ship* (register frames, lease result slabs,
+        Four phases, each timed into the report: *plan* (op tokens, and
+        which calls ship), *ship* (register frames, lease result slabs,
         one grouped submission per worker), *compute* (inline calls plus
         waiting on workers, with whole-group inline fallback on any pool
         failure), *gather* (adopt the result slabs; a slab the worker
@@ -544,15 +445,21 @@ class CallScheduler(BatchExecutor):
         if observer is not None:
             observer.wave_opened()
         tokens = [self._op_token(call) for call in calls]
-        pool = self._ensure_pool() if len(calls) > 1 else None
-        shipped, bypassed = self._plan(calls, tokens, pool, report)
+        # A multi-call wave ships every call a worker can re-resolve --
+        # unless this host runs one process, which overlaps nothing:
+        # then those calls stay in the parent.
+        shippable = ([index for index, token in enumerate(tokens)
+                      if token is not None] if len(calls) > 1 else [])
+        bypassed = set(shippable) if self._processes < 2 else set()
+        pool = (self._ensure_pool() if shippable and not bypassed
+                else None)
 
         # Ship: register every distinct frame once, lease result slabs,
         # submit one grouped job list per worker.
         groups: List[_Group] = []
-        if shipped:
+        if pool is not None:
             start = time.perf_counter()
-            groups = self._ship(calls, tokens, shipped, pool, report)
+            groups = self._ship(calls, tokens, shippable, pool, report)
             report.ship_seconds = time.perf_counter() - start
         in_groups = {index for group in groups for index in group.indices}
 
@@ -582,7 +489,7 @@ class CallScheduler(BatchExecutor):
                 continue
             collected.append((group, items))
         if pool_failed:
-            self._pool_failed()
+            self._resources.drop_pool()  # the next batch forks afresh
         report.compute_seconds = time.perf_counter() - start
 
         # Gather: adopt the result slabs as zero-copy frames.
@@ -620,43 +527,9 @@ class CallScheduler(BatchExecutor):
         assert all(outcome is not None for outcome in outcomes)
         return [outcome for outcome in outcomes if outcome is not None]
 
-    def _plan(self, calls: Sequence[BatchCall],
-              tokens: Sequence[Optional[str]],
-              pool: Optional[ProcessPoolExecutor],
-              report: BatchReport) -> Tuple[List[int], Set[int]]:
-        """Split the wave into shipped and bypassed call indices.
-
-        Calls without a pool or a registry token are neither: they run
-        inline unconditionally (counted as ``inline_calls``).
-        """
-        candidates = [index for index, token in enumerate(tokens)
-                      if token is not None and pool is not None]
-        if not candidates:
-            return [], set()
-        if self.bypass == "always":
-            return [], set(candidates)
-        if self.bypass == "never":
-            return candidates, set()
-        if self._effective_workers < 2:
-            # Nothing can run concurrently: shipping only adds cost.
-            return [], set(candidates)
-        assert pool is not None
-        round_trip = self._measured_round_trip(pool)
-        if round_trip is None:
-            return [], set()
-        groups = min(self.max_workers, len(candidates))
-        amortized = max(1, -(-len(candidates) // groups))
-        shipped, bypassed = [], set()
-        for index in candidates:
-            if self._should_bypass(calls[index], amortized, round_trip):
-                bypassed.add(index)
-            else:
-                shipped.append(index)
-        return shipped, bypassed
-
     def _ship(self, calls: Sequence[BatchCall],
               tokens: Sequence[Optional[str]], shipped: List[int],
-              pool: Optional[ProcessPoolExecutor], report: BatchReport
+              pool: ProcessPoolExecutor, report: BatchReport
               ) -> List[_Group]:
         """Register each distinct input frame once, lease a result slab
         to each job that produces a frame, and submit one job group per
@@ -698,7 +571,6 @@ class CallScheduler(BatchExecutor):
                              tuple(handles[id(frame)]
                                    for frame in call.frames), slab))
             try:
-                assert pool is not None
                 group.future = pool.submit(_execute_wave, jobs,
                                            self.sanitize_domains)
                 report.round_trips += 1
@@ -716,28 +588,19 @@ class CallScheduler(BatchExecutor):
 
     def _group_by_worker(self, indices: List[int],
                          calls: Sequence[BatchCall]) -> List[List[int]]:
-        """Deterministic LPT grouping of the shipped calls onto at most
-        ``max_workers`` groups -- one submission (round trip) each.
+        """LPT grouping of the shipped calls onto the worker processes
+        -- one submission (round trip) each.
 
-        Costs come from the overlap timing model (the same figures the
-        modelled makespan uses); ties break on submission index, so the
-        grouping is stable across runs.
+        The rule and the overlap-model costs are the ones the modelled
+        makespan prices (:func:`~repro.perf.timing.lpt_schedule`); ties
+        break on submission index, so the grouping is stable across
+        runs.
         """
-        n_groups = min(self.max_workers, len(indices))
-        if n_groups <= 1:
-            return [list(indices)]
-        ranked = sorted(((self._call_costs(calls[i])[1], i)
-                         for i in indices),
-                        key=lambda pair: (-pair[0], pair[1]))
-        loads = [0.0] * n_groups
-        groups: List[List[int]] = [[] for _ in range(n_groups)]
-        for cost, index in ranked:
-            slot = min(range(n_groups), key=lambda g: (loads[g], g))
-            loads[slot] += cost
-            groups[slot].append(index)
-        for group in groups:
-            group.sort()
-        return [group for group in groups if group]
+        groups, _ = lpt_schedule(
+            [self._call_costs(calls[index])[1] for index in indices],
+            self._processes)
+        return [[indices[position] for position in sorted(group)]
+                for group in groups if group]
 
     def _collect(self, future: Optional[Future], report: BatchReport
                  ) -> Optional[List[Union[int, bool]]]:
@@ -782,8 +645,6 @@ class CallScheduler(BatchExecutor):
         """The transport books: scheduler counters plus store state."""
         store = self._resources.store
         return {
-            "bypass": self.bypass,
-            "round_trip_s": self._round_trip_s,
             "round_trips": self.total.round_trips,
             "pool_calls": self.total.pool_calls,
             "inline_calls": self.total.inline_calls,

@@ -15,14 +15,12 @@ from .memory_accounting import (MemoryAccessRow, PAPER_TABLE2,
 from .report import (REPORT_SCHEMA_KEYS, base_report_dict, call_log_rows,
                      format_seconds, format_table, ratio_line,
                      write_call_log_csv)
-from .timing import (EngineTimingModel, TransportCostModel,
-                     list_scheduled_makespan)
+from .timing import EngineTimingModel, list_scheduled_makespan
 
 __all__ = [
     "CpuModel",
     "DEFAULT_CPI",
     "EngineTimingModel",
-    "TransportCostModel",
     "REPORT_SCHEMA_KEYS",
     "base_report_dict",
     "list_scheduled_makespan",

@@ -21,72 +21,44 @@ derived from -- and checked by tests against -- the cycle-level model in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Sequence, Tuple
 
 from ..core.config import EngineConfig
 from ..core.constraints import PLC_TICKS_PER_CYCLE
 from ..core.pci import DEFAULT_JOB_OVERHEAD_CYCLES, PCI_CLOCK_HZ
 
 
+def lpt_schedule(costs: Sequence[float], engines: int
+                 ) -> Tuple[List[List[int]], List[float]]:
+    """LPT list scheduling of ``costs`` across ``engines``.
+
+    The one modelled-dispatch rule of the stack: longest processing
+    time first (ties by index), each cost onto the least-loaded engine
+    (ties to the lowest engine).  Returns each engine's cost indices in
+    placement order and its load, accumulated with ``+=`` in that
+    order, so :func:`list_scheduled_makespan` is the peak load to the
+    bit.  The call scheduler groups a wave's shipped calls onto its
+    worker processes with it.
+    """
+    loads = [0.0] * max(1, engines)
+    groups: List[List[int]] = [[] for _ in loads]
+    for index in sorted(range(len(costs)), key=costs.__getitem__,
+                        reverse=True):
+        # One engine (every served wave's board) needs no scan.
+        slot = loads.index(min(loads)) if engines > 1 else 0
+        loads[slot] += costs[index]
+        groups[slot].append(index)
+    return groups, loads
+
+
 def list_scheduled_makespan(costs: Sequence[float], engines: int) -> float:
     """LPT list-scheduled makespan of ``costs`` across ``engines``.
 
-    The one modelled-dispatch rule every layer prices execution with:
-    the call scheduler's per-wave makespan across its workers, and an
+    What every layer prices execution with: the call scheduler's
+    per-wave makespan across its workers, and an
     :class:`~repro.pool.EngineWorker`'s wave cost on its one board.
-    Longest-processing-time ordering, each cost on the least-loaded
-    engine.
     """
-    loads = [0.0] * max(1, engines)
-    for cost in sorted(costs, reverse=True):
-        slot = loads.index(min(loads))
-        loads[slot] += cost
-    return max(loads)
-
-
-@dataclass(frozen=True)
-class TransportCostModel:
-    """Cost of moving one call across the parent<->worker boundary.
-
-    The scheduler's analogue of the PCI-transfer arithmetic above: the
-    engine model prices moving a frame to the board, this model prices
-    moving it to a pool worker.  It drives the inline-bypass decision
-    -- a call whose modeled compute saving is below its shipping cost
-    stays in the parent.
-
-    Defaults are deliberately conservative; the scheduler replaces
-    ``round_trip_s`` with a measured value (two no-op submissions, the
-    second timed) once its pool is warm.  The one-off cost of writing a
-    frame's planes into a segment at registration is not modeled: it is
-    paid once per frame, not per call.
-    """
-
-    #: Fixed cost of one grouped submission: queue hop, worker wakeup,
-    #: result delivery.  Amortised over the calls sharing the trip.
-    round_trip_s: float = 3e-4
-    #: Per shared-memory handle: pickle of the tiny handle plus the
-    #: (amortised) worker-side attach.
-    handle_s: float = 2e-5
-    #: Seconds per modeled software instruction when estimating inline
-    #: (parent-side) execution from a ``SoftwareCostModel`` profile.
-    #: Calibrated against the vector executor's measured throughput on
-    #: CIF intra calls, not against the paper's scalar CPUs.
-    instruction_s: float = 0.5e-9
-
-    def ship_seconds(self, handles: int, amortized_calls: int = 1,
-                     round_trip_s: Optional[float] = None) -> float:
-        """Modeled cost of shipping one call to a worker and back.
-
-        ``handles`` counts the call's input frames and result slab;
-        ``amortized_calls`` is how many calls share the round trip
-        (grouped dispatch sends one submission per worker per wave).
-        """
-        fixed = self.round_trip_s if round_trip_s is None else round_trip_s
-        return fixed / max(1, amortized_calls) + handles * self.handle_s
-
-    def inline_seconds(self, instructions: float) -> float:
-        """Estimated parent-side execution time of one call."""
-        return instructions * self.instruction_s
+    return max(lpt_schedule(costs, engines)[1])
 
 
 @dataclass(frozen=True)

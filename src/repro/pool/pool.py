@@ -24,8 +24,7 @@ invisible in the outputs).  A pool with no surviving board re-raises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Dict, FrozenSet, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..addresslib.library import AddressLib, BatchCall
 from ..core.errors import EngineDeadlock
@@ -139,9 +138,7 @@ class EnginePool:
     def of_engines(cls, count: int,
                    placement: Optional[PlacementPolicy] = None,
                    timing: Optional[EngineTimingModel] = None,
-                   chain_frames: bool = True,
-                   special_inter_ops: Tuple[str, ...] = ()
-                   ) -> "EnginePool":
+                   chain_frames: bool = True) -> "EnginePool":
         """A pool of ``count`` engine-backed boards, one driver each.
 
         Workers run their waves serially on their own board (no nested
@@ -155,7 +152,6 @@ class EnginePool:
         for worker_id in range(count):
             backend = EngineBackend(
                 driver=AddressEngineDriver(timing=timing),
-                special_inter_ops=special_inter_ops,
                 chain_frames=chain_frames)
             workers.append(EngineWorker(
                 worker_id, lib=AddressLib(backend), timing=timing))
@@ -181,14 +177,6 @@ class EnginePool:
         if not alive:
             return max(w.busy_until for w in self.workers)
         return min(w.busy_until for w in alive)
-
-    @property
-    def special_inter_ops(self) -> FrozenSet[str]:
-        """Union across boards (pools are normally homogeneous)."""
-        ops: FrozenSet[str] = frozenset()
-        for worker in self.workers:
-            ops = ops | worker.special_inter_ops
-        return ops
 
     # -- routing and dispatch -------------------------------------------------
 

@@ -13,15 +13,14 @@ below the service layer without an import cycle.
 from __future__ import annotations
 
 import functools
-from typing import FrozenSet, Tuple
+from typing import Tuple
 
 from ..addresslib.addressing import AddressingMode
 from ..addresslib.library import BatchCall
 from ..perf.timing import EngineTimingModel
 
 
-def call_cost_seconds(call: BatchCall, timing: EngineTimingModel,
-                      special_inter_ops: FrozenSet[str] = frozenset()
+def call_cost_seconds(call: BatchCall, timing: EngineTimingModel
                       ) -> Tuple[float, float]:
     """(serial-model, overlap-model) seconds of one call's geometry.
 
@@ -32,20 +31,19 @@ def call_cost_seconds(call: BatchCall, timing: EngineTimingModel,
     geometry, so each distinct one is computed once.
     """
     fmt = call.fmt
-    inter = call.mode is AddressingMode.INTER
-    return _geometry_cost(timing, fmt.pixels, fmt.strips,
-                          2 if inter else 1, not call.reduce_to_scalar,
-                          inter and call.op.name in special_inter_ops)
+    images_in = 2 if call.mode is AddressingMode.INTER else 1
+    return _geometry_cost(timing, fmt.pixels, fmt.strips, images_in,
+                          not call.reduce_to_scalar)
 
 
 @functools.lru_cache(maxsize=1024)
 def _geometry_cost(timing: EngineTimingModel, pixels: int, strips: int,
-                   images_in: int, produces_image: bool,
-                   full_frames: bool) -> Tuple[float, float]:
+                   images_in: int, produces_image: bool
+                   ) -> Tuple[float, float]:
     """(serial, overlapped) seconds of one call geometry (cached: the
     timing model is frozen and the costs are plain floats)."""
     serial = timing.serial_call_seconds_raw(
-        pixels, strips, images_in, produces_image, full_frames)
+        pixels, strips, images_in, produces_image)
     overlapped = timing.overlapped_call_seconds_raw(
-        pixels, strips, images_in, produces_image, full_frames)
+        pixels, strips, images_in, produces_image)
     return serial, overlapped

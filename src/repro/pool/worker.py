@@ -89,8 +89,6 @@ class EngineWorker:
         self.worker_id = worker_id
         self.lib = lib if lib is not None else AddressLib()
         self.timing = timing or EngineTimingModel()
-        self.special_inter_ops = frozenset(
-            getattr(self.lib.backend, "special_inter_ops", frozenset()))
         #: Modeled time this board is busy until.
         self.busy_until = 0.0
         self.busy_seconds = 0.0
@@ -118,8 +116,7 @@ class EngineWorker:
 
     def price(self, call: BatchCall) -> Tuple[float, float]:
         """(serial, overlapped) modeled seconds of ``call`` here."""
-        return call_cost_seconds(call, self.timing,
-                                 self.special_inter_ops)
+        return call_cost_seconds(call, self.timing)
 
     def wave_cost_seconds(self, calls: Sequence[BatchCall]) -> float:
         """Modeled makespan of one wave on this board.

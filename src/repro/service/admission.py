@@ -37,7 +37,7 @@ well-behaved neighbour is admitted under.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..addresslib.library import BatchCall
 from ..perf.timing import EngineTimingModel
@@ -70,17 +70,14 @@ class AdmissionController:
     """Prices requests and sheds the ones the backlog would drown."""
 
     def __init__(self, timing: Optional[EngineTimingModel] = None,
-                 policy: Optional[ServicePolicy] = None,
-                 special_inter_ops: FrozenSet[str] = frozenset()) -> None:
+                 policy: Optional[ServicePolicy] = None) -> None:
         self.timing = timing or EngineTimingModel()
         self.policy = policy if policy is not None else ServicePolicy()
-        self.special_inter_ops = special_inter_ops
         self._rates: Dict[Optional[str], _RateEstimate] = {}
 
     def price(self, call: BatchCall) -> Tuple[float, float]:
         """(serial, overlapped) modeled seconds of ``call``."""
-        return call_cost_seconds(call, self.timing,
-                                 self.special_inter_ops)
+        return call_cost_seconds(call, self.timing)
 
     # -- arrival-rate estimation ----------------------------------------------
 

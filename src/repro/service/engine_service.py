@@ -176,9 +176,8 @@ class EngineService:
         self.policy = policy
         self.pool = pool if pool is not None else EnginePool.of_engines(1)
         self.timing = self.pool.timing
-        self.admission = AdmissionController(
-            timing=self.timing, policy=self.policy,
-            special_inter_ops=self.pool.special_inter_ops)
+        self.admission = AdmissionController(timing=self.timing,
+                                             policy=self.policy)
         self.queue = RequestQueue(policy=self.policy)
         self.batcher = MicroBatcher(policy=self.policy)
         #: The service's modeled "now": advanced by arrivals and waves.

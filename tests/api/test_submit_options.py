@@ -20,8 +20,8 @@ from repro.core import intra_config
 from repro.host import AddressEngineDriver, CallScheduler, EngineBackend
 from repro.image import ImageFormat, noise_frame
 from repro.load import ArrivalTrace, TraceSpec, replay_async, replay_serial
-from repro.perf import TransportCostModel
-from repro.service import MicroBatcher, RequestQueue
+from repro.perf import EngineTimingModel
+from repro.service import AdmissionController, MicroBatcher, RequestQueue
 
 QCIF = ImageFormat("QCIF", 176, 144)
 SMALL = ImageFormat("P16x16", 16, 16)
@@ -152,7 +152,13 @@ class TestOldSpellingsRemoved:
             intra_config(INTRA_GRAD, SMALL), noise_frame(SMALL, seed=1),
             None, [True]),
         lambda: CallScheduler(transport="shm"),
-        lambda: CallScheduler(transport_model=TransportCostModel()),
+        lambda: CallScheduler(transport_model=object()),
+        lambda: CallScheduler(bypass="never"),
+        lambda: CallScheduler(2, EngineTimingModel()),
+        lambda: CallScheduler(special_inter_ops=("x",)),
+        lambda: EngineBackend(special_inter_ops=("x",)),
+        lambda: EnginePool.of_engines(2, special_inter_ops=("x",)),
+        lambda: AdmissionController(special_inter_ops=frozenset()),
         lambda: AsyncEngineClient(EngineService(), backpressure=False),
         lambda: replay_async(_trace(), EngineService(),
                              backpressure=False),
@@ -162,11 +168,18 @@ class TestOldSpellingsRemoved:
             "queue-max_depth", "batcher-max_batch", "submit-priority",
             "run_batch-positional", "driver-positional",
             "scheduler-transport", "scheduler-cost-model",
+            "scheduler-bypass", "scheduler-timing",
+            "scheduler-special_inter_ops", "backend-special_inter_ops",
+            "pool-special_inter_ops", "admission-special_inter_ops",
             "client-backpressure", "replay_async-backpressure",
             "replay_serial-release"])
     def test_old_spelling_raises_type_error(self, spelling):
         with pytest.raises(TypeError):
             spelling()
+
+    def test_transport_cost_model_is_gone(self):
+        with pytest.raises(ImportError):
+            from repro.perf import TransportCostModel  # noqa: F401
 
     def test_resolution_hooks_are_gone(self):
         """Resolved tickets come back from ``step``/``run_until``; no

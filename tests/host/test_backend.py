@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.addresslib import (AddressLib, AddressingMode, ChannelSet,
-                              INTER_ABSDIFF, INTRA_GRAD,
-                              luma_delta_criterion)
+from repro.addresslib import (AddressLib, AddressingMode, INTER_ABSDIFF,
+                              INTRA_GRAD, luma_delta_criterion)
 from repro.host import AddressEngineDriver, EngineBackend
 from repro.image import blob_frame, noise_frame
 
@@ -42,17 +41,6 @@ class TestEngineBackend:
         lib = AddressLib(EngineBackend())
         lib.inter_reduce(INTER_ABSDIFF, frame32, frame32_b)
         assert lib.log.records[-1].op_name.endswith("+reduce")
-
-    def test_special_inter_ops_flagged(self, fmt32, frame32, frame32_b):
-        plain = EngineBackend()
-        special = EngineBackend(
-            special_inter_ops=("inter_absdiff",))
-        t_plain = plain.inter_reduce(INTER_ABSDIFF, frame32, frame32_b,
-                                     ChannelSet.Y)[1]
-        t_special = special.inter_reduce(INTER_ABSDIFF, frame32, frame32_b,
-                                         ChannelSet.Y)[1]
-        assert (t_special.extra["board_seconds"]
-                > t_plain.extra["board_seconds"])
 
     def test_segment_falls_back_to_software(self, fmt32):
         lib = AddressLib(EngineBackend())

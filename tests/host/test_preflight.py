@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.addresslib import INTRA_BOX3, INTRA_GRAD
+from repro.addresslib import (AddressLib, BatchCall, INTRA_BOX3,
+                              INTRA_GRAD)
 from repro.analysis import ProgramCheckError
 from repro.core import AddressEngine, intra_config
-from repro.host import AddressEngineDriver
+from repro.host import AddressEngineDriver, CallScheduler, EngineBackend
 from repro.image import ImageFormat, noise_frame
 
 FMT = ImageFormat("T32", 32, 32)
@@ -50,6 +51,21 @@ class TestPreflight:
         result = driver.submit(intra_config(INTRA_GRAD, FMT),
                                noise_frame(FMT, seed=1))
         assert result.frame is not None
+
+    @pytest.mark.parametrize("scheduled", [False, True],
+                             ids=["serial", "scheduled"])
+    def test_batch_refused_with_or_without_scheduler(self, scheduled):
+        calls = [BatchCall.intra(INTRA_BOX3, noise_frame(BIG, seed=s))
+                 for s in (1, 2)]
+        driver = AddressEngineDriver(preflight=True)
+        lib = AddressLib(EngineBackend(driver))
+        with CallScheduler(max_workers=2) as sched:
+            with pytest.raises(ProgramCheckError) as excinfo:
+                lib.run_batch(calls, scheduler=sched if scheduled else None)
+        assert excinfo.value.report.by_rule("CAP001")
+        assert driver.calls_rejected == 1
+        assert driver.calls_submitted == 0
+        assert lib.log.records == []
 
     def test_explicit_check_without_submit(self):
         driver = AddressEngineDriver()

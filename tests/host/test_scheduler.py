@@ -18,9 +18,11 @@ from repro.addresslib import (AddressLib, BatchCall, INTER_ABSDIFF,
                               INTRA_SOBEL_Y, SoftwareBackend, VectorExecutor,
                               dependency_edges, dependency_levels,
                               kernel_by_name, threshold_op, trace_program)
-from repro.host import CallScheduler, EngineBackend
+from repro.host import CallScheduler, EngineBackend, SHARED_MEMORY_AVAILABLE
 from repro.host import scheduler as scheduler_module
 from repro.image import ImageFormat, noise_frame
+from repro.perf import EngineTimingModel, list_scheduled_makespan
+from repro.pool import call_cost_seconds
 
 _INTRA = sorted(INTRA_OPS.values(), key=lambda op: op.name)
 _INTER = sorted(INTER_OPS.values(), key=lambda op: op.name)
@@ -31,9 +33,19 @@ CASES_PER_SHARD = 26
 QCIF = ImageFormat("QCIF", 176, 144)
 
 
+#: Shards the module scheduler has run (the corpus total test checks
+#: the books of all of them).
+_SHARDS_RUN = []
+
+
 @pytest.fixture(scope="module")
 def scheduler():
-    with CallScheduler(max_workers=2) as sched:
+    # Two worker processes whatever this host has, so the corpus
+    # crosses shared memory even on one CPU.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.host.scheduler.os.cpu_count", lambda: 2)
+        sched = CallScheduler(max_workers=2)
+    with sched:
         yield sched
 
 
@@ -79,6 +91,20 @@ class TestCorpusEquivalence:
         assert len(results) == len(calls)
         for call, got in zip(calls, results):
             _assert_same(got, _serial_reference(call))
+        assert scheduler.last_report.pool_calls == (
+            len(calls) if SHARED_MEMORY_AVAILABLE else 0)
+        _SHARDS_RUN.append(shard)
+
+    @pytest.mark.skipif(not SHARED_MEMORY_AVAILABLE,
+                        reason="no multiprocessing.shared_memory")
+    def test_every_case_reached_a_worker(self, scheduler):
+        # Runs after the shards, in file order: every one of the 208
+        # cases crossed shared memory to a worker.
+        if sorted(_SHARDS_RUN) != list(range(SHARDS)):
+            pytest.skip("the corpus shards were deselected")
+        assert scheduler.total.pool_calls == SHARDS * CASES_PER_SHARD
+        assert scheduler.total.inline_calls == 0
+        assert scheduler.total.bypass_calls == 0
 
     def test_deterministic_across_worker_counts(self):
         rng = random.Random(0xFA57)
@@ -247,6 +273,9 @@ class TestInlineFallback:
 
         monkeypatch.setattr(scheduler_module, "ProcessPoolExecutor",
                             cannot_start)
+        # Two processes, so the wave tries (and fails) to start a pool.
+        monkeypatch.setattr("repro.host.scheduler.os.cpu_count",
+                            lambda: 2)
         sched = CallScheduler(max_workers=2)
         frame = noise_frame(QCIF, seed=10)
         lib = AddressLib(SoftwareBackend())
@@ -269,9 +298,11 @@ class TestTransportPlanning:
                 BatchCall.intra(INTRA_GRAD, frame),
                 BatchCall.intra(INTRA_MEDIAN3, frame)]
 
-    def test_report_carries_phase_breakdown(self):
+    def test_report_carries_phase_breakdown(self, monkeypatch):
+        monkeypatch.setattr("repro.host.scheduler.os.cpu_count",
+                            lambda: 1)
         frame = noise_frame(QCIF, seed=40)
-        with CallScheduler(max_workers=2, bypass="always") as sched:
+        with CallScheduler(max_workers=2) as sched:
             lib = AddressLib(SoftwareBackend())
             lib.run_batch(self._calls(frame), scheduler=sched)
             report = sched.last_report
@@ -296,25 +327,40 @@ class TestTransportPlanning:
             assert sched.total.round_trips == 0
         assert results[0].equals(VectorExecutor.intra(INTRA_BOX3, frame))
 
-    def test_bypass_always_never_uses_the_pool(self):
-        frame = noise_frame(QCIF, seed=42)
-        with CallScheduler(max_workers=2, bypass="always") as sched:
-            lib = AddressLib(SoftwareBackend())
-            results = lib.run_batch(self._calls(frame), scheduler=sched)
-            assert sched.total.bypass_calls == 3
-            assert sched.total.pool_calls == 0
-        assert results[2].equals(
-            VectorExecutor.intra(INTRA_MEDIAN3, frame))
-
     def test_transport_stats_shape(self):
         with CallScheduler(max_workers=2) as sched:
             stats = sched.transport_stats()
-        for key in ("bypass", "round_trip_s", "round_trips",
-                    "pool_calls", "inline_calls", "bypass_calls",
-                    "worker_cache_hits", "worker_cache_attaches",
-                    "store"):
+        for key in ("round_trips", "pool_calls", "inline_calls",
+                    "bypass_calls", "worker_cache_hits",
+                    "worker_cache_attaches", "store"):
             assert key in stats
 
-    def test_invalid_modes_rejected(self):
-        with pytest.raises(ValueError):
-            CallScheduler(bypass="sometimes")
+    @pytest.mark.skipif(not SHARED_MEMORY_AVAILABLE,
+                        reason="no multiprocessing.shared_memory")
+    def test_processes_capped_at_cpus_makespan_keeps_max_workers(
+            self, monkeypatch):
+        monkeypatch.setattr("repro.host.scheduler.os.cpu_count",
+                            lambda: 2)
+        rng = random.Random(0xFA57 + 7)
+        calls = [_random_batch_call(rng) for _ in range(12)]
+        with CallScheduler(max_workers=4) as sched:
+            lib = AddressLib(SoftwareBackend())
+            for _ in range(2):
+                results = lib.run_batch(calls, scheduler=sched)
+                report = sched.last_report
+                # Two processes, so at most two grouped round trips.
+                assert report.pool_calls == len(calls)
+                assert report.round_trips == 2
+            pool = sched._resources.pool
+            assert pool._max_workers == 2
+            assert len(pool._processes) <= 2
+        for call, got in zip(calls, results):
+            _assert_same(got, _serial_reference(call))
+        # The modelled makespan still prices four engines.
+        costs = [call_cost_seconds(call, EngineTimingModel())[1]
+                 for call in calls]
+        assert report.workers == 4
+        assert report.modeled_pipelined_seconds == (
+            list_scheduled_makespan(costs, 4))
+        assert (list_scheduled_makespan(costs, 4)
+                < list_scheduled_makespan(costs, 2))

@@ -1,12 +1,12 @@
 """Zero-copy transport: plane store, worker cache, and fallbacks.
 
 The scheduler must hand back *indistinguishable* results wherever a
-call ran: in a worker over shared memory, in the cost-model inline
-bypass, or in the inline fallback after shared memory, the store or a
-worker failed.  This harness drives the 0xFA57 corpus recipe down each
-of those paths and pins down the segment lifecycle -- registration
-dedupe, generation bumps on mutation, weakref release, result-slab
-recycling, and leak-free teardown.
+call ran: in a worker over shared memory, in the parent of a
+one-process host, or in the inline fallback after shared memory, the
+store or a worker failed.  This harness drives the 0xFA57 corpus
+recipe down each of those paths and pins down the segment lifecycle
+-- registration dedupe, generation bumps on mutation, weakref release,
+result-slab recycling, and leak-free teardown.
 """
 
 import gc
@@ -36,6 +36,17 @@ QCIF = ImageFormat("QCIF", 176, 144)
 
 needs_shm = pytest.mark.skipif(not SHARED_MEMORY_AVAILABLE,
                                reason="no multiprocessing.shared_memory")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def two_or_more_cpus():
+    """At least two CPUs, so schedulers built here run two worker
+    processes and ship over shared memory even on a one-CPU host."""
+    cpus = os.cpu_count() or 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.host.scheduler.os.cpu_count",
+                      lambda: max(2, cpus))
+        yield
 
 
 def _random_batch_call(rng):
@@ -309,16 +320,16 @@ def _run_corpus(scheduler):
 class TestCorpusAcrossTransports:
     @needs_shm
     def test_shared_memory_transport(self):
-        with CallScheduler(max_workers=2, bypass="never") as sched:
+        with CallScheduler(max_workers=2) as sched:
             _run_corpus(sched)
             stats = sched.transport_stats()
-        assert stats["pool_calls"] > 0
+        assert stats["pool_calls"] == SHARDS * CASES_PER_SHARD
 
     def test_without_shared_memory_every_call_runs_inline(self,
                                                           monkeypatch):
         before = _psm_names()
         monkeypatch.setattr(shm, "SHARED_MEMORY_AVAILABLE", False)
-        with CallScheduler(max_workers=2, bypass="never") as sched:
+        with CallScheduler(max_workers=2) as sched:
             _run_corpus(sched)
             stats = sched.transport_stats()
         assert stats["pool_calls"] == 0
@@ -352,7 +363,7 @@ class TestCorpusAcrossTransports:
             return segment
 
         monkeypatch.setattr(shm, "_new_segment", fails_once)
-        with CallScheduler(max_workers=2, bypass="never") as sched:
+        with CallScheduler(max_workers=2) as sched:
             calls = _run_shard(sched, 0)
             assert sched.last_report.pool_calls == 0
             assert sched.last_report.inline_calls == calls
@@ -374,7 +385,7 @@ class TestCorpusAcrossTransports:
                             lambda slab, frame: False)
         frame_jobs = sum(not call.reduce_to_scalar
                          for call in _corpus_shard(0))
-        with CallScheduler(max_workers=2, bypass="never") as sched:
+        with CallScheduler(max_workers=2) as sched:
             calls = _run_shard(sched, 0)
             assert sched.last_report.inline_calls == frame_jobs
             assert sched.last_report.pool_calls == calls - frame_jobs
@@ -382,12 +393,15 @@ class TestCorpusAcrossTransports:
             idle = sum(len(slabs) for slabs in store._idle_slabs.values())
             assert idle == store.slabs_created == frame_jobs
 
-    def test_inline_bypass(self):
-        with CallScheduler(max_workers=2, bypass="always") as sched:
+    def test_inline_bypass(self, monkeypatch):
+        # One CPU, so one process: every call stays in the parent.
+        monkeypatch.setattr("repro.host.scheduler.os.cpu_count",
+                            lambda: 1)
+        with CallScheduler(max_workers=2) as sched:
             _run_corpus(sched)
             stats = sched.transport_stats()
         assert stats["pool_calls"] == 0
-        assert stats["bypass_calls"] > 0
+        assert stats["bypass_calls"] == SHARDS * CASES_PER_SHARD
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +454,7 @@ def _run_wave(sched, wave, kept):
 
 @pytest.fixture(scope="module")
 def slab_scheduler():
-    with CallScheduler(max_workers=2, bypass="never") as sched:
+    with CallScheduler(max_workers=2) as sched:
         yield sched
 
 
@@ -485,7 +499,7 @@ class TestWorkerDeath:
                  BatchCall.intra(INTRA_GRAD, frame_b)]
         lib = AddressLib(SoftwareBackend())
         before = _psm_names()
-        sched = CallScheduler(max_workers=2, bypass="never")
+        sched = CallScheduler(max_workers=2)
         try:
             # One healthy wave to spawn the workers and map segments.
             lib.run_batch(calls, scheduler=sched)
@@ -548,7 +562,7 @@ class TestWorkerDeath:
         frames = [noise_frame(QCIF, seed=s) for s in (25, 26, 27, 28)]
         calls = [BatchCall.intra(INTRA_BOX3, frame) for frame in frames]
         lib = AddressLib(SoftwareBackend())
-        sched = CallScheduler(max_workers=2, bypass="never")
+        sched = CallScheduler(max_workers=2)
         try:
             results = lib.run_batch(calls, scheduler=sched)
             assert sched.last_report.pool_calls == 0
@@ -564,7 +578,7 @@ class TestWorkerDeath:
         calls = [BatchCall.intra(INTRA_BOX3, frame),
                  BatchCall.intra(INTRA_GRAD, frame)]
         lib = AddressLib(SoftwareBackend())
-        with CallScheduler(max_workers=2, bypass="never") as sched:
+        with CallScheduler(max_workers=2) as sched:
             lib.run_batch(calls, scheduler=sched)
             frame.y[:] ^= 5
             results = lib.run_batch(calls, scheduler=sched)
@@ -580,7 +594,7 @@ class TestTeardown:
         frame_a = noise_frame(QCIF, seed=23)
         frame_b = noise_frame(QCIF, seed=24)
         lib = AddressLib(SoftwareBackend())
-        sched = CallScheduler(max_workers=2, bypass="never")
+        sched = CallScheduler(max_workers=2)
         lib.run_batch([BatchCall.intra(INTRA_BOX3, frame_a),
                        BatchCall.intra(INTRA_GRAD, frame_b)],
                       scheduler=sched)

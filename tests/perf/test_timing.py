@@ -6,11 +6,14 @@ tolerance for special inter calls.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.addresslib import INTER_ABSDIFF, INTRA_COPY, INTRA_GRAD
 from repro.core import AddressEngine, inter_config, intra_config
 from repro.image import CIF, ImageFormat, noise_frame
-from repro.perf import EngineTimingModel
+from repro.perf import EngineTimingModel, list_scheduled_makespan
+from repro.perf.timing import lpt_schedule
 
 MODEL = EngineTimingModel()
 ENGINE = AddressEngine()
@@ -212,3 +215,29 @@ class TestStripPipelineOverlap:
         assert serial_s > host
         assert overlapped_s > host
         assert overlapped_s <= serial_s
+
+
+class TestLptSchedule:
+    @given(costs=st.lists(st.floats(0.0, 1.0, allow_nan=False),
+                          max_size=40),
+           engines=st.integers(1, 8))
+    def test_groups_partition_and_peak_is_the_makespan(self, costs,
+                                                       engines):
+        groups, loads = lpt_schedule(costs, engines)
+        assert len(groups) == len(loads) == engines
+        placed = sorted(index for group in groups for index in group)
+        assert placed == list(range(len(costs)))
+        for group, load in zip(groups, loads):
+            total = 0.0
+            for index in group:  # placement order, as the rule adds
+                total += costs[index]
+            assert total == load
+        assert max(loads) == list_scheduled_makespan(costs, engines)
+
+    def test_longest_first_onto_least_loaded(self):
+        # Ties: the earlier index first, the lower engine first.
+        groups, loads = lpt_schedule([1.0, 3.0, 2.0, 2.0], 2)
+        assert groups == [[1, 0], [2, 3]]
+        assert loads == [4.0, 4.0]
+        assert lpt_schedule([2.0, 2.0, 1.0], 2) == ([[0, 2], [1]],
+                                                    [3.0, 2.0])

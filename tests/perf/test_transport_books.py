@@ -5,7 +5,8 @@
 ``repro.summary`` read; this suite pins the scheduler's counter keys
 and the ``base_report_dict`` schema contract -- including the
 degenerate books nobody exercises by hand: a scheduler that never
-completed a call, and one that only ever bypassed inline.
+completed a call, and one that only ever kept its calls in the parent
+(a one-CPU host).
 """
 
 import pytest
@@ -42,14 +43,13 @@ class TestSchedulerTransportStats:
         for key in TRANSPORT_COUNTER_KEYS:
             assert stats[key] == 0
         assert stats["store"] == {}
-        assert stats["bypass"] == "auto"
-        assert stats["round_trip_s"] is None
 
-    def test_bypass_only_books(self):
+    def test_bypass_only_books(self, monkeypatch):
+        monkeypatch.setattr("repro.host.scheduler.os.cpu_count",
+                            lambda: 1)
         calls = [BatchCall.intra(INTRA_GRAD, noise_frame(QCIF, seed=i))
                  for i in range(3)]
-        with CallScheduler(max_workers=2,
-                           bypass="always") as scheduler:
+        with CallScheduler(max_workers=2) as scheduler:
             scheduler.compute_batch(calls)
             stats = scheduler.transport_stats()
         assert stats["bypass_calls"] == len(calls)
