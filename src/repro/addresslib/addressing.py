@@ -71,7 +71,8 @@ class Neighbourhood:
         if (0, 0) not in self.offsets:
             raise ValueError(f"neighbourhood {self.name} must contain (0, 0)")
         if len(set(self.offsets)) != len(self.offsets):
-            raise ValueError(f"neighbourhood {self.name} has duplicate offsets")
+            raise ValueError(
+                f"neighbourhood {self.name} has duplicate offsets")
         if self.line_span > MAX_NEIGHBOURHOOD_LINES:
             raise ValueError(
                 f"neighbourhood {self.name} spans {self.line_span} lines; "

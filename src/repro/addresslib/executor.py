@@ -36,7 +36,7 @@ from ..image.frame import PLANE_DTYPES, Frame
 from ..image.pixel import ALL_CHANNELS, Channel
 from ..image.planar import (SUBSAMPLED_CHANNELS, AccessCounter,
                             PlanarFrame420)
-from .addressing import Neighbourhood, ScanOrder
+from .addressing import CON_0, Neighbourhood, ScanOrder
 from .ops import ChannelSet, InterOp, IntraOp
 from .profiling import (InstructionCost, OpProfile, diff_access_snapshots,
                         format_access_mismatches)
@@ -88,113 +88,54 @@ def plane_pixels_420(fmt: ImageFormat, channel: Channel) -> int:
 # Vectorised functional executor
 # ---------------------------------------------------------------------------
 
-def _clamped_shift(plane: np.ndarray, dx: int, dy: int) -> np.ndarray:
-    """The plane shifted so element (y, x) holds plane[y+dy, x+dx], borders
-    replicated (the AddressLib clamp policy)."""
-    height, width = plane.shape
-    pad_y = abs(dy)
-    pad_x = abs(dx)
-    padded = np.pad(plane, ((pad_y, pad_y), (pad_x, pad_x)), mode="edge")
-    return padded[pad_y + dy:pad_y + dy + height,
-                  pad_x + dx:pad_x + dx + width]
+def _edge_pad(planes: Sequence[np.ndarray], top: int, bottom: int,
+              left: int, right: int) -> np.ndarray:
+    """Same-shape planes as one ``(B, top + H + bottom, left + W +
+    right)`` batch, each with its border rows and columns replicated
+    outward by the given margins (the AddressLib clamp policy).
 
-
-def neighbourhood_stack_shifted(plane: np.ndarray,
-                                neighbourhood: Neighbourhood
-                                ) -> np.ndarray:
-    """Reference implementation: one padded copy per offset.
-
-    Kept as the golden reference for :func:`neighbourhood_stack`: a
-    CON_8 intra materializes nine padded planes here versus one there.
+    Each plane is copied once, straight into its item of one
+    preallocated buffer; the margins are then filled by slice
+    assignment across the whole batch.
     """
-    return np.stack([_clamped_shift(plane, dx, dy)
-                     for dx, dy in neighbourhood.offsets])
-
-
-def _edge_pad(plane: np.ndarray, top: int, bottom: int, left: int,
-              right: int) -> np.ndarray:
-    """``plane`` with its border rows and columns replicated outward by
-    the given margins (the AddressLib clamp policy), built by slice
-    assignment into one preallocated buffer.
-
-    The last two axes are rows and columns; leading axes (a batch of
-    planes) are carried through untouched.
-    """
-    *batch, height, width = plane.shape
-    padded = np.empty((*batch, top + height + bottom,
-                       left + width + right), plane.dtype)
+    height, width = planes[0].shape
+    padded = np.empty((len(planes), top + height + bottom,
+                       left + width + right), planes[0].dtype)
     rows = slice(top, top + height)
-    padded[..., rows, left:left + width] = plane
-    padded[..., rows, :left] = plane[..., :1]
-    padded[..., rows, left + width:] = plane[..., -1:]
-    padded[..., :top, :] = padded[..., top:top + 1, :]
-    padded[..., top + height:, :] = padded[..., top + height - 1:
-                                           top + height, :]
+    for item, plane in zip(padded, planes):
+        item[rows, left:left + width] = plane
+    padded[:, rows, :left] = padded[:, rows, left:left + 1]
+    padded[:, rows, left + width:] = padded[:, rows,
+                                            left + width - 1:left + width]
+    padded[:, :top] = padded[:, top:top + 1]
+    padded[:, top + height:] = padded[:, top + height - 1:top + height]
     return padded
 
 
-def _window_stack(padded: np.ndarray, offsets: Tuple[Tuple[int, int], ...],
-                  origin_y: int, origin_x: int, height: int,
-                  width: int) -> np.ndarray:
-    """Stack of ``height x width`` windows of ``padded``, one per offset:
-    plane ``i`` starts at ``(origin_y + dy_i, origin_x + dx_i)``.
-
-    Each window is copied straight into one preallocated stack: no
-    per-offset temporaries and no final ``np.stack`` copy.  Leading
-    batch axes of ``padded`` follow the offset axis.
-    """
-    stack = np.empty((len(offsets), *padded.shape[:-2], height, width),
-                     padded.dtype)
-    for plane, (dx, dy) in zip(stack, offsets):
-        plane[...] = padded[..., origin_y + dy:origin_y + dy + height,
-                            origin_x + dx:origin_x + dx + width]
-    return stack
-
-
-def neighbourhood_stack(plane: np.ndarray,
-                        neighbourhood: Neighbourhood) -> np.ndarray:
-    """Stack of clamped-shifted planes, one per neighbourhood offset.
-
-    Pads the plane *once* over the neighbourhood's bounding box
-    (edge-replicated, the AddressLib clamp policy) and copies each
-    offset's window into the stack -- bit-identical to
-    :func:`neighbourhood_stack_shifted` without its per-offset padded
-    copies.  ``plane`` may carry leading batch axes: a ``(B, H, W)``
-    batch gives a ``(K, B, H, W)`` stack.  For CON_0 the stack is a
-    view of ``plane`` itself, so kernels must never write into a stack.
-    """
-    offsets = neighbourhood.offsets
-    if offsets == ((0, 0),):
-        return plane[np.newaxis]
-    height, width = plane.shape[-2:]
+def _plane_batch(frames: Sequence[Frame], channel: Channel,
+                 neighbourhood: Neighbourhood = CON_0) -> np.ndarray:
+    """One channel of ``frames`` as a ``(B, H, W)`` batch, edge-padded
+    by ``neighbourhood``'s reach: the intra faces' input.  A view of
+    the plane for a single frame under CON_0, one copy otherwise."""
+    planes = [frame.plane(channel) for frame in frames]
+    if len(planes) == 1 and neighbourhood.size == 1:
+        return planes[0][np.newaxis]
     min_dx, min_dy, max_dx, max_dy = neighbourhood.bounding_box()
-    pad_top = max(0, -min_dy)
-    pad_left = max(0, -min_dx)
-    padded = _edge_pad(plane, pad_top, max(0, max_dy),
-                       pad_left, max(0, max_dx))
-    return _window_stack(padded, offsets, pad_top, pad_left, height, width)
+    return _edge_pad(planes, -min_dy, max_dy, -min_dx, max_dx)
 
 
-def _plane_batch(frames: Sequence[Frame], channel: Channel) -> np.ndarray:
-    """One channel of ``frames`` as a ``(B, H, W)`` batch: a view for a
-    single frame, a stacked copy for several."""
-    if len(frames) == 1:
-        return frames[0].plane(channel)[np.newaxis]
-    return np.array([frame.plane(channel) for frame in frames])
+def _owned(values: np.ndarray, source: np.ndarray,
+           shape: Tuple[int, ...], dtype: type) -> np.ndarray:
+    """A kernel's output as a fresh array of ``shape`` and the plane
+    ``dtype``.
 
-
-def _owned(values: np.ndarray, batch: np.ndarray,
-           dtype: type) -> np.ndarray:
-    """A kernel's output as a fresh array of ``batch``'s shape and the
-    plane ``dtype``.
-
-    Kernels may return a view of their input (a CON_0 identity) or a
-    wider integer type; either is copied here, so no result shares
-    memory with an input.
+    Kernels may return a view of their input ``source`` (a CON_0
+    identity) or a wider integer type; either is copied here, so no
+    result shares memory with an input.
     """
-    if (values.dtype != dtype or values.shape != batch.shape
-            or np.may_share_memory(values, batch)):
-        owned = np.empty(batch.shape, dtype)
+    if (values.dtype != dtype or values.shape != shape
+            or np.may_share_memory(values, source)):
+        owned = np.empty(shape, dtype)
         owned[...] = values
         return owned
     return values
@@ -213,10 +154,11 @@ class VectorExecutor:
         ``inputs`` holds each call's input frames: ``(frame,)`` for an
         intra ``op``, ``(frame_a, frame_b)`` for an inter one; every
         frame has the same geometry.  Per channel, the op's vector face
-        runs once over the whole wave -- a ``(K, B, H, W)``
-        neighbourhood stack for intra calls, ``(B, H, W)`` plane pairs
-        for inter calls.  The faces reduce over axis 0 only, so each
-        call's values equal a one-call run's.
+        runs once over the whole wave -- on the ``(B, H, W)`` planes
+        edge-padded once by the neighbourhood's reach for intra calls,
+        on ``(B, H, W)`` plane pairs for inter calls.  Leading axes are
+        batch axes to every face, so each call's values equal a
+        one-call run's.
 
         Returns one result per call, in order: a frame built from the
         kernel output plus copies of the untouched planes of the call's
@@ -231,14 +173,15 @@ class VectorExecutor:
                     raise ValueError(
                         f"a wave needs one frame geometry, got "
                         f"{frame.format} vs {fmt}")
+        shape = (len(inputs), fmt.height, fmt.width)
         batches: Dict[Channel, np.ndarray] = {}
         totals = [0] * len(inputs)
         for channel in channels_of(channels):
-            batch = _plane_batch(sources, channel)
             if isinstance(op, IntraOp):
-                values = op.apply_vector(
-                    neighbourhood_stack(batch, op.neighbourhood))
+                batch = _plane_batch(sources, channel, op.neighbourhood)
+                values = op.apply_vector(batch)
             else:
+                batch = _plane_batch(sources, channel)
                 values = op.apply_vector(
                     batch, _plane_batch([frames[1] for frames in inputs],
                                         channel))
@@ -247,7 +190,7 @@ class VectorExecutor:
                     axis=1, dtype=np.int64)
                 totals = [total + int(s) for total, s in zip(totals, sums)]
             else:
-                batches[channel] = _owned(values, batch,
+                batches[channel] = _owned(values, batch, shape,
                                           PLANE_DTYPES[channel])
         if reduce_to_scalar:
             return list(totals)
@@ -454,39 +397,23 @@ class CountedExecutor:
 # Strip-vectorized counted executor
 # ---------------------------------------------------------------------------
 
-def _strip_stack_rows(plane: np.ndarray, neighbourhood: Neighbourhood,
-                      y0: int, y1: int) -> np.ndarray:
-    """Neighbourhood stack of output rows ``[y0, y1)`` of ``plane``.
+def _strip_input(plane: np.ndarray, neighbourhood: Neighbourhood,
+                 rows: Tuple[int, int], cols: Tuple[int, int]
+                 ) -> np.ndarray:
+    """The padded face input of output rows ``[y0, y1)`` x columns
+    ``[x0, x1)`` of ``plane``, gathered in one copy.
 
-    Row clamping replicates at the *frame* borders (not the strip
-    borders) via a clipped row gather; column clamping is one edge pad.
-    Element ``(i, y - y0, x)`` equals
-    ``plane[clip(y + dy_i), clip(x + dx_i)]`` -- the same value the
-    per-pixel walk's clamped read returns.
+    Element ``(i, j)`` is ``plane[clip(y0 + min_dy + i), clip(x0 +
+    min_dx + j)]``: clamped at the *frame* borders, not the strip's --
+    the value the per-pixel walk's clamped read returns.
     """
     height, width = plane.shape
     min_dx, min_dy, max_dx, max_dy = neighbourhood.bounding_box()
-    rows = np.clip(np.arange(y0 + min_dy, y1 + max_dy), 0, height - 1)
-    pad_left = max(0, -min_dx)
-    slab = _edge_pad(plane[rows], 0, 0, pad_left, max(0, max_dx))
-    return _window_stack(slab, neighbourhood.offsets, -min_dy, pad_left,
-                         y1 - y0, width)
-
-
-def _strip_stack_cols(plane: np.ndarray, neighbourhood: Neighbourhood,
-                      x0: int, x1: int) -> np.ndarray:
-    """Neighbourhood stack of output columns ``[x0, x1)`` of ``plane``.
-
-    The vertical-scan twin of :func:`_strip_stack_rows`: strips run
-    parallel to the scan, so a vertical scan slices column bands.
-    """
-    height, width = plane.shape
-    min_dx, min_dy, max_dx, max_dy = neighbourhood.bounding_box()
-    cols = np.clip(np.arange(x0 + min_dx, x1 + max_dx), 0, width - 1)
-    pad_top = max(0, -min_dy)
-    slab = _edge_pad(plane[:, cols], pad_top, max(0, max_dy), 0, 0)
-    return _window_stack(slab, neighbourhood.offsets, pad_top, -min_dx,
-                         height, x1 - x0)
+    ys = np.clip(np.arange(rows[0] + min_dy, rows[1] + max_dy),
+                 0, height - 1)
+    xs = np.clip(np.arange(cols[0] + min_dx, cols[1] + max_dx),
+                 0, width - 1)
+    return plane[np.ix_(ys, xs)]
 
 
 class StripCountedExecutor:
@@ -495,8 +422,8 @@ class StripCountedExecutor:
     Same ``inter``/``intra`` surface and same
     :class:`~repro.image.planar.PlanarFrame420` stores as
     :class:`CountedExecutor`, but each output plane is computed strip by
-    strip with one bulk ``op.apply_vector`` per strip (clamp-padded
-    shifted views per neighbourhood offset), the way the coprocessor
+    strip with one bulk ``op.apply_vector`` per strip (on the strip's
+    clamp-padded input slab), the way the coprocessor
     streams 16-line strips through its input matrix.  Access counters
     are credited analytically per strip from the closed-form serpentine
     read counts (window fill at the first position, turn edges at line
@@ -580,11 +507,11 @@ class StripCountedExecutor:
             out = output.plane_view(channel,
                                     writes=(l1 - l0) * line_len)
             if self.scan is ScanOrder.HORIZONTAL:
-                stack = _strip_stack_rows(src, neighbourhood, l0, l1)
-                out[l0:l1, :] = op.apply_vector(stack)
+                out[l0:l1, :] = op.apply_vector(_strip_input(
+                    src, neighbourhood, (l0, l1), (0, width)))
             else:
-                stack = _strip_stack_cols(src, neighbourhood, l0, l1)
-                out[:, l0:l1] = op.apply_vector(stack)
+                out[:, l0:l1] = op.apply_vector(_strip_input(
+                    src, neighbourhood, (0, height), (l0, l1)))
 
     # -- golden-reference validation -----------------------------------------
 

@@ -22,8 +22,12 @@ All 8-bit channel math saturates to [0, 255].  The vector faces take
 8-bit (``uint8``) planes and compute in the narrowest integer type that
 is exact for every 8-bit input: ``uint8`` where an identity keeps the
 result in range, otherwise an accumulator whose width each op derives
-from its own weights (:func:`_acc_dtype`).  They never write into their
-inputs -- a CON_0 stack is a view of the caller's plane.
+from its own weights (:func:`_acc_dtype`).  An intra face reads one
+edge-padded input plane (:class:`IntraOp`) through views: the 3x3
+box, Sobel, grad and max/min faces as a row pass then a column pass,
+every other face through the per-offset windows of :func:`_windows`.  Faces
+never write into their input -- a CON_0 input is the caller's plane.
+Leading axes are batch axes that no value crosses.
 """
 
 from __future__ import annotations
@@ -77,30 +81,111 @@ def _weight_bound(weights: Sequence[int]) -> int:
     return sum(abs(int(w)) for w in weights) * _CHANNEL_MAX
 
 
-def _weighted_sum(weights: Sequence[int],
-                  dtype: type) -> Callable[[np.ndarray], np.ndarray]:
-    """A kernel computing ``sum_i weights[i] * stack[i]`` in ``dtype``.
+def _windows(neighbourhood: Neighbourhood,
+             padded: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """One view of an edge-padded input per neighbourhood offset, in
+    offset order: at output pixel ``(y, x)``, window ``i`` holds the
+    clamped input value at ``(x + dx_i, y + dy_i)``."""
+    min_dx, min_dy, _, _ = neighbourhood.bounding_box()
+    height = padded.shape[-2] - neighbourhood.line_span + 1
+    width = padded.shape[-1] - neighbourhood.column_span + 1
+    return tuple(padded[..., dy - min_dy:dy - min_dy + height,
+                        dx - min_dx:dx - min_dx + width]
+                 for dx, dy in neighbourhood.offsets)
 
-    Visits only the non-zero taps and adds each plane straight into the
-    accumulator, so the stack is never widened as a whole.  ``dtype``
-    must hold :func:`_weight_bound` of ``weights`` for the sum to be
-    exact.
+
+def _taps(values: np.ndarray, span: int,
+          axis: int) -> Tuple[np.ndarray, ...]:
+    """The ``span`` views of ``values`` starting ``0 .. span - 1``
+    elements along ``axis`` (``-1`` along a row, ``-2`` down a column),
+    each ``span - 1`` elements shorter there: one pass's taps."""
+    length = values.shape[axis] - span + 1
+    index = [slice(None)] * values.ndim
+    views = []
+    for start in range(span):
+        index[axis] = slice(start, start + length)
+        views.append(values[tuple(index)])
+    return tuple(views)
+
+
+def _fold(ufunc: np.ufunc, views: Sequence[np.ndarray]) -> np.ndarray:
+    """``ufunc`` folded over ``views`` into one fresh array."""
+    if len(views) == 1:
+        return views[0].copy()
+    acc = ufunc(views[0], views[1])
+    for view in views[2:]:
+        ufunc(acc, view, out=acc)
+    return acc
+
+
+def _extremum(neighbourhood: Neighbourhood, padded: np.ndarray,
+              ufunc: np.ufunc) -> np.ndarray:
+    """The neighbourhood maximum (``np.maximum``) or minimum
+    (``np.minimum``) of an edge-padded input.
+
+    A full-rectangle neighbourhood folds each row's ``column_span``
+    taps, then each column's ``line_span`` rows of that: ``w + h - 2``
+    ufunc calls instead of ``w * h - 1``.  Any other shape folds its
+    windows.
+    """
+    lines = neighbourhood.line_span
+    columns = neighbourhood.column_span
+    if neighbourhood.size != lines * columns:
+        return _fold(ufunc, _windows(neighbourhood, padded))
+    rows = _fold(ufunc, _taps(padded, columns, -1))
+    return _fold(ufunc, _taps(rows, lines, -2))
+
+
+def _weighted_sum(neighbourhood: Neighbourhood, weights: Sequence[int],
+                  dtype: type) -> Callable[[np.ndarray], np.ndarray]:
+    """A kernel computing ``sum_i weights[i] * window_i`` in ``dtype``
+    from an edge-padded input.
+
+    Visits only the non-zero taps and adds each window straight into the
+    accumulator, so no window is widened as a whole.  ``dtype`` must
+    hold :func:`_weight_bound` of ``weights`` for the sum to be exact.
     """
     taps = tuple((index, int(weight))
                  for index, weight in enumerate(weights) if weight)
 
-    def weighted_sum(stack: np.ndarray) -> np.ndarray:
-        acc = np.zeros(stack.shape[1:], dtype)
+    def weighted_sum(padded: np.ndarray) -> np.ndarray:
+        windows = _windows(neighbourhood, padded)
+        acc = np.zeros(windows[0].shape, dtype)
         for index, weight in taps:
             if weight == 1:
-                acc += stack[index]
+                acc += windows[index]
             elif weight == -1:
-                acc -= stack[index]
+                acc -= windows[index]
             else:
-                acc += np.multiply(stack[index], weight, dtype=dtype)
+                acc += np.multiply(windows[index], weight, dtype=dtype)
         return acc
 
     return weighted_sum
+
+
+def _sobel_x(padded: np.ndarray) -> np.ndarray:
+    """The horizontal Sobel sum of a CON_8-padded input, in ``int16``:
+    the row difference ``right - left`` (at most 255 in magnitude), then
+    its ``[1, 2, 1]`` column smoothing (at most 1,020)."""
+    left, _, right = _taps(padded, 3, -1)
+    diff = np.subtract(right, left, dtype=np.int16)
+    up, mid, down = _taps(diff, 3, -2)
+    gx = np.add(up, down)
+    gx += mid
+    gx += mid
+    return gx
+
+
+def _sobel_y(padded: np.ndarray) -> np.ndarray:
+    """The vertical Sobel sum of a CON_8-padded input, in ``int16``: the
+    ``[1, 2, 1]`` row smoothing (at most 1,020), then its column
+    difference ``down - up`` (at most 1,020 in magnitude)."""
+    left, mid, right = _taps(padded, 3, -1)
+    smooth = np.add(left, right, dtype=np.int16)
+    smooth += mid
+    smooth += mid
+    up, _, down = _taps(smooth, 3, -2)
+    return np.subtract(down, up)
 
 
 def _sat8_scalar(value: float) -> int:
@@ -130,9 +215,12 @@ class IntraOp:
     """A neighbourhood operation within one frame.
 
     ``scalar`` receives the neighbourhood values in the order of
-    ``neighbourhood.offsets``; ``vector`` receives a stack shaped
-    ``(len(offsets), height, width)`` where plane ``i`` is the frame
-    shifted by ``offsets[i]`` (border-clamped).
+    ``neighbourhood.offsets``.  ``vector`` receives the input plane --
+    with any leading batch axes -- edge-padded by the neighbourhood's
+    reach (``-min_dy`` rows above, ``max_dy`` below, ``-min_dx``
+    columns left, ``max_dx`` right: the AddressLib clamp policy), and
+    returns the ``(..., height, width)`` result.  It never writes into
+    its input, which for CON_0 is the caller's plane itself.
     """
 
     name: str
@@ -149,12 +237,16 @@ class IntraOp:
                 f"neighbourhood values, got {len(values)}")
         return self.scalar(values)
 
-    def apply_vector(self, stack: np.ndarray) -> np.ndarray:
-        if stack.shape[0] != self.neighbourhood.size:
+    def apply_vector(self, padded: np.ndarray) -> np.ndarray:
+        lines = self.neighbourhood.line_span
+        columns = self.neighbourhood.column_span
+        if (padded.ndim < 2 or padded.shape[-2] < lines
+                or padded.shape[-1] < columns):
             raise ValueError(
-                f"{self.name} expects a {self.neighbourhood.size}-plane "
-                f"stack, got {stack.shape[0]}")
-        return self.vector(stack)
+                f"{self.name} expects a padded input of at least "
+                f"{lines} x {columns} (rows x columns), got shape "
+                f"{padded.shape}")
+        return self.vector(padded)
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +326,28 @@ def copy_op() -> IntraOp:
         name="intra_copy",
         neighbourhood=CON_0,
         scalar=lambda v: int(v[0]),
-        vector=lambda s: s[0].astype(np.uint8),
+        vector=lambda plane: plane.astype(np.uint8),
         cost=InstructionCost(alu=1))
 
 
 def threshold_op(threshold: int, low: int = 0, high: int = 255) -> IntraOp:
-    """CON_0 binarisation: ``high`` where value >= threshold else ``low``."""
-    # The 8-bit images of ``high`` and ``low`` (wrapped like ``astype``).
+    """CON_0 binarisation: ``high`` where value >= threshold else ``low``.
+
+    Both faces return the 8-bit images of ``high`` and ``low`` (wrapped
+    like ``astype``), so out-of-range levels agree too.
+    """
     high8, low8 = np.array([high, low]).astype(np.uint8)
     return IntraOp(
         name=f"intra_threshold_{threshold}",
         neighbourhood=CON_0,
-        scalar=lambda v: high if v[0] >= threshold else low,
-        vector=lambda s: np.where(s[0] >= threshold, high8, low8),
+        scalar=lambda v: int(high8) if v[0] >= threshold else int(low8),
+        vector=lambda plane: np.where(plane >= threshold, high8, low8),
         cost=InstructionCost(alu=1, branch=1))
 
 
 def scale_offset_op(scale_num: int, scale_den: int, offset: int) -> IntraOp:
-    """CON_0 affine remap: ``v * scale_num / scale_den + offset``, saturated."""
+    """CON_0 affine remap: ``v * scale_num / scale_den + offset``,
+    saturated."""
     if scale_den <= 0:
         raise ValueError("scale_den must be positive")
 
@@ -262,8 +358,8 @@ def scale_offset_op(scale_num: int, scale_den: int, offset: int) -> IntraOp:
     def scalar(v: Sequence[int]) -> int:
         return _sat8_scalar(int(v[0]) * scale_num // scale_den + offset)
 
-    def vector(s: np.ndarray) -> np.ndarray:
-        acc = np.multiply(s[0], scale_num, dtype=dtype)
+    def vector(plane: np.ndarray) -> np.ndarray:
+        acc = np.multiply(plane, scale_num, dtype=dtype)
         acc //= scale_den
         acc += offset
         return _sat8(acc)
@@ -286,15 +382,15 @@ def fir_op(name: str, neighbourhood: Neighbourhood,
         raise ValueError(
             f"{name}: {len(weights)} weights for "
             f"{neighbourhood.size}-pixel neighbourhood")
-    weighted_sum = _weighted_sum(weights,
+    weighted_sum = _weighted_sum(neighbourhood, weights,
                                  _acc_dtype(_weight_bound(weights)))
 
     def scalar(values: Sequence[int]) -> int:
         acc = sum(int(w) * int(v) for w, v in zip(weights, values))
         return _sat8_scalar(acc >> shift if shift else acc)
 
-    def vector(stack: np.ndarray) -> np.ndarray:
-        acc = weighted_sum(stack)
+    def vector(padded: np.ndarray) -> np.ndarray:
+        acc = weighted_sum(padded)
         if shift:
             acc >>= shift
         return _sat8(acc)
@@ -309,18 +405,30 @@ def fir_op(name: str, neighbourhood: Neighbourhood,
 def box3_op() -> IntraOp:
     """3x3 box blur (sum / 9 approximated as ``* 57 >> 9``).
 
-    The vector face sums in ``uint16`` (at most ``9 * 255 = 2295``) and
-    widens only for the product (at most ``2295 * 57 = 130815``), whose
-    ``>> 9`` never exceeds 255.
+    The vector face works in ``uint16`` throughout: each row's three
+    taps (at most 765), then three of those row sums down each column
+    (at most ``9 * 255 = 2295``).  The product ``57 * t`` would not fit,
+    so it takes ``57 * t >> 9`` as ``(28 * t + (t >> 1)) >> 8``: the
+    inner sum is ``57 * t >> 1`` exactly (``57 * t = 56 * t + t``) and
+    at most 65,407.
     """
     nine = [1] * 9
 
     def scalar(values: Sequence[int]) -> int:
         return _sat8_scalar((sum(int(v) for v in values) * 57) >> 9)
 
-    def vector(stack: np.ndarray) -> np.ndarray:
-        total = stack.sum(axis=0, dtype=np.uint16)
-        return (np.multiply(total, 57, dtype=np.int32) >> 9).astype(np.uint8)
+    def vector(padded: np.ndarray) -> np.ndarray:
+        left, mid, right = _taps(padded, 3, -1)
+        rows = np.add(left, mid, dtype=np.uint16)
+        rows += right
+        up, mid, down = _taps(rows, 3, -2)
+        total = np.add(up, mid)
+        total += down
+        scaled = np.multiply(total, 28)
+        total >>= 1
+        scaled += total
+        scaled >>= 8
+        return scaled.astype(np.uint8)
 
     return IntraOp(
         name="intra_box3", neighbourhood=CON_8, scalar=scalar, vector=vector,
@@ -351,17 +459,18 @@ _LAPLACE = _offset_weight_map(CON_8, {
 
 
 def _biased_op(name: str, weights: Tuple[int, ...],
+               response: Callable[[np.ndarray], np.ndarray],
                cost: InstructionCost) -> IntraOp:
     """A CON_8 derivative ``(sum_i w_i * v_i >> 3) + 128``, saturated:
-    the signed response biased into the 8-bit range."""
-    weighted_sum = _weighted_sum(weights, _acc_dtype(_weight_bound(weights)))
-
+    the signed response biased into the 8-bit range.  ``response``
+    computes the weighted sum from the padded input, in a type that
+    holds it exactly."""
     def scalar(values: Sequence[int]) -> int:
         acc = sum(w * int(v) for w, v in zip(weights, values))
         return _sat8_scalar((acc >> 3) + 128)
 
-    def vector(stack: np.ndarray) -> np.ndarray:
-        acc = weighted_sum(stack)
+    def vector(padded: np.ndarray) -> np.ndarray:
+        acc = response(padded)
         acc >>= 3
         acc += 128
         return _sat8(acc)
@@ -372,32 +481,35 @@ def _biased_op(name: str, weights: Tuple[int, ...],
 
 def sobel_x_op() -> IntraOp:
     """Horizontal Sobel derivative, biased by +128 into the 8-bit range."""
-    return _biased_op("intra_sobel_x", _SOBEL_X,
+    return _biased_op("intra_sobel_x", _SOBEL_X, _sobel_x,
                       InstructionCost(mul=6, alu=8))
 
 
 def sobel_y_op() -> IntraOp:
     """Vertical Sobel derivative, biased by +128 into the 8-bit range."""
-    return _biased_op("intra_sobel_y", _SOBEL_Y,
+    return _biased_op("intra_sobel_y", _SOBEL_Y, _sobel_y,
                       InstructionCost(mul=6, alu=8))
 
 
 def gradient_magnitude_op() -> IntraOp:
-    """|Sobel_x| + |Sobel_y| over the 3x3 neighbourhood ("grad")."""
-    dtype = _acc_dtype(_weight_bound(_SOBEL_X) + _weight_bound(_SOBEL_Y))
-    gx_sum = _weighted_sum(_SOBEL_X, dtype)
-    gy_sum = _weighted_sum(_SOBEL_Y, dtype)
+    """|Sobel_x| + |Sobel_y| over the 3x3 neighbourhood ("grad").
 
+    Each derivative is at most 1,020 in magnitude, so the ``int16`` sum
+    is at most 2,040 and its ``>> 3`` at most 255: no saturation.
+    """
     def scalar(values: Sequence[int]) -> int:
         gx = sum(w * int(v) for w, v in zip(_SOBEL_X, values))
         gy = sum(w * int(v) for w, v in zip(_SOBEL_Y, values))
         return _sat8_scalar((abs(gx) + abs(gy)) >> 3)
 
-    def vector(stack: np.ndarray) -> np.ndarray:
-        gx = np.abs(gx_sum(stack))
-        gx += np.abs(gy_sum(stack))
+    def vector(padded: np.ndarray) -> np.ndarray:
+        gx = _sobel_x(padded)
+        gy = _sobel_y(padded)
+        np.abs(gx, out=gx)
+        np.abs(gy, out=gy)
+        gx += gy
         gx >>= 3
-        return _sat8(gx)
+        return gx.astype(np.uint8)
 
     return IntraOp(name="intra_grad", neighbourhood=CON_8,
                    scalar=scalar, vector=vector,
@@ -411,7 +523,7 @@ def erode_op(neighbourhood: Neighbourhood = CON_8) -> IntraOp:
         name=f"intra_erode_{neighbourhood.name}",
         neighbourhood=neighbourhood,
         scalar=lambda v: int(min(v)),
-        vector=lambda s: s.min(axis=0),
+        vector=lambda padded: _extremum(neighbourhood, padded, np.minimum),
         cost=InstructionCost(alu=neighbourhood.size - 1,
                              branch=neighbourhood.size - 1))
 
@@ -422,7 +534,7 @@ def dilate_op(neighbourhood: Neighbourhood = CON_8) -> IntraOp:
         name=f"intra_dilate_{neighbourhood.name}",
         neighbourhood=neighbourhood,
         scalar=lambda v: int(max(v)),
-        vector=lambda s: s.max(axis=0),
+        vector=lambda padded: _extremum(neighbourhood, padded, np.maximum),
         cost=InstructionCost(alu=neighbourhood.size - 1,
                              branch=neighbourhood.size - 1))
 
@@ -433,11 +545,16 @@ def morph_gradient_op(neighbourhood: Neighbourhood = CON_8) -> IntraOp:
     The paper names "morphological gradient operations" as a canonical
     composition of basic sub-functions.
     """
+    def vector(padded: np.ndarray) -> np.ndarray:
+        spread = _extremum(neighbourhood, padded, np.maximum)
+        spread -= _extremum(neighbourhood, padded, np.minimum)
+        return spread
+
     return IntraOp(
         name=f"intra_morph_grad_{neighbourhood.name}",
         neighbourhood=neighbourhood,
         scalar=lambda v: int(max(v)) - int(min(v)),
-        vector=lambda s: s.max(axis=0) - s.min(axis=0),
+        vector=vector,
         cost=InstructionCost(alu=2 * neighbourhood.size - 1,
                              branch=2 * (neighbourhood.size - 1)),
         engine_cycles=2)
@@ -449,7 +566,8 @@ def median3_op() -> IntraOp:
         ordered = sorted(int(v) for v in values)
         return ordered[len(ordered) // 2]
 
-    def vector(stack: np.ndarray) -> np.ndarray:
+    def vector(padded: np.ndarray) -> np.ndarray:
+        stack = np.stack(_windows(CON_8, padded))
         middle = len(stack) // 2
         return np.partition(stack, middle, axis=0)[middle]
 
@@ -461,7 +579,9 @@ def median3_op() -> IntraOp:
 
 def laplace_op() -> IntraOp:
     """3x3 Laplacian (centre*8 - neighbours), biased by +128."""
-    return _biased_op("intra_laplace", _LAPLACE,
+    response = _weighted_sum(CON_8, _LAPLACE,
+                             _acc_dtype(_weight_bound(_LAPLACE)))
+    return _biased_op("intra_laplace", _LAPLACE, response,
                       InstructionCost(mul=9, alu=10))
 
 
@@ -483,10 +603,13 @@ def homogeneity_op(neighbourhood: Neighbourhood = CON_8) -> IntraOp:
         centre = int(values[centre_index])
         return max(abs(int(v) - centre) for v in values)
 
-    def vector(stack: np.ndarray) -> np.ndarray:
-        centre = stack[centre_index]
-        return np.maximum(stack.max(axis=0) - centre,
-                          centre - stack.min(axis=0))
+    def vector(padded: np.ndarray) -> np.ndarray:
+        centre = _windows(neighbourhood, padded)[centre_index]
+        above = _extremum(neighbourhood, padded, np.maximum)
+        above -= centre
+        below = _extremum(neighbourhood, padded, np.minimum)
+        np.subtract(centre, below, out=below)
+        return np.maximum(above, below, out=above)
 
     return IntraOp(name=f"intra_homogeneity_{neighbourhood.name}",
                    neighbourhood=neighbourhood,

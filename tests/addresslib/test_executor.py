@@ -8,6 +8,8 @@ access counts that become Table 2.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.addresslib import (COLUMN_9, CON_0, CON_4, CON_8, CON_24,
                               COUNTED_EXECUTOR_KINDS, ChannelSet,
@@ -15,10 +17,12 @@ from repro.addresslib import (COLUMN_9, CON_0, CON_4, CON_8, CON_24,
                               INTER_OPS, INTRA_COPY, INTRA_ERODE,
                               INTRA_GRAD, INTRA_OPS, ScanOrder,
                               SoftwareCostModel, VectorExecutor,
-                              counted_executor, fir_op, neighbourhood_stack,
-                              neighbourhood_stack_shifted, scale_offset_op,
-                              serpentine_positions, threshold_op)
-from repro.image import (ALL_CHANNELS, Channel, Frame, ImageFormat,
+                              channels_of, counted_executor, fir_op,
+                              scale_offset_op, serpentine_positions,
+                              threshold_op)
+from repro.addresslib.executor import _edge_pad, _plane_batch
+from repro.addresslib.ops import _windows
+from repro.image import (ALL_CHANNELS, CIF, Channel, ImageFormat,
                          PlanarFrame420, noise_frame)
 
 FMT = ImageFormat("T12x8", 12, 8)
@@ -50,34 +54,170 @@ class TestSerpentine:
         assert positions[1] == (0, 1)
 
 
+# ---------------------------------------------------------------------------
+# Golden copy of the stack faces
+#
+# The reference the padded faces are held to: every input plane copied
+# once per neighbourhood offset (one ``np.pad`` each) into a ``(K, H,
+# W)`` stack, and each face reducing that stack over its axis 0.
+# ---------------------------------------------------------------------------
+
+def _clamped_shift(plane, dx, dy):
+    """The plane shifted so element (y, x) holds plane[y+dy, x+dx], borders
+    replicated (the AddressLib clamp policy)."""
+    height, width = plane.shape
+    pad_y = abs(dy)
+    pad_x = abs(dx)
+    padded = np.pad(plane, ((pad_y, pad_y), (pad_x, pad_x)), mode="edge")
+    return padded[pad_y + dy:pad_y + dy + height,
+                  pad_x + dx:pad_x + dx + width]
+
+
+def neighbourhood_stack_shifted(plane, neighbourhood):
+    """Reference implementation: one padded copy per offset."""
+    return np.stack([_clamped_shift(plane, dx, dy)
+                     for dx, dy in neighbourhood.offsets])
+
+
+def _stack_sat8(values):
+    return np.clip(values, 0, 255, out=values).astype(np.uint8)
+
+
+def _stack_weighted_sum(weights, dtype):
+    taps = tuple((index, int(weight))
+                 for index, weight in enumerate(weights) if weight)
+
+    def weighted_sum(stack):
+        acc = np.zeros(stack.shape[1:], dtype)
+        for index, weight in taps:
+            if weight == 1:
+                acc += stack[index]
+            elif weight == -1:
+                acc -= stack[index]
+            else:
+                acc += np.multiply(stack[index], weight, dtype=dtype)
+        return acc
+
+    return weighted_sum
+
+
+#: Sobel and Laplace weights, in CON_8 offset order.
+_SOBEL_X = (-1, 0, 1, -2, 0, 2, -1, 0, 1)
+_SOBEL_Y = (-1, -2, -1, 0, 0, 0, 1, 2, 1)
+_LAPLACE = (-1, -1, -1, -1, 8, -1, -1, -1, -1)
+
+
+def _stack_biased(weights):
+    weighted_sum = _stack_weighted_sum(weights, np.int16)
+
+    def vector(stack):
+        acc = weighted_sum(stack)
+        acc >>= 3
+        acc += 128
+        return _stack_sat8(acc)
+
+    return vector
+
+
+def _stack_box3(stack):
+    total = stack.sum(axis=0, dtype=np.uint16)
+    return (np.multiply(total, 57, dtype=np.int32) >> 9).astype(np.uint8)
+
+
+def _stack_grad(stack):
+    gx = np.abs(_stack_weighted_sum(_SOBEL_X, np.int16)(stack))
+    gx += np.abs(_stack_weighted_sum(_SOBEL_Y, np.int16)(stack))
+    gx >>= 3
+    return _stack_sat8(gx)
+
+
+def _stack_median3(stack):
+    middle = len(stack) // 2
+    return np.partition(stack, middle, axis=0)[middle]
+
+
+def _stack_homogeneity(stack):
+    centre = stack[CON_8.offsets.index((0, 0))]
+    return np.maximum(stack.max(axis=0) - centre,
+                      centre - stack.min(axis=0))
+
+
+#: The stack form of every ``INTRA_OPS`` face, by op name.
+STACK_FACES = {
+    "intra_copy": lambda s: s[0].astype(np.uint8),
+    "intra_box3": _stack_box3,
+    "intra_sobel_x": _stack_biased(_SOBEL_X),
+    "intra_sobel_y": _stack_biased(_SOBEL_Y),
+    "intra_grad": _stack_grad,
+    "intra_erode_CON_8": lambda s: s.min(axis=0),
+    "intra_dilate_CON_8": lambda s: s.max(axis=0),
+    "intra_morph_grad_CON_8": lambda s: s.max(axis=0) - s.min(axis=0),
+    "intra_median3": _stack_median3,
+    "intra_laplace": _stack_biased(_LAPLACE),
+    "intra_homogeneity_CON_8": _stack_homogeneity,
+}
+
+
+def golden_intra(op, frame, channels):
+    """``frame`` with ``op`` applied through its golden stack face."""
+    expected = frame.copy()
+    face = STACK_FACES[op.name]
+    for channel in channels_of(channels):
+        stack = neighbourhood_stack_shifted(frame.plane(channel),
+                                            op.neighbourhood)
+        expected.plane(channel)[:] = face(stack)
+    return expected
+
+
+def padded_input(plane, nb):
+    """``plane`` edge-padded by ``nb``'s reach: an intra face's input."""
+    min_dx, min_dy, max_dx, max_dy = nb.bounding_box()
+    return _edge_pad([plane], -min_dy, max_dy, -min_dx, max_dx)[0]
+
+
+def np_pad_reference(planes, nb):
+    """``np.pad(mode="edge")`` of a plane or batch by ``nb``'s reach."""
+    min_dx, min_dy, max_dx, max_dy = nb.bounding_box()
+    batch = ((0, 0),) * (planes.ndim - 2)
+    return np.pad(planes, batch + ((-min_dy, max_dy), (-min_dx, max_dx)),
+                  mode="edge")
+
+
+def window_stack(plane, nb):
+    """The per-offset windows of ``plane``'s padded input, stacked."""
+    return np.stack(_windows(nb, padded_input(plane, nb)))
+
+
 class TestNeighbourhoodStack:
+    """The per-offset windows of the padded input are the shifted
+    planes the stack used to hold."""
+
     def test_centre_plane_is_original(self):
         frame = noise_frame(FMT, seed=31)
-        stack = neighbourhood_stack(frame.y, CON_8)
+        windows = _windows(CON_8, padded_input(frame.y, CON_8))
         centre = CON_8.offsets.index((0, 0))
-        assert np.array_equal(stack[centre], frame.y)
+        assert np.array_equal(windows[centre], frame.y)
 
     def test_shift_semantics(self):
         frame = noise_frame(FMT, seed=32)
-        stack = neighbourhood_stack(frame.y, CON_8)
+        windows = _windows(CON_8, padded_input(frame.y, CON_8))
         right = CON_8.offsets.index((1, 0))
-        assert np.array_equal(stack[right][:, :-1], frame.y[:, 1:])
+        assert np.array_equal(windows[right][:, :-1], frame.y[:, 1:])
 
     def test_border_clamping(self):
         frame = noise_frame(FMT, seed=33)
-        stack = neighbourhood_stack(frame.y, CON_8)
+        windows = _windows(CON_8, padded_input(frame.y, CON_8))
         left = CON_8.offsets.index((-1, 0))
-        assert np.array_equal(stack[left][:, 0], frame.y[:, 0])
+        assert np.array_equal(windows[left][:, 0], frame.y[:, 0])
 
 
 class TestWindowedVsShiftedStack:
-    """The sliding-window fast path against the shifted-plane reference.
+    """The one padded input against the shifted-plane reference.
 
-    The windowed implementation (one edge pad + strided views) must be
-    bit-identical to the per-offset clamped-shift reference for every
-    named neighbourhood over the corpus geometries -- it replaced the
-    reference on the executor's hot path, so any divergence is a
-    correctness bug, not a tolerance.
+    ``_edge_pad`` must equal ``np.pad(mode="edge")``, and the windows of
+    its result must be bit-identical to the per-offset clamped-shift
+    stack for every named neighbourhood over the corpus geometries --
+    any divergence is a correctness bug, not a tolerance.
     """
 
     GEOMETRIES = [(4, 8), (5, 33), (12, 8), (24, 48), (176, 144)]
@@ -89,19 +229,25 @@ class TestWindowedVsShiftedStack:
     def test_bit_identical_stacks(self, width, height, nb):
         fmt = ImageFormat(f"W{width}x{height}", width, height)
         plane = noise_frame(fmt, seed=width * 1000 + height).y
-        fast = neighbourhood_stack(plane, nb)
+        assert np.array_equal(padded_input(plane, nb),
+                              np_pad_reference(plane, nb))
+        windowed = window_stack(plane, nb)
         reference = neighbourhood_stack_shifted(plane, nb)
-        assert fast.shape == reference.shape
-        assert np.array_equal(fast, reference)
+        assert windowed.shape == reference.shape
+        assert np.array_equal(windowed, reference)
 
     @pytest.mark.parametrize("nb", NEIGHBOURHOODS, ids=lambda nb: nb.name)
     def test_batched_stack_matches_per_plane_reference(self, nb):
-        """A ``(B, H, W)`` batch stacks to ``(K, B, H, W)``: item ``b``
-        is plane ``b``'s reference stack (no value crosses items)."""
+        """A ``(B, H, W)`` batch pads item by item (no value crosses
+        items), and its windows stack to ``(K, B, H, W)`` with item
+        ``b`` equal to plane ``b``'s reference stack."""
         fmt = ImageFormat("W5x33", 5, 33)
         planes = np.stack([noise_frame(fmt, seed=seed).y
                            for seed in (1, 2, 3)])
-        batched = neighbourhood_stack(planes, nb)
+        min_dx, min_dy, max_dx, max_dy = nb.bounding_box()
+        padded = _edge_pad(planes, -min_dy, max_dy, -min_dx, max_dx)
+        assert np.array_equal(padded, np_pad_reference(planes, nb))
+        batched = np.stack(_windows(nb, padded))
         assert batched.shape == (nb.size,) + planes.shape
         for index, plane in enumerate(planes):
             assert np.array_equal(batched[:, index],
@@ -111,10 +257,7 @@ class TestWindowedVsShiftedStack:
         frame = noise_frame(ImageFormat("W24x33", 24, 33), seed=77)
         for op in sorted(INTRA_OPS.values(), key=lambda op: op.name):
             via_fast = VectorExecutor.intra(op, frame)
-            expected = frame.copy()
-            stack = neighbourhood_stack_shifted(frame.y, op.neighbourhood)
-            expected.y[:] = op.apply_vector(stack)
-            assert via_fast.equals(expected)
+            assert via_fast.equals(golden_intra(op, frame, ChannelSet.Y))
 
 
 class TestDegenerateStackGeometries:
@@ -128,13 +271,50 @@ class TestDegenerateStackGeometries:
     def test_matches_shifted_reference(self, height, width, nb):
         rng = np.random.default_rng(height * 10 + width)
         plane = rng.integers(0, 256, size=(height, width)).astype(np.uint8)
-        assert np.array_equal(neighbourhood_stack(plane, nb),
+        assert np.array_equal(padded_input(plane, nb),
+                              np_pad_reference(plane, nb))
+        assert np.array_equal(window_stack(plane, nb),
                               neighbourhood_stack_shifted(plane, nb))
 
 
+class TestGoldenStackFaces:
+    """``VectorExecutor.wave`` against the golden stack faces: every
+    intra op on random planes from 1x1 to 40x40, in waves of one to
+    three frames, on the luma or all three colour channels -- values,
+    untouched planes and the face's output dtype."""
+
+    OPS = sorted(INTRA_OPS.values(), key=lambda op: op.name)
+
+    @given(op=st.sampled_from(OPS),
+           height=st.integers(1, 40), width=st.integers(1, 40),
+           size=st.integers(1, 3),
+           channels=st.sampled_from([ChannelSet.Y, ChannelSet.YUV]),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=150, deadline=None)
+    def test_wave_matches_golden(self, op, height, width, size, channels,
+                                 seed):
+        fmt = ImageFormat(f"W{width}x{height}", width, height)
+        frames = [noise_frame(fmt, seed=seed + i) for i in range(size)]
+        results = VectorExecutor.wave(op, [(f,) for f in frames], channels)
+        for frame, result in zip(frames, results):
+            assert result.equals(golden_intra(op, frame, channels))
+        face = STACK_FACES[op.name]
+        for channel in channels_of(channels):
+            padded = _plane_batch(frames, channel, op.neighbourhood)
+            stack = neighbourhood_stack_shifted(frames[0].plane(channel),
+                                                op.neighbourhood)
+            assert op.apply_vector(padded).dtype == face(stack).dtype
+
+    @pytest.mark.parametrize("op", OPS, ids=lambda op: op.name)
+    def test_cif_frame(self, op):
+        frame = noise_frame(CIF, seed=2005)
+        result = VectorExecutor.intra(op, frame, ChannelSet.YUV)
+        assert result.equals(golden_intra(op, frame, ChannelSet.YUV))
+
+
 class TestInputsUntouched:
-    """The executor never writes an input plane: kernels never write
-    into their stack, and a CON_0 stack is the caller's plane itself.
+    """The executor never writes an input plane: faces never write into
+    their padded input, and a CON_0 input is the caller's plane itself.
     Inputs are made read-only, so any write raises as well."""
 
     INTRA_CASES = (list(INTRA_OPS.values())
@@ -149,10 +329,11 @@ class TestInputsUntouched:
             frame.plane(channel).flags.writeable = False
         return frame, snapshot
 
-    def test_con0_stack_aliases_the_plane(self):
+    def test_con0_input_aliases_the_plane(self):
         frame = noise_frame(FMT, seed=40)
-        assert np.shares_memory(neighbourhood_stack(frame.y, CON_0),
-                                frame.y)
+        assert np.shares_memory(_plane_batch([frame], Channel.Y), frame.y)
+        assert not np.shares_memory(
+            _plane_batch([frame], Channel.Y, CON_8), frame.y)
 
     @pytest.mark.parametrize("op", INTRA_CASES, ids=lambda op: op.name)
     def test_intra(self, op):

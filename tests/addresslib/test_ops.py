@@ -5,49 +5,83 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.addresslib import (CON_4, CON_8, CON_24, ChannelSet, INTER_OPS,
-                              INTRA_OPS, fir_op, scale_offset_op,
-                              threshold_op)
+from repro.addresslib import (COLUMN_9, CON_4, CON_8, CON_24, ChannelSet,
+                              INTER_OPS, INTRA_OPS, dilate_op, erode_op,
+                              fir_op, homogeneity_op, morph_gradient_op,
+                              scale_offset_op, threshold_op)
 from repro.addresslib.ops import (INTER_ABSDIFF, INTER_ADD, INTER_AVG,
                                   INTER_MAX, INTER_MIN, INTER_MUL,
-                                  INTER_SUB, INTRA_DILATE, INTRA_ERODE,
-                                  INTRA_GRAD, INTRA_HOMOGENEITY,
-                                  INTRA_MEDIAN3, INTRA_MORPH_GRAD)
+                                  INTER_SUB, INTRA_BOX3, INTRA_DILATE,
+                                  INTRA_ERODE, INTRA_GRAD,
+                                  INTRA_HOMOGENEITY, INTRA_MEDIAN3,
+                                  INTRA_MORPH_GRAD)
 
 bytes_ = st.integers(0, 255)
 
 
-def assert_vector_matches_scalar(op, stack):
-    """``op``'s vector face on ``stack`` equals its scalar face at every
-    pixel, and returns 8-bit values."""
-    vector = op.apply_vector(stack)
+def assert_vector_matches_scalar(op, padded):
+    """``op``'s vector face on the padded input equals its scalar face
+    at every output pixel, and returns 8-bit values.  The scalar face
+    reads each neighbour straight from ``padded`` by its offset."""
+    vector = op.apply_vector(padded)
     assert vector.dtype == np.uint8, op.name
-    columns = stack.reshape(stack.shape[0], -1).T
-    expected = np.array([op.apply_scalar([int(v) for v in column])
-                         for column in columns]).reshape(stack.shape[1:])
+    min_dx, min_dy, _, _ = op.neighbourhood.bounding_box()
+    expected = np.empty(vector.shape, np.int64)
+    for index in np.ndindex(vector.shape):
+        *batch, y, x = index
+        expected[index] = op.apply_scalar(
+            [int(padded[(*batch, y + dy - min_dy, x + dx - min_dx)])
+             for dx, dy in op.neighbourhood.offsets])
     assert np.array_equal(vector, expected), op.name
 
 
-def extremal_stacks(size):
-    """All-0, all-255, and -- for up to 12 planes -- every 0/255
-    assignment to the planes, one per column.  The assignments include,
-    for any weights, the two that drive ``sum_i w_i * v_i`` to its
-    extremes (255 where ``w_i > 0`` resp. ``w_i < 0``)."""
-    stacks = [np.zeros((size, 2, 3), np.uint8),
-              np.full((size, 2, 3), 255, np.uint8)]
-    if size <= 12:
-        codes = np.arange(2 ** size)
-        bits = (codes[np.newaxis, :] >> np.arange(size)[:, np.newaxis]) & 1
-        stacks.append((bits * 255).astype(np.uint8)[:, np.newaxis, :])
-    return stacks
+def padded_patches(neighbourhood, assignments):
+    """One padded patch per assignment (one value per offset, in offset
+    order): an ``(N, line_span, column_span)`` batch whose ``(N, 1, 1)``
+    output pixel ``n`` sees exactly assignment ``n``.  Cells of the
+    bounding box outside the neighbourhood (CON_4's corners) hold the
+    opposite extreme of the centre, so a face that read them would
+    disagree with its scalar face."""
+    assignments = np.asarray(assignments, np.uint8)
+    min_dx, min_dy, _, _ = neighbourhood.bounding_box()
+    centre = assignments[:, neighbourhood.offsets.index((0, 0))]
+    patches = np.empty((len(assignments), neighbourhood.line_span,
+                        neighbourhood.column_span), np.uint8)
+    patches[...] = (255 - centre)[:, np.newaxis, np.newaxis]
+    for index, (dx, dy) in enumerate(neighbourhood.offsets):
+        patches[:, dy - min_dy, dx - min_dx] = assignments[:, index]
+    return patches
 
 
-def weight_extreme_stack(weights):
-    """The two 0/255 stacks that maximise and minimise ``sum w_i v_i``."""
+def extremal_patches(neighbourhood):
+    """Every 0/255 assignment to up to 12 offsets (all-0 and all-255
+    beyond), as padded patches.  The assignments include, for any
+    weights, the two that drive ``sum_i w_i * v_i`` to its extremes (255
+    where ``w_i > 0`` resp. ``w_i < 0``)."""
+    size = neighbourhood.size
+    if size > 12:
+        return padded_patches(neighbourhood,
+                              [[0] * size, [255] * size])
+    codes = np.arange(2 ** size)
+    bits = (codes[:, np.newaxis] >> np.arange(size)[np.newaxis, :]) & 1
+    return padded_patches(neighbourhood, bits * 255)
+
+
+def weight_extreme_patches(neighbourhood, weights):
+    """The two 0/255 patches that maximise and minimise
+    ``sum w_i v_i``."""
     signs = np.sign(np.asarray(weights))
-    high = np.where(signs > 0, 255, 0)
-    low = np.where(signs < 0, 255, 0)
-    return np.stack([high, low], axis=1).astype(np.uint8)[:, np.newaxis, :]
+    return padded_patches(neighbourhood, [np.where(signs > 0, 255, 0),
+                                          np.where(signs < 0, 255, 0)])
+
+
+def random_padded(rng, op, shape):
+    """Random padded inputs whose outputs have ``shape`` (leading batch
+    axes included)."""
+    *batch, height, width = shape
+    nb = op.neighbourhood
+    size = (*batch, height + nb.line_span - 1, width + nb.column_span - 1)
+    return rng.integers(0, 256, size=size).astype(np.uint8)
 
 
 class TestChannelSet:
@@ -123,26 +157,49 @@ class TestInterVectorMatchesScalar:
         assert out.min() >= 0 and out.max() <= 255
 
 
-class TestIntraVectorMatchesScalar:
-    @pytest.mark.parametrize("op", list(INTRA_OPS.values()),
-                             ids=lambda op: op.name)
-    def test_stack_agreement(self, op):
-        rng = np.random.default_rng(19)
-        stack = rng.integers(0, 256,
-                             size=(op.neighbourhood.size, 4, 6)
-                             ).astype(np.uint8)
-        vector = op.apply_vector(stack)
-        for y in range(4):
-            for x in range(6):
-                values = [int(stack[i, y, x])
-                          for i in range(op.neighbourhood.size)]
-                assert int(vector[y, x]) == op.apply_scalar(values), op.name
+#: Every intra op, plus max/min faces on a cross (the window fold), a
+#: one-column rectangle and a 5x5 rectangle (the row/column folds).
+INTRA_FACES = list(INTRA_OPS.values()) + [
+    erode_op(CON_4), dilate_op(CON_4), morph_gradient_op(CON_4),
+    homogeneity_op(CON_4), erode_op(COLUMN_9), homogeneity_op(COLUMN_9),
+    dilate_op(CON_24), morph_gradient_op(CON_24)]
 
-    @pytest.mark.parametrize("op", list(INTRA_OPS.values()),
-                             ids=lambda op: op.name)
+
+class TestIntraVectorMatchesScalar:
+    @pytest.mark.parametrize("op", INTRA_FACES, ids=lambda op: op.name)
+    def test_stack_agreement(self, op):
+        """Random padded planes, pixel by pixel."""
+        rng = np.random.default_rng(19)
+        assert_vector_matches_scalar(op, random_padded(rng, op, (2, 4, 6)))
+
+    @pytest.mark.parametrize("op", INTRA_FACES, ids=lambda op: op.name)
     def test_extremal_stacks(self, op):
-        for stack in extremal_stacks(op.neighbourhood.size):
-            assert_vector_matches_scalar(op, stack)
+        """Every 0/255 assignment as one patch of a batch: for a CON_8
+        op, a ``(512, 3, 3)`` batch and a ``(512, 1, 1)`` output."""
+        patches = extremal_patches(op.neighbourhood)
+        if op.neighbourhood == CON_8:
+            assert patches.shape == (512, 3, 3)
+        assert_vector_matches_scalar(op, patches)
+
+    def test_con4_ignores_the_corners(self):
+        """A CON_4 face reads the cross only: the corners of its padded
+        patches hold the opposite extreme of the centre."""
+        op = fir_op("fir_con4", CON_4, [4, -1, -1, -1, -1])
+        patches = extremal_patches(CON_4)
+        assert patches.shape == (32, 3, 3)
+        assert np.array_equal(patches[:, 0, 0], 255 - patches[:, 1, 1])
+        assert_vector_matches_scalar(op, patches)
+
+    def test_box3_every_sum(self):
+        """One patch per 3 x 3 sum from 0 to 9 * 255: the scaling
+        ``* 57 >> 9`` is exact at every column sum."""
+        assignments = []
+        for total in range(9 * 255 + 1):
+            full, rest = divmod(total, 255)
+            assignments.append([255] * full + [rest] + [0] * (8 - full)
+                               if full < 9 else [255] * 9)
+        assert_vector_matches_scalar(
+            INTRA_BOX3, padded_patches(CON_8, assignments))
 
     @pytest.mark.parametrize("op", [threshold_op(100),
                                     threshold_op(7, low=-3, high=300),
@@ -151,15 +208,17 @@ class TestIntraVectorMatchesScalar:
                                     scale_offset_op(1, 100_000, 3)],
                              ids=lambda op: op.name)
     def test_con0_every_byte(self, op):
-        stack = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
-        vector = op.apply_vector(stack)
+        plane = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        vector = op.apply_vector(plane)
         assert vector.dtype == np.uint8
-        expected = [op.apply_scalar([v]) % 256 for v in range(256)]
+        expected = [op.apply_scalar([v]) for v in range(256)]
         assert np.array_equal(vector.reshape(-1), expected), op.name
 
-    def test_wrong_stack_depth_rejected(self):
-        with pytest.raises(ValueError):
-            INTRA_GRAD.apply_vector(np.zeros((3, 2, 2), np.uint8))
+    def test_padded_input_too_small_rejected(self):
+        """A CON_8 face needs at least 3 x 3 padded pixels per item."""
+        for shape in [(2, 3), (3, 2), (4, 2, 5), (9,)]:
+            with pytest.raises(ValueError):
+                INTRA_GRAD.apply_vector(np.zeros(shape, np.uint8))
 
     def test_wrong_scalar_arity_rejected(self):
         with pytest.raises(ValueError):
@@ -261,16 +320,15 @@ class TestAccumulatorWidth:
         worst = sum(abs(w) for w in weights) * 255
         if overflows is not None:
             assert worst > np.iinfo(overflows).max
-        stacks = [weight_extreme_stack(weights)]
-        stacks += extremal_stacks(neighbourhood.size)
-        for stack in stacks:
-            assert_vector_matches_scalar(op, stack)
+        assert_vector_matches_scalar(
+            op, weight_extreme_patches(neighbourhood, weights))
+        assert_vector_matches_scalar(op, extremal_patches(neighbourhood))
 
 
 class TestBatchAxis:
-    """Every vector face reduces over axis 0 only, so extra axes after
-    it are batch axes: a face applied to a ``(K, B, H, W)`` stack, or to
-    ``(B, H, W)`` plane pairs, equals the per-item results stacked.
+    """Leading axes are batch axes to every vector face: a face applied
+    to a ``(B, H', W')`` batch of padded inputs, or to ``(B, H, W)``
+    plane pairs, equals the per-item results stacked.
     ``VectorExecutor.wave`` runs a whole wave through one face call on
     this rule."""
 
@@ -289,10 +347,11 @@ class TestBatchAxis:
     @pytest.mark.parametrize("op", INTRA, ids=lambda op: op.name)
     def test_intra_face(self, op):
         rng = np.random.default_rng(21)
-        stack = np.moveaxis(
-            self._planes(rng, (op.neighbourhood.size, 4, 5)), 0, 1)
-        batched = op.apply_vector(stack)
-        items = [op.apply_vector(stack[:, b]) for b in range(3)]
+        nb = op.neighbourhood
+        padded = self._planes(rng, (3 + nb.line_span, 4 + nb.column_span))
+        batched = op.apply_vector(padded)
+        items = [op.apply_vector(padded[b]) for b in range(3)]
+        assert batched.shape == (3, 4, 5), op.name
         assert batched.dtype == items[0].dtype, op.name
         assert np.array_equal(batched, np.stack(items)), op.name
 

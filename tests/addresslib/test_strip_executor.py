@@ -22,9 +22,10 @@ from repro.addresslib import (COUNTED_EXECUTOR_KINDS, ChannelSet,
                               CountedExecutor, INTER_OPS, INTRA_GRAD,
                               INTRA_OPS, IntraOp, ScanOrder,
                               SoftwareCostModel, StripCountedExecutor,
-                              counted_executor, diff_access_snapshots)
-from repro.image import (ALL_CHANNELS, ImageFormat, PlanarFrame420,
-                         noise_frame)
+                              counted_executor, diff_access_snapshots,
+                              threshold_op)
+from repro.image import (ALL_CHANNELS, Channel, ImageFormat,
+                         PlanarFrame420, noise_frame)
 
 _INTRA = sorted(INTRA_OPS.values(), key=lambda op: op.name)
 _INTER = sorted(INTER_OPS.values(), key=lambda op: op.name)
@@ -83,6 +84,22 @@ class TestCorpusEquivalence:
         rng = random.Random(0xFA57 + shard)
         for _ in range(CASES_PER_SHARD):
             _assert_case_equivalent(_random_counted_case(rng), scan)
+
+
+class TestOutOfRangeThreshold:
+    """``threshold_op`` levels outside 0..255: both faces write their
+    8-bit images (300 -> 44, -3 -> 253), so the two counted executors
+    agree on outputs and tallies."""
+
+    @pytest.mark.parametrize("scan", list(ScanOrder),
+                             ids=lambda scan: scan.value)
+    def test_both_counted_executors_agree(self, scan):
+        op = threshold_op(7, low=-3, high=300)
+        frame = noise_frame(ImageFormat("T13x9", 13, 9), seed=9)
+        case = ("intra", op, frame, None, ChannelSet.YUV)
+        _assert_case_equivalent(case, scan)
+        out, _ = _run_counted(CountedExecutor(scan), case)
+        assert set(np.unique(out.plane(Channel.Y))) == {44, 253}
 
 
 # Degenerate geometries: single-pixel lines and odd 4:2:0 dimensions,
@@ -206,7 +223,7 @@ class TestValidateMode:
             name="intra_broken_vector",
             neighbourhood=INTRA_GRAD.neighbourhood,
             scalar=INTRA_GRAD.scalar,
-            vector=lambda stack: (INTRA_GRAD.vector(stack) + 1)
+            vector=lambda padded: (INTRA_GRAD.vector(padded) + 1)
             .astype(np.uint8),
             cost=INTRA_GRAD.cost)
         fmt = ImageFormat("V12x8", 12, 8)

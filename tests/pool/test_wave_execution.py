@@ -45,7 +45,7 @@ CONFIGS = ([(op, False) for op in INTRA_OPS.values()]
 ALIASING = [
     (IntraOp(name="intra_view", neighbourhood=CON_0,
              scalar=lambda values: int(values[0]),
-             vector=lambda stack: stack[0],
+             vector=lambda plane: plane[...],
              cost=InstructionCost(alu=1)), False),
     (InterOp(name="inter_first", scalar=lambda a, b: int(a),
              vector=lambda a, b: a, cost=InstructionCost(alu=1)), False),
