@@ -109,26 +109,29 @@ def _scheduler_pass(workers: int, findings: List[Dict[str, Any]]
     """The corpus through a sanitizer-armed scheduler that ships every
     call it can."""
     shards: List[Dict[str, Any]] = []
-    with CallScheduler(max_workers=workers,
-                       sanitize=("all",)) as scheduler:
-        for shard in range(SHARDS):
-            calls = _shard_calls(shard)
-            before = len(scheduler.sanitizer_findings)
-            lib = AddressLib(SoftwareBackend())
-            results = lib.run_batch(calls, scheduler=scheduler)
-            shard_mismatches = sum(
-                0 if _same(got, _serial_reference(call)) else 1
-                for call, got in zip(calls, results))
-            new = scheduler.sanitizer_findings[before:]
-            findings.extend(_finding_dict(d, shard, "scheduler")
-                            for d in new)
-            shards.append({"shard": shard, "cases": len(calls),
-                           "mismatches": shard_mismatches,
-                           "findings": len(new)})
-            print(f"scheduler shard {shard}: {len(calls)} cases, "
-                  f"{shard_mismatches} mismatch(es), "
-                  f"{len(new)} finding(s)")
-        total = scheduler.total
+    install_sanitizer(("all",))
+    try:
+        with CallScheduler(max_workers=workers) as scheduler:
+            for shard in range(SHARDS):
+                calls = _shard_calls(shard)
+                before = len(scheduler.sanitizer_findings)
+                lib = AddressLib(SoftwareBackend())
+                results = lib.run_batch(calls, scheduler=scheduler)
+                shard_mismatches = sum(
+                    0 if _same(got, _serial_reference(call)) else 1
+                    for call, got in zip(calls, results))
+                new = scheduler.sanitizer_findings[before:]
+                findings.extend(_finding_dict(d, shard, "scheduler")
+                                for d in new)
+                shards.append({"shard": shard, "cases": len(calls),
+                               "mismatches": shard_mismatches,
+                               "findings": len(new)})
+                print(f"scheduler shard {shard}: {len(calls)} cases, "
+                      f"{shard_mismatches} mismatch(es), "
+                      f"{len(new)} finding(s)")
+            total = scheduler.total
+    finally:
+        uninstall_sanitizer()
     return {"workers": workers,
             "mismatches": sum(s["mismatches"] for s in shards),
             "pool_calls": total.pool_calls,

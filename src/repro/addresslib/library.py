@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,13 +24,10 @@ from ..image.pixel import Channel
 from .addressing import CON_4, AddressingMode, Neighbourhood, ScanOrder
 from .executor import SoftwareCostModel, VectorExecutor
 from .indexed import INDEXED_READ_COST, INDEXED_WRITE_COST
-from .ops import ChannelSet, InterOp, IntraOp
+from .ops import INTRA_COPY, ChannelSet, InterOp, IntraOp
 from .profiling import InstructionCost, OpProfile
 from .segment import (Criterion, LumaDeltaCriterion, SegmentProcessor,
                       SegmentResult)
-
-if TYPE_CHECKING:
-    from ..api import SubmitOptions
 
 
 @dataclass
@@ -73,17 +69,9 @@ class CallLog:
 
     def __init__(self) -> None:
         self.records: List[CallRecord] = []
-        #: Calls tallied per tenant label (multi-tenant submissions
-        #: through :class:`~repro.api.SubmitOptions`; untagged calls
-        #: are not tallied here).
-        self.by_tenant: Dict[str, int] = {}
 
     def append(self, record: CallRecord) -> None:
         self.records.append(record)
-
-    def tally_tenant(self, tenant: str, calls: int = 1) -> None:
-        """Attribute ``calls`` executed calls to ``tenant``."""
-        self.by_tenant[tenant] = self.by_tenant.get(tenant, 0) + calls
 
     def count(self, mode: AddressingMode) -> int:
         return sum(1 for r in self.records if r.mode is mode)
@@ -116,7 +104,6 @@ class CallLog:
 
     def clear(self) -> None:
         self.records.clear()
-        self.by_tenant.clear()
 
 
 @dataclass(frozen=True)
@@ -420,8 +407,7 @@ class AddressLib:
         return value
 
     def run_batch(self, calls: Sequence[BatchCall], *,
-                  scheduler: Optional[BatchExecutor] = None,
-                  options: Optional["SubmitOptions"] = None
+                  scheduler: Optional[BatchExecutor] = None
                   ) -> List[Union[Frame, int]]:
         """Submit a batch of *independent* inter/intra calls.
 
@@ -436,15 +422,8 @@ class AddressLib:
         analytic accounting -- one record per call, same counts, no
         re-execution.  If any dispatched backend cannot record batched
         calls, the whole batch silently takes the unscheduled path.
-
-        ``options`` (a :class:`~repro.api.SubmitOptions`) currently
-        contributes the tenant label the call log tallies executed
-        calls under.
         """
         calls = list(calls)
-        tenant = getattr(options, "tenant", None)
-        if tenant is not None and calls:
-            self.log.tally_tenant(tenant, len(calls))
         if scheduler is not None and len(calls) > 1:
             backends = [self._dispatch(call.mode) for call in calls]
             if all(b.can_record_batches for b in backends):
@@ -525,7 +504,6 @@ class AddressLib:
         histogram = VectorExecutor.histogram(frame, channel)
         profile = OpProfile()
         sweep = self._software_fallback.cost_model.intra_profile
-        from .ops import INTRA_COPY  # local import avoids a cycle at module load
         profile.merge(sweep(INTRA_COPY, frame.format, ChannelSet.Y))
         profile.add_cost(INDEXED_READ_COST.plus(INDEXED_WRITE_COST),
                          frame.format.pixels)
@@ -535,7 +513,7 @@ class AddressLib:
             pixels=frame.format.pixels, profile=profile))
         return histogram
 
-    # -- internals -------------------------------------------------------------
+    # -- internals ------------------------------------------------------------
 
     def _dispatch(self, mode: AddressingMode) -> Backend:
         if self.backend.supports(mode):

@@ -177,17 +177,6 @@ def _starved_slo() -> Tuple[CallProgram, EngineParams]:
             EngineParams(service_policy=policy))
 
 
-def _split_placement() -> Tuple[CallProgram, EngineParams]:
-    """The serial chain with its first hand-off pinned across boards:
-    grad on board 0, its consumer on board 1 -- the frame would re-ship
-    over the PCI bus on every hand-off (SVC002)."""
-    program, _ = _serial_chain()
-    return (CallProgram(name="split_placement", fmt=program.fmt,
-                        inputs=program.inputs, steps=program.steps,
-                        results=program.results),
-            EngineParams(placement_hints=(0, 1, None)))
-
-
 #: rule class -> (builder, rule id that must fire).
 SELFTEST_CASES: Dict[str, Tuple[
         Callable[[], Tuple[CallProgram, EngineParams]], str]] = {
@@ -197,7 +186,6 @@ SELFTEST_CASES: Dict[str, Tuple[
     "fast-path": (_broken_fast_path, "FPA001"),
     "scheduling": (_serial_chain, "SCH001"),
     "service": (_unmeetable_deadline, "SVC001"),
-    "placement": (_split_placement, "SVC002"),
     "slo": (_starved_slo, "SVC003"),
 }
 
@@ -340,27 +328,6 @@ def _run_sanitize_selftest(verbose: bool) -> int:
     return 0
 
 
-def _parse_placement_hints(
-        text: Optional[str],
-        parser: argparse.ArgumentParser
-        ) -> Optional[Tuple[Optional[int], ...]]:
-    """``"0,1,-"`` -> ``(0, 1, None)``; ``None`` passes through."""
-    if text is None:
-        return None
-    hints: List[Optional[int]] = []
-    for token in text.split(","):
-        token = token.strip()
-        if token in ("", "-", "none"):
-            hints.append(None)
-            continue
-        try:
-            hints.append(int(token))
-        except ValueError:
-            parser.error(f"--placement-hints entry {token!r} is neither "
-                         f"a worker id nor '-'")
-    return tuple(hints)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-check",
@@ -387,7 +354,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--placement", default="affinity",
                         choices=("affinity", "least_loaded",
                                  "round_robin"),
-                        help="placement policy for --waves")
+                        help="what-if placement for --waves: "
+                             "'affinity' is the pool's rule; the others "
+                             "model deployments that ignore residency")
     parser.add_argument("--cache-capacity", type=int, default=128,
                         metavar="N",
                         help="per-board worker-cache capacity for "
@@ -413,12 +382,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         metavar="N",
                         help="flag programs whose modeled critical-path "
                              "cost exceeds N engine cycles (SVC001)")
-    parser.add_argument("--placement-hints", default=None,
-                        metavar="H0,H1,...",
-                        help="comma-separated pool placement hints, one "
-                             "per program step (a worker id, or '-' for "
-                             "no hint); flags producer/consumer pairs "
-                             "split across boards (SVC002)")
     parser.add_argument("--strict", action="store_true",
                         help="exit non-zero on warnings too")
     parser.add_argument("-v", "--verbose", action="store_true",
@@ -462,19 +425,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 exit_code = 1
         return exit_code
 
-    hints = _parse_placement_hints(args.placement_hints, parser)
-    params = (EngineParams(deadline_cycles=args.deadline_cycles,
-                           placement_hints=hints)
-              if (args.deadline_cycles is not None or hints is not None)
-              else None)
+    params = (EngineParams(deadline_cycles=args.deadline_cycles)
+              if args.deadline_cycles is not None else None)
     exit_code = 0
     for name in names:
         program = EXAMPLE_PROGRAMS[name]()
-        if (hints is not None and params is not None
-                and len(hints) != len(program.steps)):
-            parser.error(
-                f"--placement-hints names {len(hints)} steps but "
-                f"program {name!r} has {len(program.steps)}")
         report = analyze_program(program, params)
         _print_report(report, args.verbose)
         if report.errors or (args.strict and report.warnings):

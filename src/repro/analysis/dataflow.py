@@ -39,7 +39,8 @@ EVENT_KINDS = ("wave", "ship", "hit", "evict", "use", "compute",
                "define", "result", "adopt", "release", "close",
                "requeue")
 
-#: Simulated placement policies :func:`lower_program` understands.
+#: Simulated placements :func:`lower_program` understands: the pool's
+#: rule (``"affinity"``) and two what-ifs that ignore residency.
 PLACEMENTS = ("affinity", "least_loaded", "round_robin")
 
 #: What a failed board managed to do before dying.
@@ -60,7 +61,10 @@ class TransportParams:
 
     #: Modelled boards the waves place across.
     boards: int = 1
-    #: Simulated placement policy (mirrors ``repro.pool.placement``).
+    #: Simulated placement: ``"affinity"`` mirrors
+    #: :meth:`repro.pool.pool.EnginePool.place` (most resident inputs,
+    #: then the least-loaded board); ``"least_loaded"`` and
+    #: ``"round_robin"`` are what-ifs that ignore residency.
     placement: str = "affinity"
     #: Per-board residency-cache capacity, in cached frames (mirrors
     #: the worker cache of :mod:`repro.host.shm`).

@@ -11,7 +11,7 @@ engine with :meth:`EngineParams.from_engine`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from ..core.config import IIM_LINES, OIM_LINES
 from ..core.constraints import (INPUT_TXU_TICKS_PER_CYCLE,
@@ -41,10 +41,6 @@ class EngineParams:
     #: Service deadline budget for a whole program, in engine cycles;
     #: ``None`` disables the SVC001 critical-path check.
     deadline_cycles: Optional[int] = None
-    #: Per-step pool placement hints (worker id or ``None``), aligned
-    #: with the program's step order; ``None`` disables the SVC002
-    #: affinity check.
-    placement_hints: Optional[Tuple[Optional[int], ...]] = None
     #: The serving policy to vet tenant SLOs against; ``None`` disables
     #: the SVC003 target-reachability check.
     service_policy: Optional["ServicePolicy"] = None

@@ -85,9 +85,6 @@ RULES: Dict[str, Rule] = {r.rule_id: r for r in (
     Rule("SVC001", Severity.INFO, "service",
          "modeled critical-path cost exceeds the deadline-cycles "
          "budget"),
-    Rule("SVC002", Severity.WARNING, "service",
-         "placement hints split a producer/consumer pair across "
-         "boards, defeating residency affinity"),
     Rule("SVC003", Severity.WARNING, "service",
          "tenant p95 target unreachable under the admission budget "
          "and fair-share weights"),

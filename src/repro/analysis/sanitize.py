@@ -12,11 +12,11 @@ wave/requeue -- and emits :class:`~repro.analysis.diagnostics.
 Diagnostic` findings under the *same rule ids* as the static pass, so
 every static verdict is dynamically falsifiable and vice versa.
 
-Opt-in and cheap: nothing is instrumented until a sanitizer is
-installed (``REPRO_SANITIZE=transport,residency`` in the environment,
-``sanitize=`` on :class:`~repro.host.scheduler.CallScheduler`, or
-``SubmitOptions(sanitize=...)`` through the service), and every hook
-site is a single module-global ``None`` check when it is not.
+Opt-in and cheap: nothing is instrumented until
+:func:`install_sanitizer` -- the one switch -- puts a sanitizer in
+place (a :class:`~repro.host.scheduler.CallScheduler` built afterwards
+arms its workers with the same domains), and every hook site is a
+single module-global ``None`` check when it is not.
 
 :data:`SANITIZE_SELFTESTS` seeds one real bug per rule into the live
 primitives (a mutated frame under an in-flight handle, a double
@@ -27,6 +27,7 @@ reorders a wave...) and checks the sanitizer catches it -- run by
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple)
@@ -75,7 +76,7 @@ class TransportSanitizer:
         # residency state
         self._max_generation: Dict[Tuple[str, int], int] = {}
         self._evicted: Set[Tuple[str, int, int]] = set()
-        # pool state
+        # pool state: live result frame id -> (its ref, producing board)
         self._producers: Dict[int, Tuple["weakref.ref[Any]", int]] = {}
 
     # -- findings ----------------------------------------------------------
@@ -207,11 +208,20 @@ class TransportSanitizer:
                         f"on board {producer_board}: placement split "
                         f"a producer/consumer pair, forcing a "
                         f"cross-board reship")
+        producers = self._producers
         for result in results:
             if not hasattr(result, "plane"):
                 continue  # scalar results carry no residency
-            self._producers[id(result)] = (weakref.ref(result),
-                                           worker_id)
+
+            def forget(ref: "weakref.ref[Any]",
+                       key: int = id(result)) -> None:
+                # The frame died: drop its entry, unless a newer frame
+                # reusing the id already replaced it.
+                if producers.get(key, (None,))[0] is ref:
+                    del producers[key]
+
+            producers[id(result)] = (weakref.ref(result, forget),
+                                     worker_id)
 
     def pool_requeued(self, original: Sequence[Any],
                       requeued: Sequence[Any]) -> None:
@@ -245,21 +255,6 @@ def install_sanitizer(domains: Sequence[str] = ("all",)
     sanitizer = TransportSanitizer(domains)
     _ACTIVE = sanitizer
     shm.set_transport_observer(sanitizer)
-    return sanitizer
-
-
-def ensure_sanitizer(domains: Sequence[str] = ("all",)
-                     ) -> TransportSanitizer:
-    """The active sanitizer, widened to cover ``domains``.
-
-    Installs one if none is active; an already-active sanitizer keeps
-    its findings and gains any missing domains (sanitizers compose by
-    domain union, never by chaining observers).
-    """
-    sanitizer = _ACTIVE
-    if sanitizer is None or shm.get_transport_observer() is not sanitizer:
-        return install_sanitizer(domains)
-    sanitizer.domains.update(normalize_domains(domains))
     return sanitizer
 
 
@@ -474,14 +469,20 @@ def _selftest_pool001() -> Optional[List[Diagnostic]]:
 
 
 def _selftest_pool002() -> Optional[List[Diagnostic]]:
-    """Round-robin placement splits a producer/consumer pair."""
+    """A round-robin placement override, blind to residency, splits a
+    producer/consumer pair."""
     from ..addresslib.library import BatchCall
     from ..addresslib.ops import INTRA_OPS
-    from ..pool.placement import RoundRobinPlacement
 
     def scenario(_sanitizer: TransportSanitizer) -> Optional[bool]:
         pool, make_call = _pool_fixture()
-        pool.placement = RoundRobinPlacement()
+        turns = itertools.count()
+
+        def round_robin(calls: Sequence[Any]) -> Any:
+            alive = pool.alive()
+            return alive[next(turns) % len(alive)]  # the seeded bug
+
+        pool.place = round_robin  # type: ignore[method-assign]
         produced = pool.dispatch([make_call(9)])
         result = produced.results[0]
         op = INTRA_OPS[sorted(INTRA_OPS)[0]]

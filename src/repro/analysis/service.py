@@ -1,5 +1,4 @@
-"""Service-level rules (SVC001-SVC003): deadline, placement, and SLO
-posture.
+"""Service-level rules (SVC001, SVC003): deadline and SLO posture.
 
 The service front end (:mod:`repro.service`) admits work against a
 deadline budget using the closed-form timing model.  A call *program*
@@ -60,13 +59,12 @@ def critical_path_cycles(program: CallProgram,
 
 def service_rules(program: CallProgram,
                   params: EngineParams) -> List[Diagnostic]:
-    """SVC001/SVC002: static serving checks over a call program.
+    """SVC001/SVC003: static serving checks over a call program.
 
     SVC001 (deadline) is inert unless the caller declares a budget
     (``EngineParams.deadline_cycles``; the ``repro-check
-    --deadline-cycles`` flag); SVC002 (placement) is inert unless the
-    caller declares per-step hints (``EngineParams.placement_hints``;
-    ``--placement-hints``).
+    --deadline-cycles`` flag); SVC003 (SLO) is inert unless the caller
+    declares a serving policy (``EngineParams.service_policy``).
     """
     findings: List[Diagnostic] = []
     budget = params.deadline_cycles
@@ -81,7 +79,6 @@ def service_rules(program: CallProgram,
                 f"--deadline-cycles budget of {budget}: even unlimited "
                 f"engine workers cannot serve this program inside its "
                 f"deadline"))
-    findings.extend(placement_rules(program, params))
     findings.extend(slo_rules(params))
     return findings
 
@@ -137,45 +134,3 @@ def slo_rules(params: EngineParams) -> List[Diagnostic]:
                 f"only reachable by shedding the tenant's own work"))
     return findings
 
-
-def placement_rules(program: CallProgram,
-                    params: EngineParams) -> List[Diagnostic]:
-    """SVC002: placement hints that defeat residency affinity.
-
-    A RAW edge is a frame handed from producer to consumer; the pool's
-    residency-affinity placement keeps the pair on one board so the
-    hand-off stays in the board's ZBT banks.  Hints pinning the two
-    steps to *different* boards force the frame back over the PCI bus
-    on every hand-off -- the hint configuration is fighting the very
-    policy it runs under, so the verifier flags each such edge.
-    """
-    hints = params.placement_hints
-    if hints is None or not program.steps:
-        return []
-    if len(hints) != len(program.steps):
-        raise ValueError(
-            f"{len(hints)} placement hints for {len(program.steps)} "
-            f"program steps")
-    producer: Dict[str, ProgramStep] = {}
-    findings: List[Diagnostic] = []
-    for step in program.steps:
-        for plane in step.inputs:
-            source = producer.get(plane)
-            if source is None:
-                continue
-            hint_from = hints[source.index]
-            hint_to = hints[step.index]
-            if (hint_from is None or hint_to is None
-                    or hint_from == hint_to):
-                continue
-            findings.append(_diag(
-                "SVC002",
-                f"plane {plane!r} is produced on board {hint_from} "
-                f"(step {source.index}) but its consumer is pinned to "
-                f"board {hint_to}: the hand-off leaves the producer's "
-                f"ZBT banks and re-ships over the PCI bus, defeating "
-                f"residency affinity",
-                step_index=step.index, step_label=step.label))
-        if step.output is not None:
-            producer[step.output] = step
-    return findings

@@ -12,8 +12,7 @@ and :class:`~repro.pool.pool.EnginePool` do at runtime:
   eviction horizons shorter than a wave's reuse distance.
 * ``POOL00x`` -- placement and failover: RAW-dependent calls merged
   into one wave by a requeue policy, producer/consumer pairs split
-  across boards by the *actual* placement (generalizing SVC002, which
-  only sees hints).
+  across boards by the simulated placement.
 
 The runtime sanitizer (:mod:`repro.analysis.sanitize`) emits the same
 rule ids from the live stack, so every verdict here is dynamically
@@ -165,8 +164,8 @@ def pool_rules(plan: TransportPlan) -> List[Diagnostic]:
                 step_index=event.step_index,
                 step_label=f"wave {event.wave}"))
     # POOL002: the consuming board differs from the defining board --
-    # actual placement (not a hint) split a producer/consumer pair,
-    # so the result must reship across boards.
+    # placement split a producer/consumer pair, so the result must
+    # reship across boards.
     defined_on: Dict[Tuple[str, int], Tuple[int, int]] = {}
     pool_reported: Set[Tuple[int, str, int]] = set()
     for event in plan.events:

@@ -1,20 +1,12 @@
 """repro.api: the one import an application needs.
 
 The stack grew layer by layer (addresslib -> host -> pool -> service),
-and each layer's submission entry point grew its own keyword set.  This
-facade is the redesign that stops that: one
-:class:`SubmitOptions` dataclass carries every piece of serving
-metadata -- priority class, relative deadline, retry budget, tenant
-label, placement hint, modeled arrival time -- and is accepted,
-keyword-only, by all three submission APIs:
-
-* ``EngineService.submit(call, options=...)``
-* ``AddressLib.run_batch(calls, options=...)``
-* ``AddressEngineDriver.submit(config, frame, options=...)``
-
-Each layer reads the fields it understands and ignores the rest (a
-driver has no priority queue; a library has no placement policy), so
-one options object can ride a request all the way down.
+and this facade re-exports each layer's public names from one place.
+Serving metadata -- priority class, relative deadline, retry budget,
+tenant label, modeled arrival time -- travels in one
+:class:`SubmitOptions` record, which ``EngineService.submit(call,
+options=...)`` takes; the layers below the service (pool, library,
+driver) take none of it.
 
 Typical serving setup::
 
@@ -41,7 +33,7 @@ Async serving (:mod:`repro.aio`) rides the same options object::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional
 
 from .addresslib.library import (AddressLib, BatchCall, CallLog,
                                  SoftwareBackend)
@@ -49,9 +41,7 @@ from .aio import AsyncEngineClient, AsyncTicket, CompletionStream
 from .host.backend import EngineBackend
 from .host.driver import AddressEngineDriver, FrameResidencyCache
 from .host.scheduler import BatchReport, CallScheduler
-from .pool import (EnginePool, EngineWorker, LeastLoadedPlacement,
-                   PlacementPolicy, PoolReport, ResidencyAffinityPlacement,
-                   RoundRobinPlacement, WaveDispatch)
+from .pool import EnginePool, EngineWorker, PoolReport, WaveDispatch
 from .service.admission import AdmissionController, AdmissionPolicy
 from .service.engine_service import EngineService, ServiceReport
 from .service.policy import ServicePolicy, TenantPolicy
@@ -75,22 +65,11 @@ class SubmitOptions:
     deadline_seconds: Optional[float] = None
     #: Deadline-miss re-enqueues allowed before timing out.
     max_retries: int = 0
-    #: Tenant label the per-layer books tally this work under.
+    #: Tenant label the service's books tally this work under.
     tenant: Optional[str] = None
-    #: Preferred pool worker id.  A *hint*: the pool honours it while
-    #: the board is alive, and falls back to the placement policy
-    #: otherwise -- it never changes results, only routing.
-    placement: Optional[int] = None
     #: Where the request sits on the modeled clock (open-loop traces);
     #: ``None`` means "now".  Never moves the clock backwards.
     arrival_seconds: Optional[float] = None
-    #: Transport-sanitizer domains to arm while this work runs
-    #: (``"transport"``, ``"residency"``, ``"pool"``, or ``"all"``);
-    #: ``None`` leaves the sanitizer as configured (the
-    #: ``REPRO_SANITIZE`` env var still applies).  Diagnostics land on
-    #: the serving scheduler's ``sanitizer_findings``; results are
-    #: never changed.
-    sanitize: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -101,24 +80,6 @@ class SubmitOptions:
             raise ValueError(
                 f"deadline_seconds must be >= 0, got "
                 f"{self.deadline_seconds}")
-        if self.sanitize is not None:
-            domains = _normalize_sanitize(self.sanitize)
-            object.__setattr__(self, "sanitize", domains)
-
-
-def _normalize_sanitize(
-        sanitize: Union[str, Sequence[str]]) -> Tuple[str, ...]:
-    """Validate and canonicalise a sanitizer-domain spec.
-
-    Accepts a single domain name or a sequence of them; defers to
-    :func:`repro.analysis.sanitize.normalize_domains` (lazy import, so
-    building options never touches host transport) for the actual
-    vocabulary -- unknown domains raise :class:`ValueError`.
-    """
-    from .analysis.sanitize import normalize_domains
-    if isinstance(sanitize, str):
-        sanitize = (sanitize,)
-    return normalize_domains(sanitize)
 
 
 __all__ = [
@@ -138,14 +99,10 @@ __all__ = [
     "EngineService",
     "EngineWorker",
     "FrameResidencyCache",
-    "LeastLoadedPlacement",
-    "PlacementPolicy",
     "PoolReport",
     "Priority",
     "RejectReason",
     "RequestState",
-    "ResidencyAffinityPlacement",
-    "RoundRobinPlacement",
     "ServiceError",
     "ServicePolicy",
     "ServiceReport",

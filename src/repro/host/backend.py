@@ -46,12 +46,11 @@ class EngineBackend(Backend):
     can_record_batches = True
 
     def __init__(self, driver: Optional[AddressEngineDriver] = None,
-                 chain_frames: bool = False,
-                 residency_max_age: Optional[int] = None) -> None:
+                 chain_frames: bool = False) -> None:
         self.driver = driver or AddressEngineDriver()
         self.chain_frames = chain_frames
         #: On-board state between calls (strong-referenced frames).
-        self.residency = FrameResidencyCache(max_age=residency_max_age)
+        self.residency = FrameResidencyCache()
 
     def supports(self, mode: AddressingMode) -> bool:
         return mode.engine_supported_v1

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..analysis.analyzer import analyze_config
 from ..analysis.diagnostics import ProgramCheckError
@@ -27,9 +27,6 @@ from ..core.engine import AddressEngine, EngineRunResult
 from ..image.frame import Frame
 from ..perf.timing import EngineTimingModel
 from . import shm
-
-if TYPE_CHECKING:
-    from ..api import SubmitOptions
 
 
 class FrameResidencyCache:
@@ -47,35 +44,23 @@ class FrameResidencyCache:
     the reference guarantees a recycled ``id()`` can never alias a
     garbage-collected predecessor.
 
-    The strong references are bounded: :meth:`release` drops one frame
-    the host has reclaimed, and with ``max_age`` set the cached state
-    expires once it is ``max_age`` generations old (the application
-    marks generation boundaries -- e.g. one per video frame -- with
-    :meth:`new_generation`).  Expiry and release are counted in
-    :attr:`evictions`.
+    The strong references are bounded: the cache holds only the last
+    call's frames, and :meth:`release` drops one frame the host has
+    reclaimed (counted in :attr:`evictions`).
     """
 
-    def __init__(self, max_age: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._layout_kind: Optional[int] = None
         self._inputs: Tuple[Optional[Frame], ...] = ()
         self._result: Optional[Frame] = None
-        #: Generations the cached bank state survives (None: forever).
-        self.max_age = max_age
-        self._generation = 0
-        self._recorded_at: Optional[int] = None
         #: Inputs found still resident in their input banks.
         self.hits = 0
         #: Inputs satisfied by an on-board result-to-input copy.
         self.result_reuses = 0
         #: Inputs that had to ship over the PCI bus.
         self.misses = 0
-        #: Cached frames dropped by release or generation expiry.
+        #: Cached frames dropped by :meth:`release`.
         self.evictions = 0
-
-    @property
-    def generation(self) -> int:
-        """The current generation number (bumped by the application)."""
-        return self._generation
 
     @property
     def held_frames(self) -> int:
@@ -98,7 +83,6 @@ class FrameResidencyCache:
         every input of a call that would reuse the result, and the
         counters book each of them as a miss.
         """
-        self._expire_stale()
         flags: List[bool] = []
         hits = reuses = 0
         same_layout = self._layout_kind == config.images_in
@@ -131,15 +115,11 @@ class FrameResidencyCache:
         self._layout_kind = config.images_in
         self._inputs = tuple(frames)
         self._result = result_frame
-        self._recorded_at = self._generation
 
     def contains(self, frame: Frame) -> bool:
         """Whether ``frame`` is in the banks right now (identity test;
         placement affinity scores boards with this, without the counter
         side effects of :meth:`plan`)."""
-        if self.max_age is not None and self._recorded_at is not None:
-            if self._generation - self._recorded_at >= self.max_age:
-                return False
         if self._result is frame:
             return True
         return any(cached is frame for cached in self._inputs)
@@ -149,14 +129,6 @@ class FrameResidencyCache:
         self._layout_kind = None
         self._inputs = ()
         self._result = None
-        self._recorded_at = None
-
-    # -- bounding the strong references --------------------------------------
-
-    def new_generation(self) -> None:
-        """Mark a generation boundary (e.g. one processed video frame);
-        expiry is measured in these."""
-        self._generation += 1
 
     def release(self, frame: Frame) -> None:
         """Drop one frame from the modelled banks: the host reclaimed
@@ -171,28 +143,12 @@ class FrameResidencyCache:
             self._inputs = tuple(None if f is frame else f
                                  for f in self._inputs)
         self.evictions += dropped
-        if dropped:
-            self._notify_evicted(frame)
-
-    def _expire_stale(self) -> None:
-        """Evict state older than ``max_age`` generations."""
-        if (self.max_age is None or self._recorded_at is None
-                or self._generation - self._recorded_at < self.max_age):
-            return
-        self.evictions += self.held_frames
-        for cached in (*self._inputs, self._result):
-            if cached is not None:
-                self._notify_evicted(cached)
-        self.invalidate()
-
-    @staticmethod
-    def _notify_evicted(frame: Frame) -> None:
-        # The driver's banks carry no generation counter: the cache
-        # compares frames by identity, so the sanitizer's residency
-        # books key these events at a fixed generation 0 -- enough for
-        # the RES002 evict-then-reship check, inert for RES001.
         observer = shm.get_transport_observer()
-        if observer is not None:
+        if dropped and observer is not None:
+            # The driver's banks carry no generation counter: the cache
+            # compares frames by identity, so the sanitizer's residency
+            # books key this event at a fixed generation 0 -- enough
+            # for the RES002 evict-then-reship check, inert for RES001.
             observer.cache_evicted("driver", id(frame), 0)
 
 
@@ -275,9 +231,6 @@ class AddressEngineDriver:
     #: (admission control, expired deadlines); they cost the driver no
     #: interrupts, but the books must still show them.
     calls_shed: int = 0
-    #: Submitted calls tallied per tenant label (only submissions that
-    #: carried a tenant through ``options`` appear here).
-    calls_by_tenant: Dict[str, int] = field(default_factory=dict)
 
     def check(self, config: EngineConfig) -> None:
         """Pre-flight one call; raise :class:`ProgramCheckError` on
@@ -312,30 +265,22 @@ class AddressEngineDriver:
             resident_count, onboard_copy_cycles)
 
     def book_call(self, config: EngineConfig, resident_count: int = 0,
-                  onboard_copy_cycles: int = 0,
-                  options: Optional["SubmitOptions"] = None) -> CallPrice:
+                  onboard_copy_cycles: int = 0) -> CallPrice:
         """Book one functionally executed call; returns its price.
 
-        Tallies the tenant, runs the pre-flight check, and counts the
-        submission and its interrupts -- the books of the functional
-        branch of :meth:`submit`, which
-        :class:`~repro.host.backend.EngineBackend` also books each call
-        of a batched wave through.
+        Runs the pre-flight check and counts the submission and its
+        interrupts -- the books of the functional branch of
+        :meth:`submit`, which :class:`~repro.host.backend.EngineBackend`
+        also books each call of a batched wave through.
         """
-        price = self._accept(config, resident_count, onboard_copy_cycles,
-                             options)
+        price = self._accept(config, resident_count, onboard_copy_cycles)
         self.interrupts_serviced += price.interrupts
         return price
 
     def _accept(self, config: EngineConfig, resident_count: int,
-                onboard_copy_cycles: int,
-                options: Optional["SubmitOptions"]) -> CallPrice:
-        """Tenant tally, pre-flight check and submission count of one
-        call; returns its price."""
-        tenant = getattr(options, "tenant", None)
-        if tenant is not None:
-            self.calls_by_tenant[tenant] = (
-                self.calls_by_tenant.get(tenant, 0) + 1)
+                onboard_copy_cycles: int) -> CallPrice:
+        """Pre-flight check and submission count of one call; returns
+        its price."""
         if self.preflight:
             self.check(config)
         self.calls_submitted += 1
@@ -362,7 +307,6 @@ class AddressEngineDriver:
 
     def submit(self, config: EngineConfig, frame_a: Frame,
                frame_b: Optional[Frame] = None, *,
-               options: Optional["SubmitOptions"] = None,
                resident: Optional[Sequence[bool]] = None,
                onboard_copy_cycles: int = 0
                ) -> DriverResult:
@@ -371,15 +315,12 @@ class AddressEngineDriver:
         ``resident`` flags inputs already on the board (call chaining);
         ``onboard_copy_cycles`` charges a result-bank-to-input-bank move
         when the previous call's *result* is reused as an input.
-        ``options`` (a :class:`~repro.api.SubmitOptions`) contributes
-        the tenant label the per-tenant books tally this submission
-        under.
         """
         resident = list(resident or [False] * config.images_in)
         resident_count = sum(resident)
         if self.simulate:
             price = self._accept(config, resident_count,
-                                 onboard_copy_cycles, options)
+                                 onboard_copy_cycles)
             run = self.engine.run_call(config, frame_a, frame_b,
                                        resident=resident)
             # Interrupts: one per DMA job plus the completion interrupt.
@@ -391,8 +332,7 @@ class AddressEngineDriver:
                 call_seconds=board + price.host_overhead_seconds,
                 board_seconds=board,
                 pci_words=price.pci_words, run=run)
-        price = self.book_call(config, resident_count, onboard_copy_cycles,
-                               options)
+        price = self.book_call(config, resident_count, onboard_copy_cycles)
         result = AddressEngine.run_functional(config, frame_a, frame_b)
         frame: Optional[Frame]
         scalar: Optional[int]

@@ -95,18 +95,16 @@ def _resolve_op(mode_value: str, op_name: str) -> Union[InterOp, IntraOp]:
     return kernel_by_name(op_name[len(_KERNEL_PREFIX):])
 
 
-def _execute_call(mode_value: str, op_name: str, reduce_to_scalar: bool,
-                  channels: ChannelSet, frames: Tuple[Frame, ...]
+def _execute_call(op: Union[InterOp, IntraOp], reduce_to_scalar: bool,
+                  channels: ChannelSet, frames: Sequence[Frame]
                   ) -> Union[Frame, int]:
-    """Execute one resolved call with the shared vector executor."""
-    op = _resolve_op(mode_value, op_name)
-    if mode_value == AddressingMode.INTER.value:
-        assert isinstance(op, InterOp)
+    """Execute one call with the shared vector executor: the one
+    dispatcher of the workers and the parent's inline path."""
+    if isinstance(op, InterOp):
         if reduce_to_scalar:
             return VectorExecutor.inter_reduce(
                 op, frames[0], frames[1], channels)
         return VectorExecutor.inter(op, frames[0], frames[1], channels)
-    assert isinstance(op, IntraOp)
     return VectorExecutor.intra(op, frames[0], channels)
 
 
@@ -115,7 +113,7 @@ def _worker_init(sanitize_domains: Tuple[str, ...] = ()) -> None:
 
     Drops worker-cache entries and any transport observer inherited
     over ``fork()`` (both belong to the parent process), then installs
-    a fresh worker-side sanitizer when the scheduler runs sanitized --
+    a fresh worker-side sanitizer when the parent has one installed --
     its findings ship back with each wave's stats.
     """
     shm.reset_worker_cache()
@@ -150,8 +148,8 @@ def _execute_wave(jobs: Sequence[_Job], sanitize_domains: Tuple[str, ...]
             frame, hit = shm.worker_attach(handle)
             stats["cache_hits" if hit else "attaches"] += 1
             frames.append(frame)
-        value = _execute_call(mode_value, op_name, reduce_to_scalar,
-                              channels, tuple(frames))
+        value = _execute_call(_resolve_op(mode_value, op_name),
+                              reduce_to_scalar, channels, frames)
         if slab is None:
             assert isinstance(value, int)
             results.append(value)
@@ -291,22 +289,23 @@ class CallScheduler(BatchExecutor):
 
     ``max_workers`` engines price each batch's modelled makespan; the
     pool runs at most one worker process per CPU of them.
+
+    A scheduler built while a transport sanitizer is installed
+    (:func:`~repro.analysis.sanitize.install_sanitizer`) arms its
+    workers with that sanitizer's domains and collects every finding
+    into :attr:`sanitizer_findings`.
     """
 
-    def __init__(self, max_workers: Optional[int] = None, *,
-                 sanitize: Optional[Sequence[str]] = None) -> None:
-        if sanitize is None:
-            env = os.environ.get("REPRO_SANITIZE", "")
-            sanitize = [part.strip() for part in env.split(",")
-                        if part.strip()]
+    def __init__(self, max_workers: Optional[int] = None) -> None:
+        #: Domains of the sanitizer installed at construction; ``()``
+        #: when none is, and then the scheduler never drains findings
+        #: nor imports :mod:`repro.analysis.sanitize`.
         self.sanitize_domains: Tuple[str, ...] = ()
-        if sanitize:
-            # Lazy: an unsanitized scheduler never imports the
-            # sanitizer (or anything under repro.analysis).
-            from ..analysis.sanitize import (ensure_sanitizer,
-                                             normalize_domains)
-            self.sanitize_domains = normalize_domains(sanitize)
-            ensure_sanitizer(self.sanitize_domains)
+        if shm.get_transport_observer() is not None:
+            from ..analysis.sanitize import active_sanitizer
+            sanitizer = active_sanitizer()
+            if sanitizer is not None:
+                self.sanitize_domains = tuple(sorted(sanitizer.domains))
         #: Runtime findings: the parent sanitizer's drained diagnostics
         #: plus every worker's, in collection order.
         self.sanitizer_findings: List["Diagnostic"] = []
@@ -387,17 +386,11 @@ class CallScheduler(BatchExecutor):
 
     @staticmethod
     def _execute_inline(call: BatchCall) -> BatchOutcome:
-        if call.mode is AddressingMode.INTER:
-            assert isinstance(call.op, InterOp)
-            if call.reduce_to_scalar:
-                return BatchOutcome(scalar=VectorExecutor.inter_reduce(
-                    call.op, call.frames[0], call.frames[1],
-                    call.channels))
-            return BatchOutcome(frame=VectorExecutor.inter(
-                call.op, call.frames[0], call.frames[1], call.channels))
-        assert isinstance(call.op, IntraOp)
-        return BatchOutcome(frame=VectorExecutor.intra(
-            call.op, call.frames[0], call.channels))
+        value = _execute_call(call.op, call.reduce_to_scalar,
+                              call.channels, call.frames)
+        if isinstance(value, Frame):
+            return BatchOutcome(frame=value)
+        return BatchOutcome(scalar=value)
 
     # -- modelled timing ------------------------------------------------------
 

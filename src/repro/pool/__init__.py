@@ -4,12 +4,11 @@ The paper runs one AddressEngine on the PCI bus; its outlook scales by
 adding boards.  This package models that pool: each
 :class:`EngineWorker` is one board with private driver books and
 ZBT-bank residency, an :class:`EnginePool` routes micro-batched waves
-onto them through a pluggable :class:`PlacementPolicy`, and results
-stay bit-exact with serial submission for every pool size and policy.
+onto them by one placement rule (most resident inputs, then the
+earliest-free board), and results stay bit-exact with serial
+submission for every pool size.
 """
 
-from .placement import (LeastLoadedPlacement, PlacementPolicy,
-                        ResidencyAffinityPlacement, RoundRobinPlacement)
 from .pool import EnginePool, PoolReport, WaveDispatch
 from .pricing import call_cost_seconds
 from .worker import EngineWorker, WorkerReport
@@ -17,11 +16,7 @@ from .worker import EngineWorker, WorkerReport
 __all__ = [
     "EnginePool",
     "EngineWorker",
-    "LeastLoadedPlacement",
-    "PlacementPolicy",
     "PoolReport",
-    "ResidencyAffinityPlacement",
-    "RoundRobinPlacement",
     "WaveDispatch",
     "WorkerReport",
     "call_cost_seconds",

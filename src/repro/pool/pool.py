@@ -5,11 +5,12 @@ this module models that deployment.  An :class:`EnginePool` owns N
 :class:`~repro.pool.worker.EngineWorker` boards -- each with its own
 :class:`~repro.addresslib.library.AddressLib`, driver books, and
 ZBT-bank residency state -- and routes each micro-batched wave to one
-board through a pluggable :class:`~repro.pool.placement.PlacementPolicy`.
+board by one rule: the board holding most of the wave's inputs in its
+banks, then the earliest-free board, then the lowest worker id.
 
 Routing never changes results: every board executes through the same
 vector executor, and a wave runs whole on one board, so the outputs are
-bit-exact with serial submission for any pool size or policy.  What the
+bit-exact with serial submission for any pool size.  What the
 pool *does* change is the modeled clock -- waves land on boards whose
 backlogs overlap -- and the per-board books the service report
 aggregates.
@@ -34,8 +35,6 @@ from ..host.driver import AddressEngineDriver
 from ..image.frame import Frame
 from ..perf.report import base_report_dict
 from ..perf.timing import EngineTimingModel
-from .placement import (LeastLoadedPlacement, PlacementPolicy,
-                        ResidencyAffinityPlacement)
 from .worker import EngineWorker, WorkerReport
 
 
@@ -58,11 +57,8 @@ class WaveDispatch:
 class PoolReport:
     """Aggregated books of every board in the pool."""
 
-    placement: str
     workers: List[WorkerReport] = field(default_factory=list)
     waves: int = 0
-    #: Waves routed by an explicit placement hint, not the policy.
-    hinted_waves: int = 0
     failovers: int = 0
     calls_requeued: int = 0
     calls_shed: int = 0
@@ -104,9 +100,7 @@ class PoolReport:
             cycles=self.busy_seconds * self.clock_hz,
             cache=self.residency,
             shed=self.calls_shed,
-            placement=self.placement,
             waves=self.waves,
-            hinted_waves=self.hinted_waves,
             failovers=self.failovers,
             calls_requeued=self.calls_requeued,
             residency_hit_rate=self.residency_hit_rate,
@@ -118,44 +112,37 @@ class EnginePool:
     """Owns N engine workers and routes waves onto them; build one
     with :meth:`of_engines`."""
 
-    def __init__(self, workers: Sequence[EngineWorker],
-                 placement: Optional[PlacementPolicy] = None) -> None:
+    def __init__(self, workers: Sequence[EngineWorker]) -> None:
         if not workers:
             raise ValueError("a pool needs at least one worker")
         self.workers: List[EngineWorker] = list(workers)
-        self.placement = placement or ResidencyAffinityPlacement()
         self.timing = self.workers[0].timing
         self.waves_dispatched = 0
-        self.hinted_waves = 0
         self.failovers = 0
         self.calls_requeued = 0
         self.calls_shed = 0
-        self._least_loaded = LeastLoadedPlacement()
 
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def of_engines(cls, count: int,
-                   placement: Optional[PlacementPolicy] = None,
-                   timing: Optional[EngineTimingModel] = None,
-                   chain_frames: bool = True) -> "EnginePool":
+    def of_engines(cls, count: int) -> "EnginePool":
         """A pool of ``count`` engine-backed boards, one driver each.
 
         Workers run their waves serially on their own board (no nested
-        scheduler), so each board's residency chaining stays live and
-        the affinity policy has real bank state to route on.
+        scheduler) and chain frames, so each board's residency state
+        stays live and placement has real bank state to route on.
         """
         if count < 1:
             raise ValueError(f"pool size {count} < 1")
-        timing = timing or EngineTimingModel()
+        timing = EngineTimingModel()
         workers = []
         for worker_id in range(count):
             backend = EngineBackend(
                 driver=AddressEngineDriver(timing=timing),
-                chain_frames=chain_frames)
+                chain_frames=True)
             workers.append(EngineWorker(
                 worker_id, lib=AddressLib(backend), timing=timing))
-        return cls(workers, placement=placement)
+        return cls(workers)
 
     # -- pool state -----------------------------------------------------------
 
@@ -180,27 +167,22 @@ class EnginePool:
 
     # -- routing and dispatch -------------------------------------------------
 
-    def place(self, calls: Sequence[BatchCall],
-              hint: Optional[int] = None) -> EngineWorker:
+    def place(self, calls: Sequence[BatchCall]) -> EngineWorker:
         """The board the next wave goes to.
 
-        ``hint`` pins the wave to a worker id when that board is alive;
-        a hint naming a dead or unknown board falls back to the policy
-        (a hint is a preference, not a correctness constraint).
+        The board whose banks already hold most of the wave's input
+        frames (a resident input skips its PCI upload), then the
+        earliest-free board, then the lowest worker id -- so routing is
+        deterministic for a given submission order.
         """
         alive = self.alive()
         if not alive:
             raise EngineDeadlock("engine pool has no surviving workers")
-        if hint is not None:
-            for worker in alive:
-                if worker.worker_id == hint:
-                    self.hinted_waves += 1
-                    return worker
-        return self.placement.choose(calls, alive)
+        return min(alive, key=lambda w: (-w.affinity_score(calls),
+                                         w.busy_until, w.worker_id))
 
     def dispatch(self, calls: Sequence[BatchCall],
-                 not_before: float = 0.0,
-                 hint: Optional[int] = None) -> WaveDispatch:
+                 not_before: float = 0.0) -> WaveDispatch:
         """Route one wave to a board, run it, and book the clock.
 
         The wave starts at ``max(board free time, not_before)`` and
@@ -211,7 +193,7 @@ class EnginePool:
         """
         failovers = 0
         while True:
-            worker = self.place(calls, hint)
+            worker = self.place(calls)
             try:
                 results = worker.run_wave(calls)
             except EngineDeadlock:
@@ -220,7 +202,6 @@ class EnginePool:
                 self.failovers += 1
                 self.calls_requeued += len(calls)
                 failovers += 1
-                hint = None
                 if not self.alive():
                     raise
                 requeued = self._requeue(calls)
@@ -261,8 +242,8 @@ class EnginePool:
         if calls < 0:
             raise ValueError(f"cannot shed {calls} calls")
         self.calls_shed += calls
-        alive = self.alive() or self.workers
-        worker = self._least_loaded.choose((), alive)
+        worker = min(self.alive() or self.workers,
+                     key=lambda w: (w.busy_until, w.worker_id))
         driver = worker.driver
         if driver is not None:
             driver.account_shed(calls)
@@ -272,10 +253,8 @@ class EnginePool:
     def report(self, clock_seconds: float = 0.0) -> PoolReport:
         """Every board's books plus the pool-level routing counters."""
         return PoolReport(
-            placement=self.placement.name,
             workers=[w.report(clock_seconds) for w in self.workers],
             waves=self.waves_dispatched,
-            hinted_waves=self.hinted_waves,
             failovers=self.failovers,
             calls_requeued=self.calls_requeued,
             calls_shed=self.calls_shed,

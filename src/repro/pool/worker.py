@@ -4,8 +4,8 @@ A worker is the pool's unit of replication -- the modelled equivalent of
 one ADM-XRC-II board in its own PCI slot.  Each worker owns a *private*
 :class:`~repro.addresslib.library.AddressLib` (and therefore its own
 driver books and :class:`~repro.host.driver.FrameResidencyCache` bank
-state) and a modeled ``busy_until`` horizon the placement policies
-load-balance on.
+state) and a modeled ``busy_until`` horizon the pool's placement
+load-balances on.
 
 Execution is the same vector executor every other path runs, so results
 are bit-exact with serial submission whichever worker a wave lands on;

@@ -5,7 +5,8 @@ submits the next.  A loaded service can do better: queued calls that
 share a configuration (same addressing mode, same op, same format and
 channel set) are *already* what :meth:`AddressLib.run_batch` calls a
 batch -- mutually independent by the service contract -- so the batcher
-pulls them forward into one wave and hands that to the call scheduler.
+pulls them forward into one wave, which the service hands whole to one
+board of its pool.  Configuration is the only thing that keys a wave.
 
 Bit-exactness is structural, not hoped for: each request's result
 depends only on its own input frames (no request reads another's
@@ -80,10 +81,7 @@ class MicroBatcher:
         are instead ranked by absolute deadline (stably, so undated
         work keeps drain order behind dated work) -- near-deadline
         requests ride the earliest compatible wave instead of waiting
-        out a full queue pass.  A wave is dispatched to one pool worker
-        whole, so requests only coalesce when their placement hints
-        agree with the head's (two requests pinned to different boards
-        must not share a wave).
+        out a full queue pass.
         """
         if not queue:
             return []
@@ -92,8 +90,7 @@ class MicroBatcher:
         prefer = (_deadline_rank if self.policy.deadline_aware_batching
                   else None)
         wave = [head] + queue.pop_compatible(
-            lambda request: (BatchKey.of(request.call) == key
-                             and request.placement == head.placement),
+            lambda request: BatchKey.of(request.call) == key,
             self.max_batch - 1, prefer=prefer)
         self.waves += 1
         if len(wave) > 1:

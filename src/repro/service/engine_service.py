@@ -7,8 +7,7 @@ it accepts :class:`~repro.addresslib.library.BatchCall` requests,
 admits or sheds them (:mod:`repro.service.admission`), queues them with
 priorities and bounded depth (:mod:`repro.service.queue`), coalesces
 compatible calls into waves (:mod:`repro.service.batcher`) and routes
-each wave to one board of an :class:`~repro.pool.EnginePool` through
-its placement policy.
+each wave to one board of an :class:`~repro.pool.EnginePool`.
 
 Time is *modeled* time: the service keeps a virtual clock in seconds of
 the validated overlap timing model, exactly as the Table 3 evaluation
@@ -204,20 +203,14 @@ class EngineService:
         All serving metadata arrives through ``options`` (a
         :class:`~repro.api.SubmitOptions`; ``None`` means its
         defaults): priority class, relative deadline, retry budget,
-        tenant label, placement hint, and ``arrival_seconds`` to place
-        the request on the modeled clock (an open-loop load generator
-        submits a whole trace this way -- arrivals default to "now"
-        and never move the clock backwards).
+        tenant label, and ``arrival_seconds`` to place the request on
+        the modeled clock (an open-loop load generator submits a whole
+        trace this way -- arrivals default to "now" and never move the
+        clock backwards).
         """
         if options is None:
             from ..api import SubmitOptions
             options = SubmitOptions()
-        if options.sanitize:
-            # Arm (or widen) the process-wide transport sanitizer for
-            # the requested domains; findings surface through whichever
-            # scheduler serves the pool.  Never alters results.
-            from ..analysis.sanitize import ensure_sanitizer
-            ensure_sanitizer(options.sanitize)
         if options.arrival_seconds is not None:
             self.clock = max(self.clock, options.arrival_seconds)
         arrival = self.clock
@@ -232,7 +225,7 @@ class EngineService:
             max_retries=options.max_retries,
             estimated_cost_seconds=overlapped_cost,
             serial_cost_seconds=serial_cost,
-            tenant=options.tenant, placement=options.placement)
+            tenant=options.tenant)
         self._next_request_id += 1
         ticket = ServiceTicket(request_id=request.request_id,
                                priority=options.priority,
@@ -334,9 +327,8 @@ class EngineService:
                      if not self._expire(r, start_estimate, resolved)]
         if not survivors:
             return resolved
-        dispatch = self.pool.dispatch(
-            [r.call for r in survivors], not_before=not_before,
-            hint=survivors[0].placement)
+        dispatch = self.pool.dispatch([r.call for r in survivors],
+                                      not_before=not_before)
         for request in survivors:
             self.report_data.modeled_serial_seconds += (
                 request.serial_cost_seconds)

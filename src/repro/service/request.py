@@ -90,8 +90,6 @@ class ServiceRequest:
     effective_arrival_seconds: float = 0.0
     #: Tenant label the books attribute this call to (``None``: untagged).
     tenant: Optional[str] = None
-    #: Preferred pool worker id (a placement *hint*, not a constraint).
-    placement: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.effective_arrival_seconds = self.arrival_seconds

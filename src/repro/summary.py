@@ -111,7 +111,7 @@ def health_section() -> str:
     from .host import EngineBackend
 
     frame = blob_frame(QCIF, [(30, 30), (100, 80)], radius=16)
-    backend = EngineBackend(chain_frames=True, residency_max_age=4)
+    backend = EngineBackend(chain_frames=True)
     lib = AddressLib(backend)
     edges = lib.intra(INTRA_GRAD, frame)          # both inputs ship
     smooth = lib.intra(INTRA_BOX3, edges)         # result reused on-board
@@ -163,7 +163,8 @@ def sanitizer_section() -> str:
     ``repro-check --sanitize-selftest``.
     """
     from .addresslib import BatchCall, INTRA_GRAD
-    from .analysis.sanitize import SANITIZE_SELFTESTS
+    from .analysis.sanitize import (SANITIZE_SELFTESTS, install_sanitizer,
+                                    uninstall_sanitizer)
     from .host.scheduler import CallScheduler
     from .image import noise_frame
 
@@ -179,12 +180,12 @@ def sanitizer_section() -> str:
 
     calls = [BatchCall.intra(INTRA_GRAD, noise_frame(QCIF, seed=i))
              for i in range(6)]
-    scheduler = CallScheduler(max_workers=2,
-                              sanitize=("transport", "residency"))
+    install_sanitizer(("transport", "residency"))
     try:
-        scheduler.compute_batch(calls)
+        with CallScheduler(max_workers=2) as scheduler:
+            scheduler.compute_batch(calls)
     finally:
-        scheduler.close()
+        uninstall_sanitizer()
     clean = not scheduler.sanitizer_findings
     rows.append(("--", "sanitized clean batch (6 calls, 2 workers)",
                  "clean" if clean else

@@ -1,6 +1,6 @@
 """The runtime transport sanitizer: seeded bugs caught, clean runs clean.
 
-Three contracts:
+Four contracts:
 
 * every ``SANITIZE_SELFTESTS`` scenario (one real seeded bug per
   SHM/RES/POOL rule, against the *live* shared-memory primitives) is
@@ -8,11 +8,14 @@ Three contracts:
 * a sanitizer-armed scheduler run over the 0xFA57 corpus recipe stays
   bit-exact against the serial executor and emits zero error-severity
   findings (observation never perturbs results);
-* the arming surfaces agree: ``REPRO_SANITIZE``, the scheduler's
-  ``sanitize=`` keyword, and ``SubmitOptions(sanitize=...)`` all
-  normalise through the same domain vocabulary.
+* ``install_sanitizer`` is the one switch: a scheduler built under it
+  arms its workers with its domains, and nothing else (no environment
+  variable) arms anything;
+* the sanitizer's own books stay bounded: a dead result frame leaves
+  the pool domain's producer map.
 """
 
+import gc
 import random
 
 import pytest
@@ -20,10 +23,9 @@ import pytest
 from repro.addresslib import (AddressLib, BatchCall, INTER_OPS,
                               INTRA_OPS, SoftwareBackend, VectorExecutor)
 from repro.analysis.sanitize import (SANITIZE_SELFTESTS,
-                                     active_sanitizer, ensure_sanitizer,
-                                     install_sanitizer, normalize_domains,
-                                     uninstall_sanitizer)
-from repro.api import SubmitOptions
+                                     active_sanitizer, install_sanitizer,
+                                     normalize_domains, uninstall_sanitizer)
+from repro.api import EnginePool
 from repro.host import CallScheduler, shm
 from repro.image import ImageFormat, noise_frame
 
@@ -122,8 +124,8 @@ class TestSanitizedCorpusClean:
     def test_bit_exact_with_zero_error_findings(self):
         rng = random.Random(0xFA57)
         calls = [_random_batch_call(rng) for _ in range(26)]
-        with CallScheduler(max_workers=2,
-                           sanitize=("all",)) as scheduler:
+        install_sanitizer(("all",))
+        with CallScheduler(max_workers=2) as scheduler:
             assert scheduler.sanitize_domains == ("pool", "residency",
                                                   "transport")
             lib = AddressLib(SoftwareBackend())
@@ -141,27 +143,12 @@ class TestSanitizedCorpusClean:
 
 
 class TestArmingSurfaces:
-    def test_env_var_pickup(self, monkeypatch):
+    def test_env_var_arms_nothing(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "transport, residency")
         with CallScheduler(max_workers=1) as scheduler:
-            assert scheduler.sanitize_domains == ("residency",
-                                                  "transport")
-        assert active_sanitizer() is not None
-
-    def test_explicit_kwarg_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "pool")
-        with CallScheduler(max_workers=1,
-                           sanitize=("transport",)) as scheduler:
-            assert scheduler.sanitize_domains == ("transport",)
-
-    def test_submit_options_normalises(self):
-        options = SubmitOptions(sanitize=("all",))
-        assert options.sanitize == ("pool", "residency", "transport")
-        assert SubmitOptions().sanitize is None
-
-    def test_submit_options_rejects_unknown_domain(self):
-        with pytest.raises(ValueError):
-            SubmitOptions(sanitize=("bogus",))
+            assert scheduler.sanitize_domains == ()
+        assert active_sanitizer() is None
+        assert shm.get_transport_observer() is None
 
     def test_normalize_domains(self):
         assert normalize_domains(["residency", "transport",
@@ -172,9 +159,17 @@ class TestArmingSurfaces:
         with pytest.raises(ValueError):
             normalize_domains(["shm"])
 
-    def test_ensure_widens_active_domains(self):
-        install_sanitizer(("transport",))
-        ensure_sanitizer(("residency",))
-        sanitizer = active_sanitizer()
-        assert sanitizer is not None
-        assert set(sanitizer.domains) >= {"residency", "transport"}
+
+class TestPoolBooksBounded:
+    def test_dead_result_frames_leave_the_producer_map(self):
+        pool = EnginePool.of_engines(2)
+        sanitizer = install_sanitizer(("pool",))
+        fmt = ImageFormat("T8", 8, 8)
+        op = _INTRA[0]
+        for seed in range(200):
+            pool.dispatch([BatchCall.intra(op, noise_frame(fmt,
+                                                           seed=seed))])
+        gc.collect()
+        # Each board's residency cache keeps its last result alive.
+        assert len(sanitizer._producers) <= pool.size
+        assert sanitizer.drain() == []

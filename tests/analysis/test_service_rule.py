@@ -1,4 +1,5 @@
-"""SVC001/SVC002: deadline budgets and placement hints, statically."""
+"""SVC001: deadline budgets, statically; SVC002 (placement hints) is
+retired with the hints it audited."""
 
 import pytest
 
@@ -8,6 +9,8 @@ from repro.addresslib import (AddressLib, INTER_ADD, INTRA_BOX3,
 from repro.analysis import (EngineParams, analyze_program,
                             critical_path_cycles, step_cycles)
 from repro.analysis.cli import SELFTEST_CASES
+from repro.analysis.cli import main as repro_check_main
+from repro.analysis.rules import RULES
 from repro.image import QCIF, Frame
 
 
@@ -89,49 +92,13 @@ class TestDeadlineRule:
         assert report.by_rule("SVC001")
 
 
-class TestPlacementRule:
-    def test_split_producer_consumer_pair_is_flagged(self):
-        report = analyze_program(
-            _chain_program(),
-            EngineParams(placement_hints=(0, 1, None)))
-        hits = report.by_rule("SVC002")
-        assert len(hits) == 1
-        assert "board 0" in hits[0].message
-        assert "board 1" in hits[0].message
-        assert hits[0].step_index == 1
+class TestPlacementRuleRetired:
+    def test_svc002_is_not_in_the_catalogue(self):
+        assert "SVC002" not in RULES
+        assert "placement" not in SELFTEST_CASES
 
-    def test_co_located_pair_is_quiet(self):
-        report = analyze_program(
-            _chain_program(),
-            EngineParams(placement_hints=(0, 0, 0)))
-        assert not report.by_rule("SVC002")
-
-    def test_unhinted_steps_are_quiet(self):
-        report = analyze_program(
-            _chain_program(),
-            EngineParams(placement_hints=(0, None, 1)))
-        assert not report.by_rule("SVC002")
-
-    def test_inert_without_hints(self):
-        report = analyze_program(_chain_program(), EngineParams())
-        assert not report.by_rule("SVC002")
-
-    def test_every_split_edge_is_reported(self):
-        # Diamond: gx and gy both feed the add; pin the add away from
-        # both producers and both hand-offs must be flagged.
-        report = analyze_program(
-            _diamond_program(),
-            EngineParams(placement_hints=(0, 1, 2)))
-        assert len(report.by_rule("SVC002")) == 2
-
-    def test_hint_count_mismatch_is_an_error(self):
-        with pytest.raises(ValueError):
-            analyze_program(_chain_program(),
-                            EngineParams(placement_hints=(0, 1)))
-
-    def test_selftest_covers_placement_class(self):
-        builder, rule_id = SELFTEST_CASES["placement"]
-        assert rule_id == "SVC002"
-        program, params = builder()
-        report = analyze_program(program, params)
-        assert report.by_rule("SVC002")
+    def test_placement_hints_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            repro_check_main(["--placement-hints", "0,1,-"])
+        assert exc.value.code == 2
+        assert "--placement-hints" in capsys.readouterr().err

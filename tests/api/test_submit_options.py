@@ -1,11 +1,11 @@
-"""The unified submission surface: SubmitOptions at every layer.
+"""The unified submission surface: SubmitOptions at the service.
 
 One frozen options record carries every piece of serving metadata
-(priority, deadline, retries, tenant, placement, arrival) across all
-three submission layers -- ``EngineService.submit``,
-``AddressLib.run_batch`` and ``AddressEngineDriver.submit``.  Each entry
-point has one shape: the old per-layer spellings and the loose-kwarg
-service constructors raise :class:`TypeError`.
+(priority, deadline, retries, tenant, arrival) into
+``EngineService.submit``; the layers below it take none.  Each entry
+point has one shape: the old per-layer spellings, the loose-kwarg
+service constructors and the retired placement, sanitizer and
+residency-age knobs raise :class:`TypeError`.
 """
 
 import dataclasses
@@ -14,10 +14,13 @@ import warnings
 import pytest
 
 from repro.addresslib import AddressLib, BatchCall, INTRA_GRAD
+from repro.analysis import EngineParams
 from repro.api import (AdmissionPolicy, AsyncEngineClient, EnginePool,
-                       EngineService, Priority, SubmitOptions)
+                       EngineService, EngineWorker, Priority,
+                       SubmitOptions)
 from repro.core import intra_config
-from repro.host import AddressEngineDriver, CallScheduler, EngineBackend
+from repro.host import (AddressEngineDriver, CallScheduler, EngineBackend,
+                        FrameResidencyCache)
 from repro.image import ImageFormat, noise_frame
 from repro.load import ArrivalTrace, TraceSpec, replay_async, replay_serial
 from repro.perf import EngineTimingModel
@@ -49,7 +52,6 @@ class TestSubmitOptionsRecord:
         assert options.deadline_seconds is None
         assert options.max_retries == 0
         assert options.tenant is None
-        assert options.placement is None
         assert options.arrival_seconds is None
 
     def test_frozen(self):
@@ -90,36 +92,6 @@ class TestServiceShim:
         assert report.calls_by_tenant == {"cam-north": 3,
                                           "cam-south": 1}
 
-    def test_placement_hint_routes_the_wave(self):
-        service = EngineService(pool=EnginePool.of_engines(3))
-        _drain_one(service, SubmitOptions(placement=2))
-        report = service.report()
-        assert report.pool is not None
-        assert report.pool.hinted_waves == 1
-        assert report.pool.workers[2].calls_routed == 1
-
-
-class TestRunBatchShim:
-    def test_tenant_tallied_in_the_call_log(self):
-        lib = AddressLib()
-        lib.run_batch([_call(0), _call(1)],
-                      options=SubmitOptions(tenant="edge-7"))
-        lib.run_batch([_call(2)])
-        assert lib.log.by_tenant == {"edge-7": 2}
-        lib.log.clear()
-        assert lib.log.by_tenant == {}
-
-
-class TestDriverShim:
-    def test_tenant_tallied_per_driver(self):
-        config = intra_config(INTRA_GRAD, SMALL)
-        frame = noise_frame(SMALL, seed=5)
-        driver = AddressEngineDriver()
-        driver.submit(config, frame,
-                      options=SubmitOptions(tenant="lab"))
-        driver.submit(config, frame)
-        assert driver.calls_by_tenant == {"lab": 1}
-
 
 class TestFacadeExports:
     def test_one_import_surface_covers_the_stack(self):
@@ -128,11 +100,6 @@ class TestFacadeExports:
                      "EnginePool", "EngineService", "EngineWorker",
                      "Priority", "ServiceReport", "SubmitOptions"):
             assert hasattr(api, name), name
-
-    def test_backend_shim_sees_tenant_through_run_batch(self):
-        lib = AddressLib(EngineBackend())
-        lib.run_batch([_call(6)], options=SubmitOptions(tenant="t0"))
-        assert lib.log.by_tenant == {"t0": 1}
 
 
 class TestOldSpellingsRemoved:
@@ -163,6 +130,25 @@ class TestOldSpellingsRemoved:
         lambda: replay_async(_trace(), EngineService(),
                              backpressure=False),
         lambda: replay_serial(_trace(), EngineService(), release=False),
+        lambda: SubmitOptions(placement=0),
+        lambda: SubmitOptions(sanitize=("all",)),
+        lambda: EnginePool([EngineWorker(0)], placement=None),
+        lambda: EnginePool.of_engines(2, placement=None),
+        lambda: EnginePool.of_engines(2, timing=EngineTimingModel()),
+        lambda: EnginePool.of_engines(2, chain_frames=False),
+        lambda: EnginePool.of_engines(2).place([_call()], hint=0),
+        lambda: EnginePool.of_engines(2).dispatch([_call()], hint=0),
+        lambda: AddressLib().run_batch([_call()],
+                                       options=SubmitOptions()),
+        lambda: AddressEngineDriver().submit(
+            intra_config(INTRA_GRAD, SMALL), noise_frame(SMALL, seed=1),
+            options=SubmitOptions()),
+        lambda: AddressEngineDriver().book_call(
+            intra_config(INTRA_GRAD, SMALL), options=SubmitOptions()),
+        lambda: CallScheduler(sanitize=("all",)),
+        lambda: EngineParams(placement_hints=(0, 1)),
+        lambda: EngineBackend(residency_max_age=4),
+        lambda: FrameResidencyCache(max_age=4),
     ], ids=["service-queue_depth", "service-lib",
             "service-virtual_engines", "service-AdmissionPolicy",
             "queue-max_depth", "batcher-max_batch", "submit-priority",
@@ -172,7 +158,14 @@ class TestOldSpellingsRemoved:
             "scheduler-special_inter_ops", "backend-special_inter_ops",
             "pool-special_inter_ops", "admission-special_inter_ops",
             "client-backpressure", "replay_async-backpressure",
-            "replay_serial-release"])
+            "replay_serial-release", "options-placement",
+            "options-sanitize", "pool-placement",
+            "of_engines-placement", "of_engines-timing",
+            "of_engines-chain_frames", "place-hint", "dispatch-hint",
+            "run_batch-options", "driver-submit-options",
+            "book_call-options", "scheduler-sanitize",
+            "params-placement_hints", "backend-residency_max_age",
+            "residency-max_age"])
     def test_old_spelling_raises_type_error(self, spelling):
         with pytest.raises(TypeError):
             spelling()
@@ -180,6 +173,18 @@ class TestOldSpellingsRemoved:
     def test_transport_cost_model_is_gone(self):
         with pytest.raises(ImportError):
             from repro.perf import TransportCostModel  # noqa: F401
+
+    def test_placement_policies_are_gone(self):
+        """The pool places by one rule; no policy module or class is
+        left to pick another."""
+        import repro.api as api
+        import repro.pool as pool
+        with pytest.raises(ImportError):
+            import repro.pool.placement  # noqa: F401
+        for name in ("PlacementPolicy", "LeastLoadedPlacement",
+                     "RoundRobinPlacement", "ResidencyAffinityPlacement"):
+            assert not hasattr(pool, name), name
+            assert not hasattr(api, name), name
 
     def test_resolution_hooks_are_gone(self):
         """Resolved tickets come back from ``step``/``run_until``; no

@@ -1,10 +1,9 @@
-"""Bounding the FrameResidencyCache: release, generations, reporting.
+"""Bounding the FrameResidencyCache: release and reporting.
 
 The cache holds strong references to the frames it models as resident
-in the ZBT banks.  Unbounded, a long-running host would pin every frame
-it ever chained; these tests cover the two bounding mechanisms --
-explicit :meth:`release` and ``max_age`` generation expiry -- plus the
-surfacing of the cache counters in :class:`RunReport`.
+in the ZBT banks -- only the last call's inputs and result.  These
+tests cover explicit :meth:`release` of a frame the host reclaimed,
+plus the surfacing of the cache counters in :class:`RunReport`.
 """
 
 from repro.addresslib import (ChannelSet, INTER_ABSDIFF, INTRA_BOX3,
@@ -52,44 +51,6 @@ class TestRelease:
         cache.release(result)
         assert cache.held_frames == 1
         assert cache.evictions == 1
-
-
-class TestGenerations:
-    def test_state_expires_after_max_age_generations(self):
-        cache = FrameResidencyCache(max_age=2)
-        config = intra_config(INTRA_BOX3, QCIF)
-        frame = noise_frame(QCIF, seed=7)
-        result = noise_frame(QCIF, seed=8)
-        cache.record_call(config, [frame], result)
-        cache.new_generation()
-        flags, _ = cache.plan(config, [frame])
-        assert flags == [True]  # one generation old: still resident
-        cache.new_generation()
-        flags, _ = cache.plan(config, [frame])
-        assert flags == [False]  # two generations old: expired
-        assert cache.evictions == 2
-        assert cache.held_frames == 0
-
-    def test_record_refreshes_age(self):
-        cache = FrameResidencyCache(max_age=1)
-        config = intra_config(INTRA_BOX3, QCIF)
-        frame = noise_frame(QCIF, seed=9)
-        cache.record_call(config, [frame], None)
-        cache.new_generation()
-        cache.record_call(config, [frame], None)  # re-recorded: fresh
-        flags, _ = cache.plan(config, [frame])
-        assert flags == [True]
-
-    def test_no_max_age_never_expires(self):
-        cache = FrameResidencyCache()
-        config = intra_config(INTRA_BOX3, QCIF)
-        frame = noise_frame(QCIF, seed=10)
-        cache.record_call(config, [frame], None)
-        for _ in range(100):
-            cache.new_generation()
-        flags, _ = cache.plan(config, [frame])
-        assert flags == [True]
-        assert cache.evictions == 0
 
 
 class TestRunReportSurfacing:

@@ -17,3 +17,14 @@ class TestSummaryCli:
         out = capsys.readouterr().out
         assert "Table 3" not in out
         assert "Section 1 / 4.1 claims" in out
+
+
+class TestSanitizerSection:
+    def test_leaves_no_sanitizer_installed(self):
+        from repro.analysis.sanitize import active_sanitizer
+        from repro.host import shm
+
+        out = summary.sanitizer_section()
+        assert "clean" in out and "MISSED" not in out
+        assert active_sanitizer() is None
+        assert shm.get_transport_observer() is None

@@ -77,7 +77,7 @@ class TestWorkerReportBooks:
 
 class TestPoolReportBooks:
     def test_zero_completion_schema(self):
-        payload = PoolReport(placement="affinity").to_dict()
+        payload = PoolReport().to_dict()
         _assert_schema(payload)
         assert payload["kind"] == "pool"
         assert payload["calls"] == 0

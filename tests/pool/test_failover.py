@@ -65,7 +65,7 @@ class TestFailover:
         calls = [_random_batch_call(rng) for _ in range(4)]
         pool = EnginePool.of_engines(2)
         _fail_always(pool.workers[0])
-        dispatch = pool.dispatch(calls, hint=0)
+        dispatch = pool.dispatch(calls)
         assert dispatch.worker_id == 1
         assert dispatch.failovers == 1
         for got, call in zip(dispatch.results, calls):
@@ -74,7 +74,7 @@ class TestFailover:
     def test_failed_board_leaves_rotation(self):
         pool = EnginePool.of_engines(2)
         _fail_always(pool.workers[0])
-        pool.dispatch([_random_batch_call(random.Random(1))], hint=0)
+        pool.dispatch([_random_batch_call(random.Random(1))])
         assert pool.workers[0].failed
         assert [w.worker_id for w in pool.alive()] == [1]
         # Subsequent waves never touch the dead board again.
@@ -87,7 +87,7 @@ class TestFailover:
         calls = [_random_batch_call(rng) for _ in range(3)]
         pool = EnginePool.of_engines(2)
         _fail_always(pool.workers[0])
-        pool.dispatch(calls, hint=0)
+        pool.dispatch(calls)
         assert pool.failovers == 1
         assert pool.calls_requeued == len(calls)
         assert pool.workers[0].calls_requeued == len(calls)

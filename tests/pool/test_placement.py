@@ -1,9 +1,9 @@
-"""Placement policies: who gets the next wave, and why.
+"""Placement: who gets the next wave, and why.
 
-Deterministic routing: every policy breaks ties on the lowest worker
-id, hints pin a wave to a live board (and only a live board), and the
-affinity policy reads real per-board ZBT residency state -- no RNG
-anywhere in the router.
+Deterministic routing by one rule: most resident inputs first (the
+board's real ZBT residency state), then the earliest-free board, then
+the lowest worker id -- no RNG anywhere in the router, and a failed
+board never takes a wave.
 """
 
 import pytest
@@ -11,8 +11,6 @@ import pytest
 from repro.addresslib import BatchCall, INTRA_BOX3, INTRA_GRAD
 from repro.api import EnginePool
 from repro.image import ImageFormat, noise_frame
-from repro.pool import (LeastLoadedPlacement, ResidencyAffinityPlacement,
-                        RoundRobinPlacement)
 
 QCIF = ImageFormat("QCIF", 176, 144)
 
@@ -23,42 +21,40 @@ def _call(seed=0, op=INTRA_GRAD):
 
 class TestLeastLoaded:
     def test_picks_the_earliest_free_board(self):
-        pool = EnginePool.of_engines(3,
-                                     placement=LeastLoadedPlacement())
+        pool = EnginePool.of_engines(3)
         pool.workers[0].busy_until = 5.0
         pool.workers[1].busy_until = 1.0
         pool.workers[2].busy_until = 3.0
         assert pool.place([_call()]).worker_id == 1
 
     def test_ties_break_on_lowest_worker_id(self):
-        pool = EnginePool.of_engines(3,
-                                     placement=LeastLoadedPlacement())
+        pool = EnginePool.of_engines(3)
         assert pool.place([_call()]).worker_id == 0
 
     def test_dispatch_spreads_backlog(self):
-        pool = EnginePool.of_engines(2,
-                                     placement=LeastLoadedPlacement())
+        pool = EnginePool.of_engines(2)
         boards = [pool.dispatch([_call(seed=i)]).worker_id
                   for i in range(4)]
         assert boards == [0, 1, 0, 1]
 
-
-class TestRoundRobin:
-    def test_cycles_through_alive_boards(self):
-        pool = EnginePool.of_engines(3, placement=RoundRobinPlacement())
-        boards = [pool.place([_call()]).worker_id for _ in range(5)]
-        assert boards == [0, 1, 2, 0, 1]
-
     def test_skips_failed_boards(self):
-        pool = EnginePool.of_engines(3, placement=RoundRobinPlacement())
+        pool = EnginePool.of_engines(3)
         pool.workers[1].failed = True
-        boards = [pool.place([_call()]).worker_id for _ in range(4)]
-        assert 1 not in boards
+        boards = [pool.dispatch([_call(seed=i)]).worker_id
+                  for i in range(4)]
+        assert boards == [0, 2, 0, 2]
+
+    def test_shed_work_books_on_the_earliest_free_survivor(self):
+        pool = EnginePool.of_engines(3)
+        pool.workers[0].busy_until = 2.0
+        pool.workers[1].failed = True
+        pool.account_shed(2)
+        assert [w.driver.calls_shed for w in pool.workers] == [0, 0, 2]
 
 
 class TestResidencyAffinity:
     def test_resident_frames_attract_their_board(self):
-        pool = EnginePool.of_engines(2)  # affinity is the default
+        pool = EnginePool.of_engines(2)
         frame = noise_frame(QCIF, seed=7)
         warm = BatchCall.intra(INTRA_GRAD, frame)
         pool.dispatch([warm])  # lands on board 0, caches the frame
@@ -73,31 +69,6 @@ class TestResidencyAffinity:
         pool = EnginePool.of_engines(2)
         pool.dispatch([_call(seed=1)])  # board 0 busy
         assert pool.place([_call(seed=2)]).worker_id == 1
-
-    def test_policy_name_lands_in_the_report(self):
-        pool = EnginePool.of_engines(2)
-        assert pool.report().placement == (
-            ResidencyAffinityPlacement().name)
-
-
-class TestHints:
-    def test_hint_pins_a_wave_to_its_board(self):
-        pool = EnginePool.of_engines(3)
-        dispatch = pool.dispatch([_call()], hint=2)
-        assert dispatch.worker_id == 2
-        assert pool.hinted_waves == 1
-
-    def test_dead_hint_falls_back_to_the_policy(self):
-        pool = EnginePool.of_engines(3)
-        pool.workers[2].failed = True
-        dispatch = pool.dispatch([_call()], hint=2)
-        assert dispatch.worker_id != 2
-        assert pool.hinted_waves == 0
-
-    def test_unknown_hint_falls_back_to_the_policy(self):
-        pool = EnginePool.of_engines(2)
-        assert pool.dispatch([_call()], hint=9).worker_id in (0, 1)
-        assert pool.hinted_waves == 0
 
 
 class TestConstruction:
