@@ -164,18 +164,24 @@ class BatchCall:
     def fmt(self):
         return self.frames[0].format
 
+    def same_config(self, other: "BatchCall") -> bool:
+        """Whether ``other`` would configure the engine identically:
+        same mode, op *object* (two parameterized ops sharing a name
+        are distinct code), channel set, reduction and format (by
+        equality, so frame sizes never mix).  Calls that agree can run
+        side by side as one wave with zero reconfiguration."""
+        return (self.mode is other.mode and self.op is other.op
+                and self.channels is other.channels
+                and self.reduce_to_scalar == other.reduce_to_scalar
+                and self.fmt == other.fmt)
+
 
 def _config_runs(calls: Sequence[BatchCall]) -> List[List[BatchCall]]:
     """``calls`` cut into maximal consecutive runs that would configure
-    the engine identically (same mode, op object, format, channel set
-    and reduction), in order."""
+    the engine identically (:meth:`BatchCall.same_config`), in order."""
     runs: List[List[BatchCall]] = []
     for call in calls:
-        head = runs[-1][0] if runs else None
-        if (head is not None and head.mode is call.mode
-                and head.op is call.op and head.channels is call.channels
-                and head.reduce_to_scalar == call.reduce_to_scalar
-                and head.fmt == call.fmt):
+        if runs and runs[-1][0].same_config(call):
             runs[-1].append(call)
         else:
             runs.append([call])

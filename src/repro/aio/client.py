@@ -247,12 +247,11 @@ class AsyncEngineClient:
         the event loop.
 
         The returned :class:`AsyncTicket` is already resolved for
-        admission rejections (``OVERLOAD``, ``TENANT_QUOTA``); otherwise
-        it resolves when the background loop retires the request's wave.
-        Backpressure suspension is tied to *queue depth* only: a tenant
-        at its own :class:`~repro.service.TenantPolicy` quota is shed
-        explicitly (a resolved ``TENANT_QUOTA`` ticket), never parked
-        against capacity it may not be allowed to take.
+        admission rejections (``OVERLOAD``); otherwise it resolves when
+        the background loop retires the request's wave.  Backpressure
+        suspension is tied to *queue depth* only: an over-budget
+        request is shed explicitly, never parked against a backlog
+        admission has refused.
         ``options.arrival_seconds`` paces the modeled clock exactly as
         the synchronous open-loop replay does: waves startable before
         the arrival are dispatched first, here by this call, so

@@ -6,7 +6,9 @@ Serving metadata -- priority class, relative deadline, retry budget,
 tenant label, modeled arrival time -- travels in one
 :class:`SubmitOptions` record, which ``EngineService.submit(call,
 options=...)`` takes; the layers below the service (pool, library,
-driver) take none of it.
+driver) take none of it.  The tenant label selects the request's
+:class:`TenantPolicy` and comes back on its ticket, and the per-tenant
+books are folded from the tickets (``repro.load.LoadReport``).
 
 Typical serving setup::
 
@@ -65,7 +67,8 @@ class SubmitOptions:
     deadline_seconds: Optional[float] = None
     #: Deadline-miss re-enqueues allowed before timing out.
     max_retries: int = 0
-    #: Tenant label the service's books tally this work under.
+    #: Tenant label: selects the ``TenantPolicy`` the request serves
+    #: under and is carried on its ticket; ``None``: untagged.
     tenant: Optional[str] = None
     #: Where the request sits on the modeled clock (open-loop traces);
     #: ``None`` means "now".  Never moves the clock backwards.

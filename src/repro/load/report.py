@@ -101,8 +101,8 @@ class LoadReport:
         drop its result frame) immediately afterwards -- the discipline
         that keeps a million-request replay at constant memory.
         """
-        # An untagged ticket counts in the totals only; its book is not
-        # kept, as the service's own per-tenant tallies skip it too.
+        # An untagged ticket counts in the totals only; no tenant book
+        # is kept for it.
         book = (self.tenant(ticket.tenant) if ticket.tenant is not None
                 else TenantBook("untagged"))
         book.submitted += 1

@@ -10,7 +10,7 @@ timing model.  See ``docs/SERVICE.md``.
 """
 
 from .admission import AdmissionController, AdmissionPolicy
-from .batcher import BatchKey, MicroBatcher
+from .batcher import MicroBatcher
 from .engine_service import EngineService, ServiceReport
 from .policy import ServicePolicy, TenantPolicy
 from .queue import RequestQueue
@@ -20,7 +20,6 @@ from .request import (Priority, RejectReason, RequestState, ServiceError,
 __all__ = [
     "AdmissionController",
     "AdmissionPolicy",
-    "BatchKey",
     "EngineService",
     "MicroBatcher",
     "Priority",

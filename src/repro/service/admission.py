@@ -29,8 +29,8 @@ Tenancy adds two refinements, both driven by the
   tenants inside their share keep the full one.
 
 The backlog a tenant is judged against is its *own* weighted-fair
-backlog (the service computes it from the per-tenant queued cost and
-the WFQ share), so one tenant's flood never inflates the figure a
+backlog (the service computes it from the queue's per-tenant cost book
+and the WFQ share), so one tenant's flood never inflates the figure a
 well-behaved neighbour is admitted under.
 """
 
@@ -49,6 +49,10 @@ __all__ = [
     "AdmissionController",
     "AdmissionPolicy",
 ]
+
+#: Decay constant of the per-tenant arrival-rate estimate, in modeled
+#: seconds (the noisy-neighbour detector).
+RATE_TAU_SECONDS = 0.5
 
 
 class _RateEstimate:
@@ -85,7 +89,7 @@ class AdmissionController:
         """Fold one arrival of ``tenant`` at modeled time ``now`` into
         the decayed per-tenant rate estimate (every submission counts,
         accepted or shed -- it is the *offered* stream being sized)."""
-        tau = self.policy.rate_tau_seconds
+        tau = RATE_TAU_SECONDS
         estimate = self._rates.get(tenant)
         if estimate is None:
             estimate = self._rates[tenant] = _RateEstimate()
@@ -98,7 +102,7 @@ class AdmissionController:
         1.0 for tenants inside their weighted fair share of the
         observed arrival stream; < 1.0 for the ones flooding past it.
         """
-        tau = self.policy.rate_tau_seconds
+        tau = RATE_TAU_SECONDS
         own = 0.0
         total_rate = 0.0
         total_weight = 0.0
@@ -122,44 +126,37 @@ class AdmissionController:
 
     def effective_budget(self, priority: Priority,
                          tenant: Optional[str],
-                         now: Optional[float] = None) -> Optional[float]:
-        """The backlog budget this (class, tenant) pair is judged by:
-        the graduated class budget, capped at the tenant's p95 target,
-        shaded by the tenant's arrival overshare.  ``None`` disables
-        shedding (no budget, no target)."""
+                         now: float) -> Optional[float]:
+        """The backlog budget this (class, tenant) pair is judged by at
+        modeled time ``now``: the graduated class budget, capped at the
+        tenant's p95 target, shaded by the tenant's arrival overshare.
+        ``None`` disables shedding (no budget, no target)."""
         budget = self.policy.admission.budget_for(priority)
         target = self.policy.tenant(tenant).p95_target_seconds
         if target is not None:
             budget = target if budget is None else min(budget, target)
-        if budget is not None and now is not None:
+        if budget is not None:
             budget *= self._share_shade(tenant, now)
         return budget
 
     def admit(self, request: ServiceRequest, backlog_seconds: float,
-              tenant_backlog_seconds: Optional[float] = None,
-              now: Optional[float] = None) -> Optional[RejectReason]:
+              now: float) -> Optional[RejectReason]:
         """Accept (``None``) or shed ``request`` given the backlog.
 
         ``backlog_seconds`` is the modeled time until the engine would
         *start* this request: the current wave's unfinished tail plus
-        the estimated cost of everything already queued.
-        ``tenant_backlog_seconds``, when the caller computes one, is
-        the weighted-fair refinement -- the tail this tenant's *own*
-        work faces under WFQ, never more than the global figure -- and
-        is what the budget is compared against, so an untagged
-        single-bucket service reproduces the pre-tenancy decision
-        exactly.  If the backlog exceeds the effective budget the
-        request is shed now rather than queued to rot.  The request's
-        *own* deadline is deliberately not examined here -- admission
-        enforces the service's latency posture, while individual
-        deadlines are enforced at dispatch (timeout + bounded retry),
-        where the real start time is known.
+        the estimated cost of the queued work ahead of it -- under
+        weighted fair queueing, the tail this tenant's *own* work
+        faces, never more than the global figure.  If the backlog
+        exceeds the effective budget the request is shed now rather
+        than queued to rot.  The request's *own* deadline is
+        deliberately not examined here -- admission enforces the
+        service's latency posture, while individual deadlines are
+        enforced at dispatch (timeout + bounded retry), where the real
+        start time is known.
         """
         budget = self.effective_budget(request.priority, request.tenant,
                                        now)
-        backlog = (tenant_backlog_seconds
-                   if tenant_backlog_seconds is not None
-                   else backlog_seconds)
-        if budget is not None and backlog > budget:
+        if budget is not None and backlog_seconds > budget:
             return RejectReason.OVERLOAD
         return None

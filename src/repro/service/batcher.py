@@ -6,7 +6,10 @@ share a configuration (same addressing mode, same op, same format and
 channel set) are *already* what :meth:`AddressLib.run_batch` calls a
 batch -- mutually independent by the service contract -- so the batcher
 pulls them forward into one wave, which the service hands whole to one
-board of its pool.  Configuration is the only thing that keys a wave.
+board of its pool.  Configuration is the only thing that keys a wave,
+and :meth:`~repro.addresslib.library.BatchCall.same_config` is its one
+definition -- the predicate ``run_batch`` also cuts its calls into
+same-configuration runs by.
 
 Bit-exactness is structural, not hoped for: each request's result
 depends only on its own input frames (no request reads another's
@@ -18,38 +21,11 @@ randomized corpus the scheduler is held to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
-from ..addresslib.library import BatchCall
 from .policy import ServicePolicy
 from .queue import RequestQueue
 from .request import ServiceRequest
-
-
-@dataclass(frozen=True)
-class BatchKey:
-    """What must match for two calls to share a micro-batch.
-
-    Mode/op/format is the engine's *configuration* identity: calls with
-    equal keys would program the board identically, so a multi-engine
-    deployment can run them side by side with zero reconfiguration.
-    ``op_id`` is the op object's identity, not its name -- two distinct
-    parameterized ops that happen to share a name must not coalesce.
-    """
-
-    mode: str
-    op_id: int
-    format_name: str
-    channels: str
-    reduce_to_scalar: bool
-
-    @classmethod
-    def of(cls, call: BatchCall) -> "BatchKey":
-        return cls(mode=call.mode.value, op_id=id(call.op),
-                   format_name=call.fmt.name,
-                   channels=call.channels.name,
-                   reduce_to_scalar=call.reduce_to_scalar)
 
 
 def _deadline_rank(request: ServiceRequest) -> float:
@@ -75,22 +51,19 @@ class MicroBatcher:
 
         The head is always the request strict priority order would
         dispatch next, so coalescing never inverts priorities -- it only
-        lets compatible work *join* the head's wave early.  Followers
-        come in queue (drain) order; with
-        ``policy.deadline_aware_batching`` the compatible candidates
-        are instead ranked by absolute deadline (stably, so undated
-        work keeps drain order behind dated work) -- near-deadline
-        requests ride the earliest compatible wave instead of waiting
-        out a full queue pass.
+        lets compatible work *join* the head's wave early.  With
+        ``policy.fair_queueing`` the compatible candidates are ranked
+        by absolute deadline (stably, so undated work keeps drain order
+        behind dated work) -- near-deadline requests ride the earliest
+        compatible wave instead of waiting out a full queue pass;
+        without it followers come in queue (drain) order.
         """
         if not queue:
             return []
         head = queue.pop_next()
-        key = BatchKey.of(head.call)
-        prefer = (_deadline_rank if self.policy.deadline_aware_batching
-                  else None)
+        prefer = _deadline_rank if self.policy.fair_queueing else None
         wave = [head] + queue.pop_compatible(
-            lambda request: BatchKey.of(request.call) == key,
+            lambda request: head.call.same_config(request.call),
             self.max_batch - 1, prefer=prefer)
         self.waves += 1
         if len(wave) > 1:

@@ -36,6 +36,7 @@ The flow::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
@@ -84,12 +85,6 @@ class ServiceReport:
     latency: LatencyTracker = field(default_factory=LatencyTracker)
     #: Service clock when the report was cut.
     clock_seconds: float = 0.0
-    #: Completed calls tallied per tenant label (untagged calls absent).
-    calls_by_tenant: Dict[str, int] = field(default_factory=dict)
-    #: Rejections *and* deadline expiries tallied per tenant label --
-    #: the "who absorbed the shedding" book ``calls_by_tenant`` (a
-    #: completions-only tally) never answered.
-    sheds_by_tenant: Dict[str, int] = field(default_factory=dict)
     #: Per-board books of the pool that served this run.
     pool: Optional[PoolReport] = None
     #: Clock the ``cycles`` figure of :meth:`to_dict` is expressed in.
@@ -146,8 +141,6 @@ class ServiceReport:
             reject_rate=self.reject_rate,
             clock_seconds=self.clock_seconds,
             latency=self.latency.to_dict(),
-            calls_by_tenant=dict(self.calls_by_tenant),
-            sheds_by_tenant=dict(self.sheds_by_tenant),
             pool=(self.pool.to_dict() if self.pool else None),
         )
 
@@ -182,9 +175,6 @@ class EngineService:
         #: The service's modeled "now": advanced by arrivals and waves.
         self.clock = 0.0
         self.report_data = ServiceReport()
-        self._pending_cost_seconds = 0.0
-        self._pending_cost_by_tenant: Dict[Optional[str], float] = {}
-        self._in_flight_by_tenant: Dict[Optional[str], int] = {}
         self._next_request_id = 0
         self._tickets: Dict[int, ServiceTicket] = {}
 
@@ -234,33 +224,19 @@ class EngineService:
         self._tickets[request.request_id] = ticket
         self.report_data.submitted += 1
 
-        cap = self.policy.tenant(request.tenant).max_in_flight
-        if (cap is not None
-                and self._in_flight_by_tenant.get(request.tenant, 0)
-                >= cap):
-            self._reject(ticket, RejectReason.TENANT_QUOTA,
-                         request.tenant)
-            return ticket
         reason = self._admit(request)
+        if reason is None:
+            reason = self.queue.offer(request)
         if reason is not None:
-            self._reject(ticket, reason, request.tenant)
+            self._reject(ticket, reason)
             return ticket
-        offered = self.queue.offer(request)
-        if offered is not None:
-            self._reject(ticket, offered, request.tenant)
-            return ticket
-        self._pending_cost_seconds += request.estimated_cost_seconds
-        self._add_tenant_pending(request, +1)
-        self._in_flight_by_tenant[request.tenant] = (
-            self._in_flight_by_tenant.get(request.tenant, 0) + 1)
         self.report_data.accepted += 1
         return ticket
 
     def _admit(self, request: ServiceRequest) -> Optional[RejectReason]:
         alive = len(self.pool.alive()) or 1
         busy_tail = max(0.0, self.busy_until - self.clock)
-        backlog = busy_tail + self._pending_cost_seconds / alive
-        tenant_backlog = backlog
+        queued = self.queue.cost_seconds
         if self.policy.fair_queueing:
             # Under WFQ a tenant's work drains at its weight share of
             # the pool, so the tail *its* next request faces is its own
@@ -268,44 +244,30 @@ class EngineService:
             # global figure (with one bucket the two coincide exactly,
             # which is what keeps untagged decisions bit-identical to
             # the pre-tenancy controller).
-            own = self._pending_cost_by_tenant.get(request.tenant, 0.0)
-            share = self._weight_share(request.tenant)
-            tenant_backlog = busy_tail + min(
-                self._pending_cost_seconds, own / share) / alive
-        return self.admission.admit(request, backlog, tenant_backlog,
-                                    now=self.clock)
+            own = self.queue.cost_by_tenant.get(request.tenant, 0.0)
+            queued = min(queued, own / self._weight_share(request.tenant))
+        return self.admission.admit(request, busy_tail + queued / alive,
+                                    self.clock)
 
     def _weight_share(self, tenant: Optional[str]) -> float:
-        """``tenant``'s weight share among tenants with queued work."""
-        active = set(self._pending_cost_by_tenant)
+        """``tenant``'s weight share among tenants with queued work.
+
+        The weights are summed with ``math.fsum``, whose result does
+        not depend on the order of the set (string hashing, so
+        ``PYTHONHASHSEED``, decides that order)."""
+        active = set(self.queue.cost_by_tenant)
         active.add(tenant)
-        total = sum(self.policy.weight(name) for name in active)
+        total = math.fsum(self.policy.weight(name) for name in active)
         if total <= 0.0:
             return 1.0
         return self.policy.weight(tenant) / total
 
-    def _add_tenant_pending(self, request: ServiceRequest,
-                            sign: int) -> None:
-        """Track queued estimated cost per tenant (the WFQ backlog
-        book); entries are pruned at zero so the active-tenant set
-        never accretes float residue."""
-        book = self._pending_cost_by_tenant
-        value = (book.get(request.tenant, 0.0)
-                 + sign * request.estimated_cost_seconds)
-        if abs(value) < 1e-15:
-            book.pop(request.tenant, None)
-        else:
-            book[request.tenant] = value
-
-    def _reject(self, ticket: ServiceTicket, reason: RejectReason,
-                tenant: Optional[str] = None) -> None:
+    def _reject(self, ticket: ServiceTicket,
+                reason: RejectReason) -> None:
         ticket.state = RequestState.REJECTED
         ticket.reject_reason = reason
         by_reason = self.report_data.rejected_by_reason
         by_reason[reason.value] = by_reason.get(reason.value, 0) + 1
-        if tenant is not None:
-            sheds = self.report_data.sheds_by_tenant
-            sheds[tenant] = sheds.get(tenant, 0) + 1
         self.pool.account_shed()
 
     # -- dispatch -------------------------------------------------------------
@@ -318,9 +280,6 @@ class EngineService:
         wave = self.batcher.form_wave(self.queue)
         if not wave:
             return resolved
-        for request in wave:
-            self._pending_cost_seconds -= request.estimated_cost_seconds
-            self._add_tenant_pending(request, -1)
         not_before = max(r.effective_arrival_seconds for r in wave)
         start_estimate = max(self.busy_until, not_before)
         survivors = [r for r in wave
@@ -358,29 +317,15 @@ class EngineService:
         if request.attempts <= request.max_retries:
             request.effective_arrival_seconds = max(start, self.clock)
             self.queue.requeue_front(request)
-            self._pending_cost_seconds += request.estimated_cost_seconds
-            self._add_tenant_pending(request, +1)
             self.report_data.retried += 1
             return True
         ticket = self._tickets[request.request_id]
         ticket.state = RequestState.TIMED_OUT
         ticket.attempts = request.attempts
         self.report_data.timed_out += 1
-        self._release_in_flight(request)
-        if request.tenant is not None:
-            sheds = self.report_data.sheds_by_tenant
-            sheds[request.tenant] = sheds.get(request.tenant, 0) + 1
         self.pool.account_shed()
         resolved.append(ticket)
         return True
-
-    def _release_in_flight(self, request: ServiceRequest) -> None:
-        remaining = (self._in_flight_by_tenant.get(request.tenant, 0)
-                     - 1)
-        if remaining > 0:
-            self._in_flight_by_tenant[request.tenant] = remaining
-        else:
-            self._in_flight_by_tenant.pop(request.tenant, None)
 
     def _complete(self, request: ServiceRequest,
                   result: Union[Frame, int],
@@ -390,19 +335,9 @@ class EngineService:
         ticket.outcome = result
         ticket.completion_seconds = wave_end
         ticket.attempts = request.attempts
-        self._release_in_flight(request)
         self.report_data.completed += 1
         self.report_data.latency.record(
             wave_end - request.arrival_seconds)
-        # The per-tenant books tally *completions* -- they are bumped
-        # here, nowhere else, so ``calls_by_tenant`` can never drift
-        # from ``completed`` (it used to be tallied separately in the
-        # dispatch loop, which let a wave that died between the two
-        # loops leave tenant tallies with no completion behind them).
-        if request.tenant is not None:
-            by_tenant = self.report_data.calls_by_tenant
-            by_tenant[request.tenant] = (
-                by_tenant.get(request.tenant, 0) + 1)
         return ticket
 
     # -- draining -------------------------------------------------------------
@@ -422,19 +357,11 @@ class EngineService:
 
         Always finalises -- a drain that completed zero requests still
         returns a coherent report whose latency percentiles read
-        ``None`` (undefined) and whose per-tenant books are empty: zero
-        completions means zero per-tenant completions, whatever stale
-        tallies an earlier accounting bug (or a caller poking
-        ``report_data``) may have left behind.
+        ``None`` (undefined).  Per-tenant books are cut from the
+        tickets, which carry their tenant (``LoadReport.account``).
         """
         while self.queue:
             self.step()
-        if self.report_data.completed == 0:
-            self.report_data.calls_by_tenant.clear()
-        if self.report_data.rejected + self.report_data.timed_out == 0:
-            # Same stale-tally contract for the shedding book: zero
-            # sheds means zero per-tenant sheds.
-            self.report_data.sheds_by_tenant.clear()
         return self.report()
 
     def release(self, ticket: ServiceTicket) -> None:

@@ -1,12 +1,17 @@
 """ServicePolicy: every serving knob of the front end, in one record.
 
 One frozen :class:`ServicePolicy` carries the queue bound, the wave
-width, the admission budget, and the per-tenant SLO contract
-(:class:`TenantPolicy`: fair-queueing weight, queued/in-flight quotas,
-p95 deadline target) -- the same move :class:`~repro.api.SubmitOptions`
-made for per-request metadata.  ``EngineService``, ``RequestQueue``,
-``MicroBatcher`` and ``AdmissionController`` each take it as their one
-``policy=`` argument.
+width, the admission budget, the per-tenant SLO contract
+(:class:`TenantPolicy`: fair-queueing weight and p95 deadline target)
+and the one fairness switch -- the same move
+:class:`~repro.api.SubmitOptions` made for per-request metadata.
+``EngineService``, ``RequestQueue``, ``MicroBatcher`` and
+``AdmissionController`` each take it as their one ``policy=``
+argument.  Values no deployment sets are module constants instead:
+:data:`BUDGET_FRACTIONS` (each class's share of the admission budget),
+:data:`DEFAULT_TENANT_POLICY` (the contract of untagged and unlisted
+tenants) and admission's
+:data:`~repro.service.admission.RATE_TAU_SECONDS`.
 
 Deliberately light: this module imports nothing beyond
 :mod:`repro.service.request`, so the static analyzer
@@ -17,7 +22,7 @@ dragging in the pool or the timing model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from .request import Priority
 
@@ -27,29 +32,28 @@ __all__ = [
     "TenantPolicy",
 ]
 
-
-def _default_budget_fractions() -> Dict[Priority, float]:
-    return {Priority.INTERACTIVE: 1.0,
-            Priority.STANDARD: 0.75,
-            Priority.BULK: 0.5}
+#: Per-class fraction of the admission budget (BULK sheds first).
+BUDGET_FRACTIONS: Mapping[Priority, float] = {
+    Priority.INTERACTIVE: 1.0,
+    Priority.STANDARD: 0.75,
+    Priority.BULK: 0.5,
+}
 
 
 @dataclass
 class AdmissionPolicy:
-    """The knobs of the load-shedding decision."""
+    """The load-shedding budget."""
 
     #: Modeled backlog (busy tail + queued cost) a newly admitted
     #: INTERACTIVE request may face; ``None`` disables shedding.
     deadline_budget_seconds: Optional[float] = None
-    #: Per-class fraction of the budget (BULK sheds first).
-    budget_fractions: Dict[Priority, float] = field(
-        default_factory=_default_budget_fractions)
 
     def budget_for(self, priority: Priority) -> Optional[float]:
+        """The class's share of the budget (:data:`BUDGET_FRACTIONS`);
+        ``None`` when shedding is off."""
         if self.deadline_budget_seconds is None:
             return None
-        return (self.deadline_budget_seconds
-                * self.budget_fractions.get(priority, 1.0))
+        return self.deadline_budget_seconds * BUDGET_FRACTIONS[priority]
 
 
 @dataclass(frozen=True)
@@ -59,20 +63,13 @@ class TenantPolicy:
     ``weight`` is the tenant's fair-queueing share *within* each
     priority class: at equal weights tenants interleave one-for-one;
     a weight-2 tenant drains two requests for every one of a weight-1
-    neighbour.  The quotas are hard per-tenant caps enforced before
-    admission pricing (``TENANT_QUOTA`` rejects); the p95 target makes
-    admission shade that tenant's backlog budget so its modeled
-    completion tail stays inside the target even while another tenant
-    floods.
+    neighbour.  The p95 target makes admission shade that tenant's
+    backlog budget so its modeled completion tail stays inside the
+    target even while another tenant floods.
     """
 
     #: Fair-queueing weight within each priority class (> 0).
     weight: float = 1.0
-    #: Most requests this tenant may hold queued at once; ``None``
-    #: leaves only the global depth bound.
-    max_queued: Optional[int] = None
-    #: Most accepted-but-unresolved requests at once; ``None``: no cap.
-    max_in_flight: Optional[int] = None
     #: Modeled p95 completion target admission protects; ``None``: no
     #: target (the tenant rides the plain class budget).
     p95_target_seconds: Optional[float] = None
@@ -81,12 +78,6 @@ class TenantPolicy:
         if self.weight <= 0:
             raise ValueError(
                 f"tenant weight must be > 0, got {self.weight}")
-        if self.max_queued is not None and self.max_queued < 1:
-            raise ValueError(
-                f"max_queued must be >= 1, got {self.max_queued}")
-        if self.max_in_flight is not None and self.max_in_flight < 1:
-            raise ValueError(
-                f"max_in_flight must be >= 1, got {self.max_in_flight}")
         if (self.p95_target_seconds is not None
                 and self.p95_target_seconds <= 0):
             raise ValueError(
@@ -114,18 +105,14 @@ class ServicePolicy:
     max_batch: int = 8
     #: The load-shedding budget (``None`` budget disables shedding).
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
-    #: Per-tenant SLO contracts, by tenant label.
+    #: Per-tenant SLO contracts, by tenant label (untagged requests
+    #: and unlisted tenants serve under :data:`DEFAULT_TENANT_POLICY`).
     tenants: Mapping[str, TenantPolicy] = field(default_factory=dict)
-    #: The contract for untagged requests and unlisted tenants.
-    default_tenant: TenantPolicy = DEFAULT_TENANT_POLICY
-    #: Weighted fair interleave across tenants within each class
-    #: (``False``: plain FIFO within class, the pre-tenancy order).
+    #: Weighted fair interleave across tenants within each class, with
+    #: near-deadline compatible followers ranked first in each wave
+    #: (``False``: plain FIFO within class and followers in drain
+    #: order, the pre-tenancy behaviour).
     fair_queueing: bool = True
-    #: Prefer near-deadline compatible followers when forming waves.
-    deadline_aware_batching: bool = True
-    #: Decay constant of the per-tenant arrival-rate estimator, in
-    #: modeled seconds (admission's noisy-neighbour detector).
-    rate_tau_seconds: float = 0.5
 
     def __post_init__(self) -> None:
         if self.queue_depth < 1:
@@ -134,16 +121,12 @@ class ServicePolicy:
         if self.max_batch < 1:
             raise ValueError(
                 f"max_batch must be >= 1, got {self.max_batch}")
-        if self.rate_tau_seconds <= 0:
-            raise ValueError(
-                f"rate_tau_seconds must be > 0, got "
-                f"{self.rate_tau_seconds}")
 
     def tenant(self, name: Optional[str]) -> TenantPolicy:
         """The contract ``name`` serves under (default when unlisted)."""
         if name is None:
-            return self.default_tenant
-        return self.tenants.get(name, self.default_tenant)
+            return DEFAULT_TENANT_POLICY
+        return self.tenants.get(name, DEFAULT_TENANT_POLICY)
 
     def weight(self, name: Optional[str]) -> float:
         return self.tenant(name).weight

@@ -15,17 +15,20 @@ weight interleave one-for-one however unevenly they arrive; a weight-2
 tenant drains two for a neighbour's one; and a queue whose requests
 are all untagged collapses to a single bucket whose tags increase with
 every offer -- exact FIFO, bit-identical to the pre-tenancy order.
-Per-tenant ``max_queued`` quotas ride the same bookkeeping: a tenant
-at its cap is answered ``TENANT_QUOTA`` while everyone else still has
-the whole remaining depth.  All knobs come from one
-:class:`~repro.service.policy.ServicePolicy`.
+All knobs come from one :class:`~repro.service.policy.ServicePolicy`.
+
+The queue is the one owner of what is queued.  Besides the entries it
+keeps the backlog books admission prices against: the estimated cost
+of everything queued (:attr:`RequestQueue.cost_seconds`) and the same
+per tenant (:attr:`RequestQueue.cost_by_tenant`).  A tenant's entry is
+dropped once it falls within 1e-15 s of zero, so the float residue its
+drained costs leave does not keep it listed.  Every offer, requeue and
+pop updates both books as it happens, so no caller keeps a copy.
 
 The synchronous front end surfaces a full queue as an immediate
 ``QUEUE_FULL`` rejection; the asyncio facade (:mod:`repro.aio`)
 instead *suspends* the producer until a slot frees, re-checking
-:attr:`RequestQueue.has_space` after each wave it dispatches.  Quota
-rejections never suspend: a tenant at its own cap is shed explicitly,
-not parked against space it may never be allowed to take.
+:attr:`RequestQueue.has_space` after each wave it dispatches.
 """
 
 from __future__ import annotations
@@ -62,8 +65,11 @@ class RequestQueue:
         #: Decreasing stamp so later requeues sort *ahead* of earlier
         #: ones -- the appendleft semantics of the pre-tenancy queue.
         self._front_seq = -1
-        #: Queued requests per tenant label (the max_queued quota book).
-        self._queued_by_tenant: Dict[Optional[str], int] = {}
+        #: Estimated cost of everything queued, in modeled seconds.
+        self.cost_seconds = 0.0
+        #: Estimated queued cost per tenant label; only tenants with
+        #: queued work hold an entry.
+        self.cost_by_tenant: Dict[Optional[str], float] = {}
         #: Deepest the queue ever got (capacity-planning signal).
         self.high_water = 0
 
@@ -89,10 +95,6 @@ class RequestQueue:
         """Enqueue, or explain why not (``None`` means accepted)."""
         if self._size >= self.max_depth:
             return RejectReason.QUEUE_FULL
-        cap = self.policy.tenant(request.tenant).max_queued
-        if (cap is not None
-                and self._queued_by_tenant.get(request.tenant, 0) >= cap):
-            return RejectReason.TENANT_QUOTA
         priority = request.priority
         bucket = self._bucket_key(request)
         weight = (self.policy.weight(request.tenant)
@@ -112,11 +114,11 @@ class RequestQueue:
 
         A deadline retry has already waited one full queue pass; sending
         it to the back would starve it behind younger work.  The depth
-        bound and tenant quota are not re-checked: the request held its
-        slot until a moment ago and nothing else can have claimed it
-        mid-dispatch.  The entry carries a ``-inf`` finish tag, so it
-        sorts ahead of every fair-queued entry without dragging the
-        class's virtual time backwards.
+        bound is not re-checked: the request held its slot until a
+        moment ago and nothing else can have claimed it mid-dispatch.
+        The entry carries a ``-inf`` finish tag, so it sorts ahead of
+        every fair-queued entry without dragging the class's virtual
+        time backwards.
         """
         bucket = self._bucket_key(request)
         self._classes[request.priority].setdefault(
@@ -127,17 +129,21 @@ class RequestQueue:
 
     def _account_add(self, request: ServiceRequest) -> None:
         self._size += 1
-        self._queued_by_tenant[request.tenant] = (
-            self._queued_by_tenant.get(request.tenant, 0) + 1)
         self.high_water = max(self.high_water, self._size)
+        self._book_cost(request, request.estimated_cost_seconds)
 
     def _account_remove(self, request: ServiceRequest) -> None:
         self._size -= 1
-        remaining = self._queued_by_tenant.get(request.tenant, 0) - 1
-        if remaining > 0:
-            self._queued_by_tenant[request.tenant] = remaining
+        self._book_cost(request, -request.estimated_cost_seconds)
+
+    def _book_cost(self, request: ServiceRequest, cost: float) -> None:
+        self.cost_seconds += cost
+        book = self.cost_by_tenant
+        value = book.get(request.tenant, 0.0) + cost
+        if abs(value) < 1e-15:
+            book.pop(request.tenant, None)
         else:
-            self._queued_by_tenant.pop(request.tenant, None)
+            book[request.tenant] = value
 
     # -- popping --------------------------------------------------------------
 

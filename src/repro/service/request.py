@@ -45,10 +45,6 @@ class RejectReason(enum.Enum):
     #: The modeled backlog already exceeds the class's deadline budget:
     #: accepting the call would only let it time out in the queue.
     OVERLOAD = "overload"
-    #: The tenant is at its own queued or in-flight cap
-    #: (:class:`~repro.service.policy.TenantPolicy`); everyone else's
-    #: capacity is untouched.
-    TENANT_QUOTA = "tenant_quota"
 
     def __str__(self) -> str:
         return self.value

@@ -4,8 +4,8 @@ One frozen options record carries every piece of serving metadata
 (priority, deadline, retries, tenant, arrival) into
 ``EngineService.submit``; the layers below it take none.  Each entry
 point has one shape: the old per-layer spellings, the loose-kwarg
-service constructors and the retired placement, sanitizer and
-residency-age knobs raise :class:`TypeError`.
+service constructors and the retired placement, sanitizer,
+residency-age, tenant-quota and policy knobs raise :class:`TypeError`.
 """
 
 import dataclasses
@@ -17,14 +17,17 @@ from repro.addresslib import AddressLib, BatchCall, INTRA_GRAD
 from repro.analysis import EngineParams
 from repro.api import (AdmissionPolicy, AsyncEngineClient, EnginePool,
                        EngineService, EngineWorker, Priority,
-                       SubmitOptions)
+                       RejectReason, ServicePolicy, ServiceReport,
+                       SubmitOptions, TenantPolicy)
 from repro.core import intra_config
 from repro.host import (AddressEngineDriver, CallScheduler, EngineBackend,
                         FrameResidencyCache)
 from repro.image import ImageFormat, noise_frame
-from repro.load import ArrivalTrace, TraceSpec, replay_async, replay_serial
+from repro.load import (ArrivalTrace, LoadReport, TraceSpec,
+                        replay_async, replay_serial)
 from repro.perf import EngineTimingModel
 from repro.service import AdmissionController, MicroBatcher, RequestQueue
+from repro.service.request import ServiceRequest
 
 QCIF = ImageFormat("QCIF", 176, 144)
 SMALL = ImageFormat("P16x16", 16, 16)
@@ -83,14 +86,24 @@ class TestServiceShim:
             _drain_one(service)
 
     def test_tenant_lands_in_the_service_books(self):
+        """The ticket carries its tenant; the per-tenant books are cut
+        from the tickets."""
         service = EngineService(pool=EnginePool.of_engines(2))
-        for seed in range(3):
-            service.submit(_call(seed),
-                           SubmitOptions(tenant="cam-north"))
-        service.submit(_call(9), SubmitOptions(tenant="cam-south"))
+        tickets = [service.submit(_call(seed),
+                                  SubmitOptions(tenant="cam-north"))
+                   for seed in range(3)]
+        tickets.append(service.submit(
+            _call(9), SubmitOptions(tenant="cam-south")))
         report = service.drain()
-        assert report.calls_by_tenant == {"cam-north": 3,
-                                          "cam-south": 1}
+        assert report.completed == 4
+        books = LoadReport(mode="serial", load_factor=1.0,
+                           offered_requests=len(tickets),
+                           offered_rate_per_s=0.0)
+        for ticket in tickets:
+            books.account(ticket)
+        assert {name: book.completed
+                for name, book in books.tenants.items()} == {
+                    "cam-north": 3, "cam-south": 1}
 
 
 class TestFacadeExports:
@@ -149,6 +162,17 @@ class TestOldSpellingsRemoved:
         lambda: EngineParams(placement_hints=(0, 1)),
         lambda: EngineBackend(residency_max_age=4),
         lambda: FrameResidencyCache(max_age=4),
+        lambda: TenantPolicy(max_queued=2),
+        lambda: TenantPolicy(max_in_flight=2),
+        lambda: ServicePolicy(default_tenant=TenantPolicy()),
+        lambda: ServicePolicy(deadline_aware_batching=False),
+        lambda: ServicePolicy(rate_tau_seconds=0.5),
+        lambda: AdmissionPolicy(budget_fractions={Priority.BULK: 1.0}),
+        lambda: AdmissionController().admit(
+            ServiceRequest(request_id=0, call=_call(), arrival_seconds=0.0,
+                           priority=Priority.STANDARD,
+                           deadline_seconds=None),
+            0.0, tenant_backlog_seconds=0.0, now=0.0),
     ], ids=["service-queue_depth", "service-lib",
             "service-virtual_engines", "service-AdmissionPolicy",
             "queue-max_depth", "batcher-max_batch", "submit-priority",
@@ -165,7 +189,11 @@ class TestOldSpellingsRemoved:
             "run_batch-options", "driver-submit-options",
             "book_call-options", "scheduler-sanitize",
             "params-placement_hints", "backend-residency_max_age",
-            "residency-max_age"])
+            "residency-max_age", "tenant-max_queued",
+            "tenant-max_in_flight", "policy-default_tenant",
+            "policy-deadline_aware_batching", "policy-rate_tau_seconds",
+            "admission-budget_fractions",
+            "admit-tenant_backlog_seconds"])
     def test_old_spelling_raises_type_error(self, spelling):
         with pytest.raises(TypeError):
             spelling()
@@ -185,6 +213,20 @@ class TestOldSpellingsRemoved:
                      "RoundRobinPlacement", "ResidencyAffinityPlacement"):
             assert not hasattr(pool, name), name
             assert not hasattr(api, name), name
+
+    def test_tenant_quotas_and_second_books_are_gone(self):
+        """No quota reject reason, no second batch-configuration key,
+        and no per-tenant tallies on the service report: the tickets
+        carry their tenant and the queue owns the backlog."""
+        import repro.service as service
+        assert not hasattr(RejectReason, "TENANT_QUOTA")
+        assert not hasattr(service, "BatchKey")
+        books = EngineService().drain()
+        for name in ("calls_by_tenant", "sheds_by_tenant"):
+            assert not hasattr(books, name)
+            assert name not in books.to_dict()
+            assert name not in {f.name for f in
+                                dataclasses.fields(ServiceReport)}
 
     def test_resolution_hooks_are_gone(self):
         """Resolved tickets come back from ``step``/``run_until``; no

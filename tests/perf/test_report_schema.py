@@ -65,7 +65,6 @@ class TestEveryReportSpeaksTheSchema:
         books = report.to_dict()
         assert books["kind"] == "service"
         assert books["calls"] == report.completed == 4
-        assert books["calls_by_tenant"] == {"t": 4}
         assert all(key in books for key in REPORT_SCHEMA_KEYS)
         pool_books = books["pool"]
         assert pool_books["kind"] == "pool"

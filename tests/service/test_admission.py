@@ -115,15 +115,6 @@ class TestGraduatedBudgets:
         assert bulk.reject_reason is RejectReason.OVERLOAD
         assert interactive.accepted
 
-    def test_budget_fractions_are_configurable(self):
-        cost = EngineService().admission.price(_call())[1]
-        policy = AdmissionPolicy(
-            deadline_budget_seconds=cost * 1.4,
-            budget_fractions={Priority.BULK: 1.0})
-        service = EngineService(policy=ServicePolicy(admission=policy))
-        service.submit(_call())
-        assert service.submit(_call(), _as(Priority.BULK)).accepted
-
 
 class TestPriorityDispatch:
     def test_interactive_overtakes_earlier_bulk(self):

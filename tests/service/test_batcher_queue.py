@@ -5,9 +5,9 @@ import pytest
 from repro.addresslib import (BatchCall, INTER_ABSDIFF, INTRA_BOX3,
                               INTRA_GRAD, threshold_op)
 from repro.image import ImageFormat, noise_frame
-from repro.service import (BatchKey, EngineService, MicroBatcher,
-                           Priority, RejectReason, RequestQueue,
-                           ServicePolicy, ServiceRequest)
+from repro.service import (EngineService, MicroBatcher, Priority,
+                           RejectReason, RequestQueue, ServicePolicy,
+                           ServiceRequest)
 
 QCIF = ImageFormat("QCIF", 176, 144)
 CIF = ImageFormat("CIF", 352, 288)
@@ -23,11 +23,11 @@ def _grad(seed=1, fmt=QCIF):
     return BatchCall.intra(INTRA_GRAD, noise_frame(fmt, seed=seed))
 
 
-class TestBatchKey:
+class TestSameConfiguration:
     def test_same_configuration_shares_a_key(self):
-        # Different frame *content* is irrelevant: the key is the
+        # Different frame *content* is irrelevant: the predicate is the
         # engine configuration, not the data.
-        assert BatchKey.of(_grad(seed=1)) == BatchKey.of(_grad(seed=2))
+        assert _grad(seed=1).same_config(_grad(seed=2))
 
     def test_distinct_ops_formats_and_modes_split(self):
         frame = noise_frame(QCIF, seed=1)
@@ -38,8 +38,10 @@ class TestBatchKey:
                                 noise_frame(QCIF, seed=2))
         reduce_ = BatchCall.inter_reduce(INTER_ABSDIFF, frame,
                                          noise_frame(QCIF, seed=2))
-        keys = {BatchKey.of(c) for c in (grad, box, cif, inter, reduce_)}
-        assert len(keys) == 5
+        calls = (grad, box, cif, inter, reduce_)
+        for i, a in enumerate(calls):
+            for j, b in enumerate(calls):
+                assert a.same_config(b) == (i == j)
 
     def test_parameterized_ops_never_coalesce_by_name(self):
         # Two threshold_op(100) instances share a name but are distinct
@@ -47,7 +49,7 @@ class TestBatchKey:
         frame = noise_frame(QCIF, seed=1)
         a = BatchCall.intra(threshold_op(100), frame)
         b = BatchCall.intra(threshold_op(100), frame)
-        assert BatchKey.of(a) != BatchKey.of(b)
+        assert not a.same_config(b)
 
 
 class TestRequestQueue:
@@ -139,6 +141,20 @@ class TestMicroBatcher:
         # call joins it, overtaking the incompatible earlier grad.
         assert [r.request_id for r in wave] == [1, 2]
         assert [r.request_id for r in batcher.form_wave(queue)] == [0]
+
+    def test_wave_never_mixes_frame_sizes(self):
+        """Formats are compared by value, not by name: two sizes that
+        share a format name configure the engine differently, so they
+        never ride one wave."""
+        queue = RequestQueue()
+        for i, side in enumerate((8, 16, 8)):
+            fmt = ImageFormat("X", side, side)
+            queue.offer(_request(i, _grad(seed=i, fmt=fmt)))
+        batcher = MicroBatcher(policy=ServicePolicy(max_batch=8))
+        waves = []
+        while queue:
+            waves.append([r.request_id for r in batcher.form_wave(queue)])
+        assert waves == [[0, 2], [1]]
 
     def test_invalid_max_batch_rejected(self):
         with pytest.raises(ValueError):

@@ -1,16 +1,16 @@
 """Drain-time book integrity: tenant tallies track completions.
 
-Regression suite for the stale per-tenant-books bug: the dispatch loop
-used to bump ``calls_by_tenant`` *before* the completion loop ran, so a
-drain cycle that completed nothing could still show tenant tallies.
-The tally now lives in ``_complete`` (one source of truth) and
-``drain()`` zeroes the per-tenant books whenever total completions are
-zero.
+Per-tenant books are cut from the resolved tickets, each of which
+carries the tenant it was submitted under: ``LoadReport.account`` folds
+them into one ``TenantBook`` per tenant.  A drain that completed
+nothing therefore shows no tenant completions, and the tenant books
+always sum to the service's own completion count.
 """
 
 from repro.addresslib import BatchCall, INTRA_OPS
 from repro.api import EngineService, ServicePolicy, SubmitOptions
 from repro.image import ImageFormat, noise_frame
+from repro.load import LoadReport
 
 FMT = ImageFormat("T16", 16, 16)
 OP = INTRA_OPS["intra_grad"]
@@ -20,39 +20,47 @@ def _call(seed=1):
     return BatchCall.intra(OP, noise_frame(FMT, seed=seed))
 
 
+def _tenant_books(tickets):
+    """Per-tenant books of resolved ``tickets`` (tenant -> TenantBook)."""
+    books = LoadReport(mode="serial", load_factor=1.0,
+                       offered_requests=len(tickets),
+                       offered_rate_per_s=0.0)
+    for ticket in tickets:
+        books.account(ticket)
+    return books.tenants
+
+
+def _completions(tickets):
+    return {name: book.completed
+            for name, book in _tenant_books(tickets).items()
+            if book.completed}
+
+
 class TestDrainZeroCompletions:
     def test_all_timeouts_leave_no_tenant_tallies(self):
-        """A drain that completes nothing reports empty per-tenant
-        books -- zero completions, zero tenant completions."""
+        """A drain that completes nothing reports no per-tenant
+        completions -- zero completions, zero tenant completions."""
         service = EngineService(policy=ServicePolicy(queue_depth=8))
-        for seed in range(4):
-            # Zero deadline: every request expires at dispatch time.
-            service.submit(_call(seed), SubmitOptions(
-                tenant="doomed", deadline_seconds=0.0))
+        # Zero deadline: every request expires at dispatch time.
+        tickets = [service.submit(_call(seed), SubmitOptions(
+            tenant="doomed", deadline_seconds=0.0)) for seed in range(4)]
         report = service.drain()
         assert report.completed == 0
         assert report.timed_out == 4
-        assert report.calls_by_tenant == {}
-
-    def test_poked_stale_tallies_are_cleared(self):
-        """Even tallies left behind by a meddling caller (or an old
-        accounting bug) are wiped on a zero-completion drain."""
-        service = EngineService(policy=ServicePolicy(queue_depth=8))
-        service.report_data.calls_by_tenant["ghost"] = 7
-        report = service.drain()
-        assert report.completed == 0
-        assert report.calls_by_tenant == {}
+        assert _completions(tickets) == {}
+        assert _tenant_books(tickets)["doomed"].timed_out == 4
 
     def test_rejects_never_tally_tenants(self):
         service = EngineService(policy=ServicePolicy(queue_depth=1))
-        service.submit(_call(0), SubmitOptions(tenant="a",
-                                               deadline_seconds=0.0))
+        first = service.submit(_call(0), SubmitOptions(
+            tenant="a", deadline_seconds=0.0))
         # Queue full: rejected at offer, must not touch tenant books.
         ticket = service.submit(_call(1), SubmitOptions(tenant="b"))
         assert not ticket.accepted
         report = service.drain()
         assert report.completed == 0
-        assert report.calls_by_tenant == {}
+        assert _completions([first, ticket]) == {}
+        assert _tenant_books([ticket])["b"].rejected == 1
 
 
 class TestTenantTalliesTrackCompletions:
@@ -60,23 +68,24 @@ class TestTenantTalliesTrackCompletions:
         """Mixed outcomes: the tenant books sum exactly to the
         completion count, with expired work absent."""
         service = EngineService(policy=ServicePolicy(queue_depth=16))
-        for seed in range(3):
-            service.submit(_call(seed), SubmitOptions(tenant="ok"))
-        for seed in range(2):
-            service.submit(_call(10 + seed), SubmitOptions(
-                tenant="late", deadline_seconds=0.0))
+        tickets = [service.submit(_call(seed), SubmitOptions(tenant="ok"))
+                   for seed in range(3)]
+        tickets += [service.submit(_call(10 + seed), SubmitOptions(
+            tenant="late", deadline_seconds=0.0)) for seed in range(2)]
         report = service.drain()
         assert report.completed == 3
         assert report.timed_out == 2
-        assert report.calls_by_tenant == {"ok": 3}
-        assert sum(report.calls_by_tenant.values()) == report.completed
+        assert _completions(tickets) == {"ok": 3}
+        assert sum(_completions(tickets).values()) == report.completed
 
     def test_tallies_survive_a_later_empty_drain(self):
-        """A second drain with nothing queued must not wipe the books
+        """A second drain with nothing queued must not touch the books
         of the completions the first drain recorded."""
         service = EngineService(policy=ServicePolicy(queue_depth=8))
-        service.submit(_call(5), SubmitOptions(tenant="kept"))
+        ticket = service.submit(_call(5), SubmitOptions(tenant="kept"))
         first = service.drain()
-        assert first.calls_by_tenant == {"kept": 1}
+        assert first.completed == 1
+        assert _completions([ticket]) == {"kept": 1}
         second = service.drain()
-        assert second.calls_by_tenant == {"kept": 1}
+        assert second.completed == 1
+        assert _completions([ticket]) == {"kept": 1}

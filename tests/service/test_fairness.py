@@ -1,29 +1,35 @@
-"""Tenant fairness: WFQ drain order, quotas, SLO books, policy object.
+"""Tenant fairness: WFQ drain order, SLO books, policy object.
 
 The tenancy redesign must change *scheduling*, never *results*: the
 weighted-fair queue interleaves tenants by policy weight inside each
-priority class (collapsing to exact FIFO for untagged work), quotas
-shed with an explicit ``TENANT_QUOTA`` reason, the shedding books
-balance per tenant, and the whole 0xFA57 corpus stays bit-exact with
-fairness enabled.  The ``ServicePolicy`` object is the one spelling
-of the knobs.
+priority class (collapsing to exact FIFO for untagged work), the
+shedding books balance per tenant, and the whole 0xFA57 corpus stays
+bit-exact with fairness enabled.  The ``ServicePolicy`` object is the
+one spelling of the knobs.
 """
 
 import asyncio
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import pytest
 
+import repro
 from repro.addresslib import (BatchCall, INTER_OPS, INTRA_OPS,
                               VectorExecutor)
 from repro.aio import AsyncEngineClient
-from repro.api import (EngineService, Priority, RequestState,
-                       ServiceError, ServicePolicy, SubmitOptions,
-                       TenantPolicy)
+from repro.api import (AdmissionPolicy, EngineService, Priority,
+                       RequestState, ServiceError, ServicePolicy,
+                       SubmitOptions, TenantPolicy)
 from repro.image import ImageFormat, noise_frame
+from repro.load import LoadReport
 from repro.service import (AdmissionController, MicroBatcher,
                            RejectReason, RequestQueue)
+from repro.service.policy import DEFAULT_TENANT_POLICY
 from repro.service.request import ServiceRequest
 
 _INTRA = sorted(INTRA_OPS.values(), key=lambda op: op.name)
@@ -114,84 +120,63 @@ class TestWeightedFairQueue:
         assert _drain_ids(queue) == [0, 1, 2, 3]
 
 
-class TestTenantQuotas:
-    def test_max_queued_rejects_with_tenant_quota(self):
-        policy = ServicePolicy(
-            tenants={"hog": TenantPolicy(max_queued=2)})
-        queue = RequestQueue(policy=policy)
-        assert queue.offer(_request(0, tenant="hog")) is None
-        assert queue.offer(_request(1, tenant="hog")) is None
-        assert (queue.offer(_request(2, tenant="hog"))
-                is RejectReason.TENANT_QUOTA)
-        # Everyone else still has the whole remaining depth.
-        assert queue.offer(_request(3, tenant="other")) is None
-        assert queue.offer(_request(4)) is None
-
-    def test_depth_bound_takes_precedence_over_quota(self):
-        policy = ServicePolicy(
-            queue_depth=1, tenants={"hog": TenantPolicy(max_queued=5)})
-        queue = RequestQueue(policy=policy)
-        assert queue.offer(_request(0, tenant="hog")) is None
-        assert (queue.offer(_request(1, tenant="hog"))
-                is RejectReason.QUEUE_FULL)
-
-    def test_max_in_flight_sheds_at_submit(self):
-        """The in-flight cap counts accepted-unresolved requests, so a
-        closed-loop tenant is bounded even with queue space free."""
-        service = EngineService(policy=ServicePolicy(
-            tenants={"hog": TenantPolicy(max_in_flight=2)}))
-        options = SubmitOptions(tenant="hog")
-        call = BatchCall.intra(_INTRA[0], noise_frame(FMT, seed=1))
-        tickets = [service.submit(call, options) for _ in range(4)]
-        states = [t.state for t in tickets]
-        assert states[:2] == [RequestState.QUEUED, RequestState.QUEUED]
-        assert all(s is RequestState.REJECTED for s in states[2:])
-        assert all(t.reject_reason is RejectReason.TENANT_QUOTA
-                   for t in tickets[2:])
-        report = service.drain()
-        assert report.completed == 2
-        # Completion released the in-flight slots: submit works again.
-        assert service.submit(call, options).accepted
-
-    def test_quota_sheds_land_in_tenant_books(self):
-        service = EngineService(policy=ServicePolicy(
-            tenants={"hog": TenantPolicy(max_queued=1)}))
-        call = BatchCall.intra(_INTRA[0], noise_frame(FMT, seed=2))
-        for _ in range(3):
-            service.submit(call, SubmitOptions(tenant="hog"))
-        report = service.drain()
-        assert report.rejected_by_reason == {"tenant_quota": 2}
-        assert report.sheds_by_tenant == {"hog": 2}
-        assert report.to_dict()["sheds_by_tenant"] == {"hog": 2}
-
-
 class TestShedsBook:
-    def test_drain_zeroes_stale_sheds_tallies(self):
-        """A drain with zero rejects and zero timeouts returns empty
-        per-tenant sheds, whatever a caller poked into the books."""
-        service = EngineService()
-        service.report_data.sheds_by_tenant["ghost"] = 3
-        report = service.drain()
-        assert report.sheds_by_tenant == {}
-
     def test_real_sheds_survive_later_empty_drains(self):
-        service = EngineService(policy=ServicePolicy(
-            tenants={"hog": TenantPolicy(max_queued=1)}))
+        service = EngineService(policy=ServicePolicy(queue_depth=1))
         call = BatchCall.intra(_INTRA[0], noise_frame(FMT, seed=3))
         service.submit(call, SubmitOptions(tenant="hog"))
-        service.submit(call, SubmitOptions(tenant="hog"))
+        shed = service.submit(call, SubmitOptions(tenant="hog"))
         service.drain()
-        report = service.drain()  # nothing new: tallies must survive
-        assert report.sheds_by_tenant == {"hog": 1}
+        report = service.drain()  # nothing new: the books must survive
+        assert report.rejected_by_reason == {"queue_full": 1}
+        assert shed.reject_reason is RejectReason.QUEUE_FULL
+        assert shed.tenant == "hog"
 
     def test_deadline_expiry_tallies_as_tenant_shed(self):
         service = EngineService()
         call = BatchCall.intra(_INTRA[0], noise_frame(FMT, seed=4))
-        service.submit(call, SubmitOptions(
+        ticket = service.submit(call, SubmitOptions(
             tenant="late", deadline_seconds=0.0))
         report = service.drain()
         assert report.timed_out == 1
-        assert report.sheds_by_tenant == {"late": 1}
+        books = LoadReport(mode="serial", load_factor=1.0,
+                           offered_requests=1, offered_rate_per_s=0.0)
+        books.account(ticket)
+        assert books.to_dict()["sheds_by_tenant"] == {"late": 1}
+
+
+class TestWeightShare:
+    #: Three tenants weighted 0.1/0.2/0.7, each with queued work; prints
+    #: the 0.1 tenant's share.
+    SCRIPT = textwrap.dedent("""\
+        from repro.addresslib import BatchCall, INTRA_GRAD
+        from repro.api import (EngineService, ServicePolicy,
+                               SubmitOptions, TenantPolicy)
+        from repro.image import ImageFormat, noise_frame
+        weights = {"tenth": 0.1, "fifth": 0.2, "rest": 0.7}
+        service = EngineService(policy=ServicePolicy(tenants={
+            name: TenantPolicy(weight=w) for name, w in weights.items()}))
+        frame = noise_frame(ImageFormat("T8", 8, 8), seed=0)
+        for name in weights:
+            service.submit(BatchCall.intra(INTRA_GRAD, frame),
+                           SubmitOptions(tenant=name))
+        print(repr(service._weight_share("tenth")))
+        """)
+
+    def test_share_does_not_depend_on_the_hash_seed(self):
+        """The active tenants form a set, whose order follows string
+        hashing; the share must read the same under every
+        ``PYTHONHASHSEED``."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        shares = set()
+        for seed in range(8):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=src)
+            shares.add(subprocess.run(
+                [sys.executable, "-c", self.SCRIPT], env=env,
+                check=True, capture_output=True, text=True,
+                timeout=120).stdout.strip())
+        assert len(shares) == 1, shares
 
 
 class TestDeadlineAwareBatching:
@@ -209,8 +194,8 @@ class TestDeadlineAwareBatching:
         assert [r.request_id for r in wave] == [0, 2]
 
     def test_preference_off_keeps_drain_order(self):
-        policy = ServicePolicy(max_batch=2,
-                               deadline_aware_batching=False)
+        """``fair_queueing=False`` also turns deadline ranking off."""
+        policy = ServicePolicy(max_batch=2, fair_queueing=False)
         batcher = MicroBatcher(policy=policy)
         wave = batcher.form_wave(self._queue_with_followers(policy))
         assert [r.request_id for r in wave] == [0, 1]
@@ -261,33 +246,37 @@ class TestAsyncTenancy:
             assert times == sorted(times), (
                 f"tenant {tenant!r} completed out of submission order")
 
-    def test_quota_rejects_resolve_as_tickets(self):
-        """A tenant at quota is shed explicitly through the facade --
-        an already-resolved TENANT_QUOTA ticket, never a producer
-        parked against capacity it may not take."""
+    def test_overload_rejects_resolve_as_tickets(self):
+        """An over-budget tenant is shed explicitly through the facade
+        -- an already-resolved OVERLOAD ticket, never a producer
+        parked against a backlog admission has refused."""
+        def call(seed):
+            return BatchCall.intra(_INTRA[0], noise_frame(FMT, seed=seed))
+
+        cost = EngineService().admission.price(call(0))[1]
+
         async def run():
             service = EngineService(policy=ServicePolicy(
-                tenants={"hog": TenantPolicy(max_queued=1)}))
+                admission=AdmissionPolicy(2.0 * cost)))
             async with AsyncEngineClient(service) as client:
                 tickets = [await client.submit(
-                    BatchCall.intra(_INTRA[0],
-                                    noise_frame(FMT, seed=s)),
-                    SubmitOptions(tenant="hog"))
+                    call(s), SubmitOptions(tenant="hog"))
                     for s in range(8)]
                 rejected = [t for t in tickets
                             if t.ticket.state is RequestState.REJECTED]
-                assert rejected, "expected tenant-quota rejections"
+                assert rejected, "expected overload rejections"
                 for ticket in rejected:
                     assert (ticket.ticket.reject_reason
-                            is RejectReason.TENANT_QUOTA)
+                            is RejectReason.OVERLOAD)
+                    assert ticket.ticket.tenant == "hog"
                     assert ticket.done
                     with pytest.raises(ServiceError):
                         await ticket
                 report = await client.drain()
+            assert client.backpressure_waits == 0
             assert (report.completed
                     + report.rejected) == len(tickets)
-            assert report.sheds_by_tenant == {
-                "hog": report.rejected} if report.rejected else True
+            assert report.rejected == len(rejected)
 
         asyncio.run(run())
 
@@ -352,7 +341,6 @@ class TestCorpusWithFairness:
         report = service.drain()
         assert report.completed == len(calls)
         assert report.rejected == 0 and report.timed_out == 0
-        assert report.sheds_by_tenant == {}
         for call, ticket in zip(calls, tickets):
             _assert_same(ticket.result(), _serial_reference(call))
 
@@ -374,16 +362,13 @@ class TestPolicyObject:
         with pytest.raises(ValueError):
             TenantPolicy(weight=0.0)
         with pytest.raises(ValueError):
-            TenantPolicy(max_queued=0)
-        with pytest.raises(ValueError):
             TenantPolicy(p95_target_seconds=0.0)
 
     def test_unlisted_tenant_gets_the_default_policy(self):
-        policy = ServicePolicy(
-            tenants={"a": TenantPolicy(weight=2.0)},
-            default_tenant=TenantPolicy(weight=0.5))
+        policy = ServicePolicy(tenants={"a": TenantPolicy(weight=2.0)})
         assert policy.tenant("a").weight == 2.0
-        assert policy.tenant("anyone").weight == 0.5
-        assert policy.tenant(None).weight == 0.5
+        assert policy.tenant("anyone") is DEFAULT_TENANT_POLICY
+        assert policy.tenant(None) is DEFAULT_TENANT_POLICY
         assert policy.weight("a") == 2.0
-        assert policy.weight("anyone") == 0.5
+        assert policy.weight("anyone") == DEFAULT_TENANT_POLICY.weight
+        assert DEFAULT_TENANT_POLICY == TenantPolicy()
