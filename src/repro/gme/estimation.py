@@ -115,7 +115,7 @@ class GlobalMotionEstimator:
         self._charge = charge or (lambda instructions: None)
         self._format_cache: Dict[Tuple[int, int], ImageFormat] = {}
 
-    # -- pyramids ----------------------------------------------------------------
+    # -- pyramids -------------------------------------------------------------
 
     def build_pyramid(self, frame: Frame) -> List[PyramidLevel]:
         """The dyadic pyramid, finest first.
@@ -144,7 +144,7 @@ class GlobalMotionEstimator:
                 f"GME{width}x{height}", width, height)
         return self._format_cache[shape]
 
-    # -- the estimator -------------------------------------------------------------
+    # -- the estimator --------------------------------------------------------
 
     def estimate_pair(self, ref_pyramid: List[PyramidLevel],
                       cur_pyramid: List[PyramidLevel],

@@ -83,5 +83,3 @@ class Mosaic:
         mosaic = self.composite()
         return float(np.abs(mosaic[covered]
                             - reference[covered]).mean())
-
-

@@ -44,6 +44,8 @@ parent, then replaces the store with a fresh one.
 
 from __future__ import annotations
 
+import mmap
+import os
 import uuid
 import weakref
 from collections import OrderedDict
@@ -139,14 +141,15 @@ def _segment_bytes(segment: Any, nbytes: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _untrack(segment: Any) -> None:
-    """Withdraw ``segment`` from the multiprocessing resource tracker.
+    """Withdraw a created ``segment`` from the resource tracker.
 
-    Before 3.13 *every* ``SharedMemory`` -- attached as well as created
-    (bpo-38119) -- registers itself, so a process' tracker would unlink
-    segments it does not own at exit and warn about "leaked" ones it
-    never leaked.  This module does its own refcounted cleanup instead,
-    so each construction is withdrawn immediately (and unlinking goes
-    through :func:`_unlink_segment`, which never touches the tracker).
+    Before 3.13 *every* ``SharedMemory`` registers itself (bpo-38119),
+    so the tracker would unlink segments at exit and warn about
+    "leaked" ones this module never leaked.  This module does its own
+    refcounted cleanup instead, so a creation is withdrawn immediately
+    (and unlinking goes through :func:`_unlink_segment`, which never
+    touches the tracker).  Attaches never register at all (see
+    :func:`_attach_segment`).
     """
     try:
         from multiprocessing import resource_tracker
@@ -166,13 +169,32 @@ def _new_segment(nbytes: int) -> Any:
 
 
 def _attach_segment(name: str) -> Any:
-    """Attach to an existing segment, untracked."""
-    try:
-        return _shm.SharedMemory(name=name, track=False)
-    except TypeError:
+    """Map an existing segment read-write; returns the mapping.
+
+    The POSIX name is opened and mapped directly, so an attach sends
+    the resource tracker nothing.  ``SharedMemory(name=...)`` would
+    register the name before 3.13, and withdrawing it again races: two
+    workers attaching one segment at once send REGISTER, REGISTER,
+    UNREGISTER, UNREGISTER, and the tracker, which keeps a set of
+    names, fails the second UNREGISTER with a ``KeyError`` traceback.
+    The mapping unmaps itself once the last array over it dies.
+    """
+    if _posixshmem is None:  # pragma: no cover - no tracker off POSIX
         segment = _shm.SharedMemory(name=name)
-        _untrack(segment)
-        return segment
+        mapping = segment.buf
+        _disarm(segment)
+        return mapping
+    fd = _posixshmem.shm_open("/" + name, os.O_RDWR, mode=0o600)
+    try:
+        return mmap.mmap(fd, os.fstat(fd).st_size)
+    finally:
+        os.close(fd)
+
+
+def _attach_bytes(name: str, nbytes: int) -> np.ndarray:
+    """The first ``nbytes`` of the existing segment ``name``."""
+    return np.frombuffer(_attach_segment(name), dtype=np.uint8,
+                         count=nbytes)
 
 
 def _unlink_segment(segment: Any) -> None:
@@ -697,11 +719,9 @@ def worker_attach(handle: FrameHandle) -> Tuple[Frame, bool]:
             _WORKER_CACHE.move_to_end(key)
             return frame, True
         del _WORKER_CACHE[key]
-    segment = _attach_segment(handle.segment_name)
     fmt = handle.fmt
-    frame = read_frame(fmt, _segment_bytes(segment,
-                                           frame_payload_bytes(fmt)))
-    _disarm(segment)
+    frame = read_frame(fmt, _attach_bytes(handle.segment_name,
+                                          frame_payload_bytes(fmt)))
     _WORKER_CACHE[key] = (handle.generation, frame)
     _trim_worker_cache()
     return frame, False
@@ -725,11 +745,9 @@ def worker_write_slab(slab: SlabHandle, frame: Frame) -> bool:
     base = _WORKER_SLABS.get(key)
     if base is None:
         try:
-            segment = _attach_segment(slab.segment_name)
+            base = _attach_bytes(slab.segment_name, slab.nbytes)
         except OSError:
             return False
-        base = _segment_bytes(segment, slab.nbytes)
-        _disarm(segment)
         _WORKER_SLABS[key] = base
         while len(_WORKER_SLABS) > _WORKER_SLAB_CAP:
             _WORKER_SLABS.popitem(last=False)

@@ -25,6 +25,21 @@ PIXEL_BYTES = PIXEL_BITS // 8
 #: neighbourhood span is nine lines, and sixteen is the next power of two).
 STRIP_LINES = 16
 
+#: Pixels per row block of the host-side GME kernels (``warp_luma`` and
+#: ``textured_panorama``), the host's analogue of the engine's strips:
+#: each block's float64 temporaries (256 KB apiece) stay in the L2
+#: cache instead of streaming whole planes through memory.  A QCIF
+#: plane (25,344 pixels) fits in one block.  A constant rather than a
+#: parameter: results are bit-identical at any block size, so only
+#: speed depends on it.
+BLOCK_PIXELS = 1 << 15
+
+
+def block_rows(width: int) -> int:
+    """Rows per ``BLOCK_PIXELS`` block of a plane ``width`` pixels wide
+    (at least one; the last block of a plane may hold fewer)."""
+    return max(1, BLOCK_PIXELS // max(width, 1))
+
 
 @dataclass(frozen=True)
 class ImageFormat:

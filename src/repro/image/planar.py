@@ -139,13 +139,15 @@ class PlanarFrame420:
     # -- counted element access ---------------------------------------------
 
     def read(self, channel: Channel, x: int, y: int) -> int:
-        """Counted read of one channel element at full-resolution ``(x, y)``."""
+        """Counted read of one channel element at full-resolution
+        ``(x, y)``."""
         row, col = self._coords(channel, x, y)
         self.counter.count_read(channel)
         return int(self._planes[channel][row, col])
 
     def write(self, channel: Channel, x: int, y: int, value: int) -> None:
-        """Counted write of one channel element at full-resolution ``(x, y)``."""
+        """Counted write of one channel element at full-resolution
+        ``(x, y)``."""
         row, col = self._coords(channel, x, y)
         self.counter.count_write(channel)
         self._planes[channel][row, col] = value

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .formats import ImageFormat
+from .formats import ImageFormat, block_rows
 from .frame import Frame
 
 
@@ -80,47 +80,62 @@ def textured_panorama(width: int, height: int,
     if octaves < 1:
         raise ValueError("need at least one octave")
     rng = _rng(seed)
-    canvas = np.zeros((height, width), dtype=np.float64)
+    # Every octave's lattice, drawn in octave order, and its bilinear
+    # upsampling weights: the lattice columns gathered once
+    # (``left[y0]`` is ``coarse[np.ix_(y0, x0)]``), the row indices and
+    # the row and column fractions.
+    lattices = []
     amplitude = 1.0
     total_amplitude = 0.0
     for octave in range(octaves):
         cells = 2 ** (octave + 2)
         coarse = rng.random((cells + 1, cells + 1))
-        # Bilinear upsample of the coarse lattice onto the full canvas.
         ys = np.linspace(0, cells, height)
         xs = np.linspace(0, cells, width)
         y0 = np.clip(ys.astype(int), 0, cells - 1)
         x0 = np.clip(xs.astype(int), 0, cells - 1)
         fy = (ys - y0)[:, None]
         fx = (xs - x0)[None, :]
-        gy = 1 - fy
-        gx = 1 - fx
-        # Gather the lattice columns first, then whole rows of those:
-        # ``left[y0]`` is ``coarse[np.ix_(y0, x0)]`` at the price of row
-        # copies.  The layer is the four-term bilinear expression
-        # ``c00 gy gx + c01 gy fx + c10 fy gx + c11 fy fx``, each term
-        # rounded left to right and summed in that order, in place.
-        left = coarse[:, x0]
-        right = coarse[:, x0 + 1]
-        layer = left[y0]
-        layer *= gy
-        layer *= gx
-        term = right[y0]
-        term *= gy
-        term *= fx
-        layer += term
-        left.take(y0 + 1, axis=0, out=term)
-        term *= fy
-        term *= gx
-        layer += term
-        right.take(y0 + 1, axis=0, out=term)
-        term *= fy
-        term *= fx
-        layer += term
-        layer *= amplitude
-        canvas += layer
+        lattices.append((coarse[:, x0], coarse[:, x0 + 1], y0, fy, 1 - fy,
+                         fx, 1 - fx, amplitude))
         total_amplitude += amplitude
         amplitude *= 0.55
+    # Fill the canvas one row block at a time, every octave per block.
+    # Each layer is the four-term bilinear expression
+    # ``c00 gy gx + c01 gy fx + c10 fy gx + c11 fy fx``, each term
+    # rounded left to right and summed in that order, in place, then
+    # scaled by the octave's amplitude and added to the block.  The
+    # gathers' row indices are always in range; ``mode="clip"`` only
+    # keeps ``take`` from buffering its output, as ``"raise"`` does.
+    canvas = np.zeros((height, width), dtype=np.float64)
+    rows = block_rows(width)
+    layer = np.empty((min(rows, height), width), dtype=np.float64)
+    term = np.empty_like(layer)
+    for top in range(0, height, rows):
+        block = canvas[top:top + rows]
+        span = block.shape[0]
+        layer_b, term_b = layer[:span], term[:span]
+        for left, right, y0, fy, gy, fx, gx, scale in lattices:
+            y0_b = y0[top:top + span]
+            fy_b, gy_b = fy[top:top + span], gy[top:top + span]
+            left.take(y0_b, axis=0, out=layer_b, mode="clip")
+            layer_b *= gy_b
+            layer_b *= gx
+            right.take(y0_b, axis=0, out=term_b, mode="clip")
+            term_b *= gy_b
+            term_b *= fx
+            layer_b += term_b
+            y0_b = y0_b + 1
+            left.take(y0_b, axis=0, out=term_b, mode="clip")
+            term_b *= fy_b
+            term_b *= gx
+            layer_b += term_b
+            right.take(y0_b, axis=0, out=term_b, mode="clip")
+            term_b *= fy_b
+            term_b *= fx
+            layer_b += term_b
+            layer_b *= scale
+            block += layer_b
     canvas /= total_amplitude
     # Stretch to the full 8-bit range but keep float precision for sampling.
     canvas -= canvas.min()
@@ -131,7 +146,8 @@ def textured_panorama(width: int, height: int,
 
 
 def frame_from_luma(fmt: ImageFormat, luma: np.ndarray) -> Frame:
-    """Wrap a luminance array (any numeric dtype) into a neutral-chroma frame."""
+    """Wrap a luminance array (any numeric dtype) into a neutral-chroma
+    frame."""
     if luma.shape != (fmt.height, fmt.width):
         raise ValueError(
             f"luma shape {luma.shape} does not match {fmt.name} "

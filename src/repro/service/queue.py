@@ -20,10 +20,11 @@ All knobs come from one :class:`~repro.service.policy.ServicePolicy`.
 The queue is the one owner of what is queued.  Besides the entries it
 keeps the backlog books admission prices against: the estimated cost
 of everything queued (:attr:`RequestQueue.cost_seconds`) and the same
-per tenant (:attr:`RequestQueue.cost_by_tenant`).  A tenant's entry is
-dropped once it falls within 1e-15 s of zero, so the float residue its
-drained costs leave does not keep it listed.  Every offer, requeue and
-pop updates both books as it happens, so no caller keeps a copy.
+per tenant (:attr:`RequestQueue.cost_by_tenant`).  The queue also
+counts each tenant's queued requests and drops the tenant's cost entry
+exactly when its last queued request leaves, so the float residue its
+drained costs leave never keeps it listed.  Every offer, requeue and
+pop updates the books as it happens, so no caller keeps a copy.
 
 The synchronous front end surfaces a full queue as an immediate
 ``QUEUE_FULL`` rejection; the asyncio facade (:mod:`repro.aio`)
@@ -70,6 +71,8 @@ class RequestQueue:
         #: Estimated queued cost per tenant label; only tenants with
         #: queued work hold an entry.
         self.cost_by_tenant: Dict[Optional[str], float] = {}
+        #: Queued requests per tenant label (same keys as the cost book).
+        self._queued_by_tenant: Dict[Optional[str], int] = {}
         #: Deepest the queue ever got (capacity-planning signal).
         self.high_water = 0
 
@@ -130,20 +133,26 @@ class RequestQueue:
     def _account_add(self, request: ServiceRequest) -> None:
         self._size += 1
         self.high_water = max(self.high_water, self._size)
-        self._book_cost(request, request.estimated_cost_seconds)
+        cost = request.estimated_cost_seconds
+        tenant = request.tenant
+        self.cost_seconds += cost
+        self.cost_by_tenant[tenant] = (
+            self.cost_by_tenant.get(tenant, 0.0) + cost)
+        self._queued_by_tenant[tenant] = (
+            self._queued_by_tenant.get(tenant, 0) + 1)
 
     def _account_remove(self, request: ServiceRequest) -> None:
         self._size -= 1
-        self._book_cost(request, -request.estimated_cost_seconds)
-
-    def _book_cost(self, request: ServiceRequest, cost: float) -> None:
-        self.cost_seconds += cost
-        book = self.cost_by_tenant
-        value = book.get(request.tenant, 0.0) + cost
-        if abs(value) < 1e-15:
-            book.pop(request.tenant, None)
+        cost = request.estimated_cost_seconds
+        tenant = request.tenant
+        self.cost_seconds -= cost
+        left = self._queued_by_tenant[tenant] - 1
+        if left:
+            self._queued_by_tenant[tenant] = left
+            self.cost_by_tenant[tenant] -= cost
         else:
-            book[request.tenant] = value
+            del self._queued_by_tenant[tenant]
+            del self.cost_by_tenant[tenant]
 
     # -- popping --------------------------------------------------------------
 

@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.gme import (AffineModel, PerspectiveModel, TranslationalModel,
-                       decimate2, pyramid_shapes, sad, warp_luma)
+from repro.gme import (TABLE3_SEQUENCES, AffineModel, PerspectiveModel,
+                       TranslationalModel, decimate2, pyramid_shapes, sad,
+                       warp_luma)
+from repro.image import textured_panorama
+from repro.image.formats import block_rows
 
 
 def ramp(height=12, width=16):
@@ -190,6 +195,103 @@ class TestWarpMatchesReference:
             assert not np.shares_memory(result, luma)
             assert not np.shares_memory(result, fill)
         assert not np.shares_memory(warped, valid)
+
+
+BLOCK_MODELS = {
+    "translation": TranslationalModel(-3.25, 2.5),
+    "zoom": AffineModel(a=0.93, d=0.93, tx=2.6, ty=-1.4),
+    "rotated": _rotation(7.0, -2.2, 3.1, zoom=1.02),
+    # Positive perspective terms keep the horizon off even the tallest
+    # outputs drawn here.
+    "perspective": PerspectiveModel(a=1.01, b=0.03, tx=0.6, c=-0.02,
+                                    d=0.99, ty=0.2, px=2e-3, py=1.5e-3),
+    "out_of_frame": _rotation(-30.0, -400.5, -250.25),
+}
+
+BLOCK_SOURCES = {
+    "float64": _noise(120, 170, np.float64),
+    "uint8": _noise(120, 170, np.uint8),
+    "strided": _noise(240, 510, np.float64)[::2, ::3],
+}
+
+
+def _fill(kind, shape):
+    """A fill of each shape ``warp_luma`` accepts: scalar, the whole
+    output, one row or one column."""
+    height, width = shape
+    if kind == "scalar":
+        return 7.5
+    rng = np.random.default_rng(height * 7 + width)
+    planes = {"full": (height, width), "row": (1, width),
+              "column": (height, 1)}
+    return rng.random(planes[kind]) * 255.0 + 1000.0
+
+
+class TestWarpBlocks:
+    """The output is evaluated one ``BLOCK_PIXELS`` row block at a
+    time; no block edge may show in the bits, and blocks share no
+    scratch with the results."""
+
+    @given(model=st.sampled_from(list(BLOCK_MODELS)),
+           source=st.sampled_from(list(BLOCK_SOURCES)),
+           fill=st.sampled_from(["scalar", "full", "row", "column"]),
+           width=st.integers(1, 700), blocks=st.sampled_from([1, 2, 5]),
+           edge=st.sampled_from([-1, 0, 1]))
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_across_block_edges(self, model, source, fill,
+                                              width, blocks, edge):
+        luma = BLOCK_SOURCES[source]
+        shape = (max(1, blocks * block_rows(width) + edge), width)
+        fill = _fill(fill, shape)
+        warped, valid = warp_luma(luma, BLOCK_MODELS[model], fill=fill,
+                                  output_shape=shape)
+        ref_warped, ref_valid = reference_warp_luma(
+            luma, BLOCK_MODELS[model], fill=fill, output_shape=shape)
+        assert warped.dtype == ref_warped.dtype
+        assert warped.shape == ref_warped.shape == shape
+        assert warped.tobytes() == ref_warped.tobytes()
+        assert np.array_equal(valid, ref_valid)
+
+    @pytest.mark.parametrize("fill", ["scalar", "full", "row", "column"])
+    @pytest.mark.parametrize("model", ["translation", "rotated",
+                                       "out_of_frame"])
+    def test_results_share_no_memory_across_blocks(self, model, fill):
+        luma = BLOCK_SOURCES["float64"]
+        shape = (5 * block_rows(352) + 1, 352)
+        fill = _fill(fill, shape)
+        warped, valid = warp_luma(luma, BLOCK_MODELS[model], fill=fill,
+                                  output_shape=shape)
+        kept = warped.copy(), valid.copy()
+        for result in (warped, valid):
+            assert not np.shares_memory(result, luma)
+            assert not np.shares_memory(result, fill)
+        assert not np.shares_memory(warped, valid)
+        # A second warp reuses nothing of the first one's blocks.
+        again, again_valid = warp_luma(luma, BLOCK_MODELS["zoom"],
+                                       fill=fill, output_shape=shape)
+        assert not np.shares_memory(again, warped)
+        assert not np.shares_memory(again_valid, valid)
+        assert warped.tobytes() == kept[0].tobytes()
+        assert np.array_equal(valid, kept[1])
+
+
+class TestTable3Scenes:
+    @pytest.mark.parametrize("spec", TABLE3_SEQUENCES,
+                             ids=lambda spec: spec.name)
+    def test_rendered_frames_match_the_golden_warp(self, spec):
+        """Each sequence's first and last CIF frame, sampled from its
+        1536x864 panorama as ``SyntheticSequence.frame`` does."""
+        panorama = textured_panorama(spec.panorama_width,
+                                     spec.panorama_height, seed=spec.seed)
+        shape = (spec.fmt.height, spec.fmt.width)
+        for index in (0, spec.frames - 1):
+            pose = spec.pose(index)
+            warped, valid = warp_luma(panorama, pose, fill=96.0,
+                                      output_shape=shape)
+            ref_warped, ref_valid = reference_warp_luma(
+                panorama, pose, fill=96.0, output_shape=shape)
+            assert warped.tobytes() == ref_warped.tobytes()
+            assert np.array_equal(valid, ref_valid)
 
 
 class TestPyramidHelpers:

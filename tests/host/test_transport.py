@@ -292,6 +292,31 @@ class TestWorkerCache:
         finally:
             store.close()
 
+    def test_attaches_send_the_resource_tracker_nothing(self, monkeypatch):
+        """Workers share one resource tracker, which keeps a set of
+        names: two workers each registering and withdrawing one segment
+        make it fail the second withdrawal with a KeyError traceback.
+        A worker's attaches (inputs and result slabs) must not message
+        it at all."""
+        from multiprocessing import resource_tracker
+        store = shm.PlaneStore()
+        frame = noise_frame(QCIF, seed=13)
+        try:
+            handle = store.register(frame)
+            slab = store.lease_slab(QCIF)
+            messages = []
+            for name in ("register", "unregister"):
+                monkeypatch.setattr(
+                    resource_tracker, name,
+                    lambda *args, name=name: messages.append((name, args)))
+            attached, _ = shm.worker_attach(handle)
+            assert shm.worker_write_slab(slab, frame)
+            assert messages == []
+            assert attached.equals(frame)
+            assert store.adopt_slab(slab, QCIF).equals(frame)
+        finally:
+            store.close()
+
 
 # ---------------------------------------------------------------------------
 # Corpus bit-exactness over shared memory and every inline path

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.image import (ImageFormat, blob_frame, checkerboard_frame,
                          frame_from_luma, gradient_frame, noise_frame,
                          textured_panorama)
+from repro.image.formats import BLOCK_PIXELS, block_rows
 
 FMT = ImageFormat("T24", 24, 16)
 
@@ -139,6 +142,37 @@ class TestPanoramaMatchesReference:
             textured_panorama(width, height, seed=3, octaves=octaves),
             reference_textured_panorama(width, height, seed=3,
                                         octaves=octaves))
+
+
+class TestPanoramaBlocks:
+    """The canvas is filled one ``BLOCK_PIXELS`` row block at a time;
+    no block edge may show in the bits."""
+
+    @given(width=st.integers(1, 3000), blocks=st.integers(1, 3),
+           edge=st.sampled_from([-1, 0, 1]), octaves=st.integers(1, 6),
+           seed=st.one_of(st.none(), st.integers(0, 2 ** 32 - 1)))
+    @settings(max_examples=60, deadline=None)
+    def test_heights_either_side_of_a_block_edge(self, width, blocks,
+                                                  edge, octaves, seed):
+        height = max(1, blocks * block_rows(width) + edge)
+        assert same_bits(
+            textured_panorama(width, height, seed=seed, octaves=octaves),
+            reference_textured_panorama(width, height, seed=seed,
+                                        octaves=octaves))
+
+    @pytest.mark.parametrize("octaves", [1, 6])
+    @pytest.mark.parametrize("width, height", [
+        # One row: a single block, however wide.
+        (1, 1), (2, 1), (BLOCK_PIXELS, 1), (BLOCK_PIXELS + 1, 1),
+        # Wider than a block: one row per block.
+        (BLOCK_PIXELS + 1, 3),
+        # One column: blocks of BLOCK_PIXELS rows.
+        (1, BLOCK_PIXELS - 1), (1, BLOCK_PIXELS), (1, BLOCK_PIXELS + 1),
+        (1, 2 * BLOCK_PIXELS + 1)])
+    def test_one_row_and_one_column_canvases(self, width, height, octaves):
+        assert same_bits(
+            textured_panorama(width, height, octaves=octaves),
+            reference_textured_panorama(width, height, octaves=octaves))
 
 
 class TestLumaFrame:

@@ -8,12 +8,14 @@ equal the costs of the requests the queue holds, in total and per
 tenant, and exactly the tenants with queued work hold an entry.
 
 Costs are drawn from the prices of real calls, tiny frames to CIF
-(1.2-18.5 ms): the per-tenant book drops an entry once it is within
-1e-15 s of zero, an absolute bound that holds float residue at these
-prices but not at costs near 0.1 s and above.
+(1.2-18.5 ms), and, in a seeded fuzz, from anywhere up to 1 s: a
+tenant's entry must go exactly when its last queued request leaves,
+whatever float residue its drained costs leave behind.
 """
 
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -109,3 +111,50 @@ class TestQueueBooks:
                 queue.requeue_front(
                     popped.pop(operation[1] % len(popped)))
             _assert_books_match(queue)
+
+
+class TestDrainedTenantsLeaveTheBook:
+    """At costs up to 1 s, float residue outlives a drained tenant's
+    last request: a book pruned at an absolute 1e-15 s kept such
+    tenants listed, and the service counted them as active in every
+    other tenant's weight share."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_fuzz_at_costs_up_to_one_second(self, seed):
+        rng = random.Random(seed)
+        queue = RequestQueue(policy=ServicePolicy(
+            queue_depth=64, fair_queueing=True,
+            tenants={"a": TenantPolicy(weight=2.0)}))
+        held = Counter()
+        popped = []
+
+        def took(requests):
+            for request in requests:
+                held[request.tenant] -= 1
+                popped.append(request)
+
+        for request_id in range(3000):
+            roll = rng.random()
+            if roll < 0.45:
+                request = ServiceRequest(
+                    request_id=request_id, call=CALL,
+                    priority=rng.choice(list(Priority)),
+                    arrival_seconds=0.0, deadline_seconds=None,
+                    estimated_cost_seconds=rng.uniform(0.0, 1.0),
+                    tenant=rng.choice(TENANTS))
+                if queue.offer(request) is None:
+                    held[request.tenant] += 1
+            elif roll < 0.65:
+                if queue:
+                    took([queue.pop_next()])
+            elif roll < 0.85:
+                tenant = rng.choice(TENANTS)
+                took(queue.pop_compatible(
+                    lambda request: request.tenant == tenant,
+                    rng.randint(0, 4)))
+            elif popped:
+                request = popped.pop(rng.randrange(len(popped)))
+                queue.requeue_front(request)
+                held[request.tenant] += 1
+            assert set(queue.cost_by_tenant) == {
+                tenant for tenant, count in held.items() if count}
