@@ -7,6 +7,7 @@ package is on ``PYTHONPATH`` but not installed (the entry point
     PYTHONPATH=src python scripts/check_program.py              # all
     PYTHONPATH=src python scripts/check_program.py quickstart
     PYTHONPATH=src python scripts/check_program.py --selftest
+    PYTHONPATH=src python scripts/check_program.py --sanitize-selftest
     PYTHONPATH=src python scripts/check_program.py --list-rules
 """
 import sys

@@ -1,8 +1,7 @@
 """Run the 208-case equivalence corpus under the transport sanitizer.
 
 The same 0xFA57 corpus recipe the scheduler/pool/service equivalence
-suites share, in two sanitized passes with every sanitizer domain
-armed:
+suites share, in two sanitized passes:
 
 * through a :class:`~repro.host.CallScheduler` on one worker
   configuration, where every call ships to the workers and returns
@@ -109,7 +108,7 @@ def _scheduler_pass(workers: int, findings: List[Dict[str, Any]]
     """The corpus through a sanitizer-armed scheduler that ships every
     call it can."""
     shards: List[Dict[str, Any]] = []
-    install_sanitizer(("all",))
+    install_sanitizer()
     try:
         with CallScheduler(max_workers=workers) as scheduler:
             for shard in range(SHARDS):
@@ -145,7 +144,7 @@ def _pool_pass(findings: List[Dict[str, Any]]) -> Dict[str, Any]:
     coalesce."""
     shards: List[Dict[str, Any]] = []
     waves = completed = 0
-    sanitizer = install_sanitizer(("all",))
+    sanitizer = install_sanitizer()
     try:
         for shard in range(SHARDS):
             calls = [call for call in _shard_calls(shard)
@@ -202,7 +201,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     payload = {
         "seed": SEED, "shards": SHARDS,
         "cases": cases, "workers": args.workers,
-        "sanitize": ["all"], "mismatches": mismatches,
+        "mismatches": mismatches,
         "error_findings": len(errors), "findings": findings,
         "pool_calls": scheduler["pool_calls"],
         "bypass_calls": scheduler["bypass_calls"],

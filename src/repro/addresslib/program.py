@@ -170,8 +170,10 @@ def dependency_levels(program: CallProgram) -> List[List[int]]:
     """ASAP wavefronts: lists of step indices, in program order, where
     every step's predecessors sit in strictly earlier lists.
 
-    All steps inside one wavefront are mutually independent -- this is
-    the unit the call scheduler dispatches concurrently.
+    All steps inside one wavefront are mutually independent: the shape
+    of the program's own parallelism (SCH001 reads it).  No scheduler
+    runs programs by wavefront; the call scheduler runs batches whose
+    caller declares them independent.
     """
     predecessors: Dict[int, List[int]] = {}
     for before, after in dependency_edges(program):

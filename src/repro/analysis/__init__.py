@@ -14,16 +14,13 @@ neutral errors module.
 """
 
 from ..core.errors import EngineDeadlock
-from .analyzer import (analyze_config, analyze_program, analyze_waves,
-                       check_program, predict_fast_path, step_config)
-from .dataflow import (PlanEvent, TransportParams, TransportPlan,
-                       lower_program)
+from .analyzer import (analyze_config, analyze_program, check_program,
+                       predict_fast_path, step_config)
 from .diagnostics import (AnalysisReport, Diagnostic, FastPathPrediction,
                           ProgramCheckError, Severity)
 from .params import EngineParams
 from .rules import RULES, Rule
 from .service import critical_path_cycles, step_cycles
-from .transport import transport_rules
 
 # NOTE: .sanitize is intentionally NOT imported here -- the runtime
 # sanitizer loads lazily (scheduler/service/CLI) so that importing the
@@ -35,21 +32,15 @@ __all__ = [
     "EngineDeadlock",
     "EngineParams",
     "FastPathPrediction",
-    "PlanEvent",
     "ProgramCheckError",
     "RULES",
     "Rule",
     "Severity",
-    "TransportParams",
-    "TransportPlan",
     "analyze_config",
     "analyze_program",
-    "analyze_waves",
     "check_program",
     "critical_path_cycles",
-    "lower_program",
     "predict_fast_path",
     "step_config",
     "step_cycles",
-    "transport_rules",
 ]

@@ -25,7 +25,6 @@ from typing import List, Optional, Sequence, Union
 from ..addresslib.program import CallProgram, ProgramStep
 from ..core.config import EngineConfig, EngineConfigError
 from ..core.constraints import fast_path_blockers
-from .dataflow import TransportParams, TransportPlan, lower_program
 from .diagnostics import (AnalysisReport, Diagnostic, FastPathPrediction,
                           ProgramCheckError)
 from .hazards import dataflow_rules
@@ -33,7 +32,6 @@ from .params import EngineParams
 from .rules import _diag, capacity_rules, fast_path_rules, liveness_rules
 from .scheduling import scheduling_rules
 from .service import service_rules
-from .transport import transport_rules
 
 _DEFAULT_PARAMS = EngineParams()
 
@@ -79,26 +77,6 @@ def analyze_program(program: CallProgram,
                     + liveness_rules(config, params)
                     + fast_path_rules(config, params))
         report.extend(_with_context(findings, step))
-    return report
-
-
-def analyze_waves(program: CallProgram,
-                  transport: Optional[TransportParams] = None,
-                  plan: Optional[TransportPlan] = None
-                  ) -> AnalysisReport:
-    """Check the *wave plan* of ``program`` under a deployment.
-
-    Lowers the program's dependency levels against ``transport`` (the
-    healthy single-board defaults when omitted) and runs the
-    SHM/RES/POOL rule families over the resulting event stream.  Pass
-    ``plan`` to audit an already-lowered plan instead.  Complementary
-    to :func:`analyze_program`: that checks what the program *says*,
-    this checks what the serving stack would *do* with it.
-    """
-    if plan is None:
-        plan = lower_program(program, transport)
-    report = AnalysisReport(program_name=f"{program.name} [waves]")
-    report.extend(transport_rules(plan))
     return report
 
 

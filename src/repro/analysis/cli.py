@@ -5,7 +5,9 @@ The built-in registry mirrors the pixel work of every script under
 here *are* the calls those scripts issue).  CI runs ``repro-check``
 with no arguments and requires zero errors; ``--selftest`` seeds a
 broken variant of each rule class and requires the analyzer to flag
-every one -- the gate that proves the rules still bite.
+every one -- the gate that proves the rules still bite;
+``--sanitize-selftest`` does the same for the runtime sanitizer's
+SHM/RES/POOL rules, seeding each bug into the live transport.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from ..addresslib.program import CallProgram, ProgramStep, trace_program
 from ..core.config import EngineConfig, intra_config
 from ..image.formats import CIF, QCIF, ImageFormat
 from ..image.frame import Frame
-from .analyzer import analyze_program, analyze_waves
-from .dataflow import TransportParams
+from .analyzer import analyze_program
 from .diagnostics import AnalysisReport, Severity
 from .params import EngineParams
 from .rules import RULES
@@ -191,70 +192,6 @@ SELFTEST_CASES: Dict[str, Tuple[
 
 
 # ---------------------------------------------------------------------------
-# Seeded-broken wave plans: one per transport/residency/pool rule
-# ---------------------------------------------------------------------------
-
-def _intra_step(index: int, source: str, output: str) -> ProgramStep:
-    return ProgramStep(index=index, mode=AddressingMode.INTRA,
-                       op=INTRA_GRAD, fmt=QCIF, channels=ChannelSet.Y,
-                       inputs=(source,), output=output)
-
-
-def _rewrite_program() -> CallProgram:
-    """A chain that redefines ``buf`` mid-program: ``in0 -> buf -> out``
-    then ``in0 -> buf -> out2``.  The generation bump on ``buf`` is what
-    the SHM/RES generation rules key on."""
-    steps = (_intra_step(0, "in0", "buf"),
-             _intra_step(1, "buf", "out"),
-             _intra_step(2, "in0", "buf"),
-             _intra_step(3, "buf", "out2"))
-    return CallProgram(name="rewrite_chain", fmt=QCIF, inputs=("in0",),
-                       steps=steps, results=("out", "out2"))
-
-
-def _reuse_program() -> CallProgram:
-    """Two independent producers then a consumer that re-reads ``in0``:
-    the reuse distance spans a wave, so a one-slot cache must thrash."""
-    steps = (_intra_step(0, "in0", "a"),
-             _intra_step(1, "in1", "b"),
-             ProgramStep(index=2, mode=AddressingMode.INTER,
-                         op=INTER_ABSDIFF, fmt=QCIF,
-                         channels=ChannelSet.Y, inputs=("in0", "a"),
-                         output="c"))
-    return CallProgram(name="reuse_chain", fmt=QCIF,
-                       inputs=("in0", "in1"), steps=steps,
-                       results=("a", "b", "c"))
-
-
-def _wave_serial_chain() -> CallProgram:
-    program, _ = _serial_chain()
-    return program
-
-
-#: rule id -> (program builder, deployment that must trip it).
-WAVE_SELFTEST_CASES: Dict[str, Tuple[
-        Callable[[], CallProgram], TransportParams]] = {
-    "SHM001": (_rewrite_program,
-               TransportParams(boards=2, fail_wave=1, requeue="merge")),
-    "SHM002": (_wave_serial_chain,
-               TransportParams(close_after_wave=0)),
-    "SHM003": (_wave_serial_chain,
-               TransportParams(boards=2, fail_wave=1,
-                               fail_phase="after_compute",
-                               requeue="replay")),
-    "RES001": (_rewrite_program,
-               TransportParams(boards=2, placement="round_robin",
-                               generation_checks=False)),
-    "RES002": (_reuse_program,
-               TransportParams(cache_capacity=1)),
-    "POOL001": (_rewrite_program,
-                TransportParams(boards=2, fail_wave=0, requeue="merge")),
-    "POOL002": (_wave_serial_chain,
-                TransportParams(boards=2, placement="round_robin")),
-}
-
-
-# ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
@@ -274,18 +211,6 @@ def _run_selftest(verbose: bool) -> int:
         status = "flagged" if hits else "MISSED"
         print(f"selftest [{rule_class}] {program.name}: {status} "
               f"{rule_id}")
-        if hits:
-            if verbose:
-                for diagnostic in hits:
-                    print(f"  {diagnostic.format()}")
-        else:
-            failures += 1
-    for rule_id, (wave_builder, transport) in WAVE_SELFTEST_CASES.items():
-        program = wave_builder()
-        report = analyze_waves(program, transport)
-        hits = report.by_rule(rule_id)
-        status = "flagged" if hits else "MISSED"
-        print(f"selftest [waves] {program.name}: {status} {rule_id}")
         if hits:
             if verbose:
                 for diagnostic in hits:
@@ -345,39 +270,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="seed each transport bug against the live "
                              "shared-memory stack and require the "
                              "runtime sanitizer to observe it")
-    parser.add_argument("--waves", action="store_true",
-                        help="analyze the scheduled wave plan (SHM/RES/"
-                             "POOL families) instead of the program "
-                             "structure")
-    parser.add_argument("--boards", type=int, default=1, metavar="N",
-                        help="pool size for --waves (default 1)")
-    parser.add_argument("--placement", default="affinity",
-                        choices=("affinity", "least_loaded",
-                                 "round_robin"),
-                        help="what-if placement for --waves: "
-                             "'affinity' is the pool's rule; the others "
-                             "model deployments that ignore residency")
-    parser.add_argument("--cache-capacity", type=int, default=128,
-                        metavar="N",
-                        help="per-board worker-cache capacity for "
-                             "--waves (default 128)")
-    parser.add_argument("--fail-wave", type=int, default=None,
-                        metavar="W",
-                        help="kill the serving board at wave W "
-                             "(--waves; requires --boards >= 2)")
-    parser.add_argument("--fail-after-compute", action="store_true",
-                        help="with --fail-wave, let the board finish "
-                             "computing before it dies (results orphan)")
-    parser.add_argument("--requeue", default="replay",
-                        choices=("replay", "merge"),
-                        help="failover requeue policy for --waves")
-    parser.add_argument("--close-after-wave", type=int, default=None,
-                        metavar="W",
-                        help="close the plane store after wave W "
-                             "(--waves)")
-    parser.add_argument("--no-generation-checks", action="store_true",
-                        help="key the modeled worker cache on bare "
-                             "frame ids, ignoring generations (--waves)")
     parser.add_argument("--deadline-cycles", type=int, default=None,
                         metavar="N",
                         help="flag programs whose modeled critical-path "
@@ -403,27 +295,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if unknown:
         parser.error(f"unknown program(s): {', '.join(unknown)}; known: "
                      f"{', '.join(sorted(EXAMPLE_PROGRAMS))}")
-
-    if args.waves:
-        try:
-            transport = TransportParams(
-                boards=args.boards, placement=args.placement,
-                cache_capacity=args.cache_capacity,
-                fail_wave=args.fail_wave,
-                fail_phase=("after_compute" if args.fail_after_compute
-                            else "before_compute"),
-                requeue=args.requeue,
-                close_after_wave=args.close_after_wave,
-                generation_checks=not args.no_generation_checks)
-        except ValueError as exc:
-            parser.error(str(exc))
-        exit_code = 0
-        for name in names:
-            report = analyze_waves(EXAMPLE_PROGRAMS[name](), transport)
-            _print_report(report, args.verbose)
-            if report.errors or (args.strict and report.warnings):
-                exit_code = 1
-        return exit_code
 
     params = (EngineParams(deadline_cycles=args.deadline_cycles)
               if args.deadline_cycles is not None else None)

@@ -3,7 +3,9 @@
 Every rule inspects one :class:`~repro.core.config.EngineConfig` (plus
 the :class:`~repro.analysis.params.EngineParams` it would run under) and
 yields :class:`~repro.analysis.diagnostics.Diagnostic` findings.  The
-program-level dataflow rules live in :mod:`repro.analysis.hazards`.
+program-level dataflow rules live in :mod:`repro.analysis.hazards`;
+the transport, residency and pool rules are checked on the live stack
+by the runtime sanitizer (:mod:`repro.analysis.sanitize`).
 
 Rule ids are stable: tests and downstream tooling key on them.  The
 catalogue (:data:`RULES`) is what ``repro-check --list-rules`` and
@@ -89,24 +91,24 @@ RULES: Dict[str, Rule] = {r.rule_id: r for r in (
          "tenant p95 target unreachable under the admission budget "
          "and fair-share weights"),
     Rule("SHM001", Severity.ERROR, "transport",
-         "source plane mutated while its shipped handle is still in "
-         "flight within the wave"),
+         "source frame re-registered at a new generation while its "
+         "shipped handle is in flight within the wave"),
     Rule("SHM002", Severity.ERROR, "transport",
-         "result segment adopted after the plane store closed"),
+         "result slab adopted after the plane store closed"),
     Rule("SHM003", Severity.ERROR, "transport",
-         "segment lifecycle imbalance: released without a live "
-         "registration, or orphaned by a worker death"),
+         "segment released again after it was already released "
+         "(double free)"),
     Rule("RES001", Severity.ERROR, "residency",
-         "worker cache serves a frame at a stale generation"),
+         "worker cache consulted with a handle older than a generation "
+         "it already held"),
     Rule("RES002", Severity.WARNING, "residency",
-         "residency eviction horizon shorter than a wave's reuse "
-         "distance: evicted frame re-shipped unchanged"),
+         "evicted frame re-attached with unchanged content: the cache "
+         "is smaller than the workload's reuse distance"),
     Rule("POOL001", Severity.ERROR, "pool",
-         "requeue-on-failover interleaves RAW-dependent calls into "
-         "one wave"),
+         "failover requeue does not replay the failed wave verbatim"),
     Rule("POOL002", Severity.WARNING, "pool",
-         "actual placement splits a producer/consumer pair across "
-         "boards, forcing a cross-board reship"),
+         "a board consumes a frame another board produced: placement "
+         "split a producer/consumer pair"),
 )}
 
 #: Fallback reason code -> the FPA rule that reports it.

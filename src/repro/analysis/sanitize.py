@@ -1,22 +1,22 @@
-"""Runtime transport sanitizer: the dynamic half of the SHM/RES/POOL
-rule families.
+"""Runtime transport sanitizer: the one checker of the SHM/RES/POOL
+rules.
 
-:mod:`repro.analysis.transport` proves properties of a *lowered plan*;
-this module checks the same properties against the *live stack*.  A
-:class:`TransportSanitizer` implements the
+A :class:`TransportSanitizer` implements the
 :class:`~repro.host.shm.TransportObserver` protocol -- the hook sites
 in :mod:`repro.host.shm`, :class:`~repro.host.scheduler.CallScheduler`,
-and :class:`~repro.pool.pool.EnginePool` notify it of every handle
-ship, segment create/release, cache attach/evict, and pool
+the driver's :class:`~repro.host.driver.FrameResidencyCache` and
+:class:`~repro.pool.pool.EnginePool` notify it of every handle ship,
+segment release, result adoption, cache attach/evict, and pool
 wave/requeue -- and emits :class:`~repro.analysis.diagnostics.
-Diagnostic` findings under the *same rule ids* as the static pass, so
-every static verdict is dynamically falsifiable and vice versa.
+Diagnostic` findings under the transport (``SHM00x``), residency
+(``RES00x``) and pool (``POOL00x``) rule ids of the catalogue.  It
+always checks all three families.
 
 Opt-in and cheap: nothing is instrumented until
 :func:`install_sanitizer` -- the one switch -- puts a sanitizer in
 place (a :class:`~repro.host.scheduler.CallScheduler` built afterwards
-arms its workers with the same domains), and every hook site is a
-single module-global ``None`` check when it is not.
+arms its workers too), and every hook site is a single module-global
+``None`` check when it is not.
 
 :data:`SANITIZE_SELFTESTS` seeds one real bug per rule into the live
 primitives (a mutated frame under an in-flight handle, a double
@@ -29,30 +29,12 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
-                    Tuple)
+from collections import OrderedDict
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..host import shm
 from .diagnostics import Diagnostic
 from .rules import _diag
-
-#: The checkable rule domains, and what "all" expands to.
-DOMAINS = ("transport", "residency", "pool")
-
-
-def normalize_domains(domains: Sequence[str]) -> Tuple[str, ...]:
-    """Validate and canonicalize a domain list (``"all"`` expands)."""
-    chosen: Set[str] = set()
-    for domain in domains:
-        if domain == "all":
-            chosen.update(DOMAINS)
-        elif domain in DOMAINS:
-            chosen.add(domain)
-        else:
-            raise ValueError(
-                f"unknown sanitize domain {domain!r}; expected "
-                f"'all' or one of {', '.join(DOMAINS)}")
-    return tuple(sorted(chosen))
 
 
 class TransportSanitizer:
@@ -60,22 +42,24 @@ class TransportSanitizer:
 
     One instance per process; findings accumulate until
     :meth:`drain`.  All methods tolerate partial event streams (a
-    sanitizer installed mid-run simply never flags segments it did not
-    see created), so installation order can never produce a false
-    positive.
+    sanitizer installed mid-run only compares events it saw), so
+    installation order can never produce a false positive.
+
+    The books hold only what a check can still use, so they stay flat
+    however long the process serves: shipped handles until their wave
+    closes, released segments while something still holds them (only
+    a holder can release one again), the latest evictions up to the
+    worker cache's capacity, and result frames while they live.
     """
 
-    def __init__(self, domains: Sequence[str] = ("all",)) -> None:
-        self.domains: Set[str] = set(normalize_domains(domains))
+    def __init__(self) -> None:
         self.findings: List[Diagnostic] = []
         # transport state
         self._wave_depth = 0
         self._shipped: Dict[Tuple[str, int], int] = {}
-        self._known_segments: Set[str] = set()
-        self._live_segments: Set[str] = set()
-        # residency state
-        self._max_generation: Dict[Tuple[str, int], int] = {}
-        self._evicted: Set[Tuple[str, int, int]] = set()
+        self._released: "weakref.WeakSet[Any]" = weakref.WeakSet()
+        # residency state: frame key -> evicted generation, latest last
+        self._evicted: "OrderedDict[Tuple[str, int], int]" = OrderedDict()
         # pool state: live result frame id -> (its ref, producing board)
         self._producers: Dict[int, Tuple["weakref.ref[Any]", int]] = {}
 
@@ -100,7 +84,7 @@ class TransportSanitizer:
             self._shipped.clear()
 
     def handle_shipped(self, handle: shm.FrameHandle) -> None:
-        if "transport" not in self.domains or self._wave_depth == 0:
+        if self._wave_depth == 0:
             return
         key = (handle.token, handle.frame_id)
         self._shipped.setdefault(key, handle.generation)
@@ -109,8 +93,6 @@ class TransportSanitizer:
 
     def frame_registered(self, token: str, frame_id: int,
                          generation: int) -> None:
-        if "transport" not in self.domains:
-            return
         shipped = self._shipped.get((token, frame_id))
         if shipped is not None and generation > shipped:
             self._emit(
@@ -120,28 +102,16 @@ class TransportSanitizer:
                 f"{shipped} handle is shipped in the open wave: the "
                 f"source was mutated under an in-flight handle")
 
-    def segment_created(self, name: str) -> None:
-        self._known_segments.add(name)
-        self._live_segments.add(name)
-
-    def segment_released(self, name: str) -> None:
-        if name in self._live_segments:
-            self._live_segments.discard(name)
+    def segment_released(self, segment: Any) -> None:
+        if segment not in self._released:
+            self._released.add(segment)
             return
-        if "transport" not in self.domains:
-            return
-        if name in self._known_segments:
-            self._emit(
-                "SHM003",
-                f"segment '{name}' released again after its live "
-                f"registration was already released: refcount "
-                f"underflow (double free)")
+        self._emit(
+            "SHM003",
+            f"segment '{segment.name}' released again after it was "
+            f"already released: refcount underflow (double free)")
 
     def result_adopted(self, name: str, store_closed: bool) -> None:
-        self._known_segments.add(name)
-        self._live_segments.add(name)
-        if "transport" not in self.domains:
-            return
         if store_closed:
             self._emit(
                 "SHM002",
@@ -154,23 +124,17 @@ class TransportSanitizer:
 
     def cache_attach(self, token: str, frame_id: int, generation: int,
                      cached_generation: Optional[int]) -> None:
-        if "residency" not in self.domains:
-            return
-        key = (token, frame_id)
-        newest = self._max_generation.get(key, -1)
-        stale_vs = max(cached_generation
-                       if cached_generation is not None else -1, newest)
-        if generation < stale_vs:
+        evicted = self._evicted.pop((token, frame_id), None)
+        held = max((g for g in (cached_generation, evicted)
+                    if g is not None), default=-1)
+        if generation < held:
             self._emit(
                 "RES001",
                 f"worker cache consulted for frame {frame_id} (store "
                 f"{token}) with a generation {generation} handle after "
-                f"generation {stale_vs} was seen: a stale handle can "
-                f"serve mutated-away content")
-        self._max_generation[key] = max(newest, generation)
-        if (cached_generation is None
-                and (token, frame_id, generation) in self._evicted):
-            self._evicted.discard((token, frame_id, generation))
+                f"it held generation {held}: a stale handle can serve "
+                f"mutated-away content")
+        elif cached_generation is None and evicted == generation:
             self._emit(
                 "RES002",
                 f"frame {frame_id}@g{generation} (store {token}) "
@@ -181,16 +145,16 @@ class TransportSanitizer:
 
     def cache_evicted(self, token: str, frame_id: int,
                       generation: int) -> None:
-        if "residency" not in self.domains:
-            return
-        self._evicted.add((token, frame_id, generation))
+        evicted = self._evicted
+        evicted.pop((token, frame_id), None)
+        evicted[(token, frame_id)] = generation
+        while len(evicted) > shm.worker_cache_capacity():
+            evicted.popitem(last=False)
 
     # -- pool placement and failover ---------------------------------------
 
     def pool_wave(self, worker_id: int, calls: Sequence[Any],
                   results: Sequence[Any]) -> None:
-        if "pool" not in self.domains:
-            return
         for call in calls:
             for frame in getattr(call, "frames", ()):
                 produced = self._producers.get(id(frame))
@@ -225,8 +189,6 @@ class TransportSanitizer:
 
     def pool_requeued(self, original: Sequence[Any],
                       requeued: Sequence[Any]) -> None:
-        if "pool" not in self.domains:
-            return
         if [id(call) for call in original] != \
                 [id(call) for call in requeued]:
             self._emit(
@@ -248,11 +210,10 @@ def active_sanitizer() -> Optional[TransportSanitizer]:
     return _ACTIVE
 
 
-def install_sanitizer(domains: Sequence[str] = ("all",)
-                      ) -> TransportSanitizer:
+def install_sanitizer() -> TransportSanitizer:
     """Install a fresh sanitizer as the process-wide observer."""
     global _ACTIVE
-    sanitizer = TransportSanitizer(domains)
+    sanitizer = TransportSanitizer()
     _ACTIVE = sanitizer
     shm.set_transport_observer(sanitizer)
     return sanitizer
@@ -290,9 +251,7 @@ def _small_fmt() -> Any:
     return ImageFormat("SAN8x8", 8, 8)
 
 
-def _with_observer(domains: Sequence[str],
-                   scenario: Callable[[TransportSanitizer],
-                                      Optional[bool]]
+def _with_observer(scenario: Callable[[TransportSanitizer], Optional[bool]]
                    ) -> Optional[List[Diagnostic]]:
     """Run ``scenario`` under a fresh observer; restore the previous.
 
@@ -300,7 +259,7 @@ def _with_observer(domains: Sequence[str],
     this" (no shared memory); the case then reports as skipped.
     """
     previous = shm.set_transport_observer(None)
-    sanitizer = TransportSanitizer(domains)
+    sanitizer = TransportSanitizer()
     shm.set_transport_observer(sanitizer)
     try:
         if scenario(sanitizer):
@@ -331,7 +290,7 @@ def _selftest_shm001() -> Optional[List[Diagnostic]]:
         finally:
             store.close()
 
-    return _with_observer(("transport",), scenario)
+    return _with_observer(scenario)
 
 
 def _selftest_shm002() -> Optional[List[Diagnostic]]:
@@ -346,7 +305,7 @@ def _selftest_shm002() -> Optional[List[Diagnostic]]:
         store.adopt_slab(slab, _small_fmt())  # the seeded bug
         return None
 
-    return _with_observer(("transport",), scenario)
+    return _with_observer(scenario)
 
 
 def _selftest_shm003() -> Optional[List[Diagnostic]]:
@@ -367,7 +326,7 @@ def _selftest_shm003() -> Optional[List[Diagnostic]]:
         finally:
             store.close()
 
-    return _with_observer(("transport",), scenario)
+    return _with_observer(scenario)
 
 
 def _selftest_res001() -> Optional[List[Diagnostic]]:
@@ -399,7 +358,7 @@ def _selftest_res001() -> Optional[List[Diagnostic]]:
             shm.reset_worker_cache()
             store.close()
 
-    return _with_observer(("residency",), scenario)
+    return _with_observer(scenario)
 
 
 def _selftest_res002() -> Optional[List[Diagnostic]]:
@@ -428,7 +387,7 @@ def _selftest_res002() -> Optional[List[Diagnostic]]:
             shm.reset_worker_cache()
             store.close()
 
-    return _with_observer(("residency",), scenario)
+    return _with_observer(scenario)
 
 
 def _pool_fixture() -> Tuple[Any, Any]:
@@ -465,7 +424,7 @@ def _selftest_pool001() -> Optional[List[Diagnostic]]:
         pool.dispatch([make_call(7), make_call(8)])
         return None
 
-    return _with_observer(("pool",), scenario)
+    return _with_observer(scenario)
 
 
 def _selftest_pool002() -> Optional[List[Diagnostic]]:
@@ -490,7 +449,7 @@ def _selftest_pool002() -> Optional[List[Diagnostic]]:
         pool.dispatch([BatchCall.intra(op, result)])
         return None
 
-    return _with_observer(("pool",), scenario)
+    return _with_observer(scenario)
 
 
 #: Rule id -> the seeded-bug scenario that must trigger it (``None``

@@ -8,10 +8,10 @@ nothing.  SCH001 surfaces that shape as an informational finding so an
 author chasing throughput knows the program -- not the scheduler -- is
 the limit.
 
-The structure comes from the same
-:func:`~repro.addresslib.program.dependency_levels` derivation the
-scheduler itself executes by, so the diagnostic cannot drift from the
-runtime behaviour.
+The rule describes the program's own shape, read from
+:func:`~repro.addresslib.program.dependency_levels`; the scheduler
+does not run programs, only batches whose caller declares them
+independent.
 """
 
 from __future__ import annotations

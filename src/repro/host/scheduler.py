@@ -108,7 +108,7 @@ def _execute_call(op: Union[InterOp, IntraOp], reduce_to_scalar: bool,
     return VectorExecutor.intra(op, frames[0], channels)
 
 
-def _worker_init(sanitize_domains: Tuple[str, ...] = ()) -> None:
+def _worker_init(sanitized: bool) -> None:
     """Pool-worker initializer: fork hygiene plus optional sanitizing.
 
     Drops worker-cache entries and any transport observer inherited
@@ -118,16 +118,16 @@ def _worker_init(sanitize_domains: Tuple[str, ...] = ()) -> None:
     """
     shm.reset_worker_cache()
     shm.set_transport_observer(None)
-    if sanitize_domains:
+    if sanitized:
         try:
             from ..analysis import sanitize as _sanitize
             _sanitize.reset_for_worker()
-            _sanitize.install_sanitizer(sanitize_domains)
+            _sanitize.install_sanitizer()
         except Exception:  # pragma: no cover - sanitizing is advisory
             pass
 
 
-def _execute_wave(jobs: Sequence[_Job], sanitize_domains: Tuple[str, ...]
+def _execute_wave(jobs: Sequence[_Job], sanitized: bool
                   ) -> Tuple[List[Union[int, bool]], Dict[str, object]]:
     """Worker-side execution of one worker's share of a wave.
 
@@ -156,7 +156,7 @@ def _execute_wave(jobs: Sequence[_Job], sanitize_domains: Tuple[str, ...]
         else:
             assert isinstance(value, Frame)
             results.append(shm.worker_write_slab(slab, value))
-    if sanitize_domains:
+    if sanitized:
         try:
             from ..analysis import sanitize as _sanitize
             sanitizer = _sanitize.active_sanitizer()
@@ -292,20 +292,18 @@ class CallScheduler(BatchExecutor):
 
     A scheduler built while a transport sanitizer is installed
     (:func:`~repro.analysis.sanitize.install_sanitizer`) arms its
-    workers with that sanitizer's domains and collects every finding
+    workers with sanitizers of their own and collects every finding
     into :attr:`sanitizer_findings`.
     """
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
-        #: Domains of the sanitizer installed at construction; ``()``
-        #: when none is, and then the scheduler never drains findings
-        #: nor imports :mod:`repro.analysis.sanitize`.
-        self.sanitize_domains: Tuple[str, ...] = ()
+        #: Whether a sanitizer was installed at construction; when not,
+        #: the scheduler never drains findings nor imports
+        #: :mod:`repro.analysis.sanitize`.
+        self.sanitized = False
         if shm.get_transport_observer() is not None:
             from ..analysis.sanitize import active_sanitizer
-            sanitizer = active_sanitizer()
-            if sanitizer is not None:
-                self.sanitize_domains = tuple(sorted(sanitizer.domains))
+            self.sanitized = active_sanitizer() is not None
         #: Runtime findings: the parent sanitizer's drained diagnostics
         #: plus every worker's, in collection order.
         self.sanitizer_findings: List["Diagnostic"] = []
@@ -353,7 +351,7 @@ class CallScheduler(BatchExecutor):
                 self._resources.pool = ProcessPoolExecutor(
                     max_workers=self._processes,
                     initializer=_worker_init,
-                    initargs=(self.sanitize_domains,))
+                    initargs=(self.sanitized,))
             except Exception:
                 return None
         return self._resources.pool
@@ -512,7 +510,7 @@ class CallScheduler(BatchExecutor):
         self._account(report)
         if observer is not None:
             observer.wave_closed()
-        if self.sanitize_domains:
+        if self.sanitized:
             from ..analysis import sanitize as _sanitize
             sanitizer = _sanitize.active_sanitizer()
             if sanitizer is not None:
@@ -565,7 +563,7 @@ class CallScheduler(BatchExecutor):
                                    for frame in call.frames), slab))
             try:
                 group.future = pool.submit(_execute_wave, jobs,
-                                           self.sanitize_domains)
+                                           self.sanitized)
                 report.round_trips += 1
             except Exception:
                 pass  # no future: the group runs inline when collected

@@ -232,31 +232,23 @@ def _disarm(segment: Any) -> None:
         pass
 
 
-def _release_segment(segment: Any, unlink: bool = True) -> None:
-    """Close (and by default unlink) a segment, tolerating exported
-    numpy views: a mapping that is still pinned is handed to its views
-    (see :func:`_disarm`), while the unlink removes the name at once."""
+def _release_segment(segment: Any) -> None:
+    """Close and unlink a segment, tolerating exported numpy views: a
+    mapping that is still pinned is handed to its views (see
+    :func:`_disarm`), while the unlink removes the name at once."""
     observer = _OBSERVER
     if observer is not None:
-        # The public .name (no leading slash), matching what
-        # segment_created/result_adopted observed.
-        try:
-            name = str(getattr(segment, "name", "") or "")
-        except Exception:
-            name = ""
-        if name:
-            observer.segment_released(name)
+        observer.segment_released(segment)
     try:
         segment.close()
     except BufferError:
         _disarm(segment)
     except Exception:
         pass
-    if unlink:
-        try:
-            _unlink_segment(segment)
-        except Exception:
-            pass
+    try:
+        _unlink_segment(segment)
+    except Exception:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +322,7 @@ class TransportObserver(Protocol):
     def frame_registered(self, token: str, frame_id: int,
                          generation: int) -> None: ...
 
-    def segment_created(self, name: str) -> None: ...
-
-    def segment_released(self, name: str) -> None: ...
+    def segment_released(self, segment: Any) -> None: ...
 
     def result_adopted(self, name: str, store_closed: bool) -> None: ...
 
@@ -359,8 +349,7 @@ def set_transport_observer(observer: Optional[TransportObserver]
     """Install (or, with ``None``, remove) the process-wide observer.
 
     Returns the previous observer so callers can restore it.  One
-    observer per process: the sanitizer composes domains internally
-    rather than chaining observers here.
+    observer per process: observers are never chained.
     """
     global _OBSERVER
     previous = _OBSERVER
@@ -481,9 +470,6 @@ class PlaneStore:
             return None
         self.segments_created += 1
         self.bytes_registered += nbytes
-        observer = _OBSERVER
-        if observer is not None:
-            observer.segment_created(segment.name)
         return segment
 
     def _create(self, key: int, frame: Frame) -> Optional[FrameHandle]:
@@ -553,9 +539,6 @@ class PlaneStore:
         slab_id = self.slabs_created  # counts creations: never repeats
         self._slabs[slab_id] = segment
         self.slabs_created += 1
-        observer = _OBSERVER
-        if observer is not None:
-            observer.segment_created(segment.name)
         return SlabHandle(self.token, slab_id, segment.name, nbytes)
 
     def adopt_slab(self, slab: SlabHandle,

@@ -180,7 +180,7 @@ def sanitizer_section() -> str:
 
     calls = [BatchCall.intra(INTRA_GRAD, noise_frame(QCIF, seed=i))
              for i in range(6)]
-    install_sanitizer(("transport", "residency"))
+    install_sanitizer()
     try:
         with CallScheduler(max_workers=2) as scheduler:
             scheduler.compute_batch(calls)
