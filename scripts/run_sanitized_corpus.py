@@ -3,9 +3,11 @@
 The same 0xFA57 corpus recipe the scheduler/pool/service equivalence
 suites share, in two sanitized passes:
 
-* through a :class:`~repro.host.CallScheduler` on one worker
-  configuration, where every call ships to the workers and returns
-  through a result slab;
+* through a :class:`~repro.host.CallScheduler` on one engine
+  configuration, each shard twice -- forward, then reversed -- so that
+  the parent's own run of the wave falls on either end: every case
+  ships to a worker (returning through a result slab) in one of the
+  two runs and runs in the parent in the other;
 * through an :class:`~repro.api.EngineService` over a two-board
   :class:`~repro.api.EnginePool`, each call submitted several times in
   a row so that same-configuration requests coalesce into waves and
@@ -20,14 +22,15 @@ Two gates per pass, both required:
   stack is clean under instrumentation).
 
 Where shared memory is available and the host has at least two CPUs
-(so the scheduler runs at least two worker processes), the scheduler
-pass must also have shipped every one of its calls to the workers
-(``pool_calls`` equal to the cases; every pool call crosses shared
-memory): a call that ran inline is one the sanitizer did not watch
-cross the live transport.
+(so the scheduler runs the parent and at least one worker process),
+the scheduler pass must also have shipped every case to a worker in
+exactly one of its two runs and kept it in the parent in the other
+(``pool_calls`` and ``bypass_calls`` each equal to the cases; every
+pool call crosses shared memory): a case that never shipped is one the
+sanitizer did not watch cross the live transport.
 
 Writes a JSON report (``--out``) with per-shard accounting, the
-scheduler pass's pool/bypass call counts, the pool pass's wave
+scheduler pass's pool/parent call counts, the pool pass's wave
 count and mean wave size (a pass that never coalesced shows), and
 every finding, for CI artifact upload.  Exit status is non-zero on any
 mismatch, error-severity finding, or unwatched transport.
@@ -105,8 +108,8 @@ def _shard_calls(shard: int) -> List[BatchCall]:
 
 def _scheduler_pass(workers: int, findings: List[Dict[str, Any]]
                     ) -> Dict[str, Any]:
-    """The corpus through a sanitizer-armed scheduler that ships every
-    call it can."""
+    """The corpus through a sanitizer-armed scheduler, each shard
+    forward and then reversed."""
     shards: List[Dict[str, Any]] = []
     install_sanitizer()
     try:
@@ -114,20 +117,38 @@ def _scheduler_pass(workers: int, findings: List[Dict[str, Any]]
             for shard in range(SHARDS):
                 calls = _shard_calls(shard)
                 before = len(scheduler.sanitizer_findings)
-                lib = AddressLib(SoftwareBackend())
-                results = lib.run_batch(calls, scheduler=scheduler)
-                shard_mismatches = sum(
-                    0 if _same(got, _serial_reference(call)) else 1
-                    for call, got in zip(calls, results))
+                shard_mismatches = 0
+                # Cases (by position in ``calls``) the parent ran itself
+                # in each of the two runs.
+                in_parent: List[set] = []
+                for reverse in (False, True):
+                    order = calls[::-1] if reverse else calls
+                    lib = AddressLib(SoftwareBackend())
+                    results = lib.run_batch(order, scheduler=scheduler)
+                    shard_mismatches += sum(
+                        0 if _same(got, _serial_reference(call)) else 1
+                        for call, got in zip(order, results))
+                    own = scheduler._engine_runs(order,
+                                                 range(len(order)))[0]
+                    in_parent.append({len(calls) - 1 - i if reverse else i
+                                      for i in own})
+                # Every case ran in the parent in exactly one of the
+                # two runs, and so shipped in the other.
+                split = (in_parent[0].isdisjoint(in_parent[1])
+                         and len(in_parent[0] | in_parent[1])
+                         == len(calls))
                 new = scheduler.sanitizer_findings[before:]
                 findings.extend(_finding_dict(d, shard, "scheduler")
                                 for d in new)
                 shards.append({"shard": shard, "cases": len(calls),
                                "mismatches": shard_mismatches,
+                               "parent_runs": [len(p) for p in in_parent],
+                               "split": split,
                                "findings": len(new)})
-                print(f"scheduler shard {shard}: {len(calls)} cases, "
-                      f"{shard_mismatches} mismatch(es), "
-                      f"{len(new)} finding(s)")
+                print(f"scheduler shard {shard}: {len(calls)} cases "
+                      f"x2, parent ran {len(in_parent[0])} + "
+                      f"{len(in_parent[1])}, {shard_mismatches} "
+                      f"mismatch(es), {len(new)} finding(s)")
             total = scheduler.total
     finally:
         uninstall_sanitizer()
@@ -135,6 +156,8 @@ def _scheduler_pass(workers: int, findings: List[Dict[str, Any]]
             "mismatches": sum(s["mismatches"] for s in shards),
             "pool_calls": total.pool_calls,
             "bypass_calls": total.bypass_calls,
+            "inline_calls": total.inline_calls,
+            "split": all(s["split"] for s in shards),
             "per_shard": shards}
 
 
@@ -186,7 +209,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         metavar="PATH",
                         help="where to write the JSON report")
     parser.add_argument("--workers", type=int, default=2, metavar="N",
-                        help="scheduler worker count (default 2)")
+                        help="scheduler engines: the parent plus up to "
+                             "N-1 worker processes (default 2)")
     args = parser.parse_args(argv)
 
     findings: List[Dict[str, Any]] = []
@@ -197,7 +221,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cases = SHARDS * CASES_PER_SHARD
     can_ship = (SHARED_MEMORY_AVAILABLE and args.workers >= 2
                 and (os.cpu_count() or 1) >= 2)
-    unwatched = can_ship and scheduler["pool_calls"] != cases
+    unwatched = can_ship and not (
+        scheduler["split"] and scheduler["pool_calls"] == cases
+        and scheduler["bypass_calls"] == cases)
     payload = {
         "seed": SEED, "shards": SHARDS,
         "cases": cases, "workers": args.workers,
@@ -214,7 +240,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"{mismatches} mismatch(es), {len(findings)} finding(s) "
           f"({len(errors)} error-severity); scheduler pass shipped "
           f"{scheduler['pool_calls']} calls over shared memory "
-          f"({scheduler['bypass_calls']} bypassed); "
+          f"({scheduler['bypass_calls']} run by the parent); "
           f"pool pass ran {pool['waves']} waves of "
           f"{pool['mean_wave_size']:.2f} requests on average")
     if mismatches or errors:
@@ -223,9 +249,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     if unwatched:
         print(f"sanitized corpus: FAILED (shared memory is available "
-              f"but only {scheduler['pool_calls']} of {cases} calls "
-              f"crossed it, so the sanitizer did not watch the rest "
-              f"on the live transport)")
+              f"but the cases did not each cross it exactly once: "
+              f"{scheduler['pool_calls']} of {cases} shipped, so the "
+              f"sanitizer did not watch every case on the live "
+              f"transport)")
         return 1
     print("sanitized corpus: OK (bit-exact, zero error-severity "
           "findings)")

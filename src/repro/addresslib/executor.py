@@ -27,7 +27,8 @@ Pentium-M timing model behind Table 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -141,6 +142,37 @@ def _owned(values: np.ndarray, source: np.ndarray,
     return values
 
 
+def _wave_values(op: Union[InterOp, IntraOp],
+                 inputs: Sequence[Sequence[Frame]],
+                 channels: ChannelSet
+                 ) -> Iterator[Tuple[Channel, np.ndarray, np.ndarray]]:
+    """The kernel step of a wave, one computed channel at a time:
+    ``(channel, values, batch)`` -- the op's vector face run once over
+    every call of the wave, and the face input ``batch`` the values may
+    alias.  Leading axes are batch axes to every face, so item ``i`` of
+    ``values`` is call ``i``'s one-call result (its shape may need
+    broadcasting to ``(B, H, W)``, its dtype a cast to the plane's).
+    """
+    sources = [frames[0] for frames in inputs]
+    fmt = sources[0].format
+    for frames in inputs:
+        for frame in frames:
+            if frame.width != fmt.width or frame.height != fmt.height:
+                raise ValueError(
+                    f"a wave needs one frame geometry, got "
+                    f"{frame.format} vs {fmt}")
+    for channel in channels_of(channels):
+        if isinstance(op, IntraOp):
+            batch = _plane_batch(sources, channel, op.neighbourhood)
+            values = op.apply_vector(batch)
+        else:
+            batch = _plane_batch(sources, channel)
+            values = op.apply_vector(
+                batch, _plane_batch([frames[1] for frames in inputs],
+                                    channel))
+        yield channel, values, batch
+
+
 class VectorExecutor:
     """Bulk numpy execution of inter/intra calls on packed frames."""
 
@@ -165,26 +197,11 @@ class VectorExecutor:
         first input, or the summed values when ``reduce_to_scalar``.
         No result shares memory with an input or another result.
         """
-        sources = [frames[0] for frames in inputs]
-        fmt = sources[0].format
-        for frames in inputs:
-            for frame in frames:
-                if frame.width != fmt.width or frame.height != fmt.height:
-                    raise ValueError(
-                        f"a wave needs one frame geometry, got "
-                        f"{frame.format} vs {fmt}")
+        fmt = inputs[0][0].format
         shape = (len(inputs), fmt.height, fmt.width)
         batches: Dict[Channel, np.ndarray] = {}
         totals = [0] * len(inputs)
-        for channel in channels_of(channels):
-            if isinstance(op, IntraOp):
-                batch = _plane_batch(sources, channel, op.neighbourhood)
-                values = op.apply_vector(batch)
-            else:
-                batch = _plane_batch(sources, channel)
-                values = op.apply_vector(
-                    batch, _plane_batch([frames[1] for frames in inputs],
-                                        channel))
+        for channel, values, batch in _wave_values(op, inputs, channels):
             if reduce_to_scalar:
                 sums = values.reshape(len(inputs), -1).sum(
                     axis=1, dtype=np.int64)
@@ -194,12 +211,37 @@ class VectorExecutor:
                                           PLANE_DTYPES[channel])
         if reduce_to_scalar:
             return list(totals)
+        sources = [frames[0] for frames in inputs]
         for channel in ALL_CHANNELS:
             if channel not in batches:
                 batches[channel] = np.array([frame.plane(channel)
                                              for frame in sources])
         return list(Frame.from_plane_batches(
             [frame.format for frame in sources], batches))
+
+    @staticmethod
+    def wave_into(op: Union[InterOp, IntraOp],
+                  inputs: Sequence[Sequence[Frame]],
+                  channels: ChannelSet, outputs: Sequence[Frame]) -> None:
+        """:meth:`wave`'s frame results, written in place: call ``i``'s
+        result goes into the planes of ``outputs[i]`` (a frame of the
+        inputs' geometry that shares no memory with them) -- the kernel
+        output cast into the computed planes, the untouched planes
+        copied once from the call's first input.  The same kernel step
+        as :meth:`wave`; only the sink differs.
+        """
+        fmt = inputs[0][0].format
+        shape = (len(inputs), fmt.height, fmt.width)
+        computed: Set[Channel] = set()
+        for channel, values, _batch in _wave_values(op, inputs, channels):
+            for output, item in zip(outputs,
+                                    np.broadcast_to(values, shape)):
+                output.plane(channel)[...] = item
+            computed.add(channel)
+        for output, frames in zip(outputs, inputs):
+            for channel in ALL_CHANNELS:
+                if channel not in computed:
+                    output.plane(channel)[...] = frames[0].plane(channel)
 
     @staticmethod
     def inter(op: InterOp, frame_a: Frame, frame_b: Frame,

@@ -16,6 +16,8 @@ back to the application.  Two execution strategies:
 from __future__ import annotations
 
 import functools
+import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -27,6 +29,21 @@ from ..core.engine import AddressEngine, EngineRunResult
 from ..image.frame import Frame
 from ..perf.timing import EngineTimingModel
 from . import shm
+
+#: The residency events' key for each live frame the driver has
+#: reported: a serial that dies with its frame.  ``id()`` would not do:
+#: CPython hands a dead frame's id to the next object, and the
+#: sanitizer would read a fresh frame as its predecessor re-attached.
+_EVENT_KEYS: "weakref.WeakKeyDictionary[Frame, int]" = \
+    weakref.WeakKeyDictionary()
+_NEXT_EVENT_KEY = itertools.count()
+
+
+def _event_key(frame: Frame) -> int:
+    key = _EVENT_KEYS.get(frame)
+    if key is None:
+        key = _EVENT_KEYS[frame] = next(_NEXT_EVENT_KEY)
+    return key
 
 
 class FrameResidencyCache:
@@ -105,7 +122,7 @@ class FrameResidencyCache:
         observer = shm.get_transport_observer()
         if observer is not None:
             for frame, resident in zip(frames, flags):
-                observer.cache_attach("driver", id(frame), 0,
+                observer.cache_attach("driver", _event_key(frame), 0,
                                       0 if resident else None)
         return flags, reuses * -(-config.fmt.pixels // 2)
 
@@ -149,7 +166,7 @@ class FrameResidencyCache:
             # compares frames by identity, so the sanitizer's residency
             # books key this event at a fixed generation 0 -- enough
             # for the RES002 evict-then-reship check, inert for RES001.
-            observer.cache_evicted("driver", id(frame), 0)
+            observer.cache_evicted("driver", _event_key(frame), 0)
 
 
 @dataclass(frozen=True)

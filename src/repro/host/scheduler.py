@@ -1,4 +1,4 @@
-"""The pipelined call scheduler: multi-worker sharding of call batches.
+"""The pipelined call scheduler: sharding call batches across engines.
 
 The paper's engine overlaps DMA and processing *within* one call via the
 block_A/block_B double buffer (section 4.1); the natural host-side dual
@@ -6,41 +6,47 @@ is overlapping *whole calls* that do not depend on each other.  This
 module supplies that second axis:
 
 * :class:`CallScheduler` executes batches of independent AddressLib
-  calls concurrently across a pool of engine worker processes;
+  calls concurrently on its *engines*: the parent process itself plus
+  ``min(max_workers, os.cpu_count()) - 1`` engine worker processes --
+  the host is one of the processing elements, as on the board, whose
+  double-buffered strips keep the host busy while the coprocessor
+  computes;
+* a wave is cut, in submission order, into one contiguous run per
+  engine, balanced by the overlap-model costs the modelled makespan
+  prices.  The parent submits the workers' runs first (one grouped
+  submission, one round trip, per worker), then computes the first
+  run itself (``bypass_calls``), reading its inputs in place -- no
+  registration and no round trip for those calls -- and then
+  collects the workers' results.  On a one-CPU host the parent's run
+  is the whole wave and nothing forks;
 * frames move to workers *zero-copy and at most once*: each distinct
-  input frame is registered in a shared-memory
+  input frame of the workers' runs is registered in a shared-memory
   :class:`~repro.host.shm.PlaneStore` once per wave and shipped as a
-  small handle, workers keep attached segments in a resident cache
-  across waves, and a wave is dispatched as one grouped submission per
-  worker (one round trip per worker per wave, not one future per call);
-* results come back the same way: each job that produces a frame is
-  leased a recycled result slab from the store, the worker writes into
-  it, and the parent adopts it in place;
-* where a call runs follows what the host can observe, not a cost
-  guess: the pool runs ``min(max_workers, os.cpu_count())`` worker
-  processes, and in a multi-call wave every call a worker can
-  re-resolve ships, in at most that many grouped round trips, when
-  there are at least two; with one process those calls stay in the
-  parent (``bypass_calls``) -- nothing forks, and no call pays IPC that
-  overlaps nothing;
+  small handle, and workers keep attached segments in a resident cache
+  across waves;
+* every frame result is written once, straight into a recycled result
+  slab the store leases: a worker computes into the slab's planes and
+  the parent adopts it in place, and the parent computes its own
+  run's results into slabs it adopts the same way.  Recycled slabs
+  keep their pages, where fresh result planes would be faulted in
+  anew every wave once the allocator had handed the freed ones back;
 * every batch is also *priced* under both timing models -- the serial
   (sum) model and the double-buffered overlap model of
   :class:`~repro.perf.timing.EngineTimingModel` -- list-scheduled onto
-  ``max_workers`` virtual engines by the same LPT rule that groups the
-  shipped calls onto the processes, so a batch reports the modelled
+  ``max_workers`` virtual engines, so a batch reports the modelled
   makespan speedup a multi-board deployment would see, independent of
   how many CPUs this host happens to have.
 
-Shared memory is the only transport.  A call that cannot take it -- no
-shared memory on the platform, a store that fails while its wave
-ships, a slab its worker cannot write, a worker that dies -- runs
-inline in the parent instead.
+Shared memory is the only transport.  A call of a worker's run that
+cannot take it -- no shared memory on the platform, a store that fails
+while its wave ships, a slab its worker cannot write, a worker that
+dies -- runs inline in the parent instead.
 
-Bit-exactness is by construction: workers run the *same*
-:class:`~repro.addresslib.executor.VectorExecutor` the serial path
-runs, and outcomes are collected by submission index, so results are
-identical to serial execution wherever a call ran (a worker, the
-parent of a one-process host, or the inline fallback after a failure).
+Bit-exactness is by construction: every engine runs the *same*
+:class:`~repro.addresslib.executor.VectorExecutor` kernel step (only
+the sink differs: slab planes instead of fresh ones), and outcomes are
+collected by submission index, so results are identical to serial
+execution wherever a call ran.
 
 Ops carry lambdas and do not pickle, so the parent never ships an op
 object: it ships the op *name* and the worker re-resolves it from the
@@ -73,16 +79,15 @@ from ..addresslib.ops import (ChannelSet, InterOp, INTER_OPS, INTRA_OPS,
 from ..core.pci import PCI_CLOCK_HZ
 from ..image.frame import Frame
 from ..perf.report import base_report_dict
-from ..perf.timing import (EngineTimingModel, list_scheduled_makespan,
-                           lpt_schedule)
+from ..perf.timing import EngineTimingModel, list_scheduled_makespan
 from . import shm
 
 _KERNEL_PREFIX = "kernel_"
 
-#: One call as shipped to a worker: mode, op token, reduce flag,
-#: channel set, the input frames' store handles, and the result slab
-#: leased to a call that produces a frame (``None`` for a reduce).
-_Job = Tuple[str, str, bool, ChannelSet, Tuple[shm.FrameHandle, ...],
+#: One call as shipped to a worker: mode, op token, channel set, the
+#: input frames' store handles, and the result slab leased to a call
+#: that produces a frame (``None`` for a reduce).
+_Job = Tuple[str, str, ChannelSet, Tuple[shm.FrameHandle, ...],
              Optional[shm.SlabHandle]]
 
 
@@ -93,19 +98,6 @@ def _resolve_op(mode_value: str, op_name: str) -> Union[InterOp, IntraOp]:
     if op_name in INTRA_OPS:
         return INTRA_OPS[op_name]
     return kernel_by_name(op_name[len(_KERNEL_PREFIX):])
-
-
-def _execute_call(op: Union[InterOp, IntraOp], reduce_to_scalar: bool,
-                  channels: ChannelSet, frames: Sequence[Frame]
-                  ) -> Union[Frame, int]:
-    """Execute one call with the shared vector executor: the one
-    dispatcher of the workers and the parent's inline path."""
-    if isinstance(op, InterOp):
-        if reduce_to_scalar:
-            return VectorExecutor.inter_reduce(
-                op, frames[0], frames[1], channels)
-        return VectorExecutor.inter(op, frames[0], frames[1], channels)
-    return VectorExecutor.intra(op, frames[0], channels)
 
 
 def _worker_init(sanitized: bool) -> None:
@@ -129,33 +121,35 @@ def _worker_init(sanitized: bool) -> None:
 
 def _execute_wave(jobs: Sequence[_Job], sanitized: bool
                   ) -> Tuple[List[Union[int, bool]], Dict[str, object]]:
-    """Worker-side execution of one worker's share of a wave.
+    """Worker-side execution of one worker's run of a wave.
 
     Runs in an engine worker process.  Input frames arrive as
-    shared-memory handles, attached through the worker-resident cache.
+    shared-memory handles, attached through the worker-resident cache;
+    a frame result is computed straight into its job's leased slab.
     Returns one value per job, in job order -- a reduce's scalar, or
-    whether the result frame went into the job's leased slab (``False``
-    sends that call back to the parent to run inline) -- plus the cache
-    counters (and, when sanitized, the worker's drained findings) of
-    this trip.
+    whether the result frame went into the slab (``False`` sends that
+    call back to the parent to run inline) -- plus the cache counters
+    (and, when sanitized, the worker's drained findings) of this trip.
     """
     results: List[Union[int, bool]] = []
     stats: Dict[str, object] = {"cache_hits": 0, "attaches": 0}
-    for (mode_value, op_name, reduce_to_scalar, channels, handles,
-         slab) in jobs:
+    for mode_value, op_name, channels, handles, slab in jobs:
         frames: List[Frame] = []
         for handle in handles:
             frame, hit = shm.worker_attach(handle)
             stats["cache_hits" if hit else "attaches"] += 1
             frames.append(frame)
-        value = _execute_call(_resolve_op(mode_value, op_name),
-                              reduce_to_scalar, channels, frames)
+        op = _resolve_op(mode_value, op_name)
         if slab is None:
-            assert isinstance(value, int)
-            results.append(value)
-        else:
-            assert isinstance(value, Frame)
-            results.append(shm.worker_write_slab(slab, value))
+            scalar = VectorExecutor.wave(op, [frames], channels,
+                                         reduce_to_scalar=True)[0]
+            assert isinstance(scalar, int)
+            results.append(scalar)
+            continue
+        result = shm.worker_result_frame(slab, frames[0].format)
+        if result is not None:
+            VectorExecutor.wave_into(op, [frames], channels, [result])
+        results.append(result is not None)
     if sanitized:
         try:
             from ..analysis import sanitize as _sanitize
@@ -176,17 +170,19 @@ class BatchReport:
     workers: int = 1
     #: Calls executed in worker processes (over shared memory).
     pool_calls: int = 0
-    #: Calls executed inline (unresolvable op, no shared memory, or a
-    #: failed pool, store or slab).
+    #: Calls executed inline in the parent because they could not go
+    #: to a worker (unresolvable op, no shared memory, or a failed
+    #: pool, store or slab).
     inline_calls: int = 0
-    #: Calls a worker could have run, kept in the parent because this
-    #: host runs fewer than two worker processes.
+    #: Calls the parent ran as its own run of a wave (the whole wave
+    #: on a one-CPU host).
     bypass_calls: int = 0
-    #: Grouped submissions (one per worker per wave).
+    #: Grouped submissions (one per worker run per wave).
     round_trips: int = 0
     #: Wall seconds registering frames and submitting groups.
     ship_seconds: float = 0.0
-    #: Wall seconds executing (inline calls plus waiting on workers).
+    #: Wall seconds executing in the parent (its own run and inline
+    #: calls) plus waiting on workers.
     compute_seconds: float = 0.0
     #: Wall seconds adopting result slabs in the parent.
     gather_seconds: float = 0.0
@@ -232,7 +228,7 @@ class BatchReport:
 
 @dataclass
 class _Group:
-    """One worker's share of a wave: call indices, the slab leased to
+    """One worker's run of a wave: call indices, the slab leased to
     each call, and the pending submission."""
 
     indices: List[int]
@@ -276,19 +272,21 @@ class _PoolResources:
 
 
 class CallScheduler(BatchExecutor):
-    """Shards independent AddressLib calls across engine workers.
+    """Shards independent AddressLib calls across engines: the parent
+    and its engine worker processes.
 
-    The pool is created lazily on the first batched call and survives
-    across batches (worker warm-up is paid once).  Frames reach the
-    workers as plane-store handles and results return through slabs.
-    A call that cannot go that way -- no shared memory, a store that
-    fails while its wave ships, a slab its worker cannot write, a
-    worker that cannot start or dies -- runs inline in the parent,
-    still bit-exact, never lost.  A failed pool or store is shut down
-    and dropped; the next batch builds a fresh one.
+    The pool is created lazily on the first wave that has a run for a
+    worker and survives across batches (worker warm-up is paid once).
+    Frames reach the workers as plane-store handles and results return
+    through slabs.  A call of a worker's run that cannot go that way --
+    no shared memory, a store that fails while its wave ships, a slab
+    its worker cannot write, a worker that cannot start or dies -- runs
+    inline in the parent, still bit-exact, never lost.  A failed pool
+    or store is shut down and dropped; the next batch builds a fresh
+    one.
 
-    ``max_workers`` engines price each batch's modelled makespan; the
-    pool runs at most one worker process per CPU of them.
+    ``max_workers`` engines price each batch's modelled makespan; at
+    most one engine per CPU of them runs, the parent being the first.
 
     A scheduler built while a transport sanitizer is installed
     (:func:`~repro.analysis.sanitize.install_sanitizer`) arms its
@@ -308,9 +306,14 @@ class CallScheduler(BatchExecutor):
         #: plus every worker's, in collection order.
         self.sanitizer_findings: List["Diagnostic"] = []
         self.max_workers = max(1, max_workers or os.cpu_count() or 1)
-        #: Worker processes: more than one per CPU would only contend.
-        self._processes = min(self.max_workers, os.cpu_count() or 1)
+        #: Engines that run: the parent plus one worker process per
+        #: further CPU (more than one engine per CPU would only contend).
+        self._engines = min(self.max_workers, os.cpu_count() or 1)
         self.timing = EngineTimingModel()
+        # The stack's one pricing definition, imported here because the
+        # pool package itself builds on this module.
+        from ..pool import pricing
+        self._pricing = pricing
         self._resources = _PoolResources()
         self._finalizer = weakref.finalize(self, _PoolResources.release,
                                            self._resources)
@@ -349,7 +352,7 @@ class CallScheduler(BatchExecutor):
                 # The initializer drops worker-cache entries inherited
                 # over fork(): they belong to the parent's store.
                 self._resources.pool = ProcessPoolExecutor(
-                    max_workers=self._processes,
+                    max_workers=self._engines - 1,
                     initializer=_worker_init,
                     initargs=(self.sanitized,))
             except Exception:
@@ -384,23 +387,41 @@ class CallScheduler(BatchExecutor):
 
     @staticmethod
     def _execute_inline(call: BatchCall) -> BatchOutcome:
-        value = _execute_call(call.op, call.reduce_to_scalar,
-                              call.channels, call.frames)
-        if isinstance(value, Frame):
-            return BatchOutcome(frame=value)
-        return BatchOutcome(scalar=value)
+        """Run one call in the parent with the shared vector executor."""
+        op, frames, channels = call.op, call.frames, call.channels
+        if isinstance(op, InterOp):
+            if call.reduce_to_scalar:
+                return BatchOutcome(scalar=VectorExecutor.inter_reduce(
+                    op, frames[0], frames[1], channels))
+            return BatchOutcome(frame=VectorExecutor.inter(
+                op, frames[0], frames[1], channels))
+        return BatchOutcome(frame=VectorExecutor.intra(op, frames[0],
+                                                       channels))
+
+    @classmethod
+    def _execute_own(cls, call: BatchCall,
+                     store: Optional[shm.PlaneStore]) -> BatchOutcome:
+        """Run one call of the parent's own run: its inputs are read in
+        place, and a frame result is computed straight into a recycled
+        slab of ``store`` -- a worker's sink, without the registration
+        or the round trip.  Without a slab it runs inline."""
+        if store is None or call.reduce_to_scalar:
+            return cls._execute_inline(call)
+        slab = store.lease_slab(call.fmt)
+        frame = store.adopt_slab(slab, call.fmt) if slab else None
+        if frame is None:
+            return cls._execute_inline(call)
+        VectorExecutor.wave_into(call.op, [call.frames], call.channels,
+                                 [frame])
+        return BatchOutcome(frame=frame)
 
     # -- modelled timing ------------------------------------------------------
 
     def _call_costs(self, call: BatchCall) -> Tuple[float, float]:
-        """(serial-model, overlap-model) seconds of one call.
-
-        Delegates to the stack's one pricing definition
-        (:func:`repro.pool.pricing.call_cost_seconds`); imported lazily
-        because the pool package itself builds on this module.
-        """
-        from ..pool.pricing import call_cost_seconds
-        return call_cost_seconds(call, self.timing)
+        """(serial-model, overlap-model) seconds of one call, from the
+        stack's one pricing definition
+        (:func:`repro.pool.pricing.call_cost_seconds`)."""
+        return self._pricing.call_cost_seconds(call, self.timing)
 
     def _modeled_wave(self, calls: Sequence[BatchCall]
                       ) -> Tuple[float, float]:
@@ -421,11 +442,12 @@ class CallScheduler(BatchExecutor):
         """Execute one wave of independent calls; outcomes in order.
 
         Four phases, each timed into the report: *plan* (op tokens, and
-        which calls ship), *ship* (register frames, lease result slabs,
-        one grouped submission per worker), *compute* (inline calls plus
-        waiting on workers, with whole-group inline fallback on any pool
-        failure), *gather* (adopt the result slabs; a slab the worker
-        could not write runs its call inline).
+        the cut into one run per engine), *ship* (register the workers'
+        frames, lease result slabs, one grouped submission per worker
+        run), *compute* (the parent's own run, any call that could not
+        ship, then waiting on the workers, with whole-run inline
+        fallback on any pool failure), *gather* (adopt the result
+        slabs; a slab the worker could not write runs its call inline).
         """
         calls = list(calls)
         outcomes: List[Optional[BatchOutcome]] = [None] * len(calls)
@@ -436,36 +458,39 @@ class CallScheduler(BatchExecutor):
         if observer is not None:
             observer.wave_opened()
         tokens = [self._op_token(call) for call in calls]
-        # A multi-call wave ships every call a worker can re-resolve --
-        # unless this host runs one process, which overlaps nothing:
-        # then those calls stay in the parent.
-        shippable = ([index for index, token in enumerate(tokens)
-                      if token is not None] if len(calls) > 1 else [])
-        bypassed = set(shippable) if self._processes < 2 else set()
-        pool = (self._ensure_pool() if shippable and not bypassed
-                else None)
+        own, *runs = self._engine_runs(
+            calls, [index for index, token in enumerate(tokens)
+                    if token is not None])
+        runs = [run for run in runs if run]
+        pool = self._ensure_pool() if runs else None
+        if shm.SHARED_MEMORY_AVAILABLE and not self._closed:
+            # Frame results, the parent's too, go into the store's
+            # recycled slabs: fresh result planes would fault their
+            # pages in anew every wave once the allocator has handed
+            # the freed ones back to the system.
+            self._ensure_store()
 
-        # Ship: register every distinct frame once, lease result slabs,
-        # submit one grouped job list per worker.
+        # Ship: register every distinct frame of the workers' runs
+        # once, lease result slabs, submit one job list per run.
         groups: List[_Group] = []
         if pool is not None:
             start = time.perf_counter()
-            groups = self._ship(calls, tokens, shippable, pool, report)
+            groups = self._ship(calls, tokens, runs, pool, report)
             report.ship_seconds = time.perf_counter() - start
-        in_groups = {index for group in groups for index in group.indices}
+        shipped = {index for group in groups for index in group.indices}
 
-        # Compute: inline work runs while the workers chew on theirs;
-        # then collect each group, falling back inline group-wise.
+        # Compute: the parent's own run while the workers chew on
+        # theirs, then every call that did not ship; then collect each
+        # group, falling back inline group-wise.
         start = time.perf_counter()
+        store = self._resources.store  # None if shipping broke it
+        for index in own:
+            outcomes[index] = self._execute_own(calls[index], store)
+        report.bypass_calls = len(own)
         for index, call in enumerate(calls):
-            if index in in_groups:
-                continue
-            outcomes[index] = self._execute_inline(call)
-            if index in bypassed:
-                report.bypass_calls += 1
-            else:
+            if outcomes[index] is None and index not in shipped:
+                outcomes[index] = self._execute_inline(call)
                 report.inline_calls += 1
-        store = self._resources.store
         collected = []
         pool_failed = False
         for group in groups:
@@ -518,25 +543,57 @@ class CallScheduler(BatchExecutor):
         assert all(outcome is not None for outcome in outcomes)
         return [outcome for outcome in outcomes if outcome is not None]
 
+    def _engine_runs(self, calls: Sequence[BatchCall],
+                     indices: Sequence[int]) -> List[List[int]]:
+        """Cut the calls at ``indices`` (in submission order) into one
+        contiguous run per engine: the parent's first, then one per
+        worker process.
+
+        Each run ends where the running total of the calls'
+        overlap-model costs -- the ones the modelled makespan prices --
+        comes nearest to its engines' share of the total, a tie going
+        to the longer run.  The parent's run always holds the first
+        call, as the parent pays no round trip: a one-call wave is the
+        parent's, and a one-engine host's parent runs the whole wave.
+        Deterministic, so the same wave always splits the same way.
+        """
+        costs = [self._call_costs(calls[index])[1] for index in indices]
+        total = sum(costs)
+        runs: List[List[int]] = []
+        start = end = 0
+        done = 0.0
+        for engine in range(1, self._engines):
+            target = total * engine / self._engines
+            while end < len(costs) and (
+                    end == 0 or abs(done + costs[end] - target)
+                    <= abs(done - target)):
+                done += costs[end]
+                end += 1
+            runs.append(list(indices[start:end]))
+            start = end
+        runs.append(list(indices[start:]))
+        return runs
+
     def _ship(self, calls: Sequence[BatchCall],
-              tokens: Sequence[Optional[str]], shipped: List[int],
+              tokens: Sequence[Optional[str]], runs: List[List[int]],
               pool: ProcessPoolExecutor, report: BatchReport
               ) -> List[_Group]:
-        """Register each distinct input frame once, lease a result slab
-        to each job that produces a frame, and submit one job group per
-        worker.
+        """Register each distinct input frame of the workers' ``runs``
+        once, lease a result slab to each call that produces a frame,
+        and submit one job group per run.
 
-        Nothing is submitted until the whole wave is in the store.  A
-        store that fails on the way is closed and dropped, and no group
-        ships: every call of the wave runs inline.  A group whose
-        submission fails has no future and runs inline when collected.
+        Nothing is submitted until the whole of the runs is in the
+        store.  A store that fails on the way is closed and dropped,
+        and no group ships: every call of the runs runs inline.  A
+        group whose submission fails has no future and runs inline when
+        collected.
         """
         store = self._ensure_store()
         observer = shm.get_transport_observer()
         # Every frame of the wave is alive (the calls hold them), so
         # id() names one frame for the whole pass.
         handles: Dict[int, shm.FrameHandle] = {}
-        for frame in {id(frame): frame for index in shipped
+        for frame in {id(frame): frame for run in runs for index in run
                       for frame in calls[index].frames}.values():
             handle = store.register(frame)
             if handle is None:
@@ -545,10 +602,10 @@ class CallScheduler(BatchExecutor):
             if observer is not None:
                 observer.handle_shipped(handle)
             handles[id(frame)] = handle
-        groups = [_Group(indices, [None if calls[index].reduce_to_scalar
-                                   else store.lease_slab(calls[index].fmt)
-                                   for index in indices])
-                  for indices in self._group_by_worker(shipped, calls)]
+        groups = [_Group(run, [None if calls[index].reduce_to_scalar
+                               else store.lease_slab(calls[index].fmt)
+                               for index in run])
+                  for run in runs]
         if store.broken:
             self._resources.drop_store()  # unlinks the leased slabs
             return []
@@ -557,8 +614,7 @@ class CallScheduler(BatchExecutor):
             for index, slab in zip(group.indices, group.slabs):
                 call, token = calls[index], tokens[index]
                 assert token is not None
-                jobs.append((call.mode.value, token,
-                             call.reduce_to_scalar, call.channels,
+                jobs.append((call.mode.value, token, call.channels,
                              tuple(handles[id(frame)]
                                    for frame in call.frames), slab))
             try:
@@ -576,22 +632,6 @@ class CallScheduler(BatchExecutor):
         for slab in slabs:
             if slab is not None:
                 store.recycle_slab(slab)
-
-    def _group_by_worker(self, indices: List[int],
-                         calls: Sequence[BatchCall]) -> List[List[int]]:
-        """LPT grouping of the shipped calls onto the worker processes
-        -- one submission (round trip) each.
-
-        The rule and the overlap-model costs are the ones the modelled
-        makespan prices (:func:`~repro.perf.timing.lpt_schedule`); ties
-        break on submission index, so the grouping is stable across
-        runs.
-        """
-        groups, _ = lpt_schedule(
-            [self._call_costs(calls[index])[1] for index in indices],
-            self._processes)
-        return [[indices[position] for position in sorted(group)]
-                for group in groups if group]
 
     def _collect(self, future: Optional[Future], report: BatchReport
                  ) -> Optional[List[Union[int, bool]]]:

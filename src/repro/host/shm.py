@@ -9,9 +9,9 @@ boundary has exactly the same structure: pickling a frame into a
 ``ProcessPoolExecutor`` is this model's PCI transfer, and it was the
 measured wall-clock limiter.  This module is the DMA engine of that
 analogy -- each :class:`~repro.image.frame.Frame`'s five planes are
-written *once* into a ``multiprocessing.shared_memory`` segment and the
-workers receive a small handle (segment name, geometry, generation)
-instead of the bytes.
+written *once* into a POSIX shared-memory segment and the workers
+receive a small handle (segment name, geometry, generation) instead of
+the bytes.
 
 Three cooperating pieces:
 
@@ -24,28 +24,34 @@ Three cooperating pieces:
   attached segments keyed by ``(store token, frame id)``, so the N
   calls of a wave that touch the same frame map it once; a generation
   bump invalidates the cached entry.
-* result *slabs* -- the worker-to-parent return path, this model's
-  reused output memory (the engine's block_A/block_B OIM).  The store
-  owns every slab: :meth:`PlaneStore.lease_slab` hands each job that
-  produces a frame a frame-sized segment from a bounded idle list per
-  size, the worker writes its result into it through a mapping it
-  keeps (:func:`worker_write_slab`), and :meth:`PlaneStore.adopt_slab`
-  wraps it as a zero-copy frame.  The slab goes back on the idle list
-  once no plane view of that frame is left, and the store unlinks
-  every slab when it closes -- a worker that dies mid-wave orphans
-  nothing.
+* result *slabs* -- the scheduler's reused output memory (the
+  engine's block_A/block_B OIM).  The store owns every slab:
+  :meth:`PlaneStore.lease_slab` hands each call that produces a frame
+  a frame-sized segment from a bounded idle list per size; a worker
+  computes its result straight into the slab's plane views through a
+  mapping it keeps (:func:`worker_result_frame`), and
+  :meth:`PlaneStore.adopt_slab` wraps the slab as a zero-copy frame --
+  which the parent also computes its own calls' results into.  A
+  result is written once, as the board writes it once from its OIM
+  into a ZBT result bank.  The slab goes back on the idle list once no
+  plane view of that frame is left, and the store unlinks every slab
+  when it closes -- a worker that dies mid-wave orphans nothing.
 
-Shared memory is the scheduler's only transport.  When the platform
-has no ``multiprocessing.shared_memory`` (:data:`SHARED_MEMORY_AVAILABLE`
-is False) nothing ships; when a segment operation fails at runtime, the
-store flips ``broken`` and the scheduler runs that wave inline in the
-parent, then replaces the store with a fresh one.
+Segments are created, mapped and unlinked with the POSIX primitives
+``multiprocessing.shared_memory`` itself uses, so the resource tracker
+never hears of them: this module does its own refcounted cleanup.
+Shared memory is the scheduler's only transport.  Where the platform
+has no POSIX shared memory (:data:`SHARED_MEMORY_AVAILABLE` is False)
+nothing ships; when a segment operation fails at runtime, the store
+flips ``broken`` and the scheduler runs that wave's shipped calls
+inline in the parent, then replaces the store with a fresh one.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
+import secrets
 import uuid
 import weakref
 from collections import OrderedDict
@@ -60,39 +66,30 @@ from ..image.frame import Frame, PLANE_DTYPES
 from ..image.pixel import ALL_CHANNELS, Channel
 
 try:
-    from multiprocessing import shared_memory as _shm
-    SHARED_MEMORY_AVAILABLE = True
-except ImportError:  # pragma: no cover - py3.8-/platform gaps
-    _shm = None  # type: ignore[assignment]
-    SHARED_MEMORY_AVAILABLE = False
-
-try:
     import _posixshmem  # the stdlib's own POSIX shm backing
+    SHARED_MEMORY_AVAILABLE = True
 except ImportError:  # pragma: no cover - non-POSIX platforms
     _posixshmem = None  # type: ignore[assignment]
+    SHARED_MEMORY_AVAILABLE = False
+
+#: Segment names start like ``multiprocessing.shared_memory``'s, so a
+#: leak check over ``/dev/shm`` sees this module's segments too.
+_NAME_PREFIX = "psm_"
 
 
 # ---------------------------------------------------------------------------
 # Segment payload layout
 # ---------------------------------------------------------------------------
 
-def _plane_layout(fmt: ImageFormat
-                  ) -> List[Tuple[Channel, int, np.dtype]]:
-    """``(channel, byte offset, dtype)`` of each plane in a segment."""
-    layout = []
-    offset = 0
-    for channel in ALL_CHANNELS:
-        dtype = np.dtype(PLANE_DTYPES[channel])
-        layout.append((channel, offset, dtype))
-        offset += fmt.pixels * dtype.itemsize
-    return layout
+#: Each plane's channel and dtype, in segment order.
+_PLANES: Tuple[Tuple[Channel, np.dtype], ...] = tuple(
+    (channel, np.dtype(PLANE_DTYPES[channel])) for channel in ALL_CHANNELS)
 
 
 def frame_payload_bytes(fmt: ImageFormat) -> int:
     """Bytes one frame occupies in a segment (7 bytes per pixel: three
     8-bit colour planes plus two 16-bit meta planes)."""
-    return fmt.pixels * sum(np.dtype(PLANE_DTYPES[c]).itemsize
-                            for c in ALL_CHANNELS)
+    return fmt.pixels * sum(dtype.itemsize for _, dtype in _PLANES)
 
 
 def _plane_views(base: np.ndarray,
@@ -103,10 +100,12 @@ def _plane_views(base: np.ndarray,
     view a caller derives from one -- has ``base`` as its ``.base``.
     """
     views: Dict[Channel, np.ndarray] = {}
-    for channel, offset, dtype in _plane_layout(fmt):
+    shape = (fmt.height, fmt.width)
+    offset = 0
+    for channel, dtype in _PLANES:
         end = offset + fmt.pixels * dtype.itemsize
-        views[channel] = base[offset:end].view(dtype).reshape(
-            fmt.height, fmt.width)
+        views[channel] = base[offset:end].view(dtype).reshape(shape)
+        offset = end
     return views
 
 
@@ -131,7 +130,7 @@ def read_frame(fmt: ImageFormat, base: np.ndarray,
     return Frame.from_plane_views(fmt, planes)
 
 
-def _segment_bytes(segment: Any, nbytes: int) -> np.ndarray:
+def _segment_bytes(segment: _Segment, nbytes: int) -> np.ndarray:
     """The first ``nbytes`` of ``segment`` as a uint8 array."""
     return np.frombuffer(segment.buf, dtype=np.uint8, count=nbytes)
 
@@ -140,35 +139,54 @@ def _segment_bytes(segment: Any, nbytes: int) -> np.ndarray:
 # Segment lifecycle helpers
 # ---------------------------------------------------------------------------
 
-def _untrack(segment: Any) -> None:
-    """Withdraw a created ``segment`` from the resource tracker.
+class _Segment:
+    """A segment this module created: its name and read-write mapping.
 
-    Before 3.13 *every* ``SharedMemory`` registers itself (bpo-38119),
-    so the tracker would unlink segments at exit and warn about
-    "leaked" ones this module never leaked.  This module does its own
-    refcounted cleanup instead, so a creation is withdrawn immediately
-    (and unlinking goes through :func:`_unlink_segment`, which never
-    touches the tracker).  Attaches never register at all (see
-    :func:`_attach_segment`).
+    ``close()`` unmaps at once, or raises ``BufferError`` while numpy
+    arrays still view the mapping; :func:`_disarm` then hands the
+    mapping to those arrays, and the last one to die unmaps it.
     """
+
+    __slots__ = ("name", "buf", "__weakref__")
+
+    def __init__(self, name: str, buf: mmap.mmap) -> None:
+        self.name = name
+        self.buf: Optional[mmap.mmap] = buf
+
+    def close(self) -> None:
+        if self.buf is not None:
+            self.buf.close()
+            self.buf = None
+
+
+def _new_segment(nbytes: int) -> _Segment:
+    """Create and map a segment of ``nbytes`` under a fresh name.
+
+    ``O_EXCL`` makes a name collision fail instead of sharing another
+    segment; a fresh name is drawn then.  Nothing registers with the
+    resource tracker (``SharedMemory(create=True)`` would, before
+    3.13, and withdrawing the registration cost more than the rest of
+    the creation).
+    """
+    while True:
+        name = _NAME_PREFIX + secrets.token_hex(5)
+        try:
+            fd = _posixshmem.shm_open(
+                "/" + name, os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600)
+        except FileExistsError:
+            continue
+        break
     try:
-        from multiprocessing import resource_tracker
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:
-        pass
+        os.ftruncate(fd, nbytes)
+        return _Segment(name, mmap.mmap(fd, nbytes))
+    except BaseException:
+        _posixshmem.shm_unlink("/" + name)
+        raise
+    finally:
+        os.close(fd)
 
 
-def _new_segment(nbytes: int) -> Any:
-    """Create an untracked segment of ``nbytes``."""
-    try:
-        return _shm.SharedMemory(create=True, size=nbytes, track=False)
-    except TypeError:  # track= appeared in 3.13
-        segment = _shm.SharedMemory(create=True, size=nbytes)
-        _untrack(segment)
-        return segment
-
-
-def _attach_segment(name: str) -> Any:
+def _attach_segment(name: str) -> mmap.mmap:
     """Map an existing segment read-write; returns the mapping.
 
     The POSIX name is opened and mapped directly, so an attach sends
@@ -179,11 +197,6 @@ def _attach_segment(name: str) -> Any:
     names, fails the second UNREGISTER with a ``KeyError`` traceback.
     The mapping unmaps itself once the last array over it dies.
     """
-    if _posixshmem is None:  # pragma: no cover - no tracker off POSIX
-        segment = _shm.SharedMemory(name=name)
-        mapping = segment.buf
-        _disarm(segment)
-        return mapping
     fd = _posixshmem.shm_open("/" + name, os.O_RDWR, mode=0o600)
     try:
         return mmap.mmap(fd, os.fstat(fd).st_size)
@@ -197,42 +210,19 @@ def _attach_bytes(name: str, nbytes: int) -> np.ndarray:
                          count=nbytes)
 
 
-def _unlink_segment(segment: Any) -> None:
-    """Remove the segment's name, bypassing the tracker.
-
-    ``SharedMemory.unlink()`` also *unregisters* with the resource
-    tracker (before 3.13 unconditionally) -- but this module withdrew
-    the registration at construction, so that unregister would be
-    unmatched and the tracker process logs a ``KeyError``.  Unlink the
-    POSIX name directly instead.
-    """
-    name = getattr(segment, "_name", None)
-    if not name:
-        return
-    if _posixshmem is not None:
-        _posixshmem.shm_unlink(name)
-    else:  # pragma: no cover - non-POSIX: unlink is a no-op anyway
-        segment.unlink()
-
-
-def _disarm(segment: Any) -> None:
+def _disarm(segment: _Segment) -> None:
     """Hand the mapping's lifetime to the numpy views derived from it.
 
-    Once plane views exist, ``SharedMemory.close()`` (including the one
-    its ``__del__`` retries) would raise ``BufferError`` for as long as
-    any view is alive.  Detaching the wrapper instead lets the last
-    view drop the mmap, which then closes itself silently -- refcounted
-    unmapping, no destructor noise.  ``unlink`` keeps working: it only
-    needs the name.
+    Once plane views exist, closing the mapping would raise
+    ``BufferError`` for as long as any view is alive.  Dropping the
+    segment's reference instead lets the last view drop the mmap,
+    which then closes itself silently -- refcounted unmapping, no
+    destructor noise.  Unlinking keeps working: it only needs the name.
     """
-    try:
-        segment._buf = None
-        segment._mmap = None
-    except AttributeError:  # pragma: no cover - unexpected layout
-        pass
+    segment.buf = None
 
 
-def _release_segment(segment: Any) -> None:
+def _release_segment(segment: _Segment) -> None:
     """Close and unlink a segment, tolerating exported numpy views: a
     mapping that is still pinned is handed to its views (see
     :func:`_disarm`), while the unlink removes the name at once."""
@@ -243,11 +233,9 @@ def _release_segment(segment: Any) -> None:
         segment.close()
     except BufferError:
         _disarm(segment)
-    except Exception:
-        pass
     try:
-        _unlink_segment(segment)
-    except Exception:
+        _posixshmem.shm_unlink("/" + segment.name)
+    except OSError:
         pass
 
 
@@ -365,10 +353,30 @@ def get_transport_observer() -> Optional[TransportObserver]:
 # Parent-side store
 # ---------------------------------------------------------------------------
 
+def _same_values(plane: np.ndarray, view: np.ndarray) -> bool:
+    """Whether a frame plane still holds what its segment view holds.
+
+    Both are integer planes of one shape and dtype, so equal values are
+    equal bytes: C-contiguous planes compare as 8-byte words (plus the
+    odd tail bytes), eight bytes a step; any other layout compares
+    elementwise.
+    """
+    if not (plane.flags.c_contiguous and view.flags.c_contiguous):
+        return bool(np.array_equal(plane, view))
+    ours = plane.reshape(-1).view(np.uint8)
+    theirs = view.reshape(-1).view(np.uint8)
+    if ours.size != theirs.size:
+        return False
+    words = ours.size - ours.size % 8
+    return bool(np.array_equal(ours[:words].view(np.uint64),
+                               theirs[:words].view(np.uint64))
+                and np.array_equal(ours[words:], theirs[words:]))
+
+
 class _StoreEntry:
     __slots__ = ("frame_ref", "segment", "handle", "views")
 
-    def __init__(self, frame_ref: "weakref.ref[Frame]", segment: Any,
+    def __init__(self, frame_ref: "weakref.ref[Frame]", segment: _Segment,
                  handle: FrameHandle,
                  views: Dict[Channel, np.ndarray]) -> None:
         self.frame_ref = frame_ref
@@ -411,7 +419,7 @@ class PlaneStore:
         self._entries: Dict[int, _StoreEntry] = {}
         self._next_frame_id = 0
         #: Every slab the store owns, leased or idle, by slab id.
-        self._slabs: Dict[int, Any] = {}
+        self._slabs: Dict[int, _Segment] = {}
         #: Idle slabs per payload size, most recently returned last.
         self._idle_slabs: Dict[int, List[SlabHandle]] = {}
 
@@ -449,17 +457,16 @@ class PlaneStore:
 
     @staticmethod
     def _content_matches(entry: _StoreEntry, frame: Frame) -> bool:
-        return all(np.array_equal(frame.plane(channel),
-                                  entry.views[channel])
+        return all(_same_values(frame.plane(channel), entry.views[channel])
                    for channel in ALL_CHANNELS)
 
     @staticmethod
-    def _views(segment: Any,
+    def _views(segment: _Segment,
                fmt: ImageFormat) -> Dict[Channel, np.ndarray]:
         return _plane_views(
             _segment_bytes(segment, frame_payload_bytes(fmt)), fmt)
 
-    def _write_segment(self, frame: Frame) -> Any:
+    def _write_segment(self, frame: Frame) -> Optional[_Segment]:
         """A fresh segment holding ``frame``'s planes, or ``None``."""
         nbytes = frame_payload_bytes(frame.format)
         try:
@@ -632,7 +639,7 @@ _WORKER_CACHE_CAP: int = 128
 
 #: Mapped result slabs, keyed by ``(store token, slab id)``: the uint8
 #: bytes of each, which own the mapping as the input frames' views do.
-#: Which worker a group lands on is up to the pool, so each worker ends
+#: Which worker a run lands on is up to the pool, so each worker ends
 #: up mapping every slab in circulation; the cap matches the store's
 #: idle list (:data:`_SLAB_IDLE_CAP`).
 _WORKER_SLABS: "OrderedDict[Tuple[str, int], np.ndarray]" = OrderedDict()
@@ -714,27 +721,28 @@ def worker_cache_size() -> int:
     return len(_WORKER_CACHE)
 
 
-def worker_write_slab(slab: SlabHandle, frame: Frame) -> bool:
-    """Write a result frame into its leased slab; ``False`` means the
-    slab cannot take it (a payload of another size, or a slab the
+def worker_result_frame(slab: SlabHandle,
+                        fmt: ImageFormat) -> Optional[Frame]:
+    """The leased ``slab`` as a writeable ``fmt`` frame of plane views,
+    for a worker to compute its result straight into; ``None`` means
+    the slab cannot take it (a payload of another size, or a slab the
     parent already unlinked): the parent runs the call inline instead.
 
     The slab is mapped once per worker and kept in an LRU, so a
-    recycled slab costs one copy of the planes and nothing else.
+    recycled slab costs no system call.
     """
-    if frame_payload_bytes(frame.format) != slab.nbytes:
-        return False
+    if frame_payload_bytes(fmt) != slab.nbytes:
+        return None
     key = (slab.token, slab.slab_id)
     base = _WORKER_SLABS.get(key)
     if base is None:
         try:
             base = _attach_bytes(slab.segment_name, slab.nbytes)
         except OSError:
-            return False
+            return None
         _WORKER_SLABS[key] = base
         while len(_WORKER_SLABS) > _WORKER_SLAB_CAP:
             _WORKER_SLABS.popitem(last=False)
     else:
         _WORKER_SLABS.move_to_end(key)
-    write_frame(base, frame)
-    return True
+    return read_frame(fmt, base, writeable=True)

@@ -187,7 +187,7 @@ def sanitizer_section() -> str:
     finally:
         uninstall_sanitizer()
     clean = not scheduler.sanitizer_findings
-    rows.append(("--", "sanitized clean batch (6 calls, 2 workers)",
+    rows.append(("--", "sanitized clean batch (6 calls, 2 engines)",
                  "clean" if clean else
                  f"{len(scheduler.sanitizer_findings)} finding(s)"))
     return format_table(

@@ -117,6 +117,26 @@ class TestDriverResidencyShim:
         assert any(d.rule_id == "RES002"
                    for d in sanitizer.drain())
 
+    def test_recycled_frame_ids_are_not_reships(self):
+        """Fresh frames, each run once, released and dropped: CPython
+        hands a dead frame's id() to the next frame, which must not
+        read as the dead one re-attached after its eviction."""
+        from repro.host.backend import EngineBackend
+
+        fmt = ImageFormat("T32", 32, 32)
+        backend = EngineBackend(chain_frames=True)
+        lib = AddressLib(backend)
+        sanitizer = install_sanitizer()
+        ids = set()
+        for seed in range(50):
+            frame = noise_frame(fmt, seed=seed)
+            ids.add(id(frame))
+            lib.intra(INTRA_GRAD, frame)
+            backend.residency.release(frame)
+            del frame
+        assert len(ids) < 50  # ids were recycled
+        assert sanitizer.drain() == []
+
     def test_healthy_chain_stays_clean(self):
         from repro.addresslib import INTER_ABSDIFF, INTRA_GRAD
         from repro.host.backend import EngineBackend

@@ -1,16 +1,19 @@
 """The pipelined call scheduler: bit-exactness, determinism, accounting.
 
-The scheduler may execute calls in worker processes and in any
-completion order, but the results handed back must be *indistinguishable*
-from serial execution: identical frames, identical scalars, identical
-call records.  This harness drives the same randomized corpus recipe as
-the fast-path equivalence suite (seed family 0xFA57) through batched
-and serial execution and compares everything.
+The scheduler may execute calls in the parent or in worker processes
+and in any completion order, but the results handed back must be
+*indistinguishable* from serial execution: identical frames, identical
+scalars, identical call records.  This harness drives the same
+randomized corpus recipe as the fast-path equivalence suite (seed
+family 0xFA57) through batched and serial execution and compares
+everything.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.addresslib import (AddressLib, BatchCall, INTER_ABSDIFF,
                               INTER_ADD, INTER_OPS, INTRA_BOX3, INTRA_GRAD,
@@ -40,8 +43,8 @@ _SHARDS_RUN = []
 
 @pytest.fixture(scope="module")
 def scheduler():
-    # Two worker processes whatever this host has, so the corpus
-    # crosses shared memory even on one CPU.
+    # Two engines whatever this host has -- the parent and one worker
+    # process -- so the corpus crosses shared memory even on one CPU.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("repro.host.scheduler.os.cpu_count", lambda: 2)
         sched = CallScheduler(max_workers=2)
@@ -84,27 +87,40 @@ def _assert_same(got, want):
 class TestCorpusEquivalence:
     @pytest.mark.parametrize("shard", range(SHARDS))
     def test_scheduled_matches_serial_executor(self, shard, scheduler):
+        """The shard runs twice, the second time in reverse order, so
+        the parent's run falls on the other end: every case ships to
+        the worker in one pass and runs in the parent in the other,
+        bit-exact both times."""
         rng = random.Random(0xFA57 + shard)
         calls = [_random_batch_call(rng) for _ in range(CASES_PER_SHARD)]
         lib = AddressLib(SoftwareBackend())
-        results = lib.run_batch(calls, scheduler=scheduler)
-        assert len(results) == len(calls)
-        for call, got in zip(calls, results):
-            _assert_same(got, _serial_reference(call))
-        assert scheduler.last_report.pool_calls == (
-            len(calls) if SHARED_MEMORY_AVAILABLE else 0)
+        in_parent = []
+        for order in (calls, calls[::-1]):
+            results = lib.run_batch(order, scheduler=scheduler)
+            assert len(results) == len(order)
+            for call, got in zip(order, results):
+                _assert_same(got, _serial_reference(call))
+            own = scheduler._engine_runs(order, range(len(order)))[0]
+            report = scheduler.last_report
+            assert report.bypass_calls == len(own)
+            assert report.pool_calls == (
+                len(order) - len(own) if SHARED_MEMORY_AVAILABLE else 0)
+            in_parent.append({id(order[index]) for index in own})
+        assert in_parent[0].isdisjoint(in_parent[1])
+        assert in_parent[0] | in_parent[1] == {id(call) for call in calls}
         _SHARDS_RUN.append(shard)
 
     @pytest.mark.skipif(not SHARED_MEMORY_AVAILABLE,
                         reason="no multiprocessing.shared_memory")
     def test_every_case_reached_a_worker(self, scheduler):
-        # Runs after the shards, in file order: every one of the 208
-        # cases crossed shared memory to a worker.
+        # Runs after the shards, in file order: over the two passes,
+        # every one of the 208 cases crossed shared memory to a worker
+        # once and ran in the parent once.
         if sorted(_SHARDS_RUN) != list(range(SHARDS)):
             pytest.skip("the corpus shards were deselected")
         assert scheduler.total.pool_calls == SHARDS * CASES_PER_SHARD
+        assert scheduler.total.bypass_calls == SHARDS * CASES_PER_SHARD
         assert scheduler.total.inline_calls == 0
-        assert scheduler.total.bypass_calls == 0
 
     def test_deterministic_across_worker_counts(self):
         rng = random.Random(0xFA57)
@@ -279,17 +295,21 @@ class TestInlineFallback:
         sched = CallScheduler(max_workers=2)
         frame = noise_frame(QCIF, seed=10)
         lib = AddressLib(SoftwareBackend())
-        results = lib.run_batch(
-            [BatchCall.intra(INTRA_BOX3, frame),
-             BatchCall.intra(INTRA_GRAD, frame),
-             BatchCall.intra(INTRA_MEDIAN3, frame)],
-            scheduler=sched)
+        calls = [BatchCall.intra(INTRA_BOX3, frame),
+                 BatchCall.intra(INTRA_GRAD, frame),
+                 BatchCall.intra(INTRA_MEDIAN3, frame)]
+        results = lib.run_batch(calls, scheduler=sched)
         assert results[0].equals(VectorExecutor.intra(INTRA_BOX3, frame))
         assert results[1].equals(VectorExecutor.intra(INTRA_GRAD, frame))
         assert results[2].equals(
             VectorExecutor.intra(INTRA_MEDIAN3, frame))
+        # The worker's run tried the pool and came back inline; the
+        # parent ran its own run as always.
+        own, run = sched._engine_runs(calls, range(len(calls)))
+        assert run
         assert sched.total.pool_calls == 0
-        assert sched.total.inline_calls == 3
+        assert sched.total.inline_calls == len(run)
+        assert sched.total.bypass_calls == len(own)
 
 
 class TestTransportPlanning:
@@ -321,10 +341,15 @@ class TestTransportPlanning:
         with CallScheduler(max_workers=4) as sched:
             lib = AddressLib(SoftwareBackend())
             results = lib.run_batch(self._calls(frame), scheduler=sched)
-            # Every call stayed inline and no worker process ever spawned.
+            # The parent's run is the whole wave: nothing forked, and
+            # no frame was registered to ship.
+            assert sched._engine_runs(self._calls(frame), range(3)) == [
+                [0, 1, 2]]
             assert sched.total.bypass_calls == 3
             assert sched.total.pool_calls == 0
             assert sched.total.round_trips == 0
+            assert sched._resources.pool is None
+            assert sched.transport_stats()["store"]["segments_created"] == 0
         assert results[0].equals(VectorExecutor.intra(INTRA_BOX3, frame))
 
     def test_transport_stats_shape(self):
@@ -345,15 +370,18 @@ class TestTransportPlanning:
         calls = [_random_batch_call(rng) for _ in range(12)]
         with CallScheduler(max_workers=4) as sched:
             lib = AddressLib(SoftwareBackend())
+            own, run = sched._engine_runs(calls, range(len(calls)))
             for _ in range(2):
                 results = lib.run_batch(calls, scheduler=sched)
                 report = sched.last_report
-                # Two processes, so at most two grouped round trips.
-                assert report.pool_calls == len(calls)
-                assert report.round_trips == 2
+                # Two engines: the parent's run, and one worker
+                # process's in one grouped round trip.
+                assert report.bypass_calls == len(own)
+                assert report.pool_calls == len(run) > 0
+                assert report.round_trips == 1
             pool = sched._resources.pool
-            assert pool._max_workers == 2
-            assert len(pool._processes) <= 2
+            assert pool._max_workers == 1
+            assert len(pool._processes) <= 1
         for call, got in zip(calls, results):
             _assert_same(got, _serial_reference(call))
         # The modelled makespan still prices four engines.
@@ -364,3 +392,62 @@ class TestTransportPlanning:
             list_scheduled_makespan(costs, 4))
         assert (list_scheduled_makespan(costs, 4)
                 < list_scheduled_makespan(costs, 2))
+
+
+class TestEngineRuns:
+    """The cut of a wave into one contiguous run per engine."""
+
+    @staticmethod
+    def _scheduler(monkeypatch, cpus, max_workers):
+        monkeypatch.setattr("repro.host.scheduler.os.cpu_count",
+                            lambda: cpus)
+        return CallScheduler(max_workers=max_workers)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(4, 40), min_size=0, max_size=12),
+           cpus=st.integers(1, 6), max_workers=st.integers(1, 6),
+           shippable=st.lists(st.booleans(), min_size=12, max_size=12))
+    def test_runs_cover_each_call_exactly_once(self, sizes, cpus,
+                                               max_workers, shippable):
+        frames = [noise_frame(ImageFormat(f"S{s}", s, s), seed=s)
+                  for s in sizes]
+        calls = [BatchCall.intra(INTRA_BOX3, frame) for frame in frames]
+        indices = [i for i in range(len(calls)) if shippable[i]]
+        with pytest.MonkeyPatch.context() as patch:
+            sched = self._scheduler(patch, cpus, max_workers)
+        runs = sched._engine_runs(calls, indices)
+        assert len(runs) == min(cpus, max_workers)
+        # Contiguous, in submission order, each call exactly once.
+        assert [index for run in runs for index in run] == indices
+        # The parent's run holds the first call: a one-call wave is the
+        # parent's alone.
+        assert runs[0][:1] == indices[:1]
+
+    def test_runs_balance_the_overlap_model_costs(self, monkeypatch):
+        sched = self._scheduler(monkeypatch, 2, 2)
+        small = noise_frame(ImageFormat("S8", 8, 8), seed=1)
+        large = noise_frame(QCIF, seed=60)
+        calls = ([BatchCall.intra(INTRA_BOX3, large)]
+                 + [BatchCall.intra(INTRA_BOX3, small)] * 6
+                 + [BatchCall.intra(INTRA_BOX3, large)])
+        own, run = sched._engine_runs(calls, range(len(calls)))
+        # The two QCIF calls land on different engines, and no other
+        # contiguous cut has a lighter heavier side.
+        assert own[0] == 0 and run[-1] == len(calls) - 1
+        costs = [call_cost_seconds(call, sched.timing)[1] for call in calls]
+        split = len(own)
+        best = min(max(sum(costs[:cut]), sum(costs[cut:]))
+                   for cut in range(len(calls) + 1))
+        assert max(sum(costs[:split]), sum(costs[split:])) == best
+
+    def test_one_cpu_host_forks_nothing(self, monkeypatch):
+        sched = self._scheduler(monkeypatch, 1, 8)
+        frames = [noise_frame(QCIF, seed=s) for s in (50, 51, 52, 53)]
+        calls = [BatchCall.intra(INTRA_GRAD, frame) for frame in frames]
+        calls.append(BatchCall.inter_reduce(INTER_ABSDIFF, *frames[:2]))
+        with sched:
+            outcomes = sched.compute_batch(calls)
+            assert sched._resources.pool is None
+            assert sched.last_report.bypass_calls == len(calls)
+        for call, outcome in zip(calls, outcomes):
+            _assert_same(outcome.value, _serial_reference(call))

@@ -1,12 +1,12 @@
 """Zero-copy transport: plane store, worker cache, and fallbacks.
 
 The scheduler must hand back *indistinguishable* results wherever a
-call ran: in a worker over shared memory, in the parent of a
-one-process host, or in the inline fallback after shared memory, the
-store or a worker failed.  This harness drives the 0xFA57 corpus
-recipe down each of those paths and pins down the segment lifecycle
--- registration dedupe, generation bumps on mutation, weakref release,
-result-slab recycling, and leak-free teardown.
+call ran: in a worker over shared memory, in the parent's own run of a
+wave, or in the inline fallback after shared memory, the store or a
+worker failed.  This harness drives the 0xFA57 corpus recipe down each
+of those paths and pins down the segment lifecycle -- registration
+dedupe, generation bumps on mutation, weakref release, result-slab
+recycling, in-place result writes, and leak-free teardown.
 """
 
 import gc
@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.addresslib import (AddressLib, BatchCall, INTER_OPS, INTRA_BOX3,
-                              INTRA_GRAD, INTRA_OPS, SoftwareBackend,
-                              VectorExecutor)
+from repro.addresslib import (AddressLib, BatchCall, ChannelSet, INTER_OPS,
+                              INTRA_BOX3, INTRA_GRAD, INTRA_OPS,
+                              KERNEL_FACTORIES, SoftwareBackend,
+                              VectorExecutor, kernel_by_name)
 from repro.host import CallScheduler, SHARED_MEMORY_AVAILABLE
 from repro.host import scheduler as scheduler_module
 from repro.host import shm
@@ -40,8 +41,9 @@ needs_shm = pytest.mark.skipif(not SHARED_MEMORY_AVAILABLE,
 
 @pytest.fixture(scope="module", autouse=True)
 def two_or_more_cpus():
-    """At least two CPUs, so schedulers built here run two worker
-    processes and ship over shared memory even on a one-CPU host."""
+    """At least two CPUs, so schedulers built here run the parent and
+    at least one worker process, and ship over shared memory even on a
+    one-CPU host."""
     cpus = os.cpu_count() or 1
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("repro.host.scheduler.os.cpu_count",
@@ -82,12 +84,32 @@ def _assert_same(got, want):
 
 
 def _psm_names():
-    """POSIX shared-memory names ``multiprocessing`` created."""
+    """POSIX shared-memory names the transport (or ``multiprocessing``)
+    created."""
     try:
         return {name for name in os.listdir("/dev/shm")
                 if name.startswith("psm_")}
     except FileNotFoundError:
         return set()
+
+
+def _write_result(slab, frame):
+    """Copy ``frame`` into ``slab`` through the worker's result view."""
+    result = shm.worker_result_frame(slab, frame.format)
+    assert result is not None
+    for channel in ALL_CHANNELS:
+        result.plane(channel)[...] = frame.plane(channel)
+
+
+def _tracker_messages(monkeypatch):
+    """Record every register/unregister sent to the resource tracker."""
+    from multiprocessing import resource_tracker
+    messages = []
+    for name in ("register", "unregister"):
+        monkeypatch.setattr(
+            resource_tracker, name,
+            lambda *args, name=name: messages.append((name, args)))
+    return messages
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +147,28 @@ class TestPlaneStore:
             # The stale segment's name is gone.
             with pytest.raises(Exception):
                 shm._attach_segment(first.segment_name)
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("width, height", [(5, 5), (8, 3), (7, 9)])
+    @pytest.mark.parametrize("channel", ALL_CHANNELS)
+    def test_any_changed_pixel_bumps_the_generation(self, width, height,
+                                                    channel):
+        """The content check compares planes as 8-byte words plus the
+        odd tail bytes: a change to any one pixel -- the first, one in
+        the word-compared body, the last in the tail -- is seen."""
+        fmt = ImageFormat(f"G{width}x{height}", width, height)
+        store = shm.PlaneStore()
+        frame = noise_frame(fmt, seed=width * height)
+        try:
+            generation = store.register(frame).generation
+            plane = frame.plane(channel).reshape(-1)
+            for index in (0, plane.size // 2, plane.size - 1):
+                plane[index] ^= 1
+                handle = store.register(frame)
+                assert handle.generation == generation + 1
+                generation = handle.generation
+                assert store.register(frame) is handle
         finally:
             store.close()
 
@@ -175,7 +219,7 @@ class TestResultSlabs:
         """Lease a slab, write ``frame`` into it as a worker would, and
         adopt it; returns ``(slab, adopted frame)``."""
         slab = store.lease_slab(frame.format)
-        assert shm.worker_write_slab(slab, frame)
+        _write_result(slab, frame)
         return slab, store.adopt_slab(slab, frame.format)
 
     def test_slab_recycles_only_after_last_view_dies(self):
@@ -298,48 +342,78 @@ class TestWorkerCache:
         make it fail the second withdrawal with a KeyError traceback.
         A worker's attaches (inputs and result slabs) must not message
         it at all."""
-        from multiprocessing import resource_tracker
         store = shm.PlaneStore()
         frame = noise_frame(QCIF, seed=13)
         try:
             handle = store.register(frame)
             slab = store.lease_slab(QCIF)
-            messages = []
-            for name in ("register", "unregister"):
-                monkeypatch.setattr(
-                    resource_tracker, name,
-                    lambda *args, name=name: messages.append((name, args)))
+            messages = _tracker_messages(monkeypatch)
             attached, _ = shm.worker_attach(handle)
-            assert shm.worker_write_slab(slab, frame)
+            _write_result(slab, frame)
             assert messages == []
             assert attached.equals(frame)
             assert store.adopt_slab(slab, QCIF).equals(frame)
         finally:
             store.close()
 
+    def test_creations_send_the_resource_tracker_nothing(self,
+                                                         monkeypatch):
+        """The store creates, rewrites and unlinks its segments itself:
+        registering a frame, bumping its generation, leasing and
+        recycling slabs and closing the store never message the
+        tracker either."""
+        messages = _tracker_messages(monkeypatch)
+        before = _psm_names()
+        store = shm.PlaneStore()
+        frame = noise_frame(QCIF, seed=14)
+        try:
+            assert store.register(frame) is not None
+            frame.y[:] ^= 1
+            assert store.register(frame).generation == 1
+            slabs = [store.lease_slab(QCIF) for _ in range(2)]
+            assert None not in slabs
+            store.recycle_slab(slabs[0])
+            assert len(_psm_names() - before) == 3
+        finally:
+            store.close()
+        assert messages == []
+        assert _psm_names() - before == set()
+
 
 # ---------------------------------------------------------------------------
 # Corpus bit-exactness over shared memory and every inline path
 # ---------------------------------------------------------------------------
 
-def _corpus_shard(shard):
+def _corpus_shard(shard, reverse=False):
     rng = random.Random(0xFA57 + shard)
-    return [_random_batch_call(rng) for _ in range(CASES_PER_SHARD)]
+    calls = [_random_batch_call(rng) for _ in range(CASES_PER_SHARD)]
+    return calls[::-1] if reverse else calls
 
 
-def _run_shard(scheduler, shard):
-    calls = _corpus_shard(shard)
+def _split(scheduler, calls):
+    """``(the parent's run, the calls of the workers' runs)``."""
+    own, *runs = scheduler._engine_runs(calls, range(len(calls)))
+    return own, [index for run in runs for index in run]
+
+
+def _run_shard(scheduler, shard, reverse=False):
+    """Run one shard bit-exactly; returns ``(parent's run, the workers'
+    calls)`` of its cut."""
+    calls = _corpus_shard(shard, reverse)
     results = AddressLib(SoftwareBackend()).run_batch(calls,
                                                       scheduler=scheduler)
     assert len(results) == len(calls)
     for call, got in zip(calls, results):
         _assert_same(got, _serial_reference(call))
-    return len(calls)
+    return _split(scheduler, calls)
 
 
 def _run_corpus(scheduler):
+    """Every shard forward and reversed: the parent's run falls on
+    either end, so every case crosses to a worker once."""
     for shard in range(SHARDS):
-        _run_shard(scheduler, shard)
+        for reverse in (False, True):
+            _run_shard(scheduler, shard, reverse)
 
 
 class TestCorpusAcrossTransports:
@@ -349,17 +423,25 @@ class TestCorpusAcrossTransports:
             _run_corpus(sched)
             stats = sched.transport_stats()
         assert stats["pool_calls"] == SHARDS * CASES_PER_SHARD
+        assert stats["bypass_calls"] == SHARDS * CASES_PER_SHARD
+        assert stats["inline_calls"] == 0
 
     def test_without_shared_memory_every_call_runs_inline(self,
                                                           monkeypatch):
+        """The workers' runs come back to the parent: every call runs
+        there, nothing ships and no segment is made."""
         before = _psm_names()
         monkeypatch.setattr(shm, "SHARED_MEMORY_AVAILABLE", False)
         with CallScheduler(max_workers=2) as sched:
+            own, shipped = _run_shard(sched, 0)
+            assert sched.last_report.inline_calls == len(shipped) > 0
+            assert sched.last_report.bypass_calls == len(own)
             _run_corpus(sched)
             stats = sched.transport_stats()
         assert stats["pool_calls"] == 0
         assert stats["round_trips"] == 0
-        assert stats["inline_calls"] == SHARDS * CASES_PER_SHARD
+        assert (stats["inline_calls"] + stats["bypass_calls"]
+                == (2 * SHARDS + 1) * CASES_PER_SHARD)
         assert stats["store"] == {}  # no store, so no slab was leased
         assert _psm_names() - before == set()
 
@@ -369,13 +451,11 @@ class TestCorpusAcrossTransports:
                                                          failing):
         """A segment creation fails while the first shard ships --
         registering its third frame, or leasing its first slab (the
-        store registers every distinct frame before leasing).  That
-        wave runs inline, the broken store is closed with every segment
-        it made, and the next shard ships over a fresh store."""
+        store registers every distinct frame of the workers' runs
+        before leasing).  Those calls run inline, the broken store is
+        closed with every segment it made, and the next shard ships
+        over a fresh store."""
         before = _psm_names()
-        first = _corpus_shard(0)
-        frames = len({id(f) for call in first for f in call.frames})
-        fail_at = 3 if failing == "register" else frames + 1
         new_segment = shm._new_segment
         made = []
 
@@ -389,44 +469,121 @@ class TestCorpusAcrossTransports:
 
         monkeypatch.setattr(shm, "_new_segment", fails_once)
         with CallScheduler(max_workers=2) as sched:
-            calls = _run_shard(sched, 0)
+            first = _corpus_shard(0)
+            own, shipped = _split(sched, first)
+            frames = len({id(f) for index in shipped
+                          for f in first[index].frames})
+            fail_at = 3 if failing == "register" else frames + 1
+            _run_shard(sched, 0)
             assert sched.last_report.pool_calls == 0
-            assert sched.last_report.inline_calls == calls
+            assert sched.last_report.inline_calls == len(shipped)
+            assert sched.last_report.bypass_calls == len(own)
             assert len(made) == fail_at
             assert sched._resources.store is None
             assert set(made[:-1]) & _psm_names() == set()
             for shard in range(1, SHARDS):
-                calls = _run_shard(sched, shard)
-                assert sched.last_report.pool_calls == calls
+                own, shipped = _run_shard(sched, shard)
+                assert sched.last_report.pool_calls == len(shipped)
         assert _psm_names() - before == set()
 
     @needs_shm
     def test_unwritable_slab_runs_its_call_inline(self, monkeypatch):
-        """Workers that cannot write a result slab send those calls
+        """A worker that cannot write a result slab sends those calls
         back: the parent runs them inline and recycles their slabs,
         while the reduces' scalars still come back from the pool."""
         # The pool forks on the first wave, so the workers inherit this.
-        monkeypatch.setattr(shm, "worker_write_slab",
-                            lambda slab, frame: False)
-        frame_jobs = sum(not call.reduce_to_scalar
-                         for call in _corpus_shard(0))
+        monkeypatch.setattr(shm, "worker_result_frame",
+                            lambda slab, fmt: None)
         with CallScheduler(max_workers=2) as sched:
-            calls = _run_shard(sched, 0)
+            # The order of shard 0 whose workers' run holds a reduce.
+            reverse = True
+            calls = _corpus_shard(0, reverse)
+            own, shipped = _split(sched, calls)
+            frame_jobs = sum(not calls[index].reduce_to_scalar
+                             for index in shipped)
+            assert 0 < frame_jobs < len(shipped)
+            _run_shard(sched, 0, reverse)
             assert sched.last_report.inline_calls == frame_jobs
-            assert sched.last_report.pool_calls == calls - frame_jobs
+            assert sched.last_report.pool_calls == len(shipped) - frame_jobs
+            assert sched.last_report.bypass_calls == len(own)
+            # Every slab is idle again: the workers' came back unused,
+            # the parent's own results were dropped.
+            own_frames = sum(not calls[index].reduce_to_scalar
+                             for index in own)
             store = sched._resources.store
             idle = sum(len(slabs) for slabs in store._idle_slabs.values())
-            assert idle == store.slabs_created == frame_jobs
+            assert idle == store.slabs_created == frame_jobs + own_frames
 
     def test_inline_bypass(self, monkeypatch):
-        # One CPU, so one process: every call stays in the parent.
+        # One CPU, so one engine: every call stays in the parent.
         monkeypatch.setattr("repro.host.scheduler.os.cpu_count",
                             lambda: 1)
         with CallScheduler(max_workers=2) as sched:
             _run_corpus(sched)
             stats = sched.transport_stats()
         assert stats["pool_calls"] == 0
-        assert stats["bypass_calls"] == SHARDS * CASES_PER_SHARD
+        assert stats["bypass_calls"] == 2 * SHARDS * CASES_PER_SHARD
+
+
+# ---------------------------------------------------------------------------
+# In-place result writes (the worker's sink, exercised in-process)
+# ---------------------------------------------------------------------------
+
+#: Every registry op: ``(mode token, op, reduces)``.
+_REGISTRY = ([("intra", name, op, False)
+              for name, op in sorted(INTRA_OPS.items())]
+             + [("intra", "kernel_" + name, kernel_by_name(name), False)
+                for name in sorted(KERNEL_FACTORIES)]
+             + [("inter", name, op, reduce_to_scalar)
+                for name, op in sorted(INTER_OPS.items())
+                for reduce_to_scalar in (False, True)])
+
+
+@needs_shm
+@settings(max_examples=60, deadline=None)
+@given(entry=st.sampled_from(_REGISTRY),
+       channels=st.sampled_from((ChannelSet.Y, ChannelSet.YUV)),
+       width=st.integers(1, 23), height=st.integers(1, 37),
+       seeds=st.tuples(st.integers(0, 999), st.integers(0, 999)))
+def test_slab_written_results_equal_the_executor(entry, channels, width,
+                                                  height, seeds):
+    """Both sinks of a scheduled call, run in-process: a worker's run
+    (inputs attached from the store, the frame result written straight
+    into a leased slab) and the parent's own run (inputs read in place,
+    the result written into a slab it adopts).  Both equal
+    ``VectorExecutor``'s result bit for bit, whatever the op, channel
+    set and geometry."""
+    mode, token, op, reduce_to_scalar = entry
+    fmt = ImageFormat(f"O{width}x{height}", width, height)
+    frames = [noise_frame(fmt, seed=seed) for seed in seeds]
+    frames = frames[:1] if mode == "intra" else frames
+    want = VectorExecutor.wave(op, [frames], channels, reduce_to_scalar)[0]
+    if mode == "intra":
+        call = BatchCall.intra(op, frames[0], channels)
+    elif reduce_to_scalar:
+        call = BatchCall.inter_reduce(op, *frames, channels)
+    else:
+        call = BatchCall.inter(op, *frames, channels)
+    store = shm.PlaneStore()
+    try:
+        handles = tuple(store.register(frame) for frame in frames)
+        slab = None if reduce_to_scalar else store.lease_slab(fmt)
+        items, _ = scheduler_module._execute_wave(
+            [(mode, token, channels, handles, slab)], False)
+        own = CallScheduler._execute_own(call, store).value
+        if reduce_to_scalar:
+            assert items == [want]
+            assert own == want
+        else:
+            assert items == [True]
+            for got in (store.adopt_slab(slab, fmt), own):
+                assert got.equals(want)
+                assert all(got.plane(c).flags.writeable
+                           for c in ALL_CHANNELS)
+            assert store.stats()["slabs_created"] == 2
+    finally:
+        shm.reset_worker_cache()
+        store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +624,10 @@ def _run_wave(sched, wave, kept):
     serial reference."""
     calls = [_slab_batch_call(spec) for spec in wave]
     results = AddressLib(SoftwareBackend()).run_batch(calls, scheduler=sched)
-    assert sched.last_report.pool_calls == len(calls)
+    own, shipped = _split(sched, calls)
+    assert shipped
+    assert sched.last_report.pool_calls == len(shipped)
+    assert sched.last_report.bypass_calls == len(own)
     for spec, call, got in zip(wave, calls, results):
         want = _serial_reference(call)
         keep, channel = spec[5], spec[6]
@@ -505,6 +665,8 @@ def test_slabs_outlive_their_views_and_recycle_in_steady_state(
     before = slab_scheduler.transport_stats()["store"]
     _run_wave(slab_scheduler, waves[-1], [])
     after = slab_scheduler.transport_stats()["store"]
+    # Every frame result -- the parent's own and the workers' -- came
+    # back in a recycled slab.
     frame_jobs = sum(spec[0] != "reduce" for spec in waves[-1])
     assert after["slabs_created"] == before["slabs_created"]
     assert after["segments_created"] == before["segments_created"]
@@ -526,9 +688,11 @@ class TestWorkerDeath:
         before = _psm_names()
         sched = CallScheduler(max_workers=2)
         try:
-            # One healthy wave to spawn the workers and map segments.
+            # The parent runs the first call, a worker the second.
+            assert _split(sched, calls) == ([0], [1])
+            # One healthy wave to spawn the worker and map segments.
             lib.run_batch(calls, scheduler=sched)
-            assert sched.total.pool_calls == 2
+            assert sched.total.pool_calls == 1
             store = sched._resources.store
             assert store is not None
             names = store.active_segment_names()
@@ -541,10 +705,12 @@ class TestWorkerDeath:
                 process.join()
             results = lib.run_batch(calls, scheduler=sched)
             assert sched.last_report.pool_calls == 0
-            assert sched.last_report.inline_calls == 2
-            # The fallen-back wave's slabs went back to the idle list.
+            assert sched.last_report.inline_calls == 1
+            assert sched.last_report.bypass_calls == 1
+            # The fallen-back run's slab went back to the idle list;
+            # the parent's own result holds the other.
             idle = sum(len(slabs) for slabs in store._idle_slabs.values())
-            assert idle == store.slabs_created == 2
+            assert idle == 1 and store.slabs_created == 2
             assert results[0].equals(
                 VectorExecutor.intra(INTRA_BOX3, frame_a))
             assert results[1].equals(
@@ -553,7 +719,7 @@ class TestWorkerDeath:
             # one and ships again.
             results = lib.run_batch(calls, scheduler=sched)
             assert sched._resources.pool is not pool
-            assert sched.last_report.pool_calls == 2
+            assert sched.last_report.pool_calls == 1
             assert results[0].equals(
                 VectorExecutor.intra(INTRA_BOX3, frame_a))
             assert results[1].equals(
@@ -568,34 +734,33 @@ class TestWorkerDeath:
 
     def test_death_after_first_result_leaks_no_segments(self,
                                                         monkeypatch):
-        """Each worker writes one result, then dies on its second job;
-        the results it wrote live in the parent's slabs, so closing the
+        """The worker writes one result, then dies on its second job;
+        the result it wrote lives in the parent's slab, so closing the
         scheduler leaves nothing behind in /dev/shm."""
         before = _psm_names()
-        execute_call = scheduler_module._execute_call
+        result_frame = shm.worker_result_frame
         jobs_run = [0]
-        parent = os.getpid()
 
-        def dies_on_second_job(*args):
-            # The parent's inline fallback runs the same dispatcher;
-            # only the workers die.
-            if os.getpid() != parent:
-                jobs_run[0] += 1
-                if jobs_run[0] == 2:
-                    os._exit(1)
-            return execute_call(*args)
+        def dies_on_second_job(slab, fmt):
+            # Only the workers write into slabs.
+            jobs_run[0] += 1
+            if jobs_run[0] == 2:
+                os._exit(1)
+            return result_frame(slab, fmt)
 
-        # The pool forks on the first wave, so the workers inherit this.
-        monkeypatch.setattr(scheduler_module, "_execute_call",
-                            dies_on_second_job)
+        # The pool forks on the first wave, so the worker inherits this.
+        monkeypatch.setattr(shm, "worker_result_frame", dies_on_second_job)
         frames = [noise_frame(QCIF, seed=s) for s in (25, 26, 27, 28)]
         calls = [BatchCall.intra(INTRA_BOX3, frame) for frame in frames]
         lib = AddressLib(SoftwareBackend())
         sched = CallScheduler(max_workers=2)
         try:
+            assert _split(sched, calls) == ([0, 1], [2, 3])
             results = lib.run_batch(calls, scheduler=sched)
+            assert jobs_run == [0]  # the parent never wrote a slab
             assert sched.last_report.pool_calls == 0
-            assert sched.last_report.inline_calls == len(calls)
+            assert sched.last_report.inline_calls == 2
+            assert sched.last_report.bypass_calls == 2
             for frame, got in zip(frames, results):
                 assert got.equals(VectorExecutor.intra(INTRA_BOX3, frame))
         finally:
@@ -611,6 +776,8 @@ class TestWorkerDeath:
             lib.run_batch(calls, scheduler=sched)
             frame.y[:] ^= 5
             results = lib.run_batch(calls, scheduler=sched)
+            # The worker's run (the second call) read the new segment.
+            assert sched.last_report.pool_calls == 1
             store_stats = sched.transport_stats()["store"]
             assert store_stats["generation_bumps"] >= 1
         assert results[0].equals(VectorExecutor.intra(INTRA_BOX3, frame))

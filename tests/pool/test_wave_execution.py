@@ -24,7 +24,8 @@ from repro.addresslib.addressing import CON_0
 from repro.addresslib.profiling import InstructionCost
 from repro.analysis import ProgramCheckError
 from repro.core import inter_config, intra_config
-from repro.host import AddressEngineDriver, EngineBackend
+from repro.host import (AddressEngineDriver, CallScheduler, EngineBackend,
+                        SHARED_MEMORY_AVAILABLE)
 from repro.host.driver import FrameResidencyCache
 from repro.image import Frame, ImageFormat, noise_frame
 from repro.image.pixel import ALL_CHANNELS
@@ -262,6 +263,17 @@ class TestWaveParity:
             assert _lib_books(wave_lib) == _lib_books(serial_lib)
 
 
+@pytest.fixture(scope="module")
+def split_scheduler():
+    """Two engines whatever this host has: the parent and one worker
+    process split every multi-call wave between them."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.host.scheduler.os.cpu_count", lambda: 2)
+        scheduler = CallScheduler(max_workers=2)
+    with scheduler:
+        yield scheduler
+
+
 class TestOwnership:
     @pytest.mark.parametrize("size", (1, 3))
     @pytest.mark.parametrize("config", CONFIGS + ALIASING,
@@ -269,11 +281,26 @@ class TestOwnership:
     def test_results_share_no_memory(self, config, size):
         """Inputs stay unchanged, and no result plane shares memory with
         an input plane or with another result's planes."""
+        self._check_owned(config, size)
+
+    @pytest.mark.parametrize("config", CONFIGS + ALIASING,
+                             ids=_config_id)
+    def test_split_waves_share_no_memory(self, config, split_scheduler):
+        """The same for a wave the scheduler splits between the
+        parent's own run and a worker's, whose results come back in
+        shared-memory slabs."""
+        calls = self._check_owned(config, 4, split_scheduler)
+        if SHARED_MEMORY_AVAILABLE and CallScheduler._op_token(calls[0]):
+            report = split_scheduler.last_report
+            assert report.bypass_calls > 0 and report.pool_calls > 0
+
+    @staticmethod
+    def _check_owned(config, size, scheduler=None):
         op, reduce_to_scalar = config
         pool = [noise_frame(FORMATS[3], seed=7 + i) for i in range(2)]
         before = [frame.copy() for frame in pool]
-        results = _lib().run_batch(_calls(op, reduce_to_scalar, pool,
-                                          size))
+        calls = _calls(op, reduce_to_scalar, pool, size)
+        results = _lib().run_batch(calls, scheduler=scheduler)
         for frame, copy in zip(pool, before):
             assert frame.equals(copy)
         inputs = [frame.plane(c) for frame in pool for c in ALL_CHANNELS]
@@ -286,6 +313,7 @@ class TestOwnership:
                 assert plane.flags.writeable
                 for other in inputs + others:
                     assert not np.shares_memory(plane, other)
+        return calls
 
 
 class TestPreflight:
