@@ -4,10 +4,10 @@ The same 0xFA57 corpus recipe the scheduler/pool/service equivalence
 suites share, in two sanitized passes:
 
 * through a :class:`~repro.host.CallScheduler` on one engine
-  configuration, each shard twice -- forward, then reversed -- so that
-  the parent's own run of the wave falls on either end: every case
-  ships to a worker (returning through a result slab) in one of the
-  two runs and runs in the parent in the other;
+  configuration, each shard twice -- once with every call placed on a
+  worker process, once with every call kept in the parent's own run --
+  so that every case ships to a worker (returning through a result
+  slab) in one of the two runs and runs in the parent in the other;
 * through an :class:`~repro.api.EngineService` over a two-board
   :class:`~repro.api.EnginePool`, each call submitted several times in
   a row so that same-configuration requests coalesce into waves and
@@ -24,10 +24,12 @@ Two gates per pass, both required:
 Where shared memory is available and the host has at least two CPUs
 (so the scheduler runs the parent and at least one worker process),
 the scheduler pass must also have shipped every case to a worker in
-exactly one of its two runs and kept it in the parent in the other
-(``pool_calls`` and ``bypass_calls`` each equal to the cases; every
-pool call crosses shared memory): a case that never shipped is one the
-sanitizer did not watch cross the live transport.
+its first run and kept it in the parent in the second (``pool_calls``
+and ``bypass_calls`` each equal to the cases; every pool call crosses
+shared memory): a case that never shipped is one the sanitizer did
+not watch cross the live transport.  The placement is pinned here, not
+left to the scheduler's balanced cut, so the gate holds whatever the
+cut does.
 
 Writes a JSON report (``--out``) with per-shard accounting, the
 scheduler pass's pool/parent call counts, the pool pass's wave
@@ -45,7 +47,7 @@ import json
 import os
 import random
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.addresslib import (AddressLib, BatchCall, INTER_OPS, INTRA_OPS,
                               SoftwareBackend, VectorExecutor)
@@ -106,10 +108,23 @@ def _shard_calls(shard: int) -> List[BatchCall]:
     return [_random_batch_call(rng) for _ in range(CASES_PER_SHARD)]
 
 
+def _placing_all_on(scheduler: CallScheduler, engine: str
+                    ) -> Callable[..., List[List[int]]]:
+    """A cut for ``scheduler`` that places every shippable call of a
+    wave on one engine: the first worker process (``"worker"``) or the
+    parent's own run (``"parent"``)."""
+    def runs(calls: Sequence[BatchCall], indices: Sequence[int],
+             overlapped: Sequence[float]) -> List[List[int]]:
+        placed: List[List[int]] = [[] for _ in range(scheduler._engines)]
+        placed[0 if engine == "worker" else -1] = list(indices)
+        return placed
+    return runs
+
+
 def _scheduler_pass(workers: int, findings: List[Dict[str, Any]]
                     ) -> Dict[str, Any]:
-    """The corpus through a sanitizer-armed scheduler, each shard
-    forward and then reversed."""
+    """The corpus through a sanitizer-armed scheduler, each shard run
+    on a worker and then in the parent."""
     shards: List[Dict[str, Any]] = []
     install_sanitizer()
     try:
@@ -118,36 +133,36 @@ def _scheduler_pass(workers: int, findings: List[Dict[str, Any]]
                 calls = _shard_calls(shard)
                 before = len(scheduler.sanitizer_findings)
                 shard_mismatches = 0
-                # Cases (by position in ``calls``) the parent ran itself
-                # in each of the two runs.
-                in_parent: List[set] = []
-                for reverse in (False, True):
-                    order = calls[::-1] if reverse else calls
+                placed = {}
+                for engine in ("worker", "parent"):
+                    scheduler._engine_runs = _placing_all_on(
+                        scheduler, engine)
                     lib = AddressLib(SoftwareBackend())
-                    results = lib.run_batch(order, scheduler=scheduler)
+                    results = lib.run_batch(calls, scheduler=scheduler)
+                    del scheduler._engine_runs
                     shard_mismatches += sum(
                         0 if _same(got, _serial_reference(call)) else 1
-                        for call, got in zip(order, results))
-                    own = scheduler._engine_runs(order,
-                                                 range(len(order)))[0]
-                    in_parent.append({len(calls) - 1 - i if reverse else i
-                                      for i in own})
-                # Every case ran in the parent in exactly one of the
-                # two runs, and so shipped in the other.
-                split = (in_parent[0].isdisjoint(in_parent[1])
-                         and len(in_parent[0] | in_parent[1])
-                         == len(calls))
+                        for call, got in zip(calls, results))
+                    report = scheduler.last_report
+                    assert report is not None
+                    placed[engine] = (report.pool_calls
+                                      if engine == "worker"
+                                      else report.bypass_calls)
+                # Every case shipped in the first run and ran in the
+                # parent in the second.
+                split = placed["worker"] == placed["parent"] == len(calls)
                 new = scheduler.sanitizer_findings[before:]
                 findings.extend(_finding_dict(d, shard, "scheduler")
                                 for d in new)
                 shards.append({"shard": shard, "cases": len(calls),
                                "mismatches": shard_mismatches,
-                               "parent_runs": [len(p) for p in in_parent],
+                               "shipped": placed["worker"],
+                               "in_parent": placed["parent"],
                                "split": split,
                                "findings": len(new)})
                 print(f"scheduler shard {shard}: {len(calls)} cases "
-                      f"x2, parent ran {len(in_parent[0])} + "
-                      f"{len(in_parent[1])}, {shard_mismatches} "
+                      f"x2, shipped {placed['worker']}, parent ran "
+                      f"{placed['parent']}, {shard_mismatches} "
                       f"mismatch(es), {len(new)} finding(s)")
             total = scheduler.total
     finally:

@@ -12,24 +12,31 @@ module supplies that second axis:
   double-buffered strips keep the host busy while the coprocessor
   computes;
 * a wave is cut, in submission order, into one contiguous run per
-  engine, balanced by the overlap-model costs the modelled makespan
-  prices.  The parent submits the workers' runs first (one grouped
-  submission, one round trip, per worker), then computes the first
-  run itself (``bypass_calls``), reading its inputs in place -- no
-  registration and no round trip for those calls -- and then
-  collects the workers' results.  On a one-CPU host the parent's run
-  is the whole wave and nothing forks;
+  engine, balanced by what its calls cost in software: the wall time
+  each kind of call has taken in its runs so far, in the parent or a
+  worker (the overlap-model costs the modelled makespan prices, until
+  every kind of call in the wave has run once).  The parent submits the
+  workers' runs first (one grouped submission, one round trip, per
+  worker), then computes the last run itself (``bypass_calls``),
+  reading its inputs in place -- no registration and no round trip
+  for those calls -- and then collects the workers' results.  The
+  workers take the head of the wave, so the frames only the tail
+  reads (a batch's cross-frame reduces, say) are never registered.
+  On a one-CPU host the parent's run is the whole wave and nothing
+  forks;
 * frames move to workers *zero-copy and at most once*: each distinct
   input frame of the workers' runs is registered in a shared-memory
   :class:`~repro.host.shm.PlaneStore` once per wave and shipped as a
   small handle, and workers keep attached segments in a resident cache
   across waves;
-* every frame result is written once, straight into a recycled result
-  slab the store leases: a worker computes into the slab's planes and
-  the parent adopts it in place, and the parent computes its own
-  run's results into slabs it adopts the same way.  Recycled slabs
-  keep their pages, where fresh result planes would be faulted in
-  anew every wave once the allocator had handed the freed ones back;
+* a worker writes each frame result once, straight into a recycled
+  result slab the store leases, and the parent adopts the slab in
+  place.  Once a store exists, the parent computes its own run's
+  results into slabs it adopts the same way: recycled slabs keep
+  their pages, where fresh result planes would be faulted in anew
+  every wave once the allocator had handed the freed ones back.  A
+  wave with nothing to ship makes no store, so a one-CPU host computes
+  into fresh planes, exactly as serial execution does;
 * every batch is also *priced* under both timing models -- the serial
   (sum) model and the double-buffered overlap model of
   :class:`~repro.perf.timing.EngineTimingModel` -- list-scheduled onto
@@ -90,6 +97,10 @@ _KERNEL_PREFIX = "kernel_"
 _Job = Tuple[str, str, ChannelSet, Tuple[shm.FrameHandle, ...],
              Optional[shm.SlabHandle]]
 
+#: A kind of shippable call, as the cut prices it: op name, frame
+#: width and height, channel set, and whether it reduces to a scalar.
+_Kind = Tuple[str, int, int, ChannelSet, bool]
+
 
 def _resolve_op(mode_value: str, op_name: str) -> Union[InterOp, IntraOp]:
     """Re-resolve a shipped op token against the worker's registries."""
@@ -128,12 +139,16 @@ def _execute_wave(jobs: Sequence[_Job], sanitized: bool
     a frame result is computed straight into its job's leased slab.
     Returns one value per job, in job order -- a reduce's scalar, or
     whether the result frame went into the slab (``False`` sends that
-    call back to the parent to run inline) -- plus the cache counters
-    (and, when sanitized, the worker's drained findings) of this trip.
+    call back to the parent to run inline) -- plus the stats of this
+    trip: the cache counters, each job's wall seconds (what the next
+    cut balances) and, when sanitized, the worker's drained findings.
     """
     results: List[Union[int, bool]] = []
-    stats: Dict[str, object] = {"cache_hits": 0, "attaches": 0}
+    seconds: List[float] = []
+    stats: Dict[str, object] = {"cache_hits": 0, "attaches": 0,
+                                "seconds": seconds}
     for mode_value, op_name, channels, handles, slab in jobs:
+        start = time.perf_counter()
         frames: List[Frame] = []
         for handle in handles:
             frame, hit = shm.worker_attach(handle)
@@ -145,11 +160,12 @@ def _execute_wave(jobs: Sequence[_Job], sanitized: bool
                                          reduce_to_scalar=True)[0]
             assert isinstance(scalar, int)
             results.append(scalar)
-            continue
-        result = shm.worker_result_frame(slab, frames[0].format)
-        if result is not None:
-            VectorExecutor.wave_into(op, [frames], channels, [result])
-        results.append(result is not None)
+        else:
+            result = shm.worker_result_frame(slab, frames[0].format)
+            if result is not None:
+                VectorExecutor.wave_into(op, [frames], channels, [result])
+            results.append(result is not None)
+        seconds.append(time.perf_counter() - start)
     if sanitized:
         try:
             from ..analysis import sanitize as _sanitize
@@ -286,7 +302,7 @@ class CallScheduler(BatchExecutor):
     one.
 
     ``max_workers`` engines price each batch's modelled makespan; at
-    most one engine per CPU of them runs, the parent being the first.
+    most one engine per CPU of them runs, the parent being one.
 
     A scheduler built while a transport sanitizer is installed
     (:func:`~repro.analysis.sanitize.install_sanitizer`) arms its
@@ -318,6 +334,9 @@ class CallScheduler(BatchExecutor):
         self._finalizer = weakref.finalize(self, _PoolResources.release,
                                            self._resources)
         self._closed = False
+        #: Wall seconds of each kind of call the engines have run: a
+        #: running mean over its runs, in the parent or a worker.
+        self._seconds: Dict[_Kind, float] = {}
         #: Books of the most recent batch.
         self.last_report: Optional[BatchReport] = None
         #: Cumulative books across every batch this scheduler ran.
@@ -404,7 +423,7 @@ class CallScheduler(BatchExecutor):
         """Run one call of the parent's own run: its inputs are read in
         place, and a frame result is computed straight into a recycled
         slab of ``store`` -- a worker's sink, without the registration
-        or the round trip.  Without a slab it runs inline."""
+        or the round trip.  Without a store or a slab it runs inline."""
         if store is None or call.reduce_to_scalar:
             return cls._execute_inline(call)
         slab = store.lease_slab(call.fmt)
@@ -423,17 +442,15 @@ class CallScheduler(BatchExecutor):
         (:func:`repro.pool.pricing.call_cost_seconds`)."""
         return self._pricing.call_cost_seconds(call, self.timing)
 
-    def _modeled_wave(self, calls: Sequence[BatchCall]
+    def _modeled_wave(self, priced: Sequence[Tuple[float, float]]
                       ) -> Tuple[float, float]:
-        """Price one wave: serial sum vs the list-scheduled makespan of
-        per-call overlap-model costs across ``max_workers`` engines."""
-        serial = 0.0
-        costs: List[float] = []
-        for call in calls:
-            call_serial, call_overlapped = self._call_costs(call)
-            serial += call_serial
-            costs.append(call_overlapped)
-        return serial, list_scheduled_makespan(costs, self.max_workers)
+        """Price one wave from its calls' ``(serial, overlap-model)``
+        costs: the serial sum vs the list-scheduled makespan of the
+        overlap-model costs across ``max_workers`` engines."""
+        return (sum(serial for serial, _ in priced),
+                list_scheduled_makespan(
+                    [overlapped for _, overlapped in priced],
+                    self.max_workers))
 
     # -- batch execution ------------------------------------------------------
 
@@ -458,17 +475,13 @@ class CallScheduler(BatchExecutor):
         if observer is not None:
             observer.wave_opened()
         tokens = [self._op_token(call) for call in calls]
-        own, *runs = self._engine_runs(
+        priced = [self._call_costs(call) for call in calls]
+        *runs, own = self._engine_runs(
             calls, [index for index, token in enumerate(tokens)
-                    if token is not None])
+                    if token is not None],
+            [overlapped for _, overlapped in priced])
         runs = [run for run in runs if run]
         pool = self._ensure_pool() if runs else None
-        if shm.SHARED_MEMORY_AVAILABLE and not self._closed:
-            # Frame results, the parent's too, go into the store's
-            # recycled slabs: fresh result planes would fault their
-            # pages in anew every wave once the allocator has handed
-            # the freed ones back to the system.
-            self._ensure_store()
 
         # Ship: register every distinct frame of the workers' runs
         # once, lease result slabs, submit one job list per run.
@@ -485,7 +498,10 @@ class CallScheduler(BatchExecutor):
         start = time.perf_counter()
         store = self._resources.store  # None if shipping broke it
         for index in own:
+            began = time.perf_counter()
             outcomes[index] = self._execute_own(calls[index], store)
+            if runs:
+                self._learn(calls[index], time.perf_counter() - began)
         report.bypass_calls = len(own)
         for index, call in enumerate(calls):
             if outcomes[index] is None and index not in shipped:
@@ -495,7 +511,7 @@ class CallScheduler(BatchExecutor):
         pool_failed = False
         for group in groups:
             assert store is not None
-            items = self._collect(group.future, report)
+            items = self._collect(group, calls, report)
             if items is None or len(items) != len(group.indices):
                 pool_failed = True
                 self._recycle(store, group.slabs)
@@ -529,7 +545,7 @@ class CallScheduler(BatchExecutor):
                 report.pool_calls += 1
         report.gather_seconds = time.perf_counter() - start
 
-        serial, pipelined = self._modeled_wave(calls)
+        serial, pipelined = self._modeled_wave(priced)
         report.modeled_serial_seconds = serial
         report.modeled_pipelined_seconds = pipelined
         self._account(report)
@@ -543,30 +559,52 @@ class CallScheduler(BatchExecutor):
         assert all(outcome is not None for outcome in outcomes)
         return [outcome for outcome in outcomes if outcome is not None]
 
-    def _engine_runs(self, calls: Sequence[BatchCall],
-                     indices: Sequence[int]) -> List[List[int]]:
-        """Cut the calls at ``indices`` (in submission order) into one
-        contiguous run per engine: the parent's first, then one per
-        worker process.
+    @staticmethod
+    def _kind(call: BatchCall) -> _Kind:
+        fmt = call.fmt
+        return (call.op.name, fmt.width, fmt.height, call.channels,
+                call.reduce_to_scalar)
 
-        Each run ends where the running total of the calls'
-        overlap-model costs -- the ones the modelled makespan prices --
-        comes nearest to its engines' share of the total, a tie going
-        to the longer run.  The parent's run always holds the first
-        call, as the parent pays no round trip: a one-call wave is the
-        parent's, and a one-engine host's parent runs the whole wave.
-        Deterministic, so the same wave always splits the same way.
+    def _learn(self, call: BatchCall, seconds: float) -> None:
+        """Fold one run's wall ``seconds`` into its kind's mean."""
+        kind = self._kind(call)
+        known = self._seconds.get(kind)
+        self._seconds[kind] = (seconds if known is None
+                               else (known + seconds) / 2.0)
+
+    def _engine_runs(self, calls: Sequence[BatchCall],
+                     indices: Sequence[int],
+                     overlapped: Sequence[float]) -> List[List[int]]:
+        """Cut the calls at ``indices`` (in submission order) into one
+        contiguous run per engine: one per worker process, then the
+        parent's.  ``overlapped`` holds every call's overlap-model
+        cost, by call index.
+
+        A run is balanced by what its calls cost in software: each
+        call's kind is priced at the wall seconds its runs took so far
+        (:meth:`_learn`), or -- until every kind in the wave has run
+        once -- every call at its overlap-model cost, the one the
+        modelled makespan prices.  Each run ends where the running
+        total comes nearest to its engines' share, a tie going to the
+        longer run.  The parent's run always holds the last call, as
+        the parent pays no round trip: a one-call wave is the parent's,
+        and a one-engine host's parent runs the whole wave.
         """
-        costs = [self._call_costs(calls[index])[1] for index in indices]
+        if self._engines == 1:
+            return [list(indices)]
+        kinds = [self._kind(calls[index]) for index in indices]
+        if all(kind in self._seconds for kind in kinds):
+            costs = [self._seconds[kind] for kind in kinds]
+        else:
+            costs = [overlapped[index] for index in indices]
         total = sum(costs)
         runs: List[List[int]] = []
         start = end = 0
         done = 0.0
         for engine in range(1, self._engines):
             target = total * engine / self._engines
-            while end < len(costs) and (
-                    end == 0 or abs(done + costs[end] - target)
-                    <= abs(done - target)):
+            while end < len(costs) - 1 and (
+                    abs(done + costs[end] - target) <= abs(done - target)):
                 done += costs[end]
                 end += 1
             runs.append(list(indices[start:end]))
@@ -633,17 +671,21 @@ class CallScheduler(BatchExecutor):
             if slab is not None:
                 store.recycle_slab(slab)
 
-    def _collect(self, future: Optional[Future], report: BatchReport
-                 ) -> Optional[List[Union[int, bool]]]:
+    def _collect(self, group: _Group, calls: Sequence[BatchCall],
+                 report: BatchReport) -> Optional[List[Union[int, bool]]]:
         """One group's results, or ``None`` after any pool failure."""
-        if future is None:
+        if group.future is None:
             return None
         try:
-            items, stats = future.result()
+            items, stats = group.future.result()
         except Exception:
             # A worker died or the trip failed: the caller recomputes
             # the group inline and replaces the pool.
             return None
+        seconds = stats.get("seconds")
+        if isinstance(seconds, list):
+            for index, spent in zip(group.indices, seconds):
+                self._learn(calls[index], spent)
         hits = stats.get("cache_hits", 0)
         attaches = stats.get("attaches", 0)
         report.worker_cache_hits += hits if isinstance(hits, int) else 0

@@ -52,6 +52,19 @@ def scheduler():
         yield sched
 
 
+def _pin(patch, scheduler, engine):
+    """Place every shippable call of ``scheduler``'s waves on one
+    engine -- the first worker process (``"worker"``) or the parent
+    (``"parent"``) -- instead of the balanced cut, which
+    :class:`TestEngineRuns` covers."""
+    def runs(calls, indices, overlapped):
+        placed = [[] for _ in range(scheduler._engines)]
+        placed[0 if engine == "worker" else -1] = list(indices)
+        return placed
+
+    patch.setattr(scheduler, "_engine_runs", runs)
+
+
 def _random_batch_call(rng):
     """One corpus case as a batch call (the 0xFA57 recipe's geometry)."""
     width = rng.randrange(4, 25)
@@ -87,27 +100,25 @@ def _assert_same(got, want):
 class TestCorpusEquivalence:
     @pytest.mark.parametrize("shard", range(SHARDS))
     def test_scheduled_matches_serial_executor(self, shard, scheduler):
-        """The shard runs twice, the second time in reverse order, so
-        the parent's run falls on the other end: every case ships to
-        the worker in one pass and runs in the parent in the other,
+        """The shard runs twice: once handed whole to the worker, once
+        kept whole in the parent, so every case crosses shared memory
+        in one pass and runs in the parent's own run in the other,
         bit-exact both times."""
         rng = random.Random(0xFA57 + shard)
         calls = [_random_batch_call(rng) for _ in range(CASES_PER_SHARD)]
         lib = AddressLib(SoftwareBackend())
-        in_parent = []
-        for order in (calls, calls[::-1]):
-            results = lib.run_batch(order, scheduler=scheduler)
-            assert len(results) == len(order)
-            for call, got in zip(order, results):
+        for engine in ("worker", "parent"):
+            with pytest.MonkeyPatch.context() as patch:
+                _pin(patch, scheduler, engine)
+                results = lib.run_batch(calls, scheduler=scheduler)
+            assert len(results) == len(calls)
+            for call, got in zip(calls, results):
                 _assert_same(got, _serial_reference(call))
-            own = scheduler._engine_runs(order, range(len(order)))[0]
             report = scheduler.last_report
-            assert report.bypass_calls == len(own)
-            assert report.pool_calls == (
-                len(order) - len(own) if SHARED_MEMORY_AVAILABLE else 0)
-            in_parent.append({id(order[index]) for index in own})
-        assert in_parent[0].isdisjoint(in_parent[1])
-        assert in_parent[0] | in_parent[1] == {id(call) for call in calls}
+            shipped = engine == "worker" and SHARED_MEMORY_AVAILABLE
+            assert report.pool_calls == (len(calls) if shipped else 0)
+            assert report.bypass_calls == (
+                len(calls) if engine == "parent" else 0)
         _SHARDS_RUN.append(shard)
 
     @pytest.mark.skipif(not SHARED_MEMORY_AVAILABLE,
@@ -276,7 +287,8 @@ class TestModeledTiming:
         makespans = []
         for workers in (1, 4):
             sched = CallScheduler(max_workers=workers)
-            serial, pipelined = sched._modeled_wave(calls)
+            serial, pipelined = sched._modeled_wave(
+                [sched._call_costs(call) for call in calls])
             makespans.append(pipelined)
             assert pipelined <= serial + 1e-12
         assert makespans[1] < makespans[0] / 3.0
@@ -305,11 +317,11 @@ class TestInlineFallback:
             VectorExecutor.intra(INTRA_MEDIAN3, frame))
         # The worker's run tried the pool and came back inline; the
         # parent ran its own run as always.
-        own, run = sched._engine_runs(calls, range(len(calls)))
-        assert run
         assert sched.total.pool_calls == 0
-        assert sched.total.inline_calls == len(run)
-        assert sched.total.bypass_calls == len(own)
+        assert sched.total.inline_calls > 0
+        assert sched.total.bypass_calls > 0
+        assert (sched.total.inline_calls + sched.total.bypass_calls
+                == len(calls))
 
 
 class TestTransportPlanning:
@@ -342,14 +354,14 @@ class TestTransportPlanning:
             lib = AddressLib(SoftwareBackend())
             results = lib.run_batch(self._calls(frame), scheduler=sched)
             # The parent's run is the whole wave: nothing forked, and
-            # no frame was registered to ship.
-            assert sched._engine_runs(self._calls(frame), range(3)) == [
-                [0, 1, 2]]
+            # with nothing to ship no store was made -- the results are
+            # fresh planes, as in serial execution.
             assert sched.total.bypass_calls == 3
             assert sched.total.pool_calls == 0
             assert sched.total.round_trips == 0
             assert sched._resources.pool is None
-            assert sched.transport_stats()["store"]["segments_created"] == 0
+            assert sched._resources.store is None
+            assert sched.transport_stats()["store"] == {}
         assert results[0].equals(VectorExecutor.intra(INTRA_BOX3, frame))
 
     def test_transport_stats_shape(self):
@@ -370,14 +382,13 @@ class TestTransportPlanning:
         calls = [_random_batch_call(rng) for _ in range(12)]
         with CallScheduler(max_workers=4) as sched:
             lib = AddressLib(SoftwareBackend())
-            own, run = sched._engine_runs(calls, range(len(calls)))
             for _ in range(2):
                 results = lib.run_batch(calls, scheduler=sched)
                 report = sched.last_report
                 # Two engines: the parent's run, and one worker
                 # process's in one grouped round trip.
-                assert report.bypass_calls == len(own)
-                assert report.pool_calls == len(run) > 0
+                assert report.bypass_calls > 0 and report.pool_calls > 0
+                assert report.bypass_calls + report.pool_calls == len(calls)
                 assert report.round_trips == 1
             pool = sched._resources.pool
             assert pool._max_workers == 1
@@ -403,51 +414,125 @@ class TestEngineRuns:
                             lambda: cpus)
         return CallScheduler(max_workers=max_workers)
 
+    @staticmethod
+    def _runs(sched, calls, indices=None):
+        """The scheduler's cut of ``calls`` (all of them by default)."""
+        overlapped = [call_cost_seconds(call, sched.timing)[1]
+                      for call in calls]
+        if indices is None:
+            indices = range(len(calls))
+        return sched._engine_runs(calls, list(indices), overlapped)
+
+    @staticmethod
+    def _best_split(costs):
+        """The lightest heavier side of any two-way contiguous cut."""
+        return min(max(sum(costs[:cut]), sum(costs[cut:]))
+                   for cut in range(len(costs) + 1))
+
     @settings(max_examples=40, deadline=None)
     @given(sizes=st.lists(st.integers(4, 40), min_size=0, max_size=12),
            cpus=st.integers(1, 6), max_workers=st.integers(1, 6),
-           shippable=st.lists(st.booleans(), min_size=12, max_size=12))
+           shippable=st.lists(st.booleans(), min_size=12, max_size=12),
+           learned=st.lists(st.floats(1e-6, 1.0), max_size=12))
     def test_runs_cover_each_call_exactly_once(self, sizes, cpus,
-                                               max_workers, shippable):
+                                               max_workers, shippable,
+                                               learned):
         frames = [noise_frame(ImageFormat(f"S{s}", s, s), seed=s)
                   for s in sizes]
         calls = [BatchCall.intra(INTRA_BOX3, frame) for frame in frames]
         indices = [i for i in range(len(calls)) if shippable[i]]
         with pytest.MonkeyPatch.context() as patch:
             sched = self._scheduler(patch, cpus, max_workers)
-        runs = sched._engine_runs(calls, indices)
+        # Some kinds measured, maybe all: the cut prices by seconds only
+        # when every kind in the wave has run.
+        for call, seconds in zip(calls, learned):
+            sched._learn(call, seconds)
+        runs = self._runs(sched, calls, indices)
         assert len(runs) == min(cpus, max_workers)
         # Contiguous, in submission order, each call exactly once.
         assert [index for run in runs for index in run] == indices
-        # The parent's run holds the first call: a one-call wave is the
-        # parent's alone.
-        assert runs[0][:1] == indices[:1]
+        # The parent's run (the last) holds the last call: a one-call
+        # wave is the parent's alone.
+        assert runs[-1][-1:] == indices[-1:]
 
     def test_runs_balance_the_overlap_model_costs(self, monkeypatch):
+        """Before any call has run, the cut balances the costs the
+        modelled makespan prices."""
         sched = self._scheduler(monkeypatch, 2, 2)
         small = noise_frame(ImageFormat("S8", 8, 8), seed=1)
         large = noise_frame(QCIF, seed=60)
         calls = ([BatchCall.intra(INTRA_BOX3, large)]
                  + [BatchCall.intra(INTRA_BOX3, small)] * 6
                  + [BatchCall.intra(INTRA_BOX3, large)])
-        own, run = sched._engine_runs(calls, range(len(calls)))
+        run, own = self._runs(sched, calls)
         # The two QCIF calls land on different engines, and no other
         # contiguous cut has a lighter heavier side.
-        assert own[0] == 0 and run[-1] == len(calls) - 1
+        assert run[0] == 0 and own[-1] == len(calls) - 1
         costs = [call_cost_seconds(call, sched.timing)[1] for call in calls]
-        split = len(own)
-        best = min(max(sum(costs[:cut]), sum(costs[cut:]))
-                   for cut in range(len(calls) + 1))
-        assert max(sum(costs[:split]), sum(costs[split:])) == best
+        split = len(run)
+        assert (max(sum(costs[:split]), sum(costs[split:]))
+                == self._best_split(costs))
+
+    def test_runs_balance_the_measured_seconds(self, monkeypatch):
+        """Once every kind in the wave has run, the cut balances the
+        seconds the runs took, not the board model: here reduces the
+        model prices above an intra call but that ran a quarter as
+        long."""
+        sched = self._scheduler(monkeypatch, 2, 2)
+        frames = [noise_frame(QCIF, seed=s) for s in range(70, 76)]
+        calls = [BatchCall.intra(op, frame) for frame in frames
+                 for op in (INTRA_BOX3, INTRA_SOBEL_X)]
+        calls += [BatchCall.inter_reduce(INTER_ABSDIFF, a, b)
+                  for a, b in zip(frames, frames[1:])]
+        model = [call_cost_seconds(call, sched.timing)[1] for call in calls]
+        assert model[-1] > model[0]
+        model_split = len(self._runs(sched, calls)[0])
+        sched._learn(calls[0], 0.004)
+        sched._learn(calls[1], 0.004)
+        sched._learn(calls[-1], 0.001)
+        run, own = self._runs(sched, calls)
+        seconds = [0.001 if call.reduce_to_scalar else 0.004
+                   for call in calls]
+        split = len(run)
+        assert run + own == list(range(len(calls)))
+        assert (max(sum(seconds[:split]), sum(seconds[split:]))
+                == self._best_split(seconds))
+        # The reduces at the tail are cheap now, so the parent's run
+        # reaches further into the intra calls than the model's cut.
+        assert split < model_split
+        assert all(not calls[index].reduce_to_scalar for index in run)
+
+    @pytest.mark.skipif(not SHARED_MEMORY_AVAILABLE,
+                        reason="no multiprocessing.shared_memory")
+    def test_waves_teach_every_kind_they_ran(self, monkeypatch):
+        """Both engines report the seconds of what they ran, so after
+        one wave every kind in it is measured."""
+        sched = self._scheduler(monkeypatch, 2, 2)
+        frames = [noise_frame(QCIF, seed=s) for s in (80, 81, 82)]
+        # The worker's run (the head) and the parent's share no kind.
+        calls = [BatchCall.intra(INTRA_BOX3, frames[0]),
+                 BatchCall.intra(INTRA_BOX3, frames[1]),
+                 BatchCall.intra(INTRA_GRAD, frames[2]),
+                 BatchCall.inter_reduce(INTER_ABSDIFF, *frames[:2])]
+        with sched:
+            sched.compute_batch(calls)
+            report = sched.last_report
+            assert report.bypass_calls == report.pool_calls == 2
+        assert set(sched._seconds) == {sched._kind(call) for call in calls}
+        assert all(seconds > 0.0 for seconds in sched._seconds.values())
 
     def test_one_cpu_host_forks_nothing(self, monkeypatch):
         sched = self._scheduler(monkeypatch, 1, 8)
         frames = [noise_frame(QCIF, seed=s) for s in (50, 51, 52, 53)]
         calls = [BatchCall.intra(INTRA_GRAD, frame) for frame in frames]
         calls.append(BatchCall.inter_reduce(INTER_ABSDIFF, *frames[:2]))
+        assert self._runs(sched, calls) == [list(range(len(calls)))]
         with sched:
             outcomes = sched.compute_batch(calls)
             assert sched._resources.pool is None
+            assert sched._resources.store is None
             assert sched.last_report.bypass_calls == len(calls)
+        # Nothing to balance on one engine, so nothing is measured.
+        assert sched._seconds == {}
         for call, outcome in zip(calls, outcomes):
             _assert_same(outcome.value, _serial_reference(call))
