@@ -39,6 +39,9 @@ class AddressingMode(Enum):
     SEGMENT = "segment"
     SEGMENT_INDEXED = "segment_indexed"
 
+    #: Identity hashing in C (members are singletons; see ``Channel``).
+    __hash__ = object.__hash__
+
     @property
     def engine_supported_v1(self) -> bool:
         """Whether the first AddressEngine prototype supports this mode.
@@ -73,6 +76,12 @@ class Neighbourhood:
         if len(set(self.offsets)) != len(self.offsets):
             raise ValueError(
                 f"neighbourhood {self.name} has duplicate offsets")
+        # The offsets are frozen, so their extent is taken once: every
+        # wave an executor runs reads it.
+        dxs = [dx for dx, _ in self.offsets]
+        dys = [dy for _, dy in self.offsets]
+        object.__setattr__(self, "_box",
+                           (min(dxs), min(dys), max(dxs), max(dys)))
         if self.line_span > MAX_NEIGHBOURHOOD_LINES:
             raise ValueError(
                 f"neighbourhood {self.name} spans {self.line_span} lines; "
@@ -87,14 +96,14 @@ class Neighbourhood:
     @property
     def line_span(self) -> int:
         """Number of frame lines the neighbourhood touches."""
-        dys = [dy for _, dy in self.offsets]
-        return max(dys) - min(dys) + 1
+        _, min_dy, _, max_dy = self._box
+        return max_dy - min_dy + 1
 
     @property
     def column_span(self) -> int:
         """Number of frame columns the neighbourhood touches."""
-        dxs = [dx for dx, _ in self.offsets]
-        return max(dxs) - min(dxs) + 1
+        min_dx, _, max_dx, _ = self._box
+        return max_dx - min_dx + 1
 
     def span_perpendicular_to(self, scan: ScanOrder) -> int:
         """Extent perpendicular to the scan direction.
@@ -209,9 +218,7 @@ class Neighbourhood:
 
     def bounding_box(self) -> Tuple[int, int, int, int]:
         """``(min_dx, min_dy, max_dx, max_dy)`` of the offsets."""
-        dxs = [dx for dx, _ in self.offsets]
-        dys = [dy for _, dy in self.offsets]
-        return min(dxs), min(dys), max(dxs), max(dys)
+        return self._box
 
 
 def _rect_offsets(half_w: int, half_h: int) -> Tuple[Tuple[int, int], ...]:

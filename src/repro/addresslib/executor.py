@@ -157,10 +157,12 @@ def _wave_values(op: Union[InterOp, IntraOp],
     fmt = sources[0].format
     for frames in inputs:
         for frame in frames:
-            if frame.width != fmt.width or frame.height != fmt.height:
+            other = frame.format
+            if other is not fmt and (other.width != fmt.width
+                                     or other.height != fmt.height):
                 raise ValueError(
                     f"a wave needs one frame geometry, got "
-                    f"{frame.format} vs {fmt}")
+                    f"{other} vs {fmt}")
     for channel in channels_of(channels):
         if isinstance(op, IntraOp):
             batch = _plane_batch(sources, channel, op.neighbourhood)
@@ -195,7 +197,9 @@ class VectorExecutor:
         Returns one result per call, in order: a frame built from the
         kernel output plus copies of the untouched planes of the call's
         first input, or the summed values when ``reduce_to_scalar``.
-        No result shares memory with an input or another result.
+        No result shares memory with an input or another result.  The
+        frames are assembled here, from planes of the right shape and
+        dtype by construction, so nothing re-checks them.
         """
         fmt = inputs[0][0].format
         shape = (len(inputs), fmt.height, fmt.width)
@@ -211,13 +215,16 @@ class VectorExecutor:
                                           PLANE_DTYPES[channel])
         if reduce_to_scalar:
             return list(totals)
-        sources = [frames[0] for frames in inputs]
-        for channel in ALL_CHANNELS:
-            if channel not in batches:
-                batches[channel] = np.array([frame.plane(channel)
-                                             for frame in sources])
-        return list(Frame.from_plane_batches(
-            [frame.format for frame in sources], batches))
+        results: List[Union[Frame, int]] = []
+        for index, frames in enumerate(inputs):
+            source = frames[0]
+            planes: Dict[Channel, np.ndarray] = {}
+            for channel in ALL_CHANNELS:
+                batch = batches.get(channel)
+                planes[channel] = (source.plane(channel).copy()
+                                   if batch is None else batch[index])
+            results.append(Frame.of_planes(source.format, planes))
+        return results
 
     @staticmethod
     def wave_into(op: Union[InterOp, IntraOp],

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,9 +31,16 @@ from .segment import (Criterion, LumaDeltaCriterion, SegmentProcessor,
                       SegmentResult)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CallRecord:
-    """One completed AddressLib call, with its accounting."""
+    """One completed AddressLib call, with its accounting.
+
+    Immutable: ``extra`` is a read-only mapping and the profile a
+    read-only copy (:meth:`OpProfile.frozen`), both taken at
+    construction, so a backend can log one record by reference for
+    every call of one geometry.  Build ``extra`` in full before
+    constructing the record.
+    """
 
     mode: AddressingMode
     op_name: str
@@ -44,19 +52,12 @@ class CallRecord:
     #: the "what would the CPU have done" comparison is always available).
     profile: Optional[OpProfile] = None
     #: Backend-specific accounting (engine cycles, PCI bytes, ...).
-    extra: Dict[str, float] = field(default_factory=dict)
+    extra: Mapping[str, float] = field(default_factory=dict)
 
-
-def _copy_record(record: CallRecord) -> CallRecord:
-    """An independent copy of a software call's record: its own profile
-    and ``extra`` dict, so no two logged records share mutable state."""
-    profile = record.profile
-    assert profile is not None
-    return CallRecord(
-        mode=record.mode, op_name=record.op_name, channels=record.channels,
-        format_name=record.format_name, pixels=record.pixels,
-        profile=OpProfile(counts=dict(profile.counts), calls=profile.calls),
-        extra=dict(record.extra))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "extra", MappingProxyType(dict(self.extra)))
+        if self.profile is not None:
+            object.__setattr__(self, "profile", self.profile.frozen())
 
 
 #: One executed call: its result (a frame, or a scalar for reduces) and
@@ -170,10 +171,11 @@ class BatchCall:
         are distinct code), channel set, reduction and format (by
         equality, so frame sizes never mix).  Calls that agree can run
         side by side as one wave with zero reconfiguration."""
+        fmt, other_fmt = self.fmt, other.fmt
         return (self.mode is other.mode and self.op is other.op
                 and self.channels is other.channels
                 and self.reduce_to_scalar == other.reduce_to_scalar
-                and self.fmt == other.fmt)
+                and (fmt is other_fmt or fmt == other_fmt))
 
 
 def _config_runs(calls: Sequence[BatchCall]) -> List[List[BatchCall]]:
@@ -284,7 +286,7 @@ class SoftwareBackend(Backend):
         self.scan = scan
         #: The record of each call geometry -- cost model, op, format,
         #: channels, scan order, reduction -- built once; every call of
-        #: that geometry books a copy of it.
+        #: that geometry logs that one immutable record.
         self._booked: Dict[tuple, CallRecord] = {}
 
     def supports(self, mode: AddressingMode) -> bool:
@@ -313,7 +315,7 @@ class SoftwareBackend(Backend):
                     self.cost_model.inter_accesses(fmt, channels)),
                        "width": float(fmt.width),
                        "height": float(fmt.height)})
-        return _copy_record(booked)
+        return booked
 
     def intra_record(self, op: IntraOp, fmt,
                      channels: ChannelSet) -> CallRecord:
@@ -331,7 +333,7 @@ class SoftwareBackend(Backend):
                                                    self.scan)),
                        "width": float(fmt.width),
                        "height": float(fmt.height)})
-        return _copy_record(booked)
+        return booked
 
     def batch_record(self, call: BatchCall) -> CallRecord:
         if call.mode is AddressingMode.INTER:

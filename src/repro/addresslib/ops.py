@@ -48,6 +48,9 @@ class ChannelSet(Enum):
     Y = ("Y",)
     YUV = ("Y", "U", "V")
 
+    #: Identity hashing in C (members are singletons; see ``Channel``).
+    __hash__ = object.__hash__
+
     def __init__(self, *names: str) -> None:
         self.channel_names: Tuple[str, ...] = names
 

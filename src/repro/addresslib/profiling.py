@@ -18,6 +18,7 @@ This module defines the profile vocabulary used everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Tuple
 
 #: Instruction classes tracked by the profiler.  ``addr`` is pixel address
@@ -77,11 +78,32 @@ ZERO_COST = InstructionCost()
 
 @dataclass
 class OpProfile:
-    """An accumulated instruction profile over one or more AddressLib calls."""
+    """An accumulated instruction profile over one or more AddressLib calls.
+
+    A profile is mutable until :meth:`frozen` copies it into a read-only
+    one -- what a logged :class:`~repro.addresslib.library.CallRecord`
+    holds, since one record is shared by every call of its geometry.
+    """
 
     counts: Dict[str, float] = field(
         default_factory=lambda: {name: 0.0 for name in INSTRUCTION_CLASSES})
     calls: int = 0
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if isinstance(self.__dict__.get("counts"), MappingProxyType):
+            raise AttributeError(
+                f"cannot set {name!r}: the profile is read-only")
+        object.__setattr__(self, name, value)
+
+    def frozen(self) -> "OpProfile":
+        """A read-only copy (``self`` when already read-only): its counts
+        sit behind a mapping proxy and none of its attributes can be
+        set, so accumulating into it raises."""
+        if isinstance(self.counts, MappingProxyType):
+            return self
+        copy = OpProfile(counts=dict(self.counts), calls=self.calls)
+        copy.counts = MappingProxyType(copy.counts)  # type: ignore[assignment]
+        return copy
 
     def add_cost(self, cost: InstructionCost, units: float = 1.0) -> None:
         """Accumulate ``cost`` applied to ``units`` processing units."""

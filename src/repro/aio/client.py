@@ -272,7 +272,8 @@ class AsyncEngineClient:
             if any(stream.qsize() >= self.service.policy.max_batch
                    for stream in self._streams):
                 await asyncio.sleep(0)  # hand the results off
-        await self._wait_for_space()
+        if self._closed or not self.service.queue.has_space:
+            await self._wait_for_space()
         ticket = self.service.submit(call, options)
         future: "asyncio.Future[ServiceTicket]" = (
             asyncio.get_running_loop().create_future())

@@ -10,7 +10,7 @@ routes those to its software fallback automatically.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..addresslib.addressing import AddressingMode
 from ..addresslib.executor import VectorExecutor
@@ -18,8 +18,14 @@ from ..addresslib.library import (Backend, BatchCall, CallRecord,
                                   RecordedResult)
 from ..addresslib.ops import ChannelSet, InterOp, IntraOp
 from ..core.config import EngineConfig, inter_config, intra_config
+from ..image.formats import ImageFormat
 from ..image.frame import Frame
-from .driver import AddressEngineDriver, FrameResidencyCache
+from ..perf.timing import EngineTimingModel
+from .driver import AddressEngineDriver, CallPrice, FrameResidencyCache
+
+#: One call geometry's shared books: its record and its price, by
+#: (resident inputs, on-board copy cycles).
+_Books = Dict[Tuple[int, int], Tuple[CallRecord, CallPrice]]
 
 
 class EngineBackend(Backend):
@@ -40,6 +46,19 @@ class EngineBackend(Backend):
     residency update, record -- exactly as serial submission books it.
     A simulating driver runs each call through the cycle-level model
     instead.
+
+    Booking is by reference.  The backend keeps one immutable
+    :class:`~repro.addresslib.library.CallRecord` and its
+    :class:`~repro.host.driver.CallPrice` per call geometry -- mode, op
+    name, format, channels, reduction, full-frame flag, resident inputs
+    and on-board copy cycles, which are all a price and a record depend
+    on -- and logs that record for every call of the geometry: a call
+    only counts its submission and interrupts
+    (:meth:`~repro.host.driver.AddressEngineDriver.book_priced`, which
+    still runs the pre-flight check when the driver has it on).  The
+    books belong to the driver's timing model and start over when it
+    changes.  Each op (by identity) and geometry builds its
+    :class:`~repro.core.config.EngineConfig` once.
     """
 
     name = "address_engine"
@@ -51,6 +70,15 @@ class EngineBackend(Backend):
         self.chain_frames = chain_frames
         #: On-board state between calls (strong-referenced frames).
         self.residency = FrameResidencyCache()
+        #: Each (op identity, format, channels, reduction)'s config and
+        #: the books of its geometry; the config keeps its op alive, so
+        #: the op's id() names it for as long as the entry lives.
+        self._configs: Dict[tuple, Tuple[EngineConfig, _Books]] = {}
+        #: Each geometry's books, keyed by what a record and a price
+        #: depend on besides residency.
+        self._books: Dict[tuple, _Books] = {}
+        #: The timing model the books were priced under.
+        self._books_timing: Optional[EngineTimingModel] = None
 
     def supports(self, mode: AddressingMode) -> bool:
         return mode.engine_supported_v1
@@ -76,51 +104,94 @@ class EngineBackend(Backend):
     # -- call execution -------------------------------------------------------
 
     def run_wave(self, calls: Sequence[BatchCall]) -> List[RecordedResult]:
-        return self._run(self._config_for(calls[0]),
+        head = calls[0]
+        return self._run(head.mode, head.op, head.fmt, head.channels,
+                         head.reduce_to_scalar,
                          [call.frames for call in calls])
 
     def inter(self, op: InterOp, frame_a: Frame, frame_b: Frame,
               channels: ChannelSet) -> Tuple[Frame, CallRecord]:
-        config = inter_config(op, frame_a.format, channels)
-        result, record = self._run(config, [(frame_a, frame_b)])[0]
+        result, record = self._run(AddressingMode.INTER, op,
+                                   frame_a.format, channels, False,
+                                   [(frame_a, frame_b)])[0]
         assert isinstance(result, Frame)
         return result, record
 
     def intra(self, op: IntraOp, frame: Frame,
               channels: ChannelSet) -> Tuple[Frame, CallRecord]:
-        config = intra_config(op, frame.format, channels)
-        result, record = self._run(config, [(frame,)])[0]
+        result, record = self._run(AddressingMode.INTRA, op, frame.format,
+                                   channels, False, [(frame,)])[0]
         assert isinstance(result, Frame)
         return result, record
 
     def inter_reduce(self, op: InterOp, frame_a: Frame, frame_b: Frame,
                      channels: ChannelSet) -> Tuple[int, CallRecord]:
-        config = inter_config(op, frame_a.format, channels,
-                              reduce_to_scalar=True)
-        result, record = self._run(config, [(frame_a, frame_b)])[0]
+        result, record = self._run(AddressingMode.INTER, op,
+                                   frame_a.format, channels, True,
+                                   [(frame_a, frame_b)])[0]
         assert isinstance(result, int)
         return result, record
 
-    def _run(self, config: EngineConfig,
+    def _run(self, mode: AddressingMode, op: Union[InterOp, IntraOp],
+             fmt: ImageFormat, channels: ChannelSet,
+             reduce_to_scalar: bool,
              inputs: Sequence[Sequence[Frame]]) -> List[RecordedResult]:
         """Execute calls of one configuration and book each in order."""
-        if self.driver.simulate:
+        config, books = self._geometry(mode, op, fmt, channels,
+                                       reduce_to_scalar)
+        driver = self.driver
+        if driver.simulate:
             return [self._simulate(config, frames) for frames in inputs]
-        results = VectorExecutor.wave(config.op, inputs, config.channels,
-                                      config.reduce_to_scalar)
+        results = VectorExecutor.wave(config.op, inputs, channels,
+                                      reduce_to_scalar)
         outcomes: List[RecordedResult] = []
         for frames, result in zip(inputs, results):
             resident, copy_cycles = self._residency(config, frames)
-            price = self.driver.book_call(config, sum(resident),
-                                          copy_cycles)
+            count = sum(resident)
+            record, price = (books.get((count, copy_cycles))
+                             or self._book(config, books, count,
+                                           copy_cycles))
+            driver.book_priced(config, price)
             self._after_call(config, frames,
                              result if isinstance(result, Frame) else None)
-            record = self._base_record(config, price.call_seconds,
-                                       price.board_seconds,
-                                       price.pci_words)
-            record.extra["resident_inputs"] = float(sum(resident))
             outcomes.append((result, record))
         return outcomes
+
+    def _geometry(self, mode: AddressingMode, op: Union[InterOp, IntraOp],
+                  fmt: ImageFormat, channels: ChannelSet,
+                  reduce_to_scalar: bool) -> Tuple[EngineConfig, _Books]:
+        """The config a serial submission would build for these calls,
+        and the books of its geometry (both built once)."""
+        if self.driver.timing is not self._books_timing:
+            self._configs.clear()
+            self._books.clear()
+            self._books_timing = self.driver.timing
+        key = (id(op), fmt, channels, reduce_to_scalar)
+        entry = self._configs.get(key)
+        if entry is None:
+            if mode is AddressingMode.INTER:
+                assert isinstance(op, InterOp)
+                config = inter_config(op, fmt, channels,
+                                      reduce_to_scalar=reduce_to_scalar)
+            else:
+                assert isinstance(op, IntraOp)
+                config = intra_config(op, fmt, channels)
+            books = self._books.setdefault(
+                (config.mode, config.op_name, fmt, channels,
+                 reduce_to_scalar, config.requires_full_frames), {})
+            entry = self._configs[key] = (config, books)
+        return entry
+
+    def _book(self, config: EngineConfig, books: _Books,
+              resident_count: int, copy_cycles: int
+              ) -> Tuple[CallRecord, CallPrice]:
+        """Price one geometry and build its shared record."""
+        price = self.driver.price_call(config, resident_count, copy_cycles)
+        record = self._base_record(config, price.call_seconds,
+                                   price.board_seconds, price.pci_words,
+                                   resident_inputs=float(resident_count))
+        books[(resident_count, copy_cycles)] = (record, price)
+        return record, price
 
     def _simulate(self, config: EngineConfig,
                   frames: Sequence[Frame]) -> RecordedResult:
@@ -129,12 +200,12 @@ class EngineBackend(Backend):
         result = self.driver.submit(config, *frames, resident=resident,
                                     onboard_copy_cycles=copy_cycles)
         self._after_call(config, frames, result.frame)
-        record = self._base_record(config, result.call_seconds,
-                                   result.board_seconds, result.pci_words)
         assert result.run is not None
-        record.extra["cycles"] = float(result.run.cycles)
-        record.extra["zbt_pixel_ops"] = float(result.run.zbt_pixel_ops)
-        record.extra["resident_inputs"] = float(sum(resident))
+        record = self._base_record(
+            config, result.call_seconds, result.board_seconds,
+            result.pci_words, cycles=float(result.run.cycles),
+            zbt_pixel_ops=float(result.run.zbt_pixel_ops),
+            resident_inputs=float(sum(resident)))
         value = result.frame if result.frame is not None else result.scalar
         assert value is not None
         return value, record
@@ -146,40 +217,31 @@ class EngineBackend(Backend):
         if self.chain_frames:
             self.residency.invalidate()
 
-    def _config_for(self, call: BatchCall) -> EngineConfig:
-        """The engine configuration a serial submission would build."""
-        if call.mode is AddressingMode.INTER:
-            assert isinstance(call.op, InterOp)
-            return inter_config(call.op, call.fmt, call.channels,
-                                reduce_to_scalar=call.reduce_to_scalar)
-        assert isinstance(call.op, IntraOp)
-        return intra_config(call.op, call.fmt, call.channels)
-
     def batch_record(self, call: BatchCall) -> CallRecord:
-        """Price and book one scheduler-executed call.
+        """Book one scheduler-executed call; returns its shared record.
 
         The functional result was computed in a worker; the driver books
         it as a serial :meth:`~AddressEngineDriver.submit` would -- the
         same pre-flight check, counters and price.  Batched calls never
         claim residency (the wave invalidated it).
         """
-        config = self._config_for(call)
-        price = self.driver.account_scheduled(config)
-        record = self._base_record(
-            config, price.call_seconds, price.board_seconds,
-            price.pci_words)
-        record.extra["resident_inputs"] = 0.0
+        config, books = self._geometry(call.mode, call.op, call.fmt,
+                                       call.channels, call.reduce_to_scalar)
+        self.driver.account_scheduled(config)
+        record, _price = books.get((0, 0)) or self._book(config, books, 0, 0)
         return record
 
     # -- accounting -----------------------------------------------------------
 
     @staticmethod
     def _base_record(config: EngineConfig, call_seconds: float,
-                     board_seconds: float, pci_words: int) -> CallRecord:
+                     board_seconds: float, pci_words: int,
+                     **accounts: float) -> CallRecord:
         extra = {
             "call_seconds": call_seconds,
             "board_seconds": board_seconds,
             "pci_words": float(pci_words),
+            **accounts,
         }
         return CallRecord(
             mode=config.mode,

@@ -134,12 +134,28 @@ class FrameResidencyCache:
         self._result = result_frame
 
     def contains(self, frame: Frame) -> bool:
-        """Whether ``frame`` is in the banks right now (identity test;
-        placement affinity scores boards with this, without the counter
-        side effects of :meth:`plan`)."""
+        """Whether ``frame`` is in the banks right now (identity test,
+        without the counter side effects of :meth:`plan`)."""
         if self._result is frame:
             return True
         return any(cached is frame for cached in self._inputs)
+
+    def resident_count(self, frames: Sequence[Frame]) -> int:
+        """How many of ``frames`` are in the banks right now, in one
+        pass over them (identity tests, no counter side effects): the
+        affinity placement scores a board by."""
+        result = self._result
+        inputs = self._inputs
+        count = 0
+        for frame in frames:
+            if frame is result:
+                count += 1
+                continue
+            for cached in inputs:
+                if cached is frame:
+                    count += 1
+                    break
+        return count
 
     def invalidate(self) -> None:
         """Forget the board state (e.g. after a reconfiguration)."""
@@ -269,11 +285,12 @@ class AddressEngineDriver:
                    onboard_copy_cycles: int = 0) -> CallPrice:
         """Closed-form cost of one call, without executing it.
 
-        Every booking -- :meth:`submit`, and :meth:`book_call` for
-        calls executed elsewhere (batched waves, scheduler workers) --
-        prices through this, so all of them account alike.  The price
-        depends only on the timing model and the call geometry, so
-        each distinct one is computed once.
+        Every booking -- :meth:`submit`, :meth:`book_call` for calls
+        executed elsewhere (batched waves, scheduler workers), and the
+        price :class:`~repro.host.backend.EngineBackend` keeps per call
+        geometry for :meth:`book_priced` -- comes from this, so all of
+        them account alike.  The price depends only on the timing model
+        and the call geometry, so each distinct one is computed once.
         """
         fmt = config.fmt
         return _geometry_price(
@@ -290,19 +307,23 @@ class AddressEngineDriver:
         :meth:`submit`, which :class:`~repro.host.backend.EngineBackend`
         also books each call of a batched wave through.
         """
-        price = self._accept(config, resident_count, onboard_copy_cycles)
-        self.interrupts_serviced += price.interrupts
+        price = self.price_call(config, resident_count,
+                                onboard_copy_cycles)
+        self.book_priced(config, price)
         return price
 
-    def _accept(self, config: EngineConfig, resident_count: int,
-                onboard_copy_cycles: int) -> CallPrice:
-        """Pre-flight check and submission count of one call; returns
-        its price."""
+    def book_priced(self, config: EngineConfig, price: CallPrice) -> None:
+        """Book one functionally executed call whose :meth:`price_call`
+        price the caller already holds: the pre-flight check (when
+        ``preflight`` is on), the submission and its interrupts."""
+        self._accept(config)
+        self.interrupts_serviced += price.interrupts
+
+    def _accept(self, config: EngineConfig) -> None:
+        """Pre-flight check and submission count of one call."""
         if self.preflight:
             self.check(config)
         self.calls_submitted += 1
-        return self.price_call(config, resident_count,
-                               onboard_copy_cycles)
 
     def account_scheduled(self, config: EngineConfig) -> CallPrice:
         """Book one scheduler-executed call: :meth:`book_call` with no
@@ -336,8 +357,9 @@ class AddressEngineDriver:
         resident = list(resident or [False] * config.images_in)
         resident_count = sum(resident)
         if self.simulate:
-            price = self._accept(config, resident_count,
-                                 onboard_copy_cycles)
+            self._accept(config)
+            price = self.price_call(config, resident_count,
+                                    onboard_copy_cycles)
             run = self.engine.run_call(config, frame_a, frame_b,
                                        resident=resident)
             # Interrupts: one per DMA job plus the completion interrupt.

@@ -582,21 +582,30 @@ class CallScheduler(BatchExecutor):
 
         A run is balanced by what its calls cost in software: each
         call's kind is priced at the wall seconds its runs took so far
-        (:meth:`_learn`), or -- until every kind in the wave has run
-        once -- every call at its overlap-model cost, the one the
-        modelled makespan prices.  Each run ends where the running
-        total comes nearest to its engines' share, a tie going to the
-        longer run.  The parent's run always holds the last call, as
-        the parent pays no round trip: a one-call wave is the parent's,
-        and a one-engine host's parent runs the whole wave.
+        (:meth:`_learn`).  A kind no engine has run yet is priced at
+        its overlap-model cost (the one the modelled makespan prices)
+        scaled by the measured-to-model ratio of the wave's kinds that
+        have run -- so one new kind keeps every other kind's
+        measurement -- and with no kind measured every call is priced
+        at its model cost.  Each run ends where the running total comes
+        nearest to its engines' share, a tie going to the longer run.
+        The parent's run always holds the last call, as the parent pays
+        no round trip: a one-call wave is the parent's, and a
+        one-engine host's parent runs the whole wave.
         """
         if self._engines == 1:
             return [list(indices)]
         kinds = [self._kind(calls[index]) for index in indices]
-        if all(kind in self._seconds for kind in kinds):
-            costs = [self._seconds[kind] for kind in kinds]
-        else:
-            costs = [overlapped[index] for index in indices]
+        # Each measured kind's (measured, model) seconds, once per kind.
+        ran = {kind: (self._seconds[kind], overlapped[index])
+               for kind, index in zip(kinds, indices)
+               if kind in self._seconds}
+        modeled = sum(model for _, model in ran.values())
+        scale = (sum(seconds for seconds, _ in ran.values()) / modeled
+                 if modeled > 0.0 else 1.0)
+        costs = [self._seconds[kind] if kind in ran
+                 else overlapped[index] * scale
+                 for kind, index in zip(kinds, indices)]
         total = sum(costs)
         runs: List[List[int]] = []
         start = end = 0

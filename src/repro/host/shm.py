@@ -39,7 +39,13 @@ Three cooperating pieces:
 
 Segments are created, mapped and unlinked with the POSIX primitives
 ``multiprocessing.shared_memory`` itself uses, so the resource tracker
-never hears of them: this module does its own refcounted cleanup.
+never hears of them: this module does its own refcounted cleanup.  A
+store that is never closed still releases its segments when it is
+collected or the interpreter exits (a ``weakref.finalize`` holding only
+their names), and each segment's name carries the pid of the process
+that created it, so a new store unlinks the segments of any store whose
+process died without either -- killed by SIGTERM or SIGKILL -- before it
+makes its own.
 Shared memory is the scheduler's only transport.  Where the platform
 has no POSIX shared memory (:data:`SHARED_MEMORY_AVAILABLE` is False)
 nothing ships; when a segment operation fails at runtime, the store
@@ -51,12 +57,13 @@ from __future__ import annotations
 
 import mmap
 import os
+import re
 import secrets
 import uuid
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (Any, Dict, List, Optional, Protocol, Sequence,
+from typing import (Any, Dict, List, Optional, Protocol, Sequence, Set,
                     Tuple)
 
 import numpy as np
@@ -75,6 +82,13 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: Segment names start like ``multiprocessing.shared_memory``'s, so a
 #: leak check over ``/dev/shm`` sees this module's segments too.
 _NAME_PREFIX = "psm_"
+
+#: This module's segment names: the prefix, the creating process's pid
+#: and ten hex digits (``multiprocessing``'s own names have no pid).
+_OWNED_NAME = re.compile(_NAME_PREFIX + r"(\d+)_[0-9a-f]{10}\Z")
+
+#: Where the platform lists its POSIX shared-memory names (Linux).
+_SHM_DIR = "/dev/shm"
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +174,8 @@ class _Segment:
 
 
 def _new_segment(nbytes: int) -> _Segment:
-    """Create and map a segment of ``nbytes`` under a fresh name.
+    """Create and map a segment of ``nbytes`` under a fresh name that
+    carries this process's pid (see :func:`_sweep_dead_owners`).
 
     ``O_EXCL`` makes a name collision fail instead of sharing another
     segment; a fresh name is drawn then.  Nothing registers with the
@@ -169,7 +184,7 @@ def _new_segment(nbytes: int) -> _Segment:
     the creation).
     """
     while True:
-        name = _NAME_PREFIX + secrets.token_hex(5)
+        name = f"{_NAME_PREFIX}{os.getpid()}_{secrets.token_hex(5)}"
         try:
             fd = _posixshmem.shm_open(
                 "/" + name, os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600)
@@ -220,6 +235,63 @@ def _disarm(segment: _Segment) -> None:
     destructor noise.  Unlinking keeps working: it only needs the name.
     """
     segment.buf = None
+
+
+def _unlink_names(owner: int, names: Set[str]) -> None:
+    """Unlink the segments a store still owns when it is collected or
+    the interpreter exits unclosed.  Only in the creating process: a
+    forked worker holding a copy of the store leaves them alone."""
+    if os.getpid() != owner:
+        return
+    for name in names:
+        try:
+            _posixshmem.shm_unlink("/" + name)
+        except OSError:
+            pass
+    names.clear()
+
+
+def _process_exists(pid: int) -> bool:
+    """Whether ``pid`` names a live (or unreaped) process."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:
+        return True  # it exists, under another user
+    return True
+
+
+def _sweep_dead_owners() -> None:
+    """Unlink every segment of this module whose creating process is
+    gone.
+
+    A store releases its segments on ``close()``, on collection and at
+    interpreter exit -- but not when its process is killed.  Each name
+    carries its creator's pid (:func:`_new_segment`), so the next store
+    made on the host reclaims them.  One directory listing per store,
+    and one existence probe per distinct pid found; a platform that
+    lists no names sweeps nothing.  Pids are those of this pid
+    namespace: a process of another namespace sharing the directory
+    would look dead, and its workers would run their calls inline.
+    """
+    try:
+        names = os.listdir(_SHM_DIR)
+    except OSError:
+        return
+    exists: Dict[int, bool] = {}
+    for name in names:
+        match = _OWNED_NAME.match(name)
+        if match is None:
+            continue
+        pid = int(match.group(1))
+        if pid not in exists:
+            exists[pid] = pid <= 0 or _process_exists(pid)
+        if not exists[pid]:
+            try:
+                _posixshmem.shm_unlink("/" + name)
+            except OSError:
+                pass
 
 
 def _release_segment(segment: _Segment) -> None:
@@ -402,6 +474,10 @@ class PlaneStore:
     out of use never pins its bytes.  Any segment failure flips
     ``broken`` and the store answers ``None`` from then on -- the
     caller's signal to run the wave inline and replace the store.
+
+    A new store first unlinks the segments of stores whose process died
+    without closing them (:func:`_sweep_dead_owners`), and a store
+    dropped or left open at exit unlinks its own (:func:`_unlink_names`).
     """
 
     def __init__(self) -> None:
@@ -410,6 +486,13 @@ class PlaneStore:
         self.token = uuid.uuid4().hex[:12]
         self.broken = not SHARED_MEMORY_AVAILABLE
         self.closed = False
+        self._owner = os.getpid()
+        #: Names of every segment the store owns right now.
+        self._names: Set[str] = set()
+        self._finalizer = weakref.finalize(self, _unlink_names, self._owner,
+                                           self._names)
+        if SHARED_MEMORY_AVAILABLE:
+            _sweep_dead_owners()
         self.segments_created = 0
         self.generation_bumps = 0
         self.bytes_registered = 0
@@ -470,7 +553,7 @@ class PlaneStore:
         """A fresh segment holding ``frame``'s planes, or ``None``."""
         nbytes = frame_payload_bytes(frame.format)
         try:
-            segment = _new_segment(nbytes)
+            segment = self._new_segment(nbytes)
             write_frame(_segment_bytes(segment, nbytes), frame)
         except Exception:
             self.broken = True
@@ -505,7 +588,7 @@ class PlaneStore:
         fmt = frame.format
         old = entry.handle
         entry.views = {}
-        _release_segment(entry.segment)
+        self._release(entry.segment)
         entry.segment = segment
         entry.handle = FrameHandle(self.token, old.frame_id,
                                    old.generation + 1, segment.name,
@@ -520,7 +603,17 @@ class PlaneStore:
         if entry is None or self.closed:
             return
         entry.views = {}
-        _release_segment(entry.segment)
+        self._release(entry.segment)
+
+    def _new_segment(self, nbytes: int) -> _Segment:
+        """A fresh segment the store owns."""
+        segment = _new_segment(nbytes)
+        self._names.add(segment.name)
+        return segment
+
+    def _release(self, segment: _Segment) -> None:
+        self._names.discard(segment.name)
+        _release_segment(segment)
 
     # -- result slabs ------------------------------------------------------
 
@@ -539,7 +632,7 @@ class PlaneStore:
             self.slabs_reused += 1
             return idle.pop()
         try:
-            segment = _new_segment(nbytes)
+            segment = self._new_segment(nbytes)
         except OSError:
             self.broken = True
             return None
@@ -583,7 +676,7 @@ class PlaneStore:
             return
         segment = self._slabs.pop(slab.slab_id, None)
         if segment is not None:
-            _release_segment(segment)
+            self._release(segment)
 
     # -- books and lifecycle -----------------------------------------------
 
@@ -621,9 +714,10 @@ class PlaneStore:
         self._idle_slabs = {}
         for entry in entries.values():
             entry.views = {}
-            _release_segment(entry.segment)
+            self._release(entry.segment)
         for segment in slabs.values():
-            _release_segment(segment)
+            self._release(segment)
+        self._finalizer()  # nothing is left to unlink; disarms it
 
 
 # ---------------------------------------------------------------------------

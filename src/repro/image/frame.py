@@ -12,7 +12,7 @@ the paper's scan terminology; the backing numpy arrays are indexed
 
 from __future__ import annotations
 
-from typing import Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Tuple
 
 import numpy as np
 
@@ -146,45 +146,17 @@ class Frame:
         return frame
 
     @classmethod
-    def from_plane_batches(cls, formats: Sequence[ImageFormat],
-                           batches: Mapping[Channel, np.ndarray]
-                           ) -> List["Frame"]:
-        """Wrap plane batches as frames without copying.
-
-        ``batches`` holds one ``(B, height, width)`` array per channel,
-        in the channel's canonical dtype; frame ``i`` takes item ``i``
-        of every batch and ``formats[i]``.  All formats share one
-        geometry.  The frames share no memory with each other.  Shapes
-        and dtypes are checked once per batch, not per frame.
+    def of_planes(cls, fmt: ImageFormat,
+                  planes: Dict[Channel, np.ndarray]) -> "Frame":
+        """Wrap ``planes`` (one per channel, each already of the
+        format's shape and the channel's dtype) as a frame, unchecked
+        and uncopied: the constructor of code that built the planes
+        itself, such as the vector executor's wave results.
         """
-        if not formats:
-            return []
-        geometry = (formats[0].height, formats[0].width)
-        expected = (len(formats),) + geometry
-        arrays = []
-        for channel, dtype in PLANE_DTYPES.items():
-            batch = batches[channel]
-            if batch.shape != expected:
-                raise ValueError(
-                    f"{channel.name} batch must be {expected}, "
-                    f"got {batch.shape}")
-            if batch.dtype != dtype:
-                raise ValueError(
-                    f"{channel.name} batch must be "
-                    f"{np.dtype(dtype).name}, got {batch.dtype}")
-            arrays.append(batch)
-        frames = []
-        for fmt, planes in zip(formats, zip(*arrays)):
-            if (fmt.height, fmt.width) != geometry:
-                raise ValueError(
-                    f"batched frames need one geometry, got "
-                    f"{fmt.width}x{fmt.height} beside "
-                    f"{geometry[1]}x{geometry[0]}")
-            frame = cls.__new__(cls)
-            frame.format = fmt
-            frame._planes = dict(zip(PLANE_DTYPES, planes))
-            frames.append(frame)
-        return frames
+        frame = cls.__new__(cls)
+        frame.format = fmt
+        frame._planes = planes
+        return frame
 
     @classmethod
     def from_words(cls, fmt: ImageFormat, lower: np.ndarray,

@@ -33,6 +33,11 @@ class Channel(Enum):
     ALFA = ("upper", 0, 16)
     AUX = ("upper", 16, 16)
 
+    #: Members are singletons, so identity hashing is exact -- and runs
+    #: in C, where ``Enum.__hash__`` hashes the name in Python on every
+    #: plane lookup.
+    __hash__ = object.__hash__
+
     def __init__(self, word: str, shift: int, bits: int) -> None:
         self.word = word
         self.shift = shift

@@ -34,7 +34,8 @@ from ..host.backend import EngineBackend
 from ..host.driver import AddressEngineDriver
 from ..image.frame import Frame
 from ..perf.report import base_report_dict
-from ..perf.timing import EngineTimingModel
+from ..perf.timing import EngineTimingModel, list_scheduled_makespan
+from .pricing import call_cost_seconds
 from .worker import EngineWorker, WorkerReport
 
 
@@ -116,7 +117,12 @@ class EnginePool:
         if not workers:
             raise ValueError("a pool needs at least one worker")
         self.workers: List[EngineWorker] = list(workers)
+        #: The one timing model every board prices by: the price a
+        #: caller carries to :meth:`dispatch` holds on whichever board
+        #: the wave lands.
         self.timing = self.workers[0].timing
+        if any(worker.timing != self.timing for worker in self.workers):
+            raise ValueError("a pool's boards share one timing model")
         self.waves_dispatched = 0
         self.failovers = 0
         self.calls_requeued = 0
@@ -154,16 +160,28 @@ class EnginePool:
         """Boards still in rotation."""
         return [w for w in self.workers if not w.failed]
 
+    def alive_count(self) -> int:
+        """How many boards are still in rotation."""
+        count = 0
+        for worker in self.workers:
+            if not worker.failed:
+                count += 1
+        return count
+
     def min_busy_until(self) -> float:
         """Earliest modeled time any alive board comes free.
 
         This is when the service can start its next wave; a dead pool
         answers the latest board clock so time never runs backwards.
         """
-        alive = self.alive()
-        if not alive:
+        earliest: Optional[float] = None
+        for worker in self.workers:
+            if not worker.failed and (earliest is None
+                                      or worker.busy_until < earliest):
+                earliest = worker.busy_until
+        if earliest is None:
             return max(w.busy_until for w in self.workers)
-        return min(w.busy_until for w in alive)
+        return earliest
 
     # -- routing and dispatch -------------------------------------------------
 
@@ -173,26 +191,45 @@ class EnginePool:
         The board whose banks already hold most of the wave's input
         frames (a resident input skips its PCI upload), then the
         earliest-free board, then the lowest worker id -- so routing is
-        deterministic for a given submission order.
+        deterministic for a given submission order.  One pass: each
+        alive board counts its resident inputs over the wave's frames
+        once (:meth:`~repro.host.driver.FrameResidencyCache.resident_count`).
         """
-        alive = self.alive()
-        if not alive:
+        frames = [frame for call in calls for frame in call.frames]
+        best: Optional[EngineWorker] = None
+        best_key: Optional[Tuple[int, float, int]] = None
+        for worker in self.workers:
+            if worker.failed:
+                continue
+            cache = worker.residency
+            key = (-(cache.resident_count(frames) if cache is not None
+                     else 0), worker.busy_until, worker.worker_id)
+            if best_key is None or key < best_key:
+                best, best_key = worker, key
+        if best is None:
             raise EngineDeadlock("engine pool has no surviving workers")
-        return min(alive, key=lambda w: (-w.affinity_score(calls),
-                                         w.busy_until, w.worker_id))
+        return best
 
-    def dispatch(self, calls: Sequence[BatchCall],
-                 not_before: float = 0.0) -> WaveDispatch:
+    def dispatch(self, calls: Sequence[BatchCall], not_before: float = 0.0,
+                 costs: Optional[Sequence[float]] = None) -> WaveDispatch:
         """Route one wave to a board, run it, and book the clock.
 
         The wave starts at ``max(board free time, not_before)`` and
         costs its calls' overlap-model prices run back to back on that
-        board.  On :class:`EngineDeadlock` the board is failed out and
-        the whole wave re-places among survivors (results never mix
-        boards); with no survivors the deadlock propagates.
+        board.  ``costs`` carries those prices when the caller already
+        took them (the service prices every request at submit); they
+        come from the same function on the pool's one timing model, so
+        they are booked as they are, and the calls are priced here only
+        when no costs come with them.  On :class:`EngineDeadlock` the
+        board is failed out and the whole wave re-places among
+        survivors (results never mix boards) and is priced again; with
+        no survivors the deadlock propagates.
         """
         failovers = 0
         while True:
+            if costs is None:
+                costs = [call_cost_seconds(call, self.timing)[1]
+                         for call in calls]
             worker = self.place(calls)
             try:
                 results = worker.run_wave(calls)
@@ -209,12 +246,13 @@ class EnginePool:
                 if observer is not None:
                     observer.pool_requeued(calls, requeued)
                 calls = requeued
+                costs = None
                 continue
             observer = shm.get_transport_observer()
             if observer is not None:
                 observer.pool_wave(worker.worker_id, calls, results)
             start = max(worker.busy_until, not_before)
-            end = start + worker.wave_cost_seconds(calls)
+            end = start + list_scheduled_makespan(costs, 1)
             worker.book_wave(calls, start, end)
             self.waves_dispatched += 1
             return WaveDispatch(

@@ -8,16 +8,27 @@ accounting.  This module is that single definition; it depends only on
 the addressing geometry and the validated
 :class:`~repro.perf.timing.EngineTimingModel`, so the pool can sit
 below the service layer without an import cycle.
+
+A served call is priced once: the service takes its price at submit
+and carries it to :meth:`~repro.pool.EnginePool.dispatch`, whose boards
+all price with one timing model, so the board books the carried price
+instead of pricing the call again.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Tuple
+from typing import Dict, Tuple
 
 from ..addresslib.addressing import AddressingMode
 from ..addresslib.library import BatchCall
+from ..image.formats import ImageFormat
 from ..perf.timing import EngineTimingModel
+
+#: Each call geometry's (serial, overlapped) seconds, by (timing model,
+#: format, mode, reduction): the model is frozen, the costs are plain
+#: floats, and this key hashes cheaper than the geometry's numbers.
+_COSTS: Dict[Tuple[EngineTimingModel, ImageFormat, AddressingMode, bool],
+             Tuple[float, float]] = {}
 
 
 def call_cost_seconds(call: BatchCall, timing: EngineTimingModel
@@ -28,22 +39,18 @@ def call_cost_seconds(call: BatchCall, timing: EngineTimingModel
     prices batches with, so service admission, scheduler makespans,
     pool placement and driver submission all account one call
     identically.  The cost depends only on the timing model and the
-    geometry, so each distinct one is computed once.
+    geometry, so each distinct one is computed once and looked up in a
+    dict after that.
     """
-    fmt = call.fmt
-    images_in = 2 if call.mode is AddressingMode.INTER else 1
-    return _geometry_cost(timing, fmt.pixels, fmt.strips, images_in,
-                          not call.reduce_to_scalar)
-
-
-@functools.lru_cache(maxsize=1024)
-def _geometry_cost(timing: EngineTimingModel, pixels: int, strips: int,
-                   images_in: int, produces_image: bool
-                   ) -> Tuple[float, float]:
-    """(serial, overlapped) seconds of one call geometry (cached: the
-    timing model is frozen and the costs are plain floats)."""
-    serial = timing.serial_call_seconds_raw(
-        pixels, strips, images_in, produces_image)
-    overlapped = timing.overlapped_call_seconds_raw(
-        pixels, strips, images_in, produces_image)
-    return serial, overlapped
+    key = (timing, call.fmt, call.mode, call.reduce_to_scalar)
+    cost = _COSTS.get(key)
+    if cost is None:
+        fmt = call.fmt
+        images_in = 2 if call.mode is AddressingMode.INTER else 1
+        produces_image = not call.reduce_to_scalar
+        cost = _COSTS[key] = (
+            timing.serial_call_seconds_raw(fmt.pixels, fmt.strips,
+                                           images_in, produces_image),
+            timing.overlapped_call_seconds_raw(fmt.pixels, fmt.strips,
+                                               images_in, produces_image))
+    return cost

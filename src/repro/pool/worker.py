@@ -119,7 +119,8 @@ class EngineWorker:
         return call_cost_seconds(call, self.timing)
 
     def wave_cost_seconds(self, calls: Sequence[BatchCall]) -> float:
-        """Modeled makespan of one wave on this board.
+        """Modeled makespan of one wave on this board: what
+        :meth:`~repro.pool.EnginePool.dispatch` books for it.
 
         The one-engine makespan sums the costs largest first; a plain
         ``sum()`` in call order can differ in the last bit.
@@ -129,16 +130,13 @@ class EngineWorker:
 
     def affinity_score(self, calls: Sequence[BatchCall]) -> int:
         """How many of the wave's input frames are already resident in
-        this board's banks (identity, never content comparison)."""
+        this board's banks (identity, never content comparison) -- the
+        count :meth:`~repro.pool.EnginePool.place` ranks boards by."""
         cache = self.residency
         if cache is None:
             return 0
-        score = 0
-        for call in calls:
-            for frame in call.frames:
-                if cache.contains(frame):
-                    score += 1
-        return score
+        return cache.resident_count(
+            [frame for call in calls for frame in call.frames])
 
     # -- execution and books --------------------------------------------------
 

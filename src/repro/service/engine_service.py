@@ -234,7 +234,7 @@ class EngineService:
         return ticket
 
     def _admit(self, request: ServiceRequest) -> Optional[RejectReason]:
-        alive = len(self.pool.alive()) or 1
+        alive = self.pool.alive_count() or 1
         busy_tail = max(0.0, self.busy_until - self.clock)
         queued = self.queue.cost_seconds
         if self.policy.fair_queueing:
@@ -253,14 +253,17 @@ class EngineService:
         """``tenant``'s weight share among tenants with queued work.
 
         The weights are summed with ``math.fsum``, whose result does
-        not depend on the order of the set (string hashing, so
-        ``PYTHONHASHSEED``, decides that order)."""
-        active = set(self.queue.cost_by_tenant)
-        active.add(tenant)
-        total = math.fsum(self.policy.weight(name) for name in active)
+        not depend on the order they come in."""
+        weight = self.policy.weight
+        queued = self.queue.cost_by_tenant
+        weights = [weight(name) for name in queued]
+        own = weight(tenant)
+        if tenant not in queued:
+            weights.append(own)
+        total = math.fsum(weights)
         if total <= 0.0:
             return 1.0
-        return self.policy.weight(tenant) / total
+        return own / total
 
     def _reject(self, ticket: ServiceTicket,
                 reason: RejectReason) -> None:
@@ -282,21 +285,21 @@ class EngineService:
             return resolved
         not_before = max(r.effective_arrival_seconds for r in wave)
         start_estimate = max(self.busy_until, not_before)
-        survivors = [r for r in wave
-                     if not self._expire(r, start_estimate, resolved)]
+        survivors = [r for r in wave if r.deadline_seconds is None
+                     or not self._expire(r, start_estimate, resolved)]
         if not survivors:
             return resolved
-        dispatch = self.pool.dispatch([r.call for r in survivors],
-                                      not_before=not_before)
-        for request in survivors:
-            self.report_data.modeled_serial_seconds += (
-                request.serial_cost_seconds)
+        # The price taken at submit rides to the board's books.
+        dispatch = self.pool.dispatch(
+            [r.call for r in survivors], not_before=not_before,
+            costs=[r.estimated_cost_seconds for r in survivors])
+        report = self.report_data
         wave_end = dispatch.end_seconds
         self.clock = max(self.clock, wave_end)
-        self.report_data.busy_seconds += (wave_end
-                                          - dispatch.start_seconds)
-        self.report_data.waves += 1
+        report.busy_seconds += wave_end - dispatch.start_seconds
+        report.waves += 1
         for request, result in zip(survivors, dispatch.results):
+            report.modeled_serial_seconds += request.serial_cost_seconds
             request.attempts += 1
             resolved.append(self._complete(request, result, wave_end))
         return resolved

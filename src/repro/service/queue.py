@@ -44,6 +44,10 @@ from .request import Priority, RejectReason, ServiceRequest
 #: One queued entry: (virtual finish tag, offer sequence, request).
 _Entry = Tuple[float, int, ServiceRequest]
 
+#: The priority classes in drain order (iterating the enum class itself
+#: runs a Python-level generator on every pop).
+_PRIORITIES: Tuple[Priority, ...] = tuple(Priority)
+
 
 class RequestQueue:
     """Weighted-fair within a class, strict priority across classes."""
@@ -54,13 +58,13 @@ class RequestQueue:
         #: priority -> tenant bucket -> FIFO of stamped entries.
         self._classes: Dict[Priority,
                             Dict[Optional[str], Deque[_Entry]]] = {
-            priority: {} for priority in Priority}
+            priority: {} for priority in _PRIORITIES}
         #: Per-class virtual time (advances with every head pop).
         self._vtime: Dict[Priority, float] = {
-            priority: 0.0 for priority in Priority}
+            priority: 0.0 for priority in _PRIORITIES}
         #: Per-class, per-bucket last assigned finish tag.
         self._finish: Dict[Priority, Dict[Optional[str], float]] = {
-            priority: {} for priority in Priority}
+            priority: {} for priority in _PRIORITIES}
         self._size = 0
         self._seq = 0
         #: Decreasing stamp so later requeues sort *ahead* of earlier
@@ -159,7 +163,7 @@ class RequestQueue:
     def pop_next(self) -> ServiceRequest:
         """Smallest finish tag in the highest non-empty class; raises
         IndexError when empty."""
-        for priority in Priority:
+        for priority in _PRIORITIES:
             buckets = self._classes[priority]
             if not buckets:
                 continue
@@ -206,7 +210,7 @@ class RequestQueue:
         popped: List[ServiceRequest] = []
         if limit <= 0:
             return popped
-        for priority in Priority:
+        for priority in _PRIORITIES:
             if not self._classes[priority]:
                 continue
             candidates = [entry for entry in
@@ -240,6 +244,6 @@ class RequestQueue:
             self._account_remove(entry[2])
 
     def __iter__(self) -> Iterator[ServiceRequest]:
-        for priority in Priority:
+        for priority in _PRIORITIES:
             for entry in self._class_entries(priority):
                 yield entry[2]

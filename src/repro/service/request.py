@@ -58,6 +58,9 @@ class RequestState(enum.Enum):
     REJECTED = "rejected"
     TIMED_OUT = "timed_out"
 
+    #: Identity hashing in C (members are singletons; see ``Channel``).
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

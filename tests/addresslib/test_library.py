@@ -86,18 +86,23 @@ class TestDispatchAndLogging:
 
 class TestSoftwareRecords:
     """The software backend builds each call geometry's record once and
-    books an independent copy of it per call."""
+    logs that one read-only record for every call of the geometry."""
 
-    def test_repeated_calls_book_equal_independent_records(self):
+    def test_repeated_calls_log_equal_read_only_records(self):
         lib = AddressLib()
         frame = noise_frame(FMT, seed=5)
         lib.intra(INTRA_GRAD, frame)
         lib.inter_reduce(INTER_ABSDIFF, frame, frame)
         first_intra, first_inter = lib.log.records
-        # Scribbling on logged records must not reach later ones.
-        first_intra.profile.add_cost(InstructionCost(alu=7), 3.0)
-        first_intra.extra["width"] = -1.0
-        first_inter.profile.add_call()
+        # A logged record is shared by reference: writing to it raises.
+        with pytest.raises(TypeError):
+            first_intra.profile.add_cost(InstructionCost(alu=7), 3.0)
+        with pytest.raises(TypeError):
+            first_intra.extra["width"] = -1.0
+        with pytest.raises(AttributeError):
+            first_inter.profile.add_call()
+        with pytest.raises(AttributeError):
+            first_inter.pixels = 0
         lib.intra(INTRA_GRAD, frame)
         lib.inter_reduce(INTER_ABSDIFF, frame, frame)
         lib.run_batch([BatchCall.inter_reduce(INTER_ABSDIFF, frame, frame),
@@ -110,10 +115,9 @@ class TestSoftwareRecords:
         reduce_profile.add_cost(InstructionCost(alu=1), FMT.pixels)
         assert inter.profile == reduce_profile
         assert intra.extra["width"] == FMT.width
+        assert intra == first_intra and inter == first_inter
         assert batch_intra == intra and batch_inter == inter
-        records = lib.log.records
-        assert len({id(r.profile) for r in records}) == len(records)
-        assert len({id(r.extra) for r in records}) == len(records)
+        assert lib.log.merged_profile().calls == 6
 
     def test_cost_model_and_scan_select_the_record(self):
         """Swapping the backend's cost model or scan order books the

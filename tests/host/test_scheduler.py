@@ -502,6 +502,35 @@ class TestEngineRuns:
         assert split < model_split
         assert all(not calls[index].reduce_to_scalar for index in run)
 
+    def test_an_unmeasured_kind_keeps_the_measured_seconds(
+            self, monkeypatch):
+        """A kind no engine has run is priced at its model cost scaled
+        by the measured-to-model ratio of the kinds that have run; the
+        measured kinds keep their seconds.  Here the two intra kinds
+        ran at 8 and 1 ms and the reduces never ran."""
+        sched = self._scheduler(monkeypatch, 2, 2)
+        frames = [noise_frame(QCIF, seed=s) for s in range(70, 76)]
+        calls = [BatchCall.intra(op, frame) for frame in frames
+                 for op in (INTRA_BOX3, INTRA_SOBEL_X)]
+        calls += [BatchCall.inter_reduce(INTER_ABSDIFF, a, b)
+                  for a, b in zip(frames, frames[1:])]
+        model = [call_cost_seconds(call, sched.timing)[1] for call in calls]
+        model_split = len(self._runs(sched, calls)[0])
+        sched._learn(calls[0], 0.008)
+        sched._learn(calls[1], 0.001)
+        scale = 0.009 / (model[0] + model[1])
+        costs = [model[index] * scale if call.reduce_to_scalar
+                 else (0.008 if call.op is INTRA_BOX3 else 0.001)
+                 for index, call in enumerate(calls)]
+        run, own = self._runs(sched, calls)
+        split = len(run)
+        assert run + own == list(range(len(calls)))
+        assert (max(sum(costs[:split]), sum(costs[split:]))
+                == self._best_split(costs))
+        # The model alone (what a wave with a new kind used to be cut
+        # by) puts one more call on the worker.
+        assert split == model_split - 1
+
     @pytest.mark.skipif(not SHARED_MEMORY_AVAILABLE,
                         reason="no multiprocessing.shared_memory")
     def test_waves_teach_every_kind_they_ran(self, monkeypatch):

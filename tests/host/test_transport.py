@@ -12,11 +12,15 @@ recycling, in-place result writes, and leak-free teardown.
 import gc
 import os
 import random
+import signal
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.addresslib import (AddressLib, BatchCall, ChannelSet, INTER_OPS,
                               INTRA_BOX3, INTRA_GRAD, INTRA_OPS,
                               KERNEL_FACTORIES, SoftwareBackend,
@@ -824,3 +828,69 @@ class TestTeardown:
         sched.close()
         sched.close()
         assert sched.compute_batch([]) == []
+
+
+#: A process that makes a store, registers one frame, leases one slab,
+#: prints both segment names, then exits without closing the store
+#: ("exit") or waits to be killed ("wait").
+_STORE_OWNER = """
+import sys, time
+from repro.host.shm import PlaneStore
+from repro.image import ImageFormat, noise_frame
+store = PlaneStore()
+frame = noise_frame(ImageFormat("S", 8, 8), seed=1)
+handle = store.register(frame)
+slab = store.lease_slab(frame.format)
+print(handle.segment_name, slab.segment_name, flush=True)
+if sys.argv[1] == "wait":
+    time.sleep(120)
+"""
+
+
+def _store_owner(mode):
+    """Start :data:`_STORE_OWNER`; returns the process and the names of
+    the segments its store made."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-c", _STORE_OWNER, mode],
+                            stdout=subprocess.PIPE, env=env, text=True)
+    names = set(proc.stdout.readline().split())
+    assert len(names) == 2
+    return proc, names
+
+
+@needs_shm
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                    reason="no /dev/shm listing of segment names")
+class TestSegmentLifetime:
+    """No segment outlives its store's process, however it ends."""
+
+    def test_exit_without_close_releases_the_store(self):
+        proc, names = _store_owner("exit")
+        assert proc.wait(timeout=60) == 0
+        proc.stdout.close()
+        assert names & _psm_names() == set()
+
+    def test_collected_store_releases_its_segments(self):
+        store = shm.PlaneStore()
+        frame = noise_frame(ImageFormat("S", 8, 8), seed=2)
+        store.register(frame)
+        store.lease_slab(frame.format)
+        names = set(store.active_segment_names())
+        assert names <= _psm_names()
+        del store
+        gc.collect()
+        assert names & _psm_names() == set()
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL],
+                             ids=["SIGTERM", "SIGKILL"])
+    def test_killed_owner_is_swept_by_the_next_store(self, signum):
+        proc, names = _store_owner("wait")
+        assert names <= _psm_names()
+        proc.send_signal(signum)
+        assert proc.wait(timeout=60) == -signum
+        proc.stdout.close()
+        # The killed process cleaned nothing up; the next store does.
+        shm.PlaneStore().close()
+        assert names & _psm_names() == set()
+

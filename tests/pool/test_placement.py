@@ -6,13 +6,22 @@ the lowest worker id -- no RNG anywhere in the router, and a failed
 board never takes a wave.
 """
 
-import pytest
+import random
 
-from repro.addresslib import BatchCall, INTRA_BOX3, INTRA_GRAD
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.addresslib import (BatchCall, INTER_ABSDIFF, INTRA_BOX3,
+                              INTRA_GRAD)
 from repro.api import EnginePool
+from repro.core.config import inter_config, intra_config
+from repro.core.errors import EngineDeadlock
 from repro.image import ImageFormat, noise_frame
+from repro.pool import EngineWorker, call_cost_seconds
 
 QCIF = ImageFormat("QCIF", 176, 144)
+SMALL = ImageFormat("S8", 8, 8)
 
 
 def _call(seed=0, op=INTRA_GRAD):
@@ -79,3 +88,104 @@ class TestConstruction:
     def test_zero_board_pool_rejected(self):
         with pytest.raises(ValueError):
             EnginePool.of_engines(0)
+
+
+def _place_by_scores(pool, calls):
+    """The placement rule as it was before placement became one pass
+    (a test-resident copy): score every alive board call by call and
+    frame by frame, then take the least
+    ``(-score, busy_until, worker_id)``."""
+    alive = [w for w in pool.workers if not w.failed]
+    if not alive:
+        raise EngineDeadlock("engine pool has no surviving workers")
+
+    def score(worker):
+        cache = worker.residency
+        return sum(1 for call in calls for frame in call.frames
+                   if cache is not None and cache.contains(frame))
+
+    return min(alive, key=lambda w: (-score(w), w.busy_until, w.worker_id))
+
+
+class TestOnePassPlacement:
+    @settings(max_examples=200, deadline=None)
+    @given(boards=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_places_where_the_scored_rule_did(self, boards, seed):
+        """Random residency (inputs and results, intra and inter
+        layouts), busy horizons with ties, and failed boards."""
+        rng = random.Random(seed)
+        frames = [noise_frame(SMALL, seed=i) for i in range(5)]
+        pool = EnginePool.of_engines(boards)
+        for worker in pool.workers:
+            worker.busy_until = rng.choice([0.0, 1.0, 1.0, 2.5])
+            worker.failed = rng.random() < 0.25
+            cache = worker.residency
+            if rng.random() < 0.2:
+                continue  # a cold board
+            if rng.random() < 0.5:
+                cache.record_call(intra_config(INTRA_GRAD, SMALL),
+                                  [rng.choice(frames)],
+                                  rng.choice(frames + [None]))
+            else:
+                cache.record_call(inter_config(INTER_ABSDIFF, SMALL),
+                                  rng.sample(frames, 2),
+                                  rng.choice(frames + [None]))
+            if rng.random() < 0.2:
+                cache.release(rng.choice(frames))
+        calls = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                calls.append(BatchCall.intra(INTRA_BOX3,
+                                             rng.choice(frames)))
+            else:
+                calls.append(BatchCall.inter(INTER_ABSDIFF,
+                                             rng.choice(frames),
+                                             rng.choice(frames)))
+        if all(w.failed for w in pool.workers):
+            with pytest.raises(EngineDeadlock):
+                pool.place(calls)
+            return
+        assert pool.place(calls) is _place_by_scores(pool, calls)
+        for worker in pool.workers:
+            want = sum(1 for call in calls for frame in call.frames
+                       if worker.residency.contains(frame))
+            assert worker.affinity_score(calls) == want
+
+
+class TestCarriedCosts:
+    def test_carried_costs_book_what_repricing_books(self):
+        """Waves dispatched with the prices their callers took book the
+        same boards, starts and ends, to the bit, as waves the boards
+        price themselves."""
+        rng = random.Random(27)
+        frames = {fmt: [noise_frame(fmt, seed=i) for i in range(2)]
+                  for fmt in (SMALL, QCIF)}
+        carried, repriced = EnginePool.of_engines(3), EnginePool.of_engines(3)
+        clock = 0.0
+        for _ in range(40):
+            # Three prices per format: some waves' largest-first sums
+            # differ in the last bit from their call-order sums.
+            a, b = frames[rng.choice([SMALL, QCIF])]
+            calls = [rng.choice([BatchCall.intra(INTRA_GRAD, a),
+                                 BatchCall.inter(INTER_ABSDIFF, a, b),
+                                 BatchCall.inter_reduce(INTER_ABSDIFF,
+                                                        a, b)])
+                     for _ in range(rng.randint(1, 6))]
+            costs = [call_cost_seconds(call, carried.timing)[1]
+                     for call in calls]
+            clock += rng.choice([0.0, 1e-4, 5e-3])
+            got = carried.dispatch(calls, not_before=clock, costs=costs)
+            want = repriced.dispatch(calls, not_before=clock)
+            assert (got.worker_id, got.start_seconds.hex(),
+                    got.end_seconds.hex()) == (
+                want.worker_id, want.start_seconds.hex(),
+                want.end_seconds.hex())
+        assert ([w.busy_seconds.hex() for w in carried.workers]
+                == [w.busy_seconds.hex() for w in repriced.workers])
+
+    def test_boards_share_one_timing_model(self):
+        from repro.perf.timing import EngineTimingModel
+        slow = EngineTimingModel(host_call_overhead_s=1e-3)
+        with pytest.raises(ValueError):
+            EnginePool([EngineWorker(0), EngineWorker(1, timing=slow)])
+

@@ -12,14 +12,18 @@ first wave's last result, so result reuse and resident hits are booked
 too.
 """
 
+import gc
+import sys
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.addresslib import (INTER_OPS, INTRA_BOX3, INTRA_GRAD,
-                              INTRA_OPS, AddressingMode, AddressLib,
-                              BatchCall, ChannelSet, InterOp, IntraOp)
+from repro.addresslib import (INTER_ABSDIFF, INTER_OPS, INTRA_BOX3,
+                              INTRA_GRAD, INTRA_OPS, AddressingMode,
+                              AddressLib, BatchCall, ChannelSet, InterOp,
+                              IntraOp, SoftwareBackend)
 from repro.addresslib.addressing import CON_0
 from repro.addresslib.profiling import InstructionCost
 from repro.analysis import ProgramCheckError
@@ -341,3 +345,49 @@ class TestPreflight:
         assert _lib_books(wave_lib)["calls_rejected"] == 1
         assert _lib_books(wave_lib) == _lib_books(serial_lib)
         assert wave_lib.log.records == serial_lib.log.records
+
+
+class TestCallLogHeap:
+    """Records are shared by reference, so a long run's call log costs
+    one list slot per call: over 20 ``run_batch`` rounds the traced
+    heap grows by no more than the log's own list."""
+
+    ROUNDS = 20
+
+    @pytest.mark.parametrize("backend", [
+        SoftwareBackend,
+        partial(EngineBackend, chain_frames=True),
+    ], ids=["software", "engine"])
+    def test_traced_heap_grows_by_one_list_slot_per_call(self, backend):
+        fmt = ImageFormat("H8", 8, 8)
+        frames = [noise_frame(fmt, seed=seed) for seed in range(3)]
+        calls = [BatchCall.intra(INTRA_GRAD, frames[0]),
+                 BatchCall.intra(INTRA_GRAD, frames[1]),
+                 BatchCall.intra(INTRA_BOX3, frames[2]),
+                 BatchCall.inter(INTER_ABSDIFF, frames[0], frames[1]),
+                 BatchCall.inter_reduce(INTER_ABSDIFF, frames[1],
+                                        frames[2])]
+        lib = AddressLib(backend())
+        records = lib.log.records
+        # Traced from the start, so the list's reallocations free the
+        # old buffers on the traced heap too.
+        tracemalloc.start()
+        try:
+            for _ in range(2):  # every geometry and residency booked
+                lib.run_batch(calls)
+            gc.collect()
+            list_before = sys.getsizeof(records)
+            heap_before = tracemalloc.get_traced_memory()[0]
+            for _ in range(self.ROUNDS):
+                lib.run_batch(calls)
+            gc.collect()
+            heap_after = tracemalloc.get_traced_memory()[0]
+            list_after = sys.getsizeof(records)
+        finally:
+            tracemalloc.stop()
+        slots = self.ROUNDS * len(calls)
+        assert len(records) == (self.ROUNDS + 2) * len(calls)
+        # The list itself may over-allocate; nothing else may grow.
+        assert list_after - list_before <= 2 * 8 * slots
+        assert heap_after - heap_before <= list_after - list_before + 512
+
