@@ -284,9 +284,11 @@ class SoftwareBackend(Backend):
                  scan: ScanOrder = ScanOrder.HORIZONTAL) -> None:
         self.cost_model = cost_model or SoftwareCostModel()
         self.scan = scan
-        #: The record of each call geometry -- cost model, op, format,
-        #: channels, scan order, reduction -- built once; every call of
-        #: that geometry logs that one immutable record.
+        #: The record of each call geometry -- cost model, the op's
+        #: name, cost and neighbourhood (all a record reads of an op, so
+        #: ops built afresh per call share one), format, channels, scan
+        #: order, reduction -- built once; every call of that geometry
+        #: logs that one immutable record.
         self._booked: Dict[tuple, CallRecord] = {}
 
     def supports(self, mode: AddressingMode) -> bool:
@@ -297,7 +299,8 @@ class SoftwareBackend(Backend):
     def inter_record(self, op: InterOp, fmt, channels: ChannelSet,
                      reduce_to_scalar: bool = False) -> CallRecord:
         # An inter call's profile does not depend on the scan order.
-        key = (self.cost_model, op, fmt, channels, None, reduce_to_scalar)
+        key = (self.cost_model, op.name, op.cost, None, fmt, channels,
+               None, reduce_to_scalar)
         booked = self._booked.get(key)
         if booked is None:
             profile = self.cost_model.inter_profile(op, fmt, channels)
@@ -319,7 +322,8 @@ class SoftwareBackend(Backend):
 
     def intra_record(self, op: IntraOp, fmt,
                      channels: ChannelSet) -> CallRecord:
-        key = (self.cost_model, op, fmt, channels, self.scan, False)
+        key = (self.cost_model, op.name, op.cost, op.neighbourhood, fmt,
+               channels, self.scan, False)
         booked = self._booked.get(key)
         if booked is None:
             profile = self.cost_model.intra_profile(op, fmt, channels,

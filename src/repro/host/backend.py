@@ -10,7 +10,7 @@ routes those to its software fallback automatically.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..addresslib.addressing import AddressingMode
 from ..addresslib.executor import VectorExecutor
@@ -18,9 +18,7 @@ from ..addresslib.library import (Backend, BatchCall, CallRecord,
                                   RecordedResult)
 from ..addresslib.ops import ChannelSet, InterOp, IntraOp
 from ..core.config import EngineConfig, inter_config, intra_config
-from ..image.formats import ImageFormat
 from ..image.frame import Frame
-from ..perf.timing import EngineTimingModel
 from .driver import AddressEngineDriver, CallPrice, FrameResidencyCache
 
 #: One call geometry's shared books: its record and its price, by
@@ -56,9 +54,8 @@ class EngineBackend(Backend):
     only counts its submission and interrupts
     (:meth:`~repro.host.driver.AddressEngineDriver.book_priced`, which
     still runs the pre-flight check when the driver has it on).  The
-    books belong to the driver's timing model and start over when it
-    changes.  Each op (by identity) and geometry builds its
-    :class:`~repro.core.config.EngineConfig` once.
+    books are bounded by the distinct geometries, not by the calls or
+    by the op objects a caller builds.
     """
 
     name = "address_engine"
@@ -70,15 +67,9 @@ class EngineBackend(Backend):
         self.chain_frames = chain_frames
         #: On-board state between calls (strong-referenced frames).
         self.residency = FrameResidencyCache()
-        #: Each (op identity, format, channels, reduction)'s config and
-        #: the books of its geometry; the config keeps its op alive, so
-        #: the op's id() names it for as long as the entry lives.
-        self._configs: Dict[tuple, Tuple[EngineConfig, _Books]] = {}
         #: Each geometry's books, keyed by what a record and a price
-        #: depend on besides residency.
+        #: depend on besides residency and the driver's timing model.
         self._books: Dict[tuple, _Books] = {}
-        #: The timing model the books were priced under.
-        self._books_timing: Optional[EngineTimingModel] = None
 
     def supports(self, mode: AddressingMode) -> bool:
         return mode.engine_supported_v1
@@ -104,46 +95,40 @@ class EngineBackend(Backend):
     # -- call execution -------------------------------------------------------
 
     def run_wave(self, calls: Sequence[BatchCall]) -> List[RecordedResult]:
-        head = calls[0]
-        return self._run(head.mode, head.op, head.fmt, head.channels,
-                         head.reduce_to_scalar,
+        return self._run(self._config_for(calls[0]),
                          [call.frames for call in calls])
 
     def inter(self, op: InterOp, frame_a: Frame, frame_b: Frame,
               channels: ChannelSet) -> Tuple[Frame, CallRecord]:
-        result, record = self._run(AddressingMode.INTER, op,
-                                   frame_a.format, channels, False,
-                                   [(frame_a, frame_b)])[0]
+        config = inter_config(op, frame_a.format, channels)
+        result, record = self._run(config, [(frame_a, frame_b)])[0]
         assert isinstance(result, Frame)
         return result, record
 
     def intra(self, op: IntraOp, frame: Frame,
               channels: ChannelSet) -> Tuple[Frame, CallRecord]:
-        result, record = self._run(AddressingMode.INTRA, op, frame.format,
-                                   channels, False, [(frame,)])[0]
+        config = intra_config(op, frame.format, channels)
+        result, record = self._run(config, [(frame,)])[0]
         assert isinstance(result, Frame)
         return result, record
 
     def inter_reduce(self, op: InterOp, frame_a: Frame, frame_b: Frame,
                      channels: ChannelSet) -> Tuple[int, CallRecord]:
-        result, record = self._run(AddressingMode.INTER, op,
-                                   frame_a.format, channels, True,
-                                   [(frame_a, frame_b)])[0]
+        config = inter_config(op, frame_a.format, channels,
+                              reduce_to_scalar=True)
+        result, record = self._run(config, [(frame_a, frame_b)])[0]
         assert isinstance(result, int)
         return result, record
 
-    def _run(self, mode: AddressingMode, op: Union[InterOp, IntraOp],
-             fmt: ImageFormat, channels: ChannelSet,
-             reduce_to_scalar: bool,
+    def _run(self, config: EngineConfig,
              inputs: Sequence[Sequence[Frame]]) -> List[RecordedResult]:
         """Execute calls of one configuration and book each in order."""
-        config, books = self._geometry(mode, op, fmt, channels,
-                                       reduce_to_scalar)
         driver = self.driver
         if driver.simulate:
             return [self._simulate(config, frames) for frames in inputs]
-        results = VectorExecutor.wave(config.op, inputs, channels,
-                                      reduce_to_scalar)
+        results = VectorExecutor.wave(config.op, inputs, config.channels,
+                                      config.reduce_to_scalar)
+        books = self._books_of(config)
         outcomes: List[RecordedResult] = []
         for frames, result in zip(inputs, results):
             resident, copy_cycles = self._residency(config, frames)
@@ -157,30 +142,14 @@ class EngineBackend(Backend):
             outcomes.append((result, record))
         return outcomes
 
-    def _geometry(self, mode: AddressingMode, op: Union[InterOp, IntraOp],
-                  fmt: ImageFormat, channels: ChannelSet,
-                  reduce_to_scalar: bool) -> Tuple[EngineConfig, _Books]:
-        """The config a serial submission would build for these calls,
-        and the books of its geometry (both built once)."""
-        if self.driver.timing is not self._books_timing:
-            self._configs.clear()
-            self._books.clear()
-            self._books_timing = self.driver.timing
-        key = (id(op), fmt, channels, reduce_to_scalar)
-        entry = self._configs.get(key)
-        if entry is None:
-            if mode is AddressingMode.INTER:
-                assert isinstance(op, InterOp)
-                config = inter_config(op, fmt, channels,
-                                      reduce_to_scalar=reduce_to_scalar)
-            else:
-                assert isinstance(op, IntraOp)
-                config = intra_config(op, fmt, channels)
-            books = self._books.setdefault(
-                (config.mode, config.op_name, fmt, channels,
-                 reduce_to_scalar, config.requires_full_frames), {})
-            entry = self._configs[key] = (config, books)
-        return entry
+    def _books_of(self, config: EngineConfig) -> _Books:
+        """The shared books of ``config``'s call geometry."""
+        key = (config.mode, config.op_name, config.fmt, config.channels,
+               config.reduce_to_scalar, config.requires_full_frames)
+        books = self._books.get(key)
+        if books is None:
+            books = self._books[key] = {}
+        return books
 
     def _book(self, config: EngineConfig, books: _Books,
               resident_count: int, copy_cycles: int
@@ -217,6 +186,15 @@ class EngineBackend(Backend):
         if self.chain_frames:
             self.residency.invalidate()
 
+    def _config_for(self, call: BatchCall) -> EngineConfig:
+        """The engine configuration a serial submission would build."""
+        if call.mode is AddressingMode.INTER:
+            assert isinstance(call.op, InterOp)
+            return inter_config(call.op, call.fmt, call.channels,
+                                reduce_to_scalar=call.reduce_to_scalar)
+        assert isinstance(call.op, IntraOp)
+        return intra_config(call.op, call.fmt, call.channels)
+
     def batch_record(self, call: BatchCall) -> CallRecord:
         """Book one scheduler-executed call; returns its shared record.
 
@@ -225,8 +203,8 @@ class EngineBackend(Backend):
         same pre-flight check, counters and price.  Batched calls never
         claim residency (the wave invalidated it).
         """
-        config, books = self._geometry(call.mode, call.op, call.fmt,
-                                       call.channels, call.reduce_to_scalar)
+        config = self._config_for(call)
+        books = self._books_of(config)
         self.driver.account_scheduled(config)
         record, _price = books.get((0, 0)) or self._book(config, books, 0, 0)
         return record

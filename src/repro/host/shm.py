@@ -42,10 +42,11 @@ Segments are created, mapped and unlinked with the POSIX primitives
 never hears of them: this module does its own refcounted cleanup.  A
 store that is never closed still releases its segments when it is
 collected or the interpreter exits (a ``weakref.finalize`` holding only
-their names), and each segment's name carries the pid of the process
-that created it, so a new store unlinks the segments of any store whose
-process died without either -- killed by SIGTERM or SIGKILL -- before it
-makes its own.
+their names), and each segment's name carries the pid namespace and
+pid of the process that created it, so a new store unlinks the
+segments of any store of its namespace whose process died without
+either -- killed by SIGTERM or SIGKILL -- before it makes its own.
+
 Shared memory is the scheduler's only transport.  Where the platform
 has no POSIX shared memory (:data:`SHARED_MEMORY_AVAILABLE` is False)
 nothing ships; when a segment operation fails at runtime, the store
@@ -84,11 +85,26 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 _NAME_PREFIX = "psm_"
 
 #: This module's segment names: the prefix, the creating process's pid
-#: and ten hex digits (``multiprocessing``'s own names have no pid).
-_OWNED_NAME = re.compile(_NAME_PREFIX + r"(\d+)_[0-9a-f]{10}\Z")
+#: namespace and pid, and ten hex digits (``multiprocessing``'s own
+#: names have neither).
+_OWNED_NAME = re.compile(_NAME_PREFIX + r"(\d+)_(\d+)_[0-9a-f]{10}\Z")
 
 #: Where the platform lists its POSIX shared-memory names (Linux).
 _SHM_DIR = "/dev/shm"
+
+
+def _pid_namespace() -> int:
+    """This process's pid namespace (its inode; 0 when the platform
+    does not say).  A pid names a process only inside its namespace,
+    and containers sharing ``/dev/shm`` may each have their own."""
+    try:
+        return os.stat("/proc/self/ns/pid").st_ino
+    except OSError:
+        return 0
+
+
+#: The pid namespace this module's segment names carry.
+_PID_NAMESPACE = _pid_namespace()
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +191,8 @@ class _Segment:
 
 def _new_segment(nbytes: int) -> _Segment:
     """Create and map a segment of ``nbytes`` under a fresh name that
-    carries this process's pid (see :func:`_sweep_dead_owners`).
+    carries this process's pid namespace and pid (see
+    :func:`_sweep_dead_owners`).
 
     ``O_EXCL`` makes a name collision fail instead of sharing another
     segment; a fresh name is drawn then.  Nothing registers with the
@@ -184,7 +201,8 @@ def _new_segment(nbytes: int) -> _Segment:
     the creation).
     """
     while True:
-        name = f"{_NAME_PREFIX}{os.getpid()}_{secrets.token_hex(5)}"
+        name = (f"{_NAME_PREFIX}{_PID_NAMESPACE}_{os.getpid()}_"
+                f"{secrets.token_hex(5)}")
         try:
             fd = _posixshmem.shm_open(
                 "/" + name, os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600)
@@ -268,13 +286,16 @@ def _sweep_dead_owners() -> None:
 
     A store releases its segments on ``close()``, on collection and at
     interpreter exit -- but not when its process is killed.  Each name
-    carries its creator's pid (:func:`_new_segment`), so the next store
-    made on the host reclaims them.  One directory listing per store,
-    and one existence probe per distinct pid found; a platform that
-    lists no names sweeps nothing.  Pids are those of this pid
-    namespace: a process of another namespace sharing the directory
-    would look dead, and its workers would run their calls inline.
+    carries its creator's pid namespace and pid (:func:`_new_segment`),
+    so the next store made in that namespace reclaims them.  A pid
+    only names a process inside its own namespace, so names from any
+    other namespace (a container sharing the directory) are left alone,
+    as is everything when this process cannot tell its namespace.  One
+    directory listing per store, and one existence probe per distinct
+    pid found; a platform that lists no names sweeps nothing.
     """
+    if not _PID_NAMESPACE:
+        return
     try:
         names = os.listdir(_SHM_DIR)
     except OSError:
@@ -282,9 +303,9 @@ def _sweep_dead_owners() -> None:
     exists: Dict[int, bool] = {}
     for name in names:
         match = _OWNED_NAME.match(name)
-        if match is None:
+        if match is None or int(match.group(1)) != _PID_NAMESPACE:
             continue
-        pid = int(match.group(1))
+        pid = int(match.group(2))
         if pid not in exists:
             exists[pid] = pid <= 0 or _process_exists(pid)
         if not exists[pid]:

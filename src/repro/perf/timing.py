@@ -58,6 +58,13 @@ def list_scheduled_makespan(costs: Sequence[float], engines: int) -> float:
     per-wave makespan across its workers, and an
     :class:`~repro.pool.EngineWorker`'s wave cost on its one board.
     """
+    if engines <= 1:
+        # lpt_schedule's one load, without its groups: every cost,
+        # largest first, added with ``+=``.
+        load = 0.0
+        for cost in sorted(costs, reverse=True):
+            load += cost
+        return load
     return max(lpt_schedule(costs, engines)[1])
 
 

@@ -34,8 +34,7 @@ from ..host.backend import EngineBackend
 from ..host.driver import AddressEngineDriver
 from ..image.frame import Frame
 from ..perf.report import base_report_dict
-from ..perf.timing import EngineTimingModel, list_scheduled_makespan
-from .pricing import call_cost_seconds
+from ..perf.timing import EngineTimingModel
 from .worker import EngineWorker, WorkerReport
 
 
@@ -117,12 +116,7 @@ class EnginePool:
         if not workers:
             raise ValueError("a pool needs at least one worker")
         self.workers: List[EngineWorker] = list(workers)
-        #: The one timing model every board prices by: the price a
-        #: caller carries to :meth:`dispatch` holds on whichever board
-        #: the wave lands.
         self.timing = self.workers[0].timing
-        if any(worker.timing != self.timing for worker in self.workers):
-            raise ValueError("a pool's boards share one timing model")
         self.waves_dispatched = 0
         self.failovers = 0
         self.calls_requeued = 0
@@ -210,26 +204,18 @@ class EnginePool:
             raise EngineDeadlock("engine pool has no surviving workers")
         return best
 
-    def dispatch(self, calls: Sequence[BatchCall], not_before: float = 0.0,
-                 costs: Optional[Sequence[float]] = None) -> WaveDispatch:
+    def dispatch(self, calls: Sequence[BatchCall],
+                 not_before: float = 0.0) -> WaveDispatch:
         """Route one wave to a board, run it, and book the clock.
 
         The wave starts at ``max(board free time, not_before)`` and
         costs its calls' overlap-model prices run back to back on that
-        board.  ``costs`` carries those prices when the caller already
-        took them (the service prices every request at submit); they
-        come from the same function on the pool's one timing model, so
-        they are booked as they are, and the calls are priced here only
-        when no costs come with them.  On :class:`EngineDeadlock` the
-        board is failed out and the whole wave re-places among
-        survivors (results never mix boards) and is priced again; with
-        no survivors the deadlock propagates.
+        board.  On :class:`EngineDeadlock` the board is failed out and
+        the whole wave re-places among survivors (results never mix
+        boards); with no survivors the deadlock propagates.
         """
         failovers = 0
         while True:
-            if costs is None:
-                costs = [call_cost_seconds(call, self.timing)[1]
-                         for call in calls]
             worker = self.place(calls)
             try:
                 results = worker.run_wave(calls)
@@ -239,20 +225,19 @@ class EnginePool:
                 self.failovers += 1
                 self.calls_requeued += len(calls)
                 failovers += 1
-                if not self.alive():
+                if not self.alive_count():
                     raise
                 requeued = self._requeue(calls)
                 observer = shm.get_transport_observer()
                 if observer is not None:
                     observer.pool_requeued(calls, requeued)
                 calls = requeued
-                costs = None
                 continue
             observer = shm.get_transport_observer()
             if observer is not None:
                 observer.pool_wave(worker.worker_id, calls, results)
             start = max(worker.busy_until, not_before)
-            end = start + list_scheduled_makespan(costs, 1)
+            end = start + worker.wave_cost_seconds(calls)
             worker.book_wave(calls, start, end)
             self.waves_dispatched += 1
             return WaveDispatch(

@@ -9,10 +9,9 @@ the addressing geometry and the validated
 :class:`~repro.perf.timing.EngineTimingModel`, so the pool can sit
 below the service layer without an import cycle.
 
-A served call is priced once: the service takes its price at submit
-and carries it to :meth:`~repro.pool.EnginePool.dispatch`, whose boards
-all price with one timing model, so the board books the carried price
-instead of pricing the call again.
+A served call is priced twice -- by admission at submit and by the
+board that runs its wave -- and both prices are one dict lookup per
+call geometry.
 """
 
 from __future__ import annotations

@@ -56,15 +56,13 @@ RATE_TAU_SECONDS = 0.5
 
 
 class _RateEstimate:
-    """Exponentially decayed arrival counter for one tenant, with the
-    tenant's policy weight."""
+    """Exponentially decayed arrival counter for one tenant."""
 
-    __slots__ = ("count", "last_seconds", "weight")
+    __slots__ = ("count", "last_seconds")
 
-    def __init__(self, weight: float) -> None:
+    def __init__(self) -> None:
         self.count = 0.0
         self.last_seconds = 0.0
-        self.weight = weight
 
     def decayed(self, now: float, tau: float) -> float:
         """The counter decayed to ``now`` (without mutating)."""
@@ -80,10 +78,6 @@ class AdmissionController:
         self.timing = timing or EngineTimingModel()
         self.policy = policy if policy is not None else ServicePolicy()
         self._rates: Dict[Optional[str], _RateEstimate] = {}
-        #: Each (class, tenant)'s unshaded budget: the policy is frozen,
-        #: so it is read once per pair.
-        self._budgets: Dict[Tuple[Priority, Optional[str]],
-                            Optional[float]] = {}
 
     def price(self, call: BatchCall) -> Tuple[float, float]:
         """(serial, overlapped) modeled seconds of ``call``."""
@@ -98,8 +92,7 @@ class AdmissionController:
         tau = RATE_TAU_SECONDS
         estimate = self._rates.get(tenant)
         if estimate is None:
-            estimate = self._rates[tenant] = _RateEstimate(
-                self.policy.weight(tenant))
+            estimate = self._rates[tenant] = _RateEstimate()
         estimate.count = estimate.decayed(now, tau) + 1.0
         estimate.last_seconds = max(estimate.last_seconds, now)
 
@@ -110,23 +103,18 @@ class AdmissionController:
         observed arrival stream; < 1.0 for the ones flooding past it.
         """
         tau = RATE_TAU_SECONDS
-        exp = math.exp
-        own = 0.0
-        own_weight = 0.0
+        own = own_weight = 0.0
         total_rate = 0.0
         total_weight = 0.0
         for name, estimate in self._rates.items():
-            # _RateEstimate.decayed, inline (same expression order).
-            elapsed = now - estimate.last_seconds
-            if not elapsed > 0.0:
-                elapsed = 0.0
-            rate = estimate.count * exp(-elapsed / tau) / tau
+            rate = estimate.decayed(now, tau) / tau
             if rate <= 1e-9:
                 continue
+            weight = self.policy.weight(name)
             total_rate += rate
-            total_weight += estimate.weight
+            total_weight += weight
             if name == tenant:
-                own, own_weight = rate, estimate.weight
+                own, own_weight = rate, weight
         if own <= 1e-9 or total_rate <= 1e-9 or total_weight <= 0.0:
             return 1.0
         fair = own_weight / total_weight
@@ -144,15 +132,10 @@ class AdmissionController:
         modeled time ``now``: the graduated class budget, capped at the
         tenant's p95 target, shaded by the tenant's arrival overshare.
         ``None`` disables shedding (no budget, no target)."""
-        key = (priority, tenant)
-        try:
-            budget = self._budgets[key]
-        except KeyError:
-            budget = self.policy.admission.budget_for(priority)
-            target = self.policy.tenant(tenant).p95_target_seconds
-            if target is not None:
-                budget = target if budget is None else min(budget, target)
-            self._budgets[key] = budget
+        budget = self.policy.admission.budget_for(priority)
+        target = self.policy.tenant(tenant).p95_target_seconds
+        if target is not None:
+            budget = target if budget is None else min(budget, target)
         if budget is not None:
             budget *= self._share_shade(tenant, now)
         return budget

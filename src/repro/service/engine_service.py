@@ -289,10 +289,8 @@ class EngineService:
                      or not self._expire(r, start_estimate, resolved)]
         if not survivors:
             return resolved
-        # The price taken at submit rides to the board's books.
-        dispatch = self.pool.dispatch(
-            [r.call for r in survivors], not_before=not_before,
-            costs=[r.estimated_cost_seconds for r in survivors])
+        dispatch = self.pool.dispatch([r.call for r in survivors],
+                                      not_before=not_before)
         report = self.report_data
         wave_end = dispatch.end_seconds
         self.clock = max(self.clock, wave_end)

@@ -121,10 +121,6 @@ class ServicePolicy:
         if self.max_batch < 1:
             raise ValueError(
                 f"max_batch must be >= 1, got {self.max_batch}")
-        # Each listed tenant's weight, read once: admission and the
-        # queue look a weight up on every request.
-        object.__setattr__(self, "_weights", {
-            name: contract.weight for name, contract in self.tenants.items()})
 
     def tenant(self, name: Optional[str]) -> TenantPolicy:
         """The contract ``name`` serves under (default when unlisted)."""
@@ -133,6 +129,5 @@ class ServicePolicy:
         return self.tenants.get(name, DEFAULT_TENANT_POLICY)
 
     def weight(self, name: Optional[str]) -> float:
-        """``name``'s fair-queueing weight (default when unlisted)."""
-        return self._weights.get(name, DEFAULT_TENANT_POLICY.weight)
+        return self.tenant(name).weight
 

@@ -894,3 +894,27 @@ class TestSegmentLifetime:
         shm.PlaneStore().close()
         assert names & _psm_names() == set()
 
+    @pytest.mark.skipif(not shm._PID_NAMESPACE,
+                        reason="the platform names no pid namespace")
+    def test_sweep_leaves_names_it_cannot_attribute(self):
+        # A pid no process here has: dead in this namespace, possibly
+        # live in another one sharing /dev/shm.
+        pid = 999_999_999
+        ours = f"psm_{shm._PID_NAMESPACE}_{pid}_{'a' * 10}"
+        foreign = f"psm_{shm._PID_NAMESPACE + 1}_{pid}_{'b' * 10}"
+        unnamespaced = f"psm_{pid}_{'c' * 10}"
+        made = (ours, foreign, unnamespaced)
+        for name in made:
+            os.close(shm._posixshmem.shm_open(
+                "/" + name, os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600))
+        try:
+            shm.PlaneStore().close()
+            assert ours not in _psm_names()
+            assert {foreign, unnamespaced} <= _psm_names()
+        finally:
+            for name in made:
+                try:
+                    shm._posixshmem.shm_unlink("/" + name)
+                except OSError:
+                    pass
+

@@ -18,7 +18,6 @@ from repro.api import EnginePool
 from repro.core.config import inter_config, intra_config
 from repro.core.errors import EngineDeadlock
 from repro.image import ImageFormat, noise_frame
-from repro.pool import EngineWorker, call_cost_seconds
 
 QCIF = ImageFormat("QCIF", 176, 144)
 SMALL = ImageFormat("S8", 8, 8)
@@ -150,42 +149,3 @@ class TestOnePassPlacement:
             want = sum(1 for call in calls for frame in call.frames
                        if worker.residency.contains(frame))
             assert worker.affinity_score(calls) == want
-
-
-class TestCarriedCosts:
-    def test_carried_costs_book_what_repricing_books(self):
-        """Waves dispatched with the prices their callers took book the
-        same boards, starts and ends, to the bit, as waves the boards
-        price themselves."""
-        rng = random.Random(27)
-        frames = {fmt: [noise_frame(fmt, seed=i) for i in range(2)]
-                  for fmt in (SMALL, QCIF)}
-        carried, repriced = EnginePool.of_engines(3), EnginePool.of_engines(3)
-        clock = 0.0
-        for _ in range(40):
-            # Three prices per format: some waves' largest-first sums
-            # differ in the last bit from their call-order sums.
-            a, b = frames[rng.choice([SMALL, QCIF])]
-            calls = [rng.choice([BatchCall.intra(INTRA_GRAD, a),
-                                 BatchCall.inter(INTER_ABSDIFF, a, b),
-                                 BatchCall.inter_reduce(INTER_ABSDIFF,
-                                                        a, b)])
-                     for _ in range(rng.randint(1, 6))]
-            costs = [call_cost_seconds(call, carried.timing)[1]
-                     for call in calls]
-            clock += rng.choice([0.0, 1e-4, 5e-3])
-            got = carried.dispatch(calls, not_before=clock, costs=costs)
-            want = repriced.dispatch(calls, not_before=clock)
-            assert (got.worker_id, got.start_seconds.hex(),
-                    got.end_seconds.hex()) == (
-                want.worker_id, want.start_seconds.hex(),
-                want.end_seconds.hex())
-        assert ([w.busy_seconds.hex() for w in carried.workers]
-                == [w.busy_seconds.hex() for w in repriced.workers])
-
-    def test_boards_share_one_timing_model(self):
-        from repro.perf.timing import EngineTimingModel
-        slow = EngineTimingModel(host_call_overhead_s=1e-3)
-        with pytest.raises(ValueError):
-            EnginePool([EngineWorker(0), EngineWorker(1, timing=slow)])
-

@@ -25,6 +25,7 @@ from repro.addresslib import (INTER_ABSDIFF, INTER_OPS, INTRA_BOX3,
                               AddressLib, BatchCall, ChannelSet, InterOp,
                               IntraOp, SoftwareBackend)
 from repro.addresslib.addressing import CON_0
+from repro.addresslib.compositions import opening
 from repro.addresslib.profiling import InstructionCost
 from repro.analysis import ProgramCheckError
 from repro.core import inter_config, intra_config
@@ -389,5 +390,33 @@ class TestCallLogHeap:
         assert len(records) == (self.ROUNDS + 2) * len(calls)
         # The list itself may over-allocate; nothing else may grow.
         assert list_after - list_before <= 2 * 8 * slots
+        assert heap_after - heap_before <= list_after - list_before + 512
+
+    @pytest.mark.parametrize("backend", [
+        SoftwareBackend,
+        partial(EngineBackend, chain_frames=True),
+    ], ids=["software", "engine"])
+    def test_fresh_op_objects_share_their_geometrys_books(self, backend):
+        """``opening`` builds a new erode and a new dilate op on every
+        call; the books are kept per geometry, so they do not keep
+        those ops or grow with them."""
+        frame = noise_frame(ImageFormat("H8", 8, 8), seed=0)
+        lib = AddressLib(backend())
+        records = lib.log.records
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                opening(lib, frame)
+            gc.collect()
+            list_before = sys.getsizeof(records)
+            heap_before = tracemalloc.get_traced_memory()[0]
+            for _ in range(self.ROUNDS):
+                opening(lib, frame)
+            gc.collect()
+            heap_after = tracemalloc.get_traced_memory()[0]
+            list_after = sys.getsizeof(records)
+        finally:
+            tracemalloc.stop()
+        assert len(records) == (self.ROUNDS + 2) * 2
         assert heap_after - heap_before <= list_after - list_before + 512
 
