@@ -27,8 +27,7 @@ Pentium-M timing model behind Table 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Dict, Iterator, List, Optional, Sequence, Set, Tuple,
-                    Union)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -118,7 +117,7 @@ def _plane_batch(frames: Sequence[Frame], channel: Channel,
     """One channel of ``frames`` as a ``(B, H, W)`` batch, edge-padded
     by ``neighbourhood``'s reach: the intra faces' input.  A view of
     the plane for a single frame under CON_0, one copy otherwise."""
-    planes = [frame.plane(channel) for frame in frames]
+    planes = [frame.read_plane(channel) for frame in frames]
     if len(planes) == 1 and neighbourhood.size == 1:
         return planes[0][np.newaxis]
     min_dx, min_dy, max_dx, max_dy = neighbourhood.bounding_box()
@@ -221,7 +220,7 @@ class VectorExecutor:
             planes: Dict[Channel, np.ndarray] = {}
             for channel in ALL_CHANNELS:
                 batch = batches.get(channel)
-                planes[channel] = (source.plane(channel).copy()
+                planes[channel] = (source.read_plane(channel).copy()
                                    if batch is None else batch[index])
             results.append(Frame.of_planes(source.format, planes))
         return results
@@ -230,25 +229,21 @@ class VectorExecutor:
     def wave_into(op: Union[InterOp, IntraOp],
                   inputs: Sequence[Sequence[Frame]],
                   channels: ChannelSet, outputs: Sequence[Frame]) -> None:
-        """:meth:`wave`'s frame results, written in place: call ``i``'s
-        result goes into the planes of ``outputs[i]`` (a frame of the
-        inputs' geometry that shares no memory with them) -- the kernel
-        output cast into the computed planes, the untouched planes
-        copied once from the call's first input.  The same kernel step
-        as :meth:`wave`; only the sink differs.
+        """:meth:`wave`'s computed planes, written in place: call
+        ``i``'s kernel output is cast into the planes of ``outputs[i]``
+        (a frame of the inputs' geometry that shares no memory with
+        them) that the op computes -- the ``channels`` -- and nothing
+        else.  The planes the op leaves untouched are the caller's to
+        supply: the call scheduler's results share them with the first
+        input's plane-store snapshot.  The same kernel step as
+        :meth:`wave`, inputs read in place; only the sink differs.
         """
         fmt = inputs[0][0].format
         shape = (len(inputs), fmt.height, fmt.width)
-        computed: Set[Channel] = set()
         for channel, values, _batch in _wave_values(op, inputs, channels):
             for output, item in zip(outputs,
                                     np.broadcast_to(values, shape)):
                 output.plane(channel)[...] = item
-            computed.add(channel)
-        for output, frames in zip(outputs, inputs):
-            for channel in ALL_CHANNELS:
-                if channel not in computed:
-                    output.plane(channel)[...] = frames[0].plane(channel)
 
     @staticmethod
     def inter(op: InterOp, frame_a: Frame, frame_b: Frame,
@@ -279,8 +274,9 @@ class VectorExecutor:
     def histogram(frame: Frame, channel: Channel = Channel.Y) -> np.ndarray:
         """256-bin histogram of one channel (a stage-3 'histogram' op whose
         output goes to an indexed table rather than to pixels)."""
-        return np.bincount(frame.plane(channel).reshape(-1).astype(np.int64),
-                           minlength=256)[:256]
+        return np.bincount(
+            frame.read_plane(channel).reshape(-1).astype(np.int64),
+            minlength=256)[:256]
 
 
 # ---------------------------------------------------------------------------

@@ -18,25 +18,30 @@ module supplies that second axis:
   every kind of call in the wave has run once).  The parent submits the
   workers' runs first (one grouped submission, one round trip, per
   worker), then computes the last run itself (``bypass_calls``),
-  reading its inputs in place -- no registration and no round trip
-  for those calls -- and then collects the workers' results.  The
-  workers take the head of the wave, so the frames only the tail
-  reads (a batch's cross-frame reduces, say) are never registered.
-  On a one-CPU host the parent's run is the whole wave and nothing
-  forks;
+  reading its inputs in place -- no round trip for those calls -- and
+  then collects the workers' results.  The workers take the head of
+  the wave, so the frames only the tail reads (a batch's cross-frame
+  reduces, say) are never registered.  On a one-CPU host the parent's
+  run is the whole wave and nothing forks;
 * frames move to workers *zero-copy and at most once*: each distinct
   input frame of the workers' runs is registered in a shared-memory
   :class:`~repro.host.shm.PlaneStore` once per wave and shipped as a
   small handle, and workers keep attached segments in a resident cache
   across waves;
-* a worker writes each frame result once, straight into a recycled
-  result slab the store leases, and the parent adopts the slab in
-  place.  Once a store exists, the parent computes its own run's
-  results into slabs it adopts the same way: recycled slabs keep
-  their pages, where fresh result planes would be faulted in anew
-  every wave once the allocator had handed the freed ones back.  A
-  wave with nothing to ship makes no store, so a one-CPU host computes
-  into fresh planes, exactly as serial execution does;
+* a frame result is written once and only where its op computes: a
+  worker writes the computed planes straight into a recycled result
+  slab the store leases, and the parent adopts the slab in place,
+  attaching the first input's store snapshot as the planes the op
+  left untouched -- shared read-only, copied only if someone asks to
+  write one (:meth:`~repro.image.frame.Frame.plane`).  Once a store
+  exists, the parent computes its own run's results the same way: it
+  registers the first input of each of its frame results (after the
+  workers' runs are submitted) and computes into slabs it adopts
+  first.  Recycled slabs keep their pages, where fresh result planes
+  would be faulted in anew every wave once the allocator had handed
+  the freed ones back.  A wave with nothing to ship makes no store, so
+  a one-CPU host computes into fresh planes, exactly as serial
+  execution does;
 * every batch is also *priced* under both timing models -- the serial
   (sum) model and the double-buffered overlap model of
   :class:`~repro.perf.timing.EngineTimingModel` -- list-scheduled onto
@@ -51,8 +56,9 @@ dies -- runs inline in the parent instead.
 
 Bit-exactness is by construction: every engine runs the *same*
 :class:`~repro.addresslib.executor.VectorExecutor` kernel step (only
-the sink differs: slab planes instead of fresh ones), and outcomes are
-collected by submission index, so results are identical to serial
+the sink differs: slab planes instead of fresh ones), an untouched
+plane is the input's content as registered in this wave, and outcomes
+are collected by submission index, so results are identical to serial
 execution wherever a call ran.
 
 Ops carry lambdas and do not pickle, so the parent never ships an op
@@ -78,7 +84,7 @@ if TYPE_CHECKING:
     from ..analysis.diagnostics import Diagnostic
 
 from ..addresslib.addressing import AddressingMode
-from ..addresslib.executor import VectorExecutor
+from ..addresslib.executor import VectorExecutor, channels_of
 from ..addresslib.kernels import KERNEL_FACTORIES, kernel_by_name
 from ..addresslib.library import BatchCall, BatchExecutor, BatchOutcome
 from ..addresslib.ops import (ChannelSet, InterOp, INTER_OPS, INTRA_OPS,
@@ -418,21 +424,57 @@ class CallScheduler(BatchExecutor):
                                                        channels))
 
     @classmethod
-    def _execute_own(cls, call: BatchCall,
-                     store: Optional[shm.PlaneStore]) -> BatchOutcome:
+    def _execute_own(cls, call: BatchCall, store: Optional[shm.PlaneStore],
+                     registered: Dict[int, shm.FrameHandle]
+                     ) -> BatchOutcome:
         """Run one call of the parent's own run: its inputs are read in
         place, and a frame result is computed straight into a recycled
-        slab of ``store`` -- a worker's sink, without the registration
-        or the round trip.  Without a store or a slab it runs inline."""
-        if store is None or call.reduce_to_scalar:
+        slab of ``store`` -- a worker's sink, without the round trip.
+        Without a store, a first input ``registered`` in this wave or a
+        slab it runs inline."""
+        if (store is None or call.reduce_to_scalar
+                or id(call.frames[0]) not in registered):
             return cls._execute_inline(call)
         slab = store.lease_slab(call.fmt)
-        frame = store.adopt_slab(slab, call.fmt) if slab else None
+        frame = cls._adopt(store, slab, call) if slab else None
         if frame is None:
             return cls._execute_inline(call)
         VectorExecutor.wave_into(call.op, [call.frames], call.channels,
                                  [frame])
         return BatchOutcome(frame=frame)
+
+    @staticmethod
+    def _adopt(store: shm.PlaneStore, slab: shm.SlabHandle,
+               call: BatchCall) -> Optional[Frame]:
+        """``call``'s result frame over its leased ``slab``: the planes
+        its op computes are the slab's, and every other plane is its
+        first input's store snapshot, shared.  ``None`` when the store
+        can give neither any more (it closed)."""
+        snapshot = store.snapshot(call.frames[0])
+        if snapshot is None:
+            return None
+        computed = channels_of(call.channels)
+        return store.adopt_slab(slab, call.fmt, {
+            channel: plane for channel, plane in snapshot.items()
+            if channel not in computed})
+
+    @staticmethod
+    def _register_own(store: shm.PlaneStore, calls: Sequence[BatchCall],
+                      own: Sequence[int],
+                      registered: Dict[int, shm.FrameHandle]) -> None:
+        """Register the first input of each frame result of the parent's
+        own run that the workers' runs did not register, once per
+        frame: the snapshot its untouched planes share.  A frame the
+        store cannot take stays out of ``registered``, and its calls
+        run inline."""
+        for index in own:
+            call = calls[index]
+            frame = call.frames[0]
+            if call.reduce_to_scalar or id(frame) in registered:
+                continue
+            handle = store.register(frame)
+            if handle is not None:
+                registered[id(frame)] = handle
 
     # -- modelled timing ------------------------------------------------------
 
@@ -461,10 +503,12 @@ class CallScheduler(BatchExecutor):
         Four phases, each timed into the report: *plan* (op tokens, and
         the cut into one run per engine), *ship* (register the workers'
         frames, lease result slabs, one grouped submission per worker
-        run), *compute* (the parent's own run, any call that could not
-        ship, then waiting on the workers, with whole-run inline
-        fallback on any pool failure), *gather* (adopt the result
-        slabs; a slab the worker could not write runs its call inline).
+        run), *compute* (register the first inputs of the parent's own
+        frame results, compute its run, any call that could not ship,
+        then wait on the workers, with whole-run inline fallback on any
+        pool failure), *gather* (adopt the result slabs with their
+        snapshot planes; a slab the worker could not write runs its
+        call inline).
         """
         calls = list(calls)
         outcomes: List[Optional[BatchOutcome]] = [None] * len(calls)
@@ -486,9 +530,13 @@ class CallScheduler(BatchExecutor):
         # Ship: register every distinct frame of the workers' runs
         # once, lease result slabs, submit one job list per run.
         groups: List[_Group] = []
+        # The handle of every frame registered in this wave, by id():
+        # the frames whose snapshot holds their current content.
+        registered: Dict[int, shm.FrameHandle] = {}
         if pool is not None:
             start = time.perf_counter()
-            groups = self._ship(calls, tokens, runs, pool, report)
+            groups = self._ship(calls, tokens, runs, pool, report,
+                                registered)
             report.ship_seconds = time.perf_counter() - start
         shipped = {index for group in groups for index in group.indices}
 
@@ -497,9 +545,12 @@ class CallScheduler(BatchExecutor):
         # group, falling back inline group-wise.
         start = time.perf_counter()
         store = self._resources.store  # None if shipping broke it
+        if store is not None:
+            self._register_own(store, calls, own, registered)
         for index in own:
             began = time.perf_counter()
-            outcomes[index] = self._execute_own(calls[index], store)
+            outcomes[index] = self._execute_own(calls[index], store,
+                                                registered)
             if runs:
                 self._learn(calls[index], time.perf_counter() - began)
         report.bypass_calls = len(own)
@@ -524,7 +575,8 @@ class CallScheduler(BatchExecutor):
             self._resources.drop_pool()  # the next batch forks afresh
         report.compute_seconds = time.perf_counter() - start
 
-        # Gather: adopt the result slabs as zero-copy frames.
+        # Gather: adopt the result slabs as zero-copy frames, their
+        # untouched planes shared with the inputs' snapshots.
         start = time.perf_counter()
         for group, items in collected:
             assert store is not None
@@ -534,8 +586,7 @@ class CallScheduler(BatchExecutor):
                 if slab is None:  # a reduce: the value is its scalar
                     outcomes[index] = BatchOutcome(scalar=value)
                 else:
-                    frame = (store.adopt_slab(slab, call.fmt) if value
-                             else None)
+                    frame = self._adopt(store, slab, call) if value else None
                     if frame is None:
                         store.recycle_slab(slab)
                         outcomes[index] = self._execute_inline(call)
@@ -623,11 +674,12 @@ class CallScheduler(BatchExecutor):
 
     def _ship(self, calls: Sequence[BatchCall],
               tokens: Sequence[Optional[str]], runs: List[List[int]],
-              pool: ProcessPoolExecutor, report: BatchReport
-              ) -> List[_Group]:
+              pool: ProcessPoolExecutor, report: BatchReport,
+              handles: Dict[int, shm.FrameHandle]) -> List[_Group]:
         """Register each distinct input frame of the workers' ``runs``
-        once, lease a result slab to each call that produces a frame,
-        and submit one job group per run.
+        once (into ``handles``, by frame id), lease a result slab to
+        each call that produces a frame, and submit one job group per
+        run.
 
         Nothing is submitted until the whole of the runs is in the
         store.  A store that fails on the way is closed and dropped,
@@ -639,7 +691,6 @@ class CallScheduler(BatchExecutor):
         observer = shm.get_transport_observer()
         # Every frame of the wave is alive (the calls hold them), so
         # id() names one frame for the whole pass.
-        handles: Dict[int, shm.FrameHandle] = {}
         for frame in {id(frame): frame for run in runs for index in run
                       for frame in calls[index].frames}.values():
             handle = store.register(frame)

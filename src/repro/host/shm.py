@@ -18,8 +18,11 @@ Three cooperating pieces:
 * :class:`PlaneStore` -- the parent-side registry.  :meth:`register`
   maps a live frame to a segment, reusing it while the content is
   unchanged and bumping the *generation* (a fresh segment) when the
-  frame was mutated between waves.  Segments are released when the
-  frame is garbage-collected, superseded, or the store closes.
+  frame was mutated between waves, so a segment is never written
+  after its registration.  Its read-only plane views, built once per
+  registration, are the frame's *snapshot* (:meth:`PlaneStore.snapshot`).
+  Segments are released when the frame is garbage-collected,
+  superseded, or the store closes.
 * the worker-resident cache -- :func:`worker_attach` keeps an LRU of
   attached segments keyed by ``(store token, frame id)``, so the N
   calls of a wave that touch the same frame map it once; a generation
@@ -28,14 +31,18 @@ Three cooperating pieces:
   engine's block_A/block_B OIM).  The store owns every slab:
   :meth:`PlaneStore.lease_slab` hands each call that produces a frame
   a frame-sized segment from a bounded idle list per size; a worker
-  computes its result straight into the slab's plane views through a
-  mapping it keeps (:func:`worker_result_frame`), and
+  computes the planes its op computes straight into the slab's plane
+  views through a mapping it keeps (:func:`worker_result_frame`), and
   :meth:`PlaneStore.adopt_slab` wraps the slab as a zero-copy frame --
-  which the parent also computes its own calls' results into.  A
-  result is written once, as the board writes it once from its OIM
-  into a ZBT result bank.  The slab goes back on the idle list once no
-  plane view of that frame is left, and the store unlinks every slab
-  when it closes -- a worker that dies mid-wave orphans nothing.
+  which the parent also computes its own calls' results into -- whose
+  untouched planes are the first input's snapshot, shared read-only
+  and copied only if someone asks to write them
+  (:meth:`~repro.image.frame.Frame.plane`).  A computed plane is
+  written once, as the board writes it once from its OIM into a ZBT
+  result bank, and an untouched one is never written into a slab.
+  The slab goes back on the idle list once no plane view of that frame
+  is left, and the store unlinks every slab when it closes -- a worker
+  that dies mid-wave orphans nothing.
 
 Segments are created, mapped and unlinked with the POSIX primitives
 ``multiprocessing.shared_memory`` itself uses, so the resource tracker
@@ -64,8 +71,8 @@ import uuid
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (Any, Dict, List, Optional, Protocol, Sequence, Set,
-                    Tuple)
+from typing import (Any, Dict, List, Mapping, Optional, Protocol, Sequence,
+                    Set, Tuple)
 
 import numpy as np
 
@@ -142,7 +149,7 @@ def _plane_views(base: np.ndarray,
 def write_frame(base: np.ndarray, frame: Frame) -> None:
     """Copy every plane of ``frame`` into ``base`` at the layout offsets."""
     for channel, view in _plane_views(base, frame.format).items():
-        view[:] = frame.plane(channel)
+        view[:] = frame.read_plane(channel)
 
 
 def read_frame(fmt: ImageFormat, base: np.ndarray,
@@ -150,8 +157,8 @@ def read_frame(fmt: ImageFormat, base: np.ndarray,
     """Wrap ``base`` as a frame of zero-copy plane views.
 
     Input frames attach read-only (workers never mutate their inputs);
-    adopted results attach writeable so callers can keep using them as
-    ordinary frames.
+    a worker's result slab attaches writeable, for the kernel to write
+    its computed planes into.
     """
     planes = _plane_views(base, fmt)
     if not writeable:
@@ -475,14 +482,15 @@ class _StoreEntry:
         self.frame_ref = frame_ref
         self.segment = segment
         self.handle = handle
-        #: Parent-side read views of the segment, used to detect
-        #: content mutation between waves.
+        #: Read-only views of the segment's planes: the frame's content
+        #: as registered (its snapshot), compared against the frame to
+        #: detect a mutation between waves.
         self.views = views
 
 
 #: Idle result slabs the store keeps per payload size; a slab returned
 #: to a full idle list is unlinked instead.  Covers a CIF wave of the
-#: GME slice (47 frame results) with room to spare.
+#: GME slice (48 frame results) with room to spare.
 _SLAB_IDLE_CAP: int = 64
 
 
@@ -561,14 +569,29 @@ class PlaneStore:
 
     @staticmethod
     def _content_matches(entry: _StoreEntry, frame: Frame) -> bool:
-        return all(_same_values(frame.plane(channel), entry.views[channel])
+        return all(_same_values(frame.read_plane(channel),
+                                entry.views[channel])
                    for channel in ALL_CHANNELS)
 
     @staticmethod
     def _views(segment: _Segment,
                fmt: ImageFormat) -> Dict[Channel, np.ndarray]:
-        return _plane_views(
+        views = _plane_views(
             _segment_bytes(segment, frame_payload_bytes(fmt)), fmt)
+        for view in views.values():
+            view.flags.writeable = False
+        return views
+
+    def snapshot(self, frame: Frame) -> Optional[Mapping[Channel,
+                                                         np.ndarray]]:
+        """``frame``'s planes as it was last registered: read-only views
+        of its segment, which nothing writes again (a mutated frame
+        gets a new segment).  ``None`` when ``frame`` is not registered.
+        """
+        entry = self._entries.get(id(frame))
+        if entry is None or entry.frame_ref() is not frame:
+            return None
+        return entry.views
 
     def _write_segment(self, frame: Frame) -> Optional[_Segment]:
         """A fresh segment holding ``frame``'s planes, or ``None``."""
@@ -662,10 +685,12 @@ class PlaneStore:
         self.slabs_created += 1
         return SlabHandle(self.token, slab_id, segment.name, nbytes)
 
-    def adopt_slab(self, slab: SlabHandle,
-                   fmt: ImageFormat) -> Optional[Frame]:
-        """Wrap the result a worker wrote into ``slab`` as a zero-copy
-        frame.
+    def adopt_slab(self, slab: SlabHandle, fmt: ImageFormat,
+                   shared: Optional[Mapping[Channel, np.ndarray]] = None
+                   ) -> Optional[Frame]:
+        """Wrap the result written into ``slab`` as a zero-copy frame,
+        with the ``shared`` planes (read-only snapshot views, see
+        :meth:`snapshot`) in place of the slab's for their channels.
 
         Each adoption gets its own base array over the slab, and numpy
         makes that array the ``.base`` of every view derived from the
@@ -681,7 +706,10 @@ class PlaneStore:
         if segment is None:
             return None
         base = _segment_bytes(segment, slab.nbytes)
-        frame = read_frame(fmt, base, writeable=True)
+        planes = _plane_views(base, fmt)
+        if shared:
+            planes.update(shared)
+        frame = Frame.from_plane_views(fmt, planes, shared or ())
         weakref.finalize(base, self.recycle_slab, slab)
         self.results_adopted += 1
         return frame

@@ -12,7 +12,7 @@ the paper's scan terminology; the backing numpy arrays are indexed
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Collection, Dict, FrozenSet, Iterator, Mapping, Tuple
 
 import numpy as np
 
@@ -30,7 +30,20 @@ PLANE_DTYPES = {
 
 
 class Frame:
-    """A full-resolution five-channel frame in the engine's packed layout."""
+    """A full-resolution five-channel frame in the engine's packed layout.
+
+    A frame may *share* planes: read-only views of a snapshot that
+    nothing writes again (the call scheduler's results share the planes
+    their op leaves untouched with their input's plane-store snapshot).
+    The frame records which channels it shares, and :meth:`plane` copies
+    a shared plane the first time it is asked for -- copy on write -- so
+    every public accessor hands out the frame's own plane.  Library code
+    that only reads uses :meth:`read_plane`, which never copies.
+    """
+
+    #: The channels whose plane is a shared snapshot view (none unless
+    #: the frame was built with some, see :meth:`from_plane_views`).
+    _shared: FrozenSet[Channel] = frozenset()
 
     def __init__(self, fmt: ImageFormat) -> None:
         self.format = fmt
@@ -57,28 +70,48 @@ class Frame:
     # -- channel access -----------------------------------------------------
 
     def plane(self, channel: Channel) -> np.ndarray:
-        """The full-resolution plane of ``channel`` (mutable view)."""
+        """The full-resolution plane of ``channel`` (mutable view).
+
+        Always the frame's own array: a shared plane is copied on the
+        first request, so writing it reaches neither the snapshot nor
+        any other frame sharing it.
+        """
+        if channel in self._shared:
+            self._planes[channel] = self._planes[channel].copy()
+            self._shared = self._shared - {channel}
+        return self._planes[channel]
+
+    def read_plane(self, channel: Channel) -> np.ndarray:
+        """The plane of ``channel`` for reading only: never copied, so a
+        shared plane comes back as its read-only snapshot view.  For
+        library code that reads a frame; a caller that may write asks
+        :meth:`plane`."""
         return self._planes[channel]
 
     @property
+    def shared_channels(self) -> FrozenSet[Channel]:
+        """The channels whose plane is still a shared snapshot view."""
+        return self._shared
+
+    @property
     def y(self) -> np.ndarray:
-        return self._planes[Channel.Y]
+        return self.plane(Channel.Y)
 
     @property
     def u(self) -> np.ndarray:
-        return self._planes[Channel.U]
+        return self.plane(Channel.U)
 
     @property
     def v(self) -> np.ndarray:
-        return self._planes[Channel.V]
+        return self.plane(Channel.V)
 
     @property
     def alfa(self) -> np.ndarray:
-        return self._planes[Channel.ALFA]
+        return self.plane(Channel.ALFA)
 
     @property
     def aux(self) -> np.ndarray:
-        return self._planes[Channel.AUX]
+        return self.plane(Channel.AUX)
 
     # -- pixel access -------------------------------------------------------
 
@@ -91,7 +124,7 @@ class Frame:
         """Write ``pixel`` at column ``x``, row ``y``."""
         self._check_coords(x, y)
         for channel in ALL_CHANNELS:
-            self._planes[channel][y, x] = pixel.get(channel)
+            self.plane(channel)[y, x] = pixel.get(channel)
 
     def _check_coords(self, x: int, y: int) -> None:
         if not self.format.contains(x, y):
@@ -108,23 +141,27 @@ class Frame:
         Alfa|Aux -- exactly the split the engine stores in sibling ZBT
         banks so one pixel is reachable in a single memory cycle.
         """
-        lower = (self.y.astype(np.uint32)
-                 | (self.u.astype(np.uint32) << 8)
-                 | (self.v.astype(np.uint32) << 16))
-        upper = (self.alfa.astype(np.uint32)
-                 | (self.aux.astype(np.uint32) << 16))
+        planes = self._planes
+        lower = (planes[Channel.Y].astype(np.uint32)
+                 | (planes[Channel.U].astype(np.uint32) << 8)
+                 | (planes[Channel.V].astype(np.uint32) << 16))
+        upper = (planes[Channel.ALFA].astype(np.uint32)
+                 | (planes[Channel.AUX].astype(np.uint32) << 16))
         return lower, upper
 
     @classmethod
     def from_plane_views(cls, fmt: ImageFormat,
-                         planes: Mapping[Channel, np.ndarray]) -> "Frame":
+                         planes: Mapping[Channel, np.ndarray],
+                         shared: Collection[Channel] = ()) -> "Frame":
         """Wrap existing arrays as a frame without copying.
 
         The arrays become the frame's planes directly -- the caller is
         responsible for keeping their backing buffers alive (this is the
         zero-copy attach path of the shared-memory transport).  Each
         plane must already have the format's shape and the channel's
-        canonical dtype.
+        canonical dtype.  The planes of the ``shared`` channels are
+        read-only snapshot views the frame shares: :meth:`plane` copies
+        each before handing it out.
         """
         frame = cls.__new__(cls)
         frame.format = fmt
@@ -143,6 +180,8 @@ class Frame:
                     f"got {plane.dtype}")
             views[channel] = plane
         frame._planes = views
+        if shared:
+            frame._shared = frozenset(shared)
         return frame
 
     @classmethod
@@ -206,7 +245,7 @@ class Frame:
     def fill(self, pixel: Pixel) -> None:
         """Set every pixel of the frame to ``pixel``."""
         for channel in ALL_CHANNELS:
-            self._planes[channel][:] = pixel.get(channel)
+            self.plane(channel)[:] = pixel.get(channel)
 
     def equals(self, other: "Frame") -> bool:
         """Exact equality of all five planes."""

@@ -189,11 +189,12 @@ class PlanarFrame420:
         Conversion is bulk setup and is not counted.
         """
         planar = cls(frame.format, counter)
-        planar._planes[Channel.Y][:] = frame.y
-        planar._planes[Channel.U][:] = frame.u[::2, ::2]
-        planar._planes[Channel.V][:] = frame.v[::2, ::2]
-        planar._planes[Channel.ALFA][:] = frame.alfa
-        planar._planes[Channel.AUX][:] = frame.aux
+        read = frame.read_plane
+        planar._planes[Channel.Y][:] = read(Channel.Y)
+        planar._planes[Channel.U][:] = read(Channel.U)[::2, ::2]
+        planar._planes[Channel.V][:] = read(Channel.V)[::2, ::2]
+        planar._planes[Channel.ALFA][:] = read(Channel.ALFA)
+        planar._planes[Channel.AUX][:] = read(Channel.AUX)
         return planar
 
     def to_frame(self) -> Frame:

@@ -556,11 +556,13 @@ _REGISTRY = ([("intra", name, op, False)
 def test_slab_written_results_equal_the_executor(entry, channels, width,
                                                   height, seeds):
     """Both sinks of a scheduled call, run in-process: a worker's run
-    (inputs attached from the store, the frame result written straight
-    into a leased slab) and the parent's own run (inputs read in place,
-    the result written into a slab it adopts).  Both equal
-    ``VectorExecutor``'s result bit for bit, whatever the op, channel
-    set and geometry."""
+    (inputs attached from the store, the computed planes written
+    straight into a leased slab) and the parent's own run (inputs read
+    in place, the computed planes written into a slab it adopts).  Each
+    adopted result, with its first input's snapshot planes attached,
+    equals ``VectorExecutor``'s result bit for bit, whatever the op,
+    channel set and geometry, and every plane is writable through
+    ``plane()``."""
     mode, token, op, reduce_to_scalar = entry
     fmt = ImageFormat(f"O{width}x{height}", width, height)
     frames = [noise_frame(fmt, seed=seed) for seed in seeds]
@@ -575,19 +577,22 @@ def test_slab_written_results_equal_the_executor(entry, channels, width,
     store = shm.PlaneStore()
     try:
         handles = tuple(store.register(frame) for frame in frames)
+        registered = {id(frame): handle
+                      for frame, handle in zip(frames, handles)}
         slab = None if reduce_to_scalar else store.lease_slab(fmt)
         items, _ = scheduler_module._execute_wave(
             [(mode, token, channels, handles, slab)], False)
-        own = CallScheduler._execute_own(call, store).value
+        own = CallScheduler._execute_own(call, store, registered).value
         if reduce_to_scalar:
             assert items == [want]
             assert own == want
         else:
             assert items == [True]
-            for got in (store.adopt_slab(slab, fmt), own):
+            for got in (CallScheduler._adopt(store, slab, call), own):
                 assert got.equals(want)
                 assert all(got.plane(c).flags.writeable
                            for c in ALL_CHANNELS)
+                assert got.equals(want)
             assert store.stats()["slabs_created"] == 2
     finally:
         shm.reset_worker_cache()
