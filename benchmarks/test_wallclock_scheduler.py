@@ -20,13 +20,18 @@ What must hold:
   host keeps every call in the parent.  On a 2-vCPU host the floor
   still fails: the timed batch pays the pool's cold state (result
   slab creation and first touch, worker attaches), which nothing
-  warms or prices yet.
+  warms or prices yet, and -- measured under pytest -- a
+  generation-2 garbage collection of 20-32 ms that runs inside it
+  (in its gather phase), most of the gap to the serial run: ten runs
+  on a 2-vCPU host took 46-77 ms scheduled against 26-39 ms serial.
 
 Results land in ``BENCH_wallclock.json`` at the repo root, including a
-``wall.regression`` flag and the per-phase ship/compute/gather split CI
-uses to triage a slow run.
+``wall.regression`` flag, the per-phase ship/compute/gather split CI
+uses to triage a slow run, and ``phases.gc_seconds``: the generation
+and seconds of each garbage collection inside the timed scheduled run.
 """
 
+import gc
 import json
 import os
 import pathlib
@@ -76,6 +81,24 @@ def _run(calls, scheduler=None):
     return results, time.perf_counter() - t0
 
 
+class _Collections:
+    """A ``gc.callbacks`` entry: the generation and wall seconds of
+    every garbage collection that runs while it is installed."""
+
+    def __init__(self):
+        self.collections = []
+        self._start = None
+
+    def __call__(self, phase, info):
+        if phase == "start":
+            self._start = time.perf_counter()
+        elif self._start is not None:
+            self.collections.append(
+                {"generation": info["generation"],
+                 "seconds": time.perf_counter() - self._start})
+            self._start = None
+
+
 def test_scheduler_wallclock(save_report):
     calls = _gme_slice_calls()
 
@@ -87,8 +110,13 @@ def test_scheduler_wallclock(save_report):
         # this also pre-registers the frames in the plane store, the
         # steady state of a host that re-batches over a sequence.
         _run(calls[:WORKERS], scheduler=scheduler)
-        scheduled_results, scheduled_seconds = _run(
-            calls, scheduler=scheduler)
+        collections = _Collections()
+        gc.callbacks.append(collections)
+        try:
+            scheduled_results, scheduled_seconds = _run(
+                calls, scheduler=scheduler)
+        finally:
+            gc.callbacks.remove(collections)
         report = scheduler.last_report
         transport = scheduler.transport_stats()
 
@@ -135,6 +163,9 @@ def test_scheduler_wallclock(save_report):
             "ship_seconds": report.ship_seconds,
             "compute_seconds": report.compute_seconds,
             "gather_seconds": report.gather_seconds,
+            # The collections inside the timed scheduled run, each
+            # with its generation and seconds.
+            "gc_seconds": collections.collections,
         },
         "transport": transport,
         "modeled": {

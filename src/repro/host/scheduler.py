@@ -275,11 +275,17 @@ class _PoolResources:
         self.pool: Optional[ProcessPoolExecutor] = None
         self.store: Optional[shm.PlaneStore] = None
 
-    def drop_pool(self) -> None:
+    def drop_pool(self, wait: bool = False) -> None:
+        """Shut the pool down, cancelling queued work.  A batch drops a
+        broken pool without waiting; teardown waits for the workers and
+        the executor's management thread to exit, so none outlives
+        ``close()`` -- a thread still running at interpreter exit would
+        race ``concurrent.futures``' exit hook, which writes to the
+        wakeup pipe the thread closes on its way out."""
         pool, self.pool = self.pool, None
         if pool is not None:
             try:
-                pool.shutdown(wait=False, cancel_futures=True)
+                pool.shutdown(wait=wait, cancel_futures=True)
             except Exception:
                 pass
 
@@ -289,7 +295,7 @@ class _PoolResources:
             store.close()
 
     def release(self) -> None:
-        self.drop_pool()
+        self.drop_pool(wait=True)
         self.drop_store()
 
 
@@ -351,7 +357,8 @@ class CallScheduler(BatchExecutor):
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the pool down and unlink every shared-memory segment.
+        """Shut the pool down, waiting for its workers to exit, and
+        unlink every shared-memory segment.
 
         Idempotent, and safe from ``__del__``/atexit: teardown runs
         through a ``weakref.finalize`` that holds no reference to the

@@ -21,8 +21,18 @@ Three cooperating pieces:
   frame was mutated between waves, so a segment is never written
   after its registration.  Its read-only plane views, built once per
   registration, are the frame's *snapshot* (:meth:`PlaneStore.snapshot`).
-  Segments are released when the frame is garbage-collected,
-  superseded, or the store closes.
+  A frame that alone holds its planes then lives in its segment, as a
+  frame stays in the board's ZBT banks across calls: it takes the
+  snapshot views as its planes, shared copy on write, and frees its
+  own (:meth:`~repro.image.frame.Frame.share_snapshot`), so
+  re-registering it is an identity check that reads no pixel.  A
+  write through any accessor copies a plane first, so the next
+  registration compares that plane; a frame with an outside alias
+  (a held plane, a row view, a memoryview, a plane over a larger
+  buffer, a plane dict shared with another frame) keeps its planes
+  and pays the full compare at every registration.  Segments are
+  released when the frame is garbage-collected, superseded, or the
+  store closes; a frame still sharing the views keeps their mapping.
 * the worker-resident cache -- :func:`worker_attach` keeps an LRU of
   attached segments keyed by ``(store token, frame id)``, so the N
   calls of a wave that touch the same frame map it once; a generation
@@ -483,8 +493,10 @@ class _StoreEntry:
         self.segment = segment
         self.handle = handle
         #: Read-only views of the segment's planes: the frame's content
-        #: as registered (its snapshot), compared against the frame to
-        #: detect a mutation between waves.
+        #: as registered (its snapshot).  A frame that alone held its
+        #: planes holds these views as its planes, so a plane that is
+        #: still its view is unchanged; any other plane is compared
+        #: against its view to detect a mutation between waves.
         self.views = views
 
 
@@ -542,6 +554,12 @@ class PlaneStore:
 
         Re-registering an unchanged frame returns the existing handle;
         a mutated frame gets a new segment under a bumped generation.
+        A frame that alone holds its planes takes the registration's
+        snapshot views as its planes (the segment's memory is then the
+        frame's), so re-registering it reads no pixel while every
+        plane is still its view; a plane ``plane()`` copied since, or
+        the planes of a frame with an outside alias, are compared with
+        the snapshot, and a frame that matches shares it again.
         ``None`` means shared memory is unavailable or broke: the frame
         cannot ship.
         """
@@ -550,7 +568,12 @@ class PlaneStore:
         key = id(frame)
         entry = self._entries.get(key)
         if entry is not None and entry.frame_ref() is frame:
+            views = entry.views
+            if all(frame.read_plane(channel) is views[channel]
+                   for channel in ALL_CHANNELS):
+                return self._registered(entry.handle)  # it is its snapshot
             if self._content_matches(entry, frame):
+                frame.share_snapshot(views)
                 return self._registered(entry.handle)
             return self._registered(self._rewrite(key, entry, frame))
         if entry is not None:
@@ -569,8 +592,13 @@ class PlaneStore:
 
     @staticmethod
     def _content_matches(entry: _StoreEntry, frame: Frame) -> bool:
-        return all(_same_values(frame.read_plane(channel),
-                                entry.views[channel])
+        """Whether ``frame`` still holds its snapshot: a plane that is
+        its snapshot view matches by identity, unread; any other plane
+        (copied by ``plane()``, or the frame never shared) is compared."""
+        views = entry.views
+        return all(frame.read_plane(channel) is views[channel]
+                   or _same_values(frame.read_plane(channel),
+                                   views[channel])
                    for channel in ALL_CHANNELS)
 
     @staticmethod
@@ -586,7 +614,10 @@ class PlaneStore:
                                                          np.ndarray]]:
         """``frame``'s planes as it was last registered: read-only views
         of its segment, which nothing writes again (a mutated frame
-        gets a new segment).  ``None`` when ``frame`` is not registered.
+        gets a new segment) -- the planes a frame that alone holds its
+        own shares from its registration on, and the untouched planes
+        of its scheduled results.  ``None`` when ``frame`` is not
+        registered.
         """
         entry = self._entries.get(id(frame))
         if entry is None or entry.frame_ref() is not frame:
@@ -620,6 +651,7 @@ class PlaneStore:
         self._entries[key] = _StoreEntry(
             weakref.ref(frame, lambda _ref, key=key: self._drop(key)),
             segment, handle, views)
+        frame.share_snapshot(views)
         return handle
 
     def _rewrite(self, key: int, entry: _StoreEntry,
@@ -639,6 +671,7 @@ class PlaneStore:
                                    fmt.name, fmt.width, fmt.height)
         entry.views = self._views(segment, fmt)
         _disarm(segment)
+        frame.share_snapshot(entry.views)
         self.generation_bumps += 1
         return entry.handle
 

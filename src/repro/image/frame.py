@@ -12,7 +12,9 @@ the paper's scan terminology; the backing numpy arrays are indexed
 
 from __future__ import annotations
 
-from typing import Collection, Dict, FrozenSet, Iterator, Mapping, Tuple
+import sys
+from typing import (Collection, Dict, FrozenSet, Iterator, List, Mapping,
+                    Tuple)
 
 import numpy as np
 
@@ -33,12 +35,15 @@ class Frame:
     """A full-resolution five-channel frame in the engine's packed layout.
 
     A frame may *share* planes: read-only views of a snapshot that
-    nothing writes again (the call scheduler's results share the planes
-    their op leaves untouched with their input's plane-store snapshot).
-    The frame records which channels it shares, and :meth:`plane` copies
-    a shared plane the first time it is asked for -- copy on write -- so
-    every public accessor hands out the frame's own plane.  Library code
-    that only reads uses :meth:`read_plane`, which never copies.
+    nothing writes again.  The call scheduler's results share the
+    planes their op leaves untouched with their input's plane-store
+    snapshot, and a registered input that alone holds its planes shares
+    all five with its own snapshot, its private planes freed
+    (:meth:`share_snapshot`).  The frame records which channels it
+    shares, and :meth:`plane` copies a shared plane the first time it
+    is asked for -- copy on write -- so every public accessor hands out
+    the frame's own plane.  Library code that only reads uses
+    :meth:`read_plane`, which never copies.
     """
 
     #: The channels whose plane is a shared snapshot view (none unless
@@ -74,7 +79,10 @@ class Frame:
 
         Always the frame's own array: a shared plane is copied on the
         first request, so writing it reaches neither the snapshot nor
-        any other frame sharing it.
+        any other frame sharing it -- and the next registration of a
+        registered frame sees that the plane is no longer its
+        snapshot's, and compares it.  A plane held from here is an
+        alias: while it lives, the frame keeps its planes private.
         """
         if channel in self._shared:
             self._planes[channel] = self._planes[channel].copy()
@@ -92,6 +100,41 @@ class Frame:
     def shared_channels(self) -> FrozenSet[Channel]:
         """The channels whose plane is still a shared snapshot view."""
         return self._shared
+
+    def share_snapshot(self, views: Mapping[Channel, np.ndarray]) -> bool:
+        """Take ``views`` -- read-only snapshot views holding exactly
+        this frame's content -- as all five planes, shared, and free the
+        frame's own; ``True`` when it did.
+
+        Only a frame that alone holds its planes does: its plane dict
+        and each plane it does not share are referenced by the frame and
+        nothing else, and each such plane owns its memory.  Anything
+        else -- a held ``frame.y``, a row view, a memoryview, a plane
+        viewing a larger buffer, a plane dict another frame wraps too --
+        could write the planes behind the frame's back, so the frame
+        keeps them.  References are counted as ``ndarray.resize`` counts
+        them, against the counts of a fresh frame's (calibrated once, as
+        interpreters differ in what ``sys.getrefcount`` reports).
+        """
+        dict_refs, *plane_refs = self._reference_counts()
+        if dict_refs != _DICT_ALONE or any(refs != _PLANE_ALONE
+                                           for refs in plane_refs):
+            return False
+        self._planes = dict(views)
+        self._shared = _EVERY_CHANNEL
+        return True
+
+    def _reference_counts(self) -> List[int]:
+        """``sys.getrefcount`` of the plane dict, then of each plane
+        the frame does not share (0 for one not owning its memory)."""
+        planes = self._planes
+        counts = [sys.getrefcount(planes)]
+        for channel in ALL_CHANNELS:
+            if channel not in self._shared:
+                plane = planes[channel]
+                counts.append(sys.getrefcount(plane)
+                              if plane.flags.owndata else 0)
+        return counts
 
     @property
     def y(self) -> np.ndarray:
@@ -256,3 +299,11 @@ class Frame:
 
     def __repr__(self) -> str:
         return f"Frame({self.format.name}, {self.width}x{self.height})"
+
+
+_EVERY_CHANNEL: FrozenSet[Channel] = frozenset(ALL_CHANNELS)
+
+#: What :meth:`Frame._reference_counts` reads for a plane dict and a
+#: plane held by their frame alone: a fresh frame's, measured here.
+_DICT_ALONE, _PLANE_ALONE = Frame(
+    ImageFormat("alone", 1, 1))._reference_counts()[:2]

@@ -10,6 +10,7 @@ recycling, in-place result writes, and leak-free teardown.
 """
 
 import gc
+import multiprocessing
 import os
 import random
 import signal
@@ -833,6 +834,20 @@ class TestTeardown:
         sched.close()
         sched.close()
         assert sched.compute_batch([]) == []
+
+    def test_close_waits_for_the_workers_to_exit(self):
+        """No worker process outlives ``close()``: its pool is shut down
+        waiting, so nothing of it is left running at interpreter exit."""
+        frame = noise_frame(QCIF, seed=25)
+        sched = CallScheduler(max_workers=2)
+        AddressLib(SoftwareBackend()).run_batch(
+            [BatchCall.intra(INTRA_BOX3, frame),
+             BatchCall.intra(INTRA_GRAD, frame)], scheduler=sched)
+        assert sched.last_report.pool_calls == 1
+        workers = set(sched._resources.pool._processes.values())
+        assert workers
+        sched.close()
+        assert not workers & set(multiprocessing.active_children())
 
 
 #: A process that makes a store, registers one frame, leases one slab,
