@@ -17,7 +17,14 @@ Two gates per pass, both required:
 
 * every result stays bit-exact against the serial
   :class:`~repro.addresslib.VectorExecutor` reference (the sanitizer
-  must observe, never perturb);
+  must observe, never perturb) -- when it comes back, and again once
+  its shard has resolved (in the scheduler pass, both runs, the
+  second re-registering the unchanged inputs) and every input frame
+  of the shard has been written through
+  :meth:`~repro.image.Frame.plane` (a write-after-call step: a result
+  sharing a plane with its input, copy on write, must not see the
+  write).  Each reference is kept as a deep copy, since the serial
+  reference shares its input's untouched planes too;
 * the sanitizer emits zero error-severity diagnostics (the healthy
   stack is clean under instrumentation).
 
@@ -33,8 +40,9 @@ cut does.
 
 Writes a JSON report (``--out``) with per-shard accounting, the
 scheduler pass's pool/parent call counts, the pool pass's wave
-count and mean wave size (a pass that never coalesced shows), and
-every finding, for CI artifact upload.  Exit status is non-zero on any
+count and mean wave size (a pass that never coalesced shows), the
+results re-checked after the write-after-call step, and every finding,
+for CI artifact upload.  Exit status is non-zero on any
 mismatch, error-severity finding, or unwatched transport.
 
     PYTHONPATH=src python scripts/run_sanitized_corpus.py \
@@ -49,12 +57,15 @@ import random
 import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.addresslib import (AddressLib, BatchCall, INTER_OPS, INTRA_OPS,
                               SoftwareBackend, VectorExecutor)
 from repro.analysis.sanitize import install_sanitizer, uninstall_sanitizer
 from repro.api import EnginePool, EngineService, ServicePolicy
 from repro.host import SHARED_MEMORY_AVAILABLE, CallScheduler
 from repro.image import Frame, ImageFormat, noise_frame
+from repro.image.pixel import ALL_CHANNELS
 
 _INTRA = sorted(INTRA_OPS.values(), key=lambda op: op.name)
 _INTER = sorted(INTER_OPS.values(), key=lambda op: op.name)
@@ -83,19 +94,41 @@ def _random_batch_call(rng: random.Random) -> BatchCall:
 
 
 def _serial_reference(call: BatchCall) -> Union[Frame, int]:
+    """The serial result of ``call``, kept as a deep copy: the serial
+    path shares its input's untouched planes, and a golden sharing them
+    would follow a corrupted input."""
     if call.reduce_to_scalar:
         return VectorExecutor.inter_reduce(call.op, call.frames[0],
                                            call.frames[1], call.channels)
     if len(call.frames) == 2:
         return VectorExecutor.inter(call.op, call.frames[0],
-                                    call.frames[1], call.channels)
-    return VectorExecutor.intra(call.op, call.frames[0], call.channels)
+                                    call.frames[1], call.channels).copy()
+    return VectorExecutor.intra(call.op, call.frames[0],
+                                call.channels).copy()
 
 
 def _same(got: Union[Frame, int], want: Union[Frame, int]) -> bool:
     if isinstance(want, int):
         return bool(got == want)
     return bool(got.equals(want))  # type: ignore[union-attr]
+
+
+def _mismatches(results: Sequence[Union[Frame, int]],
+                goldens: Sequence[Union[Frame, int]]) -> int:
+    return sum(0 if _same(got, want) else 1
+               for got, want in zip(results, goldens))
+
+
+def _write_inputs(calls: Sequence[BatchCall]) -> None:
+    """The write-after-call step: invert every plane of every input
+    frame of ``calls`` through ``plane()``.  A result sharing a plane
+    with an input must not see the write, so each result is compared
+    with its golden again afterwards."""
+    inputs = {id(frame): frame for call in calls for frame in call.frames}
+    for frame in inputs.values():
+        for channel in ALL_CHANNELS:
+            plane = frame.plane(channel)
+            np.invert(plane, out=plane)
 
 
 def _finding_dict(diag: Any, shard: int, stage: str) -> Dict[str, Any]:
@@ -132,22 +165,27 @@ def _scheduler_pass(workers: int, findings: List[Dict[str, Any]]
             for shard in range(SHARDS):
                 calls = _shard_calls(shard)
                 before = len(scheduler.sanitizer_findings)
-                shard_mismatches = 0
-                placed = {}
+                placed, runs = {}, []
+                # Both runs see the same inputs, so the second
+                # re-registers every frame unchanged.
                 for engine in ("worker", "parent"):
                     scheduler._engine_runs = _placing_all_on(
                         scheduler, engine)
                     lib = AddressLib(SoftwareBackend())
-                    results = lib.run_batch(calls, scheduler=scheduler)
+                    runs.append(lib.run_batch(calls, scheduler=scheduler))
                     del scheduler._engine_runs
-                    shard_mismatches += sum(
-                        0 if _same(got, _serial_reference(call)) else 1
-                        for call, got in zip(calls, results))
                     report = scheduler.last_report
                     assert report is not None
                     placed[engine] = (report.pool_calls
                                       if engine == "worker"
                                       else report.bypass_calls)
+                goldens = [_serial_reference(call) for call in calls]
+                shard_mismatches = sum(_mismatches(results, goldens)
+                                       for results in runs)
+                _write_inputs(calls)
+                shard_mismatches += sum(_mismatches(results, goldens)
+                                        for results in runs)
+                shard_rechecked = sum(len(results) for results in runs)
                 # Every case shipped in the first run and ran in the
                 # parent in the second.
                 split = placed["worker"] == placed["parent"] == len(calls)
@@ -156,6 +194,7 @@ def _scheduler_pass(workers: int, findings: List[Dict[str, Any]]
                                 for d in new)
                 shards.append({"shard": shard, "cases": len(calls),
                                "mismatches": shard_mismatches,
+                               "rechecked": shard_rechecked,
                                "shipped": placed["worker"],
                                "in_parent": placed["parent"],
                                "split": split,
@@ -169,6 +208,7 @@ def _scheduler_pass(workers: int, findings: List[Dict[str, Any]]
         uninstall_sanitizer()
     return {"workers": workers,
             "mismatches": sum(s["mismatches"] for s in shards),
+            "rechecked": sum(s["rechecked"] for s in shards),
             "pool_calls": total.pool_calls,
             "bypass_calls": total.bypass_calls,
             "inline_calls": total.inline_calls,
@@ -192,11 +232,16 @@ def _pool_pass(findings: List[Dict[str, Any]]) -> Dict[str, Any]:
                 policy=ServicePolicy(queue_depth=len(calls)))
             tickets = [service.submit(call) for call in calls]
             report = service.drain()
-            shard_mismatches = sum(
-                0 if ticket.done and ticket.accepted
-                and _same(ticket.result(), _serial_reference(call))
-                else 1
-                for call, ticket in zip(calls, tickets))
+            unresolved = sum(0 if ticket.done and ticket.accepted else 1
+                             for ticket in tickets)
+            results = [ticket.result() for ticket in tickets
+                       if ticket.done and ticket.accepted]
+            goldens = [_serial_reference(call) for call, ticket
+                       in zip(calls, tickets)
+                       if ticket.done and ticket.accepted]
+            shard_mismatches = unresolved + _mismatches(results, goldens)
+            _write_inputs(calls)
+            shard_mismatches += _mismatches(results, goldens)
             new = sanitizer.drain()
             findings.extend(_finding_dict(d, shard, "pool") for d in new)
             waves += report.waves
@@ -204,6 +249,7 @@ def _pool_pass(findings: List[Dict[str, Any]]) -> Dict[str, Any]:
             shards.append({"shard": shard, "requests": len(calls),
                            "waves": report.waves,
                            "mismatches": shard_mismatches,
+                           "rechecked": len(results),
                            "findings": len(new)})
             print(f"pool shard {shard}: {len(calls)} requests in "
                   f"{report.waves} waves, {shard_mismatches} "
@@ -214,6 +260,7 @@ def _pool_pass(findings: List[Dict[str, Any]]) -> Dict[str, Any]:
             "waves": waves,
             "mean_wave_size": completed / waves if waves else 0.0,
             "mismatches": sum(s["mismatches"] for s in shards),
+            "rechecked": sum(s["rechecked"] for s in shards),
             "per_shard": shards}
 
 
@@ -243,6 +290,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "seed": SEED, "shards": SHARDS,
         "cases": cases, "workers": args.workers,
         "mismatches": mismatches,
+        "rechecked_after_write": scheduler["rechecked"] + pool["rechecked"],
         "error_findings": len(errors), "findings": findings,
         "pool_calls": scheduler["pool_calls"],
         "bypass_calls": scheduler["bypass_calls"],
@@ -252,7 +300,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
     print(f"wrote {args.out}: {payload['cases']} cases, "
-          f"{mismatches} mismatch(es), {len(findings)} finding(s) "
+          f"{mismatches} mismatch(es) "
+          f"({payload['rechecked_after_write']} results re-checked after "
+          f"their inputs were written), {len(findings)} finding(s) "
           f"({len(errors)} error-severity); scheduler pass shipped "
           f"{scheduler['pool_calls']} calls over shared memory "
           f"({scheduler['bypass_calls']} run by the parent); "

@@ -131,7 +131,7 @@ def _owned(values: np.ndarray, source: np.ndarray,
 
     Kernels may return a view of their input ``source`` (a CON_0
     identity) or a wider integer type; either is copied here, so no
-    result shares memory with an input.
+    computed plane shares memory with an input.
     """
     if (values.dtype != dtype or values.shape != shape
             or np.may_share_memory(values, source)):
@@ -193,12 +193,15 @@ class VectorExecutor:
         batch axes to every face, so each call's values equal a
         one-call run's.
 
-        Returns one result per call, in order: a frame built from the
-        kernel output plus copies of the untouched planes of the call's
-        first input, or the summed values when ``reduce_to_scalar``.
-        No result shares memory with an input or another result.  The
-        frames are assembled here, from planes of the right shape and
-        dtype by construction, so nothing re-checks them.
+        Returns one result per call, in order, or the summed values
+        when ``reduce_to_scalar``.  A frame result holds its computed
+        planes -- its own item of the wave's batches, sharing memory
+        with no input and no other result -- and the untouched planes
+        of the call's first input, lent copy on write where the input
+        alone holds them or shares them already and copied otherwise
+        (:meth:`~repro.image.frame.Frame.pass_through`).  The frames
+        are assembled here, from planes of the right shape and dtype
+        by construction, so nothing re-checks them.
         """
         fmt = inputs[0][0].format
         shape = (len(inputs), fmt.height, fmt.width)
@@ -214,16 +217,10 @@ class VectorExecutor:
                                           PLANE_DTYPES[channel])
         if reduce_to_scalar:
             return list(totals)
-        results: List[Union[Frame, int]] = []
-        for index, frames in enumerate(inputs):
-            source = frames[0]
-            planes: Dict[Channel, np.ndarray] = {}
-            for channel in ALL_CHANNELS:
-                batch = batches.get(channel)
-                planes[channel] = (source.read_plane(channel).copy()
-                                   if batch is None else batch[index])
-            results.append(Frame.of_planes(source.format, planes))
-        return results
+        return [frames[0].pass_through(
+                    {channel: batch[index]
+                     for channel, batch in batches.items()})
+                for index, frames in enumerate(inputs)]
 
     @staticmethod
     def wave_into(op: Union[InterOp, IntraOp],

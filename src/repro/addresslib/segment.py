@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..image.frame import Frame
+from ..image.pixel import Channel
 from .addressing import CON_4, Neighbourhood
 from .indexed import SegmentStatistics
 from .profiling import InstructionCost, OpProfile
@@ -54,8 +55,9 @@ class LumaDeltaCriterion:
 
     def __call__(self, frame: Frame, centre: Tuple[int, int],
                  neighbour: Tuple[int, int]) -> bool:
-        cy = int(frame.y[centre[1], centre[0]])
-        ny = int(frame.y[neighbour[1], neighbour[0]])
+        luma = frame.read_plane(Channel.Y)
+        cy = int(luma[centre[1], centre[0]])
+        ny = int(luma[neighbour[1], neighbour[0]])
         return abs(cy - ny) <= self.max_delta
 
 
@@ -70,11 +72,13 @@ def yuv_delta_criterion(max_luma: int, max_chroma: int) -> Criterion:
                   neighbour: Tuple[int, int]) -> bool:
         cx, cyy = centre
         nx, ny = neighbour
-        if abs(int(frame.y[cyy, cx]) - int(frame.y[ny, nx])) > max_luma:
+        luma, u, v = (frame.read_plane(channel)
+                      for channel in (Channel.Y, Channel.U, Channel.V))
+        if abs(int(luma[cyy, cx]) - int(luma[ny, nx])) > max_luma:
             return False
-        if abs(int(frame.u[cyy, cx]) - int(frame.u[ny, nx])) > max_chroma:
+        if abs(int(u[cyy, cx]) - int(u[ny, nx])) > max_chroma:
             return False
-        return abs(int(frame.v[cyy, cx]) - int(frame.v[ny, nx])) <= max_chroma
+        return abs(int(v[cyy, cx]) - int(v[ny, nx])) <= max_chroma
     return criterion
 
 
@@ -84,7 +88,7 @@ def luma_band_criterion(reference: int, max_delta: int) -> Criterion:
     def criterion(frame: Frame, centre: Tuple[int, int],
                   neighbour: Tuple[int, int]) -> bool:
         del centre
-        ny = int(frame.y[neighbour[1], neighbour[0]])
+        ny = int(frame.read_plane(Channel.Y)[neighbour[1], neighbour[0]])
         return abs(ny - reference) <= max_delta
     return criterion
 
@@ -201,7 +205,8 @@ class SegmentProcessor:
                 process(frame, x, y)
             result.order.append((x, y))
             if stats is not None:
-                stats.observe(segment_id, x, y, int(frame.y[y, x]))
+                stats.observe(segment_id, x, y,
+                              int(frame.read_plane(Channel.Y)[y, x]))
 
             # Second, test all not-yet-processed neighbours.
             for dx, dy in neighbour_offsets:

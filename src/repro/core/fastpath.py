@@ -158,8 +158,9 @@ class FastStepper:
         if config.reduce_to_scalar:
             contribution = np.zeros((self.H, self.W), dtype=np.int64)
             for channel in self.channels:
-                values = config.op.apply_vector(frames[0].plane(channel),
-                                                frames[1].plane(channel))
+                values = config.op.apply_vector(
+                    frames[0].read_plane(channel),
+                    frames[1].read_plane(channel))
                 contribution += values.astype(np.int64)
             self.reduce_cum = np.concatenate(
                 (np.zeros(1, dtype=np.int64),

@@ -36,6 +36,7 @@ import numpy as np
 
 from ..image.formats import ImageFormat
 from ..image.frame import Frame
+from ..image.pixel import Channel
 from .pci import DEFAULT_JOB_OVERHEAD_CYCLES, PCI_CLOCK_HZ
 
 #: Neighbour offsets of the hardware unit (4-connectivity, fixed in v2).
@@ -139,7 +140,7 @@ class SegmentUnit:
             raise ValueError(
                 f"frame {frame.format.name} does not match {fmt.name}")
         height, width = fmt.height, fmt.width
-        luma = frame.y
+        luma = frame.read_plane(Channel.Y)
         labels = np.full((height, width), -1, dtype=np.int32)
         distance = np.full((height, width), -1, dtype=np.int32)
 

@@ -33,6 +33,7 @@ from ..addresslib.ops import (INTER_ABSDIFF, INTRA_BOX3, INTRA_HOMOGENEITY,
                               INTRA_SOBEL_X, INTRA_SOBEL_Y)
 from ..image.formats import ImageFormat
 from ..image.frame import Frame
+from ..image.pixel import Channel
 from ..image.synth import frame_from_luma
 from .motion_model import AffineModel
 from .warp import decimate2, warp_luma
@@ -124,11 +125,12 @@ class GlobalMotionEstimator:
         followed by host-side decimation.
         """
         levels = [PyramidLevel(frame=frame,
-                               luma=frame.y.astype(np.float64))]
+                               luma=frame.read_plane(Channel.Y).astype(
+                                   np.float64))]
         current = frame
         for _ in range(self.settings.levels - 1):
             filtered = self.lib.intra(INTRA_BOX3, current)
-            luma = decimate2(filtered.y).astype(np.float64)
+            luma = decimate2(filtered.read_plane(Channel.Y)).astype(np.float64)
             current = self._luma_frame(luma)
             levels.append(PyramidLevel(frame=current, luma=luma))
         return levels
@@ -189,7 +191,7 @@ class GlobalMotionEstimator:
             if level > 0:
                 model = model.scaled(2.0)
 
-        blend_mask = mask_frame.y < 48
+        blend_mask = mask_frame.read_plane(Channel.Y) < 48
         per_level.reverse()
         model = model.inverse()  # return the current -> reference model
         return PairEstimate(model=model, final_sad=final_sad,
@@ -224,10 +226,11 @@ class GlobalMotionEstimator:
             gy_frame = results[2 * level + 1]
             assert isinstance(gx_frame, Frame)
             assert isinstance(gy_frame, Frame)
-            gradients.append((np.subtract(gx_frame.y, 128.0,
-                                          dtype=np.float64),
-                              np.subtract(gy_frame.y, 128.0,
-                                          dtype=np.float64)))
+            gradients.append((
+                np.subtract(gx_frame.read_plane(Channel.Y), 128.0,
+                            dtype=np.float64),
+                np.subtract(gy_frame.read_plane(Channel.Y), 128.0,
+                            dtype=np.float64)))
         mask_frame = results[-1]
         assert isinstance(mask_frame, Frame)
         return gradients, mask_frame

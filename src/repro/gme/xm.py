@@ -26,6 +26,7 @@ from ..addresslib.executor import SoftwareCostModel
 from ..addresslib.library import BatchExecutor, SoftwareBackend
 from ..addresslib.profiling import InstructionCost
 from ..host.runtime import Runtime, software_platform
+from ..image.pixel import Channel
 from ..perf.cpu_model import CpuModel, PENTIUM_4_3000, PENTIUM_M_1600
 from ..perf.timing import EngineTimingModel
 from .estimation import (GlobalMotionEstimator, GmeSettings, PairEstimate)
@@ -127,7 +128,8 @@ class GmeApplication:
                                   + costs.control_instructions_per_frame)
         ref_pyramid = estimator.build_pyramid(first)
         if mosaic is not None:
-            mosaic.accumulate(first.y.astype(np.float64), AffineModel())
+            mosaic.accumulate(first.read_plane(Channel.Y).astype(np.float64),
+                              AffineModel())
 
         estimates: List[PairEstimate] = []
         global_models: List[AffineModel] = [AffineModel()]
@@ -153,8 +155,9 @@ class GmeApplication:
                 + abs(estimate.model.ty - truth.ty))
 
             if mosaic is not None:
-                mosaic.accumulate(current.y.astype(np.float64), to_first,
-                                  mask=estimate.blend_mask)
+                mosaic.accumulate(
+                    current.read_plane(Channel.Y).astype(np.float64),
+                    to_first, mask=estimate.blend_mask)
                 runtime.charge_high_level(
                     6.0 * mosaic.shape[0] * mosaic.shape[1] / 8)
             ref_pyramid = cur_pyramid

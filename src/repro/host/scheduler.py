@@ -40,8 +40,8 @@ module supplies that second axis:
   first.  Recycled slabs keep their pages, where fresh result planes
   would be faulted in anew every wave once the allocator had handed
   the freed ones back.  A wave with nothing to ship makes no store, so
-  a one-CPU host computes into fresh planes, exactly as serial
-  execution does;
+  a one-CPU host computes into fresh planes and shares the untouched
+  ones with the input itself, exactly as serial execution does;
 * every batch is also *priced* under both timing models -- the serial
   (sum) model and the double-buffered overlap model of
   :class:`~repro.perf.timing.EngineTimingModel` -- list-scheduled onto

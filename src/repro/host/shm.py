@@ -21,18 +21,22 @@ Three cooperating pieces:
   frame was mutated between waves, so a segment is never written
   after its registration.  Its read-only plane views, built once per
   registration, are the frame's *snapshot* (:meth:`PlaneStore.snapshot`).
-  A frame that alone holds its planes then lives in its segment, as a
-  frame stays in the board's ZBT banks across calls: it takes the
-  snapshot views as its planes, shared copy on write, and frees its
-  own (:meth:`~repro.image.frame.Frame.share_snapshot`), so
-  re-registering it is an identity check that reads no pixel.  A
-  write through any accessor copies a plane first, so the next
-  registration compares that plane; a frame with an outside alias
-  (a held plane, a row view, a memoryview, a plane over a larger
-  buffer, a plane dict shared with another frame) keeps its planes
-  and pays the full compare at every registration.  Segments are
-  released when the frame is garbage-collected, superseded, or the
-  store closes; a frame still sharing the views keeps their mapping.
+  A frame then lives in its segment, as a frame stays in the board's
+  ZBT banks across calls: it takes the snapshot views as the planes it
+  alone holds or shares already -- the one ownership rule of
+  :class:`~repro.image.frame.Frame`, which also lends every serial
+  result its input's untouched planes -- shared copy on write, and
+  frees its own (:meth:`~repro.image.frame.Frame.share_snapshot`),
+  so re-registering a frame that shares all five is an identity check
+  that reads no pixel.  A write through any accessor copies a plane
+  first, so the next registration compares that plane; a plane with
+  an outside alias (a held plane, a row view, a memoryview, a plane
+  over a larger buffer, or every plane of a plane dict shared with
+  another frame) stays the frame's own and is compared at every
+  registration, while the frame's other planes take each new
+  snapshot.  Segments are released when the frame is
+  garbage-collected, superseded, or the store closes; a frame still
+  sharing the views keeps their mapping.
 * the worker-resident cache -- :func:`worker_attach` keeps an LRU of
   attached segments keyed by ``(store token, frame id)``, so the N
   calls of a wave that touch the same frame map it once; a generation
@@ -493,10 +497,10 @@ class _StoreEntry:
         self.segment = segment
         self.handle = handle
         #: Read-only views of the segment's planes: the frame's content
-        #: as registered (its snapshot).  A frame that alone held its
-        #: planes holds these views as its planes, so a plane that is
-        #: still its view is unchanged; any other plane is compared
-        #: against its view to detect a mutation between waves.
+        #: as registered (its snapshot).  The frame holds these views as
+        #: the planes it may share, so a plane that is still its view is
+        #: unchanged; any other plane is compared against its view to
+        #: detect a mutation between waves.
         self.views = views
 
 
@@ -554,12 +558,12 @@ class PlaneStore:
 
         Re-registering an unchanged frame returns the existing handle;
         a mutated frame gets a new segment under a bumped generation.
-        A frame that alone holds its planes takes the registration's
-        snapshot views as its planes (the segment's memory is then the
-        frame's), so re-registering it reads no pixel while every
-        plane is still its view; a plane ``plane()`` copied since, or
-        the planes of a frame with an outside alias, are compared with
-        the snapshot, and a frame that matches shares it again.
+        A frame takes the registration's snapshot views as the planes
+        it may share (the segment's memory is then the frame's), so
+        re-registering it reads no pixel while every plane is still
+        its view; a plane ``plane()`` copied since, or a plane with an
+        outside alias, is compared with the snapshot, and a frame that
+        matches shares it again.
         ``None`` means shared memory is unavailable or broke: the frame
         cannot ship.
         """
@@ -614,10 +618,9 @@ class PlaneStore:
                                                          np.ndarray]]:
         """``frame``'s planes as it was last registered: read-only views
         of its segment, which nothing writes again (a mutated frame
-        gets a new segment) -- the planes a frame that alone holds its
-        own shares from its registration on, and the untouched planes
-        of its scheduled results.  ``None`` when ``frame`` is not
-        registered.
+        gets a new segment) -- the planes the frame shares from its
+        registration on, and the untouched planes of its scheduled
+        results.  ``None`` when ``frame`` is not registered.
         """
         entry = self._entries.get(id(frame))
         if entry is None or entry.frame_ref() is not frame:

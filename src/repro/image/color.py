@@ -15,6 +15,7 @@ import numpy as np
 
 from .formats import ImageFormat
 from .frame import Frame
+from .pixel import Channel
 
 #: BT.601 luma weights.
 KR, KG, KB = 0.299, 0.587, 0.114
@@ -68,4 +69,5 @@ def frame_from_rgb(fmt: ImageFormat, rgb: np.ndarray) -> Frame:
 
 def frame_to_rgb(frame: Frame) -> np.ndarray:
     """Render a packed frame as an ``(H, W, 3)`` uint8 RGB image."""
-    return yuv_to_rgb(frame.y, frame.u, frame.v)
+    return yuv_to_rgb(*(frame.read_plane(channel)
+                         for channel in (Channel.Y, Channel.U, Channel.V)))

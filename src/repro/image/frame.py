@@ -34,20 +34,23 @@ PLANE_DTYPES = {
 class Frame:
     """A full-resolution five-channel frame in the engine's packed layout.
 
-    A frame may *share* planes: read-only views of a snapshot that
-    nothing writes again.  The call scheduler's results share the
-    planes their op leaves untouched with their input's plane-store
-    snapshot, and a registered input that alone holds its planes shares
-    all five with its own snapshot, its private planes freed
-    (:meth:`share_snapshot`).  The frame records which channels it
-    shares, and :meth:`plane` copies a shared plane the first time it
-    is asked for -- copy on write -- so every public accessor hands out
-    the frame's own plane.  Library code that only reads uses
-    :meth:`read_plane`, which never copies.
+    A frame may *share* planes: read-only arrays that several frames
+    hold and nothing writes again.  A call's result shares the planes
+    its op leaves untouched with its first input (:meth:`pass_through`,
+    the software form of the Process Unit's channel pass-through), and
+    a registered input shares its planes with its plane-store snapshot
+    (:meth:`share_snapshot`), its private ones freed.  One rule decides
+    which planes a frame may share (:meth:`_sharable`): the planes it
+    shares already, and each plane it alone holds -- nothing outside
+    the frame could write it behind the frame's back.  The frame
+    records which channels it shares, and :meth:`plane` copies a
+    shared plane the first time it is asked for -- copy on write -- so
+    every public accessor hands out the frame's own plane.  Library
+    code that only reads uses :meth:`read_plane`, which never copies.
     """
 
-    #: The channels whose plane is a shared snapshot view (none unless
-    #: the frame was built with some, see :meth:`from_plane_views`).
+    #: The channels whose plane is shared: read-only, and copied by
+    #: :meth:`plane` before it is handed out (none for a new frame).
     _shared: FrozenSet[Channel] = frozenset()
 
     def __init__(self, fmt: ImageFormat) -> None:
@@ -78,11 +81,12 @@ class Frame:
         """The full-resolution plane of ``channel`` (mutable view).
 
         Always the frame's own array: a shared plane is copied on the
-        first request, so writing it reaches neither the snapshot nor
-        any other frame sharing it -- and the next registration of a
-        registered frame sees that the plane is no longer its
-        snapshot's, and compares it.  A plane held from here is an
-        alias: while it lives, the frame keeps its planes private.
+        first request, so writing it reaches no other frame sharing it
+        -- an input, its results, a plane-store snapshot -- and the
+        next registration of a registered frame sees that the plane is
+        no longer its snapshot's, and compares it.  A plane held from
+        here is an alias: while it lives, the frame shares it with
+        nothing.
         """
         if channel in self._shared:
             self._planes[channel] = self._planes[channel].copy()
@@ -98,42 +102,79 @@ class Frame:
 
     @property
     def shared_channels(self) -> FrozenSet[Channel]:
-        """The channels whose plane is still a shared snapshot view."""
+        """The channels whose plane is still shared."""
         return self._shared
 
-    def share_snapshot(self, views: Mapping[Channel, np.ndarray]) -> bool:
-        """Take ``views`` -- read-only snapshot views holding exactly
-        this frame's content -- as all five planes, shared, and free the
-        frame's own; ``True`` when it did.
+    def pass_through(self, computed: Dict[Channel, np.ndarray]) -> "Frame":
+        """The result of a call on this frame that computed the
+        ``computed`` planes (each of the format's shape and its
+        channel's dtype, taken unchecked and uncopied): those planes,
+        plus this frame's other planes.
 
-        Only a frame that alone holds its planes does: its plane dict
-        and each plane it does not share are referenced by the frame and
-        nothing else, and each such plane owns its memory.  Anything
-        else -- a held ``frame.y``, a row view, a memoryview, a plane
-        viewing a larger buffer, a plane dict another frame wraps too --
-        could write the planes behind the frame's back, so the frame
-        keeps them.  References are counted as ``ndarray.resize`` counts
-        them, against the counts of a fresh frame's (calibrated once, as
+        Each other plane this frame may share (:meth:`_sharable`) is
+        lent: the frame and the result both hold it read-only, marked
+        shared, so a write on either side copies it first
+        (:meth:`plane`).  A plane the frame shares already is lent as
+        it is; a plane something else holds is copied.
+        """
+        lent = _EVERY_CHANNEL.difference(computed)
+        if not lent <= self._shared:
+            lent &= self._shared | self._sharable()
+            for channel in lent - self._shared:
+                self._planes[channel].flags.writeable = False
+            self._shared |= lent
+        planes = self._planes
+        result = Frame.of_planes(self.format, {
+            channel: computed[channel] if channel in computed
+            else planes[channel] if channel in lent
+            else planes[channel].copy()
+            for channel in ALL_CHANNELS})
+        result._shared = lent
+        return result
+
+    def share_snapshot(self, views: Mapping[Channel, np.ndarray]) -> None:
+        """Take ``views`` -- read-only snapshot views holding exactly
+        this frame's content -- as the planes of every channel the
+        frame may share (:meth:`_sharable`), marked shared, and free
+        the frame's own planes of those channels.  A plane something
+        else holds stays the frame's own, and a registration compares
+        it."""
+        sharable = self._sharable()
+        planes = self._planes
+        for channel in sharable:
+            planes[channel] = views[channel]
+        self._shared |= sharable
+
+    def _sharable(self) -> FrozenSet[Channel]:
+        """The channels whose plane the frame may share with another
+        holder: none unless the frame alone holds its plane dict, and
+        then each channel it shares already and each whose plane that
+        dict alone holds and that owns its memory.
+
+        Anything else -- a held ``frame.y``, a row view, a memoryview,
+        a plane viewing a larger buffer, a plane dict another frame
+        wraps too -- could write the plane behind the frame's back.
+        References are counted as ``ndarray.resize`` counts them,
+        against the counts of a fresh frame's (calibrated once, as
         interpreters differ in what ``sys.getrefcount`` reports).
         """
         dict_refs, *plane_refs = self._reference_counts()
-        if dict_refs != _DICT_ALONE or any(refs != _PLANE_ALONE
-                                           for refs in plane_refs):
-            return False
-        self._planes = dict(views)
-        self._shared = _EVERY_CHANNEL
-        return True
+        if dict_refs != _DICT_ALONE:
+            return frozenset()
+        return self._shared.union([
+            channel for channel, refs in zip(ALL_CHANNELS, plane_refs)
+            if refs == _PLANE_ALONE])
 
     def _reference_counts(self) -> List[int]:
         """``sys.getrefcount`` of the plane dict, then of each plane
-        the frame does not share (0 for one not owning its memory)."""
+        (0 for one the frame shares or one not owning its memory)."""
         planes = self._planes
         counts = [sys.getrefcount(planes)]
         for channel in ALL_CHANNELS:
-            if channel not in self._shared:
-                plane = planes[channel]
-                counts.append(sys.getrefcount(plane)
-                              if plane.flags.owndata else 0)
+            plane = planes[channel]
+            counts.append(sys.getrefcount(plane)
+                          if plane.flags.owndata
+                          and channel not in self._shared else 0)
         return counts
 
     @property

@@ -105,9 +105,9 @@ def write_yuv420(path: PathLike, frames: Iterable[Frame],
     mode = "ab" if append else "wb"
     with open(path, mode) as handle:
         for frame in frames:
-            handle.write(frame.y.tobytes())
-            handle.write(frame.u[::2, ::2].tobytes())
-            handle.write(frame.v[::2, ::2].tobytes())
+            handle.write(frame.read_plane(Channel.Y).tobytes())
+            handle.write(frame.read_plane(Channel.U)[::2, ::2].tobytes())
+            handle.write(frame.read_plane(Channel.V)[::2, ::2].tobytes())
             count += 1
     return count
 

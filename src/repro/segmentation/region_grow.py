@@ -30,6 +30,7 @@ from ..addresslib.library import AddressLib
 from ..addresslib.ops import INTRA_GRAD
 from ..addresslib.segment import luma_delta_criterion
 from ..image.frame import Frame
+from ..image.pixel import Channel
 from .labels import coverage, relabel_compact, segment_sizes
 
 
@@ -97,7 +98,8 @@ class RegionGrowSegmenter:
         """Partition ``frame`` into homogeneous segments."""
         settings = self.settings
         gradient_frame = self.lib.intra(INTRA_GRAD, frame)
-        seeds = self.select_seeds(gradient_frame.y.astype(np.float64))
+        seeds = self.select_seeds(
+            gradient_frame.read_plane(Channel.Y).astype(np.float64))
 
         criterion = luma_delta_criterion(settings.luma_delta)
         primary = self.lib.segment(frame, seeds, criterion,

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from ..addresslib.library import AddressLib
 from ..addresslib.profiling import InstructionCost, OpProfile
 from ..image.frame import Frame
+from ..image.pixel import Channel
 from .hierarchy import Hierarchy, HierarchyBuilder
 from .region_grow import (RegionGrowSegmenter, RegionGrowSettings,
                           SegmentationOutput)
@@ -92,7 +93,7 @@ def profile_segmentation_workload(frame: Frame,
     segmenter = RegionGrowSegmenter(lib, settings)
     output = segmenter.segment_frame(frame)
     hierarchy = HierarchyBuilder(min_regions=min_regions).build(
-        output.labels, frame.y)
+        output.labels, frame.read_plane(Channel.Y))
     high_level = OpProfile()
     high_level.merge(hierarchy.profile)
     high_level.merge(tracking_profile(output.segment_count))

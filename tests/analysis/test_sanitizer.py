@@ -66,13 +66,17 @@ def _random_batch_call(rng):
 
 
 def _serial_reference(call):
+    """The serial result of ``call``, deep-copied: the serial path lends
+    the result its input's untouched planes, which a registered input
+    shares with its segment, and a reference must not follow them."""
     if call.reduce_to_scalar:
         return VectorExecutor.inter_reduce(call.op, call.frames[0],
                                            call.frames[1], call.channels)
     if len(call.frames) == 2:
         return VectorExecutor.inter(call.op, call.frames[0],
-                                    call.frames[1], call.channels)
-    return VectorExecutor.intra(call.op, call.frames[0], call.channels)
+                                    call.frames[1], call.channels).copy()
+    return VectorExecutor.intra(call.op, call.frames[0],
+                                call.channels).copy()
 
 
 def _assert_same(got, want):

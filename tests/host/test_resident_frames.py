@@ -1,15 +1,15 @@
 """Registered frames live in their plane-store segment.
 
-A frame that alone holds its planes takes its registration's read-only
-segment views as all five planes, shared copy on write, and frees its
-own, as the board keeps a frame in its ZBT banks across calls.
-Re-registering it is an identity check that reads no pixel.  A write
-through any public accessor copies a plane first, so the next
+A frame takes its registration's read-only segment views as the planes
+it alone holds, shared copy on write, and frees its own, as the board
+keeps a frame in its ZBT banks across calls.  Re-registering a frame
+that shares all five is an identity check that reads no pixel.  A
+write through any public accessor copies a plane first, so the next
 registration compares that plane and, when it changed, bumps the
-generation.  A frame with an outside alias -- a held plane, a row
-view, a memoryview, a plane over a larger buffer, a plane dict two
-frames wrap -- keeps its planes and the compare, so a write through
-the alias still reaches the next batch.
+generation.  A plane with an outside alias -- a held plane, a row
+view, a memoryview, a plane over a larger buffer, or every plane of a
+plane dict two frames wrap -- stays the frame's own and is compared,
+so a write through the alias still reaches the next batch.
 """
 
 import gc
@@ -25,7 +25,7 @@ from repro.addresslib import (AddressLib, BatchCall, ChannelSet,
                               INTRA_SOBEL_X, SoftwareBackend)
 from repro.host import CallScheduler, SHARED_MEMORY_AVAILABLE
 from repro.host import shm
-from repro.image import Frame, ImageFormat, noise_frame
+from repro.image import CIF, Frame, ImageFormat, noise_frame
 from repro.image.pixel import ALL_CHANNELS, Channel, Pixel
 
 pytestmark = pytest.mark.skipif(not SHARED_MEMORY_AVAILABLE,
@@ -83,7 +83,11 @@ def _scheduled(sched, calls):
 
 
 def _serial(calls):
-    return AddressLib(SoftwareBackend()).run_batch(calls)
+    """The serial results of ``calls``, deep-copied: they share their
+    inputs' untouched planes, which a registered input shares with its
+    segment, and a reference must not follow them."""
+    return [result.copy()
+            for result in AddressLib(SoftwareBackend()).run_batch(calls)]
 
 
 def _planes(frame):
@@ -253,7 +257,7 @@ def _held_plane():
 
     def write():
         alias[2:5, 1:4] ^= 0x5A
-    return frame, write
+    return frame, write, {Channel.Y}
 
 
 def _row_view():
@@ -262,7 +266,7 @@ def _row_view():
 
     def write():
         row[:] ^= 0x0F
-    return frame, write
+    return frame, write, {Channel.U}
 
 
 def _memoryview():
@@ -271,7 +275,7 @@ def _memoryview():
 
     def write():
         np.asarray(view)[::2] += 7
-    return frame, write
+    return frame, write, {Channel.ALFA}
 
 
 def _larger_buffer():
@@ -285,7 +289,7 @@ def _larger_buffer():
 
     def write():
         big[4:7] ^= 0x33
-    return frame, write
+    return frame, write, {Channel.Y}
 
 
 def _shared_dict():
@@ -296,7 +300,7 @@ def _shared_dict():
 
     def write():
         twin.plane(Channel.V)[...] ^= 0x21
-    return frame, write
+    return frame, write, EVERY_CHANNEL
 
 
 ALIASES = {"held_plane": _held_plane, "row_view": _row_view,
@@ -306,14 +310,16 @@ ALIASES = {"held_plane": _held_plane, "row_view": _row_view,
 
 @pytest.mark.parametrize("alias", sorted(ALIASES))
 def test_an_alias_keeps_the_frames_planes(sched, alias):
-    frame, write_through_alias = ALIASES[alias]()
+    """The aliased planes alone stay the frame's own; every other plane
+    shares the snapshot."""
+    frame, write_through_alias, aliased = ALIASES[alias]()
     other = noise_frame(FMT, seed=16)
     calls = _fan_out(frame, other)
     first_want = _serial(calls)
     first = _scheduled(sched, calls)
     store = sched._resources.store
     handle = store.register(frame)
-    assert not frame.shared_channels
+    assert frame.shared_channels == EVERY_CHANNEL - aliased
 
     write_through_alias()
     second_want = _serial(calls)
@@ -325,7 +331,7 @@ def test_an_alias_keeps_the_frames_planes(sched, alias):
     assert _all_equal(first, first_want)
     assert _all_equal(second, second_want)
     assert _same_planes(_segment_frame(fresh), _planes(frame))
-    assert not frame.shared_channels
+    assert frame.shared_channels == EVERY_CHANNEL - aliased
 
 
 def test_dropping_the_alias_lets_the_frame_share():
@@ -334,10 +340,36 @@ def test_dropping_the_alias_lets_the_frame_share():
     try:
         alias = frame.aux
         handle = store.register(frame)
-        assert not frame.shared_channels
+        assert frame.shared_channels == EVERY_CHANNEL - {Channel.AUX}
         del alias
         assert store.register(frame) is handle
         assert frame.shared_channels == EVERY_CHANNEL
+    finally:
+        store.close()
+
+
+def test_a_rewrite_shares_every_plane_but_the_aliased_one(monkeypatch):
+    """After a write through a held plane bumps the generation, the
+    frame's four other planes share the new segment and none views the
+    superseded one, so each later registration compares the aliased
+    plane alone."""
+    frame = noise_frame(CIF, seed=18)
+    store = shm.PlaneStore()
+    try:
+        store.register(frame)
+        superseded = store.snapshot(frame)
+        alias = frame.y
+        alias[5:9] ^= 0x3C
+        handle = store.register(frame)
+        assert handle.generation == 1
+        assert frame.shared_channels == EVERY_CHANNEL - {Channel.Y}
+        assert not any(np.shares_memory(frame.read_plane(c), superseded[c])
+                       for c in ALL_CHANNELS)
+        compares = _counting_compares(monkeypatch)
+        for registration in range(1, 4):
+            assert store.register(frame) is handle
+            assert compares == [alias.shape] * registration
+        assert frame.read_plane(Channel.Y) is alias
     finally:
         store.close()
 
