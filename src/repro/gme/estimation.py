@@ -36,7 +36,7 @@ from ..image.frame import Frame
 from ..image.pixel import Channel
 from ..image.synth import frame_from_luma
 from .motion_model import AffineModel
-from .warp import decimate2, warp_luma
+from .warp import WarpWorkspace, decimate2
 
 #: Instructions charged to the host per warped pixel (bilinear resample
 #: plus residual accumulation in the host loop).
@@ -64,7 +64,8 @@ class GmeSettings:
 
 @dataclass
 class PyramidLevel:
-    """One pyramid level of a frame: the Frame plus its float luma."""
+    """One pyramid level of a frame: the Frame plus a private copy of
+    its 8-bit luma (the warp's source and fill)."""
 
     frame: Frame
     luma: np.ndarray
@@ -83,6 +84,8 @@ class PairEstimate:
     iterations: int
     per_level_iterations: List[int] = field(default_factory=list)
     #: The blend mask from the homogeneity call (finest level).
+    #: :meth:`~repro.gme.xm.GmeApplication.run_sequence` drops it (sets
+    #: ``None``) once the mosaic, if any, has used it.
     blend_mask: Optional[np.ndarray] = None
 
 
@@ -115,6 +118,9 @@ class GlobalMotionEstimator:
         self.scheduler = scheduler
         self._charge = charge or (lambda instructions: None)
         self._format_cache: Dict[Tuple[int, int], ImageFormat] = {}
+        #: Every iteration of every pair warps into the same planes,
+        #: one set per pyramid level.
+        self._warp = WarpWorkspace()
 
     # -- pyramids -------------------------------------------------------------
 
@@ -125,12 +131,11 @@ class GlobalMotionEstimator:
         followed by host-side decimation.
         """
         levels = [PyramidLevel(frame=frame,
-                               luma=frame.read_plane(Channel.Y).astype(
-                                   np.float64))]
+                               luma=frame.read_plane(Channel.Y).copy())]
         current = frame
         for _ in range(self.settings.levels - 1):
             filtered = self.lib.intra(INTRA_BOX3, current)
-            luma = decimate2(filtered.read_plane(Channel.Y)).astype(np.float64)
+            luma = decimate2(filtered.read_plane(Channel.Y)).copy()
             current = self._luma_frame(luma)
             levels.append(PyramidLevel(frame=current, luma=luma))
         return levels
@@ -182,9 +187,11 @@ class GlobalMotionEstimator:
             ref = ref_pyramid[level]
             cur = cur_pyramid[level]
             use_affine = settings.affine_at_finest and level == 0
-            gx, gy = gradients[level]
+            # Coarsest first, so a level's gradients are freed as soon
+            # as its Gauss-Newton inputs are built.
+            system = self._step_system(ref, *gradients.pop(), use_affine)
             model, sad, iterations = self._refine_level(
-                ref, cur, model, gx, gy, use_affine)
+                ref, cur, model, system, use_affine)
             total_iterations += iterations
             per_level.append(iterations)
             final_sad = sad
@@ -210,8 +217,10 @@ class GlobalMotionEstimator:
         derivative in luma units per pixel (up to the Sobel kernel's
         gain of 8, folded into the solve consistently).
 
-        Returns per-level ``(gx, gy)`` float gradients (finest first)
-        and the homogeneity mask frame of the finest level.
+        Returns per-level ``(gx, gy)`` float gradients (finest first),
+        taken only at the solve's ``gn_subsample`` stride (all
+        :meth:`_step_system` reads), and the homogeneity mask frame of
+        the finest level.
         """
         calls = []
         for ref in ref_pyramid:
@@ -220,23 +229,23 @@ class GlobalMotionEstimator:
         calls.append(BatchCall.intra(INTRA_HOMOGENEITY,
                                      ref_pyramid[0].frame))
         results = self.lib.run_batch(calls, scheduler=self.scheduler)
+        step = self.settings.gn_subsample
         gradients = []
         for level in range(len(ref_pyramid)):
             gx_frame = results[2 * level]
             gy_frame = results[2 * level + 1]
             assert isinstance(gx_frame, Frame)
             assert isinstance(gy_frame, Frame)
-            gradients.append((
-                np.subtract(gx_frame.read_plane(Channel.Y), 128.0,
-                            dtype=np.float64),
-                np.subtract(gy_frame.read_plane(Channel.Y), 128.0,
-                            dtype=np.float64)))
+            gradients.append(tuple(
+                np.subtract(frame.read_plane(Channel.Y)[::step, ::step],
+                            128.0, dtype=np.float64)
+                for frame in (gx_frame, gy_frame)))
         mask_frame = results[-1]
         assert isinstance(mask_frame, Frame)
         return gradients, mask_frame
 
     def _refine_level(self, ref: PyramidLevel, cur: PyramidLevel,
-                      model: AffineModel, gx: np.ndarray, gy: np.ndarray,
+                      model: AffineModel, system: _StepSystem,
                       use_affine: bool):
         settings = self.settings
         best_model = model
@@ -244,13 +253,13 @@ class GlobalMotionEstimator:
         sad = float("inf")
         iterations = 0
         pixels = ref.luma.size
-        system = self._step_system(ref, gx, gy, use_affine)
 
         for _ in range(settings.max_iterations_per_level):
             iterations += 1
             # Invalid (out-of-frame) samples copy the reference so they
-            # contribute zero to the SAD.
-            warped, valid = warp_luma(cur.luma, model, fill=ref.luma)
+            # contribute zero to the SAD.  The library sees only the new
+            # frame made from the reused planes, never a rewritten one.
+            warped, valid = self._warp.warp(cur.luma, model, fill=ref.luma)
             self._charge(HOST_WARP_INSTRUCTIONS_PER_PIXEL * pixels)
             warped_frame = self._luma_frame(warped)
             sad = float(self.lib.inter_reduce(INTER_ABSDIFF, ref.frame,
@@ -275,11 +284,12 @@ class GlobalMotionEstimator:
         return best_model, float(best_sad if best_sad is not None else sad), \
             iterations
 
-    def _step_system(self, ref: PyramidLevel, gx: np.ndarray,
-                     gy: np.ndarray, use_affine: bool) -> _StepSystem:
+    def _step_system(self, ref: PyramidLevel, jx: np.ndarray,
+                     jy: np.ndarray, use_affine: bool) -> _StepSystem:
         """The parts of every Gauss-Newton step of one level that do not
         depend on the current model: the subsampled reference and one
-        Jacobian row per subsampled pixel.
+        Jacobian row per subsampled pixel, from the gradients ``jx`` and
+        ``jy`` at the ``gn_subsample`` stride.
 
         Each step takes the rows of its valid pixels, in row-major
         order, so it sees exactly the values -- and the ``(pixels,
@@ -292,8 +302,6 @@ class GlobalMotionEstimator:
         step = self.settings.gn_subsample
         # The Sobel ops already divide the kernel's gain of 8 back out
         # (``acc >> 3``), so the unbiased planes are luma units per pixel.
-        jx = gx[::step, ::step]
-        jy = gy[::step, ::step]
         scale = max(ref.luma.shape)
         if use_affine:
             height, width = jx.shape
@@ -308,7 +316,7 @@ class GlobalMotionEstimator:
         for k, (gradient, coordinate) in enumerate(columns):
             np.multiply(gradient, coordinate, out=jacobian[..., k])
         return _StepSystem(
-            reference=ref.luma[::step, ::step].ravel(),
+            reference=ref.luma[::step, ::step].astype(np.float64).ravel(),
             jacobian=jacobian.reshape(jx.size, -1), scale=scale)
 
     def _gauss_newton_step(self, system: _StepSystem, warped: np.ndarray,

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .motion_model import AffineModel
-from .warp import warp_luma
+from .warp import WarpWorkspace
 
 
 class Mosaic:
@@ -31,6 +31,10 @@ class Mosaic:
         self._sum = np.zeros((height, width), dtype=np.float64)
         self._weight = np.zeros((height, width), dtype=np.float64)
         self.frames_accumulated = 0
+        #: Every frame and mask is warped through these planes; a mask
+        #: leaves its verdict in ``_blend`` before the frame's warp.
+        self._warp = WarpWorkspace()
+        self._blend = np.empty((height, width), dtype=bool)
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -56,15 +60,18 @@ class Mosaic:
         # Canvas pixel -> first-frame coords -> this frame's coords.
         canvas_to_frame = to_first.inverse().compose(
             AffineModel(tx=-ox, ty=-oy))
-        warped, valid = warp_luma(luma, canvas_to_frame,
-                                  output_shape=self.shape)
+        warp = self._warp.warp
         if mask is not None:
-            mask_w, mask_valid = warp_luma(mask.astype(np.float64),
-                                           canvas_to_frame,
-                                           output_shape=self.shape)
-            valid &= mask_valid & (mask_w > 0.5)
-        self._sum[valid] += warped[valid]
-        self._weight[valid] += 1.0
+            mask_w, mask_valid = warp(mask.astype(np.float64),
+                                      canvas_to_frame,
+                                      output_shape=self.shape)
+            blend = np.greater(mask_w, 0.5, out=self._blend)
+            blend &= mask_valid
+        warped, valid = warp(luma, canvas_to_frame, output_shape=self.shape)
+        if mask is not None:
+            valid &= blend
+        np.add(self._sum, warped, out=self._sum, where=valid)
+        np.add(self._weight, 1.0, out=self._weight, where=valid)
         self.frames_accumulated += 1
 
     def composite(self, background: float = 0.0) -> np.ndarray:

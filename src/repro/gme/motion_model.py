@@ -16,9 +16,33 @@ aligns with the reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
+
+#: A pair of coordinate planes ``(x, y)``.
+Planes = Tuple[np.ndarray, np.ndarray]
+
+
+def _coordinate_planes(xs: np.ndarray, ys: np.ndarray,
+                       out: Optional[Planes]) -> Planes:
+    """Where a model's ``apply`` writes the mapped coordinates: ``out``,
+    two float64 planes of the broadcast shape of ``xs`` and ``ys`` (the
+    warp passes its block scratch), or two new ones.  Either way each
+    coordinate is rounded the same way, so ``out`` changes no bit."""
+    if out is not None:
+        return out
+    shape = np.broadcast_shapes(np.shape(xs), np.shape(ys))
+    return np.empty(shape), np.empty(shape)
+
+
+def _linear(p: float, q: float, t: float, xs: np.ndarray, ys: np.ndarray,
+            out: np.ndarray) -> np.ndarray:
+    """``(p x + q y) + t`` into ``out``, rounded in that order."""
+    np.multiply(p, xs, out=out)
+    out += q * ys
+    out += t
+    return out
 
 
 @dataclass(frozen=True)
@@ -32,10 +56,14 @@ class TranslationalModel:
     def parameters(self) -> np.ndarray:
         return np.array([self.tx, self.ty], dtype=np.float64)
 
-    def apply(self, xs: np.ndarray, ys: np.ndarray
-              ) -> Tuple[np.ndarray, np.ndarray]:
-        """Map coordinate arrays through the model."""
-        return xs + self.tx, ys + self.ty
+    def apply(self, xs: np.ndarray, ys: np.ndarray,
+              out: Optional[Planes] = None) -> Planes:
+        """Map coordinate arrays through the model (see
+        :func:`_coordinate_planes` for ``out``)."""
+        sx, sy = _coordinate_planes(xs, ys, out)
+        np.add(xs, self.tx, out=sx)
+        np.add(ys, self.ty, out=sy)
+        return sx, sy
 
     def compose(self, other: "TranslationalModel") -> "TranslationalModel":
         """``self`` after ``other``: translations add."""
@@ -88,11 +116,14 @@ class AffineModel:
                    tx=float(matrix[0, 2]), c=float(matrix[1, 0]),
                    d=float(matrix[1, 1]), ty=float(matrix[1, 2]))
 
-    def apply(self, xs: np.ndarray, ys: np.ndarray
-              ) -> Tuple[np.ndarray, np.ndarray]:
-        """Map coordinate arrays through the model."""
-        return (self.a * xs + self.b * ys + self.tx,
-                self.c * xs + self.d * ys + self.ty)
+    def apply(self, xs: np.ndarray, ys: np.ndarray,
+              out: Optional[Planes] = None) -> Planes:
+        """Map coordinate arrays through the model (see
+        :func:`_coordinate_planes` for ``out``)."""
+        sx, sy = _coordinate_planes(xs, ys, out)
+        _linear(self.a, self.b, self.tx, xs, ys, sx)
+        _linear(self.c, self.d, self.ty, xs, ys, sy)
+        return sx, sy
 
     def compose(self, other: "AffineModel") -> "AffineModel":
         """``self`` after ``other`` (matrix product)."""
@@ -171,12 +202,18 @@ class PerspectiveModel:
         return cls(a=affine.a, b=affine.b, tx=affine.tx,
                    c=affine.c, d=affine.d, ty=affine.ty)
 
-    def apply(self, xs: np.ndarray, ys: np.ndarray
-              ) -> Tuple[np.ndarray, np.ndarray]:
-        """Map coordinate arrays through the homography."""
-        w = self.px * xs + self.py * ys + 1.0
-        return ((self.a * xs + self.b * ys + self.tx) / w,
-                (self.c * xs + self.d * ys + self.ty) / w)
+    def apply(self, xs: np.ndarray, ys: np.ndarray,
+              out: Optional[Planes] = None) -> Planes:
+        """Map coordinate arrays through the homography (see
+        :func:`_coordinate_planes` for ``out``; the denominator takes
+        one temporary plane)."""
+        sx, sy = _coordinate_planes(xs, ys, out)
+        w = _linear(self.px, self.py, 1.0, xs, ys, np.empty_like(sx))
+        _linear(self.a, self.b, self.tx, xs, ys, sx)
+        sx /= w
+        _linear(self.c, self.d, self.ty, xs, ys, sy)
+        sy /= w
+        return sx, sy
 
     def compose(self, other: "PerspectiveModel") -> "PerspectiveModel":
         """``self`` after ``other`` (matrix product)."""

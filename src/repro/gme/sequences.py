@@ -25,7 +25,7 @@ from ..image.formats import CIF, ImageFormat
 from ..image.frame import Frame
 from ..image.synth import frame_from_luma, textured_panorama
 from .motion_model import AffineModel
-from .warp import warp_luma
+from .warp import WarpWorkspace
 
 #: A camera pose: frame coordinates -> panorama coordinates.
 PoseFn = Callable[[int], AffineModel]
@@ -51,7 +51,9 @@ class SequenceSpec:
 
 
 class SyntheticSequence:
-    """Renders the frames of a :class:`SequenceSpec` on demand."""
+    """Renders the frames of a :class:`SequenceSpec` on demand, one at a
+    time, through one warp workspace (so not from concurrent
+    threads)."""
 
     def __init__(self, spec: SequenceSpec,
                  frames_override: Optional[int] = None) -> None:
@@ -59,6 +61,8 @@ class SyntheticSequence:
         self.frames = frames_override or spec.frames
         self._panorama = textured_panorama(
             spec.panorama_width, spec.panorama_height, seed=spec.seed)
+        #: Every frame is rendered through the same planes.
+        self._warp = WarpWorkspace()
 
     def pose(self, index: int) -> AffineModel:
         """Camera pose of frame ``index`` (frame -> panorama coords)."""
@@ -75,8 +79,8 @@ class SyntheticSequence:
         """Render frame ``index`` by sampling the panorama."""
         pose = self.pose(index)
         fmt = self.spec.fmt
-        luma, valid = warp_luma(self._panorama, pose, fill=96.0,
-                                output_shape=(fmt.height, fmt.width))
+        luma, valid = self._warp.warp(self._panorama, pose, fill=96.0,
+                                      output_shape=(fmt.height, fmt.width))
         del valid  # camera paths keep the view inside the panorama
         return frame_from_luma(fmt, luma)
 

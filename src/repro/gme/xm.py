@@ -74,6 +74,9 @@ class SequenceRunResult:
     inter_calls: int
     call_seconds: float
     high_level_seconds: float
+    #: One per frame pair, each without its blend mask
+    #: (``blend_mask`` is ``None``): the run drops a pair's mask once
+    #: the mosaic, if any, has used it.
     estimates: List[PairEstimate] = field(default_factory=list)
     global_models: List[AffineModel] = field(default_factory=list)
     mosaic: Optional[Mosaic] = None
@@ -109,7 +112,12 @@ class GmeApplication:
         self.scheduler = scheduler
 
     def run_sequence(self, sequence: SyntheticSequence) -> SequenceRunResult:
-        """Process every frame pair of ``sequence``."""
+        """Process every frame pair of ``sequence``.
+
+        Each pair's blend mask feeds the mosaic, if one is built, and is
+        then dropped: the returned estimates hold none, so a long run
+        retains no frame-sized plane per pair.
+        """
         runtime = self.runtime
         estimator = GlobalMotionEstimator(
             runtime.lib, self.settings,
@@ -160,6 +168,7 @@ class GmeApplication:
                     to_first, mask=estimate.blend_mask)
                 runtime.charge_high_level(
                     6.0 * mosaic.shape[0] * mosaic.shape[1] / 8)
+            estimate.blend_mask = None  # nothing else reads it
             ref_pyramid = cur_pyramid
 
         report = runtime.report()

@@ -9,12 +9,14 @@ All generators are seeded and reproducible.
 
 from __future__ import annotations
 
-from typing import Optional
+import functools
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .formats import ImageFormat, block_rows
-from .frame import Frame
+from .frame import PLANE_DTYPES, Frame
+from .pixel import Channel
 
 
 def _rng(seed: Optional[int]) -> np.random.Generator:
@@ -147,16 +149,40 @@ def textured_panorama(width: int, height: int,
 
 def frame_from_luma(fmt: ImageFormat, luma: np.ndarray) -> Frame:
     """Wrap a luminance array (any numeric dtype) into a neutral-chroma
-    frame."""
+    frame.
+
+    The frame allocates only its Y plane, ``luma`` rounded and clipped
+    to 8 bits.  U and V (128) and Alfa and Aux (0) are read-only
+    neutral planes every luma frame of that width and height shares
+    (:func:`_neutral_planes`), marked shared, so :meth:`Frame.plane`
+    (and ``.u``, ``.alfa``, ``set_pixel``, ``fill``) copies one before
+    handing it out and a write reaches no other frame.
+    """
     if luma.shape != (fmt.height, fmt.width):
         raise ValueError(
             f"luma shape {luma.shape} does not match {fmt.name} "
             f"({fmt.height}, {fmt.width})")
-    frame = Frame(fmt)
-    np.clip(np.round(luma), 0, 255, out=frame.y, casting="unsafe")
-    frame.u[:] = 128
-    frame.v[:] = 128
-    return frame
+    chroma, extra = _neutral_planes(fmt.width, fmt.height)
+    y = np.empty(luma.shape, dtype=PLANE_DTYPES[Channel.Y])
+    np.clip(np.round(luma), 0, 255, out=y, casting="unsafe")
+    return Frame.from_plane_views(
+        fmt, {Channel.Y: y, Channel.U: chroma, Channel.V: chroma,
+              Channel.ALFA: extra, Channel.AUX: extra},
+        shared=(Channel.U, Channel.V, Channel.ALFA, Channel.AUX))
+
+
+@functools.lru_cache(maxsize=8)
+def _neutral_planes(width: int,
+                    height: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The read-only neutral planes of one geometry: chroma (128, for
+    U and V) and Alfa/Aux (0).  Keyed by size, not by format object
+    (each estimator names its own pyramid formats), and bounded: only
+    the eight geometries used last keep theirs, and a frame keeps the
+    planes it was made with."""
+    chroma = np.full((height, width), 128, dtype=PLANE_DTYPES[Channel.U])
+    extra = np.zeros((height, width), dtype=PLANE_DTYPES[Channel.ALFA])
+    chroma.flags.writeable = extra.flags.writeable = False
+    return chroma, extra
 
 
 def blob_frame(fmt: ImageFormat, centers, radius: int = 12,

@@ -9,7 +9,10 @@ shared, and :meth:`Frame.plane` copies it before any write on either
 side.  A plane something else holds -- a held plane, a row view, a
 memoryview, a plane over a larger buffer, a plane dict two frames wrap
 -- is copied instead.  These tests hold lending to behave exactly like
-a private copy, against content models made of deep copies.
+a private copy, against content models made of deep copies.  A luma
+frame (``frame_from_luma``) is born sharing: only its Y plane is its
+own, and its U, V, Alfa and Aux are the read-only neutral planes every
+luma frame of its geometry shares.
 """
 
 import dataclasses
@@ -33,8 +36,9 @@ from repro.core.segment_unit import SegmentCallConfig, SegmentUnit
 from repro.gme.estimation import GlobalMotionEstimator
 from repro.host import AddressEngineDriver, EngineBackend
 from repro.host import SHARED_MEMORY_AVAILABLE, shm
-from repro.image import (CIF, Frame, ImageFormat, frame_to_rgb, noise_frame,
-                         write_yuv420)
+from repro.image import (CIF, Frame, ImageFormat, frame_from_luma,
+                         frame_to_rgb, noise_frame, write_yuv420)
+from repro.image import synth
 from repro.image.pixel import ALL_CHANNELS, Channel, Pixel
 from repro.segmentation.region_grow import RegionGrowSegmenter
 from repro.segmentation.workload import profile_segmentation_workload
@@ -555,7 +559,8 @@ def _smooth_frame(seed):
     return frame
 
 
-@pytest.mark.parametrize("holder", ["registered", "lent", "result"])
+@pytest.mark.parametrize("holder", ["registered", "lent", "result",
+                                    "luma"])
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_a_reader_copies_no_shared_plane(reader, holder, tmp_path):
     """Each library reader returns on a frame sharing planes the same
@@ -569,6 +574,8 @@ def test_a_reader_copies_no_shared_plane(reader, holder, tmp_path):
         assert store.register(frame) is not None
     elif holder == "result":
         frame = VectorExecutor.intra(INTRA_BOX3, frame)
+    elif holder == "luma":
+        frame = frame_from_luma(READER_FMT, frame.read_plane(Channel.Y))
     else:
         VectorExecutor.intra(INTRA_BOX3, frame)
     try:
@@ -585,3 +592,105 @@ def test_a_reader_copies_no_shared_plane(reader, holder, tmp_path):
     finally:
         if store is not None:
             store.close()
+
+
+# ---------------------------------------------------------------------------
+# Luma frames share their neutral planes
+# ---------------------------------------------------------------------------
+
+NEUTRAL = {Channel.U: 128, Channel.V: 128, Channel.ALFA: 0, Channel.AUX: 0}
+
+
+def _luma_frame(seed, fmt=FMT):
+    return frame_from_luma(
+        fmt, noise_frame(fmt, seed=seed).read_plane(Channel.Y))
+
+
+def test_a_luma_frame_allocates_only_its_luma():
+    first, second = _luma_frame(1), _luma_frame(2)
+    twin = frame_from_luma(ImageFormat("twin", FMT.width, FMT.height),
+                           first.read_plane(Channel.Y))
+    for frame in (first, second, twin):
+        assert frame.shared_channels == EVERY_CHANNEL - LUMA
+        assert frame.read_plane(Channel.Y).flags.writeable
+        for channel, value in NEUTRAL.items():
+            plane = frame.read_plane(channel)
+            assert not plane.flags.writeable
+            assert (plane == value).all()
+            # Shared by geometry, whatever the format object.
+            assert plane is first.read_plane(channel)
+    assert not np.shares_memory(first.read_plane(Channel.Y),
+                                twin.read_plane(Channel.Y))
+
+
+@pytest.mark.parametrize("write", sorted(WRITES))
+def test_a_write_on_a_luma_frame_reaches_no_other(write):
+    """``.u``, ``.alfa``, ``plane()``, ``set_pixel`` and ``fill`` copy
+    a neutral plane before writing it: no other luma frame of the
+    geometry, old or new, sees the write."""
+    frame, other = _luma_frame(1), _luma_frame(2)
+    kept = _deep(other)
+    want = _written(frame, WRITES[write])
+
+    WRITES[write](frame)
+
+    assert _same_planes(frame, want)
+    assert _same_planes(other, kept)
+    assert _same_planes(_luma_frame(2), kept)
+    assert all((other.read_plane(channel) == value).all()
+               for channel, value in NEUTRAL.items())
+
+
+def test_a_registered_luma_frame_is_reregistered_unread(monkeypatch):
+    if not SHARED_MEMORY_AVAILABLE:
+        pytest.skip("no POSIX shared memory")
+    compares = []
+    real = shm._same_values
+
+    def spy(plane, view):
+        compares.append(plane.shape)
+        return real(plane, view)
+
+    monkeypatch.setattr(shm, "_same_values", spy)
+    frame = _luma_frame(3)
+    model = _deep(frame)
+    store = shm.PlaneStore()
+    try:
+        handle = store.register(frame)
+        assert handle is not None
+        assert frame.shared_channels == EVERY_CHANNEL
+        for _ in range(3):
+            assert store.register(frame) is handle
+        assert compares == []
+        assert _same_planes(_segment_frame(handle), model)
+    finally:
+        store.close()
+
+
+@pytest.mark.parametrize("kind", sorted(CALLS))
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_calls_on_luma_frames_equal_calls_on_their_copies(runner, kind):
+    build, _ = CALLS[kind]
+    first, second = _luma_frame(4), _luma_frame(5)
+    copies = first.copy(), second.copy()
+    got = RUNNERS[runner]([build(first, second), build(second, first)])
+    want = RUNNERS[runner]([build(*copies), build(*reversed(copies))])
+    for result, expected in zip(got, want):
+        if isinstance(expected, int):
+            assert result == expected
+        else:
+            assert _same_planes(result, expected)
+
+
+def test_the_neutral_plane_cache_is_bounded():
+    """Frames of more geometries than the cache holds leave it at its
+    bound, and a frame of an evicted geometry keeps its planes."""
+    bound = synth._neutral_planes.cache_info().maxsize
+    frames = [frame_from_luma(ImageFormat(f"N{width}", width, 3),
+                              np.full((3, width), 9.0))
+              for width in range(1, bound + 4)]
+    assert synth._neutral_planes.cache_info().currsize <= bound
+    for frame in frames:
+        assert (frame.read_plane(Channel.Y) == 9).all()
+        assert all((frame.read_plane(channel) == value).all()
+                   for channel, value in NEUTRAL.items())

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.gme import (TABLE3_SEQUENCES, AffineModel, PerspectiveModel,
                        TranslationalModel, decimate2, pyramid_shapes, sad,
                        warp_luma)
+from repro.gme.warp import WarpWorkspace
 from repro.image import textured_panorama
 from repro.image.formats import block_rows
 
@@ -273,6 +274,69 @@ class TestWarpBlocks:
         assert not np.shares_memory(again_valid, valid)
         assert warped.tobytes() == kept[0].tobytes()
         assert np.array_equal(valid, kept[1])
+
+
+def _geometry(width, blocks, edge):
+    """An output ``blocks`` row blocks tall, one row short of, at or one
+    row past a block edge: ``edge=-1`` ends in a block one row short of
+    full, ``edge=1`` in a one-row block."""
+    return (max(1, blocks * block_rows(width) + edge), width)
+
+
+class TestWarpWorkspace:
+    """One workspace reused across warps of every model class, output
+    geometry and fill: its planes are rewritten, never trusted, so no
+    result may carry a bit of an earlier warp."""
+
+    #: The block sources, and one too thin to have an inside sample.
+    SOURCES = dict(BLOCK_SOURCES, thin=_noise(1, 9, np.float64))
+
+    @given(steps=st.lists(st.tuples(
+        st.sampled_from(list(BLOCK_MODELS)), st.sampled_from(list(SOURCES)),
+        st.sampled_from(["scalar", "full", "row", "column"]),
+        st.sampled_from([97, 352, 700]), st.sampled_from([1, 2, 3]),
+        st.sampled_from([-1, 0, 1])), min_size=2, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_every_warp_matches_the_golden_warp(self, steps):
+        workspace = WarpWorkspace()
+        planes = {}
+        for model, source, fill, width, blocks, edge in steps:
+            luma = self.SOURCES[source]
+            shape = _geometry(width, blocks, edge)
+            fill = _fill(fill, shape)
+            warped, valid = workspace.warp(luma, BLOCK_MODELS[model],
+                                           fill=fill, output_shape=shape)
+            ref_warped, ref_valid = reference_warp_luma(
+                luma, BLOCK_MODELS[model], fill=fill, output_shape=shape)
+            assert warped.shape == shape
+            assert warped.tobytes() == ref_warped.tobytes()
+            assert np.array_equal(valid, ref_valid)
+            # The same geometry reuses its planes.
+            kept = planes.setdefault(shape, (warped, valid))
+            assert kept[0] is warped and kept[1] is valid
+
+    def test_one_shot_warp_is_a_workspace_warp(self):
+        luma = BLOCK_SOURCES["uint8"]
+        shape = _geometry(352, 2, -1)
+        for model in BLOCK_MODELS.values():
+            got = warp_luma(luma, model, fill=3.5, output_shape=shape)
+            want = WarpWorkspace().warp(luma, model, fill=3.5,
+                                        output_shape=shape)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("model", list(BLOCK_MODELS))
+    def test_models_write_coordinates_in_place(self, model):
+        """``apply(xs, ys, out=)`` fills the planes it is handed with
+        the bits ``apply(xs, ys)`` returns."""
+        xs = np.arange(352, dtype=np.float64)[np.newaxis, :]
+        ys = np.arange(40, 133, dtype=np.float64)[:, np.newaxis]
+        planes = (np.full((93, 352), np.nan), np.full((93, 352), np.nan))
+        sx, sy = BLOCK_MODELS[model].apply(xs, ys, out=planes)
+        want_x, want_y = BLOCK_MODELS[model].apply(xs, ys)
+        assert sx is planes[0] and sy is planes[1]
+        assert sx.tobytes() == want_x.tobytes()
+        assert sy.tobytes() == want_y.tobytes()
 
 
 class TestTable3Scenes:

@@ -1,11 +1,15 @@
 """The XM application shell and the Table 3 dual-platform evaluation."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.gme import (GmeApplication, SINGAPORE, TABLE3_SEQUENCES,
                        SyntheticSequence, Table3Row, XmCosts,
                        evaluate_sequence_dual, xm_cost_model)
 from repro.host import software_platform
+from repro.image import CIF
 
 
 def short_sequence(frames=6):
@@ -57,6 +61,43 @@ class TestApplicationRun:
             short_sequence(3))
         # 3 frames x 1e9 instructions at CPI 1.5 on 1.6 GHz.
         assert result.high_level_seconds > 3 * 1e9 / 1.6e9
+
+
+def _traced_peak(frames):
+    """The traced heap's peak above its start while ``run_sequence``
+    runs over ``frames`` Singapore frames (the panorama made
+    beforehand)."""
+    sequence = SyntheticSequence(SINGAPORE, frames_override=frames)
+    app = GmeApplication(software_platform())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        app.run_sequence(sequence)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """A run keeps one working set per frame geometry: nothing it
+    retains grows with the number of frames."""
+
+    def test_peak_does_not_grow_with_the_sequence(self):
+        """Twice the frames peak less than one CIF float64 plane higher
+        (ten more pairs' blend masks alone would be 1.0 MB)."""
+        _traced_peak(3)  # the ops' first runs build their books
+        assert _traced_peak(20) - _traced_peak(10) < CIF.pixels * 8
+
+    @pytest.mark.parametrize("build_mosaic", [False, True])
+    def test_retained_estimates_hold_no_mask(self, build_mosaic):
+        app = GmeApplication(software_platform(), build_mosaic=build_mosaic,
+                             mosaic_shape=(320, 400))
+        result = app.run_sequence(short_sequence(4))
+        assert len(result.estimates) == 3
+        assert all(e.blend_mask is None for e in result.estimates)
+        if build_mosaic:
+            assert result.mosaic.frames_accumulated == 4
 
 
 class TestXmCostModel:
