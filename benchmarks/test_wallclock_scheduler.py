@@ -18,17 +18,20 @@ What must hold:
   CPUs the shared-memory transport must deliver ``>= 1.5x``.  The
   scheduler runs at most one worker process per CPU, and a one-CPU
   host keeps every call in the parent.  On a 2-vCPU host the floor
-  still fails: the timed batch pays the pool's cold state (result
-  slab creation and first touch, worker attaches), which nothing
-  warms or prices yet, and -- measured under pytest -- a
-  generation-2 garbage collection of 20-32 ms that runs inside it
-  (in its gather phase), most of the gap to the serial run: ten runs
-  on a 2-vCPU host took 46-77 ms scheduled against 26-39 ms serial.
+  still fails: the timed batch pays the cold state of its 48 result
+  slabs (segment creation and first touch) and the workers' first
+  attaches, which nothing warms or prices yet.  Twenty runs on a
+  2-vCPU host read 0.29-0.57x (22-45 ms scheduled, 10-14 ms serial;
+  ship 6-12 ms), against 0.14-0.35x before the scheduler dispatched by
+  pipe, when every timed batch also held a generation-2 garbage
+  collection of 19-46 ms.
 
 Results land in ``BENCH_wallclock.json`` at the repo root, including a
 ``wall.regression`` flag, the per-phase ship/compute/gather split CI
-uses to triage a slow run, and ``phases.gc_seconds``: the generation
-and seconds of each garbage collection inside the timed scheduled run.
+uses to triage a slow run, ``phases.dispatch_seconds`` (from sending
+each worker's run to the worker starting it) and ``phases.gc_seconds``:
+the generation and seconds of each garbage collection inside the timed
+scheduled run.
 """
 
 import gc
@@ -161,6 +164,8 @@ def test_scheduler_wallclock(save_report):
         },
         "phases": {
             "ship_seconds": report.ship_seconds,
+            # Send to worker start, summed over the worker runs.
+            "dispatch_seconds": report.dispatch_seconds,
             "compute_seconds": report.compute_seconds,
             "gather_seconds": report.gather_seconds,
             # The collections inside the timed scheduled run, each
@@ -190,6 +195,7 @@ def test_scheduler_wallclock(save_report):
                f"modelled {modeled_speedup:.2f}x across "
                f"{report.workers} engine workers; phases "
                f"ship {format_seconds(report.ship_seconds)} / "
+               f"dispatch {format_seconds(report.dispatch_seconds)} / "
                f"compute {format_seconds(report.compute_seconds)} / "
                f"gather {format_seconds(report.gather_seconds)}")))
 
@@ -199,6 +205,7 @@ def test_scheduler_wallclock(save_report):
         f"wall-clock regression: {wall_speedup:.2f}x below "
         f"{FLOOR_SPEEDUP}x floor on {cpus} CPUs "
         f"(phases: ship {report.ship_seconds:.3f}s, "
+        f"dispatch {report.dispatch_seconds:.3f}s, "
         f"compute {report.compute_seconds:.3f}s, "
         f"gather {report.gather_seconds:.3f}s)")
     if target_asserted:
@@ -206,5 +213,6 @@ def test_scheduler_wallclock(save_report):
             f"wall-clock speedup {wall_speedup:.2f}x below "
             f"{TARGET_SPEEDUP}x target on {cpus} CPUs "
             f"(phases: ship {report.ship_seconds:.3f}s, "
+            f"dispatch {report.dispatch_seconds:.3f}s, "
             f"compute {report.compute_seconds:.3f}s, "
             f"gather {report.gather_seconds:.3f}s)")

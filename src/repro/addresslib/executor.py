@@ -37,7 +37,8 @@ from ..image.pixel import ALL_CHANNELS, Channel
 from ..image.planar import (SUBSAMPLED_CHANNELS, AccessCounter,
                             PlanarFrame420)
 from .addressing import CON_0, Neighbourhood, ScanOrder
-from .ops import ChannelSet, InterOp, IntraOp
+from .ops import (FRESH_SCRATCH, ChannelSet, FaceScratch, InterOp,
+                  IntraOp, item_sums)
 from .profiling import (InstructionCost, OpProfile, diff_access_snapshots,
                         format_access_mismatches)
 
@@ -89,18 +90,20 @@ def plane_pixels_420(fmt: ImageFormat, channel: Channel) -> int:
 # ---------------------------------------------------------------------------
 
 def _edge_pad(planes: Sequence[np.ndarray], top: int, bottom: int,
-              left: int, right: int) -> np.ndarray:
+              left: int, right: int,
+              scratch: Optional[FaceScratch] = None) -> np.ndarray:
     """Same-shape planes as one ``(B, top + H + bottom, left + W +
     right)`` batch, each with its border rows and columns replicated
     outward by the given margins (the AddressLib clamp policy).
 
-    Each plane is copied once, straight into its item of one
-    preallocated buffer; the margins are then filled by slice
-    assignment across the whole batch.
+    Each plane is copied once, straight into its item of one buffer --
+    the ``"pad"`` array of ``scratch``, or a fresh one; the margins are
+    then filled by slice assignment across the whole batch.
     """
     height, width = planes[0].shape
-    padded = np.empty((len(planes), top + height + bottom,
-                       left + width + right), planes[0].dtype)
+    shape = (len(planes), top + height + bottom, left + width + right)
+    padded = (np.empty(shape, planes[0].dtype) if scratch is None
+              else scratch.take("pad", shape, planes[0].dtype))
     rows = slice(top, top + height)
     for item, plane in zip(padded, planes):
         item[rows, left:left + width] = plane
@@ -113,15 +116,17 @@ def _edge_pad(planes: Sequence[np.ndarray], top: int, bottom: int,
 
 
 def _plane_batch(frames: Sequence[Frame], channel: Channel,
-                 neighbourhood: Neighbourhood = CON_0) -> np.ndarray:
+                 neighbourhood: Neighbourhood = CON_0,
+                 scratch: Optional[FaceScratch] = None) -> np.ndarray:
     """One channel of ``frames`` as a ``(B, H, W)`` batch, edge-padded
     by ``neighbourhood``'s reach: the intra faces' input.  A view of
-    the plane for a single frame under CON_0, one copy otherwise."""
+    the plane for a single frame under CON_0, one copy otherwise (into
+    ``scratch`` when one is given)."""
     planes = [frame.read_plane(channel) for frame in frames]
     if len(planes) == 1 and neighbourhood.size == 1:
         return planes[0][np.newaxis]
     min_dx, min_dy, max_dx, max_dy = neighbourhood.bounding_box()
-    return _edge_pad(planes, -min_dy, max_dy, -min_dx, max_dx)
+    return _edge_pad(planes, -min_dy, max_dy, -min_dx, max_dx, scratch)
 
 
 def _owned(values: np.ndarray, source: np.ndarray,
@@ -129,9 +134,9 @@ def _owned(values: np.ndarray, source: np.ndarray,
     """A kernel's output as a fresh array of ``shape`` and the plane
     ``dtype``.
 
-    Kernels may return a view of their input ``source`` (a CON_0
-    identity) or a wider integer type; either is copied here, so no
-    computed plane shares memory with an input.
+    An inter face may return a view of its input ``source`` or a wider
+    integer type; either is copied here, so no computed plane shares
+    memory with an input (an intra face writes a fresh sink).
     """
     if (values.dtype != dtype or values.shape != shape
             or np.may_share_memory(values, source)):
@@ -139,6 +144,19 @@ def _owned(values: np.ndarray, source: np.ndarray,
         owned[...] = values
         return owned
     return values
+
+
+def _check_geometry(inputs: Sequence[Sequence[Frame]]) -> None:
+    """Raise unless every frame of a wave has one geometry."""
+    fmt = inputs[0][0].format
+    for frames in inputs:
+        for frame in frames:
+            other = frame.format
+            if other is not fmt and (other.width != fmt.width
+                                     or other.height != fmt.height):
+                raise ValueError(
+                    f"a wave needs one frame geometry, got "
+                    f"{other} vs {fmt}")
 
 
 def _wave_values(op: Union[InterOp, IntraOp],
@@ -152,16 +170,8 @@ def _wave_values(op: Union[InterOp, IntraOp],
     ``values`` is call ``i``'s one-call result (its shape may need
     broadcasting to ``(B, H, W)``, its dtype a cast to the plane's).
     """
+    _check_geometry(inputs)
     sources = [frames[0] for frames in inputs]
-    fmt = sources[0].format
-    for frames in inputs:
-        for frame in frames:
-            other = frame.format
-            if other is not fmt and (other.width != fmt.width
-                                     or other.height != fmt.height):
-                raise ValueError(
-                    f"a wave needs one frame geometry, got "
-                    f"{other} vs {fmt}")
     for channel in channels_of(channels):
         if isinstance(op, IntraOp):
             batch = _plane_batch(sources, channel, op.neighbourhood)
@@ -209,8 +219,7 @@ class VectorExecutor:
         totals = [0] * len(inputs)
         for channel, values, batch in _wave_values(op, inputs, channels):
             if reduce_to_scalar:
-                sums = values.reshape(len(inputs), -1).sum(
-                    axis=1, dtype=np.int64)
+                sums = item_sums(values.reshape(len(inputs), -1))
                 totals = [total + int(s) for total, s in zip(totals, sums)]
             else:
                 batches[channel] = _owned(values, batch, shape,
@@ -225,22 +234,38 @@ class VectorExecutor:
     @staticmethod
     def wave_into(op: Union[InterOp, IntraOp],
                   inputs: Sequence[Sequence[Frame]],
-                  channels: ChannelSet, outputs: Sequence[Frame]) -> None:
+                  channels: ChannelSet, outputs: Sequence[Frame],
+                  scratch: Optional[FaceScratch] = None) -> None:
         """:meth:`wave`'s computed planes, written in place: call
-        ``i``'s kernel output is cast into the planes of ``outputs[i]``
-        (a frame of the inputs' geometry that shares no memory with
-        them) that the op computes -- the ``channels`` -- and nothing
-        else.  The planes the op leaves untouched are the caller's to
-        supply: the call scheduler's results share them with the first
-        input's plane-store snapshot.  The same kernel step as
-        :meth:`wave`, inputs read in place; only the sink differs.
+        ``i``'s values go into the planes of ``outputs[i]`` (a frame of
+        the inputs' geometry that shares no memory with them) that the
+        op computes -- the ``channels`` -- and nothing else.  The planes
+        the op leaves untouched are the caller's to supply: the call
+        scheduler's results share them with the first input's
+        plane-store snapshot.
+
+        The same values as :meth:`wave`, call by call: an intra face
+        reads its input edge-padded into ``scratch`` (the plane itself
+        under CON_0) and writes its final values straight into the
+        output plane, taking its temporaries from ``scratch`` too; an
+        inter face's values are cast into the plane.  ``scratch`` is
+        the engine's own (:class:`~repro.addresslib.ops.FaceScratch`),
+        reused call after call; without one, every temporary is fresh.
         """
-        fmt = inputs[0][0].format
-        shape = (len(inputs), fmt.height, fmt.width)
-        for channel, values, _batch in _wave_values(op, inputs, channels):
-            for output, item in zip(outputs,
-                                    np.broadcast_to(values, shape)):
-                output.plane(channel)[...] = item
+        _check_geometry(inputs)
+        if scratch is None:
+            scratch = FRESH_SCRATCH
+        for channel in channels_of(channels):
+            for frames, output in zip(inputs, outputs):
+                sink = output.plane(channel)
+                if isinstance(op, IntraOp):
+                    padded = _plane_batch(frames[:1], channel,
+                                          op.neighbourhood, scratch)[0]
+                    op.vector(padded, sink, scratch)
+                else:
+                    sink[...] = op.apply_vector(
+                        frames[0].read_plane(channel),
+                        frames[1].read_plane(channel))
 
     @staticmethod
     def inter(op: InterOp, frame_a: Frame, frame_b: Frame,

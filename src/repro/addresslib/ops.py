@@ -18,16 +18,31 @@ Each operation carries three executable faces kept consistent by tests:
    (:class:`~repro.addresslib.profiling.InstructionCost`; the executor
    adds the addressing cost on top).
 
-All 8-bit channel math saturates to [0, 255].  The vector faces take
-8-bit (``uint8``) planes and compute in the narrowest integer type that
-is exact for every 8-bit input: ``uint8`` where an identity keeps the
-result in range, otherwise an accumulator whose width each op derives
-from its own weights (:func:`_acc_dtype`).  An intra face reads one
-edge-padded input plane (:class:`IntraOp`) through views: the 3x3
-box, Sobel, grad and max/min faces as a row pass then a column pass,
-every other face through the per-offset windows of :func:`_windows`.  Faces
-never write into their input -- a CON_0 input is the caller's plane.
-Leading axes are batch axes that no value crosses.
+All 8-bit channel math saturates to [0, 255].  An intra op has one
+vector face, ``vector(padded, out, scratch)``: it reads the input plane
+(with any leading batch axes) edge-padded by the neighbourhood's reach
+(:class:`IntraOp`), writes its final 8-bit values into every element of
+the sink ``out`` -- a result plane, whatever it held before -- and
+takes every temporary from ``scratch``, a :class:`FaceScratch` keyed by
+slot, shape and dtype, so an engine that keeps one scratch reuses the
+same memory call after call.  :meth:`IntraOp.apply_vector` is the
+allocate-and-call form: a fresh sink and fresh temporaries
+(:data:`FRESH_SCRATCH`).  The faces compute in the narrowest integer
+type that is exact for every 8-bit input: ``uint8`` where an identity
+keeps the result in range, otherwise an accumulator whose width each op
+derives from its own weights (:func:`_acc_dtype`).  A face saturates
+only where its values can leave [0, 255]: the biased derivatives clip
+unless the bounds (:func:`_weight_bound`) of their negative and
+positive weights keep ``(sum >> 3) + 128`` in range, as the Sobel
+pair's do.  The 3x3 box, Sobel, grad and max/min faces read the padded
+input through views, as a row pass then a column pass, every other face
+through the per-offset windows of :func:`_windows`.  Faces never write
+into their input -- a CON_0 input is the caller's plane.  Leading axes
+are batch axes that no value crosses.
+
+Inter faces, ``vector(a, b)``, return the elementwise values; a reduce
+sums them per call in the narrowest exact accumulator
+(:func:`item_sums`).
 """
 
 from __future__ import annotations
@@ -64,10 +79,56 @@ class ChannelSet(Enum):
 _CHANNEL_MAX = 255
 
 
-def _sat8(values: np.ndarray) -> np.ndarray:
-    """Saturate a freshly computed int array to the 8-bit channel range
-    (clips in place: callers pass their own accumulator)."""
-    return np.clip(values, 0, 255, out=values).astype(np.uint8)
+class FaceScratch:
+    """The temporaries of the intra faces, allocated once and reused.
+
+    One array per ``(slot, shape, dtype)``, made the first time a face
+    takes it and handed back on every later take with whatever the
+    last face left in it: a face writes a temporary in full before it
+    reads it, and keeps none across calls.  Arrays are made lazily per
+    key, so a scratch that only ever served reduces holds none.  An
+    engine owns one -- each call-scheduler worker process, and each
+    scheduler for its parent's own run -- as the board holds its
+    IIM/OIM stores: built once, reused by every strip of every call.
+    """
+
+    __slots__ = ("_arrays",)
+
+    def __init__(self) -> None:
+        self._arrays: Dict[Tuple[str, Tuple[int, ...], object],
+                           np.ndarray] = {}
+
+    def take(self, slot: str, shape: Tuple[int, ...],
+             dtype: object) -> np.ndarray:
+        """The ``slot`` temporary of ``shape`` and ``dtype``; its
+        contents are undefined."""
+        key = (slot, shape, dtype)
+        array = self._arrays.get(key)
+        if array is None:
+            array = self._arrays[key] = np.empty(shape, dtype)
+        return array
+
+
+class _FreshScratch(FaceScratch):
+    """A scratch that keeps nothing: every take is a new array, as an
+    allocating numpy call would make it.  It holds no state, so the one
+    instance serves every call that has no scratch of its own."""
+
+    __slots__ = ()
+
+    def take(self, slot: str, shape: Tuple[int, ...],
+             dtype: object) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+
+FRESH_SCRATCH = _FreshScratch()
+
+
+def _saturate(values: np.ndarray, out: np.ndarray) -> None:
+    """Write ``values`` clipped to the 8-bit channel range into
+    ``out`` (clips in place: callers pass their own accumulator)."""
+    np.clip(values, 0, 255, out=values)
+    np.copyto(out, values, casting="unsafe")
 
 
 def _acc_dtype(bound: int) -> type:
@@ -82,6 +143,21 @@ def _acc_dtype(bound: int) -> type:
 def _weight_bound(weights: Sequence[int]) -> int:
     """Largest ``|sum_i w_i * v_i|`` over 8-bit values ``v_i``."""
     return sum(abs(int(w)) for w in weights) * _CHANNEL_MAX
+
+
+def item_sums(values: np.ndarray) -> np.ndarray:
+    """The sum of each item of a ``(B, ...)`` batch of values, exact.
+
+    8-bit values sum in ``uint32`` while an item's size times 255 stays
+    below ``2 ** 32`` (a CIF plane's is under 2.6e7): the narrowest
+    accumulator that cannot wrap, and much cheaper than widening every
+    byte to 64 bits.  Anything else sums in ``int64``.
+    """
+    items = values.reshape(len(values), -1)
+    if (values.dtype == np.uint8
+            and items.shape[1] * _CHANNEL_MAX < 2 ** 32):
+        return items.sum(axis=1, dtype=np.uint32)
+    return items.sum(axis=1, dtype=np.int64)
 
 
 def _windows(neighbourhood: Neighbourhood,
@@ -111,84 +187,104 @@ def _taps(values: np.ndarray, span: int,
     return tuple(views)
 
 
-def _fold(ufunc: np.ufunc, views: Sequence[np.ndarray]) -> np.ndarray:
-    """``ufunc`` folded over ``views`` into one fresh array."""
+def _fold(ufunc: np.ufunc, views: Sequence[np.ndarray],
+          out: np.ndarray) -> np.ndarray:
+    """``ufunc`` folded over ``views`` into ``out``; returns ``out``."""
     if len(views) == 1:
-        return views[0].copy()
-    acc = ufunc(views[0], views[1])
+        np.copyto(out, views[0])
+        return out
+    ufunc(views[0], views[1], out=out)
     for view in views[2:]:
-        ufunc(acc, view, out=acc)
-    return acc
+        ufunc(out, view, out=out)
+    return out
 
 
 def _extremum(neighbourhood: Neighbourhood, padded: np.ndarray,
-              ufunc: np.ufunc) -> np.ndarray:
+              ufunc: np.ufunc, out: np.ndarray,
+              scratch: FaceScratch) -> np.ndarray:
     """The neighbourhood maximum (``np.maximum``) or minimum
-    (``np.minimum``) of an edge-padded input.
+    (``np.minimum``) of an edge-padded input, into ``out``.
 
     A full-rectangle neighbourhood folds each row's ``column_span``
-    taps, then each column's ``line_span`` rows of that: ``w + h - 2``
-    ufunc calls instead of ``w * h - 1``.  Any other shape folds its
-    windows.
+    taps (into the ``"pass"`` scratch; a one-column neighbourhood reads
+    its input as is), then each column's ``line_span`` rows of that:
+    ``w + h - 2`` ufunc calls instead of ``w * h - 1``.  Any other
+    shape folds its windows.
     """
     lines = neighbourhood.line_span
     columns = neighbourhood.column_span
     if neighbourhood.size != lines * columns:
-        return _fold(ufunc, _windows(neighbourhood, padded))
-    rows = _fold(ufunc, _taps(padded, columns, -1))
-    return _fold(ufunc, _taps(rows, lines, -2))
+        return _fold(ufunc, _windows(neighbourhood, padded), out)
+    taps = _taps(padded, columns, -1)
+    rows = taps[0] if columns == 1 else _fold(
+        ufunc, taps, scratch.take("pass", taps[0].shape, padded.dtype))
+    return _fold(ufunc, _taps(rows, lines, -2), out)
 
 
 def _weighted_sum(neighbourhood: Neighbourhood, weights: Sequence[int],
-                  dtype: type) -> Callable[[np.ndarray], np.ndarray]:
+                  dtype: type
+                  ) -> Callable[[np.ndarray, FaceScratch], np.ndarray]:
     """A kernel computing ``sum_i weights[i] * window_i`` in ``dtype``
-    from an edge-padded input.
+    from an edge-padded input, into the ``"acc"`` scratch it returns.
 
     Visits only the non-zero taps and adds each window straight into the
-    accumulator, so no window is widened as a whole.  ``dtype`` must
-    hold :func:`_weight_bound` of ``weights`` for the sum to be exact.
+    accumulator, so no window is widened as a whole (a weight other
+    than +-1 scales its window in the ``"tap"`` scratch).  ``dtype``
+    must hold :func:`_weight_bound` of ``weights`` for the sum to be
+    exact.
     """
     taps = tuple((index, int(weight))
                  for index, weight in enumerate(weights) if weight)
 
-    def weighted_sum(padded: np.ndarray) -> np.ndarray:
+    def weighted_sum(padded: np.ndarray,
+                     scratch: FaceScratch) -> np.ndarray:
         windows = _windows(neighbourhood, padded)
-        acc = np.zeros(windows[0].shape, dtype)
+        shape = windows[0].shape
+        acc = scratch.take("acc", shape, dtype)
+        acc.fill(0)
         for index, weight in taps:
             if weight == 1:
                 acc += windows[index]
             elif weight == -1:
                 acc -= windows[index]
             else:
-                acc += np.multiply(windows[index], weight, dtype=dtype)
+                acc += np.multiply(windows[index], weight, dtype=dtype,
+                                   out=scratch.take("tap", shape, dtype))
         return acc
 
     return weighted_sum
 
 
-def _sobel_x(padded: np.ndarray) -> np.ndarray:
-    """The horizontal Sobel sum of a CON_8-padded input, in ``int16``:
-    the row difference ``right - left`` (at most 255 in magnitude), then
-    its ``[1, 2, 1]`` column smoothing (at most 1,020)."""
+def _sobel_x(padded: np.ndarray, scratch: FaceScratch,
+             slot: str = "acc") -> np.ndarray:
+    """The horizontal Sobel sum of a CON_8-padded input, in ``int16``,
+    into the ``slot`` scratch: the row difference ``right - left`` (at
+    most 255 in magnitude), then its ``[1, 2, 1]`` column smoothing (at
+    most 1,020)."""
     left, _, right = _taps(padded, 3, -1)
-    diff = np.subtract(right, left, dtype=np.int16)
+    diff = np.subtract(right, left, dtype=np.int16,
+                       out=scratch.take("pass", right.shape, np.int16))
     up, mid, down = _taps(diff, 3, -2)
-    gx = np.add(up, down)
+    gx = np.add(up, down, out=scratch.take(slot, up.shape, np.int16))
     gx += mid
     gx += mid
     return gx
 
 
-def _sobel_y(padded: np.ndarray) -> np.ndarray:
-    """The vertical Sobel sum of a CON_8-padded input, in ``int16``: the
-    ``[1, 2, 1]`` row smoothing (at most 1,020), then its column
-    difference ``down - up`` (at most 1,020 in magnitude)."""
+def _sobel_y(padded: np.ndarray, scratch: FaceScratch,
+             slot: str = "acc") -> np.ndarray:
+    """The vertical Sobel sum of a CON_8-padded input, in ``int16``,
+    into the ``slot`` scratch: the ``[1, 2, 1]`` row smoothing (at most
+    1,020), then its column difference ``down - up`` (at most 1,020 in
+    magnitude)."""
     left, mid, right = _taps(padded, 3, -1)
-    smooth = np.add(left, right, dtype=np.int16)
+    smooth = np.add(left, right, dtype=np.int16,
+                    out=scratch.take("pass", left.shape, np.int16))
     smooth += mid
     smooth += mid
     up, _, down = _taps(smooth, 3, -2)
-    return np.subtract(down, up)
+    return np.subtract(down, up,
+                       out=scratch.take(slot, up.shape, np.int16))
 
 
 def _sat8_scalar(value: float) -> int:
@@ -218,18 +314,21 @@ class IntraOp:
     """A neighbourhood operation within one frame.
 
     ``scalar`` receives the neighbourhood values in the order of
-    ``neighbourhood.offsets``.  ``vector`` receives the input plane --
-    with any leading batch axes -- edge-padded by the neighbourhood's
-    reach (``-min_dy`` rows above, ``max_dy`` below, ``-min_dx``
-    columns left, ``max_dx`` right: the AddressLib clamp policy), and
-    returns the ``(..., height, width)`` result.  It never writes into
-    its input, which for CON_0 is the caller's plane itself.
+    ``neighbourhood.offsets``.  ``vector(padded, out, scratch)`` -- the
+    op's one vector face -- receives the input plane, with any leading
+    batch axes, edge-padded by the neighbourhood's reach (``-min_dy``
+    rows above, ``max_dy`` below, ``-min_dx`` columns left, ``max_dx``
+    right: the AddressLib clamp policy), and writes the ``(..., height,
+    width)`` 8-bit result into every element of ``out``, taking its
+    temporaries from the :class:`FaceScratch` ``scratch``.  It never
+    writes into its input, which for CON_0 is the caller's plane
+    itself.
     """
 
     name: str
     neighbourhood: Neighbourhood
     scalar: Callable[[Sequence[int]], int]
-    vector: Callable[[np.ndarray], np.ndarray]
+    vector: Callable[[np.ndarray, np.ndarray, FaceScratch], object]
     cost: InstructionCost
     engine_cycles: int = 1
 
@@ -241,6 +340,9 @@ class IntraOp:
         return self.scalar(values)
 
     def apply_vector(self, padded: np.ndarray) -> np.ndarray:
+        """The vector face on a fresh ``uint8`` sink and fresh
+        temporaries: the ``(..., height, width)`` result of
+        ``padded``."""
         lines = self.neighbourhood.line_span
         columns = self.neighbourhood.column_span
         if (padded.ndim < 2 or padded.shape[-2] < lines
@@ -249,7 +351,11 @@ class IntraOp:
                 f"{self.name} expects a padded input of at least "
                 f"{lines} x {columns} (rows x columns), got shape "
                 f"{padded.shape}")
-        return self.vector(padded)
+        out = np.empty(padded.shape[:-2]
+                       + (padded.shape[-2] - lines + 1,
+                          padded.shape[-1] - columns + 1), np.uint8)
+        self.vector(padded, out, FRESH_SCRATCH)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +435,8 @@ def copy_op() -> IntraOp:
         name="intra_copy",
         neighbourhood=CON_0,
         scalar=lambda v: int(v[0]),
-        vector=lambda plane: plane.astype(np.uint8),
+        vector=lambda plane, out, scratch: np.copyto(out, plane,
+                                                     casting="unsafe"),
         cost=InstructionCost(alu=1))
 
 
@@ -340,11 +447,19 @@ def threshold_op(threshold: int, low: int = 0, high: int = 255) -> IntraOp:
     like ``astype``), so out-of-range levels agree too.
     """
     high8, low8 = np.array([high, low]).astype(np.uint8)
+
+    def vector(plane: np.ndarray, out: np.ndarray,
+               scratch: FaceScratch) -> None:
+        above = np.greater_equal(
+            plane, threshold, out=scratch.take("mask", plane.shape, bool))
+        out.fill(low8)
+        np.copyto(out, high8, where=above)
+
     return IntraOp(
         name=f"intra_threshold_{threshold}",
         neighbourhood=CON_0,
         scalar=lambda v: int(high8) if v[0] >= threshold else int(low8),
-        vector=lambda plane: np.where(plane >= threshold, high8, low8),
+        vector=vector,
         cost=InstructionCost(alu=1, branch=1))
 
 
@@ -361,11 +476,13 @@ def scale_offset_op(scale_num: int, scale_den: int, offset: int) -> IntraOp:
     def scalar(v: Sequence[int]) -> int:
         return _sat8_scalar(int(v[0]) * scale_num // scale_den + offset)
 
-    def vector(plane: np.ndarray) -> np.ndarray:
-        acc = np.multiply(plane, scale_num, dtype=dtype)
+    def vector(plane: np.ndarray, out: np.ndarray,
+               scratch: FaceScratch) -> None:
+        acc = np.multiply(plane, scale_num, dtype=dtype,
+                          out=scratch.take("acc", plane.shape, dtype))
         acc //= scale_den
         acc += offset
-        return _sat8(acc)
+        _saturate(acc, out)
 
     return IntraOp(
         name=f"intra_scale_{scale_num}_{scale_den}_{offset}",
@@ -392,11 +509,12 @@ def fir_op(name: str, neighbourhood: Neighbourhood,
         acc = sum(int(w) * int(v) for w, v in zip(weights, values))
         return _sat8_scalar(acc >> shift if shift else acc)
 
-    def vector(padded: np.ndarray) -> np.ndarray:
-        acc = weighted_sum(padded)
+    def vector(padded: np.ndarray, out: np.ndarray,
+               scratch: FaceScratch) -> None:
+        acc = weighted_sum(padded, scratch)
         if shift:
             acc >>= shift
-        return _sat8(acc)
+        _saturate(acc, out)
 
     taps = sum(1 for w in weights if w)
     return IntraOp(
@@ -420,18 +538,21 @@ def box3_op() -> IntraOp:
     def scalar(values: Sequence[int]) -> int:
         return _sat8_scalar((sum(int(v) for v in values) * 57) >> 9)
 
-    def vector(padded: np.ndarray) -> np.ndarray:
+    def vector(padded: np.ndarray, out: np.ndarray,
+               scratch: FaceScratch) -> None:
         left, mid, right = _taps(padded, 3, -1)
-        rows = np.add(left, mid, dtype=np.uint16)
+        rows = np.add(left, mid, dtype=np.uint16,
+                      out=scratch.take("pass", left.shape, np.uint16))
         rows += right
         up, mid, down = _taps(rows, 3, -2)
-        total = np.add(up, mid)
+        total = np.add(up, mid,
+                       out=scratch.take("acc", up.shape, np.uint16))
         total += down
-        scaled = np.multiply(total, 28)
+        scaled = np.multiply(total, 28,
+                             out=scratch.take("tap", up.shape, np.uint16))
         total >>= 1
         scaled += total
-        scaled >>= 8
-        return scaled.astype(np.uint8)
+        np.right_shift(scaled, 8, out=out, casting="unsafe")
 
     return IntraOp(
         name="intra_box3", neighbourhood=CON_8, scalar=scalar, vector=vector,
@@ -462,21 +583,33 @@ _LAPLACE = _offset_weight_map(CON_8, {
 
 
 def _biased_op(name: str, weights: Tuple[int, ...],
-               response: Callable[[np.ndarray], np.ndarray],
+               response: Callable[[np.ndarray, FaceScratch], np.ndarray],
                cost: InstructionCost) -> IntraOp:
     """A CON_8 derivative ``(sum_i w_i * v_i >> 3) + 128``, saturated:
     the signed response biased into the 8-bit range.  ``response``
-    computes the weighted sum from the padded input, in a type that
-    holds it exactly."""
+    computes the weighted sum from the padded input into a scratch
+    array, in a type that holds it exactly.  The sum lies between the
+    bounds (:func:`_weight_bound`) of the negative and of the positive
+    weights; where both bias into [0, 255] -- Sobel's -1,020 and 1,020
+    map to exactly 0 and 255 -- the face needs no clip and writes the
+    biased sum straight into its sink."""
+    highest = _weight_bound([w for w in weights if w > 0])
+    lowest = -_weight_bound([w for w in weights if w < 0])
+    saturates = (lowest >> 3) + 128 < 0 or (highest >> 3) + 128 > 255
+
     def scalar(values: Sequence[int]) -> int:
         acc = sum(w * int(v) for w, v in zip(weights, values))
         return _sat8_scalar((acc >> 3) + 128)
 
-    def vector(padded: np.ndarray) -> np.ndarray:
-        acc = response(padded)
+    def vector(padded: np.ndarray, out: np.ndarray,
+               scratch: FaceScratch) -> None:
+        acc = response(padded, scratch)
         acc >>= 3
-        acc += 128
-        return _sat8(acc)
+        if saturates:
+            acc += 128
+            _saturate(acc, out)
+        else:
+            np.add(acc, 128, out=out, casting="unsafe")
 
     return IntraOp(name=name, neighbourhood=CON_8, scalar=scalar,
                    vector=vector, cost=cost, engine_cycles=2)
@@ -505,14 +638,14 @@ def gradient_magnitude_op() -> IntraOp:
         gy = sum(w * int(v) for w, v in zip(_SOBEL_Y, values))
         return _sat8_scalar((abs(gx) + abs(gy)) >> 3)
 
-    def vector(padded: np.ndarray) -> np.ndarray:
-        gx = _sobel_x(padded)
-        gy = _sobel_y(padded)
+    def vector(padded: np.ndarray, out: np.ndarray,
+               scratch: FaceScratch) -> None:
+        gx = _sobel_x(padded, scratch, "gx")
+        gy = _sobel_y(padded, scratch, "gy")
         np.abs(gx, out=gx)
         np.abs(gy, out=gy)
         gx += gy
-        gx >>= 3
-        return gx.astype(np.uint8)
+        np.right_shift(gx, 3, out=out, casting="unsafe")
 
     return IntraOp(name="intra_grad", neighbourhood=CON_8,
                    scalar=scalar, vector=vector,
@@ -526,7 +659,8 @@ def erode_op(neighbourhood: Neighbourhood = CON_8) -> IntraOp:
         name=f"intra_erode_{neighbourhood.name}",
         neighbourhood=neighbourhood,
         scalar=lambda v: int(min(v)),
-        vector=lambda padded: _extremum(neighbourhood, padded, np.minimum),
+        vector=lambda padded, out, scratch: _extremum(
+            neighbourhood, padded, np.minimum, out, scratch),
         cost=InstructionCost(alu=neighbourhood.size - 1,
                              branch=neighbourhood.size - 1))
 
@@ -537,7 +671,8 @@ def dilate_op(neighbourhood: Neighbourhood = CON_8) -> IntraOp:
         name=f"intra_dilate_{neighbourhood.name}",
         neighbourhood=neighbourhood,
         scalar=lambda v: int(max(v)),
-        vector=lambda padded: _extremum(neighbourhood, padded, np.maximum),
+        vector=lambda padded, out, scratch: _extremum(
+            neighbourhood, padded, np.maximum, out, scratch),
         cost=InstructionCost(alu=neighbourhood.size - 1,
                              branch=neighbourhood.size - 1))
 
@@ -548,10 +683,12 @@ def morph_gradient_op(neighbourhood: Neighbourhood = CON_8) -> IntraOp:
     The paper names "morphological gradient operations" as a canonical
     composition of basic sub-functions.
     """
-    def vector(padded: np.ndarray) -> np.ndarray:
-        spread = _extremum(neighbourhood, padded, np.maximum)
-        spread -= _extremum(neighbourhood, padded, np.minimum)
-        return spread
+    def vector(padded: np.ndarray, out: np.ndarray,
+               scratch: FaceScratch) -> None:
+        _extremum(neighbourhood, padded, np.maximum, out, scratch)
+        out -= _extremum(neighbourhood, padded, np.minimum,
+                         scratch.take("low", out.shape, padded.dtype),
+                         scratch)
 
     return IntraOp(
         name=f"intra_morph_grad_{neighbourhood.name}",
@@ -569,10 +706,14 @@ def median3_op() -> IntraOp:
         ordered = sorted(int(v) for v in values)
         return ordered[len(ordered) // 2]
 
-    def vector(padded: np.ndarray) -> np.ndarray:
-        stack = np.stack(_windows(CON_8, padded))
-        middle = len(stack) // 2
-        return np.partition(stack, middle, axis=0)[middle]
+    def vector(padded: np.ndarray, out: np.ndarray,
+               scratch: FaceScratch) -> None:
+        windows = _windows(CON_8, padded)
+        stack = np.stack(windows, out=scratch.take(
+            "stack", (len(windows),) + windows[0].shape, padded.dtype))
+        middle = len(windows) // 2
+        stack.partition(middle, axis=0)
+        np.copyto(out, stack[middle])
 
     return IntraOp(name="intra_median3", neighbourhood=CON_8,
                    scalar=scalar, vector=vector,
@@ -606,13 +747,16 @@ def homogeneity_op(neighbourhood: Neighbourhood = CON_8) -> IntraOp:
         centre = int(values[centre_index])
         return max(abs(int(v) - centre) for v in values)
 
-    def vector(padded: np.ndarray) -> np.ndarray:
+    def vector(padded: np.ndarray, out: np.ndarray,
+               scratch: FaceScratch) -> None:
         centre = _windows(neighbourhood, padded)[centre_index]
-        above = _extremum(neighbourhood, padded, np.maximum)
+        above = _extremum(neighbourhood, padded, np.maximum, out, scratch)
         above -= centre
-        below = _extremum(neighbourhood, padded, np.minimum)
+        below = _extremum(neighbourhood, padded, np.minimum,
+                          scratch.take("low", out.shape, padded.dtype),
+                          scratch)
         np.subtract(centre, below, out=below)
-        return np.maximum(above, below, out=above)
+        np.maximum(above, below, out=above)
 
     return IntraOp(name=f"intra_homogeneity_{neighbourhood.name}",
                    neighbourhood=neighbourhood,

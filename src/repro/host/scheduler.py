@@ -15,14 +15,14 @@ module supplies that second axis:
   engine, balanced by what its calls cost in software: the wall time
   each kind of call has taken in its runs so far, in the parent or a
   worker (the overlap-model costs the modelled makespan prices, until
-  every kind of call in the wave has run once).  The parent submits the
-  workers' runs first (one grouped submission, one round trip, per
-  worker), then computes the last run itself (``bypass_calls``),
-  reading its inputs in place -- no round trip for those calls -- and
-  then collects the workers' results.  The workers take the head of
-  the wave, so the frames only the tail reads (a batch's cross-frame
-  reduces, say) are never registered.  On a one-CPU host the parent's
-  run is the whole wave and nothing forks;
+  every kind of call in the wave has run once).  The parent sends the
+  workers' runs first (one job list down each worker's own pipe, one
+  round trip per worker), then computes the last run itself
+  (``bypass_calls``), reading its inputs in place -- no round trip for
+  those calls -- and then reads each worker's reply.  The workers take
+  the head of the wave, so the frames only the tail reads (a batch's
+  cross-frame reduces, say) are never registered.  On a one-CPU host
+  the parent's run is the whole wave and nothing forks;
 * frames move to workers *zero-copy and at most once*: each distinct
   input frame of the workers' runs is registered in a shared-memory
   :class:`~repro.host.shm.PlaneStore` once per wave and shipped as a
@@ -54,9 +54,25 @@ cannot take it -- no shared memory on the platform, a store that fails
 while its wave ships, a slab its worker cannot write, a worker that
 dies -- runs inline in the parent instead.
 
-Bit-exactness is by construction: every engine runs the *same*
-:class:`~repro.addresslib.executor.VectorExecutor` kernel step (only
-the sink differs: slab planes instead of fresh ones), an untouched
+Dispatch is the parent's main thread alone: each worker process holds
+one end of a duplex pipe, and the parent writes a run's job list to it
+and later reads the reply -- no executor, no helper thread, so nothing
+has to take the interpreter lock from a parent that is computing before
+a worker can start.  A worker has at most one run in flight, and a
+reply always answers the last run sent: a worker whose reply was never
+read (its wave raised in the parent in between) is stopped before the
+next wave, never read from again.  A worker closes every parent-side
+pipe end it inherits, so its next receive sees end of file once the
+parent closes its pipe or dies, and it exits -- a worker never outlives
+its parent.  Each engine keeps one
+:class:`~repro.addresslib.ops.FaceScratch` (the parent's run its own,
+each worker its own), which the kernels' temporaries and padded inputs
+reuse call after call.
+
+Bit-exactness is by construction: every engine runs the *same* vector
+face of each op through :class:`~repro.addresslib.executor.VectorExecutor`
+(only the sink and the scratch differ: slab planes and the engine's own
+temporaries instead of fresh ones), an untouched
 plane is the input's content as registered in this wave, and outcomes
 are collected by submission index, so results are identical to serial
 execution wherever a call ran.
@@ -72,23 +88,25 @@ guessed from a name collision.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 import weakref
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
 if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+
     from ..analysis.diagnostics import Diagnostic
 
 from ..addresslib.addressing import AddressingMode
 from ..addresslib.executor import VectorExecutor, channels_of
 from ..addresslib.kernels import KERNEL_FACTORIES, kernel_by_name
 from ..addresslib.library import BatchCall, BatchExecutor, BatchOutcome
-from ..addresslib.ops import (ChannelSet, InterOp, INTER_OPS, INTRA_OPS,
-                              IntraOp)
+from ..addresslib.ops import (ChannelSet, FaceScratch, InterOp, INTER_OPS,
+                              INTRA_OPS, IntraOp)
 from ..core.pci import PCI_CLOCK_HZ
 from ..image.frame import Frame
 from ..perf.report import base_report_dict
@@ -96,6 +114,10 @@ from ..perf.timing import EngineTimingModel, list_scheduled_makespan
 from . import shm
 
 _KERNEL_PREFIX = "kernel_"
+
+#: Seconds ``close()`` waits for a worker to exit before terminating it
+#: (and then for the terminated worker to go).
+_JOIN_SECONDS = 5.0
 
 #: One call as shipped to a worker: mode, op token, channel set, the
 #: input frames' store handles, and the result slab leased to a call
@@ -118,7 +140,7 @@ def _resolve_op(mode_value: str, op_name: str) -> Union[InterOp, IntraOp]:
 
 
 def _worker_init(sanitized: bool) -> None:
-    """Pool-worker initializer: fork hygiene plus optional sanitizing.
+    """Worker start-up: fork hygiene plus optional sanitizing.
 
     Drops worker-cache entries and any transport observer inherited
     over ``fork()`` (both belong to the parent process), then installs
@@ -136,13 +158,15 @@ def _worker_init(sanitized: bool) -> None:
             pass
 
 
-def _execute_wave(jobs: Sequence[_Job], sanitized: bool
+def _execute_wave(jobs: Sequence[_Job], sanitized: bool,
+                  scratch: FaceScratch
                   ) -> Tuple[List[Union[int, bool]], Dict[str, object]]:
     """Worker-side execution of one worker's run of a wave.
 
     Runs in an engine worker process.  Input frames arrive as
     shared-memory handles, attached through the worker-resident cache;
-    a frame result is computed straight into its job's leased slab.
+    a frame result is computed straight into its job's leased slab,
+    the kernels' temporaries in the worker's ``scratch``.
     Returns one value per job, in job order -- a reduce's scalar, or
     whether the result frame went into the slab (``False`` sends that
     call back to the parent to run inline) -- plus the stats of this
@@ -169,7 +193,8 @@ def _execute_wave(jobs: Sequence[_Job], sanitized: bool
         else:
             result = shm.worker_result_frame(slab, frames[0].format)
             if result is not None:
-                VectorExecutor.wave_into(op, [frames], channels, [result])
+                VectorExecutor.wave_into(op, [frames], channels, [result],
+                                         scratch)
             results.append(result is not None)
         seconds.append(time.perf_counter() - start)
     if sanitized:
@@ -183,6 +208,104 @@ def _execute_wave(jobs: Sequence[_Job], sanitized: bool
     return results, stats
 
 
+def _worker_main(link: "Connection", inherited: Sequence["Connection"],
+                 sanitized: bool) -> None:
+    """An engine worker process: run each job list the parent sends
+    down ``link`` and send back its results, until the link closes.
+
+    First closes the parent-side ends of every link it inherited over
+    ``fork()`` (its own included), so the parent holds the only other
+    end: a receive sees end of file once the parent closes the link or
+    dies, however it dies, and the worker returns quietly -- as it does
+    when its reply cannot be sent.  Each reply carries the run's start
+    and end on the host-wide monotonic clock (the parent books the
+    dispatch delay from them).  ``_execute_wave`` is looked up at each
+    run, so a patch of it in the parent before the fork is the
+    worker's too.
+    """
+    for end in inherited:
+        end.close()
+    _worker_init(sanitized)
+    scratch = FaceScratch()
+    while True:
+        try:
+            jobs = link.recv()
+        except (EOFError, OSError):
+            return
+        started = time.monotonic()
+        results, stats = _execute_wave(jobs, sanitized, scratch)
+        stats["started"] = started
+        stats["ended"] = time.monotonic()
+        try:
+            link.send((results, stats))
+        except OSError:
+            return
+
+
+class _Worker:
+    """One engine worker process and the parent's end of its duplex
+    pipe.  ``pending`` from the moment a run is sent until its reply
+    is read; ``slabs`` are the slabs leased to the last run sent."""
+
+    __slots__ = ("process", "link", "pending", "slabs")
+
+    def __init__(self, process: multiprocessing.process.BaseProcess,
+                 link: "Connection") -> None:
+        self.process = process
+        self.link = link
+        self.pending = False
+        self.slabs: Sequence[Optional[shm.SlabHandle]] = ()
+
+
+def _start_worker(running: Sequence[_Worker], sanitized: bool) -> _Worker:
+    """Fork one engine worker process with a pipe of its own, with the
+    default start method (a worker then starts from the parent's
+    imports instead of re-importing them).
+
+    The new worker closes its inherited copies of the parent ends of
+    ``running``'s links and of its own; the parent closes its copy of
+    the worker's end, so each end has one holder.  Raises ``OSError``
+    when no process or pipe can be made.
+    """
+    context = multiprocessing.get_context()
+    link, child = context.Pipe()
+    process = context.Process(
+        target=_worker_main, daemon=True,
+        args=(child, [worker.link for worker in running] + [link],
+              sanitized))
+    try:
+        process.start()
+    except BaseException:
+        link.close()
+        raise
+    finally:
+        child.close()
+    return _Worker(process, link)
+
+
+def _stop_workers(workers: Sequence[_Worker]) -> List[_Worker]:
+    """Stop ``workers``: close each link, so an idle worker's receive
+    sees end of file and it exits (a worker with a run in flight, whose
+    reply nobody will read, is terminated at once), then join each,
+    terminating one that does not exit within :data:`_JOIN_SECONDS`.
+    Returns the workers whose process is gone."""
+    for worker in workers:
+        worker.link.close()
+        if worker.pending:
+            worker.process.terminate()
+    gone = []
+    for worker in workers:
+        process = worker.process
+        process.join(_JOIN_SECONDS)
+        if process.exitcode is None:
+            process.terminate()
+            process.join(_JOIN_SECONDS)
+        if process.exitcode is not None:
+            process.close()
+            gone.append(worker)
+    return gone
+
+
 @dataclass
 class BatchReport:
     """The books of one (or the cumulative run of) scheduled batches."""
@@ -194,15 +317,19 @@ class BatchReport:
     pool_calls: int = 0
     #: Calls executed inline in the parent because they could not go
     #: to a worker (unresolvable op, no shared memory, or a failed
-    #: pool, store or slab).
+    #: worker, store or slab).
     inline_calls: int = 0
     #: Calls the parent ran as its own run of a wave (the whole wave
     #: on a one-CPU host).
     bypass_calls: int = 0
-    #: Grouped submissions (one per worker run per wave).
+    #: Job lists sent (one per worker run per wave).
     round_trips: int = 0
-    #: Wall seconds registering frames and submitting groups.
+    #: Wall seconds registering frames and sending job lists.
     ship_seconds: float = 0.0
+    #: Seconds from sending each worker's run to the worker starting
+    #: it, summed over the runs: the dispatch delay, stamped on the
+    #: host-wide monotonic clock on both sides.
+    dispatch_seconds: float = 0.0
     #: Wall seconds executing in the parent (its own run and inline
     #: calls) plus waiting on workers.
     compute_seconds: float = 0.0
@@ -240,6 +367,7 @@ class BatchReport:
             bypass_calls=self.bypass_calls,
             round_trips=self.round_trips,
             ship_seconds=self.ship_seconds,
+            dispatch_seconds=self.dispatch_seconds,
             compute_seconds=self.compute_seconds,
             gather_seconds=self.gather_seconds,
             modeled_serial_seconds=self.modeled_serial_seconds,
@@ -251,43 +379,39 @@ class BatchReport:
 @dataclass
 class _Group:
     """One worker's run of a wave: call indices, the slab leased to
-    each call, and the pending submission."""
+    each call, the worker it goes to and when it was sent (``None``:
+    the send failed)."""
 
     indices: List[int]
     slabs: List[Optional[shm.SlabHandle]]
-    future: Optional[Future] = None
+    worker: _Worker
+    sent: Optional[float] = None
 
 
 class _PoolResources:
     """The teardown state of one scheduler, held *outside* it.
 
     ``weakref.finalize`` must not reference the scheduler (that would
-    keep it alive forever), so the pool and the plane store live here:
-    an abandoned scheduler is collectable, and its finalizer still
-    shuts the pool down and unlinks every shared-memory segment --
+    keep it alive forever), so the worker processes and the plane store
+    live here: an abandoned scheduler is collectable, and its finalizer
+    still stops the workers and unlinks every shared-memory segment --
     whether triggered by ``close()``, garbage collection, or interpreter
     exit.
     """
 
-    __slots__ = ("pool", "store")
+    __slots__ = ("workers", "store")
 
     def __init__(self) -> None:
-        self.pool: Optional[ProcessPoolExecutor] = None
+        self.workers: List[_Worker] = []
         self.store: Optional[shm.PlaneStore] = None
 
-    def drop_pool(self, wait: bool = False) -> None:
-        """Shut the pool down, cancelling queued work.  A batch drops a
-        broken pool without waiting; teardown waits for the workers and
-        the executor's management thread to exit, so none outlives
-        ``close()`` -- a thread still running at interpreter exit would
-        race ``concurrent.futures``' exit hook, which writes to the
-        wakeup pipe the thread closes on its way out."""
-        pool, self.pool = self.pool, None
-        if pool is not None:
-            try:
-                pool.shutdown(wait=wait, cancel_futures=True)
-            except Exception:
-                pass
+    def drop_workers(self, workers: Sequence[_Worker]) -> List[_Worker]:
+        """Stop ``workers`` and forget them; the next wave that has a
+        run for a worker starts fresh ones.  Returns those whose process
+        is gone."""
+        self.workers = [worker for worker in self.workers
+                        if worker not in workers]
+        return _stop_workers(workers)
 
     def drop_store(self) -> None:
         store, self.store = self.store, None
@@ -295,7 +419,7 @@ class _PoolResources:
             store.close()
 
     def release(self) -> None:
-        self.drop_pool(wait=True)
+        self.drop_workers(list(self.workers))
         self.drop_store()
 
 
@@ -303,15 +427,15 @@ class CallScheduler(BatchExecutor):
     """Shards independent AddressLib calls across engines: the parent
     and its engine worker processes.
 
-    The pool is created lazily on the first wave that has a run for a
-    worker and survives across batches (worker warm-up is paid once).
+    The worker processes start on the first wave that has a run for a
+    worker and survive across batches (worker warm-up is paid once).
     Frames reach the workers as plane-store handles and results return
     through slabs.  A call of a worker's run that cannot go that way --
     no shared memory, a store that fails while its wave ships, a slab
-    its worker cannot write, a worker that cannot start or dies -- runs
-    inline in the parent, still bit-exact, never lost.  A failed pool
-    or store is shut down and dropped; the next batch builds a fresh
-    one.
+    its worker cannot write, a worker that cannot start, fails or dies
+    -- runs inline in the parent, still bit-exact, never lost.  A failed
+    worker or store is stopped and dropped, failing only its own run;
+    the next batch starts a fresh one.
 
     ``max_workers`` engines price each batch's modelled makespan; at
     most one engine per CPU of them runs, the parent being one.
@@ -346,6 +470,8 @@ class CallScheduler(BatchExecutor):
         self._finalizer = weakref.finalize(self, _PoolResources.release,
                                            self._resources)
         self._closed = False
+        #: The parent engine's kernel scratch, for its own run.
+        self._scratch = FaceScratch()
         #: Wall seconds of each kind of call the engines have run: a
         #: running mean over its runs, in the parent or a worker.
         self._seconds: Dict[_Kind, float] = {}
@@ -357,8 +483,9 @@ class CallScheduler(BatchExecutor):
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the pool down, waiting for its workers to exit, and
-        unlink every shared-memory segment.
+        """Stop the worker processes, waiting for each to exit (and
+        terminating one that does not in time), and unlink every
+        shared-memory segment.
 
         Idempotent, and safe from ``__del__``/atexit: teardown runs
         through a ``weakref.finalize`` that holds no reference to the
@@ -375,21 +502,33 @@ class CallScheduler(BatchExecutor):
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    def _ensure_pool(self) -> Optional[ProcessPoolExecutor]:
-        """The worker pool, or ``None``: the wave runs inline."""
+    def _ensure_workers(self) -> List[_Worker]:
+        """The worker processes, started as needed: one per engine but
+        the parent.  A worker whose last reply was never read -- its
+        wave raised in the parent between send and collect -- is
+        stopped first, so no wave ever reads a reply meant for another,
+        and the slabs of that run go back to the store.
+        Empty (the wave runs in the parent) when the scheduler closed,
+        the platform has no shared memory or no worker can start."""
         if self._closed or not shm.SHARED_MEMORY_AVAILABLE:
-            return None
-        if self._resources.pool is None:
+            return []
+        resources = self._resources
+        stale = [worker for worker in resources.workers if worker.pending]
+        store = resources.store
+        for worker in resources.drop_workers(stale):
+            # The run it never answered leased these; now that the
+            # process is gone, nothing writes them any more.
+            if store is not None:
+                self._recycle(store, [slab for slab in worker.slabs
+                                      if slab is not None
+                                      and slab.token == store.token])
+        while len(resources.workers) < self._engines - 1:
             try:
-                # The initializer drops worker-cache entries inherited
-                # over fork(): they belong to the parent's store.
-                self._resources.pool = ProcessPoolExecutor(
-                    max_workers=self._engines - 1,
-                    initializer=_worker_init,
-                    initargs=(self.sanitized,))
-            except Exception:
-                return None
-        return self._resources.pool
+                resources.workers.append(
+                    _start_worker(resources.workers, self.sanitized))
+            except OSError:
+                break
+        return resources.workers
 
     def _ensure_store(self) -> shm.PlaneStore:
         if self._resources.store is None:
@@ -432,11 +571,12 @@ class CallScheduler(BatchExecutor):
 
     @classmethod
     def _execute_own(cls, call: BatchCall, store: Optional[shm.PlaneStore],
-                     registered: Dict[int, shm.FrameHandle]
-                     ) -> BatchOutcome:
+                     registered: Dict[int, shm.FrameHandle],
+                     scratch: FaceScratch) -> BatchOutcome:
         """Run one call of the parent's own run: its inputs are read in
         place, and a frame result is computed straight into a recycled
-        slab of ``store`` -- a worker's sink, without the round trip.
+        slab of ``store`` -- a worker's sink, without the round trip --
+        the kernels' temporaries in the parent's ``scratch``.
         Without a store, a first input ``registered`` in this wave or a
         slab it runs inline."""
         if (store is None or call.reduce_to_scalar
@@ -447,7 +587,7 @@ class CallScheduler(BatchExecutor):
         if frame is None:
             return cls._execute_inline(call)
         VectorExecutor.wave_into(call.op, [call.frames], call.channels,
-                                 [frame])
+                                 [frame], scratch)
         return BatchOutcome(frame=frame)
 
     @staticmethod
@@ -509,13 +649,13 @@ class CallScheduler(BatchExecutor):
 
         Four phases, each timed into the report: *plan* (op tokens, and
         the cut into one run per engine), *ship* (register the workers'
-        frames, lease result slabs, one grouped submission per worker
-        run), *compute* (register the first inputs of the parent's own
-        frame results, compute its run, any call that could not ship,
-        then wait on the workers, with whole-run inline fallback on any
-        pool failure), *gather* (adopt the result slabs with their
-        snapshot planes; a slab the worker could not write runs its
-        call inline).
+        frames, lease result slabs, send each worker run's job list
+        down its worker's pipe), *compute* (register the first inputs
+        of the parent's own frame results, compute its run, any call
+        that could not ship, then read each worker's reply, a worker
+        that failed running its whole run inline), *gather* (adopt the
+        result slabs with their snapshot planes; a slab the worker
+        could not write runs its call inline).
         """
         calls = list(calls)
         outcomes: List[Optional[BatchOutcome]] = [None] * len(calls)
@@ -532,24 +672,25 @@ class CallScheduler(BatchExecutor):
                     if token is not None],
             [overlapped for _, overlapped in priced])
         runs = [run for run in runs if run]
-        pool = self._ensure_pool() if runs else None
+        workers = self._ensure_workers() if runs else []
 
         # Ship: register every distinct frame of the workers' runs
-        # once, lease result slabs, submit one job list per run.
+        # once, lease result slabs, send one job list per run.  A run
+        # left without a worker (none could start) runs inline.
         groups: List[_Group] = []
         # The handle of every frame registered in this wave, by id():
         # the frames whose snapshot holds their current content.
         registered: Dict[int, shm.FrameHandle] = {}
-        if pool is not None:
+        if workers:
             start = time.perf_counter()
-            groups = self._ship(calls, tokens, runs, pool, report,
-                                registered)
+            groups = self._ship(calls, tokens, runs[:len(workers)],
+                                workers, report, registered)
             report.ship_seconds = time.perf_counter() - start
         shipped = {index for group in groups for index in group.indices}
 
         # Compute: the parent's own run while the workers chew on
         # theirs, then every call that did not ship; then collect each
-        # group, falling back inline group-wise.
+        # group, a failed worker's run inline.
         start = time.perf_counter()
         store = self._resources.store  # None if shipping broke it
         if store is not None:
@@ -557,7 +698,7 @@ class CallScheduler(BatchExecutor):
         for index in own:
             began = time.perf_counter()
             outcomes[index] = self._execute_own(calls[index], store,
-                                                registered)
+                                                registered, self._scratch)
             if runs:
                 self._learn(calls[index], time.perf_counter() - began)
         report.bypass_calls = len(own)
@@ -566,20 +707,18 @@ class CallScheduler(BatchExecutor):
                 outcomes[index] = self._execute_inline(call)
                 report.inline_calls += 1
         collected = []
-        pool_failed = False
         for group in groups:
             assert store is not None
             items = self._collect(group, calls, report)
             if items is None or len(items) != len(group.indices):
-                pool_failed = True
+                # The next wave starts a fresh worker in its place.
+                self._resources.drop_workers([group.worker])
                 self._recycle(store, group.slabs)
                 for index in group.indices:
                     outcomes[index] = self._execute_inline(calls[index])
                     report.inline_calls += 1
                 continue
             collected.append((group, items))
-        if pool_failed:
-            self._resources.drop_pool()  # the next batch forks afresh
         report.compute_seconds = time.perf_counter() - start
 
         # Gather: adopt the result slabs as zero-copy frames, their
@@ -681,18 +820,17 @@ class CallScheduler(BatchExecutor):
 
     def _ship(self, calls: Sequence[BatchCall],
               tokens: Sequence[Optional[str]], runs: List[List[int]],
-              pool: ProcessPoolExecutor, report: BatchReport,
+              workers: Sequence[_Worker], report: BatchReport,
               handles: Dict[int, shm.FrameHandle]) -> List[_Group]:
         """Register each distinct input frame of the workers' ``runs``
         once (into ``handles``, by frame id), lease a result slab to
-        each call that produces a frame, and submit one job group per
-        run.
+        each call that produces a frame, and send run ``i``'s job list
+        to ``workers[i]``.
 
-        Nothing is submitted until the whole of the runs is in the
-        store.  A store that fails on the way is closed and dropped,
-        and no group ships: every call of the runs runs inline.  A
-        group whose submission fails has no future and runs inline when
-        collected.
+        Nothing is sent until the whole of the runs is in the store.  A
+        store that fails on the way is closed and dropped, and no group
+        ships: every call of the runs runs inline.  A group whose send
+        fails is unsent and runs inline when collected.
         """
         store = self._ensure_store()
         observer = shm.get_transport_observer()
@@ -709,8 +847,8 @@ class CallScheduler(BatchExecutor):
             handles[id(frame)] = handle
         groups = [_Group(run, [None if calls[index].reduce_to_scalar
                                else store.lease_slab(calls[index].fmt)
-                               for index in run])
-                  for run in runs]
+                               for index in run], worker)
+                  for run, worker in zip(runs, workers)]
         if store.broken:
             self._resources.drop_store()  # unlinks the leased slabs
             return []
@@ -722,12 +860,17 @@ class CallScheduler(BatchExecutor):
                 jobs.append((call.mode.value, token, call.channels,
                              tuple(handles[id(frame)]
                                    for frame in call.frames), slab))
+            # Pending before the send: a send cut short leaves a worker
+            # no later wave may read from.
+            group.worker.pending = True
+            group.worker.slabs = group.slabs
+            sent = time.monotonic()
             try:
-                group.future = pool.submit(_execute_wave, jobs,
-                                           self.sanitized)
-                report.round_trips += 1
-            except Exception:
-                pass  # no future: the group runs inline when collected
+                group.worker.link.send(jobs)
+            except OSError:
+                continue  # unsent: the group runs inline when collected
+            group.sent = sent
+            report.round_trips += 1
         return groups
 
     @staticmethod
@@ -740,15 +883,20 @@ class CallScheduler(BatchExecutor):
 
     def _collect(self, group: _Group, calls: Sequence[BatchCall],
                  report: BatchReport) -> Optional[List[Union[int, bool]]]:
-        """One group's results, or ``None`` after any pool failure."""
-        if group.future is None:
+        """One group's results -- its worker's reply to this wave's
+        send -- or ``None`` when the send failed or the worker closed
+        its pipe (it died or its run raised): the caller recomputes the
+        group inline and drops the worker."""
+        if group.sent is None:
             return None
         try:
-            items, stats = group.future.result()
-        except Exception:
-            # A worker died or the trip failed: the caller recomputes
-            # the group inline and replaces the pool.
+            items, stats = group.worker.link.recv()
+        except (EOFError, OSError):
             return None
+        group.worker.pending = False
+        started = stats.get("started")
+        if isinstance(started, float):
+            report.dispatch_seconds += max(0.0, started - group.sent)
         seconds = stats.get("seconds")
         if isinstance(seconds, list):
             for index, spent in zip(group.indices, seconds):
@@ -773,6 +921,7 @@ class CallScheduler(BatchExecutor):
         self.total.bypass_calls += report.bypass_calls
         self.total.round_trips += report.round_trips
         self.total.ship_seconds += report.ship_seconds
+        self.total.dispatch_seconds += report.dispatch_seconds
         self.total.compute_seconds += report.compute_seconds
         self.total.gather_seconds += report.gather_seconds
         self.total.worker_cache_hits += report.worker_cache_hits
@@ -791,5 +940,6 @@ class CallScheduler(BatchExecutor):
             "bypass_calls": self.total.bypass_calls,
             "worker_cache_hits": self.total.worker_cache_hits,
             "worker_cache_attaches": self.total.worker_cache_attaches,
+            "dispatch_seconds": self.total.dispatch_seconds,
             "store": store.stats() if store is not None else {},
         }

@@ -5,13 +5,14 @@ board design (strip jobs, block_A/block_B double buffering, interrupt
 batching) exists to keep that bus off the critical path; section 4.3
 observes the penalty when it is not ("the host accessed the board after
 every call to the AddressLib").  The scheduler's parent<->worker
-boundary has exactly the same structure: pickling a frame into a
-``ProcessPoolExecutor`` is this model's PCI transfer, and it was the
-measured wall-clock limiter.  This module is the DMA engine of that
-analogy -- each :class:`~repro.image.frame.Frame`'s five planes are
-written *once* into a POSIX shared-memory segment and the workers
-receive a small handle (segment name, geometry, generation) instead of
-the bytes.
+boundary has exactly the same structure: a frame pickled down the
+pipe to a worker process would be this model's PCI transfer, and
+pickling frames was once the measured wall-clock limiter.  This module
+is the DMA engine of that analogy -- each
+:class:`~repro.image.frame.Frame`'s five planes are written *once* into
+a POSIX shared-memory segment, and the job list the scheduler sends
+down a worker's pipe carries a small handle (segment name, geometry,
+generation) instead of the bytes.
 
 Three cooperating pieces:
 
@@ -85,8 +86,8 @@ import uuid
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (Any, Dict, List, Mapping, Optional, Protocol, Sequence,
-                    Set, Tuple)
+from typing import (Any, Collection, Dict, List, Mapping, Optional, Protocol,
+                    Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -143,9 +144,11 @@ def frame_payload_bytes(fmt: ImageFormat) -> int:
     return fmt.pixels * sum(dtype.itemsize for _, dtype in _PLANES)
 
 
-def _plane_views(base: np.ndarray,
-                 fmt: ImageFormat) -> Dict[Channel, np.ndarray]:
-    """Zero-copy views of each plane in the segment bytes ``base``.
+def _plane_views(base: np.ndarray, fmt: ImageFormat,
+                 skip: Collection[Channel] = ()
+                 ) -> Dict[Channel, np.ndarray]:
+    """Zero-copy views of each plane in the segment bytes ``base``,
+    but the ``skip`` channels'.
 
     Slices of ``base`` (a uint8 array), so every view -- and every
     view a caller derives from one -- has ``base`` as its ``.base``.
@@ -155,7 +158,8 @@ def _plane_views(base: np.ndarray,
     offset = 0
     for channel, dtype in _PLANES:
         end = offset + fmt.pixels * dtype.itemsize
-        views[channel] = base[offset:end].view(dtype).reshape(shape)
+        if channel not in skip:
+            views[channel] = base[offset:end].view(dtype).reshape(shape)
         offset = end
     return views
 
@@ -742,7 +746,7 @@ class PlaneStore:
         if segment is None:
             return None
         base = _segment_bytes(segment, slab.nbytes)
-        planes = _plane_views(base, fmt)
+        planes = _plane_views(base, fmt, shared or ())
         if shared:
             planes.update(shared)
         frame = Frame.from_plane_views(fmt, planes, shared or ())
@@ -817,11 +821,13 @@ _WORKER_CACHE: "OrderedDict[Tuple[str, int], Tuple[int, Frame]]" \
 _WORKER_CACHE_CAP: int = 128
 
 #: Mapped result slabs, keyed by ``(store token, slab id)``: the uint8
-#: bytes of each, which own the mapping as the input frames' views do.
-#: Which worker a run lands on is up to the pool, so each worker ends
+#: bytes of each, which own the mapping as the input frames' views do,
+#: and the writeable frame over them that the worker computes into.
+#: Which worker a run lands on is up to the cut, so each worker ends
 #: up mapping every slab in circulation; the cap matches the store's
 #: idle list (:data:`_SLAB_IDLE_CAP`).
-_WORKER_SLABS: "OrderedDict[Tuple[str, int], np.ndarray]" = OrderedDict()
+_WORKER_SLABS: "OrderedDict[Tuple[str, int], Tuple[np.ndarray, Frame]]" \
+    = OrderedDict()
 _WORKER_SLAB_CAP: int = 64
 
 
@@ -907,21 +913,27 @@ def worker_result_frame(slab: SlabHandle,
     the slab cannot take it (a payload of another size, or a slab the
     parent already unlinked): the parent runs the call inline instead.
 
-    The slab is mapped once per worker and kept in an LRU, so a
-    recycled slab costs no system call.
+    The slab is mapped once per worker and kept in an LRU with the
+    frame over it, so a recycled slab costs no system call and, leased
+    again for the same format, no new frame: the worker only ever
+    writes the computed planes of that frame in place.
     """
     if frame_payload_bytes(fmt) != slab.nbytes:
         return None
     key = (slab.token, slab.slab_id)
-    base = _WORKER_SLABS.get(key)
-    if base is None:
+    cached = _WORKER_SLABS.get(key)
+    frame: Optional[Frame] = None
+    if cached is None:
         try:
             base = _attach_bytes(slab.segment_name, slab.nbytes)
         except OSError:
             return None
-        _WORKER_SLABS[key] = base
-        while len(_WORKER_SLABS) > _WORKER_SLAB_CAP:
-            _WORKER_SLABS.popitem(last=False)
     else:
         _WORKER_SLABS.move_to_end(key)
-    return read_frame(fmt, base, writeable=True)
+        base, frame = cached
+    if frame is None or frame.format != fmt:
+        frame = read_frame(fmt, base, writeable=True)
+        _WORKER_SLABS[key] = (base, frame)
+        while len(_WORKER_SLABS) > _WORKER_SLAB_CAP:
+            _WORKER_SLABS.popitem(last=False)
+    return frame

@@ -12,14 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.addresslib import (COLUMN_9, CON_0, CON_4, CON_8, CON_24,
-                              COUNTED_EXECUTOR_KINDS, ChannelSet,
-                              CountedExecutor, INTER_ABSDIFF, INTER_ADD,
-                              INTER_OPS, INTRA_COPY, INTRA_ERODE,
-                              INTRA_GRAD, INTRA_OPS, ScanOrder,
-                              SoftwareCostModel, VectorExecutor,
-                              channels_of, counted_executor, fir_op,
-                              scale_offset_op, serpentine_positions,
-                              threshold_op)
+                              COUNTED_EXECUTOR_KINDS, KERNEL_FACTORIES,
+                              ChannelSet, CountedExecutor, FaceScratch,
+                              INTER_ABSDIFF, INTER_ADD, INTER_OPS,
+                              INTRA_COPY, INTRA_ERODE, INTRA_GRAD,
+                              INTRA_OPS, ScanOrder, SoftwareCostModel,
+                              VectorExecutor, channels_of, counted_executor,
+                              fir_op, kernel_by_name, scale_offset_op,
+                              serpentine_positions, threshold_op)
 from repro.addresslib.executor import _edge_pad, _plane_batch
 from repro.addresslib.ops import _windows
 from repro.image import (ALL_CHANNELS, CIF, Channel, ImageFormat,
@@ -158,15 +158,39 @@ STACK_FACES = {
 }
 
 
+def _scalar_stack_face(op):
+    """The golden stack face of an op without a stack form (the kernel
+    book): its scalar face at every pixel of the stack."""
+    def face(stack):
+        out = np.empty(stack.shape[1:], np.uint8)
+        for index in np.ndindex(out.shape):
+            out[index] = op.apply_scalar(
+                [int(value) for value in stack[(slice(None),) + index]])
+        return out
+
+    return face
+
+
 def golden_intra(op, frame, channels):
     """``frame`` with ``op`` applied through its golden stack face."""
     expected = frame.copy()
-    face = STACK_FACES[op.name]
+    face = STACK_FACES.get(op.name) or _scalar_stack_face(op)
     for channel in channels_of(channels):
         stack = neighbourhood_stack_shifted(frame.plane(channel),
                                             op.neighbourhood)
         expected.plane(channel)[:] = face(stack)
     return expected
+
+
+def garbage_sinks(frames, channels, rng):
+    """A copy of each frame whose computed planes hold random bytes:
+    sinks for ``wave_into`` that a face must overwrite in full."""
+    sinks = [frame.copy() for frame in frames]
+    for sink in sinks:
+        for channel in channels_of(channels):
+            plane = sink.plane(channel)
+            plane[...] = rng.integers(0, 256, plane.shape, np.uint8)
+    return sinks
 
 
 def padded_input(plane, nb):
@@ -311,6 +335,46 @@ class TestGoldenStackFaces:
         result = VectorExecutor.intra(op, frame, ChannelSet.YUV)
         assert result.equals(golden_intra(op, frame, ChannelSet.YUV))
 
+    #: Every parameterless intra op and every kernel of the book.
+    INTO_OPS = OPS + [kernel_by_name(name)
+                      for name in sorted(KERNEL_FACTORIES)]
+
+    #: One scratch for every example, as an engine keeps one: the
+    #: examples alternate geometries and ops, so a temporary or padded
+    #: input left by one call must never reach another's result.
+    SCRATCH = FaceScratch()
+
+    @given(op=st.sampled_from(INTO_OPS),
+           height=st.integers(1, 24), width=st.integers(1, 24),
+           size=st.integers(1, 2),
+           channels=st.sampled_from([ChannelSet.Y, ChannelSet.YUV]),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=120, deadline=None)
+    def test_wave_into_garbage_sinks_matches_golden(self, op, height,
+                                                    width, size, channels,
+                                                    seed):
+        """``wave_into`` -- the faces writing straight into their sinks
+        -- overwrites every computed plane of sinks pre-filled with
+        garbage with the golden result, and leaves the other planes
+        as they were."""
+        fmt = ImageFormat(f"W{width}x{height}", width, height)
+        frames = [noise_frame(fmt, seed=seed + i) for i in range(size)]
+        sinks = garbage_sinks(frames, channels,
+                              np.random.default_rng(seed))
+        VectorExecutor.wave_into(op, [(f,) for f in frames], channels,
+                                 sinks, self.SCRATCH)
+        for frame, sink in zip(frames, sinks):
+            assert sink.equals(golden_intra(op, frame, channels))
+
+    @pytest.mark.parametrize("op", OPS, ids=lambda op: op.name)
+    def test_wave_into_cif_frame(self, op):
+        frame = noise_frame(CIF, seed=2006)
+        [sink] = garbage_sinks([frame], ChannelSet.YUV,
+                               np.random.default_rng(3))
+        VectorExecutor.wave_into(op, [(frame,)], ChannelSet.YUV, [sink],
+                                 self.SCRATCH)
+        assert sink.equals(golden_intra(op, frame, ChannelSet.YUV))
+
 
 class TestInputsUntouched:
     """The executor never writes an input plane: faces never write into
@@ -340,6 +404,25 @@ class TestInputsUntouched:
         frame, snapshot = self.frozen_frame(41)
         VectorExecutor.intra(op, frame, ChannelSet.YUV)
         assert frame.equals(snapshot)
+
+    @pytest.mark.parametrize("op", INTRA_CASES, ids=lambda op: op.name)
+    def test_intra_into_sinks(self, op):
+        """The faces writing into sinks read their (read-only) input
+        and write nothing else: the frame and its edge-padded scratch
+        copy come out as they went in."""
+        frame, snapshot = self.frozen_frame(44)
+        [sink] = garbage_sinks([frame], ChannelSet.YUV,
+                               np.random.default_rng(44))
+        VectorExecutor.wave_into(op, [(frame,)], ChannelSet.YUV, [sink],
+                                 FaceScratch())
+        assert frame.equals(snapshot)
+        padded = padded_input(snapshot.plane(Channel.Y), op.neighbourhood)
+        padded.flags.writeable = False
+        before = padded.copy()
+        out = np.empty(snapshot.plane(Channel.Y).shape, np.uint8)
+        op.vector(padded, out, FaceScratch())
+        assert np.array_equal(padded, before)
+        assert np.array_equal(out, op.apply_vector(before))
 
     @pytest.mark.parametrize("op", list(INTER_OPS.values()),
                              ids=lambda op: op.name)

@@ -6,15 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.addresslib import (COLUMN_9, CON_4, CON_8, CON_24, ChannelSet,
-                              INTER_OPS, INTRA_OPS, dilate_op, erode_op,
-                              fir_op, homogeneity_op, morph_gradient_op,
-                              scale_offset_op, threshold_op)
+                              FaceScratch, INTER_OPS, INTRA_OPS,
+                              KERNEL_FACTORIES, dilate_op, erode_op, fir_op,
+                              homogeneity_op, kernel_by_name,
+                              morph_gradient_op, scale_offset_op,
+                              threshold_op)
+from repro.addresslib import ops as ops_module
 from repro.addresslib.ops import (INTER_ABSDIFF, INTER_ADD, INTER_AVG,
                                   INTER_MAX, INTER_MIN, INTER_MUL,
                                   INTER_SUB, INTRA_BOX3, INTRA_DILATE,
                                   INTRA_ERODE, INTRA_GRAD,
-                                  INTRA_HOMOGENEITY, INTRA_MEDIAN3,
-                                  INTRA_MORPH_GRAD)
+                                  INTRA_HOMOGENEITY, INTRA_LAPLACE,
+                                  INTRA_MEDIAN3, INTRA_MORPH_GRAD,
+                                  INTRA_SOBEL_X, INTRA_SOBEL_Y, item_sums)
 
 bytes_ = st.integers(0, 255)
 
@@ -324,6 +328,56 @@ class TestAccumulatorWidth:
             op, weight_extreme_patches(neighbourhood, weights))
         assert_vector_matches_scalar(op, extremal_patches(neighbourhood))
 
+    @pytest.mark.parametrize("op", [INTRA_SOBEL_X, INTRA_SOBEL_Y],
+                             ids=lambda op: op.name)
+    def test_sobel_reaches_0_and_255_without_the_clip(self, op,
+                                                      monkeypatch):
+        """Sobel's weights bound its sum to 1,020 in magnitude, and
+        ``(+-1020 >> 3) + 128`` is exactly 255 and 0: its extreme
+        stacks land on the range's ends with no saturation pass."""
+        def no_clip(values, out):
+            raise AssertionError(f"{op.name} saturated")
+
+        monkeypatch.setattr(ops_module, "_saturate", no_clip)
+        weights = ops_module._SOBEL_X if op is INTRA_SOBEL_X \
+            else ops_module._SOBEL_Y
+        values = op.apply_vector(weight_extreme_patches(CON_8, weights))
+        assert values.reshape(-1).tolist() == [255, 0]
+        assert_vector_matches_scalar(op, extremal_patches(CON_8))
+
+    def test_laplace_keeps_its_clip(self, monkeypatch):
+        """The Laplacian's bound (4,080) leaves the range, so its face
+        saturates -- the choice comes from the weights, not the name."""
+        clipped = []
+        saturate = ops_module._saturate
+
+        def counting(values, out):
+            clipped.append(values.shape)
+            saturate(values, out)
+
+        monkeypatch.setattr(ops_module, "_saturate", counting)
+        assert_vector_matches_scalar(
+            INTRA_LAPLACE, weight_extreme_patches(CON_8, ops_module._LAPLACE))
+        assert clipped
+
+    def test_reduce_exact_at_its_accumulators_limit(self):
+        """A reduce sums 8-bit values in ``uint32`` while an item's size
+        times 255 stays below ``2 ** 32``: an all-255 plane at the
+        tallest height that admits sums exactly in ``uint32``, and one
+        row taller -- where ``uint32`` would wrap -- in ``int64``."""
+        tallest = (2 ** 32 - 1) // 255
+        for height, dtype in ((tallest, np.uint32),
+                              (tallest + 1, np.int64)):
+            plane = np.full((1, height, 1), 255, np.uint8)
+            sums = item_sums(plane)
+            assert sums.dtype == dtype
+            assert int(sums[0]) == height * 255
+            del plane, sums
+
+    def test_reduce_of_wider_values_sums_in_int64(self):
+        values = np.array([[[-3, 70000]], [[2, -1]]], np.int32)
+        assert item_sums(values).tolist() == [69997, 1]
+
 
 class TestBatchAxis:
     """Leading axes are batch axes to every vector face: a face applied
@@ -354,6 +408,34 @@ class TestBatchAxis:
         assert batched.shape == (3, 4, 5), op.name
         assert batched.dtype == items[0].dtype, op.name
         assert np.array_equal(batched, np.stack(items)), op.name
+
+    #: Output shapes of one item: a single row, a single column, 2x2,
+    #: and odd sizes.
+    EDGE_SHAPES = [(1, 7), (7, 1), (2, 2), (5, 9), (3, 1), (1, 1)]
+
+    #: Every intra case above, and every kernel of the book.
+    INTO = INTRA + [kernel_by_name(name) for name in sorted(KERNEL_FACTORIES)]
+
+    @pytest.mark.parametrize("op", INTO, ids=lambda op: op.name)
+    def test_intra_face_into_garbage_sinks(self, op):
+        """The face writing into a sink: a ``(3, H, W)`` sink pre-filled
+        with garbage ends up equal to the per-item results, and each
+        item to its scalar face, at every edge shape; one scratch
+        serves every shape in turn -- twice, on new values -- and leaks
+        nothing from one call into the next."""
+        rng = np.random.default_rng(23)
+        scratch = FaceScratch()
+        for _ in range(2):
+            for shape in self.EDGE_SHAPES:
+                padded = random_padded(rng, op, (3,) + shape)
+                padded[1] = 0
+                padded[2] = 255
+                out = rng.integers(0, 256, (3,) + shape, np.uint8)
+                op.vector(padded, out, scratch)
+                items = [op.apply_vector(padded[b]) for b in range(3)]
+                assert np.array_equal(out, np.stack(items)), (op.name,
+                                                              shape)
+                assert_vector_matches_scalar(op, padded)
 
     @pytest.mark.parametrize("op", list(INTER_OPS.values()),
                              ids=lambda op: op.name)

@@ -219,12 +219,15 @@ class TestValidateMode:
             INTRA_GRAD, src, dst, ChannelSet.YUV)
 
     def test_output_divergence_raises(self):
+        def off_by_one(padded, out, scratch):
+            INTRA_GRAD.vector(padded, out, scratch)
+            out += 1
+
         broken = IntraOp(
             name="intra_broken_vector",
             neighbourhood=INTRA_GRAD.neighbourhood,
             scalar=INTRA_GRAD.scalar,
-            vector=lambda padded: (INTRA_GRAD.vector(padded) + 1)
-            .astype(np.uint8),
+            vector=off_by_one,
             cost=INTRA_GRAD.cost)
         fmt = ImageFormat("V12x8", 12, 8)
         src, dst = self._planar_pair(fmt, seed=4)

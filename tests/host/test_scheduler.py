@@ -9,6 +9,7 @@ family 0xFA57) through batched and serial execution and compares
 everything.
 """
 
+import multiprocessing
 import random
 
 import pytest
@@ -303,9 +304,9 @@ class TestInlineFallback:
         def cannot_start(*args, **kwargs):
             raise OSError("no worker processes")
 
-        monkeypatch.setattr(scheduler_module, "ProcessPoolExecutor",
+        monkeypatch.setattr(scheduler_module, "_start_worker",
                             cannot_start)
-        # Two processes, so the wave tries (and fails) to start a pool.
+        # Two processes, so the wave tries (and fails) to start a worker.
         monkeypatch.setattr("repro.host.scheduler.os.cpu_count",
                             lambda: 2)
         sched = CallScheduler(max_workers=2)
@@ -319,8 +320,9 @@ class TestInlineFallback:
         assert results[1].equals(VectorExecutor.intra(INTRA_GRAD, frame))
         assert results[2].equals(
             VectorExecutor.intra(INTRA_MEDIAN3, frame))
-        # The worker's run tried the pool and came back inline; the
+        # The worker's run found no worker and came back inline; the
         # parent ran its own run as always.
+        assert sched._resources.workers == []
         assert sched.total.pool_calls == 0
         assert sched.total.inline_calls > 0
         assert sched.total.bypass_calls > 0
@@ -363,7 +365,7 @@ class TestTransportPlanning:
             assert sched.total.bypass_calls == 3
             assert sched.total.pool_calls == 0
             assert sched.total.round_trips == 0
-            assert sched._resources.pool is None
+            assert sched._resources.workers == []
             assert sched._resources.store is None
             assert sched.transport_stats()["store"] == {}
         assert results[0].equals(VectorExecutor.intra(INTRA_BOX3, frame))
@@ -394,9 +396,12 @@ class TestTransportPlanning:
                 assert report.bypass_calls > 0 and report.pool_calls > 0
                 assert report.bypass_calls + report.pool_calls == len(calls)
                 assert report.round_trips == 1
-            pool = sched._resources.pool
-            assert pool._max_workers == 1
-            assert len(pool._processes) <= 1
+                # The worker started its run after it was sent.
+                assert report.dispatch_seconds > 0.0
+            # One worker process, still running.
+            workers = sched._resources.workers
+            assert len(workers) == 1
+            assert workers[0].process in multiprocessing.active_children()
         for call, got in zip(calls, results):
             _assert_same(got, _serial_reference(call))
         # The modelled makespan still prices four engines.
@@ -562,7 +567,7 @@ class TestEngineRuns:
         assert self._runs(sched, calls) == [list(range(len(calls)))]
         with sched:
             outcomes = sched.compute_batch(calls)
-            assert sched._resources.pool is None
+            assert sched._resources.workers == []
             assert sched._resources.store is None
             assert sched.last_report.bypass_calls == len(calls)
         # Nothing to balance on one engine, so nothing is measured.

@@ -16,14 +16,16 @@ import random
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.addresslib import (AddressLib, BatchCall, ChannelSet, INTER_OPS,
-                              INTRA_BOX3, INTRA_GRAD, INTRA_OPS,
+from repro.addresslib import (AddressLib, BatchCall, ChannelSet,
+                              FaceScratch, INTER_OPS, INTRA_BOX3,
+                              INTRA_GRAD, INTRA_OPS,
                               KERNEL_FACTORIES, SoftwareBackend,
                               VectorExecutor, kernel_by_name)
 from repro.host import CallScheduler, SHARED_MEMORY_AVAILABLE
@@ -552,6 +554,12 @@ _REGISTRY = ([("intra", name, op, False)
                 for reduce_to_scalar in (False, True)])
 
 
+#: One kernel scratch for every example, as an engine keeps one: the
+#: examples draw their geometries at random, so it serves alternating
+#: geometries, and nothing a call leaves in it may reach a later result.
+_ENGINE_SCRATCH = FaceScratch()
+
+
 @needs_shm
 @settings(max_examples=60, deadline=None)
 @given(entry=st.sampled_from(_REGISTRY),
@@ -586,8 +594,10 @@ def test_slab_written_results_equal_the_executor(entry, channels, width,
                       for frame, handle in zip(frames, handles)}
         slab = None if reduce_to_scalar else store.lease_slab(fmt)
         items, _ = scheduler_module._execute_wave(
-            [(mode, token, channels, handles, slab)], False)
-        own = CallScheduler._execute_own(call, store, registered).value
+            [(mode, token, channels, handles, slab)], False,
+            _ENGINE_SCRATCH)
+        own = CallScheduler._execute_own(call, store, registered,
+                                         _ENGINE_SCRATCH).value
         if reduce_to_scalar:
             assert items == [want]
             assert own == want
@@ -726,12 +736,14 @@ class TestWorkerDeath:
             assert store is not None
             names = store.active_segment_names()
             assert names
-            # Kill every worker process out from under the pool.
-            pool = sched._resources.pool
-            for process in pool._processes.values():
-                process.terminate()
-            for process in pool._processes.values():
-                process.join()
+            # Kill every worker process out from under the scheduler.
+            dead = list(sched._resources.workers)
+            assert len(dead) == 1
+            for worker in dead:
+                worker.process.terminate()
+            for worker in dead:
+                worker.process.join(timeout=30)
+                assert worker.process.exitcode is not None
             results = lib.run_batch(calls, scheduler=sched)
             assert sched.last_report.pool_calls == 0
             assert sched.last_report.inline_calls == 1
@@ -744,10 +756,12 @@ class TestWorkerDeath:
                 VectorExecutor.intra(INTRA_BOX3, frame_a))
             assert results[1].equals(
                 VectorExecutor.intra(INTRA_GRAD, frame_b))
-            # The dead pool was dropped: the next batch forks a fresh
+            # The dead worker was dropped: the next batch forks a fresh
             # one and ships again.
+            assert sched._resources.workers == []
             results = lib.run_batch(calls, scheduler=sched)
-            assert sched._resources.pool is not pool
+            assert len(sched._resources.workers) == 1
+            assert sched._resources.workers[0] not in dead
             assert sched.last_report.pool_calls == 1
             assert results[0].equals(
                 VectorExecutor.intra(INTRA_BOX3, frame_a))
@@ -796,6 +810,134 @@ class TestWorkerDeath:
             sched.close()
         assert _psm_names() - before == set()
 
+    @staticmethod
+    def _split(patch, scheduler, worker_calls):
+        """Cut every wave into the first ``worker_calls`` calls for the
+        worker process and the rest for the parent."""
+        def runs(calls, indices, overlapped):
+            return [list(indices[:worker_calls]),
+                    list(indices[worker_calls:])]
+
+        patch.setattr(scheduler, "_engine_runs", runs)
+
+    def test_stale_reply_is_never_read(self, monkeypatch):
+        """The parent's own run raises once, after its wave shipped and
+        while the worker is still computing: that worker's reply is
+        never read, so every later batch -- on other inputs -- stays
+        bit-exact and ships again, and the interrupted run's slabs go
+        back once its worker is stopped."""
+        execute_wave = scheduler_module._execute_wave
+
+        def slow(*args):
+            time.sleep(0.3)
+            return execute_wave(*args)
+
+        # The worker forks on the first wave, so it inherits this.
+        monkeypatch.setattr(scheduler_module, "_execute_wave", slow)
+        execute_own = CallScheduler._execute_own
+        raised = []
+
+        def raises_once(call, store, registered, scratch):
+            if not raised:
+                raised.append(call)
+                raise RuntimeError("injected failure in the parent's run")
+            return execute_own(call, store, registered, scratch)
+
+        monkeypatch.setattr(CallScheduler, "_execute_own",
+                            staticmethod(raises_once))
+        before = _psm_names()
+        lib = AddressLib(SoftwareBackend())
+
+        def batch(seed):
+            frames = [noise_frame(QCIF, seed=seed + i) for i in range(4)]
+            return [BatchCall.intra(op, frame) for frame in frames
+                    for op in (INTRA_BOX3, INTRA_GRAD)]
+
+        sched = CallScheduler(max_workers=2)
+        self._split(monkeypatch, sched, 4)
+        # Held to the end, so the worker can finish the interrupted
+        # wave on live segments and write a reply nobody may read.
+        interrupted = batch(100)
+        try:
+            with pytest.raises(RuntimeError, match="injected"):
+                lib.run_batch(interrupted, scheduler=sched)
+            [stale] = sched._resources.workers
+            assert stale.pending
+            store = sched._resources.store
+            for seed in (200, 300, 400):
+                calls = batch(seed)
+                results = lib.run_batch(calls, scheduler=sched)
+                for call, got in zip(calls, results):
+                    _assert_same(got, _serial_reference(call))
+                report = sched.last_report
+                assert report.pool_calls == 4
+                assert report.bypass_calls == 4
+                assert report.inline_calls == 0
+                if seed == 200:
+                    # The stopped worker's four slabs were idle again
+                    # for this wave's worker run.
+                    assert store.slabs_reused == 4
+            # The stale worker was stopped, and a fresh one took over.
+            assert sched._resources.workers[0] is not stale
+            assert stale.process not in multiprocessing.active_children()
+        finally:
+            sched.close()
+        assert _psm_names() - before == set()
+
+    def test_death_inside_a_run_fails_only_its_group(self, monkeypatch):
+        """A worker exits inside its run: its group runs inline, still
+        bit-exact, and its slabs go back; every call is booked once;
+        the next batch starts a fresh worker and ships again; and no
+        segment or worker process outlives ``close()``."""
+        execute_wave = scheduler_module._execute_wave
+
+        def dies(*args):
+            os._exit(3)
+
+        # The worker forks on the first wave, so it inherits this.
+        monkeypatch.setattr(scheduler_module, "_execute_wave", dies)
+        before = _psm_names()
+        frames = [noise_frame(QCIF, seed=s) for s in (70, 71, 72)]
+        calls = [BatchCall.intra(INTRA_BOX3, frames[0]),
+                 BatchCall.intra(INTRA_GRAD, frames[1]),
+                 BatchCall.inter_reduce(INTER_OPS["inter_absdiff"],
+                                        frames[1], frames[2]),
+                 BatchCall.intra(INTRA_GRAD, frames[2])]
+        lib = AddressLib(SoftwareBackend())
+        sched = CallScheduler(max_workers=2)
+        self._split(monkeypatch, sched, 3)
+        try:
+            results = lib.run_batch(calls, scheduler=sched)
+            for call, got in zip(calls, results):
+                _assert_same(got, _serial_reference(call))
+            report = sched.last_report
+            assert report.pool_calls == 0
+            assert report.inline_calls == 3
+            assert report.bypass_calls == 1
+            assert (report.pool_calls + report.inline_calls
+                    + report.bypass_calls == report.calls == len(calls))
+            # The dead worker's two slabs are idle again; the parent's
+            # own result holds the third.
+            store = sched._resources.store
+            idle = sum(len(slabs) for slabs in store._idle_slabs.values())
+            assert idle == 2 and store.slabs_created == 3
+            assert sched._resources.workers == []
+            # A healthy fork ships the next batch.
+            monkeypatch.setattr(scheduler_module, "_execute_wave",
+                                execute_wave)
+            results = lib.run_batch(calls, scheduler=sched)
+            for call, got in zip(calls, results):
+                _assert_same(got, _serial_reference(call))
+            assert sched.last_report.pool_calls == 3
+            assert sched.last_report.inline_calls == 0
+            processes = [worker.process
+                         for worker in sched._resources.workers]
+            assert len(processes) == 1
+        finally:
+            sched.close()
+        assert not set(processes) & set(multiprocessing.active_children())
+        assert _psm_names() - before == set()
+
     def test_generation_bump_reaches_real_workers(self):
         frame = noise_frame(QCIF, seed=22)
         calls = [BatchCall.intra(INTRA_BOX3, frame),
@@ -840,18 +982,96 @@ class TestTeardown:
         assert sched.compute_batch([]) == []
 
     def test_close_waits_for_the_workers_to_exit(self):
-        """No worker process outlives ``close()``: its pool is shut down
-        waiting, so nothing of it is left running at interpreter exit."""
+        """No worker process outlives ``close()``: every worker is
+        stopped and joined, so nothing of it is left running at
+        interpreter exit."""
         frame = noise_frame(QCIF, seed=25)
         sched = CallScheduler(max_workers=2)
         AddressLib(SoftwareBackend()).run_batch(
             [BatchCall.intra(INTRA_BOX3, frame),
              BatchCall.intra(INTRA_GRAD, frame)], scheduler=sched)
         assert sched.last_report.pool_calls == 1
-        workers = set(sched._resources.pool._processes.values())
+        workers = {worker.process for worker in sched._resources.workers}
         assert workers
+        assert workers <= set(multiprocessing.active_children())
+        pids = [process.pid for process in workers]
         sched.close()
         assert not workers & set(multiprocessing.active_children())
+        assert sched._resources.workers == []
+        for pid in pids:  # joined, so reaped: the pid names nothing
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
+#: A process that runs one batch on a two-engine scheduler, writes the
+#: pids of its worker processes to the file named by its argument, then
+#: kills itself with SIGKILL: nothing of its own gets to stop a worker.
+_KILLED_PARENT = """
+import multiprocessing, os, signal, sys
+os.cpu_count = lambda: 2
+from repro.addresslib import (AddressLib, BatchCall, INTRA_BOX3, INTRA_GRAD,
+                              SoftwareBackend)
+from repro.host import CallScheduler
+from repro.image import ImageFormat, noise_frame
+frame = noise_frame(ImageFormat("S", 32, 32), seed=1)
+sched = CallScheduler(max_workers=2)
+AddressLib(SoftwareBackend()).run_batch(
+    [BatchCall.intra(INTRA_BOX3, frame), BatchCall.intra(INTRA_GRAD, frame)],
+    scheduler=sched)
+assert sched.last_report.pool_calls == 1, sched.last_report
+pids = [process.pid for process in multiprocessing.active_children()]
+with open(sys.argv[1], "w") as out:
+    out.write(" ".join(str(pid) for pid in pids))
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _exited(pid):
+    """Whether ``pid`` has exited: no such process, or a zombie that
+    waits for its new parent to reap it."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except (OSError, IndexError):
+        return True
+
+
+@needs_shm
+class TestWorkerLifetime:
+    def test_workers_die_with_a_killed_parent(self, tmp_path):
+        """A parent killed by SIGKILL leaves no worker running: each
+        worker's receive sees end of file (it holds no parent end of
+        any pipe) and it exits, within a bounded time.  The child's
+        output goes to files, never to a pipe an orphan could hold."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        pid_file = tmp_path / "workers"
+        with open(tmp_path / "stderr", "w") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _KILLED_PARENT, str(pid_file)],
+                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                stderr=stderr, env=env)
+            returncode = proc.wait(timeout=120)
+        assert returncode == -signal.SIGKILL, (
+            (tmp_path / "stderr").read_text())
+        pids = [int(pid) for pid in pid_file.read_text().split()]
+        assert pids
+        try:
+            deadline = time.monotonic() + 10.0
+            while (not all(_exited(pid) for pid in pids)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert [pid for pid in pids if not _exited(pid)] == []
+        finally:
+            for pid in pids:
+                if not _exited(pid):
+                    os.kill(pid, signal.SIGKILL)
+            # A new store unlinks the killed parent's segments.
+            shm.PlaneStore().close()
 
 
 #: A process that makes a store, registers one frame, leases one slab,

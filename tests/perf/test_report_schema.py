@@ -53,10 +53,12 @@ class TestEveryReportSpeaksTheSchema:
 
     def test_batch_report(self):
         books = BatchReport(calls=4, waves=2, workers=2,
+                            dispatch_seconds=0.25,
                             modeled_serial_seconds=1.0,
                             modeled_pipelined_seconds=0.5).to_dict()
         assert books["kind"] == "batch"
         assert books["calls"] == 4 and books["shed"] == 0
+        assert books["dispatch_seconds"] == 0.25
         assert books["modeled_speedup"] == pytest.approx(2.0)
         assert all(key in books for key in REPORT_SCHEMA_KEYS)
 

@@ -42,6 +42,7 @@ class TestSchedulerTransportStats:
             stats = scheduler.transport_stats()
         for key in TRANSPORT_COUNTER_KEYS:
             assert stats[key] == 0
+        assert stats["dispatch_seconds"] == 0.0
         assert stats["store"] == {}
 
     def test_bypass_only_books(self, monkeypatch):

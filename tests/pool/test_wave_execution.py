@@ -46,12 +46,14 @@ CONFIGS = ([(op, False) for op in INTRA_OPS.values()]
            + [(op, False) for op in INTER_OPS.values()]
            + [(op, True) for op in INTER_OPS.values()])
 
-#: Faces that return a view of their input: results must still own
-#: their memory.
+#: Ops outside the registries whose faces hand back their input: an
+#: intra identity writing the CON_0 input (the caller's plane) into its
+#: sink, and an inter face returning a view of its input.  Results must
+#: still own their memory.
 ALIASING = [
     (IntraOp(name="intra_view", neighbourhood=CON_0,
              scalar=lambda values: int(values[0]),
-             vector=lambda plane: plane[...],
+             vector=lambda plane, out, scratch: np.copyto(out, plane),
              cost=InstructionCost(alu=1)), False),
     (InterOp(name="inter_first", scalar=lambda a, b: int(a),
              vector=lambda a, b: a, cost=InstructionCost(alu=1)), False),
