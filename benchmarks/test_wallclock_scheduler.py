@@ -18,13 +18,14 @@ What must hold:
   CPUs the shared-memory transport must deliver ``>= 1.5x``.  The
   scheduler runs at most one worker process per CPU, and a one-CPU
   host keeps every call in the parent.  On a 2-vCPU host the floor
-  still fails: the timed batch pays the cold state of its 48 result
-  slabs (segment creation and first touch) and the workers' first
-  attaches, which nothing warms or prices yet.  Twenty runs on a
-  2-vCPU host read 0.29-0.57x (22-45 ms scheduled, 10-14 ms serial;
-  ship 6-12 ms), against 0.14-0.35x before the scheduler dispatched by
-  pipe, when every timed batch also held a generation-2 garbage
-  collection of 19-46 ms.
+  still fails: the timed batch pays the cold state of the workers' 31
+  result slabs (segment creation and first touch) and their first
+  attaches, which nothing warms or prices yet.  Ten runs on a 2-vCPU
+  host read 0.37-0.56x (23-35 ms scheduled, 11-15 ms serial; ship
+  7-13 ms, about 1,770 minor faults in the parent), against
+  0.40-0.51x (26-40 ms scheduled, 11-18 ms serial; ship 8-14 ms,
+  about 2,780 faults) when the parent computed its own run into slabs
+  too, 48 of them created per timed batch.
 
 Results land in ``BENCH_wallclock.json`` at the repo root, including a
 ``wall.regression`` flag, the per-phase ship/compute/gather split CI

@@ -6,7 +6,12 @@ granularity:
 * :class:`VectorExecutor` -- bulk numpy execution on packed
   :class:`~repro.image.frame.Frame` objects.  This is the fast functional
   path used by applications (GME, segmentation) and by the engine model's
-  golden reference.
+  golden reference.  It has one kernel step,
+  :meth:`VectorExecutor.wave_into`, which writes each call's computed
+  planes into sink planes its caller hands it -- fresh planes for
+  :meth:`VectorExecutor.wave`, result slabs in a call-scheduler worker
+  -- and every frame result is its first input passed through with
+  those planes (:meth:`~repro.image.frame.Frame.pass_through`).
 * :class:`CountedExecutor` -- a faithful per-pixel walk over the software
   baseline's planar 4:2:0 store, performing exactly the memory accesses
   the AddressLib C implementation would: serpentine scan with sliding
@@ -27,7 +32,8 @@ Pentium-M timing model behind Table 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -129,23 +135,6 @@ def _plane_batch(frames: Sequence[Frame], channel: Channel,
     return _edge_pad(planes, -min_dy, max_dy, -min_dx, max_dx, scratch)
 
 
-def _owned(values: np.ndarray, source: np.ndarray,
-           shape: Tuple[int, ...], dtype: type) -> np.ndarray:
-    """A kernel's output as a fresh array of ``shape`` and the plane
-    ``dtype``.
-
-    An inter face may return a view of its input ``source`` or a wider
-    integer type; either is copied here, so no computed plane shares
-    memory with an input (an intra face writes a fresh sink).
-    """
-    if (values.dtype != dtype or values.shape != shape
-            or np.may_share_memory(values, source)):
-        owned = np.empty(shape, dtype)
-        owned[...] = values
-        return owned
-    return values
-
-
 def _check_geometry(inputs: Sequence[Sequence[Frame]]) -> None:
     """Raise unless every frame of a wave has one geometry."""
     fmt = inputs[0][0].format
@@ -159,31 +148,6 @@ def _check_geometry(inputs: Sequence[Sequence[Frame]]) -> None:
                     f"{other} vs {fmt}")
 
 
-def _wave_values(op: Union[InterOp, IntraOp],
-                 inputs: Sequence[Sequence[Frame]],
-                 channels: ChannelSet
-                 ) -> Iterator[Tuple[Channel, np.ndarray, np.ndarray]]:
-    """The kernel step of a wave, one computed channel at a time:
-    ``(channel, values, batch)`` -- the op's vector face run once over
-    every call of the wave, and the face input ``batch`` the values may
-    alias.  Leading axes are batch axes to every face, so item ``i`` of
-    ``values`` is call ``i``'s one-call result (its shape may need
-    broadcasting to ``(B, H, W)``, its dtype a cast to the plane's).
-    """
-    _check_geometry(inputs)
-    sources = [frames[0] for frames in inputs]
-    for channel in channels_of(channels):
-        if isinstance(op, IntraOp):
-            batch = _plane_batch(sources, channel, op.neighbourhood)
-            values = op.apply_vector(batch)
-        else:
-            batch = _plane_batch(sources, channel)
-            values = op.apply_vector(
-                batch, _plane_batch([frames[1] for frames in inputs],
-                                    channel))
-        yield channel, values, batch
-
-
 class VectorExecutor:
     """Bulk numpy execution of inter/intra calls on packed frames."""
 
@@ -192,80 +156,80 @@ class VectorExecutor:
              inputs: Sequence[Sequence[Frame]],
              channels: ChannelSet = ChannelSet.Y,
              reduce_to_scalar: bool = False) -> List[Union[Frame, int]]:
-        """Run same-configuration calls as one batched numpy pass.
+        """Run same-configuration calls as one wave.
 
         ``inputs`` holds each call's input frames: ``(frame,)`` for an
         intra ``op``, ``(frame_a, frame_b)`` for an inter one; every
-        frame has the same geometry.  Per channel, the op's vector face
-        runs once over the whole wave -- on the ``(B, H, W)`` planes
-        edge-padded once by the neighbourhood's reach for intra calls,
-        on ``(B, H, W)`` plane pairs for inter calls.  Leading axes are
-        batch axes to every face, so each call's values equal a
-        one-call run's.
+        frame has the same geometry.
 
-        Returns one result per call, in order, or the summed values
-        when ``reduce_to_scalar``.  A frame result holds its computed
-        planes -- its own item of the wave's batches, sharing memory
-        with no input and no other result -- and the untouched planes
-        of the call's first input, lent copy on write where the input
-        alone holds them or shares them already and copied otherwise
-        (:meth:`~repro.image.frame.Frame.pass_through`).  The frames
-        are assembled here, from planes of the right shape and dtype
-        by construction, so nothing re-checks them.
+        Returns one result per call, in order.  A frame result holds
+        its computed planes -- fresh arrays of its own, which
+        :meth:`wave_into` writes -- and the untouched planes of the
+        call's first input, lent copy on write where the input alone
+        holds them or shares them already and copied otherwise
+        (:meth:`~repro.image.frame.Frame.pass_through`).  With
+        ``reduce_to_scalar`` (an inter op) a call's result is instead
+        the sum of the values its op computes, over its channels.
         """
-        fmt = inputs[0][0].format
-        shape = (len(inputs), fmt.height, fmt.width)
-        batches: Dict[Channel, np.ndarray] = {}
-        totals = [0] * len(inputs)
-        for channel, values, batch in _wave_values(op, inputs, channels):
-            if reduce_to_scalar:
-                sums = item_sums(values.reshape(len(inputs), -1))
-                totals = [total + int(s) for total, s in zip(totals, sums)]
-            else:
-                batches[channel] = _owned(values, batch, shape,
-                                          PLANE_DTYPES[channel])
+        computed = channels_of(channels)
         if reduce_to_scalar:
-            return list(totals)
-        return [frames[0].pass_through(
-                    {channel: batch[index]
-                     for channel, batch in batches.items()})
-                for index, frames in enumerate(inputs)]
+            _check_geometry(inputs)
+            return [sum(int(item_sums(op.apply_vector(
+                        frame_a.read_plane(channel),
+                        frame_b.read_plane(channel)).reshape(1, -1))[0])
+                        for channel in computed)
+                    for frame_a, frame_b in inputs]
+        fmt = inputs[0][0].format
+        shape = (fmt.height, fmt.width)
+        sinks = [{channel: np.empty(shape, PLANE_DTYPES[channel])
+                  for channel in computed} for _ in inputs]
+        VectorExecutor.wave_into(op, inputs, channels, sinks)
+        return [frames[0].pass_through(sink)
+                for frames, sink in zip(inputs, sinks)]
 
     @staticmethod
     def wave_into(op: Union[InterOp, IntraOp],
                   inputs: Sequence[Sequence[Frame]],
-                  channels: ChannelSet, outputs: Sequence[Frame],
+                  channels: ChannelSet,
+                  sinks: Sequence[Mapping[Channel, np.ndarray]],
                   scratch: Optional[FaceScratch] = None) -> None:
-        """:meth:`wave`'s computed planes, written in place: call
-        ``i``'s values go into the planes of ``outputs[i]`` (a frame of
-        the inputs' geometry that shares no memory with them) that the
-        op computes -- the ``channels`` -- and nothing else.  The planes
-        the op leaves untouched are the caller's to supply: the call
-        scheduler's results share them with the first input's
-        plane-store snapshot.
+        """The kernel step of every frame result: call ``i``'s values of
+        each computed channel -- the ``channels`` -- written into
+        ``sinks[i][channel]``, a plane of the inputs' geometry and the
+        channel's dtype that shares no memory with them.  The planes
+        the op leaves untouched are the caller's to supply.
 
-        The same values as :meth:`wave`, call by call: an intra face
-        reads its input edge-padded into ``scratch`` (the plane itself
-        under CON_0) and writes its final values straight into the
-        output plane, taking its temporaries from ``scratch`` too; an
-        inter face's values are cast into the plane.  ``scratch`` is
-        the engine's own (:class:`~repro.addresslib.ops.FaceScratch`),
-        reused call after call; without one, every temporary is fresh.
+        Per channel, an intra op's vector face reads its inputs
+        edge-padded by the neighbourhood's reach (into ``scratch``; a
+        lone CON_0 input is read in place): one call's face writes its
+        sink directly, and a wave of several runs its face once over
+        the whole ``(B, H, W)`` batch -- leading axes are batch axes to
+        every face -- then copies each call's item into its sink.  An
+        inter face runs per call, its values cast into the sink.
+        ``scratch`` is an engine's own
+        (:class:`~repro.addresslib.ops.FaceScratch`), reused call after
+        call; without one, every temporary is fresh.
         """
         _check_geometry(inputs)
         if scratch is None:
             scratch = FRESH_SCRATCH
         for channel in channels_of(channels):
-            for frames, output in zip(inputs, outputs):
-                sink = output.plane(channel)
-                if isinstance(op, IntraOp):
-                    padded = _plane_batch(frames[:1], channel,
-                                          op.neighbourhood, scratch)[0]
-                    op.vector(padded, sink, scratch)
-                else:
-                    sink[...] = op.apply_vector(
+            if isinstance(op, InterOp):
+                for frames, sink in zip(inputs, sinks):
+                    sink[channel][...] = op.apply_vector(
                         frames[0].read_plane(channel),
                         frames[1].read_plane(channel))
+                continue
+            padded = _plane_batch([frames[0] for frames in inputs],
+                                  channel, op.neighbourhood, scratch)
+            if len(sinks) == 1:
+                op.vector(padded[0], sinks[0][channel], scratch)
+                continue
+            shape = sinks[0][channel].shape
+            out = scratch.take("wave", (len(sinks),) + shape, np.uint8)
+            op.vector(padded, out, scratch)
+            for item, sink in zip(out, sinks):
+                sink[channel][...] = item
 
     @staticmethod
     def inter(op: InterOp, frame_a: Frame, frame_b: Frame,

@@ -295,6 +295,7 @@ def _selftest_shm001() -> Optional[List[Diagnostic]]:
 
 def _selftest_shm002() -> Optional[List[Diagnostic]]:
     """Adopt a leased result slab after the store closed."""
+    from ..image.pixel import ALL_CHANNELS
 
     def scenario(_sanitizer: TransportSanitizer) -> Optional[bool]:
         store = shm.PlaneStore()
@@ -302,7 +303,8 @@ def _selftest_shm002() -> Optional[List[Diagnostic]]:
         store.close()  # releases the slab while it is still leased
         if slab is None:
             return True
-        store.adopt_slab(slab, _small_fmt())  # the seeded bug
+        store.adopt_slab(slab, _small_fmt(),
+                         ALL_CHANNELS)  # the seeded bug
         return None
 
     return _with_observer(scenario)

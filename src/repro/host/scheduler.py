@@ -28,20 +28,19 @@ module supplies that second axis:
   :class:`~repro.host.shm.PlaneStore` once per wave and shipped as a
   small handle, and workers keep attached segments in a resident cache
   across waves;
-* a frame result is written once and only where its op computes: a
-  worker writes the computed planes straight into a recycled result
-  slab the store leases, and the parent adopts the slab in place,
-  attaching the first input's store snapshot as the planes the op
-  left untouched -- shared read-only, copied only if someone asks to
-  write one (:meth:`~repro.image.frame.Frame.plane`).  Once a store
-  exists, the parent computes its own run's results the same way: it
-  registers the first input of each of its frame results (after the
-  workers' runs are submitted) and computes into slabs it adopts
-  first.  Recycled slabs keep their pages, where fresh result planes
-  would be faulted in anew every wave once the allocator had handed
-  the freed ones back.  A wave with nothing to ship makes no store, so
-  a one-CPU host computes into fresh planes and shares the untouched
-  ones with the input itself, exactly as serial execution does;
+* every frame result has one constructor, wherever it ran: its first
+  input passed through (:meth:`~repro.image.frame.Frame.pass_through`)
+  with the planes its op computed.  The parent computes its own run
+  exactly as serial execution does (fresh computed planes; it
+  registers nothing and leases no slab).  A worker writes the
+  computed planes straight into a recycled result slab the store
+  leases, and the parent takes the slab's views of them as the
+  result's computed planes (:meth:`~repro.host.shm.PlaneStore.adopt_slab`).
+  The untouched planes are shared read-only with the input -- for a
+  registered input, its segment views -- and copied only if someone
+  asks to write one (:meth:`~repro.image.frame.Frame.plane`); a plane
+  the input cannot share (one an outside alias holds) is copied into
+  the result instead;
 * every batch is also *priced* under both timing models -- the serial
   (sum) model and the double-buffered overlap model of
   :class:`~repro.perf.timing.EngineTimingModel` -- list-scheduled onto
@@ -64,18 +63,16 @@ read (its wave raised in the parent in between) is stopped before the
 next wave, never read from again.  A worker closes every parent-side
 pipe end it inherits, so its next receive sees end of file once the
 parent closes its pipe or dies, and it exits -- a worker never outlives
-its parent.  Each engine keeps one
-:class:`~repro.addresslib.ops.FaceScratch` (the parent's run its own,
-each worker its own), which the kernels' temporaries and padded inputs
-reuse call after call.
+its parent.  Each worker keeps one
+:class:`~repro.addresslib.ops.FaceScratch`, which the kernels'
+temporaries and padded inputs reuse call after call.
 
-Bit-exactness is by construction: every engine runs the *same* vector
-face of each op through :class:`~repro.addresslib.executor.VectorExecutor`
-(only the sink and the scratch differ: slab planes and the engine's own
-temporaries instead of fresh ones), an untouched
-plane is the input's content as registered in this wave, and outcomes
-are collected by submission index, so results are identical to serial
-execution wherever a call ran.
+Bit-exactness is by construction: every engine runs the *same* kernel
+step, :meth:`~repro.addresslib.executor.VectorExecutor.wave_into`
+(a worker's sinks are slab planes and its temporaries its own
+scratch; the parent's are fresh), every result is built by the same
+pass-through, and outcomes are collected by submission index, so
+results are identical to serial execution wherever a call ran.
 
 Ops carry lambdas and do not pickle, so the parent never ships an op
 object: it ships the op *name* and the worker re-resolves it from the
@@ -193,8 +190,10 @@ def _execute_wave(jobs: Sequence[_Job], sanitized: bool,
         else:
             result = shm.worker_result_frame(slab, frames[0].format)
             if result is not None:
-                VectorExecutor.wave_into(op, [frames], channels, [result],
-                                         scratch)
+                VectorExecutor.wave_into(
+                    op, [frames], channels,
+                    [{channel: result.read_plane(channel)
+                      for channel in channels_of(channels)}], scratch)
             results.append(result is not None)
         seconds.append(time.perf_counter() - start)
     if sanitized:
@@ -470,8 +469,6 @@ class CallScheduler(BatchExecutor):
         self._finalizer = weakref.finalize(self, _PoolResources.release,
                                            self._resources)
         self._closed = False
-        #: The parent engine's kernel scratch, for its own run.
-        self._scratch = FaceScratch()
         #: Wall seconds of each kind of call the engines have run: a
         #: running mean over its runs, in the parent or a worker.
         self._seconds: Dict[_Kind, float] = {}
@@ -519,9 +516,7 @@ class CallScheduler(BatchExecutor):
             # The run it never answered leased these; now that the
             # process is gone, nothing writes them any more.
             if store is not None:
-                self._recycle(store, [slab for slab in worker.slabs
-                                      if slab is not None
-                                      and slab.token == store.token])
+                self._recycle(store, worker.slabs)
         while len(resources.workers) < self._engines - 1:
             try:
                 resources.workers.append(
@@ -569,60 +564,6 @@ class CallScheduler(BatchExecutor):
         return BatchOutcome(frame=VectorExecutor.intra(op, frames[0],
                                                        channels))
 
-    @classmethod
-    def _execute_own(cls, call: BatchCall, store: Optional[shm.PlaneStore],
-                     registered: Dict[int, shm.FrameHandle],
-                     scratch: FaceScratch) -> BatchOutcome:
-        """Run one call of the parent's own run: its inputs are read in
-        place, and a frame result is computed straight into a recycled
-        slab of ``store`` -- a worker's sink, without the round trip --
-        the kernels' temporaries in the parent's ``scratch``.
-        Without a store, a first input ``registered`` in this wave or a
-        slab it runs inline."""
-        if (store is None or call.reduce_to_scalar
-                or id(call.frames[0]) not in registered):
-            return cls._execute_inline(call)
-        slab = store.lease_slab(call.fmt)
-        frame = cls._adopt(store, slab, call) if slab else None
-        if frame is None:
-            return cls._execute_inline(call)
-        VectorExecutor.wave_into(call.op, [call.frames], call.channels,
-                                 [frame], scratch)
-        return BatchOutcome(frame=frame)
-
-    @staticmethod
-    def _adopt(store: shm.PlaneStore, slab: shm.SlabHandle,
-               call: BatchCall) -> Optional[Frame]:
-        """``call``'s result frame over its leased ``slab``: the planes
-        its op computes are the slab's, and every other plane is its
-        first input's store snapshot, shared.  ``None`` when the store
-        can give neither any more (it closed)."""
-        snapshot = store.snapshot(call.frames[0])
-        if snapshot is None:
-            return None
-        computed = channels_of(call.channels)
-        return store.adopt_slab(slab, call.fmt, {
-            channel: plane for channel, plane in snapshot.items()
-            if channel not in computed})
-
-    @staticmethod
-    def _register_own(store: shm.PlaneStore, calls: Sequence[BatchCall],
-                      own: Sequence[int],
-                      registered: Dict[int, shm.FrameHandle]) -> None:
-        """Register the first input of each frame result of the parent's
-        own run that the workers' runs did not register, once per
-        frame: the snapshot its untouched planes share.  A frame the
-        store cannot take stays out of ``registered``, and its calls
-        run inline."""
-        for index in own:
-            call = calls[index]
-            frame = call.frames[0]
-            if call.reduce_to_scalar or id(frame) in registered:
-                continue
-            handle = store.register(frame)
-            if handle is not None:
-                registered[id(frame)] = handle
-
     # -- modelled timing ------------------------------------------------------
 
     def _call_costs(self, call: BatchCall) -> Tuple[float, float]:
@@ -650,12 +591,12 @@ class CallScheduler(BatchExecutor):
         Four phases, each timed into the report: *plan* (op tokens, and
         the cut into one run per engine), *ship* (register the workers'
         frames, lease result slabs, send each worker run's job list
-        down its worker's pipe), *compute* (register the first inputs
-        of the parent's own frame results, compute its run, any call
-        that could not ship, then read each worker's reply, a worker
-        that failed running its whole run inline), *gather* (adopt the
-        result slabs with their snapshot planes; a slab the worker
-        could not write runs its call inline).
+        down its worker's pipe), *compute* (the parent's own run, as
+        serial execution runs it, and any call that could not ship;
+        then read each worker's reply, a worker that failed running
+        its whole run inline), *gather* (pass each worker result's
+        first input through with the slab's computed planes; a slab
+        the worker could not write runs its call inline).
         """
         calls = list(calls)
         outcomes: List[Optional[BatchOutcome]] = [None] * len(calls)
@@ -678,13 +619,10 @@ class CallScheduler(BatchExecutor):
         # once, lease result slabs, send one job list per run.  A run
         # left without a worker (none could start) runs inline.
         groups: List[_Group] = []
-        # The handle of every frame registered in this wave, by id():
-        # the frames whose snapshot holds their current content.
-        registered: Dict[int, shm.FrameHandle] = {}
         if workers:
             start = time.perf_counter()
             groups = self._ship(calls, tokens, runs[:len(workers)],
-                                workers, report, registered)
+                                workers, report)
             report.ship_seconds = time.perf_counter() - start
         shipped = {index for group in groups for index in group.indices}
 
@@ -693,12 +631,9 @@ class CallScheduler(BatchExecutor):
         # group, a failed worker's run inline.
         start = time.perf_counter()
         store = self._resources.store  # None if shipping broke it
-        if store is not None:
-            self._register_own(store, calls, own, registered)
         for index in own:
             began = time.perf_counter()
-            outcomes[index] = self._execute_own(calls[index], store,
-                                                registered, self._scratch)
+            outcomes[index] = self._execute_inline(calls[index])
             if runs:
                 self._learn(calls[index], time.perf_counter() - began)
         report.bypass_calls = len(own)
@@ -721,8 +656,8 @@ class CallScheduler(BatchExecutor):
             collected.append((group, items))
         report.compute_seconds = time.perf_counter() - start
 
-        # Gather: adopt the result slabs as zero-copy frames, their
-        # untouched planes shared with the inputs' snapshots.
+        # Gather: each result is its first input passed through, with
+        # its computed planes viewing the slab the worker wrote.
         start = time.perf_counter()
         for group, items in collected:
             assert store is not None
@@ -732,13 +667,16 @@ class CallScheduler(BatchExecutor):
                 if slab is None:  # a reduce: the value is its scalar
                     outcomes[index] = BatchOutcome(scalar=value)
                 else:
-                    frame = self._adopt(store, slab, call) if value else None
-                    if frame is None:
+                    computed = (store.adopt_slab(
+                        slab, call.fmt, channels_of(call.channels))
+                        if value else None)
+                    if computed is None:
                         store.recycle_slab(slab)
                         outcomes[index] = self._execute_inline(call)
                         report.inline_calls += 1
                         continue
-                    outcomes[index] = BatchOutcome(frame=frame)
+                    outcomes[index] = BatchOutcome(
+                        frame=call.frames[0].pass_through(computed))
                 report.pool_calls += 1
         report.gather_seconds = time.perf_counter() - start
 
@@ -820,12 +758,11 @@ class CallScheduler(BatchExecutor):
 
     def _ship(self, calls: Sequence[BatchCall],
               tokens: Sequence[Optional[str]], runs: List[List[int]],
-              workers: Sequence[_Worker], report: BatchReport,
-              handles: Dict[int, shm.FrameHandle]) -> List[_Group]:
+              workers: Sequence[_Worker],
+              report: BatchReport) -> List[_Group]:
         """Register each distinct input frame of the workers' ``runs``
-        once (into ``handles``, by frame id), lease a result slab to
-        each call that produces a frame, and send run ``i``'s job list
-        to ``workers[i]``.
+        once, lease a result slab to each call that produces a frame,
+        and send run ``i``'s job list to ``workers[i]``.
 
         Nothing is sent until the whole of the runs is in the store.  A
         store that fails on the way is closed and dropped, and no group
@@ -836,6 +773,7 @@ class CallScheduler(BatchExecutor):
         observer = shm.get_transport_observer()
         # Every frame of the wave is alive (the calls hold them), so
         # id() names one frame for the whole pass.
+        handles: Dict[int, shm.FrameHandle] = {}
         for frame in {id(frame): frame for run in runs for index in run
                       for frame in calls[index].frames}.values():
             handle = store.register(frame)

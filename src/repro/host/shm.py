@@ -21,7 +21,7 @@ Three cooperating pieces:
   unchanged and bumping the *generation* (a fresh segment) when the
   frame was mutated between waves, so a segment is never written
   after its registration.  Its read-only plane views, built once per
-  registration, are the frame's *snapshot* (:meth:`PlaneStore.snapshot`).
+  registration, are the frame's *snapshot*.
   A frame then lives in its segment, as a frame stays in the board's
   ZBT banks across calls: it takes the snapshot views as the planes it
   alone holds or shares already -- the one ownership rule of
@@ -42,22 +42,25 @@ Three cooperating pieces:
   attached segments keyed by ``(store token, frame id)``, so the N
   calls of a wave that touch the same frame map it once; a generation
   bump invalidates the cached entry.
-* result *slabs* -- the scheduler's reused output memory (the
-  engine's block_A/block_B OIM).  The store owns every slab:
-  :meth:`PlaneStore.lease_slab` hands each call that produces a frame
-  a frame-sized segment from a bounded idle list per size; a worker
-  computes the planes its op computes straight into the slab's plane
-  views through a mapping it keeps (:func:`worker_result_frame`), and
-  :meth:`PlaneStore.adopt_slab` wraps the slab as a zero-copy frame --
-  which the parent also computes its own calls' results into -- whose
-  untouched planes are the first input's snapshot, shared read-only
-  and copied only if someone asks to write them
-  (:meth:`~repro.image.frame.Frame.plane`).  A computed plane is
-  written once, as the board writes it once from its OIM into a ZBT
-  result bank, and an untouched one is never written into a slab.
-  The slab goes back on the idle list once no plane view of that frame
-  is left, and the store unlinks every slab when it closes -- a worker
-  that dies mid-wave orphans nothing.
+* result *slabs* -- the workers' reused output memory (the engine's
+  block_A/block_B OIM).  The store owns every slab:
+  :meth:`PlaneStore.lease_slab` hands each worker call that produces
+  a frame a frame-sized segment from a bounded idle list per size; the
+  worker computes the planes its op computes straight into the slab's
+  plane views through a mapping it keeps (:func:`worker_result_frame`),
+  and :meth:`PlaneStore.adopt_slab` hands the parent zero-copy views
+  of those planes.  The result is the call's first input passed
+  through with them (:meth:`~repro.image.frame.Frame.pass_through`),
+  the one constructor of every frame result, serial or scheduled: its
+  untouched planes are the input's, shared read-only -- for a
+  registered input, its snapshot views -- and copied only if someone
+  asks to write them (:meth:`~repro.image.frame.Frame.plane`).  A
+  computed plane is written once, as the board writes it once from
+  its OIM into a ZBT result bank, and an untouched one is never
+  written into a slab.  The slab goes back on the idle list once no
+  view of its planes is left -- recycling only ever takes back a slab
+  this store has on lease, once -- and the store unlinks every slab
+  when it closes: a worker that dies mid-wave orphans nothing.
 
 Segments are created, mapped and unlinked with the POSIX primitives
 ``multiprocessing.shared_memory`` itself uses, so the resource tracker
@@ -86,7 +89,7 @@ import uuid
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (Any, Collection, Dict, List, Mapping, Optional, Protocol,
+from typing import (Any, Collection, Dict, List, Optional, Protocol,
                     Sequence, Set, Tuple)
 
 import numpy as np
@@ -145,10 +148,10 @@ def frame_payload_bytes(fmt: ImageFormat) -> int:
 
 
 def _plane_views(base: np.ndarray, fmt: ImageFormat,
-                 skip: Collection[Channel] = ()
+                 channels: Collection[Channel] = ALL_CHANNELS
                  ) -> Dict[Channel, np.ndarray]:
-    """Zero-copy views of each plane in the segment bytes ``base``,
-    but the ``skip`` channels'.
+    """Zero-copy views of the ``channels`` planes in the segment bytes
+    ``base``.
 
     Slices of ``base`` (a uint8 array), so every view -- and every
     view a caller derives from one -- has ``base`` as its ``.base``.
@@ -158,7 +161,7 @@ def _plane_views(base: np.ndarray, fmt: ImageFormat,
     offset = 0
     for channel, dtype in _PLANES:
         end = offset + fmt.pixels * dtype.itemsize
-        if channel not in skip:
+        if channel in channels:
             views[channel] = base[offset:end].view(dtype).reshape(shape)
         offset = end
     return views
@@ -388,12 +391,13 @@ class FrameHandle:
 class SlabHandle:
     """A parent-owned result slab, leased to one job of a wave.
 
-    The worker writes the job's result frame (``nbytes`` of payload)
-    into the segment; the parent then adopts it in place.  ``token``
-    names the owning store, as on :class:`FrameHandle`, and ``slab_id``
-    is never reused within it -- unlike a segment name, which the OS
-    may hand out again once unlinked, so a worker's cached mapping of
-    a dead slab can never stand in for a new one.
+    The worker writes the job's computed planes into the segment (its
+    ``nbytes`` of payload hold a whole frame); the parent then adopts
+    them in place.  ``token`` names the owning store, as on
+    :class:`FrameHandle`, and ``slab_id`` is never reused within it --
+    unlike a segment name, which the OS may hand out again once
+    unlinked, so a worker's cached mapping of a dead slab can never
+    stand in for a new one.
     """
 
     token: str
@@ -552,6 +556,8 @@ class PlaneStore:
         self._next_frame_id = 0
         #: Every slab the store owns, leased or idle, by slab id.
         self._slabs: Dict[int, _Segment] = {}
+        #: The ids of the slabs leased and not yet recycled.
+        self._leased: Set[int] = set()
         #: Idle slabs per payload size, most recently returned last.
         self._idle_slabs: Dict[int, List[SlabHandle]] = {}
 
@@ -617,19 +623,6 @@ class PlaneStore:
         for view in views.values():
             view.flags.writeable = False
         return views
-
-    def snapshot(self, frame: Frame) -> Optional[Mapping[Channel,
-                                                         np.ndarray]]:
-        """``frame``'s planes as it was last registered: read-only views
-        of its segment, which nothing writes again (a mutated frame
-        gets a new segment) -- the planes the frame shares from its
-        registration on, and the untouched planes of its scheduled
-        results.  ``None`` when ``frame`` is not registered.
-        """
-        entry = self._entries.get(id(frame))
-        if entry is None or entry.frame_ref() is not frame:
-            return None
-        return entry.views
 
     def _write_segment(self, frame: Frame) -> Optional[_Segment]:
         """A fresh segment holding ``frame``'s planes, or ``None``."""
@@ -714,30 +707,34 @@ class PlaneStore:
         idle = self._idle_slabs.get(nbytes)
         if idle:
             self.slabs_reused += 1
-            return idle.pop()
-        try:
-            segment = self._new_segment(nbytes)
-        except OSError:
-            self.broken = True
-            return None
-        slab_id = self.slabs_created  # counts creations: never repeats
-        self._slabs[slab_id] = segment
-        self.slabs_created += 1
-        return SlabHandle(self.token, slab_id, segment.name, nbytes)
+            slab = idle.pop()
+        else:
+            try:
+                segment = self._new_segment(nbytes)
+            except OSError:
+                self.broken = True
+                return None
+            slab_id = self.slabs_created  # counts creations: never repeats
+            self._slabs[slab_id] = segment
+            self.slabs_created += 1
+            slab = SlabHandle(self.token, slab_id, segment.name, nbytes)
+        self._leased.add(slab.slab_id)
+        return slab
 
     def adopt_slab(self, slab: SlabHandle, fmt: ImageFormat,
-                   shared: Optional[Mapping[Channel, np.ndarray]] = None
-                   ) -> Optional[Frame]:
-        """Wrap the result written into ``slab`` as a zero-copy frame,
-        with the ``shared`` planes (read-only snapshot views, see
-        :meth:`snapshot`) in place of the slab's for their channels.
+                   channels: Collection[Channel]
+                   ) -> Optional[Dict[Channel, np.ndarray]]:
+        """The ``channels`` planes of the ``fmt`` result written into
+        ``slab``, as zero-copy views: a call's computed planes, which
+        its first input's :meth:`~repro.image.frame.Frame.pass_through`
+        makes a result.
 
         Each adoption gets its own base array over the slab, and numpy
         makes that array the ``.base`` of every view derived from the
-        frame's planes; the slab goes back on the idle list when the
-        base array dies, i.e. once no such view is left.  ``None`` (the
-        store has closed and released the slab) tells the caller to
-        recompute the call inline.
+        planes; the slab goes back on the idle list when the base array
+        dies, i.e. once no such view is left.  ``None`` (the store has
+        closed and released the slab) tells the caller to recompute
+        the call inline.
         """
         observer = _OBSERVER
         if observer is not None:
@@ -746,26 +743,24 @@ class PlaneStore:
         if segment is None:
             return None
         base = _segment_bytes(segment, slab.nbytes)
-        planes = _plane_views(base, fmt, shared or ())
-        if shared:
-            planes.update(shared)
-        frame = Frame.from_plane_views(fmt, planes, shared or ())
+        views = _plane_views(base, fmt, channels)
         weakref.finalize(base, self.recycle_slab, slab)
         self.results_adopted += 1
-        return frame
+        return views
 
     def recycle_slab(self, slab: SlabHandle) -> None:
-        """Return a leased slab: onto its idle list, or -- when that
-        list is full -- unlinked.  A no-op once the store has closed."""
-        if slab.slab_id not in self._slabs:
+        """Return a slab this store leased: onto its idle list, or --
+        when that list is full -- unlinked.  A no-op for a slab that is
+        not on lease from this store: one recycled already, another
+        store's, or any once the store has closed."""
+        if slab.token != self.token or slab.slab_id not in self._leased:
             return
+        self._leased.discard(slab.slab_id)
         idle = self._idle_slabs.setdefault(slab.nbytes, [])
         if len(idle) < _SLAB_IDLE_CAP:
             idle.append(slab)
-            return
-        segment = self._slabs.pop(slab.slab_id, None)
-        if segment is not None:
-            self._release(segment)
+        else:
+            self._release(self._slabs.pop(slab.slab_id))
 
     # -- books and lifecycle -----------------------------------------------
 
@@ -801,6 +796,7 @@ class PlaneStore:
         entries, self._entries = self._entries, {}
         slabs, self._slabs = self._slabs, {}
         self._idle_slabs = {}
+        self._leased = set()
         for entry in entries.values():
             entry.views = {}
             self._release(entry.segment)

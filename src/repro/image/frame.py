@@ -8,6 +8,12 @@ uses the planar 4:2:0 layout in :mod:`repro.image.planar` instead.
 Coordinates are ``(x, y)`` with ``x`` the column and ``y`` the row, matching
 the paper's scan terminology; the backing numpy arrays are indexed
 ``[row, column]``.
+
+Every call result is built one way, as the Process Unit passes the
+channels a call leaves untouched through in the same ZBT word:
+:meth:`Frame.pass_through` on the call's first input, with the planes
+the call computed -- fresh planes on the serial path, a worker's
+result-slab views on the call scheduler's.
 """
 
 from __future__ import annotations
@@ -244,8 +250,8 @@ class Frame:
         zero-copy attach path of the shared-memory transport).  Each
         plane must already have the format's shape and the channel's
         canonical dtype.  The planes of the ``shared`` channels are
-        read-only snapshot views the frame shares: :meth:`plane` copies
-        each before handing it out.
+        read-only planes the frame shares (a luma frame's neutral
+        planes): :meth:`plane` copies each before handing it out.
         """
         frame = cls.__new__(cls)
         frame.format = fmt
@@ -274,7 +280,7 @@ class Frame:
         """Wrap ``planes`` (one per channel, each already of the
         format's shape and the channel's dtype) as a frame, unchecked
         and uncopied: the constructor of code that built the planes
-        itself, such as the vector executor's wave results.
+        itself, such as :meth:`pass_through`.
         """
         frame = cls.__new__(cls)
         frame.format = fmt

@@ -193,6 +193,12 @@ def garbage_sinks(frames, channels, rng):
     return sinks
 
 
+def sink_planes(sinks, channels):
+    """The computed planes of each sink frame: ``wave_into``'s sinks."""
+    return [{channel: sink.plane(channel)
+             for channel in channels_of(channels)} for sink in sinks]
+
+
 def padded_input(plane, nb):
     """``plane`` edge-padded by ``nb``'s reach: an intra face's input."""
     min_dx, min_dy, max_dx, max_dy = nb.bounding_box()
@@ -362,7 +368,7 @@ class TestGoldenStackFaces:
         sinks = garbage_sinks(frames, channels,
                               np.random.default_rng(seed))
         VectorExecutor.wave_into(op, [(f,) for f in frames], channels,
-                                 sinks, self.SCRATCH)
+                                 sink_planes(sinks, channels), self.SCRATCH)
         for frame, sink in zip(frames, sinks):
             assert sink.equals(golden_intra(op, frame, channels))
 
@@ -371,7 +377,8 @@ class TestGoldenStackFaces:
         frame = noise_frame(CIF, seed=2006)
         [sink] = garbage_sinks([frame], ChannelSet.YUV,
                                np.random.default_rng(3))
-        VectorExecutor.wave_into(op, [(frame,)], ChannelSet.YUV, [sink],
+        VectorExecutor.wave_into(op, [(frame,)], ChannelSet.YUV,
+                                 sink_planes([sink], ChannelSet.YUV),
                                  self.SCRATCH)
         assert sink.equals(golden_intra(op, frame, ChannelSet.YUV))
 
@@ -413,7 +420,8 @@ class TestInputsUntouched:
         frame, snapshot = self.frozen_frame(44)
         [sink] = garbage_sinks([frame], ChannelSet.YUV,
                                np.random.default_rng(44))
-        VectorExecutor.wave_into(op, [(frame,)], ChannelSet.YUV, [sink],
+        VectorExecutor.wave_into(op, [(frame,)], ChannelSet.YUV,
+                                 sink_planes([sink], ChannelSet.YUV),
                                  FaceScratch())
         assert frame.equals(snapshot)
         padded = padded_input(snapshot.plane(Channel.Y), op.neighbourhood)

@@ -127,10 +127,37 @@ def _same_planes(frame, model):
 # Which planes a result shares
 # ---------------------------------------------------------------------------
 
+def _compares_when_reregistered(frames, monkeypatch):
+    """Register each of ``frames`` in a fresh store, then once more:
+    the planes the second registrations compared.  (A helper, so no
+    plane of the frames is held while they register.)"""
+    compares = []
+    real = shm._same_values
+
+    def spy(plane, view):
+        compares.append(plane.shape)
+        return real(plane, view)
+
+    store = shm.PlaneStore()
+    try:
+        handles = [store.register(frame) for frame in frames]
+        monkeypatch.setattr(shm, "_same_values", spy)
+        assert [store.register(frame) for frame in frames] == handles
+    finally:
+        store.close()
+    return compares
+
+
 @pytest.mark.parametrize("size", (1, 3))
 @pytest.mark.parametrize("kind", sorted(CALLS))
 @pytest.mark.parametrize("runner", sorted(RUNNERS))
-def test_a_result_shares_exactly_its_untouched_channels(runner, kind, size):
+def test_a_result_shares_exactly_its_untouched_channels(runner, kind, size,
+                                                        monkeypatch):
+    """Each result shares exactly its untouched channels with its
+    first input, and owns each computed plane: an array of its own,
+    not an item of the wave's batch, so no result pins its siblings'
+    planes, and registering the result shares that plane too -- its
+    re-registration compares nothing."""
     inputs, calls = _wave_of(kind, size)
     models = [_deep(frame) for frame in inputs]
     want = _golden(calls)
@@ -153,12 +180,16 @@ def test_a_result_shares_exactly_its_untouched_channels(runner, kind, size):
             for channel in computed:
                 plane = result.read_plane(channel)
                 assert plane.flags.writeable
+                assert plane.flags.owndata and plane.base is None
                 assert not any(
                     np.shares_memory(plane, other.read_plane(c))
                     for other in inputs + [r for r in results
                                            if r is not result]
                     for c in ALL_CHANNELS)
         assert not inputs[-1].shared_channels  # a second input lends none
+        del plane
+        if SHARED_MEMORY_AVAILABLE:
+            assert _compares_when_reregistered(results, monkeypatch) == []
     for frame, model in zip(inputs, models):
         assert _same_planes(frame, model)
 

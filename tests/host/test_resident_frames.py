@@ -113,6 +113,12 @@ def _segment_frame(handle):
         handle.segment_name, shm.frame_payload_bytes(fmt)))
 
 
+def _snapshot(store, frame):
+    """The read-only segment views of ``frame``'s last registration in
+    ``store``: the planes the frame shares from then on."""
+    return store._entries[id(frame)].views
+
+
 def _psm_names():
     try:
         return {name for name in os.listdir("/dev/shm")
@@ -148,7 +154,7 @@ def test_an_unaliased_frame_is_reregistered_without_a_read(sched,
     first = _scheduled(sched, calls)
     store = sched._resources.store
     handle = store.register(frame)
-    views = store.snapshot(frame)
+    views = _snapshot(store, frame)
     assert frame.shared_channels == EVERY_CHANNEL
     assert all(frame.read_plane(c) is views[c] for c in ALL_CHANNELS)
 
@@ -174,7 +180,8 @@ def test_a_frame_shares_its_snapshot_from_its_first_registration():
         # Every public accessor still hands out a private plane.
         plane = frame.plane(Channel.V)
         assert plane.flags.writeable
-        assert not np.shares_memory(plane, store.snapshot(frame)[Channel.V])
+        assert not np.shares_memory(plane,
+                                    _snapshot(store, frame)[Channel.V])
     finally:
         store.close()
 
@@ -348,6 +355,32 @@ def test_dropping_the_alias_lets_the_frame_share():
         store.close()
 
 
+def test_a_worker_result_copies_its_inputs_aliased_plane(sched):
+    """A worker's result is its first input passed through, as a serial
+    result is: the plane a held ``frame.u`` aliases is a private copy
+    in the result, equal to the input's and viewing no segment, so a
+    write through the alias after the batch does not reach it."""
+    frame = noise_frame(FMT, seed=90)
+    other = noise_frame(FMT, seed=91)
+    alias = frame.u
+    calls = _fan_out(frame, other)
+    want = _serial(calls)
+    results = _scheduled(sched, calls)
+    assert _all_equal(results, want)
+    store = sched._resources.store
+    worker = results[0]  # the worker's intra Y call: U is untouched
+    assert Channel.U not in worker.shared_channels
+    assert Channel.V in worker.shared_channels
+    plane = worker.read_plane(Channel.U)
+    assert plane.flags.owndata
+    assert np.array_equal(plane, alias)
+    assert not np.shares_memory(plane, alias)
+    assert not np.shares_memory(plane, _snapshot(store, frame)[Channel.U])
+    alias[2:5, 1:4] ^= 0x5A
+    assert np.array_equal(worker.read_plane(Channel.U),
+                          want[0].read_plane(Channel.U))
+
+
 def test_a_rewrite_shares_every_plane_but_the_aliased_one(monkeypatch):
     """After a write through a held plane bumps the generation, the
     frame's four other planes share the new segment and none views the
@@ -357,7 +390,7 @@ def test_a_rewrite_shares_every_plane_but_the_aliased_one(monkeypatch):
     store = shm.PlaneStore()
     try:
         store.register(frame)
-        superseded = store.snapshot(frame)
+        superseded = _snapshot(store, frame)
         alias = frame.y
         alias[5:9] ^= 0x3C
         handle = store.register(frame)

@@ -29,6 +29,7 @@ pytestmark = pytest.mark.skipif(not SHARED_MEMORY_AVAILABLE,
                                 reason="no POSIX shared memory")
 
 FMT = ImageFormat("S20x18", 20, 18)
+YUV = (Channel.Y, Channel.U, Channel.V)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -101,6 +102,12 @@ def _store(sched):
     return sched._resources.store
 
 
+def _snapshot(store, frame):
+    """The read-only segment views of ``frame``'s last registration in
+    ``store``: the planes the frame shares from then on."""
+    return store._entries[id(frame)].views
+
+
 def _write_plane(frame, channel):
     frame.plane(channel)[...] = 42
 
@@ -139,7 +146,7 @@ def test_writing_a_result_reaches_nothing_it_shares(sched, target, name,
         computed = {Channel.Y} if call.channels is ChannelSet.Y else {
             Channel.Y, Channel.U, Channel.V}
         assert result.shared_channels == set(ALL_CHANNELS) - computed
-    snapshot = _store(sched).snapshot(frame)
+    snapshot = _snapshot(_store(sched), frame)
     before = {"input": _planes(frame),
               "snapshot": {c: np.array(p) for c, p in snapshot.items()},
               "siblings": [_planes(result) for result in results]}
@@ -207,8 +214,10 @@ def _register(frame):
 def _executor_inputs(frame):
     VectorExecutor.wave(INTRA_BOX3, [(frame,)], ChannelSet.YUV)
     VectorExecutor.inter_reduce(INTER_ABSDIFF, frame, frame, ChannelSet.YUV)
+    sink = Frame(frame.format)
     VectorExecutor.wave_into(INTRA_GRAD, [(frame,)], ChannelSet.YUV,
-                             [Frame(frame.format)])
+                             [{channel: sink.plane(channel)
+                               for channel in YUV}])
 
 
 READS = {
@@ -227,7 +236,9 @@ READS = {
 }
 
 #: The reads that register the result: it then shares its own
-#: registration's snapshot views in place of its input's.
+#: registration's snapshot views in place of its input's, and in place
+#: of each computed plane it owns -- the parent's result, computed as
+#: the serial path computes, owns them; the worker's views its slab.
 REGISTERING = {"register", "scheduled_inputs"}
 
 
@@ -237,13 +248,17 @@ def test_reading_a_result_copies_nothing(sched, read):
     with no copy made; the first ``plane()`` afterwards still copies."""
     results = _scheduled(sched, _fan_out(noise_frame(FMT, seed=31),
                                          noise_frame(FMT, seed=32)))
-    for result in (results[0], results[-1]):  # the worker's, the parent's
+    worker, parent = results[0], results[-1]
+    for result in (worker, parent):
         shared = result.shared_channels
         views = {channel: result.read_plane(channel) for channel in shared}
         assert views and not any(view.flags.writeable
                                  for view in views.values())
         READS[read](result, sched)
-        assert result.shared_channels == shared
+        owned = (frozenset(ALL_CHANNELS) - shared
+                 if read in REGISTERING and result is parent
+                 else frozenset())
+        assert result.shared_channels == shared | owned
         for channel, view in views.items():
             plane = result.read_plane(channel)
             if read in REGISTERING:
@@ -257,4 +272,4 @@ def test_reading_a_result_copies_nothing(sched, read):
             assert plane.flags.writeable
             assert not np.shares_memory(plane, view)
             assert np.array_equal(plane, view)
-        assert not result.shared_channels
+        assert result.shared_channels == owned

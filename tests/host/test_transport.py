@@ -27,11 +27,11 @@ from repro.addresslib import (AddressLib, BatchCall, ChannelSet,
                               FaceScratch, INTER_OPS, INTRA_BOX3,
                               INTRA_GRAD, INTRA_OPS,
                               KERNEL_FACTORIES, SoftwareBackend,
-                              VectorExecutor, kernel_by_name)
+                              VectorExecutor, channels_of, kernel_by_name)
 from repro.host import CallScheduler, SHARED_MEMORY_AVAILABLE
 from repro.host import scheduler as scheduler_module
 from repro.host import shm
-from repro.image import ImageFormat, noise_frame
+from repro.image import Frame, ImageFormat, noise_frame
 from repro.image.pixel import ALL_CHANNELS
 
 _INTRA = sorted(INTRA_OPS.values(), key=lambda op: op.name)
@@ -110,6 +110,12 @@ def _write_result(slab, frame):
     assert result is not None
     for channel in ALL_CHANNELS:
         result.plane(channel)[...] = frame.plane(channel)
+
+
+def _adopt_whole(store, slab, fmt):
+    """Every plane of the result in ``slab``, adopted, as a frame."""
+    return Frame.from_plane_views(fmt, store.adopt_slab(slab, fmt,
+                                                        ALL_CHANNELS))
 
 
 def _tracker_messages(monkeypatch):
@@ -231,7 +237,7 @@ class TestResultSlabs:
         adopt it; returns ``(slab, adopted frame)``."""
         slab = store.lease_slab(frame.format)
         _write_result(slab, frame)
-        return slab, store.adopt_slab(slab, frame.format)
+        return slab, _adopt_whole(store, slab, frame.format)
 
     def test_slab_recycles_only_after_last_view_dies(self):
         store = shm.PlaneStore()
@@ -261,6 +267,38 @@ class TestResultSlabs:
                 shm._attach_segment(name)
         assert adopted.equals(source)  # mapped until its last view
         assert store.lease_slab(QCIF) is None
+
+    def test_a_second_recycle_of_one_lease_is_ignored(self):
+        """Recycling one lease twice puts its slab on the idle list
+        once, so two later leases never name one segment."""
+        store = shm.PlaneStore()
+        try:
+            slab = store.lease_slab(QCIF)
+            store.recycle_slab(slab)
+            store.recycle_slab(slab)
+            first, second = store.lease_slab(QCIF), store.lease_slab(QCIF)
+            assert first.segment_name != second.segment_name
+            assert store.slabs_created == 2 and store.slabs_reused == 1
+        finally:
+            store.close()
+
+    def test_another_stores_slab_is_never_recycled_here(self):
+        """A handle of another store whose slab id collides with a lease
+        of this one is ignored: this store's next lease is its own."""
+        store, other = shm.PlaneStore(), shm.PlaneStore()
+        try:
+            mine, theirs = store.lease_slab(QCIF), other.lease_slab(QCIF)
+            assert theirs.slab_id == mine.slab_id
+            store.recycle_slab(theirs)
+            again = store.lease_slab(QCIF)
+            assert again.token == store.token
+            assert again.segment_name not in (mine.segment_name,
+                                              theirs.segment_name)
+            store.recycle_slab(mine)
+            assert store.lease_slab(QCIF) == mine
+        finally:
+            store.close()
+            other.close()
 
     def test_idle_list_is_bounded_per_size(self):
         store = shm.PlaneStore()
@@ -363,7 +401,7 @@ class TestWorkerCache:
             _write_result(slab, frame)
             assert messages == []
             assert attached.equals(frame)
-            assert store.adopt_slab(slab, QCIF).equals(frame)
+            assert _adopt_whole(store, slab, QCIF).equals(frame)
         finally:
             store.close()
 
@@ -568,11 +606,10 @@ _ENGINE_SCRATCH = FaceScratch()
        seeds=st.tuples(st.integers(0, 999), st.integers(0, 999)))
 def test_slab_written_results_equal_the_executor(entry, channels, width,
                                                   height, seeds):
-    """Both sinks of a scheduled call, run in-process: a worker's run
-    (inputs attached from the store, the computed planes written
-    straight into a leased slab) and the parent's own run (inputs read
-    in place, the computed planes written into a slab it adopts).  Each
-    adopted result, with its first input's snapshot planes attached,
+    """A worker's run of a scheduled call, in-process: its inputs
+    attached from the store, its computed planes written straight into
+    a leased slab.  The result the parent builds from it -- its first
+    input passed through, the slab's views as its computed planes --
     equals ``VectorExecutor``'s result bit for bit, whatever the op,
     channel set and geometry, and every plane is writable through
     ``plane()``."""
@@ -581,34 +618,23 @@ def test_slab_written_results_equal_the_executor(entry, channels, width,
     frames = [noise_frame(fmt, seed=seed) for seed in seeds]
     frames = frames[:1] if mode == "intra" else frames
     want = VectorExecutor.wave(op, [frames], channels, reduce_to_scalar)[0]
-    if mode == "intra":
-        call = BatchCall.intra(op, frames[0], channels)
-    elif reduce_to_scalar:
-        call = BatchCall.inter_reduce(op, *frames, channels)
-    else:
-        call = BatchCall.inter(op, *frames, channels)
     store = shm.PlaneStore()
     try:
         handles = tuple(store.register(frame) for frame in frames)
-        registered = {id(frame): handle
-                      for frame, handle in zip(frames, handles)}
         slab = None if reduce_to_scalar else store.lease_slab(fmt)
         items, _ = scheduler_module._execute_wave(
             [(mode, token, channels, handles, slab)], False,
             _ENGINE_SCRATCH)
-        own = CallScheduler._execute_own(call, store, registered,
-                                         _ENGINE_SCRATCH).value
         if reduce_to_scalar:
             assert items == [want]
-            assert own == want
         else:
             assert items == [True]
-            for got in (CallScheduler._adopt(store, slab, call), own):
-                assert got.equals(want)
-                assert all(got.plane(c).flags.writeable
-                           for c in ALL_CHANNELS)
-                assert got.equals(want)
-            assert store.stats()["slabs_created"] == 2
+            got = frames[0].pass_through(store.adopt_slab(
+                slab, fmt, channels_of(channels)))
+            assert got.equals(want)
+            assert all(got.plane(c).flags.writeable for c in ALL_CHANNELS)
+            assert got.equals(want)
+            assert store.stats()["slabs_created"] == 1
     finally:
         shm.reset_worker_cache()
         store.close()
@@ -705,9 +731,10 @@ def test_slabs_outlive_their_views_and_recycle_in_steady_state(
         before = slab_scheduler.transport_stats()["store"]
         _run_wave(slab_scheduler, waves[-1], [])
         after = slab_scheduler.transport_stats()["store"]
-    # Every frame result -- the parent's own and the workers' -- came
-    # back in a recycled slab.
-    frame_jobs = sum(spec[0] != "reduce" for spec in waves[-1])
+    # Every frame result of the worker's run came back in a recycled
+    # slab; the parent's own run leases none.
+    half = max(1, len(waves[-1]) // 2)
+    frame_jobs = sum(spec[0] != "reduce" for spec in waves[-1][:half])
     assert after["slabs_created"] == before["slabs_created"]
     assert after["segments_created"] == before["segments_created"]
     assert after["slabs_reused"] - before["slabs_reused"] == frame_jobs
@@ -748,10 +775,10 @@ class TestWorkerDeath:
             assert sched.last_report.pool_calls == 0
             assert sched.last_report.inline_calls == 1
             assert sched.last_report.bypass_calls == 1
-            # The fallen-back run's slab went back to the idle list;
-            # the parent's own result holds the other.
+            # The fallen-back run's slab went back to the idle list
+            # (the parent's own run leases none).
             idle = sum(len(slabs) for slabs in store._idle_slabs.values())
-            assert idle == 1 and store.slabs_created == 2
+            assert idle == 1 and store.slabs_created == 1
             assert results[0].equals(
                 VectorExecutor.intra(INTRA_BOX3, frame_a))
             assert results[1].equals(
@@ -834,16 +861,17 @@ class TestWorkerDeath:
 
         # The worker forks on the first wave, so it inherits this.
         monkeypatch.setattr(scheduler_module, "_execute_wave", slow)
-        execute_own = CallScheduler._execute_own
+        execute_inline = CallScheduler._execute_inline
         raised = []
 
-        def raises_once(call, store, registered, scratch):
+        def raises_once(call):
+            # The first call the parent runs is its own run's first.
             if not raised:
                 raised.append(call)
                 raise RuntimeError("injected failure in the parent's run")
-            return execute_own(call, store, registered, scratch)
+            return execute_inline(call)
 
-        monkeypatch.setattr(CallScheduler, "_execute_own",
+        monkeypatch.setattr(CallScheduler, "_execute_inline",
                             staticmethod(raises_once))
         before = _psm_names()
         lib = AddressLib(SoftwareBackend())
@@ -916,11 +944,11 @@ class TestWorkerDeath:
             assert report.bypass_calls == 1
             assert (report.pool_calls + report.inline_calls
                     + report.bypass_calls == report.calls == len(calls))
-            # The dead worker's two slabs are idle again; the parent's
-            # own result holds the third.
+            # The dead worker's two slabs are idle again (the parent's
+            # own run leases none).
             store = sched._resources.store
             idle = sum(len(slabs) for slabs in store._idle_slabs.values())
-            assert idle == 2 and store.slabs_created == 3
+            assert idle == 2 and store.slabs_created == 2
             assert sched._resources.workers == []
             # A healthy fork ships the next batch.
             monkeypatch.setattr(scheduler_module, "_execute_wave",
