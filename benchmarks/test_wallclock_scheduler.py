@@ -3,8 +3,9 @@
 A slice of the Table 3 GME workload expressed as one batch of
 independent AddressLib calls (per-frame Sobel/box/homogeneity intra
 work plus inter SAD reduces between consecutive frames) runs twice:
-serially, and sharded across a :class:`CallScheduler` worker pool with
-zero-copy shared-memory transport.
+serially, and sharded across a :class:`CallScheduler` worker pool over
+its shared-memory transport (inputs copied into each worker's region,
+results back zero-copy through slabs).
 
 What must hold:
 
@@ -19,13 +20,14 @@ What must hold:
   scheduler runs at most one worker process per CPU, and a one-CPU
   host keeps every call in the parent.  On a 2-vCPU host the floor
   still fails: the timed batch pays the cold state of the workers' 31
-  result slabs (segment creation and first touch) and their first
-  attaches, which nothing warms or prices yet.  Ten runs on a 2-vCPU
-  host read 0.37-0.56x (23-35 ms scheduled, 11-15 ms serial; ship
-  7-13 ms, about 1,770 minor faults in the parent), against
-  0.40-0.51x (26-40 ms scheduled, 11-18 ms serial; ship 8-14 ms,
-  about 2,780 faults) when the parent computed its own run into slabs
-  too, 48 of them created per timed batch.
+  result slabs (segment creation and first touch) and of the worker's
+  input region, which grows past the warm-up's, none of which is
+  warmed or priced yet.  Ten runs on a 2-vCPU host read 0.26-0.65x
+  (14-31 ms scheduled, 7.5-12 ms serial; ship 1.7-8.2 ms, about 760
+  minor faults in the parent), against 0.38-0.44x (19-30 ms
+  scheduled, 7.8-12 ms serial; ship 6.4-11 ms, about 1,810 faults)
+  when each input frame a worker read was registered whole in a
+  segment of its own (8 segments, 5.7 MB, per timed batch).
 
 Results land in ``BENCH_wallclock.json`` at the repo root, including a
 ``wall.regression`` flag, the per-phase ship/compute/gather split CI
@@ -57,7 +59,7 @@ WORKERS = 4
 #: The scheduled run must never fall below this fraction of serial
 #: wall time on *any* host.
 FLOOR_SPEEDUP = 0.9
-#: With >= 4 real CPUs the zero-copy transport must win outright.
+#: With >= 4 real CPUs the shared-memory transport must win outright.
 TARGET_SPEEDUP = 1.5
 TARGET_CPUS = 4
 
@@ -111,8 +113,8 @@ def test_scheduler_wallclock(save_report):
     with CallScheduler(max_workers=WORKERS) as scheduler:
         # Warm the worker pool outside the timed region (process
         # start-up is a one-off cost a long-running host amortises);
-        # this also pre-registers the frames in the plane store, the
-        # steady state of a host that re-batches over a sequence.
+        # this also makes the worker's input region, sized to the
+        # warm-up run's planes (the timed run may grow it).
         _run(calls[:WORKERS], scheduler=scheduler)
         collections = _Collections()
         gc.callbacks.append(collections)

@@ -18,8 +18,8 @@ Two gates per pass, both required:
 * every result stays bit-exact against the serial
   :class:`~repro.addresslib.VectorExecutor` reference (the sanitizer
   must observe, never perturb) -- when it comes back, and again once
-  its shard has resolved (in the scheduler pass, both runs, the
-  second re-registering the unchanged inputs) and every input frame
+  its shard has resolved (in the scheduler pass, both runs, on the
+  same unchanged inputs) and every input frame
   of the shard has been written through
   :meth:`~repro.image.Frame.plane` (a write-after-call step: a result
   sharing a plane with its input, copy on write, must not see the
@@ -166,8 +166,9 @@ def _scheduler_pass(workers: int, findings: List[Dict[str, Any]]
                 calls = _shard_calls(shard)
                 before = len(scheduler.sanitizer_findings)
                 placed, runs = {}, []
-                # Both runs see the same inputs, so the second
-                # re-registers every frame unchanged.
+                # Both runs see the same, unchanged inputs: the first
+                # copies them into the worker's region, the second
+                # reads them in place.
                 for engine in ("worker", "parent"):
                     scheduler._engine_runs = _placing_all_on(
                         scheduler, engine)

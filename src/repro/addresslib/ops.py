@@ -86,9 +86,9 @@ class FaceScratch:
     takes it and handed back on every later take with whatever the
     last face left in it: a face writes a temporary in full before it
     reads it, and keeps none across calls.  Arrays are made lazily per
-    key, so a scratch that only ever served reduces holds none.  An
-    engine owns one -- each call-scheduler worker process, and each
-    scheduler for its parent's own run -- as the board holds its
+    key, so a scratch that only ever served reduces holds none.  Each
+    call-scheduler worker process owns one (the parent's own run is
+    serial execution, with fresh temporaries), as the board holds its
     IIM/OIM stores: built once, reused by every strip of every call.
     """
 

@@ -90,20 +90,14 @@ RULES: Dict[str, Rule] = {r.rule_id: r for r in (
     Rule("SVC003", Severity.WARNING, "service",
          "tenant p95 target unreachable under the admission budget "
          "and fair-share weights"),
-    Rule("SHM001", Severity.ERROR, "transport",
-         "source frame re-registered at a new generation while its "
-         "shipped handle is in flight within the wave"),
     Rule("SHM002", Severity.ERROR, "transport",
          "result slab adopted after the plane store closed"),
     Rule("SHM003", Severity.ERROR, "transport",
          "segment released again after it was already released "
          "(double free)"),
-    Rule("RES001", Severity.ERROR, "residency",
-         "worker cache consulted with a handle older than a generation "
-         "it already held"),
     Rule("RES002", Severity.WARNING, "residency",
-         "evicted frame re-attached with unchanged content: the cache "
-         "is smaller than the workload's reuse distance"),
+         "evicted frame shipped again: the banks released a frame the "
+         "workload still reads"),
     Rule("POOL001", Severity.ERROR, "pool",
          "failover requeue does not replay the failed wave verbatim"),
     Rule("POOL002", Severity.WARNING, "pool",

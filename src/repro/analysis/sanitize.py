@@ -3,26 +3,27 @@ rules.
 
 A :class:`TransportSanitizer` implements the
 :class:`~repro.host.shm.TransportObserver` protocol -- the hook sites
-in :mod:`repro.host.shm`, :class:`~repro.host.scheduler.CallScheduler`,
-the driver's :class:`~repro.host.driver.FrameResidencyCache` and
-:class:`~repro.pool.pool.EnginePool` notify it of every handle ship,
-segment release, result adoption, cache attach/evict, and pool
-wave/requeue -- and emits :class:`~repro.analysis.diagnostics.
-Diagnostic` findings under the transport (``SHM00x``), residency
-(``RES00x``) and pool (``POOL00x``) rule ids of the catalogue.  It
-always checks all three families.
+in :mod:`repro.host.shm`, the driver's
+:class:`~repro.host.driver.FrameResidencyCache` and
+:class:`~repro.pool.pool.EnginePool` notify it of every segment
+release, result adoption, bank attach/evict, and pool wave/requeue --
+and emits :class:`~repro.analysis.diagnostics.Diagnostic` findings
+under the transport (``SHM00x``), residency (``RES00x``) and pool
+(``POOL00x``) rule ids of the catalogue.  It always checks all three
+families.  SHM001 and RES001 are retired: they policed a registry of
+shipped frames and its generations, and a worker's inputs now go by
+value, copied when its run ships.
 
 Opt-in and cheap: nothing is instrumented until
 :func:`install_sanitizer` -- the one switch -- puts a sanitizer in
-place (a :class:`~repro.host.scheduler.CallScheduler` built afterwards
-arms its workers too), and every hook site is a single module-global
-``None`` check when it is not.
+place, and every hook site is a single module-global ``None`` check
+when it is not.
 
 :data:`SANITIZE_SELFTESTS` seeds one real bug per rule into the live
-primitives (a mutated frame under an in-flight handle, a double
-segment release, a one-entry cache thrashing, a pool whose requeue
-reorders a wave...) and checks the sanitizer catches it -- run by
-``repro-check --sanitize-selftest`` and the CI analysis gate.
+primitives (a double segment release, a frame the banks released and
+then ship again, a pool whose requeue reorders a wave...) and checks
+the sanitizer catches it -- run by ``repro-check --sanitize-selftest``
+and the CI analysis gate.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ from ..host import shm
 from .diagnostics import Diagnostic
 from .rules import _diag
 
+#: How many of the latest evictions RES002 remembers, so it reports
+#: reuse distances below twice this many.
+RES002_HORIZON = 128
+
 
 class TransportSanitizer:
     """Observer-side checkers emitting SHM/RES/POOL diagnostics.
@@ -46,20 +51,18 @@ class TransportSanitizer:
     installation order can never produce a false positive.
 
     The books hold only what a check can still use, so they stay flat
-    however long the process serves: shipped handles until their wave
-    closes, released segments while something still holds them (only
-    a holder can release one again), the latest evictions up to the
-    worker cache's capacity, and result frames while they live.
+    however long the process serves: released segments while something
+    still holds them (only a holder can release one again), the latest
+    evictions up to :data:`RES002_HORIZON`, and result frames while
+    they live.
     """
 
     def __init__(self) -> None:
         self.findings: List[Diagnostic] = []
         # transport state
-        self._wave_depth = 0
-        self._shipped: Dict[Tuple[str, int], int] = {}
         self._released: "weakref.WeakSet[Any]" = weakref.WeakSet()
-        # residency state: frame key -> evicted generation, latest last
-        self._evicted: "OrderedDict[Tuple[str, int], int]" = OrderedDict()
+        # residency state: the evicted frames' keys, latest last
+        self._evicted: "OrderedDict[Tuple[str, int], None]" = OrderedDict()
         # pool state: live result frame id -> (its ref, producing board)
         self._producers: Dict[int, Tuple["weakref.ref[Any]", int]] = {}
 
@@ -73,34 +76,7 @@ class TransportSanitizer:
     def _emit(self, rule_id: str, message: str) -> None:
         self.findings.append(_diag(rule_id, message))
 
-    # -- wave framing (scheduler-side) -------------------------------------
-
-    def wave_opened(self) -> None:
-        self._wave_depth += 1
-
-    def wave_closed(self) -> None:
-        self._wave_depth = max(0, self._wave_depth - 1)
-        if self._wave_depth == 0:
-            self._shipped.clear()
-
-    def handle_shipped(self, handle: shm.FrameHandle) -> None:
-        if self._wave_depth == 0:
-            return
-        key = (handle.token, handle.frame_id)
-        self._shipped.setdefault(key, handle.generation)
-
     # -- store lifecycle ---------------------------------------------------
-
-    def frame_registered(self, token: str, frame_id: int,
-                         generation: int) -> None:
-        shipped = self._shipped.get((token, frame_id))
-        if shipped is not None and generation > shipped:
-            self._emit(
-                "SHM001",
-                f"frame {frame_id} (store {token}) re-registered at "
-                f"generation {generation} while its generation "
-                f"{shipped} handle is shipped in the open wave: the "
-                f"source was mutated under an in-flight handle")
 
     def segment_released(self, segment: Any) -> None:
         if segment not in self._released:
@@ -120,35 +96,27 @@ class TransportSanitizer:
                 f"adopted frame would outlive the store's teardown "
                 f"guarantees")
 
-    # -- worker-cache residency --------------------------------------------
+    # -- bank residency ----------------------------------------------------
 
-    def cache_attach(self, token: str, frame_id: int, generation: int,
-                     cached_generation: Optional[int]) -> None:
-        evicted = self._evicted.pop((token, frame_id), None)
-        held = max((g for g in (cached_generation, evicted)
-                    if g is not None), default=-1)
-        if generation < held:
-            self._emit(
-                "RES001",
-                f"worker cache consulted for frame {frame_id} (store "
-                f"{token}) with a generation {generation} handle after "
-                f"it held generation {held}: a stale handle can serve "
-                f"mutated-away content")
-        elif cached_generation is None and evicted == generation:
+    def cache_attach(self, token: str, frame_id: int,
+                     resident: bool) -> None:
+        key = (token, frame_id)
+        if key not in self._evicted:
+            return
+        del self._evicted[key]
+        if not resident:
             self._emit(
                 "RES002",
-                f"frame {frame_id}@g{generation} (store {token}) "
-                f"re-attached after eviction with its content "
-                f"unchanged: cache capacity "
-                f"{shm.worker_cache_capacity()} is below this "
-                f"workload's reuse distance")
+                f"frame {frame_id} ({token}) shipped again after its "
+                f"eviction: the banks released a frame the workload "
+                f"still reads, so transport is paid twice for the same "
+                f"bytes")
 
-    def cache_evicted(self, token: str, frame_id: int,
-                      generation: int) -> None:
+    def cache_evicted(self, token: str, frame_id: int) -> None:
         evicted = self._evicted
         evicted.pop((token, frame_id), None)
-        evicted[(token, frame_id)] = generation
-        while len(evicted) > shm.worker_cache_capacity():
+        evicted[(token, frame_id)] = None
+        while len(evicted) > RES002_HORIZON:
             evicted.popitem(last=False)
 
     # -- pool placement and failover ---------------------------------------
@@ -229,19 +197,6 @@ def uninstall_sanitizer() -> Optional[TransportSanitizer]:
     return sanitizer
 
 
-def reset_for_worker() -> None:
-    """Worker-process hygiene: drop state inherited over ``fork()``.
-
-    A forked worker inherits the parent's sanitizer *object* (with the
-    parent's accumulated findings); those belong to the parent.  The
-    scheduler's pool initializer calls this before installing the
-    worker's own sanitizer.
-    """
-    global _ACTIVE
-    _ACTIVE = None
-    shm.set_transport_observer(None)
-
-
 # ---------------------------------------------------------------------------
 # Seeded-bug selftests (one real bug per rule, caught live)
 # ---------------------------------------------------------------------------
@@ -269,30 +224,6 @@ def _with_observer(scenario: Callable[[TransportSanitizer], Optional[bool]]
         shm.set_transport_observer(previous)
 
 
-def _selftest_shm001() -> Optional[List[Diagnostic]]:
-    """Mutate a source frame while its handle is shipped in a wave."""
-    from ..image.pixel import ALL_CHANNELS
-    from ..image.synth import noise_frame
-
-    def scenario(sanitizer: TransportSanitizer) -> Optional[bool]:
-        store = shm.PlaneStore()
-        try:
-            frame = noise_frame(_small_fmt(), seed=1)
-            handle = store.register(frame)
-            if handle is None:
-                return True
-            sanitizer.wave_opened()
-            sanitizer.handle_shipped(handle)
-            frame.plane(ALL_CHANNELS[0])[0, 0] ^= 0xFF
-            store.register(frame)  # generation bump under the wave
-            sanitizer.wave_closed()
-            return None
-        finally:
-            store.close()
-
-    return _with_observer(scenario)
-
-
 def _selftest_shm002() -> Optional[List[Diagnostic]]:
     """Adopt a leased result slab after the store closed."""
     from ..image.pixel import ALL_CHANNELS
@@ -311,83 +242,41 @@ def _selftest_shm002() -> Optional[List[Diagnostic]]:
 
 
 def _selftest_shm003() -> Optional[List[Diagnostic]]:
-    """Release a registered segment twice (refcount underflow)."""
-    from ..image.synth import noise_frame
+    """Release a leased slab's segment twice (refcount underflow)."""
 
     def scenario(_sanitizer: TransportSanitizer) -> Optional[bool]:
         store = shm.PlaneStore()
         try:
-            frame = noise_frame(_small_fmt(), seed=3)
-            handle = store.register(frame)
-            if handle is None:
+            slab = store.lease_slab(_small_fmt())
+            if slab is None:
                 return True
-            entry = store._entries[id(frame)]
-            shm._release_segment(entry.segment)  # legitimate release
-            shm._release_segment(entry.segment)  # double free
+            segment = store._slabs[slab.slab_id]
+            shm._release_segment(segment)  # legitimate release
+            shm._release_segment(segment)  # double free
             return None
         finally:
-            store.close()
-
-    return _with_observer(scenario)
-
-
-def _selftest_res001() -> Optional[List[Diagnostic]]:
-    """Attach with a stale-generation handle after a content rewrite."""
-    from ..image.pixel import ALL_CHANNELS
-    from ..image.synth import noise_frame
-
-    def scenario(_sanitizer: TransportSanitizer) -> Optional[bool]:
-        if not shm.SHARED_MEMORY_AVAILABLE:
-            return True
-        shm.reset_worker_cache()
-        store = shm.PlaneStore()
-        try:
-            frame = noise_frame(_small_fmt(), seed=4)
-            stale = store.register(frame)
-            if stale is None:
-                return True
-            shm.worker_attach(stale)
-            frame.plane(ALL_CHANNELS[0])[0, 0] ^= 0xFF
-            fresh = store.register(frame)
-            assert fresh is not None and fresh.generation == 1
-            shm.worker_attach(fresh)
-            try:
-                shm.worker_attach(stale)  # the seeded bug
-            except Exception:
-                pass  # the stale segment is already unlinked
-            return None
-        finally:
-            shm.reset_worker_cache()
             store.close()
 
     return _with_observer(scenario)
 
 
 def _selftest_res002() -> Optional[List[Diagnostic]]:
-    """Thrash a one-entry cache: evict, then re-attach unchanged."""
+    """The driver's banks release a frame a later call ships again."""
+    from ..addresslib.ops import INTRA_OPS
+    from ..core.config import intra_config
+    from ..host.driver import FrameResidencyCache
     from ..image.synth import noise_frame
 
     def scenario(_sanitizer: TransportSanitizer) -> Optional[bool]:
-        if not shm.SHARED_MEMORY_AVAILABLE:
-            return True
-        shm.reset_worker_cache()
-        previous_cap = shm.set_worker_cache_capacity(1)
-        store = shm.PlaneStore()
-        try:
-            frame_a = noise_frame(_small_fmt(), seed=5)
-            frame_b = noise_frame(_small_fmt(), seed=6)
-            handle_a = store.register(frame_a)
-            handle_b = store.register(frame_b)
-            if handle_a is None or handle_b is None:
-                return True
-            shm.worker_attach(handle_a)
-            shm.worker_attach(handle_b)  # evicts frame_a's entry
-            shm.worker_attach(handle_a)  # re-ship of unchanged content
-            return None
-        finally:
-            shm.set_worker_cache_capacity(previous_cap)
-            shm.reset_worker_cache()
-            store.close()
+        cache = FrameResidencyCache()
+        frame = noise_frame(_small_fmt(), seed=5)
+        config = intra_config(INTRA_OPS[sorted(INTRA_OPS)[0]],
+                              _small_fmt())
+        cache.plan(config, [frame])
+        cache.record_call(config, [frame], None)
+        cache.release(frame)  # the seeded bug: the frame is read again
+        cache.plan(config, [frame])
+        return None
 
     return _with_observer(scenario)
 
@@ -458,10 +347,8 @@ def _selftest_pool002() -> Optional[List[Diagnostic]]:
 #: result = environment cannot run the scenario, reported as skipped).
 SANITIZE_SELFTESTS: Dict[str, Tuple[
         Callable[[], Optional[List[Diagnostic]]], str]] = {
-    "shipped handle mutated mid-wave": (_selftest_shm001, "SHM001"),
     "result adopted after store close": (_selftest_shm002, "SHM002"),
     "segment double free": (_selftest_shm003, "SHM003"),
-    "stale-generation cache attach": (_selftest_res001, "RES001"),
     "eviction horizon below reuse distance": (_selftest_res002,
                                               "RES002"),
     "failover requeue reorders wave": (_selftest_pool001, "POOL001"),

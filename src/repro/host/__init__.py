@@ -8,8 +8,7 @@ from .driver import (AddressEngineDriver, CallPrice, DriverResult,
 from .runtime import (RunReport, Runtime, engine_platform,
                       software_platform)
 from .scheduler import BatchReport, CallScheduler
-from .shm import (SHARED_MEMORY_AVAILABLE, FrameHandle, PlaneStore,
-                  frame_payload_bytes)
+from .shm import SHARED_MEMORY_AVAILABLE, PlaneStore, frame_payload_bytes
 
 __all__ = [
     "AddressEngineDriver",
@@ -18,7 +17,6 @@ __all__ = [
     "CallScheduler",
     "DriverResult",
     "EngineBackend",
-    "FrameHandle",
     "FrameResidencyCache",
     "EngineBackendV2",
     "PlaneStore",

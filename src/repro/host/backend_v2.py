@@ -9,6 +9,7 @@ connectivity the unit cannot express.
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional, Sequence, Tuple
 
 from ..addresslib.addressing import AddressingMode
@@ -30,9 +31,11 @@ class EngineBackendV2(EngineBackend):
                  segment_unit: Optional[SegmentUnit] = None) -> None:
         super().__init__(driver)
         self.segment_unit = segment_unit or SegmentUnit()
-        #: Whether the frame of the previous call is still resident in
-        #: the ZBT (enables the call-chaining optimisation).
-        self._resident_frame_id: Optional[int] = None
+        #: The frame of the previous call, still resident in the ZBT
+        #: (enables the call-chaining optimisation).  Held weakly and
+        #: compared by identity: a new frame that takes a dead frame's
+        #: ``id()`` was never shipped.
+        self._resident: Optional["weakref.ref[Frame]"] = None
 
     def supports(self, mode: AddressingMode) -> bool:
         return mode is not AddressingMode.SEGMENT_INDEXED
@@ -42,13 +45,14 @@ class EngineBackendV2(EngineBackend):
                 max_pixels: Optional[int] = None
                 ) -> Tuple[SegmentResult, CallRecord]:
         """Execute a segment call on the modelled hardware unit."""
-        resident = self._resident_frame_id == id(frame)
+        resident = (self._resident is not None
+                    and self._resident() is frame)
         config = SegmentCallConfig(fmt=frame.format,
                                    luma_delta=criterion.max_delta,
                                    frame_resident=resident)
         run = self.segment_unit.run_call(config, frame, seeds,
                                          max_pixels=max_pixels)
-        self._resident_frame_id = id(frame)
+        self._resident = weakref.ref(frame)
         result = SegmentResult(labels=run.labels, distance=run.distance,
                                order=[], statistics=None,
                                processed_count=run.pixels_processed)

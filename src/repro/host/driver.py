@@ -122,8 +122,8 @@ class FrameResidencyCache:
         observer = shm.get_transport_observer()
         if observer is not None:
             for frame, resident in zip(frames, flags):
-                observer.cache_attach("driver", _event_key(frame), 0,
-                                      0 if resident else None)
+                observer.cache_attach("driver", _event_key(frame),
+                                      resident)
         return flags, reuses * -(-config.fmt.pixels // 2)
 
     def record_call(self, config: EngineConfig, frames: Sequence[Frame],
@@ -178,11 +178,8 @@ class FrameResidencyCache:
         self.evictions += dropped
         observer = shm.get_transport_observer()
         if dropped and observer is not None:
-            # The driver's banks carry no generation counter: the cache
-            # compares frames by identity, so the sanitizer's residency
-            # books key this event at a fixed generation 0 -- enough
-            # for the RES002 evict-then-reship check, inert for RES001.
-            observer.cache_evicted("driver", _event_key(frame), 0)
+            # For the RES002 evict-then-reship check.
+            observer.cache_evicted("driver", _event_key(frame))
 
 
 @dataclass(frozen=True)

@@ -21,26 +21,26 @@ module supplies that second axis:
   (``bypass_calls``), reading its inputs in place -- no round trip for
   those calls -- and then reads each worker's reply.  The workers take
   the head of the wave, so the frames only the tail reads (a batch's
-  cross-frame reduces, say) are never registered.  On a one-CPU host
-  the parent's run is the whole wave and nothing forks;
-* frames move to workers *zero-copy and at most once*: each distinct
-  input frame of the workers' runs is registered in a shared-memory
-  :class:`~repro.host.shm.PlaneStore` once per wave and shipped as a
-  small handle, and workers keep attached segments in a resident cache
-  across waves;
+  cross-frame reduces, say) are never copied.  On a one-CPU host the
+  parent's run is the whole wave and nothing forks;
+* a worker's inputs go *by value*, as the board's host ships each
+  call's input into its banks: for each worker run the parent copies
+  every distinct plane the run reads -- each input's computed channels
+  only -- into that worker's one input region, a shared-memory segment
+  the :class:`~repro.host.shm.PlaneStore` keeps for it wave after wave,
+  and the job list carries the planes' offsets;
 * every frame result has one constructor, wherever it ran: its first
   input passed through (:meth:`~repro.image.frame.Frame.pass_through`)
   with the planes its op computed.  The parent computes its own run
-  exactly as serial execution does (fresh computed planes; it
-  registers nothing and leases no slab).  A worker writes the
-  computed planes straight into a recycled result slab the store
-  leases, and the parent takes the slab's views of them as the
-  result's computed planes (:meth:`~repro.host.shm.PlaneStore.adopt_slab`).
-  The untouched planes are shared read-only with the input -- for a
-  registered input, its segment views -- and copied only if someone
-  asks to write one (:meth:`~repro.image.frame.Frame.plane`); a plane
-  the input cannot share (one an outside alias holds) is copied into
-  the result instead;
+  exactly as serial execution does (fresh computed planes; it copies
+  nothing and leases no slab).  A worker writes the computed planes
+  straight into a recycled result slab the store leases, and the
+  parent takes the slab's views of them as the result's computed
+  planes (:meth:`~repro.host.shm.PlaneStore.adopt_slab`).  The
+  untouched planes are the input's, lent read-only and copied only if
+  someone asks to write one (:meth:`~repro.image.frame.Frame.plane`);
+  a plane the input cannot lend (one an outside alias holds) is copied
+  into the result instead;
 * every batch is also *priced* under both timing models -- the serial
   (sum) model and the double-buffered overlap model of
   :class:`~repro.perf.timing.EngineTimingModel` -- list-scheduled onto
@@ -65,7 +65,8 @@ pipe end it inherits, so its next receive sees end of file once the
 parent closes its pipe or dies, and it exits -- a worker never outlives
 its parent.  Each worker keeps one
 :class:`~repro.addresslib.ops.FaceScratch`, which the kernels'
-temporaries and padded inputs reuse call after call.
+temporaries and padded inputs reuse call after call, and what it has
+mapped -- its input region and the result slabs -- in its own loop.
 
 Bit-exactness is by construction: every engine runs the *same* kernel
 step, :meth:`~repro.addresslib.executor.VectorExecutor.wave_into`
@@ -89,9 +90,12 @@ import multiprocessing
 import os
 import time
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
                     Union)
+
+import numpy as np
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -105,7 +109,8 @@ from ..addresslib.library import BatchCall, BatchExecutor, BatchOutcome
 from ..addresslib.ops import (ChannelSet, FaceScratch, InterOp, INTER_OPS,
                               INTRA_OPS, IntraOp)
 from ..core.pci import PCI_CLOCK_HZ
-from ..image.frame import Frame
+from ..image.formats import ImageFormat
+from ..image.pixel import Channel
 from ..perf.report import base_report_dict
 from ..perf.timing import EngineTimingModel, list_scheduled_makespan
 from . import shm
@@ -116,10 +121,11 @@ _KERNEL_PREFIX = "kernel_"
 #: (and then for the terminated worker to go).
 _JOIN_SECONDS = 5.0
 
-#: One call as shipped to a worker: mode, op token, channel set, the
-#: input frames' store handles, and the result slab leased to a call
-#: that produces a frame (``None`` for a reduce).
-_Job = Tuple[str, str, ChannelSet, Tuple[shm.FrameHandle, ...],
+#: One call as shipped to a worker: mode, op token, channel set,
+#: format, the offsets in the worker's input region of each input
+#: frame's planes of the computed channels, and the result slab leased
+#: to a call that produces a frame (``None`` for a reduce).
+_Job = Tuple[str, str, ChannelSet, ImageFormat, Tuple[Tuple[int, ...], ...],
              Optional[shm.SlabHandle]]
 
 #: A kind of shippable call, as the cut prices it: op name, frame
@@ -136,51 +142,27 @@ def _resolve_op(mode_value: str, op_name: str) -> Union[InterOp, IntraOp]:
     return kernel_by_name(op_name[len(_KERNEL_PREFIX):])
 
 
-def _worker_init(sanitized: bool) -> None:
-    """Worker start-up: fork hygiene plus optional sanitizing.
-
-    Drops worker-cache entries and any transport observer inherited
-    over ``fork()`` (both belong to the parent process), then installs
-    a fresh worker-side sanitizer when the parent has one installed --
-    its findings ship back with each wave's stats.
-    """
-    shm.reset_worker_cache()
-    shm.set_transport_observer(None)
-    if sanitized:
-        try:
-            from ..analysis import sanitize as _sanitize
-            _sanitize.reset_for_worker()
-            _sanitize.install_sanitizer()
-        except Exception:  # pragma: no cover - sanitizing is advisory
-            pass
-
-
-def _execute_wave(jobs: Sequence[_Job], sanitized: bool,
-                  scratch: FaceScratch
-                  ) -> Tuple[List[Union[int, bool]], Dict[str, object]]:
+def _execute_wave(jobs: Sequence[_Job], region: np.ndarray,
+                  slabs: shm.WorkerSlabs, scratch: FaceScratch
+                  ) -> Tuple[List[Union[int, bool]], List[float]]:
     """Worker-side execution of one worker's run of a wave.
 
-    Runs in an engine worker process.  Input frames arrive as
-    shared-memory handles, attached through the worker-resident cache;
-    a frame result is computed straight into its job's leased slab,
-    the kernels' temporaries in the worker's ``scratch``.
-    Returns one value per job, in job order -- a reduce's scalar, or
-    whether the result frame went into the slab (``False`` sends that
-    call back to the parent to run inline) -- plus the stats of this
-    trip: the cache counters, each job's wall seconds (what the next
-    cut balances) and, when sanitized, the worker's drained findings.
+    Runs in an engine worker process.  Each input is built over the
+    planes its call reads in the worker's mapped input ``region``; a
+    frame result is computed straight into its job's leased slab,
+    mapped through the worker's ``slabs``, the kernels' temporaries in
+    the worker's ``scratch``.  Returns one value per job, in job order
+    -- a reduce's scalar, or whether the result frame went into the
+    slab (``False`` sends that call back to the parent to run inline)
+    -- and each job's wall seconds (what the next cut balances).
     """
     results: List[Union[int, bool]] = []
     seconds: List[float] = []
-    stats: Dict[str, object] = {"cache_hits": 0, "attaches": 0,
-                                "seconds": seconds}
-    for mode_value, op_name, channels, handles, slab in jobs:
+    for mode_value, op_name, channels, fmt, inputs, slab in jobs:
         start = time.perf_counter()
-        frames: List[Frame] = []
-        for handle in handles:
-            frame, hit = shm.worker_attach(handle)
-            stats["cache_hits" if hit else "attaches"] += 1
-            frames.append(frame)
+        computed = channels_of(channels)
+        frames = [shm.worker_frame(region, fmt, computed, offsets)
+                  for offsets in inputs]
         op = _resolve_op(mode_value, op_name)
         if slab is None:
             scalar = VectorExecutor.wave(op, [frames], channels,
@@ -188,27 +170,46 @@ def _execute_wave(jobs: Sequence[_Job], sanitized: bool,
             assert isinstance(scalar, int)
             results.append(scalar)
         else:
-            result = shm.worker_result_frame(slab, frames[0].format)
+            result = shm.worker_result_frame(slabs, slab, fmt)
             if result is not None:
                 VectorExecutor.wave_into(
                     op, [frames], channels,
                     [{channel: result.read_plane(channel)
-                      for channel in channels_of(channels)}], scratch)
+                      for channel in computed}], scratch)
             results.append(result is not None)
         seconds.append(time.perf_counter() - start)
-    if sanitized:
-        try:
-            from ..analysis import sanitize as _sanitize
-            sanitizer = _sanitize.active_sanitizer()
-            if sanitizer is not None:
-                stats["findings"] = sanitizer.drain()
-        except Exception:  # pragma: no cover - sanitizing is advisory
-            pass
-    return results, stats
+    return results, seconds
 
 
-def _worker_main(link: "Connection", inherited: Sequence["Connection"],
-                 sanitized: bool) -> None:
+def _read_planes(calls: Sequence[BatchCall], run: Sequence[int]
+                 ) -> Tuple[List[Tuple[Tuple[int, ...], ...]],
+                            List[np.ndarray]]:
+    """The distinct planes the calls at ``run`` read -- each input
+    frame's planes of its call's computed channels -- and, call by
+    call, input by input, the index in them of each plane it reads.
+    Every frame of a wave is alive (the calls hold them), so ``id()``
+    names one frame for the whole pass."""
+    placed: Dict[Tuple[int, Channel], int] = {}
+    planes: List[np.ndarray] = []
+    reads = []
+    for index in run:
+        call = calls[index]
+        channels = channels_of(call.channels)
+        slots = []
+        for frame in call.frames:
+            frame_slots = []
+            for channel in channels:
+                slot = placed.setdefault((id(frame), channel), len(planes))
+                if slot == len(planes):
+                    planes.append(frame.read_plane(channel))
+                frame_slots.append(slot)
+            slots.append(tuple(frame_slots))
+        reads.append(tuple(slots))
+    return reads, planes
+
+
+def _worker_main(link: "Connection",
+                 inherited: Sequence["Connection"]) -> None:
     """An engine worker process: run each job list the parent sends
     down ``link`` and send back its results, until the link closes.
 
@@ -216,25 +217,34 @@ def _worker_main(link: "Connection", inherited: Sequence["Connection"],
     ``fork()`` (its own included), so the parent holds the only other
     end: a receive sees end of file once the parent closes the link or
     dies, however it dies, and the worker returns quietly -- as it does
-    when its reply cannot be sent.  Each reply carries the run's start
-    and end on the host-wide monotonic clock (the parent books the
-    dispatch delay from them).  ``_execute_wave`` is looked up at each
-    run, so a patch of it in the parent before the fork is the
-    worker's too.
+    when its reply cannot be sent.  It drops the transport observer it
+    inherited (the parent's).  Its mappings live here: its input
+    region, mapped again only when a run names another, and its
+    result slabs.  Each reply carries the run's start and end on the
+    host-wide monotonic clock (the parent books the dispatch delay
+    from them) and whether the worker mapped a new region for it.
+    ``_execute_wave`` is looked up at each run, so a patch of it in
+    the parent before the fork is the worker's too.
     """
     for end in inherited:
         end.close()
-    _worker_init(sanitized)
+    shm.set_transport_observer(None)
     scratch = FaceScratch()
+    region_name: Optional[str] = None
+    region = np.empty(0, np.uint8)
+    slabs: shm.WorkerSlabs = OrderedDict()
     while True:
         try:
-            jobs = link.recv()
+            name, jobs = link.recv()
         except (EOFError, OSError):
             return
         started = time.monotonic()
-        results, stats = _execute_wave(jobs, sanitized, scratch)
-        stats["started"] = started
-        stats["ended"] = time.monotonic()
+        remapped = name != region_name
+        if remapped:
+            region_name, region = name, shm.worker_region(name)
+        results, seconds = _execute_wave(jobs, region, slabs, scratch)
+        stats = {"seconds": seconds, "remapped": remapped,
+                 "started": started, "ended": time.monotonic()}
         try:
             link.send((results, stats))
         except OSError:
@@ -256,7 +266,7 @@ class _Worker:
         self.slabs: Sequence[Optional[shm.SlabHandle]] = ()
 
 
-def _start_worker(running: Sequence[_Worker], sanitized: bool) -> _Worker:
+def _start_worker(running: Sequence[_Worker]) -> _Worker:
     """Fork one engine worker process with a pipe of its own, with the
     default start method (a worker then starts from the parent's
     imports instead of re-importing them).
@@ -270,8 +280,7 @@ def _start_worker(running: Sequence[_Worker], sanitized: bool) -> _Worker:
     link, child = context.Pipe()
     process = context.Process(
         target=_worker_main, daemon=True,
-        args=(child, [worker.link for worker in running] + [link],
-              sanitized))
+        args=(child, [worker.link for worker in running] + [link]))
     try:
         process.start()
     except BaseException:
@@ -323,7 +332,8 @@ class BatchReport:
     bypass_calls: int = 0
     #: Job lists sent (one per worker run per wave).
     round_trips: int = 0
-    #: Wall seconds registering frames and sending job lists.
+    #: Wall seconds copying inputs into the workers' regions and
+    #: sending job lists.
     ship_seconds: float = 0.0
     #: Seconds from sending each worker's run to the worker starting
     #: it, summed over the runs: the dispatch delay, stamped on the
@@ -334,7 +344,8 @@ class BatchReport:
     compute_seconds: float = 0.0
     #: Wall seconds adopting result slabs in the parent.
     gather_seconds: float = 0.0
-    #: Worker-resident cache hits / fresh segment attaches.
+    #: Worker runs whose worker reused its mapped input region / mapped
+    #: a new one.
     worker_cache_hits: int = 0
     worker_cache_attaches: int = 0
     #: Modelled time of the batch on one engine, no overlap (sum model).
@@ -395,7 +406,8 @@ class _PoolResources:
     live here: an abandoned scheduler is collectable, and its finalizer
     still stops the workers and unlinks every shared-memory segment --
     whether triggered by ``close()``, garbage collection, or interpreter
-    exit.
+    exit.  The store keeps each worker's input region under the
+    worker's pid, and a worker's region goes when the worker does.
     """
 
     __slots__ = ("workers", "store")
@@ -405,11 +417,15 @@ class _PoolResources:
         self.store: Optional[shm.PlaneStore] = None
 
     def drop_workers(self, workers: Sequence[_Worker]) -> List[_Worker]:
-        """Stop ``workers`` and forget them; the next wave that has a
-        run for a worker starts fresh ones.  Returns those whose process
-        is gone."""
+        """Stop ``workers``, unlink their input regions and forget them;
+        the next wave that has a run for a worker starts fresh ones.
+        Returns those whose process is gone.  (A worker still reading
+        its region keeps its own mapping of it until it exits.)"""
         self.workers = [worker for worker in self.workers
                         if worker not in workers]
+        if self.store is not None:
+            for worker in workers:
+                self.store.release_region(worker.process.pid)
         return _stop_workers(workers)
 
     def drop_store(self) -> None:
@@ -428,11 +444,12 @@ class CallScheduler(BatchExecutor):
 
     The worker processes start on the first wave that has a run for a
     worker and survive across batches (worker warm-up is paid once).
-    Frames reach the workers as plane-store handles and results return
-    through slabs.  A call of a worker's run that cannot go that way --
-    no shared memory, a store that fails while its wave ships, a slab
-    its worker cannot write, a worker that cannot start, fails or dies
-    -- runs inline in the parent, still bit-exact, never lost.  A failed
+    Inputs reach the workers by value through their input regions and
+    results return through slabs.  A call of a worker's run that cannot
+    go that way -- no shared memory, a store that fails while its wave
+    ships, a slab its worker cannot write, a worker that cannot start,
+    fails or dies -- runs inline in the parent, still bit-exact, never
+    lost.  A failed
     worker or store is stopped and dropped, failing only its own run;
     the next batch starts a fresh one.
 
@@ -440,9 +457,9 @@ class CallScheduler(BatchExecutor):
     most one engine per CPU of them runs, the parent being one.
 
     A scheduler built while a transport sanitizer is installed
-    (:func:`~repro.analysis.sanitize.install_sanitizer`) arms its
-    workers with sanitizers of their own and collects every finding
-    into :attr:`sanitizer_findings`.
+    (:func:`~repro.analysis.sanitize.install_sanitizer`) collects its
+    findings into :attr:`sanitizer_findings` after each batch.  (The
+    workers fire no hook, so they run no sanitizer.)
     """
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
@@ -453,8 +470,8 @@ class CallScheduler(BatchExecutor):
         if shm.get_transport_observer() is not None:
             from ..analysis.sanitize import active_sanitizer
             self.sanitized = active_sanitizer() is not None
-        #: Runtime findings: the parent sanitizer's drained diagnostics
-        #: plus every worker's, in collection order.
+        #: Runtime findings: the sanitizer's drained diagnostics, in
+        #: collection order.
         self.sanitizer_findings: List["Diagnostic"] = []
         self.max_workers = max(1, max_workers or os.cpu_count() or 1)
         #: Engines that run: the parent plus one worker process per
@@ -520,7 +537,7 @@ class CallScheduler(BatchExecutor):
         while len(resources.workers) < self._engines - 1:
             try:
                 resources.workers.append(
-                    _start_worker(resources.workers, self.sanitized))
+                    _start_worker(resources.workers))
             except OSError:
                 break
         return resources.workers
@@ -589,23 +606,21 @@ class CallScheduler(BatchExecutor):
         """Execute one wave of independent calls; outcomes in order.
 
         Four phases, each timed into the report: *plan* (op tokens, and
-        the cut into one run per engine), *ship* (register the workers'
-        frames, lease result slabs, send each worker run's job list
-        down its worker's pipe), *compute* (the parent's own run, as
-        serial execution runs it, and any call that could not ship;
-        then read each worker's reply, a worker that failed running
-        its whole run inline), *gather* (pass each worker result's
-        first input through with the slab's computed planes; a slab
-        the worker could not write runs its call inline).
+        the cut into one run per engine), *ship* (copy each worker
+        run's inputs into its worker's region, lease result slabs, send
+        each run's job list down its worker's pipe), *compute* (the
+        parent's own run, as serial execution runs it, and any call
+        that could not ship; then read each worker's reply, a worker
+        that failed running its whole run inline), *gather* (pass each
+        worker result's first input through with the slab's computed
+        planes; a slab the worker could not write runs its call
+        inline).
         """
         calls = list(calls)
         outcomes: List[Optional[BatchOutcome]] = [None] * len(calls)
         report = BatchReport(calls=len(calls), waves=1,
                              workers=self.max_workers)
 
-        observer = shm.get_transport_observer()
-        if observer is not None:
-            observer.wave_opened()
         tokens = [self._op_token(call) for call in calls]
         priced = [self._call_costs(call) for call in calls]
         *runs, own = self._engine_runs(
@@ -615,8 +630,8 @@ class CallScheduler(BatchExecutor):
         runs = [run for run in runs if run]
         workers = self._ensure_workers() if runs else []
 
-        # Ship: register every distinct frame of the workers' runs
-        # once, lease result slabs, send one job list per run.  A run
+        # Ship: copy what each worker run reads into its worker's
+        # region, lease result slabs, send one job list per run.  A run
         # left without a worker (none could start) runs inline.
         groups: List[_Group] = []
         if workers:
@@ -684,8 +699,6 @@ class CallScheduler(BatchExecutor):
         report.modeled_serial_seconds = serial
         report.modeled_pipelined_seconds = pipelined
         self._account(report)
-        if observer is not None:
-            observer.wave_closed()
         if self.sanitized:
             from ..analysis import sanitize as _sanitize
             sanitizer = _sanitize.active_sanitizer()
@@ -760,51 +773,50 @@ class CallScheduler(BatchExecutor):
               tokens: Sequence[Optional[str]], runs: List[List[int]],
               workers: Sequence[_Worker],
               report: BatchReport) -> List[_Group]:
-        """Register each distinct input frame of the workers' ``runs``
-        once, lease a result slab to each call that produces a frame,
-        and send run ``i``'s job list to ``workers[i]``.
+        """Copy the planes each of the workers' ``runs`` reads into its
+        worker's input region, lease a result slab to each call that
+        produces a frame, and send run ``i``'s job list to
+        ``workers[i]``.
 
-        Nothing is sent until the whole of the runs is in the store.  A
-        store that fails on the way is closed and dropped, and no group
+        Nothing is sent until every run's region is written.  A store
+        that fails on the way is closed and dropped, and no group
         ships: every call of the runs runs inline.  A group whose send
         fails is unsent and runs inline when collected.
         """
         store = self._ensure_store()
-        observer = shm.get_transport_observer()
-        # Every frame of the wave is alive (the calls hold them), so
-        # id() names one frame for the whole pass.
-        handles: Dict[int, shm.FrameHandle] = {}
-        for frame in {id(frame): frame for run in runs for index in run
-                      for frame in calls[index].frames}.values():
-            handle = store.register(frame)
-            if handle is None:
+        groups: List[_Group] = []
+        messages: List[Tuple[str, List[_Job]]] = []
+        for run, worker in zip(runs, workers):
+            reads, planes = _read_planes(calls, run)
+            written = store.write_region(worker.process.pid, planes)
+            if written is None:
                 self._resources.drop_store()
                 return []
-            if observer is not None:
-                observer.handle_shipped(handle)
-            handles[id(frame)] = handle
-        groups = [_Group(run, [None if calls[index].reduce_to_scalar
-                               else store.lease_slab(calls[index].fmt)
-                               for index in run], worker)
-                  for run, worker in zip(runs, workers)]
+            name, offsets = written
+            group = _Group(run, [None if calls[index].reduce_to_scalar
+                                 else store.lease_slab(calls[index].fmt)
+                                 for index in run], worker)
+            jobs: List[_Job] = []
+            for index, slots, slab in zip(run, reads, group.slabs):
+                call, token = calls[index], tokens[index]
+                assert token is not None
+                inputs = tuple(tuple(offsets[slot] for slot in frame)
+                               for frame in slots)
+                jobs.append((call.mode.value, token, call.channels,
+                             call.fmt, inputs, slab))
+            groups.append(group)
+            messages.append((name, jobs))
         if store.broken:
             self._resources.drop_store()  # unlinks the leased slabs
             return []
-        for group in groups:
-            jobs: List[_Job] = []
-            for index, slab in zip(group.indices, group.slabs):
-                call, token = calls[index], tokens[index]
-                assert token is not None
-                jobs.append((call.mode.value, token, call.channels,
-                             tuple(handles[id(frame)]
-                                   for frame in call.frames), slab))
+        for group, message in zip(groups, messages):
             # Pending before the send: a send cut short leaves a worker
             # no later wave may read from.
             group.worker.pending = True
             group.worker.slabs = group.slabs
             sent = time.monotonic()
             try:
-                group.worker.link.send(jobs)
+                group.worker.link.send(message)
             except OSError:
                 continue  # unsent: the group runs inline when collected
             group.sent = sent
@@ -839,15 +851,10 @@ class CallScheduler(BatchExecutor):
         if isinstance(seconds, list):
             for index, spent in zip(group.indices, seconds):
                 self._learn(calls[index], spent)
-        hits = stats.get("cache_hits", 0)
-        attaches = stats.get("attaches", 0)
-        report.worker_cache_hits += hits if isinstance(hits, int) else 0
-        report.worker_cache_attaches += (attaches
-                                         if isinstance(attaches, int)
-                                         else 0)
-        findings = stats.get("findings")
-        if isinstance(findings, list):
-            self.sanitizer_findings.extend(findings)
+        if stats.get("remapped"):
+            report.worker_cache_attaches += 1
+        else:
+            report.worker_cache_hits += 1
         return items
 
     def _account(self, report: BatchReport) -> None:

@@ -13,7 +13,9 @@ Every call result is built one way, as the Process Unit passes the
 channels a call leaves untouched through in the same ZBT word:
 :meth:`Frame.pass_through` on the call's first input, with the planes
 the call computed -- fresh planes on the serial path, a worker's
-result-slab views on the call scheduler's.
+result-slab views on the call scheduler's.  That is also the one way a
+frame shares memory with another: nothing else swaps a frame's planes,
+and a frame the scheduler ships to a worker is copied, not shared.
 """
 
 from __future__ import annotations
@@ -43,12 +45,11 @@ class Frame:
     A frame may *share* planes: read-only arrays that several frames
     hold and nothing writes again.  A call's result shares the planes
     its op leaves untouched with its first input (:meth:`pass_through`,
-    the software form of the Process Unit's channel pass-through), and
-    a registered input shares its planes with its plane-store snapshot
-    (:meth:`share_snapshot`), its private ones freed.  One rule decides
-    which planes a frame may share (:meth:`_sharable`): the planes it
-    shares already, and each plane it alone holds -- nothing outside
-    the frame could write it behind the frame's back.  The frame
+    the software form of the Process Unit's channel pass-through), the
+    one way a frame lends a plane.  One rule decides which planes a
+    frame may lend (:meth:`_sharable`): the planes it shares already,
+    and each plane it alone holds -- nothing outside the frame could
+    write it behind the frame's back.  The frame
     records which channels it shares, and :meth:`plane` copies a
     shared plane the first time it is asked for -- copy on write -- so
     every public accessor hands out the frame's own plane.  Library
@@ -88,11 +89,8 @@ class Frame:
 
         Always the frame's own array: a shared plane is copied on the
         first request, so writing it reaches no other frame sharing it
-        -- an input, its results, a plane-store snapshot -- and the
-        next registration of a registered frame sees that the plane is
-        no longer its snapshot's, and compares it.  A plane held from
-        here is an alias: while it lives, the frame shares it with
-        nothing.
+        -- an input or its results.  A plane held from here is an
+        alias: while it lives, the frame lends it to nothing.
         """
         if channel in self._shared:
             self._planes[channel] = self._planes[channel].copy()
@@ -101,9 +99,9 @@ class Frame:
 
     def read_plane(self, channel: Channel) -> np.ndarray:
         """The plane of ``channel`` for reading only: never copied, so a
-        shared plane comes back as its read-only snapshot view.  For
-        library code that reads a frame; a caller that may write asks
-        :meth:`plane`."""
+        shared plane comes back as the read-only array its holders
+        share.  For library code that reads a frame; a caller that may
+        write asks :meth:`plane`."""
         return self._planes[channel]
 
     @property
@@ -137,19 +135,6 @@ class Frame:
             for channel in ALL_CHANNELS})
         result._shared = lent
         return result
-
-    def share_snapshot(self, views: Mapping[Channel, np.ndarray]) -> None:
-        """Take ``views`` -- read-only snapshot views holding exactly
-        this frame's content -- as the planes of every channel the
-        frame may share (:meth:`_sharable`), marked shared, and free
-        the frame's own planes of those channels.  A plane something
-        else holds stays the frame's own, and a registration compares
-        it."""
-        sharable = self._sharable()
-        planes = self._planes
-        for channel in sharable:
-            planes[channel] = views[channel]
-        self._shared |= sharable
 
     def _sharable(self) -> FrozenSet[Channel]:
         """The channels whose plane the frame may share with another
@@ -246,8 +231,8 @@ class Frame:
         """Wrap existing arrays as a frame without copying.
 
         The arrays become the frame's planes directly -- the caller is
-        responsible for keeping their backing buffers alive (this is the
-        zero-copy attach path of the shared-memory transport).  Each
+        responsible for keeping their backing buffers alive (a
+        scheduler worker wraps its result slabs this way).  Each
         plane must already have the format's shape and the channel's
         canonical dtype.  The planes of the ``shared`` channels are
         read-only planes the frame shares (a luma frame's neutral
@@ -280,7 +265,8 @@ class Frame:
         """Wrap ``planes`` (one per channel, each already of the
         format's shape and the channel's dtype) as a frame, unchecked
         and uncopied: the constructor of code that built the planes
-        itself, such as :meth:`pass_through`.
+        itself, such as :meth:`pass_through`.  A scheduler worker's
+        input holds only the planes its call reads.
         """
         frame = cls.__new__(cls)
         frame.format = fmt

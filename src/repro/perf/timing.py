@@ -36,9 +36,9 @@ def lpt_schedule(costs: Sequence[float], engines: int
     time first (ties by index), each cost onto the least-loaded engine
     (ties to the lowest engine).  Returns each engine's cost indices in
     placement order and its load, accumulated with ``+=`` in that
-    order, so :func:`list_scheduled_makespan` is the peak load to the
-    bit.  The call scheduler groups a wave's shipped calls onto its
-    worker processes with it.
+    order, so :func:`list_scheduled_makespan`, its one caller, is the
+    peak load to the bit.  (The call scheduler cuts its waves by
+    measured seconds instead; this prices the modelled makespan.)
     """
     loads = [0.0] * max(1, engines)
     groups: List[List[int]] = [[] for _ in loads]

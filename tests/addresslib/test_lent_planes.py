@@ -127,37 +127,14 @@ def _same_planes(frame, model):
 # Which planes a result shares
 # ---------------------------------------------------------------------------
 
-def _compares_when_reregistered(frames, monkeypatch):
-    """Register each of ``frames`` in a fresh store, then once more:
-    the planes the second registrations compared.  (A helper, so no
-    plane of the frames is held while they register.)"""
-    compares = []
-    real = shm._same_values
-
-    def spy(plane, view):
-        compares.append(plane.shape)
-        return real(plane, view)
-
-    store = shm.PlaneStore()
-    try:
-        handles = [store.register(frame) for frame in frames]
-        monkeypatch.setattr(shm, "_same_values", spy)
-        assert [store.register(frame) for frame in frames] == handles
-    finally:
-        store.close()
-    return compares
-
-
 @pytest.mark.parametrize("size", (1, 3))
 @pytest.mark.parametrize("kind", sorted(CALLS))
 @pytest.mark.parametrize("runner", sorted(RUNNERS))
-def test_a_result_shares_exactly_its_untouched_channels(runner, kind, size,
-                                                        monkeypatch):
+def test_a_result_shares_exactly_its_untouched_channels(runner, kind, size):
     """Each result shares exactly its untouched channels with its
     first input, and owns each computed plane: an array of its own,
     not an item of the wave's batch, so no result pins its siblings'
-    planes, and registering the result shares that plane too -- its
-    re-registration compares nothing."""
+    planes, and the result can lend that plane in turn."""
     inputs, calls = _wave_of(kind, size)
     models = [_deep(frame) for frame in inputs]
     want = _golden(calls)
@@ -187,9 +164,6 @@ def test_a_result_shares_exactly_its_untouched_channels(runner, kind, size,
                                            if r is not result]
                     for c in ALL_CHANNELS)
         assert not inputs[-1].shared_channels  # a second input lends none
-        del plane
-        if SHARED_MEMORY_AVAILABLE:
-            assert _compares_when_reregistered(results, monkeypatch) == []
     for frame, model in zip(inputs, models):
         assert _same_planes(frame, model)
 
@@ -371,7 +345,7 @@ _steps = st.one_of(
               st.sampled_from(ALL_CHANNELS)),
     st.tuples(st.just("alias_write"), st.integers(0, 7), _pixels),
     st.tuples(st.just("drop_alias"), st.integers(0, 7)),
-    st.tuples(st.just("register"), _indices),
+    st.tuples(st.just("ship"), _indices),
 )
 
 
@@ -409,10 +383,10 @@ def _run_step_call(lib, kind, first, second):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_steps, min_size=1, max_size=25))
 def test_lent_planes_track_every_frames_content(steps):
-    """Whatever is called, written, aliased and registered, every frame
+    """Whatever is called, written, aliased and shipped, every frame
     -- inputs and results -- reads as its model of deep copies, every
-    reduce equals the model's, each registration's segment holds the
-    model's content, and a plane an alias reaches is never shared."""
+    reduce equals the model's, each ship puts the model's content where
+    a worker reads it, and a plane an alias reaches is never shared."""
     frames = [noise_frame(SMALL, seed=70 + i) for i in range(2)]
     models = [_deep(frame) for frame in frames]
     aliases = []  # (frame, its model, kind, channel, row, alias)
@@ -451,11 +425,9 @@ def test_lent_planes_track_every_frames_content(steps):
                              value)
             elif step[0] == "drop_alias" and aliases:
                 del aliases[step[1] % len(aliases)]
-            elif step[0] == "register":
+            elif step[0] == "ship" and SHARED_MEMORY_AVAILABLE:
                 i = step[1] % len(frames)
-                handle = store.register(frames[i])
-                if handle is not None:
-                    assert _same_planes(_segment_frame(handle), models[i])
+                assert _same_planes(_shipped(store, frames[i]), models[i])
             for frame, model in zip(frames, models):
                 assert _same_planes(frame, model)
             # A frame out of the pool may live on in an alias.  (No
@@ -469,10 +441,13 @@ def test_lent_planes_track_every_frames_content(steps):
         store.close()
 
 
-def _segment_frame(handle):
-    fmt = handle.fmt
-    return shm.read_frame(fmt, shm._attach_bytes(
-        handle.segment_name, shm.frame_payload_bytes(fmt)))
+def _shipped(store, frame):
+    """``frame`` as a scheduler worker reads it: all five planes copied
+    into an input region and viewed through a mapping of its own."""
+    name, offsets = store.write_region(
+        0, [frame.read_plane(channel) for channel in ALL_CHANNELS])
+    return shm.worker_frame(shm.worker_region(name), frame.format,
+                            ALL_CHANNELS, offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -590,39 +565,28 @@ def _smooth_frame(seed):
     return frame
 
 
-@pytest.mark.parametrize("holder", ["registered", "lent", "result",
-                                    "luma"])
+@pytest.mark.parametrize("holder", ["lent", "result", "luma"])
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_a_reader_copies_no_shared_plane(reader, holder, tmp_path):
     """Each library reader returns on a frame sharing planes the same
     bits as on a private copy, and leaves every shared plane shared."""
     frame = _smooth_frame(81)
-    store = None
-    if holder == "registered":
-        if not SHARED_MEMORY_AVAILABLE:
-            pytest.skip("no POSIX shared memory")
-        store = shm.PlaneStore()
-        assert store.register(frame) is not None
-    elif holder == "result":
+    if holder == "result":
         frame = VectorExecutor.intra(INTRA_BOX3, frame)
     elif holder == "luma":
         frame = frame_from_luma(READER_FMT, frame.read_plane(Channel.Y))
     else:
         VectorExecutor.intra(INTRA_BOX3, frame)
-    try:
-        shared = frame.shared_channels
-        assert shared
-        planes = {channel: frame.read_plane(channel) for channel in shared}
-        want = READERS[reader](_deep(frame), tmp_path)
-        got = READERS[reader](frame, tmp_path)
-        assert len(got) == len(want)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert frame.shared_channels == shared
-        assert all(frame.read_plane(channel) is plane
-                   for channel, plane in planes.items())
-    finally:
-        if store is not None:
-            store.close()
+    shared = frame.shared_channels
+    assert shared
+    planes = {channel: frame.read_plane(channel) for channel in shared}
+    want = READERS[reader](_deep(frame), tmp_path)
+    got = READERS[reader](frame, tmp_path)
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert frame.shared_channels == shared
+    assert all(frame.read_plane(channel) is plane
+               for channel, plane in planes.items())
 
 
 # ---------------------------------------------------------------------------
@@ -670,32 +634,6 @@ def test_a_write_on_a_luma_frame_reaches_no_other(write):
     assert _same_planes(_luma_frame(2), kept)
     assert all((other.read_plane(channel) == value).all()
                for channel, value in NEUTRAL.items())
-
-
-def test_a_registered_luma_frame_is_reregistered_unread(monkeypatch):
-    if not SHARED_MEMORY_AVAILABLE:
-        pytest.skip("no POSIX shared memory")
-    compares = []
-    real = shm._same_values
-
-    def spy(plane, view):
-        compares.append(plane.shape)
-        return real(plane, view)
-
-    monkeypatch.setattr(shm, "_same_values", spy)
-    frame = _luma_frame(3)
-    model = _deep(frame)
-    store = shm.PlaneStore()
-    try:
-        handle = store.register(frame)
-        assert handle is not None
-        assert frame.shared_channels == EVERY_CHANNEL
-        for _ in range(3):
-            assert store.register(frame) is handle
-        assert compares == []
-        assert _same_planes(_segment_frame(handle), model)
-    finally:
-        store.close()
 
 
 @pytest.mark.parametrize("kind", sorted(CALLS))

@@ -3,20 +3,21 @@
 Five contracts:
 
 * every ``SANITIZE_SELFTESTS`` scenario (one real seeded bug per
-  SHM/RES/POOL rule, against the *live* shared-memory primitives) is
-  caught -- or skipped where the platform has no shared memory -- and
-  every transport/residency/pool rule of the catalogue has one;
+  SHM/RES/POOL rule, against the *live* shared-memory primitives, the
+  driver's banks and the pool) is caught -- or skipped where the
+  platform has no shared memory -- and every transport/residency/pool
+  rule of the catalogue has one;
 * a sanitizer-armed scheduler run over the 0xFA57 corpus recipe stays
   bit-exact against the serial executor and emits zero error-severity
   findings (observation never perturbs results), and healthy pools of
   one to four boards read zero findings of any severity;
 * ``install_sanitizer()`` is the one switch, with nothing to choose: a
-  scheduler built under it arms its workers, and nothing else (no
+  scheduler built under it collects the findings, and nothing else (no
   environment variable) arms anything;
 * the sanitizer's own books stay flat over long runs: they hold only
   what a check can still use;
-* the retired static wave-plan verifier and the sanitizer's domain
-  argument stay gone.
+* the retired static wave-plan verifier, the sanitizer's domain
+  argument and the retired SHM001/RES001 rules stay gone.
 """
 
 import gc
@@ -29,7 +30,7 @@ from repro.addresslib import (AddressLib, BatchCall, INTER_OPS,
                               SoftwareBackend, VectorExecutor)
 from repro.analysis import RULES
 from repro.analysis.cli import main as repro_check_main
-from repro.analysis.sanitize import (SANITIZE_SELFTESTS,
+from repro.analysis.sanitize import (RES002_HORIZON, SANITIZE_SELFTESTS,
                                      active_sanitizer, install_sanitizer,
                                      uninstall_sanitizer)
 from repro.api import EnginePool, EngineService, ServicePolicy
@@ -67,8 +68,8 @@ def _random_batch_call(rng):
 
 def _serial_reference(call):
     """The serial result of ``call``, deep-copied: the serial path lends
-    the result its input's untouched planes, which a registered input
-    shares with its segment, and a reference must not follow them."""
+    the result its input's untouched planes, and a reference must not
+    follow a later write to the input."""
     if call.reduce_to_scalar:
         return VectorExecutor.inter_reduce(call.op, call.frames[0],
                                            call.frames[1], call.channels)
@@ -202,8 +203,7 @@ class TestPoolBooksBounded:
 def _book_sizes(sanitizer):
     """How many entries each of the sanitizer's books holds."""
     gc.collect()
-    return {"shipped": len(sanitizer._shipped),
-            "released": len(sanitizer._released),
+    return {"released": len(sanitizer._released),
             "evicted": len(sanitizer._evicted),
             "producers": len(sanitizer._producers)}
 
@@ -245,29 +245,28 @@ class TestBooksStayFlat:
         assert _book_sizes(sanitizer) == early
         assert sanitizer.drain() == []
 
-    def test_worker_cache_remembers_one_capacity_of_evictions(self):
-        if not shm.SHARED_MEMORY_AVAILABLE:
-            pytest.skip("shared memory unavailable on this platform")
+    def test_eviction_book_remembers_one_horizon(self):
+        """The driver's banks release frame after frame: the sanitizer
+        remembers the latest ``RES002_HORIZON`` evictions, so the
+        latest is still checked and the oldest is forgotten."""
+        from repro.core import intra_config
+        from repro.host import FrameResidencyCache
+
         sanitizer = install_sanitizer()
-        shm.reset_worker_cache()
-        previous = shm.set_worker_cache_capacity(8)
-        store = shm.PlaneStore()
         fmt = ImageFormat("T8", 8, 8)
-        try:
-            recent = []
-            for seed in range(400):
-                frame = noise_frame(fmt, seed=seed)
-                shm.worker_attach(store.register(frame))
-                recent = (recent + [frame])[-9:]
-            assert len(sanitizer._evicted) == 8
-            assert sanitizer.drain() == []
-            # The latest eviction is still checked.
-            shm.worker_attach(store.register(recent[0]))
-            assert [d.rule_id for d in sanitizer.drain()] == ["RES002"]
-        finally:
-            shm.set_worker_cache_capacity(previous)
-            shm.reset_worker_cache()
-            store.close()
+        config = intra_config(_INTRA[0], fmt)
+        cache = FrameResidencyCache()
+        frames = [noise_frame(fmt, seed=seed) for seed in range(400)]
+        for frame in frames:
+            cache.plan(config, [frame])
+            cache.record_call(config, [frame], None)
+            cache.release(frame)
+        assert len(sanitizer._evicted) == RES002_HORIZON
+        assert sanitizer.drain() == []
+        cache.plan(config, [frames[0]])  # evicted beyond the horizon
+        assert sanitizer.drain() == []
+        cache.plan(config, [frames[-1]])  # the latest eviction
+        assert [d.rule_id for d in sanitizer.drain()] == ["RES002"]
 
 
 class TestHealthyPoolsClean:
@@ -321,3 +320,6 @@ class TestRetiredSpellings:
     def test_wave_plan_api_is_gone(self):
         with pytest.raises(ImportError):
             from repro.analysis import analyze_waves  # noqa: F401
+
+    def test_retired_rule_ids_stay_retired(self):
+        assert not {"SHM001", "RES001", "SVC002"} & set(RULES)

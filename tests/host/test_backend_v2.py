@@ -73,3 +73,21 @@ class TestResidency:
         lib.segment(frame, [(24, 24)], luma_delta_criterion(10))
         lib.segment(other, [(10, 10)], luma_delta_criterion(10))
         assert lib.log.records[-1].extra["frame_resident"] == 0.0
+
+    def test_a_new_frame_on_a_dead_frames_id_is_not_resident(self):
+        """CPython hands a dead frame's ``id()`` to the next object: a
+        fresh frame that takes it was never shipped, so it must book
+        ``frame_resident`` 0, however many such frames are tried."""
+        lib = AddressLib(EngineBackendV2())
+        reused = 0
+        for seed in range(40):
+            frame = blob_frame(FMT, [(24, 24)], radius=4 + seed % 8)
+            dead = id(frame)
+            lib.segment(frame, [(24, 24)], luma_delta_criterion(10))
+            del frame
+            fresh = blob_frame(FMT, [(12, 12)], radius=6)
+            reused += id(fresh) == dead
+            lib.segment(fresh, [(12, 12)], luma_delta_criterion(10))
+            assert lib.log.records[-1].extra["frame_resident"] == 0.0
+            del fresh
+        assert reused  # the id was handed on at least once

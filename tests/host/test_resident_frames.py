@@ -1,19 +1,18 @@
-"""Registered frames live in their plane-store segment.
+"""Inputs ship to the workers by value, and keep their own planes.
 
-A frame takes its registration's read-only segment views as the planes
-it alone holds, shared copy on write, and frees its own, as the board
-keeps a frame in its ZBT banks across calls.  Re-registering a frame
-that shares all five is an identity check that reads no pixel.  A
-write through any public accessor copies a plane first, so the next
-registration compares that plane and, when it changed, bumps the
-generation.  A plane with an outside alias -- a held plane, a row
-view, a memoryview, a plane over a larger buffer, or every plane of a
-plane dict two frames wrap -- stays the frame's own and is compared,
-so a write through the alias still reaches the next batch.
+The scheduler copies the planes a worker's run reads into that
+worker's input region each wave, as the board's host ships each
+call's input into its banks: shipping swaps none of a frame's planes,
+so a frame shares memory only with the results it lends its untouched
+planes to (:meth:`~repro.image.frame.Frame.pass_through`).  Whatever
+writes a frame between batches -- any public accessor, or an outside
+alias: a held plane, a row view, a memoryview, a plane over a larger
+buffer, a plane dict two frames wrap -- the next batch's worker reads
+the new content, and earlier results keep the old.
 """
 
-import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from repro.addresslib import (AddressLib, BatchCall, ChannelSet,
                               INTRA_SOBEL_X, SoftwareBackend)
 from repro.host import CallScheduler, SHARED_MEMORY_AVAILABLE
 from repro.host import shm
-from repro.image import CIF, Frame, ImageFormat, noise_frame
+from repro.image import Frame, ImageFormat, noise_frame
 from repro.image.pixel import ALL_CHANNELS, Channel, Pixel
 
 pytestmark = pytest.mark.skipif(not SHARED_MEMORY_AVAILABLE,
@@ -84,8 +83,8 @@ def _scheduled(sched, calls):
 
 def _serial(calls):
     """The serial results of ``calls``, deep-copied: they share their
-    inputs' untouched planes, which a registered input shares with its
-    segment, and a reference must not follow them."""
+    inputs' untouched planes, and a reference must not follow a later
+    write to an input."""
     return [result.copy()
             for result in AddressLib(SoftwareBackend()).run_batch(calls)]
 
@@ -106,84 +105,18 @@ def _all_equal(got, want):
         g.equals(w) for g, w in zip(got, want))
 
 
-def _segment_frame(handle):
-    """The frame in ``handle``'s segment, through a mapping of its own."""
-    fmt = handle.fmt
-    return shm.read_frame(fmt, shm._attach_bytes(
-        handle.segment_name, shm.frame_payload_bytes(fmt)))
+def _held_planes(frame):
+    """Weak references to the arrays ``frame`` holds: they neither copy
+    a plane nor alias one (an alias would keep the frame from lending
+    it)."""
+    return {channel: weakref.ref(frame.read_plane(channel))
+            for channel in ALL_CHANNELS}
 
 
-def _snapshot(store, frame):
-    """The read-only segment views of ``frame``'s last registration in
-    ``store``: the planes the frame shares from then on."""
-    return store._entries[id(frame)].views
-
-
-def _psm_names():
-    try:
-        return {name for name in os.listdir("/dev/shm")
-                if name.startswith("psm_")}
-    except FileNotFoundError:
-        return set()
-
-
-def _counting_compares(monkeypatch):
-    """Count every plane compare the store makes from here on."""
-    compares = []
-    real = shm._same_values
-
-    def spy(plane, view):
-        compares.append(plane.shape)
-        return real(plane, view)
-
-    monkeypatch.setattr(shm, "_same_values", spy)
-    return compares
-
-
-# ---------------------------------------------------------------------------
-# Unaliased frames: shared after registration, re-registered unread
-# ---------------------------------------------------------------------------
-
-def test_an_unaliased_frame_is_reregistered_without_a_read(sched,
-                                                           monkeypatch):
-    frame = noise_frame(FMT, seed=1)
-    other = noise_frame(FMT, seed=2)
-    content = _planes(frame)
-    calls = _fan_out(frame, other)
-    want = _serial(calls)
-    first = _scheduled(sched, calls)
-    store = sched._resources.store
-    handle = store.register(frame)
-    views = _snapshot(store, frame)
-    assert frame.shared_channels == EVERY_CHANNEL
-    assert all(frame.read_plane(c) is views[c] for c in ALL_CHANNELS)
-
-    compares = _counting_compares(monkeypatch)
-    second = _scheduled(sched, calls)
-    assert store.register(frame) is handle
-    assert compares == []
-    assert _all_equal(first, want) and _all_equal(second, want)
-    assert _same_planes(frame, content)
-
-
-def test_a_frame_shares_its_snapshot_from_its_first_registration():
-    store = shm.PlaneStore()
-    frame = noise_frame(FMT, seed=3)
-    content = _planes(frame)
-    try:
-        handle = store.register(frame)
-        assert frame.shared_channels == EVERY_CHANNEL
-        assert not any(frame.read_plane(c).flags.writeable
-                       for c in ALL_CHANNELS)
-        assert _same_planes(frame, content)
-        assert _same_planes(_segment_frame(handle), content)
-        # Every public accessor still hands out a private plane.
-        plane = frame.plane(Channel.V)
-        assert plane.flags.writeable
-        assert not np.shares_memory(plane,
-                                    _snapshot(store, frame)[Channel.V])
-    finally:
-        store.close()
+def _holds(frame, held):
+    """Whether ``frame`` still holds the arrays of :func:`_held_planes`."""
+    return all(frame.read_plane(channel) is held[channel]()
+               for channel in ALL_CHANNELS)
 
 
 def _write_plane(frame):
@@ -209,53 +142,30 @@ WRITES = {"plane": _write_plane, "y": _write_property,
 
 
 @pytest.mark.parametrize("write", sorted(WRITES))
-def test_a_write_after_registration_reaches_the_next_batch(sched, write):
-    """The write copies the plane it writes, so the next wave compares
-    it, bumps the generation and ships the new content; the first
+def test_a_write_between_batches_reaches_the_next_batch(sched, write):
+    """The write copies the plane it writes where the frame lent it,
+    and the next batch ships the new content to the worker; the first
     batch's results keep the old content."""
     frame = noise_frame(FMT, seed=4)
     other = noise_frame(FMT, seed=5)
     calls = _fan_out(frame, other)
     first_want = _serial(calls)
     first = _scheduled(sched, calls)
-    store = sched._resources.store
-    handle = store.register(frame)
-    assert frame.shared_channels == EVERY_CHANNEL
+    lent = frame.shared_channels
+    assert lent == EVERY_CHANNEL - {Channel.Y}
 
     WRITES[write](frame)
     second_want = _serial(calls)
     second = _scheduled(sched, calls)
-    fresh = store.register(frame)
 
-    assert fresh.frame_id == handle.frame_id
-    assert fresh.generation == handle.generation + 1
     assert not _all_equal(first_want, second_want)
     assert _all_equal(first, first_want)
     assert _all_equal(second, second_want)
-    assert frame.shared_channels == EVERY_CHANNEL  # shared again
-
-
-def test_a_read_through_plane_keeps_the_handle(monkeypatch):
-    """``plane()`` without a write: the next registration compares the
-    copied plane alone, keeps the handle and shares the frame again."""
-    frame = noise_frame(FMT, seed=6)
-    store = shm.PlaneStore()
-    try:
-        handle = store.register(frame)
-        frame.plane(Channel.AUX)
-        assert frame.shared_channels == EVERY_CHANNEL - {Channel.AUX}
-        compares = _counting_compares(monkeypatch)
-        assert store.register(frame) is handle
-        assert len(compares) == 1
-        assert frame.shared_channels == EVERY_CHANNEL
-        assert store.register(frame) is handle
-        assert len(compares) == 1
-    finally:
-        store.close()
+    assert frame.shared_channels == lent  # lent again by the second batch
 
 
 # ---------------------------------------------------------------------------
-# Aliases: the frame keeps its planes and the compare
+# Aliases: the frame keeps its planes, and lends none an alias reaches
 # ---------------------------------------------------------------------------
 
 def _held_plane():
@@ -317,49 +227,51 @@ ALIASES = {"held_plane": _held_plane, "row_view": _row_view,
 
 @pytest.mark.parametrize("alias", sorted(ALIASES))
 def test_an_alias_keeps_the_frames_planes(sched, alias):
-    """The aliased planes alone stay the frame's own; every other plane
-    shares the snapshot."""
+    """Shipping swaps none of the frame's planes, so the alias still
+    reaches the frame: a write through it reaches the next batch, the
+    worker's run included.  The frame lends its results every plane
+    but the aliased ones, which each result holds a copy of."""
     frame, write_through_alias, aliased = ALIASES[alias]()
     other = noise_frame(FMT, seed=16)
+    held = _held_planes(frame)
     calls = _fan_out(frame, other)
     first_want = _serial(calls)
     first = _scheduled(sched, calls)
-    store = sched._resources.store
-    handle = store.register(frame)
-    assert frame.shared_channels == EVERY_CHANNEL - aliased
+    assert _holds(frame, held)
+    untouched = EVERY_CHANNEL - {Channel.Y}
+    assert frame.shared_channels == untouched - aliased
 
     write_through_alias()
     second_want = _serial(calls)
     second = _scheduled(sched, calls)
-    fresh = store.register(frame)
 
-    assert fresh.generation == handle.generation + 1
     assert not _all_equal(first_want, second_want)
     assert _all_equal(first, first_want)
     assert _all_equal(second, second_want)
-    assert _same_planes(_segment_frame(fresh), _planes(frame))
-    assert frame.shared_channels == EVERY_CHANNEL - aliased
+    assert _holds(frame, held)
+    assert frame.shared_channels == untouched - aliased
 
 
-def test_dropping_the_alias_lets_the_frame_share():
+def test_dropping_the_alias_lets_the_frame_share(sched):
+    """While ``frame.aux`` is held, the worker's result holds a copy of
+    AUX; once it is dropped, the next result shares the frame's."""
     frame = noise_frame(FMT, seed=17)
-    store = shm.PlaneStore()
-    try:
-        alias = frame.aux
-        handle = store.register(frame)
-        assert frame.shared_channels == EVERY_CHANNEL - {Channel.AUX}
-        del alias
-        assert store.register(frame) is handle
-        assert frame.shared_channels == EVERY_CHANNEL
-    finally:
-        store.close()
+    other = noise_frame(FMT, seed=18)
+    alias = frame.aux
+    worker = _scheduled(sched, _fan_out(frame, other))[0]
+    assert Channel.AUX not in worker.shared_channels
+    assert not np.shares_memory(worker.read_plane(Channel.AUX), alias)
+    del alias
+    worker = _scheduled(sched, _fan_out(frame, other))[0]
+    assert Channel.AUX in worker.shared_channels
+    assert worker.read_plane(Channel.AUX) is frame.read_plane(Channel.AUX)
 
 
 def test_a_worker_result_copies_its_inputs_aliased_plane(sched):
     """A worker's result is its first input passed through, as a serial
     result is: the plane a held ``frame.u`` aliases is a private copy
-    in the result, equal to the input's and viewing no segment, so a
-    write through the alias after the batch does not reach it."""
+    in the result, equal to the input's, so a write through the alias
+    after the batch does not reach it."""
     frame = noise_frame(FMT, seed=90)
     other = noise_frame(FMT, seed=91)
     alias = frame.u
@@ -367,7 +279,6 @@ def test_a_worker_result_copies_its_inputs_aliased_plane(sched):
     want = _serial(calls)
     results = _scheduled(sched, calls)
     assert _all_equal(results, want)
-    store = sched._resources.store
     worker = results[0]  # the worker's intra Y call: U is untouched
     assert Channel.U not in worker.shared_channels
     assert Channel.V in worker.shared_channels
@@ -375,100 +286,9 @@ def test_a_worker_result_copies_its_inputs_aliased_plane(sched):
     assert plane.flags.owndata
     assert np.array_equal(plane, alias)
     assert not np.shares_memory(plane, alias)
-    assert not np.shares_memory(plane, _snapshot(store, frame)[Channel.U])
     alias[2:5, 1:4] ^= 0x5A
     assert np.array_equal(worker.read_plane(Channel.U),
                           want[0].read_plane(Channel.U))
-
-
-def test_a_rewrite_shares_every_plane_but_the_aliased_one(monkeypatch):
-    """After a write through a held plane bumps the generation, the
-    frame's four other planes share the new segment and none views the
-    superseded one, so each later registration compares the aliased
-    plane alone."""
-    frame = noise_frame(CIF, seed=18)
-    store = shm.PlaneStore()
-    try:
-        store.register(frame)
-        superseded = _snapshot(store, frame)
-        alias = frame.y
-        alias[5:9] ^= 0x3C
-        handle = store.register(frame)
-        assert handle.generation == 1
-        assert frame.shared_channels == EVERY_CHANNEL - {Channel.Y}
-        assert not any(np.shares_memory(frame.read_plane(c), superseded[c])
-                       for c in ALL_CHANNELS)
-        compares = _counting_compares(monkeypatch)
-        for registration in range(1, 4):
-            assert store.register(frame) is handle
-            assert compares == [alias.shape] * registration
-        assert frame.read_plane(Channel.Y) is alias
-    finally:
-        store.close()
-
-
-# ---------------------------------------------------------------------------
-# Lifetimes: two stores, a closed store, a collected frame
-# ---------------------------------------------------------------------------
-
-def test_a_frame_registered_in_two_stores():
-    frame = noise_frame(FMT, seed=21)
-    stores = [shm.PlaneStore(), shm.PlaneStore()]
-    try:
-        handles = [store.register(frame) for store in stores]
-        for _ in range(2):
-            for store, handle in zip(stores, handles):
-                assert store.register(frame) is handle
-        content = _planes(frame)
-        for handle in handles:
-            assert _same_planes(_segment_frame(handle), content)
-
-        frame.plane(Channel.Y)[0] ^= 0xFF
-        content = _planes(frame)
-        fresh = [store.register(frame) for store in stores]
-        for old, new in zip(handles, fresh):
-            assert new.generation == old.generation + 1
-            assert _same_planes(_segment_frame(new), content)
-        stores[0].close()
-        assert _same_planes(frame, content)
-        assert stores[1].register(frame) is fresh[1]
-    finally:
-        for store in stores:
-            store.close()
-
-
-def test_closing_a_store_keeps_the_frames_sharing_its_views():
-    store = shm.PlaneStore()
-    frames = [noise_frame(FMT, seed=seed) for seed in (31, 32)]
-    contents = [_planes(frame) for frame in frames]
-    for frame in frames:
-        store.register(frame)
-    names = set(store.active_segment_names())
-    assert len(names) == 2 and names <= _psm_names()
-    assert all(frame.shared_channels == EVERY_CHANNEL for frame in frames)
-
-    store.close()
-
-    assert not names & _psm_names()
-    for frame, content in zip(frames, contents):
-        assert _same_planes(frame, content)
-    frames[0].plane(Channel.Y)[...] = 3  # still a frame like any other
-    assert (frames[0].read_plane(Channel.Y) == 3).all()
-
-
-def test_a_collected_frame_unlinks_its_segment():
-    store = shm.PlaneStore()
-    frame = noise_frame(FMT, seed=41)
-    try:
-        name = store.register(frame).segment_name
-        assert frame.shared_channels == EVERY_CHANNEL
-        assert name in _psm_names()
-        del frame
-        gc.collect()
-        assert store.segments_active == 0
-        assert name not in _psm_names()
-    finally:
-        store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +301,7 @@ _channels = st.sampled_from(ALL_CHANNELS)
 _pixels = st.tuples(st.integers(0, SMALL.height - 1),
                     st.integers(0, SMALL.width - 1), st.integers(0, 255))
 _steps = st.one_of(
-    st.tuples(st.just("register")),
+    st.tuples(st.just("ship"), st.sampled_from(ALL_CHANNELS)),
     st.tuples(st.just("write"), _channels, _pixels),
     st.tuples(st.just("alias"), st.sampled_from(["plane", "row",
                                                  "memoryview"]),
@@ -514,34 +334,30 @@ def _alias_write(held, row, column, value):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_steps, min_size=1, max_size=25))
-def test_registration_tracks_the_frames_content(steps):
+def test_shipping_tracks_the_frames_content(steps):
     """Whatever is written and aliased, the frame reads as the model,
-    each registration's segment holds the model's content, the
-    generation moves exactly when the content changed, and a plane an
-    alias reaches is never swapped out from under it."""
+    each ship puts the model's content where the worker reads it, and
+    shipping never swaps, lends or copies a plane of the frame."""
     frame = noise_frame(SMALL, seed=51)
     model = _planes(frame)
     aliases = []  # (kind, channel, row, alias)
     store = shm.PlaneStore()
-    registered = None  # (handle, content at registration)
     try:
         for step in steps:
-            if step[0] == "register":
-                handle = store.register(frame)
-                if registered is None:
-                    assert handle.generation == 0
-                elif _same_content(registered[1], model):
-                    assert handle is registered[0]
-                else:
-                    assert handle.generation == registered[0].generation + 1
-                assert _same_planes(_segment_frame(handle), model)
-                registered = (handle, {c: p.copy() for c, p in model.items()})
-                if not aliases:
-                    assert frame.shared_channels == EVERY_CHANNEL
-                # (No loop variable may outlive this check: it would
-                # hold an alias of its own.)
-                assert not any(held[1] in frame.shared_channels
-                               for held in aliases)
+            if step[0] == "ship":
+                held = _held_planes(frame)
+                shared = frame.shared_channels
+                channels = sorted({Channel.Y, step[1]},
+                                  key=ALL_CHANNELS.index)
+                name, offsets = store.write_region(
+                    0, [frame.read_plane(c) for c in channels])
+                shipped = shm.worker_frame(shm.worker_region(name),
+                                           SMALL, channels, offsets)
+                assert all(np.array_equal(shipped.read_plane(c), model[c])
+                           for c in channels)
+                assert _holds(frame, held)
+                assert frame.shared_channels == shared
+                del held, shipped
             elif step[0] == "write":
                 _, channel, (row, column, value) = step
                 frame.plane(channel)[row, column] = value
@@ -562,7 +378,3 @@ def test_registration_tracks_the_frames_content(steps):
     finally:
         aliases.clear()
         store.close()
-
-
-def _same_content(a, b):
-    return all(np.array_equal(a[c], b[c]) for c in ALL_CHANNELS)

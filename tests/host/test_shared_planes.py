@@ -2,12 +2,13 @@
 
 A frame result a :class:`CallScheduler` computes over shared memory
 holds only the planes its op computes in its result slab; every other
-plane is a read-only view of its first input's plane-store snapshot,
-which nothing writes again.  These tests hold that sharing to behave
-exactly like a private copy: a write through any public accessor
-copies the plane first (copy on write), an input mutated between
-batches gets a new snapshot while earlier results keep theirs, and
-library code that only reads never copies.
+plane is its first input's own plane, lent read-only, as every serial
+result's is (:meth:`~repro.image.frame.Frame.pass_through`).  These
+tests hold that sharing to behave exactly like a private copy: a
+write through any public accessor copies the plane first (copy on
+write), an input mutated between batches ships its new content while
+earlier results keep theirs, and library code that only reads never
+copies.
 """
 
 import os
@@ -20,7 +21,6 @@ from repro.addresslib import (AddressLib, BatchCall, ChannelSet,
                               INTRA_SOBEL_X, SoftwareBackend,
                               VectorExecutor)
 from repro.host import CallScheduler, SHARED_MEMORY_AVAILABLE
-from repro.host import shm
 from repro.image import Frame, ImageFormat, noise_frame
 from repro.image.pixel import ALL_CHANNELS, Channel, Pixel
 from repro.image.planar import PlanarFrame420
@@ -72,8 +72,8 @@ def _scheduled(sched, calls):
 
 def _serial(calls):
     """The serial results of ``calls``, deep-copied: they share their
-    inputs' untouched planes, which a registered input shares with its
-    segment, and a reference must not follow them."""
+    inputs' untouched planes, and a reference must not follow a later
+    write to an input."""
     return [result.copy()
             for result in AddressLib(SoftwareBackend()).run_batch(calls)]
 
@@ -96,16 +96,6 @@ def _planes(frame):
 def _same_planes(frame, planes):
     return all(np.array_equal(frame.read_plane(channel), planes[channel])
                for channel in ALL_CHANNELS)
-
-
-def _store(sched):
-    return sched._resources.store
-
-
-def _snapshot(store, frame):
-    """The read-only segment views of ``frame``'s last registration in
-    ``store``: the planes the frame shares from then on."""
-    return store._entries[id(frame)].views
 
 
 def _write_plane(frame, channel):
@@ -142,13 +132,14 @@ def test_writing_a_result_reaches_nothing_it_shares(sched, target, name,
     other = noise_frame(FMT, seed=12)
     calls = _fan_out(frame, other)
     results = _scheduled(sched, calls)
+    lent = {c: frame.read_plane(c) for c in ALL_CHANNELS}
     for result, call in zip(results, calls):
         computed = {Channel.Y} if call.channels is ChannelSet.Y else {
             Channel.Y, Channel.U, Channel.V}
         assert result.shared_channels == set(ALL_CHANNELS) - computed
-    snapshot = _snapshot(_store(sched), frame)
+        for c in result.shared_channels:
+            assert result.read_plane(c) is lent[c]
     before = {"input": _planes(frame),
-              "snapshot": {c: np.array(p) for c, p in snapshot.items()},
               "siblings": [_planes(result) for result in results]}
 
     result = results[target]
@@ -157,23 +148,20 @@ def test_writing_a_result_reaches_nothing_it_shares(sched, target, name,
     assert result.plane(channel).flags.writeable
     assert (result.read_plane(channel) == 42).any()
     assert _same_planes(frame, before["input"])
-    assert all(np.array_equal(snapshot[c], before["snapshot"][c])
-               for c in ALL_CHANNELS)
     for index, sibling in enumerate(results):
         if index != target:
             assert _same_planes(sibling, before["siblings"][index])
     for c in ALL_CHANNELS:
-        assert not np.shares_memory(result.plane(c), frame.plane(c))
-        assert not np.shares_memory(result.plane(c), snapshot[c])
+        assert not np.shares_memory(result.plane(c), lent[c])
 
 
 @pytest.mark.parametrize("source", ["frame", "result"])
-def test_an_input_mutated_between_batches_gets_a_new_snapshot(sched,
-                                                              source):
+def test_an_input_mutated_between_batches_ships_its_new_content(sched,
+                                                                source):
     """The second batch's results carry the input's new content; the
     first batch's keep the old.  A ``result`` input is itself a
-    scheduled result, sharing planes with its own input's snapshot,
-    which its mutation must not reach either."""
+    scheduled result, sharing planes with its own input, which its
+    mutation must not reach either."""
     base = noise_frame(FMT, seed=21)
     other = noise_frame(FMT, seed=22)
     earlier = _scheduled(sched, _fan_out(base, other))
@@ -203,14 +191,6 @@ def test_an_input_mutated_between_batches_gets_a_new_snapshot(sched,
             assert _same_planes(result, planes)
 
 
-def _register(frame):
-    store = shm.PlaneStore()
-    try:
-        assert store.register(frame) is not None
-    finally:
-        store.close()
-
-
 def _executor_inputs(frame):
     VectorExecutor.wave(INTRA_BOX3, [(frame,)], ChannelSet.YUV)
     VectorExecutor.inter_reduce(INTER_ABSDIFF, frame, frame, ChannelSet.YUV)
@@ -229,23 +209,20 @@ READS = {
     "histogram": lambda frame, sched: [VectorExecutor.histogram(frame, c)
                                        for c in ALL_CHANNELS],
     "planar_420": lambda frame, sched: PlanarFrame420.from_frame(frame),
-    "register": lambda frame, sched: _register(frame),
     "executor_inputs": lambda frame, sched: _executor_inputs(frame),
     "scheduled_inputs": lambda frame, sched: _scheduled(
         sched, _fan_out(frame, frame)),
 }
 
-#: The reads that register the result: it then shares its own
-#: registration's snapshot views in place of its input's, and in place
-#: of each computed plane it owns -- the parent's result, computed as
-#: the serial path computes, owns them; the worker's views its slab.
-REGISTERING = {"register", "scheduled_inputs"}
-
-
 @pytest.mark.parametrize("read", sorted(READS))
 def test_reading_a_result_copies_nothing(sched, read):
     """Each library read path leaves a result's shared planes shared,
-    with no copy made; the first ``plane()`` afterwards still copies."""
+    with no copy made; the first ``plane()`` afterwards still copies.
+    Shipping a result to a worker as an input copies it into the
+    worker's region and swaps none of its planes; the calls of that
+    batch pass it through, so the parent's result -- which owns its
+    computed planes, as a serial result does -- lends them its U and V
+    too (the worker's views its slab, which it never lends)."""
     results = _scheduled(sched, _fan_out(noise_frame(FMT, seed=31),
                                          noise_frame(FMT, seed=32)))
     worker, parent = results[0], results[-1]
@@ -255,18 +232,12 @@ def test_reading_a_result_copies_nothing(sched, read):
         assert views and not any(view.flags.writeable
                                  for view in views.values())
         READS[read](result, sched)
-        owned = (frozenset(ALL_CHANNELS) - shared
-                 if read in REGISTERING and result is parent
+        owned = (frozenset({Channel.U, Channel.V})
+                 if read == "scheduled_inputs" and result is parent
                  else frozenset())
         assert result.shared_channels == shared | owned
         for channel, view in views.items():
-            plane = result.read_plane(channel)
-            if read in REGISTERING:
-                assert not plane.flags.writeable
-                assert not plane.flags.owndata
-                assert np.array_equal(plane, view)
-            else:
-                assert plane is view
+            assert result.read_plane(channel) is view
         for channel, view in views.items():
             plane = result.plane(channel)
             assert plane.flags.writeable

@@ -1,12 +1,13 @@
-"""Zero-copy transport: plane store, worker cache, and fallbacks.
+"""Shared-memory transport: input regions, result slabs, fallbacks.
 
 The scheduler must hand back *indistinguishable* results wherever a
 call ran: in a worker over shared memory, in the parent's own run of a
 wave, or in the inline fallback after shared memory, the store or a
 worker failed.  This harness drives the 0xFA57 corpus recipe down each
-of those paths and pins down the segment lifecycle -- registration
-dedupe, generation bumps on mutation, weakref release, result-slab
-recycling, in-place result writes, and leak-free teardown.
+of those paths and pins down the segment lifecycle -- each worker's
+input region (reused, grown, released with its worker), inputs shipped
+by value, result-slab recycling, in-place result writes, and leak-free
+teardown.
 """
 
 import gc
@@ -17,7 +18,9 @@ import signal
 import subprocess
 import sys
 import time
+from collections import OrderedDict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +35,7 @@ from repro.host import CallScheduler, SHARED_MEMORY_AVAILABLE
 from repro.host import scheduler as scheduler_module
 from repro.host import shm
 from repro.image import Frame, ImageFormat, noise_frame
-from repro.image.pixel import ALL_CHANNELS
+from repro.image.pixel import ALL_CHANNELS, Channel
 
 _INTRA = sorted(INTRA_OPS.values(), key=lambda op: op.name)
 _INTER = sorted(INTER_OPS.values(), key=lambda op: op.name)
@@ -75,8 +78,8 @@ def _random_batch_call(rng):
 
 def _serial_reference(call):
     """The serial result of ``call``, deep-copied: the serial path lends
-    the result its input's untouched planes, which a registered input
-    shares with its segment, and a reference must not follow them."""
+    the result its input's untouched planes, and a reference must not
+    follow a later write to the input."""
     if call.reduce_to_scalar:
         return VectorExecutor.inter_reduce(call.op, call.frames[0],
                                            call.frames[1], call.channels)
@@ -105,8 +108,8 @@ def _psm_names():
 
 
 def _write_result(slab, frame):
-    """Copy ``frame`` into ``slab`` through the worker's result view."""
-    result = shm.worker_result_frame(slab, frame.format)
+    """Copy ``frame`` into ``slab`` through a worker's result view."""
+    result = shm.worker_result_frame(OrderedDict(), slab, frame.format)
     assert result is not None
     for channel in ALL_CHANNELS:
         result.plane(channel)[...] = frame.plane(channel)
@@ -116,6 +119,22 @@ def _adopt_whole(store, slab, fmt):
     """Every plane of the result in ``slab``, adopted, as a frame."""
     return Frame.from_plane_views(fmt, store.adopt_slab(slab, fmt,
                                                         ALL_CHANNELS))
+
+
+def _shipped(store, key, frame, channels=ALL_CHANNELS):
+    """Ship the ``channels`` planes of ``frame`` through the input
+    region of worker ``key`` as the scheduler does; returns the frame a
+    worker builds over them (its own mapping) and the region's name."""
+    name, offsets = store.write_region(
+        key, [frame.read_plane(channel) for channel in channels])
+    return shm.worker_frame(shm.worker_region(name), frame.format,
+                            channels, offsets), name
+
+
+def _same_read_planes(got, want, channels=ALL_CHANNELS):
+    return all(np.array_equal(got.read_plane(channel),
+                              want.read_plane(channel))
+               for channel in channels)
 
 
 def _tracker_messages(monkeypatch):
@@ -135,91 +154,129 @@ def _tracker_messages(monkeypatch):
 
 @needs_shm
 class TestPlaneStore:
-    def test_register_dedupes_unchanged_frame(self):
+    def test_a_region_is_reused_while_its_planes_fit(self):
+        """One region per worker: each plane 64-byte aligned, written
+        in place wave after wave while they fit, and read back by the
+        worker exactly."""
         store = shm.PlaneStore()
-        frame = noise_frame(QCIF, seed=3)
+        frames = [noise_frame(QCIF, seed=s) for s in (3, 4)]
         try:
-            first = store.register(frame)
-            second = store.register(frame)
-            assert first is second
-            assert first.generation == 0
-            assert store.segments_created == 1
-            assert store.segments_active == 1
+            names = set()
+            for frame in frames:
+                got, name = _shipped(store, 0, frame)
+                names.add(name)
+                assert _same_read_planes(got, frame)
+                assert not any(got.read_plane(c).flags.writeable
+                               for c in ALL_CHANNELS)
+            _, offsets = store.write_region(
+                0, [frames[0].read_plane(c) for c in ALL_CHANNELS])
+            assert all(offset % 64 == 0 for offset in offsets)
+            assert len(names) == 1 and store.segments_created == 1
+            assert store.active_segment_names() == list(names)
         finally:
             store.close()
 
-    def test_mutation_bumps_generation_into_fresh_segment(self):
+    def test_a_region_grows_for_larger_planes_and_unlinks_the_old(self):
+        small = ImageFormat("S8x8", 8, 8)
         store = shm.PlaneStore()
-        frame = noise_frame(QCIF, seed=4)
         try:
-            first = store.register(frame)
-            frame.y[:] ^= 1
-            second = store.register(frame)
-            assert second.frame_id == first.frame_id
-            assert second.generation == first.generation + 1
-            assert second.segment_name != first.segment_name
-            assert store.generation_bumps == 1
+            _, first = _shipped(store, 0, noise_frame(small, seed=5))
+            frame = noise_frame(QCIF, seed=6)
+            got, grown = _shipped(store, 0, frame)
+            assert grown != first
+            assert _same_read_planes(got, frame)
             assert store.segments_created == 2
-            assert store.segments_active == 1
-            # The stale segment's name is gone.
-            with pytest.raises(Exception):
-                shm._attach_segment(first.segment_name)
+            assert store.active_segment_names() == [grown]
+            with pytest.raises(FileNotFoundError):
+                shm._attach_segment(first)
+            # What the planes need, as that is more than twice the old
+            # size (five 8x8 planes, 64-byte aligned: 448 bytes).
+            assert store._regions[0].nbytes == shm.frame_payload_bytes(QCIF)
+            _, again = _shipped(store, 0, noise_frame(small, seed=7))
+            assert again == grown
         finally:
             store.close()
 
-    @pytest.mark.parametrize("width, height", [(5, 5), (8, 3), (7, 9)])
-    @pytest.mark.parametrize("channel", ALL_CHANNELS)
-    def test_any_changed_pixel_bumps_the_generation(self, width, height,
-                                                    channel):
-        """The content check compares planes as 8-byte words plus the
-        odd tail bytes: a change to any one pixel -- the first, one in
-        the word-compared body, the last in the tail -- is seen."""
-        fmt = ImageFormat(f"G{width}x{height}", width, height)
+    def test_a_grown_region_at_least_doubles(self):
+        """A region that must grow takes ``max(need, 2 x old)`` bytes, so
+        a run that needs a little more each wave replaces it rarely."""
+        fmt = ImageFormat("S8x8", 8, 8)  # 64-byte Y planes
+        planes = [noise_frame(fmt, seed=s).read_plane(Channel.Y)
+                  for s in range(3)]
         store = shm.PlaneStore()
-        frame = noise_frame(fmt, seed=width * height)
         try:
-            generation = store.register(frame).generation
-            plane = frame.plane(channel).reshape(-1)
-            for index in (0, plane.size // 2, plane.size - 1):
-                plane[index] ^= 1
-                handle = store.register(frame)
-                assert handle.generation == generation + 1
-                generation = handle.generation
-                assert store.register(frame) is handle
+            sizes = []
+            for count in (1, 2, 3, 2):
+                store.write_region(0, planes[:count])
+                sizes.append(store._regions[0].nbytes)
+            assert sizes == [64, 128, 256, 256]
+            assert store.segments_created == 3
         finally:
             store.close()
 
-    def test_frame_gc_releases_segment(self):
+    def test_releasing_a_region_unlinks_it(self):
         store = shm.PlaneStore()
-        frame = noise_frame(QCIF, seed=5)
         try:
-            handle = store.register(frame)
-            assert store.segments_active == 1
-            del frame
-            gc.collect()
-            assert store.segments_active == 0
-            with pytest.raises(Exception):
-                shm._attach_segment(handle.segment_name)
+            _, name = _shipped(store, 1, noise_frame(QCIF, seed=8))
+            _, other = _shipped(store, 2, noise_frame(QCIF, seed=9))
+            store.release_region(1)
+            store.release_region(1)  # none left: a no-op
+            with pytest.raises(FileNotFoundError):
+                shm._attach_segment(name)
+            assert store.active_segment_names() == [other]
         finally:
             store.close()
 
     def test_close_releases_everything_and_is_idempotent(self):
         store = shm.PlaneStore()
         frames = [noise_frame(QCIF, seed=s) for s in (6, 7)]
-        handles = [store.register(f) for f in frames]
+        for key, frame in enumerate(frames):
+            _shipped(store, key, frame)
+        store.lease_slab(QCIF)
+        names = store.active_segment_names()
+        assert len(names) == 3
         store.close()
         store.close()
-        assert store.segments_active == 0
-        for handle in handles:
+        assert store.active_segment_names() == []
+        for name in names:
             with pytest.raises(Exception):
-                shm._attach_segment(handle.segment_name)
-        # A closed store declines new registrations.
-        assert store.register(frames[0]) is None
+                shm._attach_segment(name)
+        # A closed store declines new regions and slabs.
+        assert store.write_region(0, [frames[0].read_plane(Channel.Y)]) \
+            is None
+        assert store.lease_slab(QCIF) is None
 
     def test_broken_store_answers_none(self):
         store = shm.PlaneStore()
-        store.broken = True
-        assert store.register(noise_frame(QCIF, seed=8)) is None
+        try:
+            store.broken = True
+            plane = noise_frame(QCIF, seed=8).read_plane(Channel.Y)
+            assert store.write_region(0, [plane]) is None
+            assert store.lease_slab(QCIF) is None
+            assert store.active_segment_names() == []
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("width, height", [(5, 5), (8, 3), (7, 9)])
+    @pytest.mark.parametrize("channel", ALL_CHANNELS)
+    def test_any_changed_pixel_reaches_the_worker(self, width, height,
+                                                  channel):
+        """Each ship copies the whole plane: a change to any one pixel
+        -- the first, one in the middle, the last -- is what the worker
+        reads next, in a region it keeps."""
+        fmt = ImageFormat(f"G{width}x{height}", width, height)
+        store = shm.PlaneStore()
+        frame = noise_frame(fmt, seed=width * height)
+        try:
+            _, name = _shipped(store, 0, frame, [channel])
+            plane = frame.plane(channel).reshape(-1)
+            for index in (0, plane.size // 2, plane.size - 1):
+                plane[index] ^= 1
+                got, again = _shipped(store, 0, frame, [channel])
+                assert again == name
+                assert _same_read_planes(got, frame, [channel])
+        finally:
+            store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +285,6 @@ class TestPlaneStore:
 
 @needs_shm
 class TestResultSlabs:
-    def teardown_method(self):
-        shm.reset_worker_cache()
-
     @staticmethod
     def _deliver(store, frame):
         """Lease a slab, write ``frame`` into it as a worker would, and
@@ -316,109 +370,85 @@ class TestResultSlabs:
 
 
 # ---------------------------------------------------------------------------
-# Worker-resident cache (exercised in-process)
+# What a worker maps: its region, mapped again only for a new one
 # ---------------------------------------------------------------------------
 
 @needs_shm
 class TestWorkerCache:
-    def teardown_method(self):
-        shm.reset_worker_cache()
-
-    def test_attach_caches_and_hits(self):
-        store = shm.PlaneStore()
-        frame = noise_frame(QCIF, seed=9)
-        try:
-            handle = store.register(frame)
-            first, hit_first = shm.worker_attach(handle)
-            again, hit_again = shm.worker_attach(handle)
-            assert not hit_first and hit_again
-            assert again is first
-            assert first.equals(frame)
-            assert shm.worker_cache_size() == 1
-        finally:
-            store.close()
-
-    def test_generation_bump_invalidates_cached_mapping(self):
-        store = shm.PlaneStore()
-        frame = noise_frame(QCIF, seed=10)
-        try:
-            old = store.register(frame)
-            cached, _ = shm.worker_attach(old)
-            before = cached.y.copy()
-            frame.y[:] ^= 3
-            new = store.register(frame)
-            assert new.generation == old.generation + 1
-            fresh, hit = shm.worker_attach(new)
-            assert not hit
-            assert fresh is not cached
-            assert fresh.equals(frame)
-            # The stale view still reads the *old* content: its mapping
-            # survives the unlink until the last view drops.
-            assert (cached.y == before).all()
-        finally:
-            store.close()
+    def test_attach_caches_and_hits(self, monkeypatch):
+        """A worker maps its input region once: each run on the same
+        region is a hit, and a run on a grown region attaches it."""
+        small = ImageFormat("S8x8", 8, 8)
+        with CallScheduler(max_workers=2) as sched:
+            _pin(monkeypatch, sched, "worker")
+            lib = AddressLib(SoftwareBackend())
+            books = []
+            for fmt, seed in ((small, 1), (small, 2), (QCIF, 3), (QCIF, 4)):
+                frame = noise_frame(fmt, seed=seed)
+                calls = [BatchCall.intra(op, frame)
+                         for op in (INTRA_BOX3, INTRA_GRAD)]
+                got = lib.run_batch(calls, scheduler=sched)
+                for call, result in zip(calls, got):
+                    _assert_same(result, _serial_reference(call))
+                report = sched.last_report
+                assert report.pool_calls == 2
+                books.append((report.worker_cache_hits,
+                              report.worker_cache_attaches))
+            assert books == [(0, 1), (1, 0), (0, 1), (1, 0)]
+            assert sched.transport_stats()["store"]["segments_created"] == 2
 
     def test_tokens_isolate_stores(self):
+        """Two stores' slabs share slab ids but never a worker mapping:
+        each result lands in its own store's segment."""
         store_a, store_b = shm.PlaneStore(), shm.PlaneStore()
-        frame = noise_frame(QCIF, seed=11)
+        frames = [noise_frame(QCIF, seed=s) for s in (11, 12)]
+        slabs = OrderedDict()
         try:
-            handle_a = store_a.register(frame)
-            handle_b = store_b.register(frame)
-            _, hit_a = shm.worker_attach(handle_a)
-            _, hit_b = shm.worker_attach(handle_b)
-            assert not hit_a and not hit_b
-            assert shm.worker_cache_size() == 2
+            leases = [store.lease_slab(QCIF) for store in (store_a, store_b)]
+            assert leases[0].slab_id == leases[1].slab_id
+            for lease, frame in zip(leases, frames):
+                result = shm.worker_result_frame(slabs, lease, QCIF)
+                for channel in ALL_CHANNELS:
+                    result.plane(channel)[...] = frame.read_plane(channel)
+            assert len(slabs) == 2
+            for store, lease, frame in zip((store_a, store_b), leases,
+                                           frames):
+                assert _adopt_whole(store, lease, QCIF).equals(frame)
         finally:
             store_a.close()
             store_b.close()
-
-    def test_reset_clears_cache(self):
-        store = shm.PlaneStore()
-        frame = noise_frame(QCIF, seed=12)  # held: GC would drop the segment
-        try:
-            handle = store.register(frame)
-            shm.worker_attach(handle)
-            shm.reset_worker_cache()
-            assert shm.worker_cache_size() == 0
-            _, hit = shm.worker_attach(handle)
-            assert not hit
-        finally:
-            store.close()
 
     def test_attaches_send_the_resource_tracker_nothing(self, monkeypatch):
         """Workers share one resource tracker, which keeps a set of
         names: two workers each registering and withdrawing one segment
         make it fail the second withdrawal with a KeyError traceback.
-        A worker's attaches (inputs and result slabs) must not message
-        it at all."""
+        A worker's attaches (its region and result slabs) must not
+        message it at all."""
         store = shm.PlaneStore()
         frame = noise_frame(QCIF, seed=13)
         try:
-            handle = store.register(frame)
             slab = store.lease_slab(QCIF)
             messages = _tracker_messages(monkeypatch)
-            attached, _ = shm.worker_attach(handle)
+            attached, _ = _shipped(store, 0, frame)
             _write_result(slab, frame)
             assert messages == []
-            assert attached.equals(frame)
+            assert _same_read_planes(attached, frame)
             assert _adopt_whole(store, slab, QCIF).equals(frame)
         finally:
             store.close()
 
     def test_creations_send_the_resource_tracker_nothing(self,
                                                          monkeypatch):
-        """The store creates, rewrites and unlinks its segments itself:
-        registering a frame, bumping its generation, leasing and
-        recycling slabs and closing the store never message the
-        tracker either."""
+        """The store creates, replaces and unlinks its segments itself:
+        writing a region, growing it, leasing and recycling slabs and
+        closing the store never message the tracker either."""
         messages = _tracker_messages(monkeypatch)
         before = _psm_names()
         store = shm.PlaneStore()
-        frame = noise_frame(QCIF, seed=14)
         try:
-            assert store.register(frame) is not None
-            frame.y[:] ^= 1
-            assert store.register(frame).generation == 1
+            _shipped(store, 0, noise_frame(ImageFormat("S8x8", 8, 8),
+                                           seed=14))
+            _shipped(store, 0, noise_frame(QCIF, seed=14))  # grows
             slabs = [store.lease_slab(QCIF) for _ in range(2)]
             assert None not in slabs
             store.recycle_slab(slabs[0])
@@ -507,15 +537,14 @@ class TestCorpusAcrossTransports:
         assert _psm_names() - before == set()
 
     @needs_shm
-    @pytest.mark.parametrize("failing", ["register", "lease"])
+    @pytest.mark.parametrize("failing", ["region", "lease"])
     def test_store_failure_mid_ship_runs_the_wave_inline(self, monkeypatch,
                                                          failing):
         """A segment creation fails while the first shard ships --
-        registering its third frame, or leasing its first slab (the
-        store registers every distinct frame of the workers' runs
-        before leasing).  Those calls run inline, the broken store is
-        closed with every segment it made, and the next shard ships
-        over a fresh store."""
+        making the worker's input region, or leasing the first slab
+        after it.  Those calls run inline, the broken store is closed
+        with every segment it made, and the next shard ships over a
+        fresh store."""
         before = _psm_names()
         new_segment = shm._new_segment
         made = []
@@ -532,8 +561,7 @@ class TestCorpusAcrossTransports:
         with CallScheduler(max_workers=2) as sched:
             _pin(monkeypatch, sched, "worker")
             first = _corpus_shard(0)
-            frames = len({id(f) for call in first for f in call.frames})
-            fail_at = 3 if failing == "register" else frames + 1
+            fail_at = 1 if failing == "region" else 2
             _run_shard(sched, 0)
             assert sched.last_report.pool_calls == 0
             assert sched.last_report.inline_calls == len(first)
@@ -553,7 +581,7 @@ class TestCorpusAcrossTransports:
         while the reduces' scalars still come back from the pool."""
         # The pool forks on the first wave, so the workers inherit this.
         monkeypatch.setattr(shm, "worker_result_frame",
-                            lambda slab, fmt: None)
+                            lambda slabs, slab, fmt: None)
         with CallScheduler(max_workers=2) as sched:
             _pin(monkeypatch, sched, "worker")
             calls = _run_shard(sched, 0)
@@ -606,25 +634,32 @@ _ENGINE_SCRATCH = FaceScratch()
        seeds=st.tuples(st.integers(0, 999), st.integers(0, 999)))
 def test_slab_written_results_equal_the_executor(entry, channels, width,
                                                   height, seeds):
-    """A worker's run of a scheduled call, in-process: its inputs
-    attached from the store, its computed planes written straight into
-    a leased slab.  The result the parent builds from it -- its first
-    input passed through, the slab's views as its computed planes --
-    equals ``VectorExecutor``'s result bit for bit, whatever the op,
-    channel set and geometry, and every plane is writable through
+    """A worker's run of a scheduled call, in-process: the planes its
+    inputs' computed channels hold, shipped by value through an input
+    region, its computed planes written straight into a leased slab.
+    The result the parent builds from it -- its first input passed
+    through, the slab's views as its computed planes -- equals
+    ``VectorExecutor``'s result bit for bit, whatever the op, channel
+    set and geometry, and every plane is writable through
     ``plane()``."""
     mode, token, op, reduce_to_scalar = entry
     fmt = ImageFormat(f"O{width}x{height}", width, height)
     frames = [noise_frame(fmt, seed=seed) for seed in seeds]
     frames = frames[:1] if mode == "intra" else frames
     want = VectorExecutor.wave(op, [frames], channels, reduce_to_scalar)[0]
+    computed = channels_of(channels)
     store = shm.PlaneStore()
     try:
-        handles = tuple(store.register(frame) for frame in frames)
+        name, offsets = store.write_region(
+            0, [frame.read_plane(channel) for frame in frames
+                for channel in computed])
+        inputs = tuple(tuple(offsets[i:i + len(computed)])
+                       for i in range(0, len(offsets), len(computed)))
         slab = None if reduce_to_scalar else store.lease_slab(fmt)
-        items, _ = scheduler_module._execute_wave(
-            [(mode, token, channels, handles, slab)], False,
-            _ENGINE_SCRATCH)
+        items, seconds = scheduler_module._execute_wave(
+            [(mode, token, channels, fmt, inputs, slab)],
+            shm.worker_region(name), OrderedDict(), _ENGINE_SCRATCH)
+        assert len(seconds) == 1
         if reduce_to_scalar:
             assert items == [want]
         else:
@@ -636,7 +671,6 @@ def test_slab_written_results_equal_the_executor(entry, channels, width,
             assert got.equals(want)
             assert store.stats()["slabs_created"] == 1
     finally:
-        shm.reset_worker_cache()
         store.close()
 
 
@@ -721,10 +755,10 @@ def test_slabs_outlive_their_views_and_recycle_in_steady_state(
             else:
                 assert (got == want).all()
     # Steady state: once a wave's results are dropped, running it again
-    # on the same engines leases only recycled slabs and registers
-    # nothing new.  (The balanced cut may move a call to the worker from
-    # one wave to the next, and its frame then ships for the first time,
-    # so the placement is pinned here.)
+    # on the same engines leases only recycled slabs and reuses the
+    # worker's input region.  (The balanced cut may move calls between
+    # the engines from one wave to the next, so the placement is pinned
+    # here.)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(slab_scheduler, "_engine_runs", _halves)
         _run_wave(slab_scheduler, waves[-1], [])
@@ -811,12 +845,12 @@ class TestWorkerDeath:
         result_frame = shm.worker_result_frame
         jobs_run = [0]
 
-        def dies_on_second_job(slab, fmt):
+        def dies_on_second_job(slabs, slab, fmt):
             # Only the workers write into slabs.
             jobs_run[0] += 1
             if jobs_run[0] == 2:
                 os._exit(1)
-            return result_frame(slab, fmt)
+            return result_frame(slabs, slab, fmt)
 
         # The pool forks on the first wave, so the worker inherits this.
         monkeypatch.setattr(shm, "worker_result_frame", dies_on_second_job)
@@ -852,7 +886,9 @@ class TestWorkerDeath:
         while the worker is still computing: that worker's reply is
         never read, so every later batch -- on other inputs -- stays
         bit-exact and ships again, and the interrupted run's slabs go
-        back once its worker is stopped."""
+        back once its worker is stopped.  The worker is stopped, and
+        its input region unlinked, before any region is written again:
+        the next wave's inputs go into a fresh worker's region."""
         execute_wave = scheduler_module._execute_wave
 
         def slow(*args):
@@ -881,17 +917,32 @@ class TestWorkerDeath:
             return [BatchCall.intra(op, frame) for frame in frames
                     for op in (INTRA_BOX3, INTRA_GRAD)]
 
+        write_region = shm.PlaneStore.write_region
+        writes = []
+
+        def recorded(store, key, planes):
+            # Which worker's region is written, and whether the stale
+            # worker had exited by then.
+            writes.append((key, stale_pid is not None
+                           and _exited(stale_pid)))
+            return write_region(store, key, planes)
+
+        monkeypatch.setattr(shm.PlaneStore, "write_region", recorded)
+        stale_pid = None
         sched = CallScheduler(max_workers=2)
         self._split(monkeypatch, sched, 4)
         # Held to the end, so the worker can finish the interrupted
-        # wave on live segments and write a reply nobody may read.
+        # wave on its region and write a reply nobody may read.
         interrupted = batch(100)
         try:
             with pytest.raises(RuntimeError, match="injected"):
                 lib.run_batch(interrupted, scheduler=sched)
             [stale] = sched._resources.workers
             assert stale.pending
+            stale_pid = stale.process.pid
             store = sched._resources.store
+            stale_region = store._regions[stale_pid].name
+            assert writes == [(stale_pid, False)]
             for seed in (200, 300, 400):
                 calls = batch(seed)
                 results = lib.run_batch(calls, scheduler=sched)
@@ -905,9 +956,13 @@ class TestWorkerDeath:
                     # The stopped worker's four slabs were idle again
                     # for this wave's worker run.
                     assert store.slabs_reused == 4
-            # The stale worker was stopped, and a fresh one took over.
-            assert sched._resources.workers[0] is not stale
+            # The stale worker was stopped, and a fresh one took over,
+            # with a region of its own.
+            fresh = sched._resources.workers[0]
+            assert fresh is not stale
             assert stale.process not in multiprocessing.active_children()
+            assert writes[1:] == [(fresh.process.pid, True)] * 3
+            assert stale_region not in _psm_names()
         finally:
             sched.close()
         assert _psm_names() - before == set()
@@ -966,21 +1021,122 @@ class TestWorkerDeath:
         assert not set(processes) & set(multiprocessing.active_children())
         assert _psm_names() - before == set()
 
-    def test_generation_bump_reaches_real_workers(self):
+
+@needs_shm
+class TestInputsByValue:
+    """A worker reads its inputs as they were when its run shipped:
+    copied into its region each wave, whatever wrote them since."""
+
+    @staticmethod
+    def _pinned(monkeypatch, sched):
+        """Every wave's first call on the worker, the rest in the
+        parent."""
+        def runs(calls, indices, overlapped):
+            return [list(indices[:1]), list(indices[1:])]
+
+        monkeypatch.setattr(sched, "_engine_runs", runs)
+
+    def test_a_write_through_plane_between_batches_reaches_the_worker(
+            self, monkeypatch):
         frame = noise_frame(QCIF, seed=22)
         calls = [BatchCall.intra(INTRA_BOX3, frame),
                  BatchCall.intra(INTRA_GRAD, frame)]
         lib = AddressLib(SoftwareBackend())
         with CallScheduler(max_workers=2) as sched:
-            lib.run_batch(calls, scheduler=sched)
-            frame.y[:] ^= 5
+            self._pinned(monkeypatch, sched)
+            first = lib.run_batch(calls, scheduler=sched)
+            first_want = _serial_reference(calls[0])
+            frame.plane(Channel.Y)[:] ^= 5
             results = lib.run_batch(calls, scheduler=sched)
-            # The worker's run (the first call) read the new segment.
+            # The worker's run (the first call) read the new content.
             assert sched.last_report.pool_calls == 1
-            store_stats = sched.transport_stats()["store"]
-            assert store_stats["generation_bumps"] >= 1
+        assert first[0].equals(first_want)
+        assert not results[0].equals(first_want)
         assert results[0].equals(VectorExecutor.intra(INTRA_BOX3, frame))
         assert results[1].equals(VectorExecutor.intra(INTRA_GRAD, frame))
+
+    def test_a_write_through_a_held_alias_between_batches_reaches_the_worker(
+            self, monkeypatch):
+        """``frame.u`` held from before the first batch: a write through
+        it after the batch, which no accessor sees, still reaches the
+        worker's next run, while the first batch's results keep the
+        content they were computed from."""
+        frame = noise_frame(QCIF, seed=23)
+        alias = frame.u
+        calls = [BatchCall.intra(INTRA_GRAD, frame, ChannelSet.YUV),
+                 BatchCall.intra(INTRA_BOX3, frame, ChannelSet.YUV)]
+        first_want = [_serial_reference(call) for call in calls]
+        lib = AddressLib(SoftwareBackend())
+        with CallScheduler(max_workers=2) as sched:
+            self._pinned(monkeypatch, sched)
+            first = lib.run_batch(calls, scheduler=sched)
+            alias[3:9, 5:40] ^= 0x5A
+            second_want = [_serial_reference(call) for call in calls]
+            second = lib.run_batch(calls, scheduler=sched)
+            assert sched.last_report.pool_calls == 1
+        assert not first_want[0].equals(second_want[0])
+        for got, want in zip(first, first_want):
+            assert got.equals(want)
+        for got, want in zip(second, second_want):
+            assert got.equals(want)
+
+    def test_each_worker_reads_its_own_region(self, monkeypatch):
+        """Three engines, so two workers: every run's planes go into its
+        own worker's region before anything is sent, and neither run's
+        copy overwrites the other's."""
+        monkeypatch.setattr("repro.host.scheduler.os.cpu_count", lambda: 3)
+        frames = [noise_frame(QCIF, seed=30 + i) for i in range(6)]
+        calls = [BatchCall.intra(INTRA_BOX3, frame) for frame in frames]
+        with CallScheduler(max_workers=3) as sched:
+            def runs(calls, indices, overlapped):
+                return [list(indices[:3]), list(indices[3:5]),
+                        list(indices[5:])]
+
+            monkeypatch.setattr(sched, "_engine_runs", runs)
+            results = AddressLib(SoftwareBackend()).run_batch(
+                calls, scheduler=sched)
+            for call, got in zip(calls, results):
+                _assert_same(got, _serial_reference(call))
+            assert sched.last_report.pool_calls == 5
+            workers = sched._resources.workers
+            regions = sched._resources.store._regions
+            assert len(workers) == 2
+            assert len({regions[w.process.pid].name for w in workers}) == 2
+
+    def test_a_region_is_reused_then_grown_and_released_with_its_worker(
+            self, monkeypatch):
+        """The worker's region holds across waves of one geometry, is
+        replaced (the old one unlinked) for a larger geometry, and goes
+        when its worker is stopped; ``close()`` leaves no name behind."""
+        before = _psm_names()
+        lib = AddressLib(SoftwareBackend())
+        small = ImageFormat("S16x16", 16, 16)
+        with CallScheduler(max_workers=2) as sched:
+            self._pinned(monkeypatch, sched)
+
+            def region_after(fmt, seed):
+                frame = noise_frame(fmt, seed=seed)
+                calls = [BatchCall.intra(INTRA_BOX3, frame),
+                         BatchCall.intra(INTRA_GRAD, frame)]
+                for call, got in zip(calls, lib.run_batch(
+                        calls, scheduler=sched)):
+                    _assert_same(got, _serial_reference(call))
+                [worker] = sched._resources.workers
+                return sched._resources.store._regions[
+                    worker.process.pid].name
+
+            first = region_after(small, 1)
+            assert region_after(small, 2) == first
+            grown = region_after(QCIF, 3)
+            assert grown != first
+            assert first not in _psm_names() and grown in _psm_names()
+            assert region_after(small, 4) == grown
+            # A stopped worker's region goes with it.
+            sched._resources.drop_workers(list(sched._resources.workers))
+            assert grown not in _psm_names()
+            fresh = region_after(small, 5)
+            assert fresh not in (first, grown)
+        assert _psm_names() - before == set()
 
 
 @needs_shm
@@ -1102,18 +1258,19 @@ class TestWorkerLifetime:
             shm.PlaneStore().close()
 
 
-#: A process that makes a store, registers one frame, leases one slab,
-#: prints both segment names, then exits without closing the store
+#: A process that makes a store, writes one input region, leases one
+#: slab, prints both segment names, then exits without closing the store
 #: ("exit") or waits to be killed ("wait").
 _STORE_OWNER = """
 import sys, time
 from repro.host.shm import PlaneStore
 from repro.image import ImageFormat, noise_frame
+from repro.image.pixel import Channel
 store = PlaneStore()
 frame = noise_frame(ImageFormat("S", 8, 8), seed=1)
-handle = store.register(frame)
+region, _ = store.write_region(0, [frame.read_plane(Channel.Y)])
 slab = store.lease_slab(frame.format)
-print(handle.segment_name, slab.segment_name, flush=True)
+print(region, slab.segment_name, flush=True)
 if sys.argv[1] == "wait":
     time.sleep(120)
 """
@@ -1146,7 +1303,7 @@ class TestSegmentLifetime:
     def test_collected_store_releases_its_segments(self):
         store = shm.PlaneStore()
         frame = noise_frame(ImageFormat("S", 8, 8), seed=2)
-        store.register(frame)
+        store.write_region(0, [frame.read_plane(Channel.Y)])
         store.lease_slab(frame.format)
         names = set(store.active_segment_names())
         assert names <= _psm_names()
